@@ -10,10 +10,9 @@ around a textual problem-file format.
 from .errors import (ActiveElementNotFound, BoundTooSmall, CertificateFailed,
                      CompletionFailed, ConditionStarStarFailed,
                      DecompositionIncomplete, DivisibilityViolated,
-                     DivisionFailed, HypothesisViolated, JetDivisionFailed,
-                     NeronError, NoContraction, NotAUnit, NotDivisible,
-                     NotInIdeal, PolyParseError, PreconditionFailed,
-                     SeparabilityFailure, TargetInsidePrime,
+                     DivisionFailed, HypothesisViolated, NeronError,
+                     NoContraction, NotAUnit, NotDivisible, NotInIdeal,
+                     PolyParseError, PreconditionFailed, TargetInsidePrime,
                      VerificationFailed)
 from .orders import (ALGEBRA, AUX, BASE, COEFF, INVERTER, SLACK, TANGENT,
                      BlockOrder, DegRevLex, Lex, NegDegRevLex, TermOrder,
@@ -21,9 +20,9 @@ from .orders import (ALGEBRA, AUX, BASE, COEFF, INVERTER, SLACK, TANGENT,
                      mixed_order)
 from .poly import Polynomial, format_poly, jacobian, parse_poly, taylor_coefficients
 from .linalg import PolyMatrix, det, det_adjugate, identity, minors
-from .groebner import (DivisionWitness, IdealHandle, buchberger_criterion,
-                       divide_with_witness, lift_division, normal_form,
-                       normal_form_against, std_basis)
+from .groebner import (DivisionWitness, Ideal, buchberger_criterion,
+                       divide_with_witness, lift_division, normal_form_against,
+                       std_basis)
 from .idealops import (divide_out, eliminate, ideal_equal, ideal_quotient,
                        intersect, krull_dim, radical_membership, saturate,
                        syzygies)

@@ -16,10 +16,9 @@ from .desing import desingularize, elkik_ideal, AlgebraPresentation
 from .errors import (ActiveElementNotFound, BoundTooSmall, CertificateFailed,
                      CompletionFailed, ConditionStarStarFailed,
                      DecompositionIncomplete, DivisibilityViolated,
-                     DivisionFailed, HypothesisViolated, JetDivisionFailed,
-                     NeronError, NoContraction, NotAUnit, NotDivisible,
-                     NotInIdeal, PolyParseError, PreconditionFailed,
-                     SeparabilityFailure, TargetInsidePrime,
+                     DivisionFailed, HypothesisViolated, NeronError,
+                     NoContraction, NotAUnit, NotDivisible, NotInIdeal,
+                     PolyParseError, PreconditionFailed, TargetInsidePrime,
                      VerificationFailed)
 from .lifting import LiftingProblem, newton_lift
 from .orders import mixed_order
@@ -30,8 +29,7 @@ _CONDITION_ERRORS = (ConditionStarStarFailed, HypothesisViolated,
                      ActiveElementNotFound, TargetInsidePrime,
                      CompletionFailed, PreconditionFailed, NoContraction,
                      DivisionFailed, DivisibilityViolated, NotDivisible,
-                     JetDivisionFailed, DecompositionIncomplete, NotAUnit,
-                     SeparabilityFailure)
+                     DecompositionIncomplete, NotAUnit)
 _CERTIFICATE_ERRORS = (CertificateFailed, VerificationFailed, NotInIdeal)
 
 

@@ -19,23 +19,20 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import (ActiveElementNotFound, BoundTooSmall, CertificateFailed,
                      CompletionFailed, ConditionStarStarFailed,
-                     DivisibilityViolated, JetDivisionFailed, NeronError,
-                     NotDivisible, NotInIdeal, TargetInsidePrime,
-                     VerificationFailed)
-from .groebner import (lift_division, normal_form_against, std_basis)
+                     DivisibilityViolated, NeronError, NotDivisible,
+                     NotInIdeal, TargetInsidePrime, VerificationFailed)
+from .groebner import Ideal, lift_division, std_basis
 from .idealops import eliminate, krull_dim, saturate, syzygies
 from .linalg import PolyMatrix, det, det_adjugate
 from .localring import (Jet, LocalRingSpec, active_element,
                         check_precision_bound, compute_e, jet_divide,
                         jet_invert, minimal_primes)
-from .orders import (ALGEBRA, AUX, BASE, COEFF, INVERTER, SLACK, TANGENT,
+from .orders import (ALGEBRA, BASE, COEFF, INVERTER, SLACK, TANGENT,
                      global_order, mixed_order)
-from .poly import (Polynomial, format_poly, jacobian, mon_deg,
-                   taylor_coefficients)
+from .poly import Polynomial, format_poly, jacobian, taylor_coefficients
 
 _ROW_VALUES = (0, 1, -1, 2, -2, 3, -3)
 
@@ -144,7 +141,6 @@ class FactorReport:
 class DesingResult:
     presentation: AlgebraPresentation
     certificate: SmoothingCertificate
-    structure_map: dict
     simplified: tuple
     multiplier: Polynomial
     trace: list
@@ -184,36 +180,14 @@ def eval_exact(p, v):
     return p.substitute({n: j.poly for n, j in v.jets.items()})
 
 
-class _PrimeChecks:
-    """Cached normal-form tests against P_i + (x)^N."""
+def _survives(ring, precision, jet, i):
+    """True when the jet is nonzero modulo P_i + J + (x)^N."""
+    return not ring.cut_ideal(precision, i).contains(jet.poly, ring.order)
 
-    def __init__(self, ring, precision):
-        self.ring = ring
-        self.precision = precision
-        self._bases = None
 
-    def bases(self):
-        if self._bases is None:
-            from .localring import monomials_of_degree
-            table = self.ring.table
-            base = table.block(BASE)
-            cut = [Polynomial(table, {m: 1})
-                   for m in monomials_of_degree(table, base, self.precision)]
-            out = []
-            for p_gens in self.ring.primes:
-                gens = list(p_gens) + list(self.ring.j_gens) + cut
-                out.append(std_basis(gens, table, self.ring.order))
-            self._bases = tuple(out)
-        return self._bases
-
-    def survives(self, jet, i):
-        """True when the jet is nonzero modulo P_i + (x)^N."""
-        return not normal_form_against(jet.poly, self.bases()[i],
-                                       self.ring.table,
-                                       self.ring.order).is_zero()
-
-    def survives_all(self, jet):
-        return all(self.survives(jet, i) for i in range(len(self.ring.primes)))
+def _survives_all(ring, precision, jet):
+    return all(_survives(ring, precision, jet, i)
+               for i in range(len(ring.primes)))
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +269,7 @@ def sym_algebra_reduction(B, v):
     if l == 0:
         return B, v
     syz = syzygies(rels + j_gens, table, order)
-    i_basis = std_basis(rels + j_gens, table, order)
+    ideal = Ideal(table, rels + j_gens)
     new_pairs = [(table.fresh_name(f"Y{len(B.algebra_names()) + k + 1}"),
                   ALGEBRA) for k in range(l)]
     table1 = table.extend(*new_pairs)
@@ -308,7 +282,7 @@ def sym_algebra_reduction(B, v):
             continue
         form = Polynomial.zero(table1)
         for (name, _), q in zip(new_pairs, head):
-            qred = normal_form_against(q, i_basis, table, order)
+            qred = ideal.nf(q, order)
             if not qred.is_zero():
                 form = form + qred.lift(table1) * Polynomial.var(table1, name)
         if not form.is_zero():
@@ -342,14 +316,13 @@ def _combo_vectors(k, budget):
                 yield vec
 
 
-def find_f_R(B, elkik, v, seed=0, combo_budget=6):
+def find_f_R(B, elkik, v, combo_budget=6):
     """Subsystem f and colon witness R passing the per-prime jet tests.
 
     Enumeration is deterministic: subsets smallest first in index order; for
     R the colon generators first, then small-integer combinations.
     """
     ring = B.ring
-    checks = _PrimeChecks(ring, v.precision)
     nprimes = len(ring.primes)
     diagnostics = []
     for contrib in elkik.contributions:
@@ -357,7 +330,8 @@ def find_f_R(B, elkik, v, seed=0, combo_budget=6):
             continue
         per_prime_ok = True
         for i in range(nprimes):
-            if not any(checks.survives(eval_at_jets(p, v, ring), i)
+            if not any(_survives(ring, v.precision,
+                                 eval_at_jets(p, v, ring), i)
                        for p in contrib.products):
                 per_prime_ok = False
                 diagnostics.append(
@@ -368,7 +342,7 @@ def find_f_R(B, elkik, v, seed=0, combo_budget=6):
             continue
         cands = list(contrib.colon_gens)
         for cand in cands:
-            if checks.survives_all(eval_at_jets(cand, v, ring)):
+            if _survives_all(ring, v.precision, eval_at_jets(cand, v, ring)):
                 return contrib, cand
         k = min(len(cands), 6)
         for vec in _combo_vectors(k, combo_budget):
@@ -378,7 +352,7 @@ def find_f_R(B, elkik, v, seed=0, combo_budget=6):
                     R = R + g * c
             if R.is_zero():
                 continue
-            if checks.survives_all(eval_at_jets(R, v, ring)):
+            if _survives_all(ring, v.precision, eval_at_jets(R, v, ring)):
                 return contrib, R
         diagnostics.append((contrib.subset, None,
                             "subset passed but no witness R was found"))
@@ -401,7 +375,6 @@ def complete_H(B, f_polys, v, seed=0, max_random=100):
     y_names = list(B.algebra_names())
     n = len(y_names)
     r = len(f_polys)
-    checks = _PrimeChecks(ring, v.precision)
     top = jacobian(f_polys, y_names) if r else []
 
     def accept(rows):
@@ -410,7 +383,7 @@ def complete_H(B, f_polys, v, seed=0, max_random=100):
         dm = det(M)
         if dm.is_zero():
             return None
-        if checks.survives_all(eval_at_jets(dm, v, ring)):
+        if _survives_all(ring, v.precision, eval_at_jets(dm, v, ring)):
             return M
         return None
 
@@ -479,13 +452,13 @@ def mm_primary_reduction(B, f_polys, H, R, v, seed=0):
     dim = krull_dim(list(p_cap_a) + j_gens, table, order, table.block(BASE))
     pivots = tuple(range(len(f_polys)))
     if dim != 1:
-        rel_basis = std_basis(rels + j_gens, table, order)
+        rel_ideal = Ideal(table, rels + j_gens)
 
         def congruent_to_p(c):
-            return normal_form_against(c - P, rel_basis, table, order).is_zero()
+            return rel_ideal.contains(c - P, order)
 
         try:
-            d = active_element(list(p_cap_a), ring.primes, table, order,
+            d = active_element(list(p_cap_a), ring.prime_ideals, table, order,
                                seed=seed, accept=congruent_to_p)
             return Reduction(B, v, tuple(f_polys), H, R, P, d, pivots,
                              tuple(p_cap_a), dim, False)
@@ -494,11 +467,11 @@ def mm_primary_reduction(B, f_polys, H, R, v, seed=0):
                     "falling back to variable adjunction")
     else:
         note = "contraction has dimension 1"
-    return _adjoin_variable(B, f_polys, H, R, P, v, seed, pivots,
-                            tuple(p_cap_a), dim, note)
+    return _adjoin_variable(B, f_polys, H, R, P, v, pivots, tuple(p_cap_a),
+                            dim, note)
 
 
-def _adjoin_variable(B, f_polys, H, R, P, v, seed, pivots, p_cap_a, dim, note):
+def _adjoin_variable(B, f_polys, H, R, P, v, pivots, p_cap_a, dim, note):
     ring = B.ring
     table = ring.table
     vP = eval_at_jets(P, v, ring)
@@ -508,11 +481,10 @@ def _adjoin_variable(B, f_polys, H, R, P, v, seed, pivots, p_cap_a, dim, note):
     z = None
     from .localring import monomials_of_degree
     base = table.block(BASE)
-    prime_bases = ring.prime_bases()
 
     def active(c):
-        return all(not normal_form_against(c, pb, table, ring.order).is_zero()
-                   for pb in prime_bases)
+        return not any(prime.contains(c, ring.order)
+                       for prime in ring.prime_ideals)
 
     # constants first: when v(P) is a unit jet the inert choice d' = 1
     # collapses the localization data to units
@@ -614,13 +586,12 @@ def build_hg(B, red, e, verify=True):
         raise DivisibilityViolated(
             f"P(y') is not divisible by d over the base: {exc}") from exc
     s = w.quotients[0]
-    s_basis = std_basis([d] + j_gens, table, ringT.order)
-    if not normal_form_against(s - 1, s_basis, table, ringT.order).is_zero():
+    if not Ideal(table, [d] + j_gens).contains(s - 1, ringT.order):
         raise DivisibilityViolated("the unit s is not congruent to 1 modulo d")
 
     d_pow = d ** (e + 1)
     b_list = []
-    de_basis = std_basis([d ** e] + j_gens, table, ringT.order)
+    de_ideal = Ideal(table, [d ** e] + j_gens)
     for fpoly in f_polys:
         val = ringT.monomial_reduce(eval_exact(fpoly, vT))
         try:
@@ -629,7 +600,7 @@ def build_hg(B, red, e, verify=True):
             raise DivisibilityViolated(
                 f"f(y') is not divisible by d^(e+1): {exc}") from exc
         b_i = wb.quotients[0]
-        if not normal_form_against(b_i, de_basis, table, ringT.order).is_zero():
+        if not de_ideal.contains(b_i, ringT.order):
             raise DivisibilityViolated("b does not lie in d^e times the base")
         b_list.append(b_i)
 
@@ -785,29 +756,24 @@ def certify_subsystem_membership(cert, BT, vT, telescope=None):
     ring = BT.ring
     table = ring.table
     ctx = telescope or _Telescope(cert, BT, vT)
-    j_basis_global = std_basis(list(ring.j_gens), table, global_order()) \
-        if ring.j_gens else ()
     for i, fpoly in enumerate(cert.f):
         expansion, h_comb = ctx.expand(fpoly, cert.p)
         if not ctx.check_residual(fpoly, cert.p, expansion, h_comb):
             raise CertificateFailed("telescoped Taylor expansion mismatch")
         slack = expansion - ctx.dpow[cert.e + 1] * cert.g[i]
-        if not _in_j(slack, ring, j_basis_global):
+        if not _in_j(slack, ring):
             raise CertificateFailed(
                 "subsystem relation is not expressible through (h, g) and J")
     return True
 
 
-def _in_j(p, ring, j_basis_global):
+def _in_j(p, ring):
     if p.is_zero():
         return True
     if not ring.j_gens:
         return False
     reduced = ring.monomial_reduce(p)
-    if reduced.is_zero():
-        return True
-    return normal_form_against(reduced, j_basis_global, ring.table,
-                               global_order()).is_zero()
+    return ring.j_ideal.contains(reduced, global_order())
 
 
 def verify_certificate(cert, BT, vT, taylor_nf=True):
@@ -834,9 +800,8 @@ def verify_certificate(cert, BT, vT, taylor_nf=True):
             if JG[i, j] != want:
                 raise CertificateFailed("(df/dY)*G != P * pivot selection")
     # d congruent to P modulo the relations
-    rel_basis = std_basis(list(BT.relations) + list(ring.j_gens), table, order)
-    if not normal_form_against(cert.d - cert.P, rel_basis, table,
-                               order).is_zero():
+    rel_ideal = Ideal(table, list(BT.relations) + list(ring.j_gens))
+    if not rel_ideal.contains(cert.d - cert.P, order):
         raise CertificateFailed("d is not congruent to P modulo the relations")
     # Q in (T)^2
     t_pos = table.block(TANGENT)
@@ -847,7 +812,7 @@ def verify_certificate(cert, BT, vT, taylor_nf=True):
     if not taylor_nf:
         return True
     # Taylor identity modulo (h)
-    h_basis = std_basis(list(cert.h) + list(ring.j_gens), table, order)
+    h_ideal = Ideal(table, list(cert.h) + list(ring.j_gens))
     t_vars = [Polynomial.var(table, nm)
               for nm in table.block_names(TANGENT)]
     Gy_rows = [[ring.monomial_reduce(eval_exact(entry, vT)) for entry in row]
@@ -865,7 +830,7 @@ def verify_certificate(cert, BT, vT, taylor_nf=True):
             lin = lin + dfj * Wj
         lhs = lhs - (cert.s ** (cert.p - 1)) * d_e * lin \
             - (cert.d ** (2 * cert.e)) * cert.Q[i]
-        if not normal_form_against(lhs, h_basis, table, order).is_zero():
+        if not h_ideal.contains(lhs, order):
             raise CertificateFailed("Taylor identity fails modulo (h)")
     return True
 
@@ -911,9 +876,9 @@ def localize_smooth(cert, BT, vT):
 
     multiplier = cert.s * s_prime * s_second
     # localized unit checks: s' and s'' congruent to 1 modulo (d, T)
-    dt_basis = std_basis([cert.d] + t_vars + list(ring.j_gens), table, order)
+    dt_ideal = Ideal(table, [cert.d] + t_vars + list(ring.j_gens))
     for u in (cert.s, s_prime, s_second):
-        if not normal_form_against(u - 1, dt_basis, table, order).is_zero():
+        if not dt_ideal.contains(u - 1, order):
             raise CertificateFailed(
                 "a localization multiplier is not congruent to 1 mod (d, T)")
 
@@ -928,29 +893,23 @@ def localize_smooth(cert, BT, vT):
     if pending:
         y_positions2 = table.block(ALGEBRA, SLACK)
         ctx = _Telescope(cert, BT, vT)
-        g_basis = std_basis(list(cert.g) + list(ring.j_gens), table, order)
+        g_ideal = Ideal(table, list(cert.g) + list(ring.j_gens))
         still = []
         for q in pending:
             p_q = max(q.degree_in(y_positions2), 0)
             expansion, h_comb = ctx.expand(q, p_q)
             if not ctx.check_residual(q, p_q, expansion, h_comb):
                 raise CertificateFailed("telescoped rewriting mismatch")
-            if not normal_form_against(expansion, g_basis, table,
-                                       order).is_zero():
+            if not g_ideal.contains(expansion, order):
                 still.append(q)
         if still:
-            hg = list(cert.h) + list(cert.g) + list(ring.j_gens)
-            hg_basis = std_basis(hg, table, order)
-            still = [q for q in still
-                     if not normal_form_against(q, hg_basis, table,
-                                                order).is_zero()]
+            hg = Ideal(table, list(cert.h) + list(cert.g) + list(ring.j_gens))
+            still = [q for q in still if not hg.contains(q, order)]
         if still:
-            hg = list(cert.h) + list(cert.g) + list(ring.j_gens)
-            sat_gens, _ = saturate(hg, multiplier, table, order)
-            sat_basis = std_basis(list(sat_gens), table, order)
+            sat_gens, _ = saturate(hg.gens, multiplier, table, order)
+            saturated = Ideal(table, sat_gens)
             for q in still:
-                if not normal_form_against(q, sat_basis, table,
-                                           order).is_zero():
+                if not saturated.contains(q, order):
                     raise CertificateFailed(
                         "relation not contained in (h, g) after saturation: "
                         + format_poly(q, order))
@@ -980,9 +939,8 @@ def localize_smooth(cert, BT, vT):
         ringW, relations,
         (cert.s.lift(tableW), s_prime.lift(tableW), s_second.lift(tableW)))
     simplified = simplify_presentation(presentation)
-    structure = {nm: nm for nm in y_names}
-    return DesingResult(presentation, cert, structure, simplified,
-                        multiplier, [], vT, algebra=BT)
+    return DesingResult(presentation, cert, simplified, multiplier, [], vT,
+                        algebra=BT)
 
 
 def simplify_presentation(pres):
@@ -1025,18 +983,8 @@ def simplify_presentation(pres):
                 break
             if changed:
                 break
-    j_basis = ring.j_basis()
-    monomial_j = all(len(b.terms) == 1 for b in j_basis)
-    out = []
-    for rel in rels:
-        if monomial_j and j_basis:
-            from .groebner import _Prepared, classic_nf
-            keyf = ring.order.key(table)
-            prepared = [_Prepared(b, keyf, i) for i, b in enumerate(j_basis)]
-            rel, _ = classic_nf(rel, prepared, keyf, table, full=True)
-        if not rel.is_zero():
-            out.append(rel)
-    return tuple(out)
+    reduced = (ring.monomial_reduce(rel) for rel in rels)
+    return tuple(rel for rel in reduced if not rel.is_zero())
 
 
 def factor_morphism(result, y_high):
@@ -1125,9 +1073,9 @@ def factor_morphism(result, y_high):
     w_inv = jet_invert(mult_val)
     for wn in table.block_names(INVERTER):
         subs[wn] = w_inv.poly
-    w_names = set(table.block_names(INVERTER))
+    w_positions = table.block(INVERTER)
     for k, rel in enumerate(pres.relations):
-        if any(rel.involves(table.block(INVERTER)) for _ in (0,)) and w_names:
+        if w_positions and rel.involves(w_positions):
             # W * multiplier - 1 at the point: use the factored value
             val = mult_val * w_inv - 1
             ok = val.is_zero()
@@ -1192,7 +1140,7 @@ def desingularize(problem, verify_certificates=True):
     else:
         record(4, {"triggered": False}, note="is not true")
 
-    contrib, R0 = find_f_R(B, elkik, v, seed=problem.seed)
+    contrib, R0 = find_f_R(B, elkik, v)
     f_polys = tuple(B.relations[i] for i in contrib.subset)
     record(5, {"f": ", ".join(fmt(p) for p in f_polys)})
 

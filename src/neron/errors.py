@@ -47,10 +47,6 @@ class ActiveElementNotFound(NeronError):
     """No active element was found within the search budget."""
 
 
-class SeparabilityFailure(NeronError):
-    """No suitable minor certifies the coefficient extension separable."""
-
-
 class ConditionStarStarFailed(NeronError):
     """No generator subset passes the per-prime evaluation test."""
 
@@ -61,10 +57,6 @@ class ConditionStarStarFailed(NeronError):
 
 class CompletionFailed(NeronError):
     """The Jacobian matrix could not be completed within the retry cap."""
-
-
-class JetDivisionFailed(NeronError):
-    """Jet division inside the reduction step failed (bound too small?)."""
 
 
 class DivisibilityViolated(NeronError):

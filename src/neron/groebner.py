@@ -19,11 +19,10 @@ byte-identical bases.
 from __future__ import annotations
 
 import heapq
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NeronError, NotInIdeal
+from .errors import NotInIdeal
 from .poly import (Polynomial, exact_div, mon_deg, mon_div, mon_divides,
                    mon_lcm, mon_mul)
 
@@ -362,45 +361,11 @@ def _post_process(G, keyf, glob, table, track):
     return out
 
 
-_HANDLE_REGISTRY = weakref.WeakSet()
-
-
-def iter_handles():
-    """Live IdealHandles, for auditing every cached basis."""
-    return list(_HANDLE_REGISTRY)
-
-
-class IdealHandle:
-    """Generator list with cached canonical bases per term order.
-
-    Handles are immutable after construction; each cache slot is filled at
-    most once, so sharing across threads is safe for reading.
-    """
-
-    def __init__(self, table, gens):
-        self.table = table
-        self.gens = tuple(gens)
-        self._bases = {}
-        _HANDLE_REGISTRY.add(self)
-
-    def basis(self, order):
-        cached = self._bases.get(order)
-        if cached is None:
-            cached = std_basis(self.gens, self.table, order)
-            self._bases[order] = cached
-        return cached
-
-    def cached_bases(self):
-        return dict(self._bases)
-
-    def nf(self, p, order):
-        return normal_form_against(p, self.basis(order), self.table, order)
-
-    def contains(self, p, order):
-        return self.nf(p, order).is_zero()
-
-    def __repr__(self):
-        return f"IdealHandle({list(self.gens)!r})"
+def _reduce(p, prepared, keyf, table, glob):
+    """Full classic division for global orders, Mora's NF otherwise."""
+    if glob:
+        return classic_nf(p, prepared, keyf, table, full=True)[0]
+    return mora_nf(p, prepared, keyf, table)[0]
 
 
 def normal_form_against(p, basis, table, order):
@@ -409,18 +374,64 @@ def normal_form_against(p, basis, table, order):
         return p
     keyf = order.key(table)
     prepared = [_Prepared(b, keyf, i) for i, b in enumerate(basis)]
-    if order.is_global(table):
-        r, _ = classic_nf(p, prepared, keyf, table, full=True)
-        return r
-    r, _ = mora_nf(p, prepared, keyf, table)
-    return r
+    return _reduce(p, prepared, keyf, table, order.is_global(table))
 
 
-def normal_form(p, handle, order):
-    """NF of p against the ideal; zero iff p lies in the ideal of the ring
-    the order implies (polynomial ring for global orders, localization for
-    local and mixed ones)."""
-    return handle.nf(p, order)
+class Ideal:
+    """Immutable ideal: generators plus, per term order, a standard basis.
+
+    The basis of each order is computed on first use, together with its
+    prepared lead data, and lives as long as the Ideal.  Membership is
+    decided in the ring the order implies: the polynomial ring for global
+    orders, the localization for local and mixed ones.
+    """
+
+    __slots__ = ("table", "gens", "_bases")
+
+    def __init__(self, table, gens):
+        self.table = table
+        self.gens = tuple(gens)
+        self._bases = {}
+
+    def _prepared(self, order):
+        got = self._bases.get(order)
+        if got is None:
+            keyf = order.key(self.table)
+            basis = std_basis(self.gens, self.table, order)
+            got = (basis, keyf, order.is_global(self.table),
+                   [_Prepared(b, keyf, i) for i, b in enumerate(basis)])
+            self._bases[order] = got
+        return got
+
+    def basis(self, order):
+        return self._prepared(order)[0]
+
+    def nf(self, p, order):
+        """Normal form of p; zero iff p lies in the ideal."""
+        if p.is_zero():
+            return p
+        basis, keyf, glob, prepared = self._prepared(order)
+        if not basis:
+            return p
+        return _reduce(p, prepared, keyf, self.table, glob)
+
+    def contains(self, p, order):
+        return self.nf(p, order).is_zero()
+
+    def reduce_full(self, p, order):
+        """Fully tail-reduced remainder of p by long division.
+
+        Terminates for global orders, and for any order when the ideal
+        contains a power of the maximal ideal (jet ideals J + (x)^N): the
+        monomials below that power are finitely many.
+        """
+        basis, keyf, _, prepared = self._prepared(order)
+        if not basis:
+            return p
+        return classic_nf(p, prepared, keyf, self.table, full=True)[0]
+
+    def __repr__(self):
+        return f"Ideal({list(self.gens)!r})"
 
 
 @dataclass

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import NeronError, NotInIdeal
-from .groebner import divide_with_witness, normal_form_against, std_basis
+from .groebner import Ideal, divide_with_witness, std_basis
 from .orders import AUX, elim_order, global_order, mixed_order
 from .poly import Polynomial, exact_div, mon_divides
 
@@ -96,13 +96,15 @@ def ideal_quotient(gens_i, gens_j, table, order=None):
     return tuple(std_basis(result, table, order))
 
 
+def same_ideal(a, b, order):
+    """True when the Ideals a and b are equal at this order."""
+    return (all(b.contains(g, order) for g in a.basis(order))
+            and all(a.contains(g, order) for g in b.basis(order)))
+
+
 def ideal_equal(gens_a, gens_b, table, order=None):
     order = mixed_order(table) if order is None else order
-    ha = std_basis(gens_a, table, order)
-    hb = std_basis(gens_b, table, order)
-    return (all(normal_form_against(g, hb, table, order).is_zero() for g in ha)
-            and
-            all(normal_form_against(g, ha, table, order).is_zero() for g in hb))
+    return same_ideal(Ideal(table, gens_a), Ideal(table, gens_b), order)
 
 
 def saturate(gens, g, table, order=None, max_steps=100):
@@ -110,12 +112,12 @@ def saturate(gens, g, table, order=None, max_steps=100):
     order = mixed_order(table) if order is None else order
     if g.is_zero():
         raise NeronError("saturation by zero")
-    current = tuple(std_basis(gens, table, order))
+    current = Ideal(table, gens)
     for k in range(max_steps):
-        nxt = quotient_by_poly(current, g, table, order)
-        nxt = tuple(std_basis(nxt, table, order))
-        if ideal_equal(current, nxt, table, order):
-            return current, k
+        nxt = Ideal(table, quotient_by_poly(current.basis(order), g, table,
+                                            order))
+        if same_ideal(current, nxt, order):
+            return current.basis(order), k
         current = nxt
     raise NeronError("saturation chain did not stabilize (cap reached)")
 

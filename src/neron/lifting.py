@@ -19,10 +19,10 @@ from .desing import (AlgebraPresentation, MorphismApprox, _PowerCache,
                      complete_H, eval_exact)
 from .errors import (DivisionFailed, HypothesisViolated, NeronError,
                      NoContraction, NotDivisible, PreconditionFailed)
-from .groebner import normal_form_against, std_basis
+from .groebner import Ideal
 from .idealops import ideal_quotient
 from .linalg import PolyMatrix, det, det_adjugate
-from .localring import Jet, compute_e, jet_divide, monomials_of_degree
+from .localring import compute_e, jet_divide, monomials_of_degree
 from .orders import ALGEBRA, BASE
 from .poly import Polynomial, jacobian, taylor_coefficients
 
@@ -92,12 +92,9 @@ def check_hypothesis(prob, e=None):
     gens = _jacobian_products(prob) + list(ring.j_gens)
     gens += [Polynomial(table, {m: 1})
              for m in monomials_of_degree(table, base, nu)]
-    basis = std_basis(gens, table, ring.order)
-    for m in monomials_of_degree(table, base, prob.rho):
-        p = Polynomial(table, {m: 1})
-        if not normal_form_against(p, basis, table, ring.order).is_zero():
-            return False
-    return True
+    ideal = Ideal(table, gens)
+    return all(ideal.contains(Polynomial(table, {m: 1}), ring.order)
+               for m in monomials_of_degree(table, base, prob.rho))
 
 
 def _completion_data(prob):
@@ -271,12 +268,10 @@ def strong_approx_decide(prob, y_second, precision):
         if not ring.reduce_jet(val, precision).is_zero():
             raise PreconditionFailed(
                 "I(y'') does not vanish modulo (x)^precision")
-    gens = _jacobian_products(prob) + list(ring.j_gens)
-    basis = std_basis(gens, ring.table, ring.order)
+    ideal = Ideal(ring.table, _jacobian_products(prob) + list(ring.j_gens))
     base = ring.table.block(BASE)
     for m in monomials_of_degree(ring.table, base, prob.rho):
-        p = Polynomial(ring.table, {m: 1})
-        if not normal_form_against(p, basis, ring.table, ring.order).is_zero():
+        if not ideal.contains(Polynomial(ring.table, {m: 1}), ring.order):
             raise PreconditionFailed(
                 "the evaluated Jacobian ideal does not contain (x)^rho")
     prob2 = LiftingProblem(ring, prob.relations, prob.f_indices,

@@ -3,26 +3,23 @@
 Jets are polynomial representatives truncated below a precision N and kept
 in canonical form modulo J + (x)^N.  Arithmetic truncates to the minimum
 precision of its operands.  The module also houses the restricted minimal
-prime decomposer, active element search, the annihilator exponent, the
-precision bound test, and the auxiliary smooth coefficient algebra.
+prime decomposer, active element search, the annihilator exponent and the
+precision bound test.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (ActiveElementNotFound, DecompositionIncomplete,
-                     NeronError, NotAUnit, NotDivisible, SeparabilityFailure,
-                     TargetInsidePrime)
-from .groebner import normal_form_against, std_basis
-from .idealops import (ideal_equal, ideal_quotient, quotient_by_poly,
-                       radical_membership, saturate)
-from .orders import BASE, COEFF, VarTable, mixed_order
-from .poly import Polynomial, jacobian, mon_deg
-from .linalg import PolyMatrix, minors
+                     NeronError, NotAUnit, NotDivisible, TargetInsidePrime)
+from .groebner import Ideal, std_basis
+from .idealops import (quotient_by_poly, radical_membership, same_ideal,
+                       saturate)
+from .orders import BASE, COEFF, mixed_order
+from .poly import Polynomial, mon_divides
 
 
 def monomials_of_degree(table, positions, degree):
@@ -42,15 +39,19 @@ class LocalRingSpec:
 
     ``table`` may contain more blocks than the base; J and the primes live in
     the base variables.  The local dimension at the origin must be 1.
+    ``j_ideal`` and ``prime_ideals`` hold J and the primes as Ideals; the
+    truncated ideals J + (x)^N and P_i + J + (x)^N are made once per
+    precision by ``cut_ideal``.
     """
 
     def __init__(self, table, j_gens, primes=None, check_dimension=True):
         self.table = table
         self.j_gens = tuple(g for g in j_gens if not g.is_zero())
         self.primes = None if primes is None else tuple(tuple(p) for p in primes)
-        self._bases = {}
-        self._jet_bases = {}
-        self._prime_bases = None
+        self.j_ideal = Ideal(table, self.j_gens)
+        self.prime_ideals = None if primes is None else tuple(
+            Ideal(table, p) for p in self.primes)
+        self._cut_ideals = {}
         base = table.block(BASE)
         for g in self.j_gens:
             if g.constant_coefficient() != 0:
@@ -69,33 +70,25 @@ class LocalRingSpec:
     def order(self):
         return mixed_order(self.table)
 
-    def j_basis(self, order=None):
-        order = self.order if order is None else order
-        cached = self._bases.get(order)
-        if cached is None:
-            cached = std_basis(self.j_gens, self.table, order)
-            self._bases[order] = cached
-        return cached
-
-    def reduce(self, p, order=None):
-        order = self.order if order is None else order
-        return normal_form_against(p, self.j_basis(order), self.table, order)
-
     def local_dimension(self):
         from .idealops import krull_dim
         return krull_dim(self.j_gens, self.table, self.order,
                          self.table.block(BASE))
 
-    def jet_basis(self, precision):
-        cached = self._jet_bases.get(precision)
-        if cached is None:
-            base = self.table.block(BASE)
-            gens = list(self.j_gens)
-            gens += [Polynomial(self.table, {m: 1})
-                     for m in monomials_of_degree(self.table, base, precision)]
-            cached = std_basis(gens, self.table, self.order)
-            self._jet_bases[precision] = cached
-        return cached
+    def cut_ideal(self, precision, prime=None):
+        """J + (x)^N, or P_i + J + (x)^N for the prime of index ``prime``."""
+        key = (precision, prime)
+        got = self._cut_ideals.get(key)
+        if got is None:
+            if prime is None:
+                base = self.table.block(BASE)
+                gens = list(self.j_gens) + [
+                    Polynomial(self.table, {m: 1})
+                    for m in monomials_of_degree(self.table, base, precision)]
+            else:
+                gens = self.primes[prime] + self.cut_ideal(precision).gens
+            got = self._cut_ideals[key] = Ideal(self.table, gens)
+        return got
 
     def monomial_reduce(self, p):
         """Canonical form modulo J when every J-basis lead is the whole term.
@@ -104,8 +97,7 @@ class LocalRingSpec:
         terminates for any order; for non-monomial J the input is returned
         unchanged (divisions absorb the difference through their J slots).
         """
-        from .poly import mon_divides
-        basis = self.j_basis()
+        basis = self.j_ideal.basis(self.order)
         if not basis or not all(len(b.terms) == 1 for b in basis):
             return p
         leads = [next(iter(b.terms)) for b in basis]
@@ -114,26 +106,7 @@ class LocalRingSpec:
         return Polynomial(self.table, keep)
 
     def reduce_jet(self, p, precision):
-        # Full tail reduction terminates despite the local order: the jet
-        # basis contains every degree-N base monomial, so the monomial
-        # universe below the truncation is finite.
-        from .groebner import _Prepared, classic_nf
-        basis = self.jet_basis(precision)
-        if not basis:
-            return p
-        keyf = self.order.key(self.table)
-        prepared = [_Prepared(b, keyf, i) for i, b in enumerate(basis)]
-        r, _ = classic_nf(p, prepared, keyf, self.table, full=True)
-        return r
-
-    def prime_bases(self):
-        if self.primes is None:
-            raise NeronError("minimal primes are not available")
-        if self._prime_bases is None:
-            self._prime_bases = tuple(
-                std_basis(list(p), self.table, self.order)
-                for p in self.primes)
-        return self._prime_bases
+        return self.cut_ideal(precision).reduce_full(p, self.order)
 
     def with_table(self, newtable):
         """Same ring data lifted to an extended table."""
@@ -158,21 +131,16 @@ class LocalRingSpec:
         if self.primes is None:
             raise NeronError("no primes to validate")
         order = self.order
-        bases = self.prime_bases()
-        for p_gens, basis in zip(self.primes, bases):
-            for g in p_gens:
+        for prime in self.prime_ideals:
+            for g in prime.gens:
                 if g.constant_coefficient() != 0:
                     raise NeronError("a supplied prime is the unit ideal")
             for g in self.j_gens:
-                if not normal_form_against(g, basis, self.table, order).is_zero():
+                if not prime.contains(g, order):
                     raise NeronError("a supplied prime does not contain J")
-        for a in range(len(self.primes)):
-            for b in range(len(self.primes)):
-                if a == b:
-                    continue
-                if all(normal_form_against(g, bases[b], self.table,
-                                           order).is_zero()
-                       for g in self.primes[a]):
+        for a in self.prime_ideals:
+            for b in self.prime_ideals:
+                if a is not b and all(b.contains(g, order) for g in a.gens):
                     raise NeronError("supplied primes are comparable")
         meet = None
         from .idealops import intersect
@@ -282,11 +250,11 @@ def jet_invert(u):
 
 def _standard_monomials(ring, precision, max_degree):
     """Monomials below the jet basis lead ideal with degree < max_degree."""
-    from .poly import mon_divides
     table = ring.table
     base = table.block(BASE)
     keyf = ring.order.key(table)
-    leads = [b.lead(keyf)[0] for b in ring.jet_basis(precision)]
+    leads = [b.lead(keyf)[0]
+             for b in ring.cut_ideal(precision).basis(ring.order)]
     out = []
     for d in range(max_degree):
         for m in monomials_of_degree(table, base, d):
@@ -480,26 +448,14 @@ def minimal_primes(j_gens, table, order=None, max_components=64):
     # keep inclusion-minimal components, deduplicated
     uniq = []
     for gens in finished:
-        if not any(ideal_equal(list(gens), list(other), table, order)
-                   for other in uniq):
-            uniq.append(gens)
-    minimal = []
-    for gens in uniq:
-        basis_g = std_basis(list(gens), table, order)
-        keep = True
-        for other in uniq:
-            if other is gens:
-                continue
-            other_in_g = all(
-                normal_form_against(o, basis_g, table, order).is_zero()
-                for o in other)
-            if other_in_g and not ideal_equal(list(gens), list(other),
-                                              table, order):
-                keep = False
-                break
-        if keep:
-            minimal.append(gens)
-    return minimal
+        ideal = Ideal(table, gens)
+        if not any(same_ideal(ideal, other, order) for other in uniq):
+            uniq.append(ideal)
+    return [ideal.gens for ideal in uniq
+            if not any(other is not ideal
+                       and all(ideal.contains(o, order) for o in other.gens)
+                       and not same_ideal(ideal, other, order)
+                       for other in uniq)]
 
 
 def _certify_prime(basis, table):
@@ -525,22 +481,19 @@ def active_element(target_gens, primes, table, order=None, seed=0,
                    accept=None, max_attempts=1000):
     """Element of the target ideal avoiding every minimal prime.
 
-    Search order: the given generators first, then seeded small-integer
-    combinations with coefficients in -3..3.
+    ``primes`` are Ideals.  Search order: the given generators first, then
+    seeded small-integer combinations with coefficients in -3..3.
     """
     order = mixed_order(table) if order is None else order
     live = [g for g in target_gens if not g.is_zero()]
     if not live:
         raise TargetInsidePrime("target ideal is zero")
-    prime_bases = [std_basis(list(p), table, order) for p in primes]
-    for basis in prime_bases:
-        if all(normal_form_against(g, basis, table, order).is_zero()
-               for g in live):
+    for prime in primes:
+        if all(prime.contains(g, order) for g in live):
             raise TargetInsidePrime("target ideal lies inside a minimal prime")
 
     def is_active(d):
-        return all(not normal_form_against(d, basis, table, order).is_zero()
-                   for basis in prime_bases)
+        return not any(prime.contains(d, order) for prime in primes)
 
     for g in live:
         if is_active(g) and (accept is None or accept(g)):
@@ -565,11 +518,11 @@ def active_element(target_gens, primes, table, order=None, seed=0,
 def compute_e(d, ring, cap=50):
     """Least e >= 1 with (0 : d^e) = (0 : d^(e+1)) in A, by colon iteration."""
     table, order = ring.table, ring.order
-    current = tuple(ring.j_basis())
+    current = ring.j_ideal
     for k in range(cap):
-        nxt = quotient_by_poly(list(current), d, table, order)
-        nxt = tuple(std_basis(list(nxt), table, order))
-        if ideal_equal(list(current), list(nxt), table, order):
+        nxt = Ideal(table, quotient_by_poly(current.basis(order), d, table,
+                                            order))
+        if same_ideal(current, nxt, order):
             return max(1, k)
         current = nxt
     raise NeronError("annihilator chain did not stabilize within the cap")
@@ -578,91 +531,6 @@ def compute_e(d, ring, cap=50):
 def check_precision_bound(N, d, e, ring):
     """True iff (x)^N is contained in (d^(2e+1)) + J locally."""
     table, order = ring.table, ring.order
-    gens = list(ring.j_gens) + [d ** (2 * e + 1)]
-    basis = std_basis(gens, table, order)
-    base = table.block(BASE)
-    for m in monomials_of_degree(table, base, N):
-        p = Polynomial(table, {m: 1})
-        if not normal_form_against(p, basis, table, order).is_zero():
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# coefficient extension and the smooth base D
-
-@dataclass(frozen=True)
-class CoeffExt:
-    """Separable presentation data for the coefficient field extension."""
-
-    u_names: tuple
-    jbar_gens: tuple
-    w: tuple
-    rho_min: Polynomial | None
-    tau: Polynomial | None
-    gamma: Polynomial | None
-
-    @property
-    def trivial(self):
-        return not self.jbar_gens and not self.u_names
-
-
-@dataclass(frozen=True)
-class SmoothBaseD:
-    """Presentation of the auxiliary smooth base; equals A when trivial."""
-
-    ring: LocalRingSpec
-    ext: CoeffExt
-    relations: tuple
-    multiplier: Polynomial
-    omega: dict = field(default_factory=dict)
-
-    @property
-    def is_base_ring(self):
-        return not self.relations and self.multiplier.is_constant()
-
-
-def construct_coeff_ext(table, u_names, jbar_gens):
-    """Choose a subsystem w, a separability minor and a colon witness tau."""
-    one = Polynomial.const(table, 1)
-    live = [g for g in jbar_gens if not g.is_zero()]
-    if not u_names:
-        return CoeffExt((), (), (), None, None, None)
-    if not live:
-        return CoeffExt(tuple(u_names), (), (), one, one, one)
-    order = mixed_order(table)
-    jbar_basis = std_basis(live, table, order)
-    max_p = min(len(live), len(u_names))
-    for p in range(max_p, 0, -1):
-        for w_idx in itertools.combinations(range(len(live)), p):
-            w = [live[i] for i in w_idx]
-            jac = PolyMatrix(table, jacobian(w, list(u_names)))
-            for rho in minors(jac, p):
-                if rho.is_zero():
-                    continue
-                if radical_membership(rho, live, table):
-                    continue
-                colon = ideal_quotient(w, live, table, order)
-                tau = None
-                for cand in colon:
-                    if not normal_form_against(cand, jbar_basis, table,
-                                               order).is_zero():
-                        tau = cand
-                        break
-                if tau is None:
-                    continue
-                return CoeffExt(tuple(u_names), tuple(live), tuple(w),
-                                rho, tau, one)
-    raise SeparabilityFailure("no subsystem with a unit minor exists")
-
-
-def build_D(ext, ring, omega=None):
-    """Auxiliary smooth base from the coefficient extension data."""
-    one = Polynomial.const(ring.table, 1)
-    if ext.trivial:
-        return SmoothBaseD(ring, ext, (), one, dict(omega or {}))
-    if not ext.jbar_gens:
-        return SmoothBaseD(ring, ext, (), one, dict(omega or {}))
-    multiplier = ext.rho_min * ext.tau * (ext.gamma or one)
-    return SmoothBaseD(ring, ext, tuple(ext.w), multiplier,
-                       dict(omega or {}))
+    ideal = Ideal(table, list(ring.j_gens) + [d ** (2 * e + 1)])
+    return all(ideal.contains(Polynomial(table, {m: 1}), order)
+               for m in monomials_of_degree(table, table.block(BASE), N))

@@ -11,7 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NeronError, PolyParseError
-from .orders import VarTable
 
 _ZERO = 0
 _ONE = 1
@@ -415,10 +414,11 @@ def taylor_coefficients(f, names, at):
 # ---------------------------------------------------------------------------
 # parsing and printing
 
-_SYMBOLS = ("+", "-", "*", "^", "(", ")", ",")
+_SYMBOLS = "+-*^(),/"
 
 
-def _tokenize(text):
+def _tokenize(text, symbols=_SYMBOLS):
+    """Tokens (kind, value, line, col); each symbol is its own kind."""
     tokens = []
     line, col = 1, 1
     i = 0
@@ -438,7 +438,7 @@ def _tokenize(text):
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if ch in _SYMBOLS:
+        if ch in symbols:
             tokens.append((ch, ch, line, col))
             i += 1
             col += 1
@@ -450,11 +450,6 @@ def _tokenize(text):
             tokens.append(("int", text[i:j], line, col))
             col += j - i
             i = j
-            continue
-        if ch == "/":
-            tokens.append(("/", "/", line, col))
-            i += 1
-            col += 1
             continue
         if ch.isalpha() or ch == "_":
             j = i

@@ -19,9 +19,12 @@ from dataclasses import dataclass, field
 
 from .desing import DesingProblem, MorphismApprox
 from .errors import PolyParseError
-from .localring import LocalRingSpec, minimal_primes
+from .localring import LocalRingSpec
 from .orders import ALGEBRA, BASE, COEFF, VarTable, mixed_order
-from .poly import format_poly, parse_poly
+from .poly import _tokenize, format_poly, parse_poly
+
+# structural symbols plus those of the polynomial syntax
+_SYMBOLS = "{};=|,+-*^()/"
 
 
 @dataclass
@@ -73,7 +76,7 @@ class ProblemFile:
 
 class _Stream:
     def __init__(self, text):
-        self.tokens = _tokenize_problem(text)
+        self.tokens = _tokenize(text, _SYMBOLS)
         self.pos = 0
 
     def peek(self):
@@ -90,58 +93,6 @@ class _Stream:
             raise PolyParseError(f"expected {what or kind}, got {tok[1]!r}",
                                  tok[2], tok[3])
         return tok
-
-
-def _tokenize_problem(text):
-    # reuse the polynomial tokenizer plus the structural symbols
-    out = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    structural = "{};=|,"
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in structural:
-            out.append((ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in "+-*^()/":
-            out.append(("op", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise PolyParseError(f"unexpected character {ch!r}", line, col)
-    out.append(("end", "", line, col))
-    return out
 
 
 def _collect_poly_text(stream, stop_kinds):

@@ -27,7 +27,6 @@ from neron.desing import (AlgebraPresentation, _Telescope,
                           certify_subsystem_membership, desingularize,
                           elkik_ideal, factor_morphism, verify_certificate)
 from neron.errors import NeronError, VerificationFailed
-from neron.groebner import iter_handles
 from neron.lifting import (LiftingProblem, newton_lift, nu_bound,
                            strong_approx_decide)
 from neron.localring import Jet, LocalRingSpec
@@ -336,21 +335,21 @@ def test_criterion_7_kernel_property_suites():
             p = p + Polynomial.from_terms(T, [(mon, rng.randint(-3, 3))])
         return p
 
-    # exercise handles, then audit every cached basis
-    from neron import IdealHandle
-    handles = []
+    # audit the bases of random Ideals and of a ring's J and prime Ideals
+    from neron import Ideal
+    from neron.localring import minimal_primes
+    ideals = []
     for _ in range(6):
         gens = [g for g in (rnd(), rnd()) if not g.is_zero()]
-        if not gens:
-            continue
-        h = IdealHandle(T, tuple(gens))
-        h.basis(order)
-        h.basis(global_order())
-        handles.append(h)
+        if gens:
+            ideals.append(Ideal(T, gens))
+    J = [parse_poly(T, "x1*x2")]
+    ring = LocalRingSpec(T, J, primes=minimal_primes(J, T))
+    ideals += [ring.j_ideal, *ring.prime_ideals]
     audited = 0
-    for h in iter_handles():
-        for o, basis in h.cached_bases().items():
-            assert buchberger_criterion(basis, h.table, o)
+    for ideal in ideals:
+        for o in (order, global_order()):
+            assert buchberger_criterion(ideal.basis(o), ideal.table, o)
             audited += 1
     assert audited >= 10
 

@@ -130,7 +130,7 @@ def test_find_f_R_two_branch():
     prob = two_branch_problem()
     B = AlgebraPresentation(prob.ring, prob.relations)
     data = elkik_ideal(B, 3)
-    contrib, R = find_f_R(B, data, prob.morphism, seed=prob.seed)
+    contrib, R = find_f_R(B, data, prob.morphism)
     assert contrib.subset == (0,)
     assert R == parse_poly(prob.ring.table, "x1 + x2")
 
@@ -144,7 +144,7 @@ def test_find_f_R_smooth_hypersurface():
     v = MorphismApprox(8, {"Y1": ring.jet(parse_poly(T, "x1"), 8),
                            "Y2": ring.zero_jet(8)})
     data = elkik_ideal(B, 3)
-    contrib, R = find_f_R(B, data, v, seed=0)
+    contrib, R = find_f_R(B, data, v)
     assert contrib.subset == (0,)
     assert R == parse_poly(T, "1")
 
@@ -158,7 +158,7 @@ def test_find_f_R_condition_failure():
                                         parse_poly(T, "x1*Y2")))
     data = elkik_ideal(B, 3)
     with pytest.raises(ConditionStarStarFailed) as info:
-        find_f_R(B, data, prob.morphism, seed=prob.seed)
+        find_f_R(B, data, prob.morphism)
     assert info.value.diagnostics
 
 

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from neron import (ALGEBRA, BASE, IdealHandle, Polynomial, VarTable,
+from neron import (ALGEBRA, BASE, Ideal, Polynomial, VarTable,
                    buchberger_criterion, divide_with_witness, global_order,
-                   lift_division, local_order, mixed_order, normal_form,
+                   lift_division, local_order, mixed_order,
                    normal_form_against, parse_poly, std_basis)
 from neron.errors import NotInIdeal
 
@@ -50,25 +50,68 @@ def test_hypersurface_mixed_basis_exists():
 
 def test_buchberger_criterion_on_cached_bases():
     T = table_xy()
-    handle = IdealHandle(T, (parse_poly(T, "x2*Y1 - x1*Y2"),
-                             parse_poly(T, "x1*x2")))
+    ideal = Ideal(T, (parse_poly(T, "x2*Y1 - x1*Y2"), parse_poly(T, "x1*x2")))
     for order in (global_order(), mixed_order(T)):
-        basis = handle.basis(order)
+        basis = ideal.basis(order)
         assert buchberger_criterion(basis, T, order)
+
+
+def test_ideal_basis_is_computed_once_per_order():
+    T = table_xy()
+    ideal = Ideal(T, (parse_poly(T, "x2*Y1 - x1*Y2"), parse_poly(T, "x1*x2")))
+    for order in (global_order(), mixed_order(T)):
+        basis = ideal.basis(order)
+        assert ideal.basis(order) is basis
+        assert basis == std_basis(ideal.gens, T, order)
+    assert ideal.basis(global_order()) != ideal.basis(mixed_order(T))
+
+
+def _random_poly(T, rng, terms=5, maxdeg=3):
+    return Polynomial.from_terms(
+        T, [(tuple(rng.randint(0, maxdeg) for _ in T.names),
+             rng.randint(-5, 5)) for _ in range(terms)])
+
+
+def test_ideal_nf_agrees_with_normal_form_against():
+    T = table_xy()
+    rng = random.Random(11)
+    for order in (global_order(), mixed_order(T)):
+        for _ in range(6):
+            ideal = Ideal(T, [_random_poly(T, rng, 3, 2) for _ in range(2)])
+            basis = ideal.basis(order)
+            for _ in range(5):
+                p = _random_poly(T, rng)
+                r = ideal.nf(p, order)
+                assert r == normal_form_against(p, basis, T, order)
+                assert ideal.contains(p, order) == r.is_zero()
+                member = p * ideal.gens[0]
+                assert ideal.contains(member, order)
+
+
+def test_ideal_reduce_full_on_jet_ideal():
+    # the ideal contains (x)^4, so full tail reduction terminates under
+    # the local order
+    T = VarTable.make(("x1", BASE), ("x2", BASE))
+    order = local_order()
+    gens = [parse_poly(T, "x1^2 - x2^3")]
+    gens += [parse_poly(T, m) for m in ("x1^4", "x1^3*x2", "x1^2*x2^2",
+                                        "x1*x2^3", "x2^4")]
+    ideal = Ideal(T, gens)
+    r = ideal.reduce_full(parse_poly(T, "x1 + x1^2 + x1^3"), order)
+    assert r == parse_poly(T, "x1 + x2^3")
+    assert ideal.contains(parse_poly(T, "x1^2 - x2^3"), order)
+    assert not ideal.contains(parse_poly(T, "x2^3"), order)
 
 
 def test_normal_form_examples():
     T = table_xy()
     rng = random.Random(2)
-    handle = IdealHandle(T, (parse_poly(T, "x1*x2"),))
+    ideal = Ideal(T, (parse_poly(T, "x1*x2"),))
     for _ in range(10):
-        q = Polynomial.from_terms(
-            T, [(tuple(rng.randint(0, 3) for _ in T.names),
-                 rng.randint(-5, 5)) for _ in range(5)])
-        assert normal_form(parse_poly(T, "x1*x2") * q, handle,
-                           global_order()).is_zero()
-    h2 = IdealHandle(T, (parse_poly(T, "x1"),))
-    assert normal_form(parse_poly(T, "x1 + x2"), h2, global_order()) == \
+        q = _random_poly(T, rng)
+        assert ideal.nf(parse_poly(T, "x1*x2") * q, global_order()).is_zero()
+    h2 = Ideal(T, (parse_poly(T, "x1"),))
+    assert h2.nf(parse_poly(T, "x1 + x2"), global_order()) == \
         parse_poly(T, "x2")
 
 
@@ -79,9 +122,9 @@ def test_normal_form_gamma_membership():
     alpha = parse_poly(T, "x1*Y1^2 + x2*Y2^2 + x3*Y3^2 - x1 - x2 - x3")
     I = [parse_poly(T, "x2") * alpha, parse_poly(T, "x1") * alpha,
          parse_poly(T, "x3") * alpha]
-    handle = IdealHandle(T, tuple(I))
+    ideal = Ideal(T, tuple(I))
     gamma = parse_poly(T, "x1 + x2 + x3")
-    assert normal_form(gamma * alpha, handle, mixed_order(T)).is_zero()
+    assert ideal.contains(gamma * alpha, mixed_order(T))
 
 
 def test_witnessed_membership_re_expansion():

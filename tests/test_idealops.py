@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from neron import (ALGEBRA, BASE, IdealHandle, Polynomial, VarTable,
+from neron import (ALGEBRA, BASE, Polynomial, VarTable,
                    eliminate, global_order, ideal_equal, ideal_quotient,
                    intersect, krull_dim, mixed_order, normal_form_against,
                    parse_poly, radical_membership, saturate, std_basis,

@@ -1,19 +1,18 @@
-"""Base ring layer: primes, active elements, jets, precision bound, D."""
+"""Base ring layer: primes, active elements, jets, precision bound."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from neron import (ALGEBRA, BASE, COEFF, Polynomial, VarTable, ideal_equal,
+from neron import (ALGEBRA, BASE, Ideal, Polynomial, VarTable, ideal_equal,
                    ideal_quotient, mixed_order, parse_poly, std_basis)
 from neron.errors import (ActiveElementNotFound, DecompositionIncomplete,
                           NeronError, NotAUnit, NotDivisible,
                           TargetInsidePrime)
-from neron.localring import (CoeffExt, Jet, LocalRingSpec, active_element,
-                             build_D, check_precision_bound, compute_e,
-                             construct_coeff_ext, jet_divide, jet_invert,
-                             minimal_primes)
+from neron.localring import (Jet, LocalRingSpec, active_element,
+                             check_precision_bound, compute_e, jet_divide,
+                             jet_invert, minimal_primes)
 
 
 def table2():
@@ -68,12 +67,13 @@ def test_active_element_examples():
     ring = two_branch_ring()
     T = ring.table
     target = [parse_poly(T, "(x1+x2)^2")]
-    d = active_element(target, ring.primes, T, seed=1)
+    d = active_element(target, ring.prime_ideals, T, seed=1)
     assert d == parse_poly(T, "(x1+x2)^2")
+    x1 = parse_poly(T, "x1")
     with pytest.raises(TargetInsidePrime):
-        active_element([parse_poly(T, "x1")], ((parse_poly(T, "x1"),),), T)
+        active_element([x1], (Ideal(T, [x1]),), T)
     combo = active_element([parse_poly(T, "x1^2"), parse_poly(T, "x2^2")],
-                           ring.primes, T, seed=3)
+                           ring.prime_ideals, T, seed=3)
     for p_gens in ring.primes:
         basis = std_basis(list(p_gens), T, ring.order)
         from neron import normal_form_against
@@ -177,44 +177,14 @@ def test_jet_divide_non_uniqueness_is_harmless_mod_powers():
     assert (den * z - num).is_zero()
 
 
-def test_coeffext_trivial_and_transcendental():
-    TU = VarTable.make(("x", BASE), ("U1", COEFF))
-    ring = LocalRingSpec(TU, [])
-    ext0 = construct_coeff_ext(TU, (), [])
-    D0 = build_D(ext0, ring)
-    assert D0.is_base_ring and ext0.trivial
-    ext1 = construct_coeff_ext(TU, ("U1",), [])
-    D1 = build_D(ext1, ring)
-    assert D1.is_base_ring and not ext1.trivial
-    assert D1.relations == ()
-
-
-def test_coeffext_quadratic_extension():
-    TU = VarTable.make(("x", BASE), ("U1", COEFF))
-    ring = LocalRingSpec(TU, [])
-    ext = construct_coeff_ext(TU, ("U1",), [parse_poly(TU, "U1^2 - 2")])
-    assert ext.w == (parse_poly(TU, "U1^2 - 2"),)
-    assert ext.rho_min in (parse_poly(TU, "2*U1"), parse_poly(TU, "-2*U1"))
-    assert ext.tau == Polynomial.const(TU, 1)
-    # witnessed invariants: tau * Jbar inside (w); rho not in radical
-    from neron import normal_form_against, radical_membership
-    basis_w = std_basis(list(ext.w), TU, mixed_order(TU))
-    for g in ext.jbar_gens:
-        assert normal_form_against(ext.tau * g, basis_w, TU,
-                                   mixed_order(TU)).is_zero()
-    assert not radical_membership(ext.rho_min, list(ext.jbar_gens), TU)
-    D = build_D(ext, ring)
-    assert not D.is_base_ring
-    assert D.multiplier == ext.rho_min * ext.tau
-
-
 def test_prime_list_invariants_after_decomposition():
     ring = two_branch_ring()
     T = ring.table
     from neron import normal_form_against, radical_membership
-    for p_gens, basis in zip(ring.primes, ring.prime_bases()):
+    for prime in ring.prime_ideals:
         for g in ring.j_gens:
-            assert normal_form_against(g, basis, T, ring.order).is_zero()
+            assert normal_form_against(g, prime.basis(ring.order), T,
+                                       ring.order).is_zero()
     from neron import intersect
     meet = None
     for p_gens in ring.primes:
