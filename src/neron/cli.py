@@ -229,6 +229,11 @@ def run_command(cmd, path, fmt="text", rho=None, target=None, f_indices=None,
         return 4, "", f"parse error: {exc}\n"
     except BoundTooSmall as exc:
         return 2, "", str(exc) + "\n"
+    except ConditionStarStarFailed as exc:
+        return 3, "", f"{type(exc).__name__}: {exc}\n" + "".join(
+            f"  subset {list(subset)}, prime "
+            f"{'-' if prime is None else prime}: {reason}\n"
+            for subset, prime, reason in exc.diagnostics)
     except _CONDITION_ERRORS as exc:
         return 3, "", f"{type(exc).__name__}: {exc}\n"
     except _CERTIFICATE_ERRORS as exc:

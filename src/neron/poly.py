@@ -233,22 +233,50 @@ class Polynomial:
                               {m: v * other for m, v in self.terms.items()})
         sa, ta = self._int_view()
         sb, tb = other._int_view()
+        if not ta or not tb:
+            return Polynomial(self.table, {})
         if len(ta) > len(tb):
             ta, tb = tb, ta
+        # Packed exponents (Monagan & Pearce): each monomial becomes one int
+        # with a field of `bits` bits per variable, the first variable in
+        # the highest field.  The width holds the largest exponent sum of
+        # this product, so adding two packed monomials never carries from
+        # one field into the next; the product of monomials is one int
+        # addition, and packing is injective, so the accumulation below
+        # visits and cancels keys exactly as the tuple loop would.
+        bits = (max(map(max, ta)) + max(map(max, tb))).bit_length() or 1
+        pa = []
+        for m, c in ta.items():
+            p = 0
+            for e in m:
+                p = (p << bits) | e
+            pa.append((p, c))
+        pb = []
+        for m, c in tb.items():
+            p = 0
+            for e in m:
+                p = (p << bits) | e
+            pb.append((p, c))
         out = {}
         get = out.get
-        for m1, c1 in ta.items():
-            for m2, c2 in tb.items():
-                m = tuple(x + y for x, y in zip(m1, m2))
-                acc = get(m, 0) + c1 * c2
+        for p1, c1 in pa:
+            for p2, c2 in pb:
+                p = p1 + p2
+                acc = get(p, 0) + c1 * c2
                 if acc:
-                    out[m] = acc
+                    out[p] = acc
                 else:
-                    del out[m]
+                    del out[p]
+        mask = (1 << bits) - 1
+        shifts = range(bits * (len(self.table) - 1), -1, -bits)
         scale = sa * sb
         if scale != 1:
-            out = {m: _canon_coeff(v * scale) for m, v in out.items()}
-        return Polynomial(self.table, out)
+            terms = {tuple([p >> s & mask for s in shifts]):
+                     _canon_coeff(v * scale) for p, v in out.items()}
+        else:
+            terms = {tuple([p >> s & mask for s in shifts]): v
+                     for p, v in out.items()}
+        return Polynomial(self.table, terms)
 
     __rmul__ = __mul__
 

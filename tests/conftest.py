@@ -167,6 +167,13 @@ def random_certificate_instance(seed, n_prec=9):
     return DesingProblem(ring, tuple(rels), v, seed=seed, max_subset=3)
 
 
-# frozen seeds validated to produce fast certifiable instances
+# Every generator seed in range(32) has one recorded status, and the three
+# tuples below partition the range:
+# seeds whose instances certify (the certificate property suite runs them);
 CERTIFICATE_SEEDS = (0, 1, 2, 3, 4, 6, 7, 8, 10, 11, 12, 13, 15, 16, 17, 18,
-                     19, 20, 21, 22, 23, 24, 25, 26, 27, 28)
+                     19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29)
+# seeds outside the hypothesis: find_f_R raises ConditionStarStarFailed;
+REJECTED_SEEDS = (5, 30)
+# seeds that certify too slowly for tier-1 while the localization multiplier
+# is expanded (14 takes about 21 s; 9 and 31 did not finish in 400 s).
+KNOWN_SLOW = (9, 14, 31)

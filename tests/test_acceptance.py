@@ -18,9 +18,9 @@ import time
 
 import pytest
 
-from conftest import (CERTIFICATE_SEEDS, hypersurface_problem,
-                      random_certificate_instance, space_curve_data,
-                      two_branch_problem)
+from conftest import (CERTIFICATE_SEEDS, KNOWN_SLOW, REJECTED_SEEDS,
+                      hypersurface_problem, random_certificate_instance,
+                      space_curve_data, two_branch_problem)
 from neron import (ALGEBRA, BASE, Polynomial, PolyMatrix, VarTable,
                    buchberger_criterion, det, det_adjugate, global_order,
                    ideal_equal, ideal_quotient, jacobian, lift_division,
@@ -29,7 +29,8 @@ from neron import (ALGEBRA, BASE, Polynomial, PolyMatrix, VarTable,
 from neron.desing import (AlgebraPresentation, _Telescope,
                           certify_subsystem_membership, desingularize,
                           elkik_ideal, factor_morphism, verify_certificate)
-from neron.errors import NeronError, VerificationFailed
+from neron.errors import (ConditionStarStarFailed, NeronError,
+                          VerificationFailed)
 from neron.lifting import (LiftingProblem, newton_lift, nu_bound,
                            strong_approx_decide)
 from neron.localring import Jet, LocalRingSpec
@@ -316,6 +317,21 @@ def test_criterion_4_certificate_property_suite():
     _verdict("criterion 4 (certificate suite)",
              passed >= 20 and passed == len(CERTIFICATE_SEEDS),
              f"{passed} instances, {elapsed:.1f} s")
+
+
+def test_generator_seed_statuses_partition_the_range():
+    """Each seed of range(32) certifies, is rejected or is known slow."""
+    groups = (CERTIFICATE_SEEDS, REJECTED_SEEDS, KNOWN_SLOW)
+    assert sum(len(g) for g in groups) == 32
+    assert set().union(*groups) == set(range(32))
+
+
+@pytest.mark.parametrize("seed", REJECTED_SEEDS)
+def test_rejected_seeds_fail_condition_star_star(seed):
+    """The rejected seeds fail the typed precondition, with diagnostics."""
+    with pytest.raises(ConditionStarStarFailed) as info:
+        desingularize(random_certificate_instance(seed))
+    assert info.value.diagnostics
 
 
 def test_criterion_4_taylor_nf_cross_check():

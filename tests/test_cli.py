@@ -44,18 +44,33 @@ def test_bound_too_small_exit_code_and_message():
     assert err.strip() == "the algorithm fails since the bound N is too small"
 
 
-def test_parse_error_exit_code():
+# the two monomial relations admit no passing subsystem
+NO_SUBSYSTEM = """
+    ring { field Q; vars x1 x2; relations x1*x2; }
+    algebra { vars Y1 Y2; relations x2*Y1, x1*Y2; }
+    morphism { precision 8;
+      Y1 = x1 + x1^2 + x1^3;
+      Y2 = x2 - x2^3; }
+    minprimes { x1 | x2 }
+    """
+
+
+def _run_text(text):
     import os
     import tempfile
     with tempfile.NamedTemporaryFile("w", suffix=".gnd", delete=False) as fh:
-        fh.write("ring { field Q vars x }")
+        fh.write(text)
         path = fh.name
     try:
-        code, out, err = run_command("desing", path)
-        assert code == 4
-        assert "parse error" in err
+        return run_command("desing", path)
     finally:
         os.unlink(path)
+
+
+def test_parse_error_exit_code():
+    code, out, err = _run_text("ring { field Q vars x }")
+    assert code == 4
+    assert "parse error" in err
 
 
 def test_missing_file_exit_code():
@@ -64,26 +79,21 @@ def test_missing_file_exit_code():
 
 
 def test_condition_failure_exit_code():
-    import os
-    import tempfile
-    # the two monomial relations admit no passing subsystem
-    text = """
-    ring { field Q; vars x1 x2; relations x1*x2; }
-    algebra { vars Y1 Y2; relations x2*Y1, x1*Y2; }
-    morphism { precision 8;
-      Y1 = x1 + x1^2 + x1^3;
-      Y2 = x2 - x2^3; }
-    minprimes { x1 | x2 }
-    """
-    with tempfile.NamedTemporaryFile("w", suffix=".gnd", delete=False) as fh:
-        fh.write(text)
-        path = fh.name
-    try:
-        code, out, err = run_command("desing", path)
-        assert code == 3
-        assert "ConditionStarStarFailed" in err
-    finally:
-        os.unlink(path)
+    code, out, err = _run_text(NO_SUBSYSTEM)
+    assert code == 3
+    assert "ConditionStarStarFailed" in err
+
+
+def test_condition_failure_lists_diagnostics_on_stderr():
+    code, out, err = _run_text(NO_SUBSYSTEM)
+    assert code == 3 and out == ""
+    lines = err.splitlines()
+    assert lines[0] == ("ConditionStarStarFailed: no generator subset passes "
+                        "the evaluated Jacobian test at this precision")
+    reason = "no product survives modulo this prime"
+    assert lines[1:] == [f"  subset [0], prime 1: {reason}",
+                         f"  subset [1], prime 0: {reason}",
+                         f"  subset [0, 1], prime 0: {reason}"]
 
 
 def test_hba_space_curve_contains_fitting_witness():

@@ -4,11 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neron import (ALGEBRA, BASE, Polynomial, VarTable, format_poly,
                    global_order, jacobian, mixed_order, parse_poly,
                    taylor_coefficients)
 from neron.errors import NeronError, PolyParseError
+from neron.poly import _canon_coeff
 
 
 def table2():
@@ -151,3 +154,142 @@ def test_canonical_printing_sorted_by_order():
     T = table2()
     p = parse_poly(T, "x2 + x1^2 + 1")
     assert format_poly(p, global_order()) == "x1^2 + x2 + 1"
+
+
+# ---------------------------------------------------------------------------
+# the packed-exponent product against the tuple-exponent product loop
+
+def reference_mul(a, b):
+    """Terms of a * b by the loop on exponent tuples, pair by pair.
+
+    Same operand order, same delete-on-cancel and same scaling as
+    ``Polynomial.__mul__``, so the dict must agree in keys, values, value
+    types and insertion order.
+    """
+    sa, ta = a._int_view()
+    sb, tb = b._int_view()
+    if len(ta) > len(tb):
+        ta, tb = tb, ta
+    out = {}
+    for m1, c1 in ta.items():
+        for m2, c2 in tb.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            acc = out.get(m, 0) + c1 * c2
+            if acc:
+                out[m] = acc
+            else:
+                del out[m]
+    scale = sa * sb
+    if scale != 1:
+        out = {m: _canon_coeff(v * scale) for m, v in out.items()}
+    return out
+
+
+def assert_product_matches_reference(a, b):
+    got = (a * b).terms
+    want = reference_mul(a, b)
+    assert got == want
+    assert list(got) == list(want)
+    assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+    return got
+
+
+def table_of(n):
+    return VarTable.make(*[(f"x{i + 1}", BASE) for i in range(n)])
+
+
+_EXPONENTS = st.one_of(st.integers(0, 6),
+                       st.sampled_from([63, 64, 127, 128, 129, 10 ** 6]))
+_COEFFS = st.one_of(st.integers(-5, 5).filter(bool),
+                    st.fractions(min_value=-3, max_value=3,
+                                 max_denominator=7).filter(bool))
+
+
+@st.composite
+def operand_pairs(draw):
+    n = draw(st.integers(1, 4))
+    T = table_of(n)
+    mons = st.tuples(*[_EXPONENTS] * n)
+
+    def poly():
+        items = draw(st.lists(st.tuples(mons, _COEFFS), max_size=10))
+        return Polynomial.from_terms(T, items)
+    return poly(), poly()
+
+
+@settings(max_examples=200, deadline=None)
+@given(operand_pairs())
+def test_packed_product_matches_tuple_loop(pair):
+    a, b = pair
+    assert_product_matches_reference(a, b)
+    assert_product_matches_reference(b, a)
+
+
+def test_packed_product_zero_operand():
+    T = table_xy()
+    p = parse_poly(T, "x1*Y1 - 2/3*x2^4")
+    zero = Polynomial.zero(T)
+    for a, b in ((p, zero), (zero, p), (zero, zero)):
+        assert assert_product_matches_reference(a, b) == {}
+
+
+def test_packed_product_constants():
+    T = table_xy()
+    three = Polynomial.const(T, 3)
+    half = Polynomial.const(T, Fraction(1, 2))
+    got = assert_product_matches_reference(three, half)
+    assert got == {(0, 0, 0, 0): Fraction(3, 2)}
+    assert_product_matches_reference(three, three)
+    assert_product_matches_reference(half, parse_poly(T, "x1 - Y2^3"))
+
+
+def test_packed_product_one_variable_table():
+    T = table_of(1)
+    a = parse_poly(T, "1 + 2*x1 - x1^5")
+    b = parse_poly(T, "x1^3 - 7")
+    got = assert_product_matches_reference(a, b)
+    assert Polynomial(T, got) == parse_poly(
+        T, "x1^3 + 2*x1^4 - x1^8 - 7 - 14*x1 + 7*x1^5")
+
+
+@pytest.mark.parametrize("e1, e2", [(127, 128), (128, 128), (128, 129),
+                                    (255, 1), (1, 1), (1, 2)])
+def test_packed_product_field_width_boundary(e1, e2):
+    # e1 + e2 lands on or just past a power of two, the width of a field;
+    # a carry out of the x2 field would land in the x1 field
+    T = table2()
+    a = Polynomial.from_terms(T, [((e1, e1), 1), ((0, e1), -2), ((1, 0), 3)])
+    b = Polynomial.from_terms(T, [((e2, e2), 5), ((0, e2), 1), ((0, 0), -1)])
+    got = assert_product_matches_reference(a, b)
+    assert got[(e1 + e2, e1 + e2)] == 5
+    assert got[(0, e1 + e2)] == -2
+
+
+def test_packed_product_exponent_one_million():
+    T = table2()
+    big = 10 ** 6
+    a = Polynomial.from_terms(T, [((big, 0), 1), ((0, 1), 1)])
+    b = Polynomial.from_terms(T, [((big, 3), 2), ((1, big), -1)])
+    got = assert_product_matches_reference(a, b)
+    assert got == {(2 * big, 3): 2, (big + 1, big): -1,
+                   (big, 4): 2, (1, big + 1): -1}
+
+
+def test_packed_product_fraction_coefficients():
+    T = table_xy()
+    a = parse_poly(T, "1/2*x1 + 1/3*Y1 - 5/6")
+    b = parse_poly(T, "2/3*x1 - 3/4*Y2")
+    assert a._int_view()[0] != 1 and b._int_view()[0] != 1
+    got = assert_product_matches_reference(a, b)
+    assert got[(2, 0, 0, 0)] == Fraction(1, 3)
+    assert got[(1, 0, 0, 1)] == Fraction(-3, 8)
+
+
+def test_packed_product_cancelled_monomial_is_created_again():
+    # (1 + x + x^2) * (x^2 - x + 1): x^2 appears, cancels, then appears
+    # again after x^4, so it moves to the end of the insertion order
+    T = table_of(1)
+    a = Polynomial.from_terms(T, [((0,), 1), ((1,), 1), ((2,), 1)])
+    b = Polynomial.from_terms(T, [((2,), 1), ((1,), -1), ((0,), 1)])
+    got = assert_product_matches_reference(a, b)
+    assert list(got.items()) == [((0,), 1), ((4,), 1), ((2,), 1)]
