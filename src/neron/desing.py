@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import time
 from dataclasses import dataclass, field
 
 from .errors import (ActiveElementNotFound, BoundTooSmall, CertificateFailed,
@@ -32,7 +31,8 @@ from .localring import (Jet, LocalRingSpec, active_element,
                         jet_invert, minimal_primes)
 from .orders import (ALGEBRA, BASE, COEFF, INVERTER, SLACK, TANGENT,
                      global_order, mixed_order)
-from .poly import Polynomial, format_poly, jacobian, taylor_coefficients
+from .poly import (Polynomial, exact_div, format_poly, jacobian,
+                   taylor_coefficients)
 
 _ROW_VALUES = (0, 1, -1, 2, -2, 3, -3)
 
@@ -125,7 +125,6 @@ class TraceRecord:
     label: str
     values: dict
     note: str = ""
-    seconds: float = 0.0
 
 
 @dataclass
@@ -566,7 +565,6 @@ def build_hg(B, red, e, verify=True):
     ringT = ring.with_table(table)
     BT = B.lift(table)
     vT = v.lift(ringT)
-    y_names = list(BT.algebra_names())
     t_names = [nm for nm, _ in t_pairs]
     f_polys = [p.lift(table) for p in red.f]
     H = red.H.lift(table)
@@ -604,43 +602,19 @@ def build_hg(B, red, e, verify=True):
             raise DivisibilityViolated("b does not lie in d^e times the base")
         b_list.append(b_i)
 
-    jets_poly = {nm: vT.jets[nm].poly for nm in y_names}
-    Gy = PolyMatrix(table, [[ringT.monomial_reduce(eval_exact(entry, vT))
-                             for entry in row] for row in G.rows])
-    t_vars = [Polynomial.var(table, nm) for nm in t_names]
-    W_rows = Gy.matvec(t_vars)
-    spow = _PowerCache(s)
-    dpow = _PowerCache(d)
-    d_e = dpow[e]
-    h_list = []
-    for i, nm in enumerate(y_names):
-        h_i = s * (Polynomial.var(table, nm) - jets_poly[nm]) - d_e * W_rows[i]
-        h_list.append(h_i)
+    point = _ShiftedPoint(ringT, vT, G, s, d, e)
+    # h_j = s*(Y_j - y'_j) - d^e*(G(y')T)_j
+    h_list = [a[1] - b[1] for a, b in zip(point.a_pow, point.b_pow)]
 
     y_positions = table.block(ALGEBRA, SLACK)
     p_deg = max((fp.degree_in(y_positions) for fp in f_polys), default=1)
     p_deg = max(p_deg, 1)
 
-    W_pow = [_PowerCache(w_j) for w_j in W_rows]
-    Q_list = []
-    g_list = []
-    for i, fpoly in enumerate(f_polys):
-        coeffs = taylor_coefficients(fpoly, y_names, jets_poly)
-        Q_i = Polynomial.zero(table)
-        for alpha, c_alpha in coeffs.items():
-            k = sum(alpha)
-            if k < 2:
-                continue
-            term = c_alpha * spow[p_deg - k] * dpow[e * (k - 2)]
-            for j, aj in enumerate(alpha):
-                if aj:
-                    term = term * W_pow[j][aj]
-            Q_i = Q_i + term
-        Q_list.append(Q_i)
-        g_i = spow[p_deg] * b_list[i] \
-            + spow[p_deg] * t_vars[red.pivots[i]] \
-            + dpow[e - 1] * Q_i
-        g_list.append(g_i)
+    t_vars = [Polynomial.var(table, nm) for nm in t_names]
+    s_p = point.spow[p_deg]
+    Q_list = [point.expand(fpoly, p_deg, 2 * e, 2) for fpoly in f_polys]
+    g_list = [s_p * b_i + s_p * t_vars[piv] + point.dpow[e - 1] * Q_i
+              for b_i, piv, Q_i in zip(b_list, red.pivots, Q_list)]
 
     cert = SmoothingCertificate(
         f=tuple(f_polys), r=len(f_polys), H=H, R=R, P=P, d=d, e=e, s=s,
@@ -672,80 +646,94 @@ class _PowerCache:
         return got
 
 
-class _Telescope:
-    """Shared machinery to rewrite polynomials modulo (h) into T-space.
+class _ShiftedPoint:
+    """Taylor expansion of polynomials in Y at the shifted point
+    y' + d^e * W / s, where W = G(y')T.
 
-    For q in the algebra variables, s^p * q equals the expansion of q at the
-    shifted point plus an explicit combination of the h relations; the
-    telescoping between a_j = s*(Y_j - y'_j) and b_j = d^e*(G(y')T)_j makes
-    the combination exact polynomial data, with no basis computation.
+    Putting Y = y' + d^e*W/s into q and clearing denominators with s^p turns
+    the Taylor coefficient c_alpha of q at y' into
+    c_alpha * s^(p-|alpha|) * d^(e|alpha|) * W^alpha.  This one expansion
+    gives Q in g (build_hg), the unit s'' (localize_smooth) and the
+    rewriting of a relation modulo h = s*(Y - y') - d^e*W (rewrite).
     """
 
-    def __init__(self, cert, BT, vT):
-        ring = BT.ring
+    def __init__(self, ring, vT, G, s, d, e):
         table = ring.table
-        self.cert = cert
-        self.ring = ring
         self.table = table
-        self.y_names = list(BT.algebra_names())
-        t_names = list(table.block_names(TANGENT))
-        t_vars = [Polynomial.var(table, nm) for nm in t_names]
+        self.y_names = list(table.block_names(ALGEBRA, SLACK))
         self.jets_poly = {nm: vT.jets[nm].poly for nm in self.y_names}
-        Gy_rows = [[ring.monomial_reduce(eval_exact(entry, vT))
-                    for entry in row] for row in cert.G.rows]
-        W_rows = []
-        for j in range(len(self.y_names)):
-            acc = Polynomial.zero(table)
-            for k, tv in enumerate(t_vars):
-                acc = acc + Gy_rows[j][k] * tv
-            W_rows.append(acc)
-        self.spow = _PowerCache(cert.s)
-        self.dpow = _PowerCache(cert.d)
-        d_e = self.dpow[cert.e]
-        a_vec = [cert.s * (Polynomial.var(table, nm) - self.jets_poly[nm])
-                 for nm in self.y_names]
-        b_vec = [d_e * w for w in W_rows]
-        self.a_pow = [_PowerCache(a) for a in a_vec]
-        self.b_pow = [_PowerCache(b) for b in b_vec]
+        t_vars = [Polynomial.var(table, nm)
+                  for nm in table.block_names(TANGENT)]
+        Gy = PolyMatrix(table, [[ring.monomial_reduce(eval_exact(entry, vT))
+                                 for entry in row] for row in G.rows])
+        W = Gy.matvec(t_vars)
+        self.e = e
+        self.spow = _PowerCache(s)
+        self.dpow = _PowerCache(d)
+        self.W_pow = [_PowerCache(w) for w in W]
+        # h_j = a_j - b_j with a_j = s*(Y_j - y'_j) and b_j = d^e*W_j
+        self.a_pow = [_PowerCache(s * (Polynomial.var(table, nm)
+                                       - self.jets_poly[nm]))
+                      for nm in self.y_names]
+        d_e = self.dpow[e]
+        self.b_pow = [_PowerCache(d_e * w) for w in W]
 
-    def expand(self, q, p_q):
-        """(expansion, h_comb) with s^p_q * q = expansion + sum(h_comb*h)."""
-        table = self.table
-        coeffs = taylor_coefficients(q, self.y_names, self.jets_poly)
-        h_comb = [Polynomial.zero(table) for _ in self.y_names]
-        expansion = Polynomial.zero(table)
+    def _sum(self, coeffs, p, d_shift, k_min):
+        out = Polynomial.zero(self.table)
         for alpha, c_alpha in coeffs.items():
             k = sum(alpha)
-            scale = c_alpha * self.spow[p_q - k]
-            term_b = scale
+            if k < k_min:
+                continue
+            term = c_alpha * self.spow[p - k] * self.dpow[self.e * k - d_shift]
             for j, aj in enumerate(alpha):
                 if aj:
-                    term_b = term_b * self.b_pow[j][aj]
-            expansion = expansion + term_b
-            prefix = scale
+                    term = term * self.W_pow[j][aj]
+            out = out + term
+        return out
+
+    def expand(self, q, p, d_shift, k_min):
+        """Sum over |alpha| >= k_min of
+        c_alpha * s^(p-|alpha|) * d^(e|alpha| - d_shift) * W^alpha."""
+        coeffs = taylor_coefficients(q, self.y_names, self.jets_poly)
+        return self._sum(coeffs, p, d_shift, k_min)
+
+    def rewrite(self, q, p_q, h):
+        """expand(q, p_q, 0, 0), checked to equal s^p_q * q modulo (h).
+
+        s^p_q * q is the sum of c_alpha * s^(p_q-|alpha|) * a^alpha and the
+        expansion the same sum over b^alpha; a^alpha - b^alpha telescopes
+        into an explicit combination of the h_j, so the check is an exact
+        polynomial identity, with no basis computation.
+        """
+        table = self.table
+        a_pow, b_pow = self.a_pow, self.b_pow
+        coeffs = taylor_coefficients(q, self.y_names, self.jets_poly)
+        expansion = self._sum(coeffs, p_q, 0, 0)
+        h_comb = [Polynomial.zero(table) for _ in self.y_names]
+        for alpha, c_alpha in coeffs.items():
+            prefix = c_alpha * self.spow[p_q - sum(alpha)]
             for j, aj in enumerate(alpha):
                 if not aj:
                     continue
                 geom = Polynomial.zero(table)
                 for t in range(aj):
-                    geom = geom + self.a_pow[j][t] * self.b_pow[j][aj - 1 - t]
+                    geom = geom + a_pow[j][t] * b_pow[j][aj - 1 - t]
                 suffix = Polynomial.const(table, 1)
                 for j2 in range(j + 1, len(alpha)):
                     if alpha[j2]:
-                        suffix = suffix * self.b_pow[j2][alpha[j2]]
+                        suffix = suffix * b_pow[j2][alpha[j2]]
                 h_comb[j] = h_comb[j] + prefix * geom * suffix
-                prefix = prefix * self.a_pow[j][aj]
-        return expansion, h_comb
-
-    def check_residual(self, q, p_q, expansion, h_comb):
+                prefix = prefix * a_pow[j][aj]
         residual = self.spow[p_q] * q - expansion
-        for j, h_j in enumerate(self.cert.h):
-            if not h_comb[j].is_zero():
-                residual = residual - h_comb[j] * h_j
-        return residual.is_zero()
+        for comb, h_j in zip(h_comb, h):
+            if not comb.is_zero():
+                residual = residual - comb * h_j
+        if not residual.is_zero():
+            raise CertificateFailed("telescoped Taylor expansion mismatch")
+        return expansion
 
 
-def certify_subsystem_membership(cert, BT, vT, telescope=None):
+def certify_subsystem_membership(cert, BT, vT):
     """Exact witness that s^p * f_i - d^(e+1) * g_i lies in (h) + (J).
 
     The h-combination is reconstructed by telescoping the Taylor expansion
@@ -754,13 +742,10 @@ def certify_subsystem_membership(cert, BT, vT, telescope=None):
     J, a normal form otherwise).
     """
     ring = BT.ring
-    table = ring.table
-    ctx = telescope or _Telescope(cert, BT, vT)
+    point = _ShiftedPoint(ring, vT, cert.G, cert.s, cert.d, cert.e)
     for i, fpoly in enumerate(cert.f):
-        expansion, h_comb = ctx.expand(fpoly, cert.p)
-        if not ctx.check_residual(fpoly, cert.p, expansion, h_comb):
-            raise CertificateFailed("telescoped Taylor expansion mismatch")
-        slack = expansion - ctx.dpow[cert.e + 1] * cert.g[i]
+        expansion = point.rewrite(fpoly, cert.p, cert.h)
+        slack = expansion - point.dpow[cert.e + 1] * cert.g[i]
         if not _in_j(slack, ring):
             raise CertificateFailed(
                 "subsystem relation is not expressible through (h, g) and J")
@@ -843,33 +828,16 @@ def localize_smooth(cert, BT, vT):
     y_names = list(BT.algebra_names())
     t_names = list(table.block_names(TANGENT))
     t_vars = [Polynomial.var(table, nm) for nm in t_names]
-    n = len(y_names)
+    y_positions = table.block(ALGEBRA, SLACK)
 
     jac_g = PolyMatrix(table, jacobian(list(cert.g), t_names))
     piv_cols = list(cert.pivots)
     s_prime = det(jac_g.submatrix(range(cert.r), piv_cols))
 
     # s'' from the s-cleared expansion of P at the shifted point
-    jets_poly = {nm: vT.jets[nm].poly for nm in y_names}
-    y_positions = table.block(ALGEBRA, SLACK)
+    point = _ShiftedPoint(ring, vT, cert.G, cert.s, cert.d, cert.e)
     q_pow = max(cert.P.degree_in(y_positions), 0)
-    coeffs = taylor_coefficients(cert.P, y_names, jets_poly)
-    Gy = PolyMatrix(table, [[ring.monomial_reduce(eval_exact(entry, vT))
-                             for entry in row] for row in cert.G.rows])
-    W_rows = Gy.matvec(t_vars)
-    spow = _PowerCache(cert.s)
-    dpow = _PowerCache(cert.d)
-    W_pow = [_PowerCache(w_j) for w_j in W_rows]
-    s_second = spow[q_pow + 1]
-    for alpha, c_alpha in coeffs.items():
-        k = sum(alpha)
-        if k == 0:
-            continue
-        term = c_alpha * spow[q_pow - k] * dpow[cert.e * k - 1]
-        for j, aj in enumerate(alpha):
-            if aj:
-                term = term * W_pow[j][aj]
-        s_second = s_second + term
+    s_second = point.spow[q_pow + 1] + point.expand(cert.P, q_pow, 1, 1)
     cert.s_prime = s_prime
     cert.s_second_num = s_second
     cert.s_second_pow = q_pow
@@ -891,15 +859,11 @@ def localize_smooth(cert, BT, vT):
     pending = [q for q in BT.relations
                if frozenset(q.terms.items()) not in subsystem]
     if pending:
-        y_positions2 = table.block(ALGEBRA, SLACK)
-        ctx = _Telescope(cert, BT, vT)
         g_ideal = Ideal(table, list(cert.g) + list(ring.j_gens))
         still = []
         for q in pending:
-            p_q = max(q.degree_in(y_positions2), 0)
-            expansion, h_comb = ctx.expand(q, p_q)
-            if not ctx.check_residual(q, p_q, expansion, h_comb):
-                raise CertificateFailed("telescoped rewriting mismatch")
+            p_q = max(q.degree_in(y_positions), 0)
+            expansion = point.rewrite(q, p_q, cert.h)
             if not g_ideal.contains(expansion, order):
                 still.append(q)
         if still:
@@ -968,7 +932,6 @@ def simplify_presentation(pres):
                 if others:
                     continue
                 # rel = c*v + rest, v nowhere else in rel: v := -rest/c
-                from .poly import exact_div
                 rest = Polynomial(table, {m: cc for m, cc in rel.terms.items()
                                           if m != unit_mon})
                 value = rest * exact_div(-1, c)
@@ -1102,12 +1065,11 @@ _TRACE_LABELS = {
 def desingularize(problem, verify_certificates=True):
     """Run the nineteen-stage pipeline and return the certified result."""
     trace = []
-    t_start = time.monotonic()
 
     def record(line, values, note=""):
         trace.append(TraceRecord(line, _TRACE_LABELS[line],
                                  {k: str(val) for k, val in values.items()},
-                                 note, time.monotonic() - t_start))
+                                 note))
 
     ring = problem.ring
     order = ring.order

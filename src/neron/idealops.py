@@ -17,10 +17,6 @@ from .orders import AUX, elim_order, global_order, mixed_order
 from .poly import Polynomial, exact_div, mon_divides
 
 
-def _lift_all(gens, table):
-    return [g.lift(table) for g in gens]
-
-
 def _aux_table(table, stem="t"):
     name = table.fresh_name(stem)
     return table.extend((name, AUX)), name

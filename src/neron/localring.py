@@ -19,7 +19,7 @@ from .groebner import Ideal, std_basis
 from .idealops import (quotient_by_poly, radical_membership, same_ideal,
                        saturate)
 from .orders import BASE, COEFF, mixed_order
-from .poly import Polynomial, mon_divides
+from .poly import Polynomial, exact_div, mon_divides
 
 
 def monomials_of_degree(table, positions, degree):
@@ -235,7 +235,6 @@ def jet_invert(u):
     if c == 0:
         raise NotAUnit("jet has zero constant term")
     ring, n = u.ring, u.precision
-    from .poly import exact_div
     z = ring.jet(exact_div(1, c), n)
     two = ring.jet(2, n)
     steps = 0

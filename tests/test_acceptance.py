@@ -14,6 +14,7 @@ smooth over A outside V(x1 + x2 + x3); and each x_i lies in it once
 Y = (1, 1, 1), the morphism of problems/example21.gnd, is imposed.
 """
 
+import hashlib
 import time
 
 import pytest
@@ -22,13 +23,14 @@ from conftest import (CERTIFICATE_SEEDS, KNOWN_SLOW, REJECTED_SEEDS,
                       hypersurface_problem, random_certificate_instance,
                       space_curve_data, two_branch_problem)
 from neron import (ALGEBRA, BASE, Polynomial, PolyMatrix, VarTable,
-                   buchberger_criterion, det, det_adjugate, global_order,
-                   ideal_equal, ideal_quotient, jacobian, lift_division,
-                   minors, mixed_order, normal_form_against, parse_poly,
-                   radical_membership, saturate, std_basis)
-from neron.desing import (AlgebraPresentation, _Telescope,
-                          certify_subsystem_membership, desingularize,
-                          elkik_ideal, factor_morphism, verify_certificate)
+                   buchberger_criterion, det, det_adjugate, format_poly,
+                   global_order, ideal_equal, ideal_quotient, jacobian,
+                   lift_division, minors, mixed_order, normal_form_against,
+                   parse_poly, radical_membership, saturate, std_basis)
+from neron.cli import emit_trace
+from neron.desing import (AlgebraPresentation, certify_subsystem_membership,
+                          desingularize, elkik_ideal, factor_morphism,
+                          verify_certificate)
 from neron.errors import (ConditionStarStarFailed, NeronError,
                           VerificationFailed)
 from neron.lifting import (LiftingProblem, newton_lift, nu_bound,
@@ -287,14 +289,60 @@ def test_space_curve_twisted_witness():
         assert not _twisted_value(parse_poly(T, nm), T).is_zero(), nm
 
 
+# sha256 of the machine trace, then format_poly of every presentation
+# relation and of the multiplier, one per line; a change to any digest means
+# a computed value or the trace format changed
+SEED_DIGESTS = {
+    0: "2015db81595ff8af66ebc7b00b6d599f2bc38e4913ad2e57e5834c7fccc19db2",
+    1: "73b1acc569e86c0fc1bff2113bcb42e44fb2227e302fe52d9c5264a28af53e8f",
+    2: "4fb1017e1b3ede923407b43ad77177f9dc1c4594287e3221977c07fbe171be87",
+    3: "362b0b3ad7751024f4a1fffece692433330c0179fa2f9bc47ca37e9257b0fd3d",
+    4: "492e02bc628b98287b55dbadea8f133d75889b1c586e446f8789c8fb5e81d997",
+    6: "2818308395364944d57e890c91d80683b7940f5260283602cc2e22ba1247d62d",
+    7: "b3376b43b16b8b38b6b84660e971a8b30109d6c053287d6425b30d6ed84ea8de",
+    8: "14b187fb505a63d173cc61dd0d00eec17330b1b8b5ff3e3ba7508a5ad6ab2645",
+    10: "72ad37798dcda367510d19b5ab854eda428145704d6bbae84f89713d3b3bdb0b",
+    11: "bb87478b2905dc85f98e760b4432d3479af971b4859ecb93aa948a589e376134",
+    12: "7e318447ad7ca1ca8745af898117280611429a81f968919be92ffcd146107428",
+    13: "8fb1d796221213c2e867498e1aee6c57832dbd9873569de919ef3e92811b9f27",
+    15: "79b8e98fa3ffcc0303bdbde163d16f1cf74453e7a804edd0b352ec15559a0087",
+    16: "8ceeff35bb74f80d7bbf5d9ee198615c7014c9380fbf51f9da4c5ea173caaf9c",
+    17: "61f2fd63517ead0aee29a02d60a3bc7af71608250f43e661842e3dea5523205b",
+    18: "bcdb84d063dbfd00a42031915e1fb0114eeab0fecee769aedf9dea3ccd749432",
+    19: "42098695dd440013b1becc1762ce05f60c5d4c97504558f84ff83e90c942eb51",
+    20: "c2386f821acf1f649e8955213ff7d79e053eabd1749285ee4f76b3c1e443ce33",
+    21: "49cee51a9b3166826b8acf26267e5cd9f63aefc9f58addf38bfc202174063cee",
+    22: "f92ae705e4ba4fea51d329be0a45cf6f3a4ed8426f2f5003cb70f5ed6072f5fe",
+    23: "72ad37798dcda367510d19b5ab854eda428145704d6bbae84f89713d3b3bdb0b",
+    24: "daa70e583dd369801b09fee4c6102f471557fde300acfc443a9265912e5a8e47",
+    25: "efd81ffbb49aa3ac5df5330d1daddaf88030fea3db9c0248829fe67db73663e3",
+    26: "35e24a7bed4d166b178728e98ae1267dea83889b3f89901556ed382b5ec01cee",
+    27: "4c83cf97e9e67caf7e3b0f61c937576b39a342132588b7da6b53ae81d4a837ff",
+    28: "f95500ae9fb4ef3b67ff9afac9d07cc0e3fc2cf4a47a96766c31a8e5cabe8eaf",
+    29: "72ad37798dcda367510d19b5ab854eda428145704d6bbae84f89713d3b3bdb0b",
+}
+
+
+def _output_digest(res):
+    order = mixed_order(res.presentation.table)
+    h = hashlib.sha256(emit_trace(res.trace, "machine"))
+    for p in res.presentation.relations + (res.multiplier,):
+        h.update(format_poly(p, order).encode() + b"\n")
+    return h.hexdigest()
+
+
 def test_criterion_4_certificate_property_suite():
-    """At least 20 seeded random valid instances, 100% certificate pass."""
+    """At least 20 seeded random valid instances, 100% certificate pass,
+    each with its pinned output digest."""
     t0 = time.monotonic()
     passed = 0
+    changed = []
     for seed in CERTIFICATE_SEEDS:
         prob = random_certificate_instance(seed)
         assert prob is not None
         res = desingularize(prob)  # raises CertificateFailed on any defect
+        if _output_digest(res) != SEED_DIGESTS[seed]:
+            changed.append(seed)
         cert = res.certificate
         BT = res.algebra
         ringT = BT.ring
@@ -314,6 +362,7 @@ def test_criterion_4_certificate_property_suite():
                                        order).is_zero()
         passed += 1
     elapsed = time.monotonic() - t0
+    assert not changed, f"output digests changed for seeds {changed}"
     _verdict("criterion 4 (certificate suite)",
              passed >= 20 and passed == len(CERTIFICATE_SEEDS),
              f"{passed} instances, {elapsed:.1f} s")

@@ -1,11 +1,13 @@
 """Pipeline stages: smoothness ideal, subsystem search, reduction, output."""
 
+import os
+
 import pytest
 
 from conftest import (hypersurface_problem, space_curve_data,
                       two_branch_problem, two_branch_table)
-from neron import (ALGEBRA, BASE, Polynomial, PolyMatrix, VarTable, det,
-                   ideal_equal, jacobian, krull_dim, mixed_order,
+from neron import (ALGEBRA, BASE, Ideal, Polynomial, PolyMatrix, VarTable,
+                   det, ideal_equal, jacobian, krull_dim, mixed_order,
                    normal_form_against, parse_poly, radical_membership,
                    std_basis)
 from neron.desing import (AlgebraPresentation, MorphismApprox, complete_H,
@@ -15,6 +17,9 @@ from neron.desing import (AlgebraPresentation, MorphismApprox, complete_H,
 from neron.errors import (BoundTooSmall, CertificateFailed,
                           ConditionStarStarFailed, VerificationFailed)
 from neron.localring import Jet, LocalRingSpec, minimal_primes
+from neron.problemfile import parse_problem
+
+PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
 
 
 def nf_equal_mod(ring, a, b, extra=()):
@@ -357,3 +362,19 @@ def test_hypersurface_certified(hypersurface_result):
     T = res.presentation.table
     assert nf_equal_mod(res.presentation.ring, cert.d.lift(T),
                         parse_poly(T, "x^2"))
+
+
+def test_s_second_defining_property_hypersurface():
+    """d * s'' - s^q * P lies in (h) + J, with q the recorded s-power.
+
+    The hypersurface has a non-unit d (x^2) and q > 0, so a wrong power of
+    d or s in s'' breaks the identity."""
+    with open(os.path.join(PROBLEMS, "example1_hypersurface.gnd")) as fh:
+        res = desingularize(parse_problem(fh.read()).build())
+    cert = res.certificate
+    ring = res.algebra.ring
+    q = cert.s_second_pow
+    assert q > 0 and not cert.d.is_constant()
+    lhs = cert.d * cert.s_second_num - cert.s ** q * cert.P
+    h_ideal = Ideal(ring.table, list(cert.h) + list(ring.j_gens))
+    assert h_ideal.contains(lhs, ring.order)
