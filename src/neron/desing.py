@@ -117,6 +117,7 @@ class SmoothingCertificate:
     s_prime: Polynomial = None
     s_second_num: Polynomial = None
     s_second_pow: int = 0
+    point: "ShiftedPoint" = None   # the expansion build_hg made, reused
 
 
 @dataclass
@@ -602,7 +603,9 @@ def build_hg(B, red, e, verify=True):
             raise DivisibilityViolated("b does not lie in d^e times the base")
         b_list.append(b_i)
 
-    point = _ShiftedPoint(ringT, vT, G, s, d, e)
+    t_vars = [Polynomial.var(table, nm) for nm in t_names]
+    point = ShiftedPoint(ringT, {nm: j.poly for nm, j in vT.jets.items()},
+                         G, s, d, e, t_vars)
     # h_j = s*(Y_j - y'_j) - d^e*(G(y')T)_j
     h_list = [a[1] - b[1] for a, b in zip(point.a_pow, point.b_pow)]
 
@@ -610,7 +613,6 @@ def build_hg(B, red, e, verify=True):
     p_deg = max((fp.degree_in(y_positions) for fp in f_polys), default=1)
     p_deg = max(p_deg, 1)
 
-    t_vars = [Polynomial.var(table, nm) for nm in t_names]
     s_p = point.spow[p_deg]
     Q_list = [point.expand(fpoly, p_deg, 2 * e, 2) for fpoly in f_polys]
     g_list = [s_p * b_i + s_p * t_vars[piv] + point.dpow[e - 1] * Q_i
@@ -619,72 +621,88 @@ def build_hg(B, red, e, verify=True):
     cert = SmoothingCertificate(
         f=tuple(f_polys), r=len(f_polys), H=H, R=R, P=P, d=d, e=e, s=s,
         b=tuple(b_list), Gprime=Gp, G=G, h=tuple(h_list), p=p_deg,
-        Q=tuple(Q_list), g=tuple(g_list), pivots=red.pivots)
+        Q=tuple(Q_list), g=tuple(g_list), pivots=red.pivots, point=point)
 
     if verify:
         verify_certificate(cert, BT, vT, taylor_nf=False)
-        certify_subsystem_membership(cert, BT, vT)
+        certify_subsystem_membership(cert, BT)
     return cert, BT, vT
 
 
 class _PowerCache:
-    """Cached nonnegative powers of one polynomial."""
+    """Cached nonnegative powers of one polynomial or jet."""
 
     def __init__(self, base):
-        self.base = base
-        self.cache = {0: Polynomial.const(base.table, 1), 1: base}
+        self.powers = [base ** 0, base]
 
     def __getitem__(self, k):
-        got = self.cache.get(k)
-        if got is None:
-            lo = max(i for i in self.cache if i < k)
-            got = self.cache[lo]
-            while lo < k:
-                got = got * self.base
-                lo += 1
-                self.cache[lo] = got
-        return got
+        if k < 0:
+            raise NeronError("negative exponent in a cached power")
+        powers = self.powers
+        while len(powers) <= k:
+            powers.append(powers[-1] * powers[1])
+        return powers[k]
 
 
-class _ShiftedPoint:
+class ShiftedPoint:
     """Taylor expansion of polynomials in Y at the shifted point
-    y' + d^e * W / s, where W = G(y')T.
+    y' + d^e * W / s, where W = G(y')t.
 
     Putting Y = y' + d^e*W/s into q and clearing denominators with s^p turns
     the Taylor coefficient c_alpha of q at y' into
-    c_alpha * s^(p-|alpha|) * d^(e|alpha|) * W^alpha.  This one expansion
-    gives Q in g (build_hg), the unit s'' (localize_smooth) and the
-    rewriting of a relation modulo h = s*(Y - y') - d^e*W (rewrite).
+    c_alpha * s^(p-|alpha|) * d^(e|alpha|) * W^alpha.  With t the tangent
+    variables T, this one expansion gives Q in g (build_hg), the unit s''
+    (localize_smooth) and the rewriting of a relation modulo
+    h = s*(Y - y') - d^e*W (rewrite).  With t jets truncated at (x)^N and
+    s = 1 it gives Q(t) in the Newton contraction of lifting.newton_lift.
+    The values t fix the domain.  A jet times a polynomial is a jet, but a
+    polynomial cannot take a jet as factor, so every product starts from
+    the tangent side or from the unit t_1^0; for polynomials that unit
+    factor changes no term.
     """
 
-    def __init__(self, ring, vT, G, s, d, e):
+    def __init__(self, ring, jets, G, s, d, e, t):
         table = ring.table
         self.table = table
         self.y_names = list(table.block_names(ALGEBRA, SLACK))
-        self.jets_poly = {nm: vT.jets[nm].poly for nm in self.y_names}
-        t_vars = [Polynomial.var(table, nm)
-                  for nm in table.block_names(TANGENT)]
-        Gy = PolyMatrix(table, [[ring.monomial_reduce(eval_exact(entry, vT))
-                                 for entry in row] for row in G.rows])
-        W = Gy.matvec(t_vars)
+        self.jets_poly = jets
+        self.Gy = [[ring.monomial_reduce(entry.substitute(jets))
+                    for entry in row] for row in G.rows]
         self.e = e
         self.spow = _PowerCache(s)
         self.dpow = _PowerCache(d)
-        self.W_pow = [_PowerCache(w) for w in W]
+        self._taylor = {}
         # h_j = a_j - b_j with a_j = s*(Y_j - y'_j) and b_j = d^e*W_j
-        self.a_pow = [_PowerCache(s * (Polynomial.var(table, nm)
-                                       - self.jets_poly[nm]))
+        self.a_pow = [_PowerCache(s * (Polynomial.var(table, nm) - jets[nm]))
                       for nm in self.y_names]
-        d_e = self.dpow[e]
+        self.move(t)
+
+    def move(self, t):
+        """Put the tangent point at t: W = G(y')t and b = d^e*W."""
+        self.one = t[0] ** 0
+        self.zero = self.one * 0
+        W = [sum((t_k * g for t_k, g in zip(t, row)), self.zero)
+             for row in self.Gy]
+        d_e = self.one * self.dpow[self.e]
+        self.W_pow = [_PowerCache(w) for w in W]
         self.b_pow = [_PowerCache(d_e * w) for w in W]
 
+    def _coefficients(self, q):
+        """Taylor coefficients of q at y', computed once per q."""
+        coeffs = self._taylor.get(q)
+        if coeffs is None:
+            coeffs = taylor_coefficients(q, self.y_names, self.jets_poly)
+            self._taylor[q] = coeffs
+        return coeffs
+
     def _sum(self, coeffs, p, d_shift, k_min):
-        out = Polynomial.zero(self.table)
+        out = self.zero
         for alpha, c_alpha in coeffs.items():
             k = sum(alpha)
             if k < k_min:
                 continue
-            term = c_alpha * self.spow[p - k] * self.dpow[self.e * k - d_shift]
+            term = self.one * (c_alpha * self.spow[p - k]
+                               * self.dpow[self.e * k - d_shift])
             for j, aj in enumerate(alpha):
                 if aj:
                     term = term * self.W_pow[j][aj]
@@ -694,8 +712,7 @@ class _ShiftedPoint:
     def expand(self, q, p, d_shift, k_min):
         """Sum over |alpha| >= k_min of
         c_alpha * s^(p-|alpha|) * d^(e|alpha| - d_shift) * W^alpha."""
-        coeffs = taylor_coefficients(q, self.y_names, self.jets_poly)
-        return self._sum(coeffs, p, d_shift, k_min)
+        return self._sum(self._coefficients(q), p, d_shift, k_min)
 
     def rewrite(self, q, p_q, h):
         """expand(q, p_q, 0, 0), checked to equal s^p_q * q modulo (h).
@@ -707,7 +724,7 @@ class _ShiftedPoint:
         """
         table = self.table
         a_pow, b_pow = self.a_pow, self.b_pow
-        coeffs = taylor_coefficients(q, self.y_names, self.jets_poly)
+        coeffs = self._coefficients(q)
         expansion = self._sum(coeffs, p_q, 0, 0)
         h_comb = [Polynomial.zero(table) for _ in self.y_names]
         for alpha, c_alpha in coeffs.items():
@@ -733,16 +750,16 @@ class _ShiftedPoint:
         return expansion
 
 
-def certify_subsystem_membership(cert, BT, vT):
+def certify_subsystem_membership(cert, BT):
     """Exact witness that s^p * f_i - d^(e+1) * g_i lies in (h) + (J).
 
     The h-combination is reconstructed by telescoping the Taylor expansion
     of f_i, so the check is a pure polynomial identity followed by a
     membership in the relation ideal J (a term-deletion test for monomial
-    J, a normal form otherwise).
+    J, a normal form otherwise).  The expansion is the one build_hg made.
     """
     ring = BT.ring
-    point = _ShiftedPoint(ring, vT, cert.G, cert.s, cert.d, cert.e)
+    point = cert.point
     for i, fpoly in enumerate(cert.f):
         expansion = point.rewrite(fpoly, cert.p, cert.h)
         slack = expansion - point.dpow[cert.e + 1] * cert.g[i]
@@ -835,7 +852,7 @@ def localize_smooth(cert, BT, vT):
     s_prime = det(jac_g.submatrix(range(cert.r), piv_cols))
 
     # s'' from the s-cleared expansion of P at the shifted point
-    point = _ShiftedPoint(ring, vT, cert.G, cert.s, cert.d, cert.e)
+    point = cert.point
     q_pow = max(cert.P.degree_in(y_positions), 0)
     s_second = point.spow[q_pow + 1] + point.expand(cert.P, q_pow, 1, 1)
     cert.s_prime = s_prime

@@ -8,23 +8,25 @@ yields a lifted one agreeing modulo (x)^c.
 
 The construction mirrors the desingularization equations with the smooth
 base equal to A and the unit s equal to 1: h = Y - y' - d^e G(y') T and
-g = b + T + d^(e-1) Q with d = (det H)(y').
+g = b + T + d^(e-1) Q with d = (det H)(y').  Q comes from the same
+shifted-point expansion as in desing (ShiftedPoint), evaluated at jets T.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .desing import (AlgebraPresentation, MorphismApprox, _PowerCache,
+from .desing import (AlgebraPresentation, MorphismApprox, ShiftedPoint,
                      complete_H, eval_exact)
 from .errors import (DivisionFailed, HypothesisViolated, NeronError,
                      NoContraction, NotDivisible, PreconditionFailed)
 from .groebner import Ideal
 from .idealops import ideal_quotient
-from .linalg import PolyMatrix, det, det_adjugate
-from .localring import compute_e, jet_divide, monomials_of_degree
+from .linalg import PolyMatrix, det, det_adjugate, minors
+from .localring import (LocalRingSpec, compute_e, jet_divide, minimal_primes,
+                        monomials_of_degree)
 from .orders import ALGEBRA, BASE
-from .poly import Polynomial, jacobian, taylor_coefficients
+from .poly import Polynomial, jacobian
 
 
 @dataclass
@@ -68,9 +70,8 @@ def _jacobian_products(prob):
     j_gens = list(ring.j_gens)
     colon = ideal_quotient(f_polys + j_gens,
                            list(prob.relations) + j_gens, table, ring.order)
-    from .linalg import minors as all_minors
     jac = PolyMatrix(table, jacobian(f_polys, y_names))
-    minor_list = [m for m in all_minors(jac, len(f_polys)) if not m.is_zero()]
+    minor_list = [m for m in minors(jac, len(f_polys)) if not m.is_zero()]
     subs = {nm: p for nm, p in prob.approx.items()}
     out = []
     for c in colon:
@@ -81,27 +82,25 @@ def _jacobian_products(prob):
     return out
 
 
-def check_hypothesis(prob, e=None):
-    """True iff (x)^rho lies in (J, (x)^nu(c), evaluated Jacobian data)."""
+def check_hypothesis(prob):
+    """True iff (x)^rho lies in (J, evaluated Jacobian data).
+
+    The hypothesis of the theorem reads (x)^rho in (J, (x)^nu, data) with
+    nu = nu_bound(e, rho, c) > rho; by Nakayama's lemma in A that holds
+    exactly when (x)^rho lies in (J, data), so neither nu nor e is needed.
+    """
     ring = prob.ring
     table = ring.table
-    if e is None:
-        e = _exponent_for(prob)
-    nu = nu_bound(e, prob.rho, prob.target)
-    base = table.block(BASE)
-    gens = _jacobian_products(prob) + list(ring.j_gens)
-    gens += [Polynomial(table, {m: 1})
-             for m in monomials_of_degree(table, base, nu)]
-    ideal = Ideal(table, gens)
+    ideal = Ideal(table, _jacobian_products(prob) + list(ring.j_gens))
     return all(ideal.contains(Polynomial(table, {m: 1}), ring.order)
-               for m in monomials_of_degree(table, base, prob.rho))
+               for m in monomials_of_degree(table, table.block(BASE),
+                                            prob.rho))
 
 
 def _completion_data(prob):
     """Square matrix H at y' and the element d = (det H)(y')."""
     ring = prob.ring
     if ring.primes is None:
-        from .localring import LocalRingSpec, minimal_primes
         primes = minimal_primes(list(ring.j_gens), ring.table, ring.order)
         ring = LocalRingSpec(ring.table, ring.j_gens, primes,
                              check_dimension=False)
@@ -115,11 +114,6 @@ def _completion_data(prob):
     if d.is_zero():
         raise DivisionFailed("det(H) vanishes at the approximate solution")
     return H, d
-
-
-def _exponent_for(prob):
-    _, d = _completion_data(prob)
-    return compute_e(d, prob.ring)
 
 
 def _congruent(ring, a, b, k):
@@ -148,15 +142,12 @@ def newton_lift(prob):
 
     H, d = _completion_data(prob)
     e = compute_e(d, ring)
-    if not check_hypothesis(prob, e):
+    if not check_hypothesis(prob):
         raise HypothesisViolated(
             "the evaluated Jacobian ideal does not reach (x)^rho")
     nu = nu_bound(e, prob.rho, c)
 
     _, Gp = det_adjugate(H)
-    subs = dict(prob.approx)
-    Gy = [[ring.monomial_reduce(entry.substitute(subs)) for entry in row]
-          for row in Gp.rows]
 
     d_ord = ring.monomial_reduce(d).order() or 0
     prec = c + (e + 1) * d_ord + 1
@@ -164,7 +155,7 @@ def newton_lift(prob):
     d_e1 = d_jet ** (e + 1)
     b_jets = []
     for fp in f_polys:
-        val = ring.jet(ring.monomial_reduce(fp.substitute(subs)), prec)
+        val = ring.jet(ring.monomial_reduce(fp.substitute(prob.approx)), prec)
         if val.is_zero():
             b_jets.append(ring.zero_jet(max(prec - d_e1.order() if
                                             d_e1.order() else prec, 1)))
@@ -178,44 +169,23 @@ def newton_lift(prob):
         if not b.is_zero() and (b.order() or 0) < 1:
             raise NoContraction("the contraction seed b has order zero")
 
-    # Q_i(T) as exact polynomials; T enters through W = G(y') T
-    taylor = []
-    for fp in f_polys:
-        taylor.append(taylor_coefficients(fp, y_names, subs))
-    dpow = _PowerCache(d)
-
+    # Q_i(T) = expand(f_i, p, 2e, 2) at jets T, with s = 1
     n = len(y_names)
     t_prec = min(b.precision for b in b_jets) if b_jets else prec
     t_cur = [ring.zero_jet(t_prec) for _ in range(n)]
+    point = ShiftedPoint(ring, prob.approx, Gp, Polynomial.const(table, 1),
+                         d, e, t_cur)
+    p_deg = max((fp.degree_in(table.block(ALGEBRA)) for fp in f_polys),
+                default=0)
+    d_q = ring.jet(point.dpow[e - 1], t_prec)   # d^(e-1), the factor of Q
     orders = []
     for _ in range(c + 2):
-        w_cur = []
-        for j in range(n):
-            acc = ring.zero_jet(t_prec)
-            for k in range(n):
-                if not Gy[j][k].is_zero():
-                    acc = acc + t_cur[k] * Gy[j][k]
-            w_cur.append(acc)
-        t_next = list(t_cur)
-        for i in range(r):
-            q_val = ring.zero_jet(t_prec)
-            for alpha, c_alpha in taylor[i].items():
-                k = sum(alpha)
-                if k < 2:
-                    continue
-                term = ring.jet(c_alpha * dpow[e * (k - 2)], t_prec)
-                for j, aj in enumerate(alpha):
-                    for _ in range(aj):
-                        term = term * w_cur[j]
-                q_val = q_val + term
-            t_next[i] = -b_jets[i] - ring.jet(dpow[e - 1], t_prec) * q_val
-        diff_orders = []
-        for i in range(n):
-            delta = t_next[i] - t_cur[i]
-            if not delta.is_zero():
-                diff_orders.append(delta.order())
+        t_next = [-b - d_q * point.expand(fp, p_deg, 2 * e, 2)
+                  for b, fp in zip(b_jets, f_polys)] + t_cur[r:]
+        diff_orders = [delta.order() for delta in
+                       (tn - tc for tn, tc in zip(t_next, t_cur))
+                       if not delta.is_zero()]
         if not diff_orders:
-            t_cur = t_next
             break
         step = min(diff_orders)
         if orders and step <= orders[-1]:
@@ -223,18 +193,15 @@ def newton_lift(prob):
                 "update order did not strictly increase")
         orders.append(step)
         t_cur = t_next
+        point.move(t_cur)
         if step > t_prec:
             break
 
-    d_e = ring.jet(dpow[e], t_prec)
+    # y = y' + d^e G(y') T
     lifted = {}
-    for i, nm in enumerate(y_names):
+    for nm, b_pow in zip(point.y_names, point.b_pow):
         acc = ring.jet(prob.approx[nm], c)
-        w_i = ring.zero_jet(t_prec)
-        for k in range(n):
-            if not Gy[i][k].is_zero():
-                w_i = w_i + t_cur[k] * Gy[i][k]
-        lifted[nm] = (acc + (d_e * w_i).truncate(min(t_prec, c))).truncate(c)
+        lifted[nm] = (acc + b_pow[1].truncate(min(t_prec, c))).truncate(c)
 
     for rel in prob.relations:
         val = rel.substitute({nm: j.poly for nm, j in lifted.items()})
@@ -268,12 +235,9 @@ def strong_approx_decide(prob, y_second, precision):
         if not ring.reduce_jet(val, precision).is_zero():
             raise PreconditionFailed(
                 "I(y'') does not vanish modulo (x)^precision")
-    ideal = Ideal(ring.table, _jacobian_products(prob) + list(ring.j_gens))
-    base = ring.table.block(BASE)
-    for m in monomials_of_degree(ring.table, base, prob.rho):
-        if not ideal.contains(Polynomial(ring.table, {m: 1}), ring.order):
-            raise PreconditionFailed(
-                "the evaluated Jacobian ideal does not contain (x)^rho")
+    if not check_hypothesis(prob):
+        raise PreconditionFailed(
+            "the evaluated Jacobian ideal does not contain (x)^rho")
     prob2 = LiftingProblem(ring, prob.relations, prob.f_indices,
                            dict(y_second), prob.rho, prob.target)
     report = newton_lift(prob2)

@@ -349,7 +349,7 @@ def test_criterion_4_certificate_property_suite():
         # G*H = P*Id, pivot identity, d = P mod I, Q in (T)^2
         verify_certificate(cert, BT, res.morphism, taylor_nf=False)
         # Taylor identity in (h), with the combination exhibited exactly
-        certify_subsystem_membership(cert, BT, res.morphism)
+        certify_subsystem_membership(cert, BT)
         # multipliers congruent to 1 modulo (d, T)
         table = ringT.table
         order = ringT.order

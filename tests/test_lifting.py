@@ -1,18 +1,59 @@
 """Strong approximation: the linear bound and the Newton contraction."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
-from conftest import two_branch_problem
-from neron import (ALGEBRA, BASE, Polynomial, VarTable, parse_poly)
+from conftest import random_certificate_instance, two_branch_problem
+from neron import (ALGEBRA, BASE, Polynomial, VarTable, format_poly,
+                   parse_poly)
 from neron.desing import (AlgebraPresentation, Reduction, build_hg,
                           complete_H, eval_exact)
-from neron.errors import NeronError, PreconditionFailed
-from neron.lifting import (LiftingProblem, check_hypothesis, newton_lift,
+from neron.errors import CompletionFailed, NeronError, PreconditionFailed
+from neron.groebner import Ideal
+from neron.lifting import (LiftingProblem, _completion_data,
+                           _jacobian_products, check_hypothesis, newton_lift,
                            nu_bound, strong_approx_decide)
 from neron.linalg import det
-from neron.localring import LocalRingSpec
+from neron.localring import LocalRingSpec, compute_e, monomials_of_degree
+
+# sha256 of e, nu, agreement, update orders and every lifted jet of
+# newton_lift on generator seed s (rho 0, every relation in f, target 80);
+# seeds 5 and 30 raise CompletionFailed instead.
+LIFT_DIGESTS = {
+    0: "193f16199b4cd1a5d900470215245d6320aa569e9294f5a6ef0d4f06cf91f939",
+    1: "2ad4702225216034afce40beee029721e40e693c19bd8023fbae81ad7665122d",
+    2: "6577fa05005c3dc44b69f1a1a962ea5ae8ff99367771de7e2a20b751efe944e1",
+    3: "9e5f857e2c80df74d3a835e3e6554109d65ac9f1c519c5981a40b8e0324c7263",
+    4: "f334a01760f519f825d131466a03ca33c7d921c7356286cce90cab91db83e65a",
+    6: "41afcf737df6001b3d7f38ee005891999cf1797dd4f52cc3456da4bb6a32a4ea",
+    7: "b3390204b67af5c1955cfff4417c9842196fd828cdfad85b0a3fa7e9106aca17",
+    8: "024eec52456f61e67333e43fd590e0220e5b988406256094f86dbd388361f84e",
+    9: "ec193b3cc994302b7d7bda43d9fc1f43e2210b2f7c2ef1d70588e4bd08abb4ac",
+    10: "b3390204b67af5c1955cfff4417c9842196fd828cdfad85b0a3fa7e9106aca17",
+    11: "9c49c29f920caab69958210cbfe40a4ac332f3f43c7cc0a9d701bceb3216c9e9",
+    12: "0012e2f9d2160016daef739ba1dfd398cb611d26511a0592b97f0655679e906e",
+    13: "13a7651947df94486961892105f013a86a1e44b9be4226f67f96a092d71ea6c0",
+    14: "adccbf051f38fc6e58d5d53ddc73fc9c2aa8a9bb234b7a0f35e4ad8d5e3f8dbe",
+    15: "d85779661180bac2ee2afa40ee3afda6f0b7351f08327d61a2ffe8541783409a",
+    16: "09a1d5955fc4c616a4eb7b5d027222e29a93f3283f5c6e66122b0d9a526b170d",
+    17: "21c1286696fdb9d89c816c11e8eae08d2ab1d17988f3360b0c52e890563eb3b5",
+    18: "0aaf5a4dbb3047af0a04549622dff62c9deb0a95bd298249cbc43d9595cd4d47",
+    19: "f588918bbbc15f1a92f9f9ebfccab9e79066e06466226d2c9ec0ddf6ec2c6c83",
+    20: "ebd1255e675206d3116cbe9f9a9fd7fab7f0deb5369ea5be66f5628db84df100",
+    21: "647a6a4342acc539e8b5f407a7a0022288045a969d293d99d83a6f210c0e9a32",
+    22: "b3390204b67af5c1955cfff4417c9842196fd828cdfad85b0a3fa7e9106aca17",
+    23: "b3390204b67af5c1955cfff4417c9842196fd828cdfad85b0a3fa7e9106aca17",
+    24: "aafb6081423f02050480c90a423fa6c48c29f1368cdc2fc0c0a846fe7422a145",
+    25: "d5905962ba508da345d93fa60bfd4463ba9503ca57ba56a9c1de5956fa061a55",
+    26: "f156868511bf20201a28bf32c6411f1e262e218f7b6e45549f59f5c2556ab826",
+    27: "d24f1f8fc56d0c41160f9893694cfd5ceac293d6c34a8ef876c3c413c86fd590",
+    28: "720a2e4cc03824a183f8268cdf200031add022f57283d81acdbf816649f10409",
+    29: "b3390204b67af5c1955cfff4417c9842196fd828cdfad85b0a3fa7e9106aca17",
+    31: "e2bcd4c236e8b4d56229b4709da78b4a5249c2400b6746851c99a80fe157bc55",
+}
+LIFT_COMPLETION_FAILED = (5, 30)
 
 
 def one_var_ring():
@@ -154,3 +195,80 @@ def test_consistency_with_desingularization_formulas():
     want_g = Polynomial.const(BT.table, Fraction(-1, 4)) \
         * parse_poly(BT.table, "x") + tvar + tvar * tvar
     assert cert.g[0] == want_g
+
+
+def _generator_lift_problem(seed, rho):
+    """The lift workload's input: every relation in f, target 80."""
+    prob = random_certificate_instance(seed)
+    approx = {nm: j.poly for nm, j in prob.morphism.jets.items()}
+    return LiftingProblem(prob.ring, prob.relations,
+                          tuple(range(len(prob.relations))), approx, rho, 80)
+
+
+def _lift_digest(rep, ring):
+    h = hashlib.sha256(f"{rep.e} {rep.nu} {rep.agreement} "
+                       f"{rep.update_orders}\n".encode())
+    for nm, jet in rep.lifted.items():
+        h.update(f"{nm} = {format_poly(jet.poly, ring.order)}\n".encode())
+    return h.hexdigest()
+
+
+def test_newton_lift_generator_digests():
+    """Byte-stable lifts on generator seeds 0-31."""
+    assert set(LIFT_DIGESTS) | set(LIFT_COMPLETION_FAILED) == set(range(32))
+    for seed in LIFT_COMPLETION_FAILED:
+        with pytest.raises(CompletionFailed):
+            newton_lift(_generator_lift_problem(seed, 0))
+    changed = []
+    for seed, want in LIFT_DIGESTS.items():
+        prob = _generator_lift_problem(seed, 0)
+        if _lift_digest(newton_lift(prob), prob.ring) != want:
+            changed.append(seed)
+    assert not changed, f"lift digests changed for seeds {changed}"
+
+
+def _hypothesis_with_cut(prob, nu):
+    """(x)^rho in (J, (x)^nu, evaluated Jacobian data), as the theorem
+    states the hypothesis."""
+    ring = prob.ring
+    table = ring.table
+    base = table.block(BASE)
+    gens = _jacobian_products(prob) + list(ring.j_gens)
+    gens += [Polynomial(table, {m: 1})
+             for m in monomials_of_degree(table, base, nu)]
+    ideal = Ideal(table, gens)
+    return all(ideal.contains(Polynomial(table, {m: 1}), ring.order)
+               for m in monomials_of_degree(table, base, prob.rho))
+
+
+def test_check_hypothesis_matches_nu_formulation():
+    """Dropping (x)^nu changes no verdict: with K = (J, evaluated Jacobian
+    data) and nu > rho, Nakayama's lemma gives (x)^rho in K + (x)^nu
+    exactly when (x)^rho lies in K.  Where no e exists (seeds 5 and 30
+    have no completion), nu = rho + 1 is used, the smallest nu the lemma
+    covers."""
+    for seed in range(32):
+        for rho in range(3):
+            prob = _generator_lift_problem(seed, rho)
+            try:
+                _, d = _completion_data(prob)
+                nu = nu_bound(compute_e(d, prob.ring), rho, prob.target)
+            except CompletionFailed:
+                nu = rho + 1
+            assert check_hypothesis(prob) == _hypothesis_with_cut(prob, nu), \
+                (seed, rho)
+
+
+def test_newton_lift_cubic_taylor_term_non_unit_d():
+    """Y^3 + x*Y - x^3 from y' = 0: d = x is no unit and Q has a cubic
+    term, so the contraction reaches the factor d^(e(k-2)) with k = 3."""
+    ring = one_var_ring()
+    T = ring.table
+    f = parse_poly(T, "Y^3 + x*Y - x^3")
+    prob = LiftingProblem(ring, (f,), (0,), {"Y": Polynomial.zero(T)}, 1, 20)
+    rep = newton_lift(prob)
+    y = rep.lifted["Y"]
+    assert y.poly == parse_poly(
+        T, "x^2 - x^5 + 3*x^8 - 12*x^11 + 55*x^14 - 273*x^17")
+    assert rep.update_orders == [1, 4, 7, 10, 13, 16, 19]
+    assert ring.reduce_jet(f.substitute({"Y": y.poly}), 20).is_zero()
