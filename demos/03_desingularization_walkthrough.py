@@ -39,7 +39,8 @@ print(emit_trace(result.trace, "text").decode())
 print("simplified output relations:")
 for rel in result.simplified:
     print("   ", rel)
-print("localization multiplier:", result.multiplier)
+print("localized at s, s', s'':",
+      ", ".join(str(u) for u in result.presentation.inverted))
 print("certificate exponent e =", result.certificate.e,
       "| constant b =", [str(b) for b in result.certificate.b])
 print("jet factorization verified at precision", result.jet_map.precision)

@@ -114,7 +114,6 @@ def _cmd_desing(pf, fmt):
             "relations": [format_poly(p, order)
                           for p in result.presentation.relations],
             "simplified": [format_poly(p, order) for p in result.simplified],
-            "multiplier": format_poly(result.multiplier, order),
             "inverted": [format_poly(p, order)
                          for p in result.presentation.inverted],
         }
@@ -125,7 +124,10 @@ def _cmd_desing(pf, fmt):
         out += "output relations:\n"
         for p in result.simplified:
             out += "  " + format_poly(p, order) + "\n"
-        out += "localized at: " + format_poly(result.multiplier, order) + "\n"
+        # "(s) * (s') * (s'')" as trace record 19 already printed it
+        localized = next(rec.values["multiplier"] for rec in result.trace
+                         if rec.line == 19)
+        out += "localized at: " + localized + "\n"
         if result.jet_map is not None:
             out += (f"jet factorization verified at precision "
                     f"{result.jet_map.precision}\n")

@@ -4,9 +4,10 @@ Given B = A[Y]/I and jets approximating a morphism v : B -> A', the driver
 selects a subsystem f of the relations whose evaluated Jacobian data avoids
 every minimal prime, completes the Jacobian to a square matrix, normalizes
 the situation until an active element d congruent to P = R*det(H) exists,
-and assembles the standard smooth presentation
+and assembles the standard smooth presentation E = D[Y, T]_{s s' s''}/(g, h),
+with one inverter variable per factor:
 
-    E = D[Y, T]/(g, h)  localized at  s * s' * s''
+    E = D[Y, T, W1, W2, W3]/(g, h, W1*s - 1, W2*s' - 1, W3*s'' - 1)
 
 together with an exactness certificate and, when higher-precision jets are
 supplied, a jet-level factorization check.  A full trace of the nineteen
@@ -142,7 +143,6 @@ class DesingResult:
     presentation: AlgebraPresentation
     certificate: SmoothingCertificate
     simplified: tuple
-    multiplier: Polynomial
     trace: list
     morphism: MorphismApprox
     algebra: AlgebraPresentation = None
@@ -678,14 +678,22 @@ class ShiftedPoint:
         self.move(t)
 
     def move(self, t):
-        """Put the tangent point at t: W = G(y')t and b = d^e*W."""
+        """Put the tangent point at t: W = G(y')t."""
         self.one = t[0] ** 0
         self.zero = self.one * 0
         W = [sum((t_k * g for t_k, g in zip(t, row)), self.zero)
              for row in self.Gy]
-        d_e = self.one * self.dpow[self.e]
         self.W_pow = [_PowerCache(w) for w in W]
-        self.b_pow = [_PowerCache(d_e * w) for w in W]
+        self._b_pow = None
+
+    @property
+    def b_pow(self):
+        """Power caches of b_j = d^e*W_j, built on first use after a move:
+        the Newton contraction moves many times but reads b only once."""
+        if self._b_pow is None:
+            d_e = self.one * self.dpow[self.e]
+            self._b_pow = [_PowerCache(d_e * w[1]) for w in self.W_pow]
+        return self._b_pow
 
     def _coefficients(self, q):
         """Taylor coefficients of q at y', computed once per q."""
@@ -859,13 +867,14 @@ def localize_smooth(cert, BT, vT):
     cert.s_second_num = s_second
     cert.s_second_pow = q_pow
 
-    multiplier = cert.s * s_prime * s_second
-    # localized unit checks: s' and s'' congruent to 1 modulo (d, T)
+    # E is localized at s, s' and s'' one factor at a time; each factor is
+    # a unit congruent to 1 modulo (d, T)
+    factors = (cert.s, s_prime, s_second)
     dt_ideal = Ideal(table, [cert.d] + t_vars + list(ring.j_gens))
-    for u in (cert.s, s_prime, s_second):
+    for u in factors:
         if not dt_ideal.contains(u - 1, order):
             raise CertificateFailed(
-                "a localization multiplier is not congruent to 1 mod (d, T)")
+                "a localized factor is not congruent to 1 mod (d, T)")
 
     # membership certificate: I inside (h, g) after saturation.  Relations
     # that are part of the subsystem carry the telescoped witness already;
@@ -887,7 +896,10 @@ def localize_smooth(cert, BT, vT):
             hg = Ideal(table, list(cert.h) + list(cert.g) + list(ring.j_gens))
             still = [q for q in still if not hg.contains(q, order)]
         if still:
-            sat_gens, _ = saturate(hg.gens, multiplier, table, order)
+            # saturating by each factor in turn saturates by their product
+            sat_gens = hg.gens
+            for u in factors:
+                sat_gens, _ = saturate(sat_gens, u, table, order)
             saturated = Ideal(table, sat_gens)
             for q in still:
                 if not saturated.contains(q, order):
@@ -909,19 +921,18 @@ def localize_smooth(cert, BT, vT):
             if not g_i.derivative(nm_j).is_zero():
                 raise CertificateFailed("dg/dY is not zero")
 
-    w_name = table.fresh_name("W")
-    tableW = table.extend((w_name, INVERTER))
+    # one inverter relation W_k*u_k - 1 per factor u_k
+    w_names = [table.fresh_name(f"W{k + 1}") for k in range(len(factors))]
+    tableW = table.extend(*[(nm, INVERTER) for nm in w_names])
     ringW = ring.with_table(tableW)
-    w_rel = Polynomial.var(tableW, w_name) * multiplier.lift(tableW) \
-        - Polynomial.const(tableW, 1)
+    inverted = tuple(u.lift(tableW) for u in factors)
+    w_rels = tuple(Polynomial.var(tableW, nm) * u - Polynomial.const(tableW, 1)
+                   for nm, u in zip(w_names, inverted))
     relations = tuple(p.lift(tableW) for p in cert.g) \
-        + tuple(p.lift(tableW) for p in cert.h) + (w_rel,)
-    presentation = AlgebraPresentation(
-        ringW, relations,
-        (cert.s.lift(tableW), s_prime.lift(tableW), s_second.lift(tableW)))
+        + tuple(p.lift(tableW) for p in cert.h) + w_rels
+    presentation = AlgebraPresentation(ringW, relations, inverted)
     simplified = simplify_presentation(presentation)
-    return DesingResult(presentation, cert, simplified, multiplier, [], vT,
-                        algebra=BT)
+    return DesingResult(presentation, cert, simplified, [], vT, algebra=BT)
 
 
 def simplify_presentation(pres):
@@ -973,7 +984,7 @@ def factor_morphism(result, y_high):
     ``y_high`` maps the algebra variable names to jets that must extend the
     morphism jets below their precision; it may be given over any prefix of
     the output table.  Checks: every h vanishes at (y, t), every g vanishes
-    at t, and every output relation vanishes at (y, t, 1/multiplier), all
+    at t, and every output relation vanishes at (y, t, 1/s, 1/s', 1/s''), all
     modulo the tracked precision.  Any violation raises VerificationFailed.
     """
     cert = result.certificate
@@ -1044,26 +1055,11 @@ def factor_morphism(result, y_high):
         expect_zero(f"h[{i}]", h_i.lift(table))
     for i, g_i in enumerate(cert.g):
         expect_zero(f"g[{i}]", g_i.lift(table))
-    # evaluate the localization multiplier factor by factor; the product of
-    # the evaluated jets is far cheaper than evaluating the product
-    mult_val = ring.jet(1, prec)
-    for factor in (cert.s, cert.s_prime, cert.s_second_num):
-        val = ring.reduce_jet(factor.lift(table).substitute(subs), prec)
-        mult_val = mult_val * Jet(ring, val, prec)
-    w_inv = jet_invert(mult_val)
-    for wn in table.block_names(INVERTER):
-        subs[wn] = w_inv.poly
-    w_positions = table.block(INVERTER)
+    # each inverter W_k takes the inverse of the jet value of its factor
+    for wn, u in zip(table.block_names(INVERTER), pres.inverted):
+        subs[wn] = jet_invert(
+            Jet(ring, ring.reduce_jet(u.substitute(subs), prec), prec)).poly
     for k, rel in enumerate(pres.relations):
-        if w_positions and rel.involves(w_positions):
-            # W * multiplier - 1 at the point: use the factored value
-            val = mult_val * w_inv - 1
-            ok = val.is_zero()
-            checks.append((f"output[{k}]", ok))
-            if not ok:
-                raise VerificationFailed(
-                    "the inverter relation does not vanish at jet level")
-            continue
         expect_zero(f"output[{k}]", rel)
     return FactorReport(True, prec, eps, dict(zip(t_names, t_jets)), checks)
 
@@ -1152,16 +1148,18 @@ def desingularize(problem, verify_certificates=True):
     cert, BT, vT = build_hg(B, red, e, verify=verify_certificates)
     record(13, {"b": ", ".join(fmt(bi) for bi in cert.b)})
     record(14, {"Gprime": str(cert.Gprime)})
-    record(15, {"s": fmt(cert.s),
-                "h": "; ".join(fmt(hi) for hi in cert.h)})
+    s_text = fmt(cert.s)
+    record(15, {"s": s_text, "h": "; ".join(fmt(hi) for hi in cert.h)})
     record(16, {"p": cert.p, "g": "; ".join(fmt(gi) for gi in cert.g)})
 
     result = localize_smooth(cert, BT, vT)
-    record(17, {"s_prime": fmt(cert.s_prime)})
-    record(18, {"s_second": fmt(cert.s_second_num),
-                "s_power": cert.s_second_pow})
+    s_prime_text = fmt(cert.s_prime)
+    record(17, {"s_prime": s_prime_text})
+    s_second_text = fmt(cert.s_second_num)
+    record(18, {"s_second": s_second_text, "s_power": cert.s_second_pow})
     record(19, {"relations": "; ".join(fmt(p) for p in result.simplified),
-                "multiplier": fmt(result.multiplier)})
+                "multiplier": " * ".join(
+                    f"({u})" for u in (s_text, s_prime_text, s_second_text))})
     result.trace = trace
 
     if vT.verify:

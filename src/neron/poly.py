@@ -237,6 +237,19 @@ class Polynomial:
             return Polynomial(self.table, {})
         if len(ta) > len(tb):
             ta, tb = tb, ta
+        scale = sa * sb
+        if len(ta) == 1:
+            # A one-term operand shifts the other's terms.  Nothing can
+            # cancel, and packing would cost more than so few pairs save.
+            (m1, c1), = ta.items()
+            if scale == 1:
+                terms = {tuple([x + y for x, y in zip(m1, m2)]): c1 * c2
+                         for m2, c2 in tb.items()}
+            else:
+                terms = {tuple([x + y for x, y in zip(m1, m2)]):
+                         _canon_coeff(c1 * c2 * scale)
+                         for m2, c2 in tb.items()}
+            return Polynomial(self.table, terms)
         # Packed exponents (Monagan & Pearce): each monomial becomes one int
         # with a field of `bits` bits per variable, the first variable in
         # the highest field.  The width holds the largest exponent sum of
@@ -269,7 +282,6 @@ class Polynomial:
                     del out[p]
         mask = (1 << bits) - 1
         shifts = range(bits * (len(self.table) - 1), -1, -bits)
-        scale = sa * sb
         if scale != 1:
             terms = {tuple([p >> s & mask for s in shifts]):
                      _canon_coeff(v * scale) for p, v in out.items()}

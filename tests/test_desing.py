@@ -1,5 +1,6 @@
 """Pipeline stages: smoothness ideal, subsystem search, reduction, output."""
 
+import dataclasses
 import os
 
 import pytest
@@ -308,6 +309,34 @@ def test_factor_morphism_trivial_extension(hypersurface_result):
         assert t.is_zero()
 
 
+def test_factor_morphism_evaluates_each_inverter_relation():
+    """W_k is the inverse of the jet value of the listed factor u_k, and
+    W_k*u_k - 1 is evaluated like every other output relation.  With jets
+    to precision 20 the checks run at precision 15, where s, s' and s'' of
+    the hypersurface differ from 1, so a listed factor that is off in its
+    last tracked coefficient leaves its inverter relation nonzero."""
+    prob = hypersurface_problem()
+    prob = dataclasses.replace(prob, morphism=MorphismApprox(
+        prob.morphism.precision, prob.morphism.jets,
+        hypersurface_problem(n=20).morphism.jets))
+    res = desingularize(prob)
+    rep = res.jet_map
+    pres = res.presentation
+    n_out = len(pres.relations)
+    assert rep.precision == 15
+    assert rep.checks[-n_out:] == [(f"output[{k}]", True)
+                                   for k in range(n_out)]
+    x = parse_poly(pres.table, "x")
+    for k in range(3):
+        inverted = list(pres.inverted)
+        inverted[k] = inverted[k] * (1 + x ** (rep.precision - 1))
+        bad = dataclasses.replace(res, presentation=dataclasses.replace(
+            pres, inverted=tuple(inverted)))
+        with pytest.raises(VerificationFailed,
+                           match=rf"output\[{n_out - 3 + k}\]"):
+            factor_morphism(bad, res.morphism.verify)
+
+
 def test_factor_morphism_corruption_detected(golden_result):
     res = golden_result
     ring = res.presentation.ring
@@ -339,7 +368,8 @@ def test_desingularize_smooth_input_unit_multiplier():
                            "Y2": ring.zero_jet(8)})
     from neron.desing import DesingProblem
     res = desingularize(DesingProblem(ring, prob_relations, v))
-    assert res.multiplier == Polynomial.const(res.multiplier.table, 1)
+    one = Polynomial.const(res.presentation.table, 1)
+    assert res.presentation.inverted == (one, one, one)
     cert = res.certificate
     assert cert.s == Polynomial.const(cert.s.table, 1)
     # the simplified presentation pins Y1 back to x1

@@ -212,7 +212,10 @@ def operand_pairs(draw):
     mons = st.tuples(*[_EXPONENTS] * n)
 
     def poly():
-        items = draw(st.lists(st.tuples(mons, _COEFFS), max_size=10))
+        # at most one term half the time: one-term operands take their own
+        # path through the product
+        size = draw(st.sampled_from([1, 10]))
+        items = draw(st.lists(st.tuples(mons, _COEFFS), max_size=size))
         return Polynomial.from_terms(T, items)
     return poly(), poly()
 
@@ -241,6 +244,10 @@ def test_packed_product_constants():
     assert got == {(0, 0, 0, 0): Fraction(3, 2)}
     assert_product_matches_reference(three, three)
     assert_product_matches_reference(half, parse_poly(T, "x1 - Y2^3"))
+    # a rational scale that clears every denominator leaves int coefficients
+    got = assert_product_matches_reference(half, parse_poly(T, "2*x1 - 4*Y2"))
+    assert got == {(1, 0, 0, 0): 1, (0, 0, 0, 1): -2}
+    assert all(type(c) is int for c in got.values())
 
 
 def test_packed_product_one_variable_table():
