@@ -24,14 +24,14 @@ from .errors import (ActiveElementNotFound, BoundTooSmall, CertificateFailed,
                      CompletionFailed, ConditionStarStarFailed,
                      DivisibilityViolated, NeronError, NotDivisible,
                      NotInIdeal, TargetInsidePrime, VerificationFailed)
-from .groebner import Ideal, lift_division, std_basis
+from .groebner import Ideal, lift_division
 from .idealops import eliminate, krull_dim, saturate, syzygies
 from .linalg import PolyMatrix, det, det_adjugate
 from .localring import (Jet, LocalRingSpec, active_element,
                         check_precision_bound, compute_e, jet_divide,
                         jet_invert, minimal_primes)
-from .orders import (ALGEBRA, BASE, COEFF, INVERTER, SLACK, TANGENT,
-                     global_order, mixed_order)
+from .orders import (ALGEBRA, BASE, INVERTER, SLACK, TANGENT, global_order,
+                     mixed_order)
 from .poly import (Polynomial, exact_div, format_poly, jacobian,
                    taylor_coefficients)
 
@@ -181,8 +181,8 @@ def eval_exact(p, v):
 
 
 def _survives(ring, precision, jet, i):
-    """True when the jet is nonzero modulo P_i + J + (x)^N."""
-    return not ring.cut_ideal(precision, i).contains(jet.poly, ring.order)
+    """True when the jet is nonzero modulo P_i + (x)^N (P_i contains J)."""
+    return not ring.reduce_jet(jet.poly, precision, prime=i).is_zero()
 
 
 def _survives_all(ring, precision, jet):
@@ -245,11 +245,9 @@ def elkik_ideal(B, cap):
             if key not in seen:
                 seen.add(key)
                 gens.append(p)
-    elim_roles = tuple(r for r in table.roles_present()
-                       if r not in (BASE, COEFF))
-    h_cap_a = eliminate(gens + rels + j_gens, elim_roles, table, order) \
-        if elim_roles else tuple(std_basis(gens + rels + j_gens, table, order))
-    return ElkikData(contributions, tuple(gens), tuple(h_cap_a))
+    elim_roles = tuple(r for r in table.roles_present() if r != BASE)
+    h_cap_a = eliminate(gens + rels + j_gens, elim_roles, table, order)
+    return ElkikData(contributions, tuple(gens), h_cap_a)
 
 
 def sym_algebra_reduction(B, v):
@@ -273,8 +271,6 @@ def sym_algebra_reduction(B, v):
     new_pairs = [(table.fresh_name(f"Y{len(B.algebra_names()) + k + 1}"),
                   ALGEBRA) for k in range(l)]
     table1 = table.extend(*new_pairs)
-    ring1 = ring.with_table(table1)
-    rels1 = [p.lift(table1) for p in rels]
     forms = []
     for vec in syz:
         head = vec[:l]
@@ -287,25 +283,21 @@ def sym_algebra_reduction(B, v):
                 form = form + qred.lift(table1) * Polynomial.var(table1, name)
         if not form.is_zero():
             forms.append(form)
-    rels1 += forms
     n1 = len(table1.block(ALGEBRA))
     slack_pairs = [(table1.fresh_name(f"Z{k + 1}"), SLACK) for k in range(n1)]
     table2 = table1.extend(*slack_pairs)
-    ring2 = ring.with_table(table2)
-    rels2 = [p.lift(table2) for p in rels1]
-    rels2 += [Polynomial.var(table2, name) for name, _ in slack_pairs]
-    B2 = AlgebraPresentation(ring2, tuple(rels2),
-                             tuple(p.lift(table2) for p in B.inverted))
-    jets = {k: Jet(ring2, j.poly.lift(table2), j.precision)
-            for k, j in v.jets.items()}
-    verify = {k: Jet(ring2, j.poly.lift(table2), j.precision)
-              for k, j in v.verify.items()}
+    B2 = B.lift(table2)
+    B2 = AlgebraPresentation(
+        B2.ring, B2.relations + tuple(f.lift(table2) for f in forms)
+        + tuple(Polynomial.var(table2, name) for name, _ in slack_pairs),
+        B2.inverted)
+    v2 = v.lift(B2.ring)
+    verify_prec = max((j.precision for j in v2.verify.values()), default=0)
     for name, _ in new_pairs + slack_pairs:
-        jets[name] = ring2.zero_jet(v.precision)
-        if verify:
-            verify[name] = ring2.zero_jet(
-                max(j.precision for j in verify.values()))
-    return B2, MorphismApprox(v.precision, jets, verify)
+        v2.jets[name] = B2.ring.zero_jet(v.precision)
+        if v2.verify:
+            v2.verify[name] = B2.ring.zero_jet(verify_prec)
+    return B2, v2
 
 
 def _combo_vectors(k, budget):
@@ -446,8 +438,7 @@ def mm_primary_reduction(B, f_polys, H, R, v, seed=0):
     rels = list(B.relations)
     j_gens = list(ring.j_gens)
     P = R * det(H)
-    elim_roles = tuple(r for r in table.roles_present()
-                       if r not in (BASE, COEFF))
+    elim_roles = tuple(r for r in table.roles_present() if r != BASE)
     p_cap_a = eliminate([P] + rels + j_gens, elim_roles, table, order)
     dim = krull_dim(list(p_cap_a) + j_gens, table, order, table.block(BASE))
     pivots = tuple(range(len(f_polys)))
@@ -509,28 +500,23 @@ def _adjoin_variable(B, f_polys, H, R, P, v, pivots, p_cap_a, dim, note):
             "no active element in the evaluated contraction ideal")
     new_name = table.fresh_name(f"Y{len(B.algebra_names()) + 1}")
     table1 = table.extend((new_name, ALGEBRA))
-    ring1 = ring.with_table(table1)
-    B1 = AlgebraPresentation(ring1,
-                             tuple(p.lift(table1) for p in B.relations),
-                             tuple(p.lift(table1) for p in B.inverted))
+    B1 = B.lift(table1)
+    ring1 = B1.ring
     P1 = P.lift(table1)
     f_new = P1 * Polynomial.var(table1, new_name) - d_prime.lift(table1)
-    B1 = AlgebraPresentation(B1.ring, B1.relations + (f_new,), B1.inverted)
+    B1 = AlgebraPresentation(ring1, B1.relations + (f_new,), B1.inverted)
     y_names1 = list(B1.algebra_names())
     jrow = [f_new.derivative(nm) for nm in y_names1[:-1]] + [P1]
-    n_old = len(y_names1) - 1
     zero = Polynomial.zero(table1)
-    rows1 = [[e.lift(table1) for e in row] + [zero] for row in H.rows]
+    rows1 = [row + [zero] for row in H.lift(table1).rows]
     rows1.append(jrow)
     H1 = PolyMatrix(table1, rows1)
     R1 = R.lift(table1) * Polynomial.var(table1, new_name) ** 2
     d1 = (d_prime * d_prime).lift(table1)
     P_final = R1 * det(H1)
-    jets1 = {k: Jet(ring1, j.poly.lift(table1), j.precision)
-             for k, j in v.jets.items()}
+    v1 = v.lift(ring1)
+    jets1, verify1 = v1.jets, v1.verify
     jets1[new_name] = Jet(ring1, z.poly.lift(table1), z.precision)
-    verify1 = {k: Jet(ring1, j.poly.lift(table1), j.precision)
-               for k, j in v.verify.items()}
     if verify1:
         vv = MorphismApprox(max(j.precision for j in verify1.values()),
                             verify1)
@@ -996,15 +982,13 @@ def factor_morphism(result, y_high):
     if not y_high:
         raise VerificationFailed("no verification jets supplied")
 
-    def lift_jet(j):
-        return Jet(ring, j.poly.lift(table), j.precision)
-
-    low = {nm: lift_jet(j) for nm, j in v.jets.items()}
+    lifted = MorphismApprox(v.precision, v.jets, y_high).lift(ring)
+    low = lifted.jets
     hi = {}
     for nm in y_names:
-        if nm not in y_high:
+        if nm not in lifted.verify:
             raise VerificationFailed(f"missing verification jet for {nm}")
-        hi[nm] = lift_jet(y_high[nm])
+        hi[nm] = lifted.verify[nm]
         if hi[nm].precision < low[nm].precision:
             raise VerificationFailed(
                 f"verification jet for {nm} has precision below the bound")
@@ -1026,8 +1010,7 @@ def factor_morphism(result, y_high):
             raise VerificationFailed(
                 f"epsilon division failed for {nm}: {exc}") from exc
 
-    v_low = MorphismApprox(v.precision, low)
-    Hy = [[ring.jet(eval_exact(entry.lift(table), v_low), hi_prec)
+    Hy = [[ring.jet(eval_exact(entry.lift(table), lifted), hi_prec)
            for entry in row] for row in cert.H.rows]
     eps_prec = min(e.precision for e in eps.values())
     t_jets = []

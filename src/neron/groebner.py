@@ -106,13 +106,23 @@ def _row_update(table, row, g_row, mon, coef):
             row[j] = upd
 
 
-def classic_nf(p, reducers, keyf, table, full=True, row=None):
+def classic_nf(p, reducers, keyf, table, full=True, row=None, cut=None):
     """Long division; returns (remainder, row).
 
-    Termination is guaranteed for global orders, and for any order whenever
-    the reducer set is zero dimensional below a degree cut (jet reduction).
+    ``cut = (positions, N)`` drops every term of degree at least N in the
+    variables at ``positions``, on entry and as it comes off the heap: the
+    division then runs modulo the ideal plus (x)^N without listing (x)^N.
+    A cut is meant for full reduction without rows.  Termination is
+    guaranteed for global orders, and for any order under a cut.
     """
     h = dict(p.terms)
+    if cut is not None:
+        positions, bound = cut
+
+        def dropped(m):
+            return sum(m[i] for i in positions) >= bound
+
+        h = {m: c for m, c in h.items() if not dropped(m)}
     heap = [_RK(keyf(m), m) for m in h]
     heapq.heapify(heap)
     rem = {}
@@ -122,6 +132,10 @@ def classic_nf(p, reducers, keyf, table, full=True, row=None):
         if not heap:
             break
         m = heap[0].m
+        if cut is not None and dropped(m):
+            del h[m]
+            heapq.heappop(heap)
+            continue
         c = h[m]
         hit = None
         for g in reducers:
@@ -418,17 +432,24 @@ class Ideal:
     def contains(self, p, order):
         return self.nf(p, order).is_zero()
 
-    def reduce_full(self, p, order):
+    def reduce_full(self, p, order, cut=None):
         """Fully tail-reduced remainder of p by long division.
 
-        Terminates for global orders, and for any order when the ideal
-        contains a power of the maximal ideal (jet ideals J + (x)^N): the
-        monomials below that power are finitely many.
+        With ``cut = (positions, N)`` the remainder is taken modulo the
+        ideal plus (x)^N, x the variables at ``positions``: terms of degree
+        at least N are dropped, so no generator of (x)^N is ever listed.
+        When the ideal lives in the x variables and the order is local
+        on them, the leading ideal of I + (x)^N is that of I plus (x)^N
+        (Mora; Greuel-Pfister 1.6-1.7), so the remainder is the unique one
+        over the standard monomials, the same as division by a basis of
+        I + (x)^N.  Terminates for global orders, and for any order under
+        a cut: the monomials below it are finitely many.
         """
         basis, keyf, _, prepared = self._prepared(order)
-        if not basis:
+        if not basis and cut is None:
             return p
-        return classic_nf(p, prepared, keyf, self.table, full=True)[0]
+        return classic_nf(p, prepared, keyf, self.table, full=True,
+                          cut=cut)[0]
 
     def __repr__(self):
         return f"Ideal({list(self.gens)!r})"

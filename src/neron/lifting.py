@@ -23,9 +23,8 @@ from .errors import (DivisionFailed, HypothesisViolated, NeronError,
 from .groebner import Ideal
 from .idealops import ideal_quotient
 from .linalg import PolyMatrix, det, det_adjugate, minors
-from .localring import (LocalRingSpec, compute_e, jet_divide, minimal_primes,
-                        monomials_of_degree)
-from .orders import ALGEBRA, BASE
+from .localring import LocalRingSpec, compute_e, jet_divide, minimal_primes
+from .orders import ALGEBRA
 from .poly import Polynomial, jacobian
 
 
@@ -90,11 +89,9 @@ def check_hypothesis(prob):
     exactly when (x)^rho lies in (J, data), so neither nu nor e is needed.
     """
     ring = prob.ring
-    table = ring.table
-    ideal = Ideal(table, _jacobian_products(prob) + list(ring.j_gens))
-    return all(ideal.contains(Polynomial(table, {m: 1}), ring.order)
-               for m in monomials_of_degree(table, table.block(BASE),
-                                            prob.rho))
+    return ring.contains_power(
+        Ideal(ring.table, _jacobian_products(prob) + list(ring.j_gens)),
+        prob.rho)
 
 
 def _completion_data(prob):

@@ -56,19 +56,6 @@ class PolyMatrix:
             out.append(row)
         return PolyMatrix(self.table, out)
 
-    def matvec(self, vec):
-        n, m = self.shape
-        if m != len(vec):
-            raise NeronError("shape mismatch in matrix-vector product")
-        zero = Polynomial.zero(self.table)
-        out = []
-        for i in range(n):
-            acc = zero
-            for t in range(m):
-                acc = acc + self.rows[i][t] * vec[t]
-            out.append(acc)
-        return out
-
     def submatrix(self, row_idx, col_idx):
         return PolyMatrix(self.table,
                           [[self.rows[i][j] for j in col_idx] for i in row_idx])

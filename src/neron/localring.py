@@ -1,10 +1,12 @@
 """The base ring A = (k[x]/J)_(x) and its jet-level completion.
 
 Jets are polynomial representatives truncated below a precision N and kept
-in canonical form modulo J + (x)^N.  Arithmetic truncates to the minimum
-precision of its operands.  The module also houses the restricted minimal
-prime decomposer, active element search, the annihilator exponent and the
-precision bound test.
+in canonical form modulo J + (x)^N: the remainder of division by the
+standard basis of J with every term of x-degree at least N dropped, so
+(x)^N is a degree cut and never a list of generators.  Arithmetic
+truncates to the minimum precision of its operands.  The module also
+houses the restricted minimal prime decomposer, active element search, the
+annihilator exponent and the precision bound test.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .errors import (ActiveElementNotFound, DecompositionIncomplete,
 from .groebner import Ideal, std_basis
 from .idealops import (quotient_by_poly, radical_membership, same_ideal,
                        saturate)
-from .orders import BASE, COEFF, mixed_order
+from .orders import BASE, mixed_order
 from .poly import Polynomial, exact_div, mon_divides
 
 
@@ -40,8 +42,8 @@ class LocalRingSpec:
     ``table`` may contain more blocks than the base; J and the primes live in
     the base variables.  The local dimension at the origin must be 1.
     ``j_ideal`` and ``prime_ideals`` hold J and the primes as Ideals; the
-    truncated ideals J + (x)^N and P_i + J + (x)^N are made once per
-    precision by ``cut_ideal``.
+    truncated ideals J + (x)^N and P_i + (x)^N are never built, since
+    ``reduce_jet`` divides by J or P_i under a degree cut at N.
     """
 
     def __init__(self, table, j_gens, primes=None, check_dimension=True):
@@ -51,14 +53,16 @@ class LocalRingSpec:
         self.j_ideal = Ideal(table, self.j_gens)
         self.prime_ideals = None if primes is None else tuple(
             Ideal(table, p) for p in self.primes)
-        self._cut_ideals = {}
         base = table.block(BASE)
+        others = tuple(i for i in range(len(table)) if i not in base)
         for g in self.j_gens:
             if g.constant_coefficient() != 0:
                 raise NeronError("relation ideal is not contained in (x)")
-            if any(m[i] for m in g.terms for i in range(len(table))
-                   if i not in base and table.roles[i] != COEFF):
+            if g.involves(others):
                 raise NeronError("relation ideal must live in the base block")
+        # the degree cut of reduce_jet needs ideals of the base variables
+        if any(g.involves(others) for p in self.primes or () for g in p):
+            raise NeronError("minimal primes must live in the base block")
         if check_dimension:
             dim = self.local_dimension()
             if dim != 1:
@@ -75,21 +79,6 @@ class LocalRingSpec:
         return krull_dim(self.j_gens, self.table, self.order,
                          self.table.block(BASE))
 
-    def cut_ideal(self, precision, prime=None):
-        """J + (x)^N, or P_i + J + (x)^N for the prime of index ``prime``."""
-        key = (precision, prime)
-        got = self._cut_ideals.get(key)
-        if got is None:
-            if prime is None:
-                base = self.table.block(BASE)
-                gens = list(self.j_gens) + [
-                    Polynomial(self.table, {m: 1})
-                    for m in monomials_of_degree(self.table, base, precision)]
-            else:
-                gens = self.primes[prime] + self.cut_ideal(precision).gens
-            got = self._cut_ideals[key] = Ideal(self.table, gens)
-        return got
-
     def monomial_reduce(self, p):
         """Canonical form modulo J when every J-basis lead is the whole term.
 
@@ -105,8 +94,19 @@ class LocalRingSpec:
                 if not any(mon_divides(lm, m) for lm in leads)}
         return Polynomial(self.table, keep)
 
-    def reduce_jet(self, p, precision):
-        return self.cut_ideal(precision).reduce_full(p, self.order)
+    def reduce_jet(self, p, precision, prime=None):
+        """Canonical form of p modulo J + (x)^N, or modulo P_i + (x)^N for
+        the prime of index ``prime`` (each P_i contains J)."""
+        ideal = self.j_ideal if prime is None else self.prime_ideals[prime]
+        return ideal.reduce_full(p, self.order,
+                                 cut=(self.table.block(BASE), precision))
+
+    def contains_power(self, ideal, N):
+        """True iff (x)^N lies in ``ideal`` locally, by membership of every
+        degree-N monomial."""
+        table = self.table
+        return all(ideal.contains(Polynomial(table, {m: 1}), self.order)
+                   for m in monomials_of_degree(table, table.block(BASE), N))
 
     def with_table(self, newtable):
         """Same ring data lifted to an extended table."""
@@ -247,13 +247,12 @@ def jet_invert(u):
     raise NeronError("jet inversion did not converge")
 
 
-def _standard_monomials(ring, precision, max_degree):
-    """Monomials below the jet basis lead ideal with degree < max_degree."""
+def _standard_monomials(ring, max_degree):
+    """Monomials of degree < max_degree outside the lead ideal of J."""
     table = ring.table
     base = table.block(BASE)
     keyf = ring.order.key(table)
-    leads = [b.lead(keyf)[0]
-             for b in ring.cut_ideal(precision).basis(ring.order)]
+    leads = [b.lead(keyf)[0] for b in ring.j_ideal.basis(ring.order)]
     out = []
     for d in range(max_degree):
         for m in monomials_of_degree(table, base, d):
@@ -285,7 +284,7 @@ def jet_divide(num, den, result_precision=None):
         return (num.truncate(min(num.precision, n_res)) * inv).truncate(n_res)
     table = ring.table
     target = n_res + o
-    cols = _standard_monomials(ring, target, n_res)
+    cols = _standard_monomials(ring, n_res)
     col_vecs = []
     support = {}
     for m in cols:
@@ -529,7 +528,5 @@ def compute_e(d, ring, cap=50):
 
 def check_precision_bound(N, d, e, ring):
     """True iff (x)^N is contained in (d^(2e+1)) + J locally."""
-    table, order = ring.table, ring.order
-    ideal = Ideal(table, list(ring.j_gens) + [d ** (2 * e + 1)])
-    return all(ideal.contains(Polynomial(table, {m: 1}), order)
-               for m in monomials_of_degree(table, table.block(BASE), N))
+    return ring.contains_power(
+        Ideal(ring.table, list(ring.j_gens) + [d ** (2 * e + 1)]), N)

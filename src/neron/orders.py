@@ -1,9 +1,9 @@
 """Variable tables and monomial orders.
 
 Variables are grouped into named blocks by role: base variables (the x of the
-local ring), algebra variables (Y), tangent variables (T), coefficient
-variables (U), slack variables (Z), the inverter variable (W) and throwaway
-auxiliary variables used by the t-trick and by radical membership.
+local ring), algebra variables (Y), tangent variables (T), slack variables
+(Z), the inverter variables (W) and throwaway auxiliary variables used by
+the t-trick and by radical membership.
 
 A term order is a key function on exponent tuples.  Orders are parameters of
 each computation, never baked into a polynomial: the same ideal is used under
@@ -20,12 +20,11 @@ from .errors import NeronError
 BASE = "base"
 ALGEBRA = "algebra"
 TANGENT = "tangent"
-COEFF = "coeff"
 SLACK = "slack"
 INVERTER = "inverter"
 AUX = "aux"
 
-ROLES = (BASE, ALGEBRA, TANGENT, COEFF, SLACK, INVERTER, AUX)
+ROLES = (BASE, ALGEBRA, TANGENT, SLACK, INVERTER, AUX)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ Grammar (``#`` starts a comment, statements end with ``;``)::
     morphism { precision 12; Y1 = <poly>; verify Y1 = <poly>; }
     options  { seed 42; max_subset 3; }
     minprimes{ x1 | x2 }
-    coeffext { vars U1; relations U1^2 - 2; }
 
 Relations lists are comma separated; repeated ``relations`` statements
 append.  Only the rationals are supported as coefficient field.
@@ -20,7 +19,7 @@ from dataclasses import dataclass, field
 from .desing import DesingProblem, MorphismApprox
 from .errors import PolyParseError
 from .localring import LocalRingSpec
-from .orders import ALGEBRA, BASE, COEFF, VarTable, mixed_order
+from .orders import ALGEBRA, BASE, VarTable, mixed_order
 from .poly import _tokenize, format_poly, parse_poly
 
 # structural symbols plus those of the polynomial syntax
@@ -39,12 +38,9 @@ class ProblemFile:
     seed: int = 42
     max_subset: int = 3
     minprime_texts: tuple = ()
-    u_vars: tuple = ()
-    jbar_texts: tuple = ()
 
     def table(self):
         pairs = [(n, BASE) for n in self.base_vars]
-        pairs += [(n, COEFF) for n in self.u_vars]
         pairs += [(n, ALGEBRA) for n in self.y_vars]
         return VarTable.make(*pairs)
 
@@ -115,7 +111,7 @@ def parse_problem(text):
     while stream.peek()[0] != "end":
         kind, name, line, col = stream.expect("ident", "section name")
         if name not in ("ring", "algebra", "morphism", "options",
-                        "minprimes", "coeffext"):
+                        "minprimes"):
             raise PolyParseError(f"unknown section {name!r}", line, col)
         if name in sections:
             raise PolyParseError(f"duplicate section {name!r}", line, col)
@@ -203,7 +199,6 @@ def _assemble(sections):
     morph_body = sections["morphism"][2]
     options = sections.get("options", (0, 0, {"scalars": {}}))[2]["scalars"]
     minprimes_body = sections.get("minprimes")
-    coeff_body = sections.get("coeffext")
     pf = ProblemFile(
         base_vars=tuple(ring_body["vars"]),
         j_texts=tuple(ring_body["relations"]),
@@ -216,8 +211,6 @@ def _assemble(sections):
         max_subset=options.get("max_subset", 3),
         minprime_texts=tuple(minprimes_body[2]["groups"])
         if minprimes_body else (),
-        u_vars=tuple(coeff_body[2]["vars"]) if coeff_body else (),
-        jbar_texts=tuple(coeff_body[2]["relations"]) if coeff_body else (),
     )
     return pf
 
@@ -231,7 +224,7 @@ def _validate(pf, sections):
         raise PolyParseError("ring vars must be nonempty and distinct",
                              sections["ring"][0], sections["ring"][1])
     table = pf.table()
-    for t in pf.j_texts + pf.i_texts + pf.jbar_texts:
+    for t in pf.j_texts + pf.i_texts:
         parse_poly(table, t)
     for group in pf.minprime_texts:
         for t in group:
@@ -293,11 +286,4 @@ def print_problem(pf):
         groups = " | ".join(", ".join(fmt(t) for t in group)
                             for group in pf.minprime_texts)
         lines.append("minprimes { " + groups + " }")
-    if pf.u_vars:
-        lines.append("coeffext {")
-        lines.append("  vars " + " ".join(pf.u_vars) + ";")
-        if pf.jbar_texts:
-            lines.append("  relations "
-                         + ", ".join(fmt(t) for t in pf.jbar_texts) + ";")
-        lines.append("}")
     return "\n".join(lines) + "\n"

@@ -73,6 +73,17 @@ def test_parse_error_exit_code():
     assert "parse error" in err
 
 
+def test_coeffext_section_rejected():
+    # coefficient extensions are not implemented; a file that asks for one
+    # is refused instead of run as if the section were absent
+    with open(GOLDEN) as fh:
+        text = fh.read() + "coeffext { vars U1; relations 1; }\n"
+    code, out, err = _run_text(text)
+    assert code == 4
+    assert out == ""
+    assert "unknown section 'coeffext'" in err
+
+
 def test_missing_file_exit_code():
     code, out, err = run_command("desing", "problems/no_such_file.gnd")
     assert code == 4

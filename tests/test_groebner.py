@@ -101,6 +101,10 @@ def test_ideal_reduce_full_on_jet_ideal():
     assert r == parse_poly(T, "x1 + x2^3")
     assert ideal.contains(parse_poly(T, "x1^2 - x2^3"), order)
     assert not ideal.contains(parse_poly(T, "x2^3"), order)
+    # the same remainder from (x1^2 - x2^3) alone under a degree cut at 4
+    cut = Ideal(T, gens[:1]).reduce_full(
+        parse_poly(T, "x1 + x1^2 + x1^3"), order, cut=((0, 1), 4))
+    assert cut == r
 
 
 def test_normal_form_examples():

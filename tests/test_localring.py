@@ -10,9 +10,10 @@ from neron import (ALGEBRA, BASE, Ideal, Polynomial, VarTable, ideal_equal,
 from neron.errors import (ActiveElementNotFound, DecompositionIncomplete,
                           NeronError, NotAUnit, NotDivisible,
                           TargetInsidePrime)
+from neron.desing import _survives
 from neron.localring import (Jet, LocalRingSpec, active_element,
                              check_precision_bound, compute_e, jet_divide,
-                             jet_invert, minimal_primes)
+                             jet_invert, minimal_primes, monomials_of_degree)
 
 
 def table2():
@@ -61,6 +62,16 @@ def test_validate_supplied_primes():
                         check_dimension=False)
     with pytest.raises(NeronError):
         bad.validate_primes()
+
+
+def test_primes_outside_the_base_block_rejected():
+    # jets reduce by each P_i under a degree cut in the base variables,
+    # which is exact only for ideals of the base variables
+    T = VarTable.make(("x1", BASE), ("x2", BASE), ("Y1", ALGEBRA))
+    with pytest.raises(NeronError, match="base block"):
+        LocalRingSpec(T, [parse_poly(T, "x1*x2")],
+                      primes=((parse_poly(T, "x1 - x2*Y1"),),
+                              (parse_poly(T, "x2"),)))
 
 
 def test_active_element_examples():
@@ -192,3 +203,80 @@ def test_prime_list_invariants_after_decomposition():
             meet, list(p_gens), T, ring.order)
     for g in meet:
         assert radical_membership(g, list(ring.j_gens), T)
+
+
+def _degree_cut_rings():
+    """(ring, label) pairs for the degree-cut differential test."""
+    T2 = table2()
+    T3 = VarTable.make(("x1", BASE), ("x2", BASE), ("x3", BASE))
+    out = [(LocalRingSpec(T2, [], primes=minimal_primes([], T2),
+                          check_dimension=False), "J = 0")]
+    for text in ("x1*x2", "x1^2*x2"):
+        J = [parse_poly(T2, text)]
+        out.append((LocalRingSpec(T2, J, primes=minimal_primes(J, T2)), text))
+    # the space curve: a line, the diagonal and a conjugate pair of lines
+    J = [parse_poly(T3, "x1^2 - x2*x3"), parse_poly(T3, "x3^2 - x1*x2")]
+    primes = tuple(tuple(parse_poly(T3, t) for t in group) for group in (
+        ("x1", "x3"), ("x1 - x2", "x3 - x2"),
+        ("x1 + x2 + x3", "x1^2 + x1*x2 + x2^2")))
+    curve = LocalRingSpec(T3, J, primes=primes)
+    assert curve.validate_primes()
+    out.append((curve, "space curve"))
+    # a non-homogeneous J: reduction pushes terms above the cut
+    J = [parse_poly(T2, "x1^2 - x2^3")]
+    out.append((LocalRingSpec(T2, J, primes=(tuple(J),)), "cusp"))
+    return out
+
+
+def _reference_cut_ideal(ring, N, prime=None):
+    """J + (x)^N, or P_i + J + (x)^N, with (x)^N listed monomial by
+    monomial: the explicit-generator ideal the degree cut replaces."""
+    T = ring.table
+    gens = list(ring.j_gens) + [
+        Polynomial(T, {m: 1})
+        for m in monomials_of_degree(T, T.block(BASE), N)]
+    if prime is not None:
+        gens = list(ring.primes[prime]) + gens
+    return Ideal(T, gens)
+
+
+def _random_base_poly(T, rng, max_degree):
+    n = len(T)
+    terms = []
+    for _ in range(rng.randint(1, 6)):
+        deg = rng.randint(0, max_degree)
+        m = [0] * n
+        for _ in range(deg):
+            m[rng.randrange(n)] += 1
+        terms.append((tuple(m), Fraction(rng.randint(-4, 4),
+                                         rng.randint(1, 3))))
+    return Polynomial.from_terms(T, terms)
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_degree_cut_matches_explicit_generators(index):
+    """reduce_jet and the survival test under the degree cut agree with
+    division by a basis of J + (x)^N and P_i + J + (x)^N, the ideals built
+    from the degree-N monomials."""
+    ring, label = _degree_cut_rings()[index]
+    T, order = ring.table, ring.order
+    rng = random.Random(800 + index)
+    gens = list(ring.j_gens) + [g for p in ring.primes for g in p]
+    nonzero = 0
+    for N in range(1, 9):
+        ref = _reference_cut_ideal(ring, N)
+        ref_primes = [_reference_cut_ideal(ring, N, i)
+                      for i in range(len(ring.primes))]
+        for _ in range(6):
+            p = _random_base_poly(T, rng, N + 2)
+            if gens and rng.random() < 0.5:
+                # a multiple of a generator plus a tail above the cut
+                p = p * rng.choice(gens) + _random_base_poly(T, rng, N + 3)
+            got = ring.reduce_jet(p, N)
+            assert got == ref.reduce_full(p, order), (label, N, p)
+            nonzero += not got.is_zero()
+            jet = ring.jet(p, N)
+            for i, ref_prime in enumerate(ref_primes):
+                assert _survives(ring, N, jet, i) == (
+                    not ref_prime.contains(jet.poly, order)), (label, N, i, p)
+    assert nonzero
