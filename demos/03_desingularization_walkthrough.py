@@ -32,7 +32,7 @@ verify = {"Y1": ring.jet(parse_poly(T, "x1") * u24, 24),
           "Y2": ring.jet(parse_poly(T, "x2") * w24, 24)}
 
 problem = DesingProblem(ring, relations, MorphismApprox(N, jets, verify),
-                        seed=42, max_subset=3)
+                        max_subset=3)
 result = desingularize(problem)
 
 print(emit_trace(result.trace, "text").decode())

@@ -15,7 +15,7 @@ from .errors import (ActiveElementNotFound, BoundTooSmall, CertificateFailed,
                      PolyParseError, PreconditionFailed, TargetInsidePrime,
                      VerificationFailed)
 from .orders import (ALGEBRA, AUX, BASE, INVERTER, SLACK, TANGENT, BlockOrder,
-                     DegRevLex, Lex, NegDegRevLex, TermOrder, VarTable,
+                     DegRevLex, NegDegRevLex, TermOrder, VarTable,
                      elim_order, global_order, local_order, mixed_order)
 from .poly import Polynomial, format_poly, jacobian, parse_poly, taylor_coefficients
 from .linalg import PolyMatrix, det, det_adjugate, identity, minors

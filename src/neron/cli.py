@@ -12,7 +12,8 @@ import argparse
 import json
 import sys
 
-from .desing import desingularize, elkik_ideal, AlgebraPresentation
+from .desing import (AlgebraPresentation, _validate_morphism,
+                     desingularize, elkik_ideal)
 from .errors import (ActiveElementNotFound, BoundTooSmall, CertificateFailed,
                      CompletionFailed, ConditionStarStarFailed,
                      DecompositionIncomplete, DivisibilityViolated,
@@ -190,22 +191,17 @@ def _cmd_check(pf, fmt):
         from .localring import minimal_primes
         primes = minimal_primes(list(ring.j_gens), ring.table, ring.order)
         notes.append(f"minimal primes: {len(primes)} component(s)")
-    else:
-        ring.validate_primes()
+    else:  # pf.build() has validated them
         notes.append("supplied minimal primes validated")
-    from .desing import eval_at_jets
-    for rel in problem.relations:
-        val = eval_at_jets(rel, problem.morphism, ring)
-        if not val.is_zero():
-            raise PreconditionFailed(
-                "a relation does not vanish at the jets modulo (x)^N")
+    _validate_morphism(AlgebraPresentation(ring, tuple(problem.relations)),
+                       problem.morphism)
     notes.append("jets define a morphism modulo (x)^N")
     out = "\n".join(notes) + "\n"
     return 0, out, ""
 
 
 def run_command(cmd, path, fmt="text", rho=None, target=None, f_indices=None,
-                seed=None, max_subset=None):
+                max_subset=None):
     """Dispatch a subcommand; returns (exit_code, stdout, stderr)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -214,8 +210,6 @@ def run_command(cmd, path, fmt="text", rho=None, target=None, f_indices=None,
         return 4, "", f"cannot read problem file: {exc}\n"
     try:
         pf = parse_problem(text)
-        if seed is not None:
-            pf.seed = seed
         if max_subset is not None:
             pf.max_subset = max_subset
         if cmd == "desing":
@@ -257,7 +251,6 @@ def main(argv=None):
             ("check", "validate the problem file and preconditions")):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("file")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--max-subset", type=int, default=None)
         p.add_argument("--format", choices=("text", "machine"),
                        default="text")
@@ -274,7 +267,7 @@ def main(argv=None):
         args.command, args.file, fmt=args.format,
         rho=getattr(args, "rho", None),
         target=getattr(args, "target_precision", None),
-        f_indices=f_indices, seed=args.seed, max_subset=args.max_subset)
+        f_indices=f_indices, max_subset=args.max_subset)
     if out:
         sys.stdout.write(out)
     if err:

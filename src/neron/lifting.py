@@ -106,7 +106,7 @@ def _completion_data(prob):
     v = MorphismApprox(prec, {nm: ring.jet(p, prec)
                               for nm, p in prob.approx.items()})
     B = AlgebraPresentation(ring, tuple(prob.relations))
-    H = complete_H(B, f_polys, v, seed=0)
+    H = complete_H(B, f_polys, v)
     d = ring.monomial_reduce(eval_exact(det(H), v))
     if d.is_zero():
         raise DivisionFailed("det(H) vanishes at the approximate solution")

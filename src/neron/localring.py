@@ -5,14 +5,13 @@ in canonical form modulo J + (x)^N: the remainder of division by the
 standard basis of J with every term of x-degree at least N dropped, so
 (x)^N is a degree cut and never a list of generators.  Arithmetic
 truncates to the minimum precision of its operands.  The module also
-houses the restricted minimal prime decomposer, active element search, the
-annihilator exponent and the precision bound test.
+houses the restricted minimal prime decomposer, the small-vector and active
+element searches, the annihilator exponent and the precision bound test.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from fractions import Fraction
 
 from .errors import (ActiveElementNotFound, DecompositionIncomplete,
@@ -475,12 +474,25 @@ def _certify_prime(basis, table):
     return False
 
 
-def active_element(target_gens, primes, table, order=None, seed=0,
-                   accept=None, max_attempts=1000):
+SMALL_VALUES = (0, 1, -1, 2, -2, 3, -3)   # entries of every searched vector
+MAX_ACTIVE_ATTEMPTS = 1000  # combinations active_element tries at most
+
+
+def small_vectors(n):
+    """Nonzero vectors of length n with entries in SMALL_VALUES, each once,
+    in ``itertools.product`` order."""
+    for vec in itertools.product(SMALL_VALUES, repeat=n):
+        if any(vec):
+            yield vec
+
+
+def active_element(target_gens, primes, table, order=None, accept=None):
     """Element of the target ideal avoiding every minimal prime.
 
     ``primes`` are Ideals.  Search order: the given generators first, then
-    seeded small-integer combinations with coefficients in -3..3.
+    the other combinations with coefficient vectors from ``small_vectors``,
+    at most MAX_ACTIVE_ATTEMPTS of them.  ``accept`` is asked at most once
+    per coefficient vector.
     """
     order = mixed_order(table) if order is None else order
     live = [g for g in target_gens if not g.is_zero()]
@@ -496,11 +508,10 @@ def active_element(target_gens, primes, table, order=None, seed=0,
     for g in live:
         if is_active(g) and (accept is None or accept(g)):
             return g
-    rng = random.Random(seed)
-    for _ in range(max_attempts):
-        coeffs = [rng.randint(-3, 3) for _ in live]
-        if not any(coeffs):
-            continue
+    for coeffs in itertools.islice(small_vectors(len(live)),
+                                   MAX_ACTIVE_ATTEMPTS):
+        if coeffs.count(0) == len(coeffs) - 1 and 1 in coeffs:
+            continue  # a generator itself, tried above
         d = Polynomial.zero(table)
         for c, g in zip(coeffs, live):
             if c:

@@ -128,13 +128,6 @@ class TermOrder:
 
 
 @dataclass(frozen=True)
-class Lex(TermOrder):
-    def _key_impl(self, table, positions=None):
-        pos = tuple(range(len(table))) if positions is None else tuple(positions)
-        return lambda m: tuple(m[i] for i in pos)
-
-
-@dataclass(frozen=True)
 class DegRevLex(TermOrder):
     def _key_impl(self, table, positions=None):
         pos = tuple(range(len(table))) if positions is None else tuple(positions)

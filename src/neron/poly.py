@@ -590,8 +590,10 @@ class _PolyParser:
 
 
 def parse_poly(table, text):
-    """Parse the textual polynomial syntax over ``table``."""
-    parser = _PolyParser(table, _tokenize(text))
+    """Parse the textual polynomial syntax over ``table``.  ``text`` may
+    also be a ``_tokenize`` token list; errors carry its positions."""
+    parser = _PolyParser(
+        table, _tokenize(text) if isinstance(text, str) else text)
     p = parser.parse_expr()
     kind, val, line, col = parser.peek()
     if kind != "end":

@@ -5,11 +5,14 @@ Grammar (``#`` starts a comment, statements end with ``;``)::
     ring     { field Q; vars x1 x2; relations x1*x2; }
     algebra  { vars Y1 Y2; relations x2*Y1 - x1*Y2, x2*Y1; }
     morphism { precision 12; Y1 = <poly>; verify Y1 = <poly>; }
-    options  { seed 42; max_subset 3; }
+    options  { max_subset 3; }
     minprimes{ x1 | x2 }
 
-Relations lists are comma separated; repeated ``relations`` statements
-append.  Only the rationals are supported as coefficient field.
+Each section accepts only the statements shown for it; any other statement
+is a parse error at its position.  Relations lists are comma separated;
+repeated ``relations`` statements append.  Only the rationals are supported
+as coefficient field.  Parse errors inside a polynomial carry the line and
+column of the offending token in the file.
 """
 
 from __future__ import annotations
@@ -24,6 +27,12 @@ from .poly import _tokenize, format_poly, parse_poly
 
 # structural symbols plus those of the polynomial syntax
 _SYMBOLS = "{};=|,+-*^()/"
+# the statements each section accepts; "=" stands for `Y1 = <poly>;`
+_STATEMENTS = {"ring": ("field", "vars", "relations"),
+               "algebra": ("vars", "relations"),
+               "morphism": ("precision", "verify", "="),
+               "options": ("max_subset",)}
+_KEYWORDS = {kw for kws in _STATEMENTS.values() for kw in kws} - {"="}
 
 
 @dataclass
@@ -35,7 +44,6 @@ class ProblemFile:
     precision: int
     jet_texts: dict
     verify_texts: dict = field(default_factory=dict)
-    seed: int = 42
     max_subset: int = 3
     minprime_texts: tuple = ()
 
@@ -67,7 +75,7 @@ class ProblemFile:
                       for nm, t in self.verify_texts.items()}
         morphism = MorphismApprox(self.precision, jets, verify)
         return DesingProblem(ring, relations, morphism,
-                             seed=self.seed, max_subset=self.max_subset)
+                             max_subset=self.max_subset)
 
 
 class _Stream:
@@ -91,17 +99,23 @@ class _Stream:
         return tok
 
 
-def _collect_poly_text(stream, stop_kinds):
-    parts = []
+def _collect_poly(stream, stop_kinds):
+    """Tokens of one polynomial, closed by an ``end`` token at the stop
+    symbol, so that ``parse_poly`` reports positions in the file."""
+    tokens = []
     while stream.peek()[0] not in stop_kinds:
-        kind, val, line, col = stream.next()
-        if kind == "end":
-            raise PolyParseError("unterminated statement", line, col)
-        parts.append(val)
-    if not parts:
-        kind, val, line, col = stream.peek()
+        tok = stream.next()
+        if tok[0] == "end":
+            raise PolyParseError("unterminated statement", tok[2], tok[3])
+        tokens.append(tok)
+    kind, val, line, col = stream.peek()
+    if not tokens:
         raise PolyParseError("expected a polynomial", line, col)
-    return " ".join(parts)
+    return tokens + [("end", "", line, col)]
+
+
+def _text(tokens):
+    return " ".join(tok[1] for tok in tokens[:-1])
 
 
 def parse_problem(text):
@@ -145,7 +159,7 @@ def _section_body(stream, name):
                 body["groups"].append(tuple(group))
                 group = []
                 continue
-            group.append(_collect_poly_text(stream, ("|", ",", "}")))
+            group.append(_collect_poly(stream, ("|", ",", "}")))
             if stream.peek()[0] == ",":
                 stream.next()
     while True:
@@ -154,42 +168,37 @@ def _section_body(stream, name):
             stream.next()
             return body
         stream.expect("ident", "statement keyword")
+        if (val if val in _KEYWORDS else "=") not in _STATEMENTS[name]:
+            raise PolyParseError(
+                f"statement {val!r} is not allowed in section {name!r}",
+                line, col)
         if val == "vars":
             while stream.peek()[0] == "ident":
                 body["vars"].append(stream.next()[1])
             stream.expect(";")
         elif val == "relations":
-            while True:
-                body["relations"].append(
-                    _collect_poly_text(stream, (",", ";")))
-                if stream.peek()[0] == ",":
-                    stream.next()
-                    continue
-                break
-            stream.expect(";")
-        elif val in ("field",):
+            # each polynomial stops at "," or ";"; ";" ends the statement
+            body["relations"].append(_collect_poly(stream, (",", ";")))
+            while stream.next()[0] == ",":
+                body["relations"].append(_collect_poly(stream, (",", ";")))
+        elif val == "field":
             kind2, val2, line2, col2 = stream.expect("ident", "field name")
             if val2 != "Q":
                 raise PolyParseError(
                     "only the rational field Q is supported", line2, col2)
-            body["scalars"]["field"] = val2
             stream.expect(";")
-        elif val in ("precision", "seed", "max_subset"):
+        elif val in ("precision", "max_subset"):
             kind2, val2, line2, col2 = stream.expect("int")
             body["scalars"][val] = int(val2)
             stream.expect(";")
-        elif val == "verify":
-            kind2, name2, line2, col2 = stream.expect("ident", "variable")
-            stream.expect("=")
-            body["verify"].append(
-                (name2, _collect_poly_text(stream, (";",)), line2, col2))
-            stream.expect(";")
         else:
-            # `Y1 = poly;` morphism assignment
-            name2, line2, col2 = val, line, col
+            # `Y1 = poly;` morphism assignment, or `verify Y1 = poly;`
+            key, (_, name2, line2, col2) = (
+                ("verify", stream.expect("ident", "variable"))
+                if val == "verify" else ("assign", (kind, val, line, col)))
             stream.expect("=")
-            body["assign"].append(
-                (name2, _collect_poly_text(stream, (";",)), line2, col2))
+            body[key].append(
+                (name2, _collect_poly(stream, (";",)), line2, col2))
             stream.expect(";")
 
 
@@ -201,15 +210,16 @@ def _assemble(sections):
     minprimes_body = sections.get("minprimes")
     pf = ProblemFile(
         base_vars=tuple(ring_body["vars"]),
-        j_texts=tuple(ring_body["relations"]),
+        j_texts=tuple(map(_text, ring_body["relations"])),
         y_vars=tuple(algebra_body["vars"]),
-        i_texts=tuple(algebra_body["relations"]),
+        i_texts=tuple(map(_text, algebra_body["relations"])),
         precision=morph_body["scalars"].get("precision", 0),
-        jet_texts={nm: txt for nm, txt, _, _ in morph_body["assign"]},
-        verify_texts={nm: txt for nm, txt, _, _ in morph_body["verify"]},
-        seed=options.get("seed", 42),
+        jet_texts={nm: _text(toks) for nm, toks, _, _ in morph_body["assign"]},
+        verify_texts={nm: _text(toks)
+                      for nm, toks, _, _ in morph_body["verify"]},
         max_subset=options.get("max_subset", 3),
-        minprime_texts=tuple(minprimes_body[2]["groups"])
+        minprime_texts=tuple(tuple(map(_text, group))
+                             for group in minprimes_body[2]["groups"])
         if minprimes_body else (),
     )
     return pf
@@ -224,26 +234,28 @@ def _validate(pf, sections):
         raise PolyParseError("ring vars must be nonempty and distinct",
                              sections["ring"][0], sections["ring"][1])
     table = pf.table()
-    for t in pf.j_texts + pf.i_texts:
-        parse_poly(table, t)
-    for group in pf.minprime_texts:
-        for t in group:
-            parse_poly(table, t)
+    for toks in sections["ring"][2]["relations"] \
+            + sections["algebra"][2]["relations"]:
+        parse_poly(table, toks)
+    if "minprimes" in sections:
+        for group in sections["minprimes"][2]["groups"]:
+            for toks in group:
+                parse_poly(table, toks)
     declared = set(pf.y_vars)
-    for nm, txt, line, col in morph[2]["assign"]:
+    for nm, toks, line, col in morph[2]["assign"]:
         if nm not in declared:
             raise PolyParseError(f"jet for undeclared variable {nm!r}",
                                  line, col)
-        p = parse_poly(table, txt)
+        p = parse_poly(table, toks)
         if p.total_degree() >= pf.precision:
             raise PolyParseError(
                 f"jet for {nm!r} has degree {p.total_degree()} >= precision "
                 f"{pf.precision}", line, col)
-    for nm, txt, line, col in morph[2]["verify"]:
+    for nm, toks, line, col in morph[2]["verify"]:
         if nm not in declared:
             raise PolyParseError(f"verify jet for undeclared variable {nm!r}",
                                  line, col)
-        parse_poly(table, txt)
+        parse_poly(table, toks)
     missing = declared - set(pf.jet_texts)
     if missing:
         raise PolyParseError(
@@ -279,7 +291,6 @@ def print_problem(pf):
             lines.append(f"  verify {nm} = " + fmt(pf.verify_texts[nm]) + ";")
     lines.append("}")
     lines.append("options {")
-    lines.append(f"  seed {pf.seed};")
     lines.append(f"  max_subset {pf.max_subset};")
     lines.append("}")
     if pf.minprime_texts:

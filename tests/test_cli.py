@@ -55,14 +55,14 @@ NO_SUBSYSTEM = """
     """
 
 
-def _run_text(text):
+def _run_text(text, cmd="desing"):
     import os
     import tempfile
     with tempfile.NamedTemporaryFile("w", suffix=".gnd", delete=False) as fh:
         fh.write(text)
         path = fh.name
     try:
-        return run_command("desing", path)
+        return run_command(cmd, path)
     finally:
         os.unlink(path)
 
@@ -82,6 +82,60 @@ def test_coeffext_section_rejected():
     assert code == 4
     assert out == ""
     assert "unknown section 'coeffext'" in err
+
+
+def test_poly_parse_error_exit_code_names_its_position():
+    text = ("ring { field Q; vars x1 x2; relations x1*x2; }\n"
+            "algebra {\n"
+            "  vars Y1 Y2;\n"
+            "  relations Y1 - q7, x2*Y1 - x1*Y2;\n"
+            "}\n"
+            "morphism { precision 4; Y1 = x1; Y2 = x2; }\n")
+    code, out, err = _run_text(text)
+    assert code == 4 and out == ""
+    assert err == "parse error: undeclared variable 'q7' (line 4, col 18)\n"
+
+
+MISPLACED_BASE = """ring { field Q; vars x1 x2; relations x1*x2; }
+algebra { vars Y1 Y2; relations x2*Y1 - x1*Y2; }
+morphism { precision 4; Y1 = x1; Y2 = x2; }
+options { max_subset 3; }
+"""
+
+
+# one statement each section does not accept, and where it stands
+@pytest.mark.parametrize("section, statement, position", [
+    ("ring", "precision 3;", (1, 46)),
+    ("algebra", "Y1 = x1;", (2, 48)),
+    ("morphism", "relations x1;", (3, 43)),
+    ("options", "seed 42;", (4, 25)),
+])
+def test_misplaced_statement_rejected(section, statement, position):
+    lines = MISPLACED_BASE.splitlines(keepends=True)
+    row = [ln.split()[0] for ln in lines].index(section)
+    lines[row] = lines[row].replace("}", statement + " }")
+    code, out, err = _run_text("".join(lines))
+    assert code == 4 and out == ""
+    keyword = statement.split()[0]
+    assert err == (f"parse error: statement {keyword!r} is not allowed in "
+                   f"section {section!r} (line {position[0]}, "
+                   f"col {position[1]})\n")
+
+
+# jets that do not define a morphism: x2*Y1 - x1*Y2 -> -x1^2 modulo x1*x2
+NOT_A_MORPHISM = """
+    ring { field Q; vars x1 x2; relations x1*x2; }
+    algebra { vars Y1 Y2; relations x2*Y1 - x1*Y2; }
+    morphism { precision 4; Y1 = x1; Y2 = x1; }
+    """
+
+
+@pytest.mark.parametrize("cmd", ["desing", "check"])
+def test_not_a_morphism_is_a_precondition_failure(cmd):
+    code, out, err = _run_text(NOT_A_MORPHISM, cmd)
+    assert code == 3 and out == ""
+    assert err.startswith("PreconditionFailed: the jets do not define a "
+                          "morphism")
 
 
 def test_missing_file_exit_code():

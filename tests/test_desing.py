@@ -172,13 +172,13 @@ def test_complete_H_two_branch_and_hypersurface():
     prob = two_branch_problem()
     T = prob.ring.table
     B = AlgebraPresentation(prob.ring, prob.relations)
-    H = complete_H(B, [prob.relations[0]], prob.morphism, seed=prob.seed)
+    H = complete_H(B, [prob.relations[0]], prob.morphism)
     assert det(H) == parse_poly(T, "x1 + x2")
     assert H.rows[1] == [Polynomial.const(T, 1), Polynomial.const(T, 1)]
 
     hp = hypersurface_problem()
     B2 = AlgebraPresentation(hp.ring, hp.relations)
-    H2 = complete_H(B2, [hp.relations[0]], hp.morphism, seed=hp.seed)
+    H2 = complete_H(B2, [hp.relations[0]], hp.morphism)
     T2 = hp.ring.table
     assert H2.rows[0] == [parse_poly(T2, "Y2"), parse_poly(T2, "Y1")]
     assert H2.rows[1] == [Polynomial.zero(T2), Polynomial.const(T2, 1)]
@@ -189,7 +189,7 @@ def test_complete_H_full_jacobian_unchanged():
     ring = LocalRingSpec(T, [], primes=[()])
     B = AlgebraPresentation(ring, (parse_poly(T, "Y1^2 - 1 - x"),))
     v = MorphismApprox(6, {"Y1": ring.jet(parse_poly(T, "1"), 6)})
-    H = complete_H(B, [B.relations[0]], v, seed=0)
+    H = complete_H(B, [B.relations[0]], v)
     assert H.rows == [[parse_poly(T, "2*Y1")]]
 
 
@@ -200,9 +200,9 @@ def test_mm_primary_direct_branch():
     T = prob.ring.table
     B = AlgebraPresentation(prob.ring, prob.relations)
     f = [prob.relations[0]]
-    H = complete_H(B, f, prob.morphism, seed=prob.seed)
+    H = complete_H(B, f, prob.morphism)
     R = parse_poly(T, "x1 + x2")
-    red = mm_primary_reduction(B, f, H, R, prob.morphism, seed=prob.seed)
+    red = mm_primary_reduction(B, f, H, R, prob.morphism)
     assert not red.adjoined
     assert nf_equal_mod(prob.ring, red.d, parse_poly(T, "(x1+x2)^2"))
     assert red.P == parse_poly(T, "(x1+x2)^2")
@@ -217,8 +217,8 @@ def test_mm_primary_smooth_toy():
     v = MorphismApprox(8, {"Y1": ring.jet(parse_poly(T, "x1"), 8),
                            "Y2": ring.zero_jet(8)})
     f = [B.relations[0]]
-    H = complete_H(B, f, v, seed=0)
-    red = mm_primary_reduction(B, f, H, parse_poly(T, "1"), v, seed=0)
+    H = complete_H(B, f, v)
+    red = mm_primary_reduction(B, f, H, parse_poly(T, "1"), v)
     assert not red.adjoined
     assert red.d == parse_poly(T, "1")
 
@@ -231,10 +231,10 @@ def test_mm_primary_adjunction_block_determinant():
     T = hp.ring.table
     B = AlgebraPresentation(hp.ring, hp.relations)
     f = [hp.relations[0]]
-    H = complete_H(B, f, hp.morphism, seed=hp.seed)
+    H = complete_H(B, f, hp.morphism)
     R = parse_poly(T, "Y2")
     P_before = R * det(H)
-    red = mm_primary_reduction(B, f, H, R, hp.morphism, seed=hp.seed)
+    red = mm_primary_reduction(B, f, H, R, hp.morphism)
     assert red.adjoined
     T1 = red.B.table
     new_name = red.B.algebra_names()[-1]

@@ -10,7 +10,8 @@ from neron import (ALGEBRA, BASE, Polynomial, VarTable, format_poly,
                    parse_poly)
 from neron.desing import (AlgebraPresentation, Reduction, build_hg,
                           complete_H, eval_exact)
-from neron.errors import CompletionFailed, NeronError, PreconditionFailed
+from neron.errors import (CompletionFailed, HypothesisViolated, NeronError,
+                          PreconditionFailed)
 from neron.groebner import Ideal
 from neron.lifting import (LiftingProblem, _completion_data,
                            _jacobian_products, check_hypothesis, newton_lift,
@@ -104,6 +105,24 @@ def test_newton_lift_fixed_point_when_exact():
     assert rep.update_orders == []
 
 
+def test_hypothesis_violated_is_reachable():
+    # f = Y^2 - x^2 at y' = x: the evaluated Jacobian ideal is (2x), which
+    # does not contain (x)^0 = A but does contain (x)^1
+    ring = one_var_ring()
+    T = ring.table
+    f = parse_poly(T, "Y^2 - x^2")
+
+    def problem(rho):
+        return LiftingProblem(ring, (f,), (0,), {"Y": parse_poly(T, "x")},
+                              rho, 12)
+
+    with pytest.raises(HypothesisViolated):
+        newton_lift(problem(0))
+    rep = newton_lift(problem(1))
+    assert rep.lifted["Y"].poly == parse_poly(T, "x")
+    assert rep.agreement == 12
+
+
 def test_newton_lift_square_root_series():
     ring = one_var_ring()
     T = ring.table
@@ -176,7 +195,7 @@ def test_consistency_with_desingularization_formulas():
     prec = 16
     v = MorphismApprox(prec, {"Y": ring.jet(y0, prec)})
     B = AlgebraPresentation(ring, (f,))
-    H = complete_H(B, [f], v, seed=0)
+    H = complete_H(B, [f], v)
     d = eval_exact(det(H), v)        # = 2
     assert d == parse_poly(T, "2")
     # d is the evaluated determinant (the lifting convention), so the

@@ -78,17 +78,35 @@ def test_active_element_examples():
     ring = two_branch_ring()
     T = ring.table
     target = [parse_poly(T, "(x1+x2)^2")]
-    d = active_element(target, ring.prime_ideals, T, seed=1)
+    d = active_element(target, ring.prime_ideals, T)
     assert d == parse_poly(T, "(x1+x2)^2")
     x1 = parse_poly(T, "x1")
     with pytest.raises(TargetInsidePrime):
         active_element([x1], (Ideal(T, [x1]),), T)
     combo = active_element([parse_poly(T, "x1^2"), parse_poly(T, "x2^2")],
-                           ring.prime_ideals, T, seed=3)
+                           ring.prime_ideals, T)
     for p_gens in ring.primes:
         basis = std_basis(list(p_gens), T, ring.order)
         from neron import normal_form_against
         assert not normal_form_against(combo, basis, T, ring.order).is_zero()
+
+
+def test_active_element_tries_each_multiple_once():
+    # one generator g leaves six combinations besides g itself (+-1, +-2,
+    # +-3 times g); each is offered to accept once, then the search stops
+    ring = two_branch_ring()
+    T = ring.table
+    g = parse_poly(T, "(x1+x2)^2")
+    offered = []
+
+    def refuse(d):
+        offered.append(d)
+        return False
+
+    with pytest.raises(ActiveElementNotFound):
+        active_element([g], ring.prime_ideals, T, accept=refuse)
+    assert len(offered) <= 7
+    assert offered == [g * c for c in (1, -1, 2, -2, 3, -3)]
 
 
 def test_compute_e_examples():

@@ -19,7 +19,7 @@ def test_parse_minimal():
     assert pf.base_vars == ("x1", "x2")
     assert pf.y_vars == ("Y1", "Y2")
     assert pf.precision == 4
-    assert pf.seed == 42 and pf.max_subset == 3
+    assert pf.max_subset == 3
     prob = pf.build()
     assert len(prob.relations) == 1
 
@@ -115,3 +115,24 @@ def test_minprimes_groups():
     assert pf.minprime_texts == (("x1",), ("x2",))
     prob = pf.build()
     assert len(prob.ring.primes) == 2
+
+
+def test_poly_error_reports_its_position_in_the_file():
+    text = ("ring { field Q; vars x1 x2; relations x1*x2; }\n"
+            "algebra {\n"
+            "  vars Y1 Y2;\n"
+            "  relations Y1 - q7, x2*Y1 - x1*Y2;\n"
+            "}\n"
+            "morphism { precision 4; Y1 = x1; Y2 = x2; }\n")
+    with pytest.raises(PolyParseError) as info:
+        parse_problem(text)
+    assert "undeclared variable 'q7'" in str(info.value)
+    assert (info.value.line, info.value.col) == (4, 18)
+
+
+def test_trailing_input_reported_at_the_statement_end():
+    text = MINIMAL.replace("Y1 = x1;", "Y1 = x1 x2;")
+    with pytest.raises(PolyParseError) as info:
+        parse_problem(text)
+    assert "trailing input 'x2'" in str(info.value)
+    assert (info.value.line, info.value.col) == (4, 33)
