@@ -12,8 +12,8 @@ import argparse
 import json
 import sys
 
-from .desing import (AlgebraPresentation, _validate_morphism,
-                     desingularize, elkik_ideal)
+from .desing import (AlgebraPresentation, desingularize, elkik_ideal,
+                     validate_morphism)
 from .errors import (ActiveElementNotFound, BoundTooSmall, CertificateFailed,
                      CompletionFailed, ConditionStarStarFailed,
                      DecompositionIncomplete, DivisibilityViolated,
@@ -193,8 +193,7 @@ def _cmd_check(pf, fmt):
         notes.append(f"minimal primes: {len(primes)} component(s)")
     else:  # pf.build() has validated them
         notes.append("supplied minimal primes validated")
-    _validate_morphism(AlgebraPresentation(ring, tuple(problem.relations)),
-                       problem.morphism)
+    validate_morphism(problem.relations, problem.morphism, ring)
     notes.append("jets define a morphism modulo (x)^N")
     out = "\n".join(notes) + "\n"
     return 0, out, ""

@@ -29,7 +29,8 @@ from .idealops import eliminate, krull_dim, saturate, syzygies
 from .linalg import PolyMatrix, det, det_adjugate
 from .localring import (Jet, LocalRingSpec, active_element,
                         check_precision_bound, compute_e, jet_divide,
-                        jet_invert, minimal_primes, small_vectors)
+                        jet_invert, minimal_primes, small_vectors,
+                        small_vectors_by_norm)
 from .orders import (ALGEBRA, BASE, INVERTER, SLACK, TANGENT, global_order,
                      mixed_order)
 from .poly import (Polynomial, exact_div, format_poly, jacobian,
@@ -300,14 +301,6 @@ def sym_algebra_reduction(B, v):
     return B2, v2
 
 
-def _combo_vectors(k, budget):
-    """``small_vectors(k)`` by increasing L1 norm from 2 to ``budget``."""
-    for total in range(2, budget + 1):
-        for vec in small_vectors(k):
-            if sum(abs(c) for c in vec) == total:
-                yield vec
-
-
 def find_f_R(B, elkik, v, combo_budget=6):
     """Subsystem f and colon witness R passing the per-prime jet tests.
 
@@ -337,7 +330,7 @@ def find_f_R(B, elkik, v, combo_budget=6):
             if _survives_all(ring, v.precision, eval_at_jets(cand, v, ring)):
                 return contrib, cand
         k = min(len(cands), 6)
-        for vec in _combo_vectors(k, combo_budget):
+        for vec in small_vectors_by_norm(k, 2, combo_budget):
             R = Polynomial.zero(ring.table)
             for c, g in zip(vec, cands[:k]):
                 if c:
@@ -354,10 +347,11 @@ def find_f_R(B, elkik, v, combo_budget=6):
 
 
 def complete_H(B, f_polys, v):
-    """Square matrix: Jacobian rows of f on top, constant rows from
-    ``small_vectors`` below (the first 350 for one missing row, tuples of
-    the first 40 for more), so the evaluated determinant avoids every
-    minimal prime."""
+    """Square matrix: Jacobian rows of f on top, constant rows below, so the
+    evaluated determinant avoids every minimal prime.  The rows come from the
+    first 350 vectors of ``small_vectors`` (for one missing row; tuples of
+    the first 40 for more), then of ``small_vectors_by_norm``, which starts
+    with the unit rows; each tuple of rows is tried once."""
     ring = B.ring
     table = ring.table
     y_names = list(B.algebra_names())
@@ -382,15 +376,17 @@ def complete_H(B, f_polys, v):
                 "the full Jacobian determinant vanishes modulo a prime")
         return M
     missing = n - r
-    cand = list(itertools.islice(small_vectors(n), 350))
-    if missing == 1:
-        pools = [cand]
-    else:
-        pools = [cand[:40]] * missing
-    for rows in itertools.product(*pools):
-        M = accept(list(rows))
-        if M is not None:
-            return M
+    size = 350 if missing == 1 else 40
+    tried = set()
+    for vectors in (small_vectors(n), small_vectors_by_norm(n)):
+        pool = list(itertools.islice(vectors, size))
+        for rows in itertools.product(pool, repeat=missing):
+            if rows in tried:
+                continue
+            tried.add(rows)
+            M = accept(list(rows))
+            if M is not None:
+                return M
     raise CompletionFailed("no completion among the small constant rows")
 
 
@@ -1070,7 +1066,7 @@ def desingularize(problem):
 
     B = AlgebraPresentation(ring, tuple(problem.relations))
     v = problem.morphism.lift(ring)
-    _validate_morphism(B, v)
+    validate_morphism(B.relations, v, ring)
 
     elkik = elkik_ideal(B, problem.max_subset)
     record(3, {"H_gens": len(elkik.gens),
@@ -1138,10 +1134,10 @@ def desingularize(problem):
     return result
 
 
-def _validate_morphism(B, v):
-    """I(y') must vanish modulo (x)^N (+ J): the data must be a morphism."""
-    ring = B.ring
-    for rel in B.relations:
+def validate_morphism(relations, v, ring):
+    """I(y') must vanish modulo (x)^N (+ J): the data must be a morphism.
+    Raises PreconditionFailed otherwise."""
+    for rel in relations:
         val = eval_at_jets(rel, v, ring)
         if not val.is_zero():
             raise PreconditionFailed(

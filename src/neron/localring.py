@@ -486,13 +486,30 @@ def small_vectors(n):
             yield vec
 
 
+def small_vectors_by_norm(n, lo=1, hi=None):
+    """``small_vectors(n)`` stably sorted by L1 norm, norms lo to hi: each
+    +-e_i comes first, each +-e_i +- e_j before any norm-3 vector."""
+    top = max(SMALL_VALUES)
+
+    def of_norm(k, total):
+        if k == 0:
+            yield ()
+            return
+        for c in SMALL_VALUES:
+            if 0 <= total - abs(c) <= top * (k - 1):
+                for tail in of_norm(k - 1, total - abs(c)):
+                    yield (c,) + tail
+
+    for total in range(lo, (top * n if hi is None else hi) + 1):
+        yield from of_norm(n, total)
+
+
 def active_element(target_gens, primes, table, order=None, accept=None):
     """Element of the target ideal avoiding every minimal prime.
 
     ``primes`` are Ideals.  Search order: the given generators first, then
-    the other combinations with coefficient vectors from ``small_vectors``,
-    at most MAX_ACTIVE_ATTEMPTS of them.  ``accept`` is asked at most once
-    per coefficient vector.
+    at most MAX_ACTIVE_ATTEMPTS other combinations, their coefficient
+    vectors from ``small_vectors_by_norm``, each offered to ``accept`` once.
     """
     order = mixed_order(table) if order is None else order
     live = [g for g in target_gens if not g.is_zero()]
@@ -508,7 +525,7 @@ def active_element(target_gens, primes, table, order=None, accept=None):
     for g in live:
         if is_active(g) and (accept is None or accept(g)):
             return g
-    for coeffs in itertools.islice(small_vectors(len(live)),
+    for coeffs in itertools.islice(small_vectors_by_norm(len(live)),
                                    MAX_ACTIVE_ATTEMPTS):
         if coeffs.count(0) == len(coeffs) - 1 and 1 in coeffs:
             continue  # a generator itself, tried above

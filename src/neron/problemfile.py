@@ -234,28 +234,23 @@ def _validate(pf, sections):
         raise PolyParseError("ring vars must be nonempty and distinct",
                              sections["ring"][0], sections["ring"][1])
     table = pf.table()
-    for toks in sections["ring"][2]["relations"] \
-            + sections["algebra"][2]["relations"]:
+    minprimes = sections.get("minprimes")
+    groups = minprimes[2]["groups"] if minprimes else ()
+    for toks in (sections["ring"][2]["relations"]
+                 + sections["algebra"][2]["relations"]
+                 + [toks for group in groups for toks in group]):
         parse_poly(table, toks)
-    if "minprimes" in sections:
-        for group in sections["minprimes"][2]["groups"]:
-            for toks in group:
-                parse_poly(table, toks)
     declared = set(pf.y_vars)
-    for nm, toks, line, col in morph[2]["assign"]:
-        if nm not in declared:
-            raise PolyParseError(f"jet for undeclared variable {nm!r}",
-                                 line, col)
-        p = parse_poly(table, toks)
-        if p.total_degree() >= pf.precision:
-            raise PolyParseError(
-                f"jet for {nm!r} has degree {p.total_degree()} >= precision "
-                f"{pf.precision}", line, col)
-    for nm, toks, line, col in morph[2]["verify"]:
-        if nm not in declared:
-            raise PolyParseError(f"verify jet for undeclared variable {nm!r}",
-                                 line, col)
-        parse_poly(table, toks)
+    for key, what in (("assign", "jet"), ("verify", "verify jet")):
+        for nm, toks, line, col in morph[2][key]:
+            if nm not in declared:
+                raise PolyParseError(
+                    f"{what} for undeclared variable {nm!r}", line, col)
+            degree = parse_poly(table, toks).total_degree()
+            if key == "assign" and degree >= pf.precision:
+                raise PolyParseError(
+                    f"jet for {nm!r} has degree {degree} >= precision "
+                    f"{pf.precision}", line, col)
     missing = declared - set(pf.jet_texts)
     if missing:
         raise PolyParseError(
@@ -275,24 +270,17 @@ def print_problem(pf):
     lines = ["ring {", f"  field Q;", "  vars " + " ".join(pf.base_vars) + ";"]
     if pf.j_texts:
         lines.append("  relations " + ", ".join(fmt(t) for t in pf.j_texts) + ";")
-    lines.append("}")
-    lines.append("algebra {")
-    lines.append("  vars " + " ".join(pf.y_vars) + ";")
+    lines += ["}", "algebra {", "  vars " + " ".join(pf.y_vars) + ";"]
     if pf.i_texts:
         lines.append("  relations " + ", ".join(fmt(t) for t in pf.i_texts) + ";")
-    lines.append("}")
-    lines.append("morphism {")
-    lines.append(f"  precision {pf.precision};")
+    lines += ["}", "morphism {", f"  precision {pf.precision};"]
     for nm in pf.y_vars:
         if nm in pf.jet_texts:
             lines.append(f"  {nm} = " + fmt(pf.jet_texts[nm]) + ";")
     for nm in pf.y_vars:
         if nm in pf.verify_texts:
             lines.append(f"  verify {nm} = " + fmt(pf.verify_texts[nm]) + ";")
-    lines.append("}")
-    lines.append("options {")
-    lines.append(f"  max_subset {pf.max_subset};")
-    lines.append("}")
+    lines += ["}", "options {", f"  max_subset {pf.max_subset};", "}"]
     if pf.minprime_texts:
         groups = " | ".join(", ".join(fmt(t) for t in group)
                             for group in pf.minprime_texts)

@@ -193,6 +193,28 @@ def test_complete_H_full_jacobian_unchanged():
     assert H.rows == [[parse_poly(T, "2*Y1")]]
 
 
+@pytest.mark.parametrize("n, f_texts", [
+    (3, ("Y2 - x",)),
+    (5, ("Y2 - x", "Y3 - x", "Y4", "Y5")),
+])
+def test_complete_H_needs_the_first_column(n, f_texts):
+    # no f involves Y1, so the Jacobian's first column is zero and every
+    # completion needs a row with c1 != 0.  The product-order pools have
+    # none: with two missing rows the first 40 vectors of length 3 start
+    # with 0, and with one missing row so do the first 350 of length 5.
+    T = VarTable.make(("x", BASE), *((f"Y{i}", ALGEBRA)
+                                     for i in range(1, n + 1)))
+    ring = LocalRingSpec(T, [], primes=[()])
+    f = [parse_poly(T, t) for t in f_texts]
+    B = AlgebraPresentation(ring, tuple(f))
+    jets = {f"Y{i}": ring.jet(parse_poly(T, "x" if i in (2, 3) else "0"), 6)
+            for i in range(1, n + 1)}
+    H = complete_H(B, f, MorphismApprox(6, jets))
+    assert H.rows[:len(f)] == jacobian(f, [f"Y{i}" for i in range(1, n + 1)])
+    dm = det(H)
+    assert dm.is_constant() and not dm.is_zero()
+
+
 # -- primary contraction -------------------------------------------------------
 
 def test_mm_primary_direct_branch():

@@ -13,7 +13,8 @@ from neron.errors import (ActiveElementNotFound, DecompositionIncomplete,
 from neron.desing import _survives
 from neron.localring import (Jet, LocalRingSpec, active_element,
                              check_precision_bound, compute_e, jet_divide,
-                             jet_invert, minimal_primes, monomials_of_degree)
+                             jet_invert, minimal_primes, monomials_of_degree,
+                             small_vectors, small_vectors_by_norm)
 
 
 def table2():
@@ -107,6 +108,29 @@ def test_active_element_tries_each_multiple_once():
         active_element([g], ring.prime_ideals, T, accept=refuse)
     assert len(offered) <= 7
     assert offered == [g * c for c in (1, -1, 2, -2, 3, -3)]
+
+
+def test_active_element_combines_the_first_generator():
+    # only g1 = x2 avoids (x1), and g1 lies in (x2): no generator is active,
+    # and every active combination has c1 != 0.  In product order the first
+    # 7^4 - 1 vectors have c1 = 0, more than the attempt budget.
+    ring = two_branch_ring()
+    T = ring.table
+    gens = [parse_poly(T, t) for t in ("x2", "x1", "x1^2", "x1^3", "x1^4")]
+    d = active_element(gens, ring.prime_ideals, T)
+    assert d == parse_poly(T, "x2 + x1^4")
+    assert not any(p.contains(d, ring.order) for p in ring.prime_ideals)
+
+
+def test_small_vectors_by_norm_is_product_order_sorted_by_norm():
+    norm = lambda vec: sum(abs(c) for c in vec)
+    for n in (1, 2, 3, 4):
+        by_norm = sorted(small_vectors(n), key=norm)   # a stable sort
+        assert list(small_vectors_by_norm(n)) == by_norm
+        assert list(small_vectors_by_norm(n, 2, 5)) == [
+            vec for vec in by_norm if 2 <= norm(vec) <= 5]
+    assert list(small_vectors_by_norm(3, 1, 1)) == [
+        (0, 0, 1), (0, 0, -1), (0, 1, 0), (0, -1, 0), (1, 0, 0), (-1, 0, 0)]
 
 
 def test_compute_e_examples():
