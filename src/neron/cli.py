@@ -14,13 +14,11 @@ import sys
 
 from .desing import (AlgebraPresentation, desingularize, elkik_ideal,
                      validate_morphism)
-from .errors import (ActiveElementNotFound, BoundTooSmall, CertificateFailed,
-                     CompletionFailed, ConditionStarStarFailed,
-                     DecompositionIncomplete, DivisibilityViolated,
-                     DivisionFailed, HypothesisViolated, NeronError,
-                     NoContraction, NotAUnit, NotDivisible, NotInIdeal,
-                     PolyParseError, PreconditionFailed, TargetInsidePrime,
-                     VerificationFailed)
+from .errors import (ActiveElementNotFound, BoundTooSmall, CompletionFailed,
+                     ConditionStarStarFailed, DecompositionIncomplete,
+                     DivisibilityViolated, DivisionFailed, HypothesisViolated,
+                     NeronError, NoContraction, NotAUnit, NotDivisible,
+                     PolyParseError, PreconditionFailed, TargetInsidePrime)
 from .lifting import LiftingProblem, newton_lift
 from .orders import mixed_order
 from .poly import format_poly
@@ -31,7 +29,6 @@ _CONDITION_ERRORS = (ConditionStarStarFailed, HypothesisViolated,
                      CompletionFailed, PreconditionFailed, NoContraction,
                      DivisionFailed, DivisibilityViolated, NotDivisible,
                      DecompositionIncomplete, NotAUnit)
-_CERTIFICATE_ERRORS = (CertificateFailed, VerificationFailed, NotInIdeal)
 
 
 def _render_trace_text(trace):
@@ -231,8 +228,6 @@ def run_command(cmd, path, fmt="text", rho=None, target=None, f_indices=None,
             for subset, prime, reason in exc.diagnostics)
     except _CONDITION_ERRORS as exc:
         return 3, "", f"{type(exc).__name__}: {exc}\n"
-    except _CERTIFICATE_ERRORS as exc:
-        return 5, "", f"{type(exc).__name__}: {exc}\n"
     except NeronError as exc:
         return 5, "", f"{type(exc).__name__}: {exc}\n"
 

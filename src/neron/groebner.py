@@ -397,7 +397,8 @@ class Ideal:
     The basis of each order is computed on first use, together with its
     prepared lead data, and lives as long as the Ideal.  Membership is
     decided in the ring the order implies: the polynomial ring for global
-    orders, the localization for local and mixed ones.
+    orders, the localization for local and mixed ones.  ``leads`` reads the
+    lead ideal off the same basis: I <= I' with L(I) = L(I') gives I = I'.
     """
 
     __slots__ = ("table", "gens", "_bases")
@@ -419,6 +420,13 @@ class Ideal:
 
     def basis(self, order):
         return self._prepared(order)[0]
+
+    def leads(self, order):
+        """Minimal generators of the lead ideal (a frozenset of monomials),
+        without the redundant leads a basis for a local order may have."""
+        lms = {g.lm for g in self._prepared(order)[3]}
+        return frozenset(m for m in lms
+                         if not any(o != m and mon_divides(o, m) for o in lms))
 
     def nf(self, p, order):
         """Normal form of p; zero iff p lies in the ideal."""

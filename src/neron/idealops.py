@@ -93,9 +93,10 @@ def ideal_quotient(gens_i, gens_j, table, order=None):
 
 
 def same_ideal(a, b, order):
-    """True when the Ideals a and b are equal at this order."""
-    return (all(b.contains(g, order) for g in a.basis(order))
-            and all(a.contains(g, order) for g in b.basis(order)))
+    """True when the Ideals a and b are equal at this order: a <= b with
+    equal lead ideals gives a = b (Greuel-Pfister 1.6-1.7)."""
+    return (a.leads(order) == b.leads(order)
+            and all(b.contains(g, order) for g in a.basis(order)))
 
 
 def ideal_equal(gens_a, gens_b, table, order=None):
@@ -104,11 +105,13 @@ def ideal_equal(gens_a, gens_b, table, order=None):
 
 
 def saturate(gens, g, table, order=None, max_steps=100):
-    """((I : g^infinity), k) with k the first index where the chain is stable."""
+    """((I : g^infinity), k) with k the first index where the chain
+    I, (I : g), ((I : g) : g), ... is stable.  ``gens`` may be an Ideal,
+    whose cached bases the chain then starts from."""
     order = mixed_order(table) if order is None else order
     if g.is_zero():
         raise NeronError("saturation by zero")
-    current = Ideal(table, gens)
+    current = gens if isinstance(gens, Ideal) else Ideal(table, gens)
     for k in range(max_steps):
         nxt = Ideal(table, quotient_by_poly(current.basis(order), g, table,
                                             order))
@@ -175,14 +178,10 @@ def krull_dim(gens, table, order=None, positions=None):
     """
     order = mixed_order(table) if order is None else order
     positions = tuple(range(len(table))) if positions is None else tuple(positions)
-    basis = std_basis([g for g in gens if not g.is_zero()], table, order)
-    if any(b.is_constant() and not b.is_zero() for b in basis):
+    leads = Ideal(table, [g for g in gens if not g.is_zero()]).leads(order)
+    if any(not any(lm) for lm in leads):   # a constant: the unit ideal
         return -1
-    keyf = order.key(table)
-    supports = []
-    for b in basis:
-        lm, _ = b.lead(keyf)
-        supports.append(frozenset(i for i in positions if lm[i]))
+    supports = [frozenset(i for i in positions if lm[i]) for lm in leads]
     for size in range(len(positions), -1, -1):
         for S in combinations(positions, size):
             sset = set(S)

@@ -117,6 +117,12 @@ def _congruent(ring, a, b, k):
     return ring.reduce_jet(a - b, k).is_zero()
 
 
+def _relations_vanish(ring, relations, point, k):
+    """True iff every relation at ``point`` vanishes modulo J + (x)^k."""
+    return all(ring.reduce_jet(rel.substitute(point), k).is_zero()
+               for rel in relations)
+
+
 def newton_lift(prob):
     """Lift the approximate solution to jets of the target precision.
 
@@ -131,11 +137,8 @@ def newton_lift(prob):
     r = len(f_polys)
     c = prob.target
 
-    for rel in prob.relations:
-        val = ring.monomial_reduce(rel.substitute(prob.approx))
-        if not ring.reduce_jet(val, prob.rho).is_zero():
-            raise PreconditionFailed(
-                "I(y') does not vanish modulo (x)^rho")
+    if not _relations_vanish(ring, prob.relations, prob.approx, prob.rho):
+        raise PreconditionFailed("I(y') does not vanish modulo (x)^rho")
 
     H, d = _completion_data(prob)
     e = compute_e(d, ring)
@@ -146,13 +149,13 @@ def newton_lift(prob):
 
     _, Gp = det_adjugate(H)
 
-    d_ord = ring.monomial_reduce(d).order() or 0
+    d_ord = d.order() or 0
     prec = c + (e + 1) * d_ord + 1
     d_jet = ring.jet(d, prec)
     d_e1 = d_jet ** (e + 1)
     b_jets = []
     for fp in f_polys:
-        val = ring.jet(ring.monomial_reduce(fp.substitute(prob.approx)), prec)
+        val = ring.jet(fp.substitute(prob.approx), prec)
         if val.is_zero():
             b_jets.append(ring.zero_jet(max(prec - d_e1.order() if
                                             d_e1.order() else prec, 1)))
@@ -200,11 +203,10 @@ def newton_lift(prob):
         acc = ring.jet(prob.approx[nm], c)
         lifted[nm] = (acc + b_pow[1].truncate(min(t_prec, c))).truncate(c)
 
-    for rel in prob.relations:
-        val = rel.substitute({nm: j.poly for nm, j in lifted.items()})
-        if not ring.reduce_jet(val, c).is_zero():
-            raise DivisionFailed(
-                "the lifted jets do not annihilate every relation")
+    if not _relations_vanish(ring, prob.relations,
+                             {nm: j.poly for nm, j in lifted.items()}, c):
+        raise DivisionFailed(
+            "the lifted jets do not annihilate every relation")
 
     agreement = c
     for nm in y_names:
@@ -227,11 +229,9 @@ def strong_approx_decide(prob, y_second, precision):
         if not _congruent(ring, y_second[nm], p, prob.rho):
             raise PreconditionFailed(
                 "y'' does not agree with y' modulo (x)^rho")
-    for rel in prob.relations:
-        val = ring.monomial_reduce(rel.substitute(y_second))
-        if not ring.reduce_jet(val, precision).is_zero():
-            raise PreconditionFailed(
-                "I(y'') does not vanish modulo (x)^precision")
+    if not _relations_vanish(ring, prob.relations, y_second, precision):
+        raise PreconditionFailed(
+            "I(y'') does not vanish modulo (x)^precision")
     if not check_hypothesis(prob):
         raise PreconditionFailed(
             "the evaluated Jacobian ideal does not contain (x)^rho")

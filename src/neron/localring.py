@@ -17,8 +17,7 @@ from fractions import Fraction
 from .errors import (ActiveElementNotFound, DecompositionIncomplete,
                      NeronError, NotAUnit, NotDivisible, TargetInsidePrime)
 from .groebner import Ideal, std_basis
-from .idealops import (quotient_by_poly, radical_membership, same_ideal,
-                       saturate)
+from .idealops import radical_membership, same_ideal, saturate
 from .orders import BASE, mixed_order
 from .poly import Polynomial, exact_div, mon_divides
 
@@ -101,10 +100,12 @@ class LocalRingSpec:
                                  cut=(self.table.block(BASE), precision))
 
     def contains_power(self, ideal, N):
-        """True iff (x)^N lies in ``ideal`` locally, by membership of every
-        degree-N monomial."""
+        """True iff (x)^N lies in ``ideal`` (of the base variables) locally:
+        iff (x)^N <= L(I), as L(I + (x)^N) = L(I) + (x)^N under the local
+        degree order."""
         table = self.table
-        return all(ideal.contains(Polynomial(table, {m: 1}), self.order)
+        leads = ideal.leads(self.order)
+        return all(any(mon_divides(lm, m) for lm in leads)
                    for m in monomials_of_degree(table, table.block(BASE), N))
 
     def with_table(self, newtable):
@@ -235,14 +236,11 @@ def jet_invert(u):
         raise NotAUnit("jet has zero constant term")
     ring, n = u.ring, u.precision
     z = ring.jet(exact_div(1, c), n)
-    two = ring.jet(2, n)
-    steps = 0
-    while steps < 64:
+    for _ in range(64):
         err = u * z - 1
         if err.is_zero():
             return z
-        z = z * (two - u * z)
-        steps += 1
+        z = z - z * err    # Newton: z * (2 - u*z) with one product
     raise NeronError("jet inversion did not converge")
 
 
@@ -250,8 +248,7 @@ def _standard_monomials(ring, max_degree):
     """Monomials of degree < max_degree outside the lead ideal of J."""
     table = ring.table
     base = table.block(BASE)
-    keyf = ring.order.key(table)
-    leads = [b.lead(keyf)[0] for b in ring.j_ideal.basis(ring.order)]
+    leads = ring.j_ideal.leads(ring.order)
     out = []
     for d in range(max_degree):
         for m in monomials_of_degree(table, base, d):
@@ -542,16 +539,11 @@ def active_element(target_gens, primes, table, order=None, accept=None):
 
 
 def compute_e(d, ring, cap=50):
-    """Least e >= 1 with (0 : d^e) = (0 : d^(e+1)) in A, by colon iteration."""
-    table, order = ring.table, ring.order
-    current = ring.j_ideal
-    for k in range(cap):
-        nxt = Ideal(table, quotient_by_poly(current.basis(order), d, table,
-                                            order))
-        if same_ideal(current, nxt, order):
-            return max(1, k)
-        current = nxt
-    raise NeronError("annihilator chain did not stabilize within the cap")
+    """Least e >= 1 with (0 : d^e) = (0 : d^(e+1)) in A: max(1, k) for k
+    the index where the colon chain J, (J : d), ... of ``saturate`` is
+    stable, started from ``ring.j_ideal`` to reuse its basis."""
+    return max(1, saturate(ring.j_ideal, d, ring.table, ring.order,
+                           max_steps=cap)[1])
 
 
 def check_precision_bound(N, d, e, ring):

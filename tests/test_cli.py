@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from neron import errors
 from neron.cli import emit_trace, parse_trace, run_command
 
 GOLDEN = "problems/example4.gnd"
@@ -196,8 +197,34 @@ def test_cli_main_subprocess():
         "the algorithm fails since the bound N is too small"
 
 
-def test_exit_codes_never_zero_on_error():
-    # taxonomy: every mapped error class produces a nonzero code
-    from neron.cli import _CERTIFICATE_ERRORS, _CONDITION_ERRORS
-    assert all(issubclass(e, Exception) for e in _CONDITION_ERRORS)
-    assert all(issubclass(e, Exception) for e in _CERTIFICATE_ERRORS)
+def _error_classes(cls=errors.NeronError):
+    out = [cls]
+    for sub in cls.__subclasses__():
+        out += _error_classes(sub)
+    return out
+
+
+# exit code 3: a hypothesis or search condition failed (cli module docstring)
+CONDITION_ERRORS = {
+    "ConditionStarStarFailed", "HypothesisViolated", "ActiveElementNotFound",
+    "TargetInsidePrime", "CompletionFailed", "PreconditionFailed",
+    "NoContraction", "DivisionFailed", "DivisibilityViolated", "NotDivisible",
+    "DecompositionIncomplete", "NotAUnit"}
+
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda c: c.__name__)
+def test_exit_code_of_every_error(cls, monkeypatch):
+    exc = cls() if cls is errors.BoundTooSmall else cls("boom")
+
+    def fail(text):
+        raise exc
+
+    monkeypatch.setattr("neron.cli.parse_problem", fail)
+    code, out, err = run_command("check", GOLDEN)
+    name = cls.__name__
+    expected = (2 if name == "BoundTooSmall" else
+                3 if name in CONDITION_ERRORS else
+                4 if name == "PolyParseError" else 5)
+    assert (code, out) == (expected, "")
+    if code in (3, 5):
+        assert err.startswith(f"{name}: boom")
