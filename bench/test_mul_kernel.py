@@ -1,4 +1,5 @@
-"""Microbenchmarks of the polynomial product kernel, ``Polynomial.__mul__``.
+"""Microbenchmarks of the polynomial product kernel, ``Polynomial.__mul__``,
+and of its form under a degree cut, ``Polynomial.mul(other, cut)``.
 
 Run from the repository root:
 
@@ -7,7 +8,9 @@ Run from the repository root:
 Each case multiplies two fixed-seed random operands over a four-variable
 table (two base, two algebra variables) with integer coefficients.  The
 1x1 and 1x5 cases time the one-term path; the others have products of
-about 10^2, 10^3 and 10^4 terms.  The exact counts are asserted, so a
+about 10^2, 10^3 and 10^4 terms.  The cut cases multiply the same
+operands under a cut at base degree ``2 * maxdeg``, half the largest base
+degree a product term can have.  The exact counts are asserted, so a
 change of operands shows up as a failure, not as a different timing.
 This directory lies outside ``testpaths``, so the default ``pytest`` run
 does not collect it.
@@ -25,6 +28,9 @@ TABLE = VarTable.make(("x1", BASE), ("x2", BASE),
 # (terms of a, terms of b, largest exponent, terms of the product)
 CASES = [(1, 1, 3, 1), (1, 5, 3, 5), (10, 10, 3, 97), (34, 34, 5, 1050),
          (110, 110, 8, 10288)]
+# (terms of a, terms of b, largest exponent, terms below the cut)
+CUT_CASES = [(1, 1, 3, 0), (1, 5, 3, 4), (10, 10, 3, 36), (34, 34, 5, 514),
+             (110, 110, 8, 4856)]
 
 
 def operand(rng, nterms, maxdeg):
@@ -41,3 +47,17 @@ def test_mul(benchmark, na, nb, maxdeg, product_terms):
     b = operand(rng, nb, maxdeg)
     result = benchmark(a.__mul__, b)
     assert len(result.terms) == product_terms
+
+
+@pytest.mark.parametrize("na, nb, maxdeg, cut_terms", CUT_CASES,
+                         ids=[f"{c[0]}x{c[1]}-cut-{c[3]}-terms"
+                              for c in CUT_CASES])
+def test_mul_cut(benchmark, na, nb, maxdeg, cut_terms):
+    rng = random.Random(na)
+    a = operand(rng, na, maxdeg)
+    b = operand(rng, nb, maxdeg)
+    bound = 2 * maxdeg
+    result = benchmark(a.mul, b, (TABLE.block(BASE), bound))
+    assert len(result.terms) == cut_terms
+    assert result.terms == {m: c for m, c in (a * b).terms.items()
+                            if m[0] + m[1] < bound}

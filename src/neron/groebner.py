@@ -115,14 +115,14 @@ def classic_nf(p, reducers, keyf, table, full=True, row=None, cut=None):
     A cut is meant for full reduction without rows.  Termination is
     guaranteed for global orders, and for any order under a cut.
     """
-    h = dict(p.terms)
     if cut is not None:
         positions, bound = cut
+        p = p.below(cut)
 
         def dropped(m):
             return sum(m[i] for i in positions) >= bound
 
-        h = {m: c for m, c in h.items() if not dropped(m)}
+    h = dict(p.terms)
     heap = [_RK(keyf(m), m) for m in h]
     heapq.heapify(heap)
     rem = {}
@@ -454,8 +454,8 @@ class Ideal:
         a cut: the monomials below it are finitely many.
         """
         basis, keyf, _, prepared = self._prepared(order)
-        if not basis and cut is None:
-            return p
+        if not basis:
+            return p if cut is None else p.below(cut)
         return classic_nf(p, prepared, keyf, self.table, full=True,
                           cut=cut)[0]
 

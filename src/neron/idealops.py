@@ -174,11 +174,14 @@ def krull_dim(gens, table, order=None, positions=None):
     """Dimension via independent variable sets of the lead-term ideal.
 
     For a local order this is the dimension of the localized quotient; the
-    unit ideal returns -1.
+    unit ideal returns -1.  ``gens`` may be an Ideal, whose cached basis is
+    then used.
     """
     order = mixed_order(table) if order is None else order
     positions = tuple(range(len(table))) if positions is None else tuple(positions)
-    leads = Ideal(table, [g for g in gens if not g.is_zero()]).leads(order)
+    ideal = gens if isinstance(gens, Ideal) else Ideal(
+        table, [g for g in gens if not g.is_zero()])
+    leads = ideal.leads(order)
     if any(not any(lm) for lm in leads):   # a constant: the unit ideal
         return -1
     supports = [frozenset(i for i in positions if lm[i]) for lm in leads]

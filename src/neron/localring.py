@@ -4,9 +4,15 @@ Jets are polynomial representatives truncated below a precision N and kept
 in canonical form modulo J + (x)^N: the remainder of division by the
 standard basis of J with every term of x-degree at least N dropped, so
 (x)^N is a degree cut and never a list of generators.  Arithmetic
-truncates to the minimum precision of its operands.  The module also
-houses the restricted minimal prime decomposer, the small-vector and active
-element searches, the annihilator exponent and the precision bound test.
+truncates to the minimum precision of its operands.  The canonical form is
+unique and linear (Greuel-Pfister 1.6-1.7), so sums, differences and
+truncations of canonical jets only drop the terms at or above the cut.
+Division by J is left to products, which multiply no pair of terms whose
+x-degrees sum to N or more, and to polynomials entering a jet.
+
+The module also houses the restricted minimal prime decomposer, the
+small-vector and active element searches, the annihilator exponent and the
+precision bound test.
 """
 
 from __future__ import annotations
@@ -46,13 +52,13 @@ class LocalRingSpec:
 
     def __init__(self, table, j_gens, primes=None, check_dimension=True):
         self.table = table
+        self.base = table.block(BASE)
         self.j_gens = tuple(g for g in j_gens if not g.is_zero())
         self.primes = None if primes is None else tuple(tuple(p) for p in primes)
         self.j_ideal = Ideal(table, self.j_gens)
         self.prime_ideals = None if primes is None else tuple(
             Ideal(table, p) for p in self.primes)
-        base = table.block(BASE)
-        others = tuple(i for i in range(len(table)) if i not in base)
+        others = tuple(i for i in range(len(table)) if i not in self.base)
         for g in self.j_gens:
             if g.constant_coefficient() != 0:
                 raise NeronError("relation ideal is not contained in (x)")
@@ -74,8 +80,7 @@ class LocalRingSpec:
 
     def local_dimension(self):
         from .idealops import krull_dim
-        return krull_dim(self.j_gens, self.table, self.order,
-                         self.table.block(BASE))
+        return krull_dim(self.j_ideal, self.table, self.order, self.base)
 
     def monomial_reduce(self, p):
         """Canonical form modulo J when every J-basis lead is the whole term.
@@ -96,8 +101,7 @@ class LocalRingSpec:
         """Canonical form of p modulo J + (x)^N, or modulo P_i + (x)^N for
         the prime of index ``prime`` (each P_i contains J)."""
         ideal = self.j_ideal if prime is None else self.prime_ideals[prime]
-        return ideal.reduce_full(p, self.order,
-                                 cut=(self.table.block(BASE), precision))
+        return ideal.reduce_full(p, self.order, cut=(self.base, precision))
 
     def contains_power(self, ideal, N):
         """True iff (x)^N lies in ``ideal`` (of the base variables) locally:
@@ -157,7 +161,12 @@ class LocalRingSpec:
 
 
 class Jet:
-    """Truncated element of the completion: polynomial of x-degree < N."""
+    """Truncated element of the completion: polynomial of x-degree < N.
+
+    ``poly`` is always the canonical form modulo J + (x)^N; ``+``, ``-``
+    and ``truncate`` rely on it and divide by nothing.  Build jets from
+    other polynomials with ``LocalRingSpec.jet``.
+    """
 
     __slots__ = ("ring", "poly", "precision")
 
@@ -182,10 +191,17 @@ class Jet:
             if isinstance(other, (int, Fraction)) else other,
             self.precision), self.precision)
 
+    def _at(self, n):
+        """The canonical polynomial at precision n <= self.precision: the
+        terms of x-degree below n, as the canonical form is linear."""
+        if n == self.precision:
+            return self.poly
+        return self.poly.below((self.ring.base, n))
+
     def __add__(self, other):
         other = self._coerce(other)
         n = min(self.precision, other.precision)
-        return Jet(self.ring, self.ring.reduce_jet(self.poly + other.poly, n), n)
+        return Jet(self.ring, self._at(n) + other._at(n), n)
 
     __radd__ = __add__
 
@@ -195,7 +211,7 @@ class Jet:
     def __sub__(self, other):
         other = self._coerce(other)
         n = min(self.precision, other.precision)
-        return Jet(self.ring, self.ring.reduce_jet(self.poly - other.poly, n), n)
+        return Jet(self.ring, self._at(n) - other._at(n), n)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -205,7 +221,9 @@ class Jet:
             return Jet(self.ring, self.poly * other, self.precision)
         other = self._coerce(other)
         n = min(self.precision, other.precision)
-        return Jet(self.ring, self.ring.reduce_jet(self.poly * other.poly, n), n)
+        ring = self.ring
+        return Jet(ring, ring.reduce_jet(
+            self.poly.mul(other.poly, (ring.base, n)), n), n)
 
     __rmul__ = __mul__
 
@@ -218,8 +236,7 @@ class Jet:
     def truncate(self, precision):
         if precision > self.precision:
             raise NeronError("cannot raise jet precision")
-        return Jet(self.ring, self.ring.reduce_jet(self.poly, precision),
-                   precision)
+        return Jet(self.ring, self._at(precision), precision)
 
     def __eq__(self, other):
         return (isinstance(other, Jet) and self.precision == other.precision
@@ -230,18 +247,25 @@ class Jet:
 
 
 def jet_invert(u):
-    """Jet z with u*z = 1 modulo (x)^N; the constant term must be nonzero."""
-    c = u.poly.constant_coefficient()
-    if c == 0:
-        raise NotAUnit("jet has zero constant term")
+    """Jet z with u*z = 1 modulo (x)^N.  u must be a nonzero constant
+    modulo (x), which makes it a unit: (x) is nilpotent modulo (x)^N.
+
+    Newton's iteration with doubling precision (von zur Gathen & Gerhard,
+    Modern Computer Algebra, 9.1): an inverse z modulo (x)^k gives
+    z - z*(u*z - 1) modulo (x)^2k, so ceil(log2 N) steps reach N.
+    """
     ring, n = u.ring, u.precision
-    z = ring.jet(exact_div(1, c), n)
-    for _ in range(64):
-        err = u * z - 1
-        if err.is_zero():
-            return z
-        z = z - z * err    # Newton: z * (2 - u*z) with one product
-    raise NeronError("jet inversion did not converge")
+    head = u.poly.below((ring.base, 1))
+    c = head.constant_coefficient()
+    if c == 0 or not head.is_constant():
+        raise NotAUnit("jet is not a nonzero constant modulo (x)")
+    # u = c: 1/c is the inverse at every precision
+    z = ring.jet(exact_div(1, c), n if u.poly == head else 1)
+    while z.precision < n:
+        # canonical at precision k is canonical at any higher precision
+        z = Jet(ring, z.poly, min(2 * z.precision, n))
+        z = z - z * (u * z - 1)
+    return z
 
 
 def _standard_monomials(ring, max_degree):

@@ -8,6 +8,7 @@ to share across threads.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 
 from .errors import NeronError, PolyParseError
@@ -166,6 +167,14 @@ class Polynomial:
     def involves(self, positions):
         return any(any(m[i] for i in positions) for m in self.terms)
 
+    def below(self, cut):
+        """The terms of degree below N in the variables at ``positions``,
+        for ``cut = (positions, N)``."""
+        positions, bound = cut
+        return Polynomial(self.table, {
+            m: c for m, c in self.terms.items()
+            if sum([m[i] for i in positions]) < bound})
+
     def variables(self):
         used = set()
         for m in self.terms:
@@ -225,12 +234,17 @@ class Polynomial:
     def __rsub__(self, other):
         return (-self) + other
 
-    def __mul__(self, other):
+    def mul(self, other, cut=None):
+        """The product; with ``cut = (positions, N)`` only the term pairs
+        whose degrees in the variables at ``positions`` sum below N are
+        multiplied, which gives the product with every term of degree at
+        least N in those variables dropped."""
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return Polynomial(self.table, {})
+            p = self if cut is None else self.below(cut)
             return Polynomial(self.table,
-                              {m: v * other for m, v in self.terms.items()})
+                              {m: v * other for m, v in p.terms.items()})
         sa, ta = self._int_view()
         sb, tb = other._int_view()
         if not ta or not tb:
@@ -242,13 +256,19 @@ class Polynomial:
             # A one-term operand shifts the other's terms.  Nothing can
             # cancel, and packing would cost more than so few pairs save.
             (m1, c1), = ta.items()
+            items = tb.items()
+            if cut is not None:
+                positions, bound = cut
+                room = bound - sum([m1[i] for i in positions])
+                items = [(m2, c2) for m2, c2 in items
+                         if sum([m2[i] for i in positions]) < room]
             if scale == 1:
                 terms = {tuple([x + y for x, y in zip(m1, m2)]): c1 * c2
-                         for m2, c2 in tb.items()}
+                         for m2, c2 in items}
             else:
                 terms = {tuple([x + y for x, y in zip(m1, m2)]):
                          _canon_coeff(c1 * c2 * scale)
-                         for m2, c2 in tb.items()}
+                         for m2, c2 in items}
             return Polynomial(self.table, terms)
         # Packed exponents (Monagan & Pearce): each monomial becomes one int
         # with a field of `bits` bits per variable, the first variable in
@@ -270,10 +290,25 @@ class Polynomial:
             for e in m:
                 p = (p << bits) | e
             pb.append((p, c))
+        if cut is None:
+            rows = [(p1, c1, pb) for p1, c1 in pa]
+        else:
+            # Sorted by degree, each term of the shorter operand meets only
+            # the prefix of the longer one that keeps the pair below the cut.
+            positions, bound = cut
+            db = [sum([m[i] for i in positions]) for m in tb]
+            by_degree = sorted(range(len(pb)), key=db.__getitem__)
+            pb = [pb[k] for k in by_degree]
+            db = [db[k] for k in by_degree]
+            rows = []
+            for m, (p1, c1) in zip(ta, pa):
+                k = bisect_left(db, bound - sum([m[i] for i in positions]))
+                if k:
+                    rows.append((p1, c1, pb[:k]))
         out = {}
         get = out.get
-        for p1, c1 in pa:
-            for p2, c2 in pb:
+        for p1, c1, row in rows:
+            for p2, c2 in row:
                 p = p1 + p2
                 acc = get(p, 0) + c1 * c2
                 if acc:
@@ -290,7 +325,7 @@ class Polynomial:
                      for p, v in out.items()}
         return Polynomial(self.table, terms)
 
-    __rmul__ = __mul__
+    __mul__ = __rmul__ = mul
 
     def mul_term(self, mon, coef):
         """Fast multiply by a single term."""

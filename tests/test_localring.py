@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import neron.groebner as groebner
 from neron import (ALGEBRA, BASE, Ideal, Polynomial, VarTable, ideal_equal,
                    ideal_quotient, mixed_order, parse_poly, std_basis)
 from neron.errors import (ActiveElementNotFound, DecompositionIncomplete,
@@ -200,6 +203,51 @@ def test_jet_invert_examples():
         jet_invert(ring.jet(parse_poly(T, "x1"), 5))
 
 
+def test_jet_invert_edges():
+    ring = two_branch_ring()
+    T = ring.table
+    # precision 1: the constant 1/c, whatever the higher terms
+    z = jet_invert(ring.jet(parse_poly(T, "3 + x1 - 5*x2^2"), 1))
+    assert z.precision == 1 and z.poly == Polynomial.const(T, Fraction(1, 3))
+    # a fractional constant term
+    u = ring.jet(parse_poly(T, "2/3 + x1 - x2"), 6)
+    z = jet_invert(u)
+    assert z.poly.constant_coefficient() == Fraction(3, 2)
+    assert (u * z - 1).is_zero()
+    # precisions that are not powers of two: the geometric series
+    line = LocalRingSpec(VarTable.make(("x", BASE),), [])
+    L = line.table
+    for n in (5, 81):
+        z = jet_invert(line.jet(parse_poly(L, "1 + x"), n))
+        assert z.precision == n
+        assert z.poly == Polynomial.from_terms(
+            L, [((k,), (-1) ** k) for k in range(n)])
+    with pytest.raises(NotAUnit):
+        jet_invert(ring.jet(parse_poly(T, "x1 - x2^3"), 81))
+    # a nonzero constant plus a term of x-degree 0 in Y is not a unit
+    TY = VarTable.make(("x1", BASE), ("Y1", ALGEBRA))
+    with pytest.raises(NotAUnit):
+        jet_invert(LocalRingSpec(TY, [], check_dimension=False).jet(
+            parse_poly(TY, "1 + Y1"), 4))
+
+
+def test_j_basis_is_computed_once_per_ring(monkeypatch):
+    T = table2()
+    J = [parse_poly(T, "x1*x2")]
+    primes = ((parse_poly(T, "x1"),), (parse_poly(T, "x2"),))
+    calls = []
+    real = groebner.std_basis
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "std_basis", counted)
+    ring = LocalRingSpec(T, J, primes=primes)
+    ring.reduce_jet(parse_poly(T, "x1^2*x2 + x1 + x2^5"), 4)
+    assert len(calls) == 1
+
+
 def test_jet_divide_examples():
     domain = LocalRingSpec(VarTable.make(("x", BASE),), [])
     T = domain.table
@@ -322,3 +370,76 @@ def test_degree_cut_matches_explicit_generators(index):
                 assert _survives(ring, N, jet, i) == (
                     not ref_prime.contains(jet.poly, order)), (label, N, i, p)
     assert nonzero
+
+
+# ---------------------------------------------------------------------------
+# the canonical-jet invariant: jet arithmetic equals the canonical form of
+# the uncut polynomial operation
+
+_JET_TABLE = VarTable.make(("x1", BASE), ("x2", BASE), ("Y1", ALGEBRA))
+_JET_RINGS = tuple(
+    LocalRingSpec(_JET_TABLE, [parse_poly(_JET_TABLE, t)] if t else [],
+                  check_dimension=False)
+    for t in ("", "x1*x2", "x1^2 - x2^3"))
+_JET_PRECISIONS = (1, 2, 5, 80, 81)
+_JET_COEFFS = st.one_of(st.integers(-5, 5).filter(bool),
+                        st.fractions(min_value=-3, max_value=3,
+                                     max_denominator=7).filter(bool))
+
+
+@st.composite
+def jet_pairs(draw):
+    """A ring and two jets of it, each at a precision of _JET_PRECISIONS,
+    with x-exponents both small and about half the precision, so that
+    products straddle the cut."""
+    ring = draw(st.sampled_from(_JET_RINGS))
+
+    def jet():
+        n = draw(st.sampled_from(_JET_PRECISIONS))
+        exps = st.one_of(st.integers(0, 3),
+                         st.integers(max(0, n // 2 - 2), n // 2 + 1))
+        mons = st.tuples(exps, exps, st.integers(0, 2))
+        items = draw(st.lists(st.tuples(mons, _JET_COEFFS), max_size=6))
+        return ring.jet(Polynomial.from_terms(ring.table, items), n)
+    return ring, jet(), jet()
+
+
+@settings(max_examples=150, deadline=None)
+@given(jet_pairs())
+def test_jet_arithmetic_is_the_canonical_form_of_the_uncut_operation(data):
+    ring, a, b = data
+    n = min(a.precision, b.precision)
+    for got, want in ((a * b, a.poly * b.poly), (a + b, a.poly + b.poly),
+                      (a - b, a.poly - b.poly)):
+        assert got.precision == n
+        assert got.poly == ring.reduce_jet(want, n)
+    for k in _JET_PRECISIONS:
+        if k <= a.precision:
+            assert a.truncate(k).poly == ring.reduce_jet(a.poly, k)
+
+
+def _newton_inverse_full(ring, u, n):
+    """Inverse of u modulo J + (x)^n by Newton steps at full precision n,
+    on polynomials and reduce_jet alone."""
+    z = Polynomial.const(ring.table, 1 / Fraction(u.constant_coefficient()))
+    for _ in range(n + 1):
+        err = ring.reduce_jet(u * z - 1, n)
+        if err.is_zero():
+            return z
+        z = ring.reduce_jet(z - z * err, n)
+    raise AssertionError("Newton's iteration did not reach precision n")
+
+
+@settings(max_examples=100, deadline=None)
+@given(jet_pairs(), st.sampled_from([1, -2, Fraction(3, 5)]))
+def test_jet_invert_matches_a_full_precision_newton_inverse(data, c):
+    ring, a, _ = data
+    # a unit of the base ring: a nonzero constant plus terms of positive
+    # x-degree and no Y, whose powers would not stay sparse
+    u = ring.jet(Polynomial(ring.table, {
+        m: v for m, v in a.poly.terms.items() if m[0] + m[1] and not m[2]})
+        + c, a.precision)
+    z = jet_invert(u)
+    assert z.precision == u.precision
+    assert (z * u - 1).is_zero()
+    assert z.poly == _newton_inverse_full(ring, u.poly, u.precision)

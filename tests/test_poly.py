@@ -228,6 +228,27 @@ def test_packed_product_matches_tuple_loop(pair):
     assert_product_matches_reference(b, a)
 
 
+@settings(max_examples=200, deadline=None)
+@given(operand_pairs(), st.data())
+def test_cut_product_is_the_product_below_the_cut(pair, data):
+    a, b = pair
+    positions = tuple(sorted(data.draw(
+        st.sets(st.integers(0, len(a.table) - 1), min_size=1))))
+    bound = data.draw(st.one_of(st.integers(0, 12),
+                                st.sampled_from([128, 257, 2 * 10 ** 6])))
+    cut = (positions, bound)
+
+    def below(terms):
+        return {m: c for m, c in terms.items()
+                if sum(m[i] for i in positions) < bound}
+
+    for x, y in ((a, b), (b, a), (a, Fraction(-3, 2))):
+        got = x.mul(y, cut).terms
+        want = below((x * y).terms)
+        assert got == want
+        assert all(type(got[m]) is type(c) for m, c in want.items())
+
+
 def test_packed_product_zero_operand():
     T = table_xy()
     p = parse_poly(T, "x1*Y1 - 2/3*x2^4")
