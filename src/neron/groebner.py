@@ -10,23 +10,30 @@ the localization).  Divisions can carry witnesses, exact identities
 where the unit is 1 for global orders and has lead term 1 (hence is
 invertible in the localization) otherwise.
 
+Both divisions run fraction-free on the integer views of ``poly``: the
+dividend is integer terms over one denominator, and a rational coefficient
+is built only for the remainder and for rows.
+
 Basis computation is Buchberger's loop with the normal pair-selection
-strategy and Gebauer-Moeller pruning.  Output bases are minimal, monic and
-sorted, and for global orders fully tail-reduced, so identical inputs give
-byte-identical bases.
+strategy and Gebauer-Moeller pruning.  Output bases are monic and sorted,
+and identical inputs give byte-identical bases.  For global orders they are
+minimal and fully tail-reduced.  For local and mixed orders no element's
+lead divides an element added before it, but a later, smaller lead may
+divide an earlier one (``std_basis([x1^2, x1])`` keeps both), so the basis
+can hold redundant elements; ``Ideal.leads`` filters their leads.  Making
+these bases minimal is open (ROADMAP item 8).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
 from .errors import NotInIdeal
-from .poly import (Polynomial, exact_div, mon_deg, mon_div, mon_divides,
-                   mon_lcm, mon_mul)
+from .poly import (Polynomial, exact_div, from_int_terms, mon_deg, mon_div,
+                   mon_divides, mon_lcm, mon_mul)
 
-_ONE = Fraction(1)
 _SNAPSHOT_BASE = 10 ** 9
 
 
@@ -35,10 +42,11 @@ class _Prepared:
 
     ``row`` is either None (the element stands for itself in position
     ``idx`` of the tracking space) or a sparse dict {j: Polynomial} with
-    poly = sum(row[j] * space[j]) exactly.
+    poly = sum(row[j] * space[j]) exactly.  ``ints`` are the primitive
+    integer terms of poly and ``b`` their coefficient at the lead.
     """
 
-    __slots__ = ("poly", "lm", "lc", "ecart", "idx", "row")
+    __slots__ = ("poly", "lm", "lc", "ecart", "idx", "row", "ints", "b")
 
     def __init__(self, poly, keyf, idx, row=None):
         self.poly = poly
@@ -46,6 +54,8 @@ class _Prepared:
         self.ecart = poly.total_degree() - mon_deg(self.lm)
         self.idx = idx
         self.row = row
+        self.ints = poly._int_view()[1]
+        self.b = self.ints[self.lm]
 
 
 class _RK:
@@ -62,11 +72,11 @@ class _RK:
 
 
 def _sub_scaled(h, g_terms, mon, coef, heap=None, keyf=None, degs=None):
-    """In-place h -= coef * x^mon * g; new monomials are pushed on the heap
-    and the optional degree multiset is kept in sync."""
+    """In-place h -= coef * x^mon * g on integer terms; new monomials are
+    pushed on the heap and the optional degree multiset is kept in sync."""
     shift = any(mon)
     for m, c in g_terms.items():
-        key = tuple(x + y for x, y in zip(m, mon)) if shift else m
+        key = tuple([x + y for x, y in zip(m, mon)]) if shift else m
         acc = h.get(key)
         if acc is None:
             h[key] = -coef * c
@@ -86,6 +96,63 @@ def _sub_scaled(h, g_terms, mon, coef, heap=None, keyf=None, degs=None):
                     degs[d] -= 1
                     if not degs[d]:
                         del degs[d]
+
+
+def _reduce_lead(h, den, rem, c, g, t, heap, keyf, degs=None):
+    """One fraction-free step of a division: h/den, whose lead term is
+    c*x^m, loses that term to g, with x^t * lm(g) = m.  Returns the new den.
+
+    With G the integer terms of g, b their lead and q = gcd(c, b), h (and
+    the remainder ``rem``, which shares den) is scaled by |b|/q when that
+    is not 1, and sign(b)*(c/q) * x^t * G is subtracted.  After a scaling,
+    h, rem and den are divided by their gcd, so den stays the least common
+    denominator of the dividend and the remainder.
+    """
+    b = g.b
+    q = gcd(c, b)
+    f = abs(b) // q
+    k = c // q if b > 0 else -(c // q)
+    if f != 1:
+        for m in h:
+            h[m] *= f
+        for m in rem:
+            rem[m] *= f
+        den *= f
+    _sub_scaled(h, g.ints, t, k, heap, keyf, degs)
+    if f != 1:
+        q = gcd(den, *h.values(), *rem.values())
+        if q != 1:
+            for m in h:
+                h[m] //= q
+            for m in rem:
+                rem[m] //= q
+            den //= q
+    return den
+
+
+def _start(p, cut=None):
+    """The dividend p, without its terms beyond the cut, as (integer terms,
+    denominator): a copy to reduce.  Integer terms are taken as they are."""
+    if all(type(c) is int for c in p.terms.values()):
+        num, den, ints = 1, 1, p.terms
+    else:
+        s, ints = p._int_view()
+        num, den = s.numerator, s.denominator
+    if cut is not None:
+        positions, bound = cut
+        h = {m: v * num for m, v in ints.items()
+             if sum([m[i] for i in positions]) < bound}
+    elif num == 1:
+        h = dict(ints)
+    else:
+        h = {m: v * num for m, v in ints.items()}
+    return h, den
+
+
+def _step_coef(c, den, g):
+    """The value-level quotient coefficient (c/den) / lc(g) of a step."""
+    lc = g.lc
+    return exact_div(c * lc.denominator, den * lc.numerator)
 
 
 def _reducer_row(table, g):
@@ -114,18 +181,25 @@ def classic_nf(p, reducers, keyf, table, full=True, row=None, cut=None):
     division then runs modulo the ideal plus (x)^N without listing (x)^N.
     A cut is meant for full reduction without rows.  Termination is
     guaranteed for global orders, and for any order under a cut.
+
+    The loop is fraction-free: the dividend is integer terms H over one
+    denominator D (p = H/D), the remainder's terms sit over the same D, and
+    each step (``_reduce_lead``) stays on ints.  The remainder is built
+    once, as a rational polynomial, at the end; when no step was taken it
+    keeps p's coefficients.  A row update takes the step's value-level
+    coefficient, one rational number per step.
     """
     if cut is not None:
         positions, bound = cut
-        p = p.below(cut)
 
         def dropped(m):
             return sum(m[i] for i in positions) >= bound
 
-    h = dict(p.terms)
+    h, den = _start(p, cut)
     heap = [_RK(keyf(m), m) for m in h]
     heapq.heapify(heap)
     rem = {}
+    stepped = False
     while h:
         while heap and heap[0].m not in h:
             heapq.heappop(heap)
@@ -151,11 +225,15 @@ def classic_nf(p, reducers, keyf, table, full=True, row=None, cut=None):
                 h = {}
             continue
         t = mon_div(m, hit.lm)
-        coef = exact_div(c, hit.lc)
-        _sub_scaled(h, hit.poly.terms, t, coef, heap, keyf)
         if row is not None:
-            _row_update(table, row, _reducer_row(table, hit), t, coef)
-    return Polynomial(table, rem), row
+            _row_update(table, row, _reducer_row(table, hit), t,
+                        _step_coef(c, den, hit))
+        den = _reduce_lead(h, den, rem, c, hit, t, heap, keyf)
+        stepped = True
+    if not stepped:
+        # the remainder is p below the cut: keep its coefficients
+        return Polynomial(table, {m: p.terms[m] for m in rem}), row
+    return from_int_terms(table, rem, 1, den), row
 
 
 def mora_nf(p, reducers, keyf, table, row=None):
@@ -165,9 +243,15 @@ def mora_nf(p, reducers, keyf, table, row=None):
     ecart than the current element trigger a snapshot that later reductions
     may reuse.  Returns (remainder, row).  The remainder is zero iff p lies
     in the ideal of the localization the order realizes.
+
+    The loop is fraction-free, as in ``classic_nf``: the dividend is
+    integer terms H over one denominator D.  A snapshot keeps H as it is,
+    since a nonzero multiple of a reducer removes the same terms; its row
+    is scaled by D to match.  The remainder is built once, as H/D, or is p
+    itself when no step was taken.
     """
     local = list(reducers)
-    h = dict(p.terms)
+    h, den = _start(p)
     heap = [_RK(keyf(m), m) for m in h]
     heapq.heapify(heap)
     degs = {}
@@ -175,6 +259,7 @@ def mora_nf(p, reducers, keyf, table, row=None):
         d = mon_deg(m)
         degs[d] = degs.get(d, 0) + 1
     n_snap = 0
+    stepped = False
     while h:
         while heap and heap[0].m not in h:
             heapq.heappop(heap)
@@ -190,24 +275,39 @@ def mora_nf(p, reducers, keyf, table, row=None):
         if g.ecart > h_ecart:
             snap = _Prepared(Polynomial(table, dict(h)), keyf,
                              _SNAPSHOT_BASE + n_snap,
-                             dict(row) if row is not None else None)
+                             {j: q * den for j, q in row.items()}
+                             if row is not None else None)
             n_snap += 1
             local.append(snap)
         t = mon_div(m, g.lm)
-        coef = exact_div(c, g.lc)
-        _sub_scaled(h, g.poly.terms, t, coef, heap, keyf, degs)
         if row is not None:
-            _row_update(table, row, _reducer_row(table, g), t, coef)
-    return Polynomial(table, h), row
+            _row_update(table, row, _reducer_row(table, g), t,
+                        _step_coef(c, den, g))
+        den = _reduce_lead(h, den, {}, c, g, t, heap, keyf, degs)
+        stepped = True
+    return (from_int_terms(table, h, 1, den) if stepped else p), row
 
 
 def spoly(f, g, keyf, table):
-    lmf, lcf = f.lead(keyf)
-    lmg, lcg = g.lead(keyf)
+    """x^u * f/lc(f) - x^v * g/lc(g), with x^u * lm(f) = x^v * lm(g) the lcm
+    of the leads, combined on the integer views: with F, G the primitive
+    integer terms, bf, bg their leads and q = gcd(bf, bg), it is
+    ((bg/q) * x^u * F - (bf/q) * x^v * G) / (bf*bg/q)."""
+    lmf = f.lead(keyf)[0]
+    lmg = g.lead(keyf)[0]
     lcm = mon_lcm(lmf, lmg)
-    a = f.mul_term(mon_div(lcm, lmf), exact_div(1, lcf))
-    b = g.mul_term(mon_div(lcm, lmg), exact_div(1, lcg))
-    return a - b
+    F = f._int_view()[1]
+    G = g._int_view()[1]
+    bf, bg = F[lmf], G[lmg]
+    q = gcd(bf, bg)
+    a, b = bg // q, bf // q
+    den = bf * a
+    if den < 0:
+        a, b, den = -a, -b, -den
+    u = mon_div(lcm, lmf)
+    out = {tuple([x + y for x, y in zip(m, u)]): a * c for m, c in F.items()}
+    _sub_scaled(out, G, mon_div(lcm, lmg), b)
+    return from_int_terms(table, out, 1, den)
 
 
 def _spoly_row(table, gi, gj, keyf):

@@ -118,8 +118,12 @@ def _congruent(ring, a, b, k):
 
 
 def _relations_vanish(ring, relations, point, k):
-    """True iff every relation at ``point`` vanishes modulo J + (x)^k."""
-    return all(ring.reduce_jet(rel.substitute(point), k).is_zero()
+    """True iff every relation at ``point`` vanishes modulo J + (x)^k.
+
+    The substitution runs under the cut at k: the terms it drops lie in
+    the ideal (x)^k, so the canonical remainder is the same."""
+    cut = (ring.base, k)
+    return all(ring.reduce_jet(rel.substitute(point, cut), k).is_zero()
                for rel in relations)
 
 
@@ -155,7 +159,7 @@ def newton_lift(prob):
     d_e1 = d_jet ** (e + 1)
     b_jets = []
     for fp in f_polys:
-        val = ring.jet(fp.substitute(prob.approx), prec)
+        val = ring.jet(fp.substitute(prob.approx, (ring.base, prec)), prec)
         if val.is_zero():
             b_jets.append(ring.zero_jet(max(prec - d_e1.order() if
                                             d_e1.order() else prec, 1)))

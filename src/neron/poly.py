@@ -1,15 +1,23 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-Terms are stored as a map from exponent tuples to nonzero ``Fraction``
-values.  No floating point appears anywhere; every identity the rest of the
-library relies on is exact.  Values are immutable after construction and safe
-to share across threads.
+Terms are stored as a map from exponent tuples to nonzero coefficients: an
+``int`` when the coefficient is integral and a ``Fraction`` otherwise, so
+equal values always have equal types.  Each polynomial caches its integer
+view ``(content, integer terms)``: a positive rational content c and
+primitive integer terms (their gcd is 1) with poly = c * terms.  Products
+are created with their view already set, and the term loops of products,
+S-polynomials and normal forms (``groebner``) run on integer terms only; a
+rational coefficient is built where a result leaves the kernel, and only
+where a denominator survives.  No floating point appears anywhere; every
+identity the rest of the library relies on is exact.  Values are immutable
+after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import NeronError, PolyParseError
 
@@ -38,10 +46,50 @@ def exact_div(a, b):
 def _canon_coeff(c):
     if isinstance(c, int):
         return c
-    c = Fraction(c)
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
     if c.denominator == 1:
         return c.numerator
     return c
+
+
+def _from_ints(table, ints, num=1, den=1):
+    """The polynomial num/den * ints, created with its integer view set.
+
+    ``ints`` are primitive integer terms and num/den > 0 is in lowest terms.
+    Each coefficient costs one gcd with den; it is a Fraction only when a
+    denominator survives.
+    """
+    if not ints:
+        return Polynomial(table, {})
+    if den == 1:
+        terms = ints if num == 1 else {m: v * num for m, v in ints.items()}
+        scale = num
+    else:
+        terms = {}
+        for m, v in ints.items():
+            g = gcd(v, den)
+            terms[m] = (v // den * num if g == den
+                        else Fraction(v // g * num, den // g))
+        scale = Fraction(num, den)
+    p = Polynomial(table, terms)
+    p._intview = (scale, ints)
+    return p
+
+
+def from_int_terms(table, ints, num=1, den=1):
+    """The polynomial num/den * ints for integer terms and num, den > 0,
+    neither reduced; its content is split off with one gcd pass, except
+    for num = den, where ``ints`` are the terms and the view waits for its
+    first use."""
+    if num == den:
+        return Polynomial(table, ints)
+    g = gcd(*ints.values())
+    if g > 1:
+        ints = {m: v // g for m, v in ints.items()}
+        num *= g
+    g = gcd(num, den)
+    return _from_ints(table, ints, num // g, den // g)
 
 
 # ---------------------------------------------------------------------------
@@ -86,19 +134,27 @@ class Polynomial:
         self._intview = None
 
     def _int_view(self):
-        """(scale, integer terms) with poly = scale * integer part.
+        """(content, primitive integer terms) with poly = content * terms.
 
-        Cached; keeps multiplication inner loops on machine integers even
-        when rational scalars have crept into the coefficients.
+        Cached, and set at creation by products and normal forms, so
+        chained products split the content once.  The content of zero is 1.
         """
         cached = self._intview
         if cached is None:
-            if all(isinstance(c, int) for c in self.terms.values()):
-                cached = (1, self.terms)
+            terms = self.terms
+            vals = terms.values()
+            if all(type(c) is int for c in vals):
+                g = gcd(*vals)
+                cached = ((1, terms) if g <= 1 else
+                          (g, {m: c // g for m, c in terms.items()}))
             else:
-                c = self.content()
-                cached = (c, {m: exact_div(v, c)
-                              for m, v in self.terms.items()})
+                nums = [c.numerator for c in vals]
+                dens = [c.denominator for c in vals]
+                g = gcd(*nums)
+                den = lcm(*dens)
+                cached = (g if den == 1 else Fraction(g, den),
+                          {m: n // g * (den // d)
+                           for m, n, d in zip(terms, nums, dens)})
             self._intview = cached
         return cached
 
@@ -130,7 +186,7 @@ class Polynomial:
                 continue
             acc = terms.get(mon, _ZERO) + c
             if acc:
-                terms[mon] = acc
+                terms[mon] = _canon_coeff(acc)
             else:
                 terms.pop(mon, None)
         return Polynomial(table, terms)
@@ -209,12 +265,7 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             other = Polynomial.const(self.table, other)
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = out.get(m, _ZERO) + c
-            if acc:
-                out[m] = acc
-            else:
-                out.pop(m, None)
+        _add_into(out, other.terms)
         return Polynomial(self.table, out)
 
     __radd__ = __add__
@@ -223,12 +274,7 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             other = Polynomial.const(self.table, other)
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = out.get(m, _ZERO) - c
-            if acc:
-                out[m] = acc
-            else:
-                out.pop(m, None)
+        _add_into(out, other.terms, -1)
         return Polynomial(self.table, out)
 
     def __rsub__(self, other):
@@ -238,20 +284,35 @@ class Polynomial:
         """The product; with ``cut = (positions, N)`` only the term pairs
         whose degrees in the variables at ``positions`` sum below N are
         multiplied, which gives the product with every term of degree at
-        least N in those variables dropped."""
+        least N in those variables dropped.
+
+        The term loops run on the operands' integer views, and the product
+        is created with its own view set.  An uncut product of primitive
+        integer polynomials is primitive (Gauss's lemma); a cut one has its
+        content split off with one gcd.
+        """
+        table = self.table
         if isinstance(other, (int, Fraction)):
             if other == 0:
-                return Polynomial(self.table, {})
+                return Polynomial(table, {})
             p = self if cut is None else self.below(cut)
-            return Polynomial(self.table,
-                              {m: v * other for m, v in p.terms.items()})
+            if other == 1:
+                return p
+            s, ints = p._int_view()
+            if other < 0:
+                other = -other
+                ints = {m: -v for m, v in ints.items()}
+            scale = s * other
+            return _from_ints(table, ints, scale.numerator, scale.denominator)
         sa, ta = self._int_view()
         sb, tb = other._int_view()
         if not ta or not tb:
-            return Polynomial(self.table, {})
+            return Polynomial(table, {})
         if len(ta) > len(tb):
             ta, tb = tb, ta
         scale = sa * sb
+        # a cut can leave the integer terms of a product with a content
+        finish = _from_ints if cut is None else from_int_terms
         if len(ta) == 1:
             # A one-term operand shifts the other's terms.  Nothing can
             # cancel, and packing would cost more than so few pairs save.
@@ -262,14 +323,9 @@ class Polynomial:
                 room = bound - sum([m1[i] for i in positions])
                 items = [(m2, c2) for m2, c2 in items
                          if sum([m2[i] for i in positions]) < room]
-            if scale == 1:
-                terms = {tuple([x + y for x, y in zip(m1, m2)]): c1 * c2
-                         for m2, c2 in items}
-            else:
-                terms = {tuple([x + y for x, y in zip(m1, m2)]):
-                         _canon_coeff(c1 * c2 * scale)
-                         for m2, c2 in items}
-            return Polynomial(self.table, terms)
+            ints = {tuple([x + y for x, y in zip(m1, m2)]): c1 * c2
+                    for m2, c2 in items}
+            return finish(table, ints, scale.numerator, scale.denominator)
         # Packed exponents (Monagan & Pearce): each monomial becomes one int
         # with a field of `bits` bits per variable, the first variable in
         # the highest field.  The width holds the largest exponent sum of
@@ -316,25 +372,12 @@ class Polynomial:
                 else:
                     del out[p]
         mask = (1 << bits) - 1
-        shifts = range(bits * (len(self.table) - 1), -1, -bits)
-        if scale != 1:
-            terms = {tuple([p >> s & mask for s in shifts]):
-                     _canon_coeff(v * scale) for p, v in out.items()}
-        else:
-            terms = {tuple([p >> s & mask for s in shifts]): v
-                     for p, v in out.items()}
-        return Polynomial(self.table, terms)
+        shifts = range(bits * (len(table) - 1), -1, -bits)
+        ints = {tuple([p >> s & mask for s in shifts]): v
+                for p, v in out.items()}
+        return finish(table, ints, scale.numerator, scale.denominator)
 
     __mul__ = __rmul__ = mul
-
-    def mul_term(self, mon, coef):
-        """Fast multiply by a single term."""
-        if coef == 0:
-            return Polynomial(self.table, {})
-        return Polynomial(
-            self.table,
-            {tuple(x + y for x, y in zip(m, mon)): c * coef
-             for m, c in self.terms.items()})
 
     def __pow__(self, n):
         if n < 0:
@@ -361,16 +404,19 @@ class Polynomial:
                 dm = m[:i] + (e - 1,) + m[i + 1:]
                 acc = out.get(dm, _ZERO) + c * e
                 if acc:
-                    out[dm] = acc
+                    out[dm] = _canon_coeff(acc)
                 else:
                     out.pop(dm, None)
         return Polynomial(self.table, out)
 
-    def substitute(self, assignment):
+    def substitute(self, assignment, cut=None):
         """Compose with ``assignment``, a map variable name -> Polynomial.
 
         Variables not mentioned stay themselves.  All polynomials must share
-        this polynomial's table.
+        this polynomial's table.  With ``cut = (positions, N)`` every power
+        and product is taken under the cut (see ``mul``), which gives the
+        composition with every term of degree at least N in the variables at
+        ``positions`` dropped.
         """
         idx = {}
         for name, val in assignment.items():
@@ -380,9 +426,9 @@ class Polynomial:
                 raise NeronError("substitution value over a different table")
             idx[self.table.index(name)] = val
         if not idx:
-            return self
+            return self if cut is None else self.below(cut)
         powers = {i: {0: Polynomial.const(self.table, 1)} for i in idx}
-        result = Polynomial.zero(self.table)
+        out = {}
         for m, c in self.terms.items():
             residual = tuple(0 if i in idx else e for i, e in enumerate(m))
             factor = Polynomial(self.table, {residual: c})
@@ -393,12 +439,12 @@ class Polynomial:
                     p = max(cache)
                     acc = cache[p]
                     while p < e:
-                        acc = acc * val
+                        acc = acc.mul(val, cut)
                         p += 1
                         cache[p] = acc
-                factor = factor * cache[e]
-            result = result + factor
-        return result
+                factor = factor.mul(cache[e], cut)
+            _add_into(out, factor.terms)
+        return Polynomial(self.table, out)
 
     def lift(self, newtable):
         """Reinterpret over an extended table (old positions must agree)."""
@@ -423,27 +469,30 @@ class Polynomial:
         return Polynomial(newtable, out)
 
     def content(self):
-        """Positive rational c with self/c integer, coprime coefficients."""
-        from math import gcd
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, c.numerator)
-            den = den * c.denominator // gcd(den, c.denominator)
-        if num == 0:
-            return _ONE
-        return exact_div(num, den)
+        """Positive rational c with self/c integer, coprime coefficients;
+        1 for zero."""
+        return self._int_view()[0]
 
     def primitive(self):
-        c = self.content()
+        c, ints = self._int_view()
         if c == 1:
             return self
-        return Polynomial(self.table,
-                          {m: exact_div(v, c) for m, v in self.terms.items()})
+        return _from_ints(self.table, ints)
 
     def __repr__(self):
         from .orders import mixed_order
         return format_poly(self, mixed_order(self.table))
+
+
+def _add_into(out, terms, sign=1):
+    """In place out += sign * terms; integral sums are stored as ints."""
+    for m, c in terms.items():
+        acc = out.get(m, _ZERO) + c if sign == 1 else out.get(m, _ZERO) - c
+        if acc:
+            out[m] = (acc if type(acc) is int or acc.denominator != 1
+                      else acc.numerator)
+        else:
+            out.pop(m, None)
 
 
 def taylor_coefficients(f, names, at):
@@ -456,7 +505,7 @@ def taylor_coefficients(f, names, at):
     """
     table = f.table
     out = {}
-    stack = [(tuple(0 for _ in names), f, Fraction(1))]
+    stack = [(tuple(0 for _ in names), f, 1)]
     while stack:
         alpha, g, factor = stack.pop()
         if g.is_zero():
@@ -475,7 +524,7 @@ def taylor_coefficients(f, names, at):
                 if d.is_zero():
                     continue
                 nalpha = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
-                stack.append((nalpha, d, factor / nalpha[i]))
+                stack.append((nalpha, d, exact_div(factor, nalpha[i])))
     result = {}
     subs = {n: (v if isinstance(v, Polynomial) else Polynomial.const(table, v))
             for n, v in at.items()}

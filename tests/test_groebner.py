@@ -4,12 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neron import (ALGEBRA, BASE, Ideal, Polynomial, VarTable,
                    buchberger_criterion, divide_with_witness, global_order,
                    lift_division, local_order, mixed_order,
                    normal_form_against, parse_poly, std_basis)
 from neron.errors import NotInIdeal
+from neron.groebner import _Prepared, classic_nf, mora_nf
+from neron.poly import mon_div, mon_divides
 
 
 def table_xy():
@@ -190,3 +194,150 @@ def test_zero_and_unit_ideals():
     assert std_basis([Polynomial.zero(T)], T, global_order()) == ()
     basis = std_basis([parse_poly(T, "2")], T, global_order())
     assert basis == (parse_poly(T, "1"),)
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free normal forms against the division on rational values
+
+def _value_subtract(h, g, t, coef):
+    for gm, gc in g.poly.terms.items():
+        key = tuple(a + b for a, b in zip(gm, t))
+        acc = h.get(key, 0) - coef * gc
+        if acc:
+            h[key] = acc
+        else:
+            h.pop(key, None)
+
+
+def value_classic_nf(p, reducers, keyf, cut=None):
+    """Long division on rational coefficients, one quotient term per step,
+    with the reducer choice and the cut of ``classic_nf``."""
+    def dropped(m):
+        return cut is not None and sum(m[i] for i in cut[0]) >= cut[1]
+
+    h = {m: c for m, c in p.terms.items() if not dropped(m)}
+    rem = {}
+    while h:
+        m = max(h, key=keyf)
+        if dropped(m):
+            del h[m]
+            continue
+        g = next((g for g in reducers if mon_divides(g.lm, m)), None)
+        if g is None:
+            rem[m] = h.pop(m)
+            continue
+        _value_subtract(h, g, mon_div(m, g.lm), Fraction(h[m]) / g.lc)
+    return Polynomial.from_terms(p.table, rem.items())
+
+
+def value_mora_nf(p, reducers, keyf):
+    """Mora's normal form on rational coefficients, with the ecart choice
+    and the snapshots of ``mora_nf``."""
+    local = list(reducers)
+    h = dict(p.terms)
+    while h:
+        m = max(h, key=keyf)
+        cands = [g for g in local if mon_divides(g.lm, m)]
+        if not cands:
+            break
+        g = min(cands, key=lambda e: (e.ecart, e.idx))
+        if g.ecart > max(sum(k) for k in h) - sum(m):
+            local.append(_Prepared(Polynomial.from_terms(p.table, h.items()),
+                                   keyf, 10 ** 9 + len(local)))
+        _value_subtract(h, g, mon_div(m, g.lm), Fraction(h[m]) / g.lc)
+    return Polynomial.from_terms(p.table, h.items())
+
+
+def table_nf():
+    return VarTable.make(("x1", BASE), ("x2", BASE), ("Y1", ALGEBRA))
+
+
+_NF_COEFFS = st.one_of(
+    st.integers(-9, 9).filter(bool),
+    st.fractions(min_value=-4, max_value=4, max_denominator=9).filter(bool))
+
+
+@st.composite
+def nf_problems(draw):
+    """A rational dividend and one to three nonzero rational reducers."""
+    T = table_nf()
+    mons = st.tuples(*[st.integers(0, 2)] * len(T))
+
+    def poly(min_size):
+        items = draw(st.lists(st.tuples(mons, _NF_COEFFS),
+                              min_size=min_size, max_size=5))
+        return Polynomial.from_terms(T, items)
+
+    gens = [g for g in (poly(1) for _ in range(draw(st.integers(1, 3))))
+            if not g.is_zero()]
+    return T, poly(0), gens or [Polynomial.var(T, "x1")]
+
+
+def _with_rows(nf, p, gens, prepared, keyf, T, **kw):
+    """The normal form with rows over the space gens + [p], starting from
+    row {p: 1}; checks rem == sum(row[j] * space[j]) exactly."""
+    space = list(gens) + [p]
+    rem, row = nf(p, prepared, keyf, T,
+                  row={len(gens): Polynomial.const(T, 1)}, **kw)
+    total = Polynomial.zero(T)
+    for j, q in row.items():
+        total = total + q * space[j]
+    assert total == rem
+    return rem, row
+
+
+@settings(max_examples=150, deadline=None)
+@given(nf_problems())
+def test_global_normal_forms_match_the_value_division(problem):
+    T, p, gens = problem
+    keyf = global_order().key(T)
+    prepared = [_Prepared(g, keyf, i) for i, g in enumerate(gens)]
+    want = value_classic_nf(p, prepared, keyf)
+    got = classic_nf(p, prepared, keyf, T, full=True)[0]
+    assert got == want
+    rem, row = _with_rows(classic_nf, p, gens, prepared, keyf, T, full=True)
+    assert rem == want
+    assert row[len(gens)] == Polynomial.const(T, 1)
+    want = value_mora_nf(p, prepared, keyf)
+    assert mora_nf(p, prepared, keyf, T)[0] == want
+    assert _with_rows(mora_nf, p, gens, prepared, keyf, T)[0] == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(nf_problems(), st.integers(1, 5))
+def test_mixed_order_normal_forms_match_the_value_division(problem, bound):
+    T, p, gens = problem
+    keyf = mixed_order(T).key(T)
+    prepared = [_Prepared(g, keyf, i) for i, g in enumerate(gens)]
+    want = value_mora_nf(p, prepared, keyf)
+    assert mora_nf(p, prepared, keyf, T)[0] == want
+    assert _with_rows(mora_nf, p, gens, prepared, keyf, T)[0] == want
+    cut = (T.block(BASE), bound)
+    want = value_classic_nf(p, prepared, keyf, cut)
+    assert classic_nf(p, prepared, keyf, T, cut=cut)[0] == want
+    rows = classic_nf(p, prepared, keyf, T, row={}, cut=cut)
+    assert rows[0] == want
+
+
+def test_normal_form_rescales_when_the_reducer_lead_does_not_divide():
+    # the integer lead 3 of 3*x1 + x2 does not divide the lead 1 of the
+    # dividend, so each step scales the dividend's integer terms by 3
+    T = VarTable.make(("x1", BASE), ("x2", BASE))
+    keyf = global_order().key(T)
+    g = parse_poly(T, "3*x1 + x2")
+    p = parse_poly(T, "x1^2 + 1/2*x2")
+    prepared = [_Prepared(g, keyf, 0)]
+    want = parse_poly(T, "1/9*x2^2 + 1/2*x2")
+    assert classic_nf(p, prepared, keyf, T)[0] == want
+    assert mora_nf(p, prepared, keyf, T)[0] == want
+    rem, row = _with_rows(classic_nf, p, [g], prepared, keyf, T)
+    assert rem == want
+    assert row[0] == parse_poly(T, "-1/3*x1 + 1/9*x2")
+    # the same under a local order, where 2*x1 leads 2*x1 + 3*x1^2
+    keyf = local_order().key(T)
+    g = parse_poly(T, "2*x1 + 3*x1^2")
+    p = parse_poly(T, "x1*x2 + 5/7*x2^2")
+    prepared = [_Prepared(g, keyf, 0)]
+    want = value_mora_nf(p, prepared, keyf)
+    assert mora_nf(p, prepared, keyf, T)[0] == want
+    assert _with_rows(mora_nf, p, [g], prepared, keyf, T)[0] == want

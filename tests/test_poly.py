@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -321,3 +322,113 @@ def test_packed_product_cancelled_monomial_is_created_again():
     b = Polynomial.from_terms(T, [((2,), 1), ((1,), -1), ((0,), 1)])
     got = assert_product_matches_reference(a, b)
     assert list(got.items()) == [((0,), 1), ((4,), 1), ((2,), 1)]
+
+
+# ---------------------------------------------------------------------------
+# the integer view (content, primitive integer terms) and int coefficients
+
+TABLE_XY_BASE = (0, 1)   # positions of x1, x2 in table_xy()
+
+_RATIONALS = st.one_of(
+    st.integers(-40, 40).filter(bool),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12).filter(bool),
+    st.integers(-6, 6).filter(bool).map(lambda k: Fraction(k, 1)))
+
+
+@st.composite
+def rational_polys(draw, table=None):
+    """Mixed denominators, integral Fraction inputs and, through the
+    factor, negative or large content."""
+    T = table or table_xy()
+    mons = st.tuples(*[st.integers(0, 3)] * len(T))
+    items = draw(st.lists(st.tuples(mons, _RATIONALS), max_size=8))
+    factor = draw(st.sampled_from(
+        [1, -1, 6, -12, Fraction(-3, 4), Fraction(5, 6), Fraction(1, 35)]))
+    return Polynomial.from_terms(T, [(m, c * factor) for m, c in items])
+
+
+def assert_int_coefficients(p):
+    """Every coefficient with denominator 1 is stored as an int."""
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in p.terms.values()), p.terms
+
+
+def assert_view(p):
+    """The cached view splits p exactly into content and primitive ints,
+    and equals a view computed afresh from the terms."""
+    scale, ints = p._int_view()
+    assert scale > 0
+    assert all(type(v) is int for v in ints.values())
+    assert not ints or gcd(*ints.values()) == 1
+    assert {m: scale * v for m, v in ints.items()} == p.terms
+    fresh_scale, fresh = Polynomial(p.table, dict(p.terms))._int_view()
+    assert fresh_scale == scale and type(fresh_scale) is type(scale)
+    assert fresh == ints
+    assert p.content() == scale
+    assert_int_coefficients(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_polys())
+def test_int_view_splits_the_content(p):
+    assert_view(p)
+    prim = p.primitive()
+    assert_view(prim)
+    assert prim.content() == 1
+    assert prim * p.content() == p
+
+
+def test_int_view_of_integral_fraction_terms():
+    # terms built directly, bypassing from_terms' canonical coefficients
+    T = table2()
+    p = Polynomial(T, {(1, 0): Fraction(-4, 1), (0, 2): Fraction(6, 1)})
+    assert p._int_view() == (2, {(1, 0): -2, (0, 2): 3})
+    assert type(p.content()) is int
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_polys(), rational_polys(), st.integers(0, 8),
+       _RATIONALS, st.tuples(*[st.integers(0, 2)] * 4))
+def test_products_carry_their_view(a, b, bound, scalar, mon):
+    cut = (TABLE_XY_BASE, bound)
+    for q in (a * b, b * a, a.mul(b, cut), a * a * b, a * scalar,
+              a.mul(scalar, cut), a * Polynomial(a.table, {mon: scalar}),
+              a ** 2):
+        assert_view(q)
+    # the carried view of an operand is reused by the next product
+    assert_view((a * b) * (b * a))
+    assert_view(a.mul(b, cut).mul(a, cut))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_polys(), rational_polys())
+def test_arithmetic_stores_integral_coefficients_as_int(a, b):
+    T = a.table
+    results = [a + b, a - b, b - a, -a, a + 1, a - Fraction(1, 2),
+               a.derivative("x1"), a.derivative("Y2"), a.primitive(),
+               a.substitute({"x1": b}), a.substitute({"Y1": b}, ((0, 1), 4)),
+               Polynomial.from_terms(T, list(a.terms.items())
+                                     + list(b.terms.items()))]
+    results += taylor_coefficients(a, ["x1", "Y1"], {"x1": b}).values()
+    for q in results:
+        assert_int_coefficients(q)
+
+
+def test_sums_and_scalings_that_clear_denominators_give_ints():
+    T = table2()
+    half = parse_poly(T, "1/2*x1 + 3/2*x2")
+    for q in (half + half, half * 2, half * parse_poly(T, "2*x1"),
+              (half * half) * 4, half.derivative("x1") * 6,
+              half - parse_poly(T, "-1/2*x1 + 1/2*x2")):
+        assert_int_coefficients(q)
+    assert (half + half).terms == {(1, 0): 1, (0, 1): 3}
+    assert type((half * 2).content()) is int
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_polys(), rational_polys(), st.integers(0, 7))
+def test_substitute_under_a_cut_drops_only_terms_beyond_it(p, v, bound):
+    cut = (TABLE_XY_BASE, bound)
+    for assignment in ({"Y1": v}, {"x2": v, "Y2": v * v}):
+        assert (p.substitute(assignment, cut)
+                == p.substitute(assignment).below(cut))
