@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .desing import (AlgebraPresentation, desingularize, elkik_ideal,
                      validate_morphism)
@@ -31,66 +32,13 @@ _CONDITION_ERRORS = (ConditionStarStarFailed, HypothesisViolated,
                      DecompositionIncomplete, NotAUnit)
 
 
-def _render_trace_text(trace):
-    lines = []
-    for rec in trace:
-        v = rec.values
-        if rec.line == 1:
-            body = ", ".join(f"{k} = {val}" for k, val in v.items())
-        elif rec.line == 2:
-            body = f"D = {v.get('D', 'A')}"
-        elif rec.line == 3:
-            body = f"H_cap_A = {v.get('H_cap_A')}"
-        elif rec.line in (4, 9, 12):
-            body = rec.note if v.get("triggered") != "True" else \
-                ", ".join(f"{k} = {val}" for k, val in v.items()
-                          if k != "triggered")
-            if rec.line == 12:
-                body = "bound check passed" if v.get("ok") == "True" \
-                    else rec.note
-        elif rec.line == 5:
-            body = f"f = {v.get('f')}"
-        elif rec.line == 6:
-            body = f"H = {v.get('H')}, det(H) = {v.get('det')}"
-        elif rec.line == 7:
-            body = f"R = {v.get('R')}"
-        elif rec.line == 8:
-            body = f"P = {v.get('P')}, (P) cap A = {v.get('P_cap_A')}"
-        elif rec.line == 10:
-            body = f"d = {v.get('d')}"
-        elif rec.line == 11:
-            body = f"e = {v.get('e')}"
-        elif rec.line == 13:
-            body = f"b = {v.get('b')}"
-        elif rec.line == 14:
-            body = f"G' = {v.get('Gprime')}"
-        elif rec.line == 15:
-            body = f"s = {v.get('s')}; h = {v.get('h')}"
-        elif rec.line == 16:
-            body = f"p = {v.get('p')}; g = {v.get('g')}"
-        elif rec.line == 17:
-            body = f"s' = {v.get('s_prime')}"
-        elif rec.line == 18:
-            body = f"s'' = {v.get('s_second')} (s-power {v.get('s_power')})"
-        else:
-            body = (f"return presentation with relations {v.get('relations')} "
-                    f"localized at {v.get('multiplier')}")
-        lines.append(f"{rec.line}. {body}")
-    return "\n".join(lines) + "\n"
-
-
 def emit_trace(trace, fmt="text"):
     """Render a trace; the machine format is line-delimited JSON."""
-    if not trace:
-        return b""
     if fmt == "machine":
-        out = []
-        for rec in trace:
-            out.append(json.dumps({"line": rec.line, "label": rec.label,
-                                   "values": rec.values, "note": rec.note},
-                                  sort_keys=True))
-        return ("\n".join(out) + "\n").encode()
-    return _render_trace_text(trace).encode()
+        lines = (json.dumps(asdict(rec), sort_keys=True) for rec in trace)
+    else:
+        lines = (rec.text() for rec in trace)
+    return "".join(line + "\n" for line in lines).encode()
 
 
 def parse_trace(data):

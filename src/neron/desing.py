@@ -120,12 +120,52 @@ class SmoothingCertificate:
     point: "ShiftedPoint" = None   # the expansion build_hg made, reused
 
 
+# trace line -> (label, text template over the record's values).  A template
+# of None lists every value as `key = value`.  A record whose `triggered` or
+# `ok` value is False prints its note instead.
+_TRACE_LINES = {
+    1: ("minimal_primes", None),
+    2: ("coefficient_base", "D = {D}"),
+    3: ("elkik_ideal", "H_cap_A = {H_cap_A}"),
+    4: ("symmetric_algebra", None),
+    5: ("subsystem_f", "f = {f}"),
+    6: ("jacobian_completion", "H = {H}, det(H) = {det}"),
+    7: ("colon_witness_R", "R = {R}"),
+    8: ("p_contraction", "P = {P}, (P) cap A = {P_cap_A}"),
+    9: ("variable_adjunction", None),
+    10: ("active_element", "d = {d}"),
+    11: ("annihilator_exponent", "e = {e}"),
+    12: ("precision_bound", "bound check passed"),
+    13: ("taylor_constant_b", "b = {b}"),
+    14: ("adjugate_G", "G' = {Gprime}"),
+    15: ("unit_s_and_h", "s = {s}; h = {h}"),
+    16: ("taylor_remainder_g", "p = {p}; g = {g}"),
+    17: ("tangent_minor_s1", "s' = {s_prime}"),
+    18: ("unit_s2", "s'' = {s_second} (s-power {s_power})"),
+    19: ("output", "return presentation with relations {relations} "
+                   "localized at {multiplier}"),
+}
+
+
 @dataclass
 class TraceRecord:
     line: int
     label: str
     values: dict
     note: str = ""
+
+    def text(self):
+        """The record's line of the text trace."""
+        v = self.values
+        template = _TRACE_LINES[self.line][1]
+        if v.get("triggered", v.get("ok")) == "False":
+            body = self.note
+        elif template is None:
+            body = ", ".join(f"{k} = {val}" for k, val in v.items()
+                             if k != "triggered")
+        else:
+            body = template.format_map(v)
+        return f"{self.line}. {body}"
 
 
 @dataclass
@@ -301,11 +341,16 @@ def sym_algebra_reduction(B, v):
     return B2, v2
 
 
-def find_f_R(B, elkik, v, combo_budget=6):
+MAX_R_GENS = 6   # colon generators that the combinations for R mix
+MAX_R_NORM = 6   # largest L1 norm of a combination's coefficient vector
+
+
+def find_f_R(B, elkik, v):
     """Subsystem f and colon witness R passing the per-prime jet tests.
 
     Enumeration is deterministic: subsets smallest first in index order; for
-    R the colon generators first, then small-integer combinations.
+    R the colon generators first, then small-integer combinations of the
+    first MAX_R_GENS of them, up to L1 norm MAX_R_NORM.
     """
     ring = B.ring
     nprimes = len(ring.primes)
@@ -329,8 +374,8 @@ def find_f_R(B, elkik, v, combo_budget=6):
         for cand in cands:
             if _survives_all(ring, v.precision, eval_at_jets(cand, v, ring)):
                 return contrib, cand
-        k = min(len(cands), 6)
-        for vec in small_vectors_by_norm(k, 2, combo_budget):
+        k = min(len(cands), MAX_R_GENS)
+        for vec in small_vectors_by_norm(k, 2, MAX_R_NORM):
             R = Polynomial.zero(ring.table)
             for c, g in zip(vec, cands[:k]):
                 if c:
@@ -1032,23 +1077,12 @@ def factor_morphism(result, y_high):
     return FactorReport(True, prec, eps, dict(zip(t_names, t_jets)), checks)
 
 
-_TRACE_LABELS = {
-    1: "minimal_primes", 2: "coefficient_base", 3: "elkik_ideal",
-    4: "symmetric_algebra", 5: "subsystem_f", 6: "jacobian_completion",
-    7: "colon_witness_R", 8: "p_contraction", 9: "variable_adjunction",
-    10: "active_element", 11: "annihilator_exponent", 12: "precision_bound",
-    13: "taylor_constant_b", 14: "adjugate_G", 15: "unit_s_and_h",
-    16: "taylor_remainder_g", 17: "tangent_minor_s1", 18: "unit_s2",
-    19: "output",
-}
-
-
 def desingularize(problem):
     """Run the nineteen-stage pipeline and return the certified result."""
     trace = []
 
     def record(line, values, note=""):
-        trace.append(TraceRecord(line, _TRACE_LABELS[line],
+        trace.append(TraceRecord(line, _TRACE_LINES[line][0],
                                  {k: str(val) for k, val in values.items()},
                                  note))
 

@@ -348,7 +348,9 @@ def _update_pairs(G, P, new_idx, lms, glob):
 
 
 def std_basis(gens, table, order, *, track=None, stop_on_unit=False):
-    """Minimal monic standard basis of the ideal generated by ``gens``.
+    """Monic, sorted standard basis of the ideal generated by ``gens``:
+    minimal for global orders; under local and mixed orders it may keep
+    redundant elements, as the module docstring says.
 
     track=None     -> basis tuple
     track="rows"   -> (basis, rows): basis[k] = sum(rows[k][j] * gens[j])

@@ -37,44 +37,37 @@ _KEYWORDS = {kw for kws in _STATEMENTS.values() for kw in kws} - {"="}
 
 @dataclass
 class ProblemFile:
-    base_vars: tuple
-    j_texts: tuple
-    y_vars: tuple
-    i_texts: tuple
-    precision: int
-    jet_texts: dict
-    verify_texts: dict = field(default_factory=dict)
-    max_subset: int = 3
-    minprime_texts: tuple = ()
+    """A parsed problem file; every polynomial lives over ``table``."""
 
-    def table(self):
-        pairs = [(n, BASE) for n in self.base_vars]
-        pairs += [(n, ALGEBRA) for n in self.y_vars]
-        return VarTable.make(*pairs)
+    table: VarTable
+    j_gens: tuple
+    relations: tuple
+    precision: int
+    jets: dict
+    verify: dict = field(default_factory=dict)
+    max_subset: int = 3
+    minprimes: tuple = ()
+
+    @property
+    def base_vars(self):
+        return self.table.block_names(BASE)
+
+    @property
+    def y_vars(self):
+        return self.table.block_names(ALGEBRA)
 
     def build(self):
-        """Ring, relation list and morphism data ready for the pipeline."""
-        table = self.table()
-        j_gens = [parse_poly(table, t) for t in self.j_texts]
-        primes = None
-        if self.minprime_texts:
-            primes = tuple(tuple(parse_poly(table, t) for t in group)
-                           for group in self.minprime_texts)
-        ring = LocalRingSpec(table, j_gens, primes)
+        """Ring and morphism jets ready for the pipeline."""
+        primes = self.minprimes or None
+        ring = LocalRingSpec(self.table, self.j_gens, primes)
         if primes is not None:
             ring.validate_primes()
-        relations = tuple(parse_poly(table, t) for t in self.i_texts)
-        jets = {nm: ring.jet(parse_poly(table, t), self.precision)
-                for nm, t in self.jet_texts.items()}
-        verify = {}
-        if self.verify_texts:
-            vprec = max(self.precision,
-                        max(parse_poly(table, t).total_degree() + 1
-                            for t in self.verify_texts.values()))
-            verify = {nm: ring.jet(parse_poly(table, t), vprec)
-                      for nm, t in self.verify_texts.items()}
+        jets = {nm: ring.jet(p, self.precision) for nm, p in self.jets.items()}
+        vprec = max([self.precision]
+                    + [p.total_degree() + 1 for p in self.verify.values()])
+        verify = {nm: ring.jet(p, vprec) for nm, p in self.verify.items()}
         morphism = MorphismApprox(self.precision, jets, verify)
-        return DesingProblem(ring, relations, morphism,
+        return DesingProblem(ring, self.relations, morphism,
                              max_subset=self.max_subset)
 
 
@@ -114,12 +107,8 @@ def _collect_poly(stream, stop_kinds):
     return tokens + [("end", "", line, col)]
 
 
-def _text(tokens):
-    return " ".join(tok[1] for tok in tokens[:-1])
-
-
 def parse_problem(text):
-    """Parse and validate a problem file."""
+    """Parse and validate a problem file; each polynomial is parsed once."""
     stream = _Stream(text)
     sections = {}
     while stream.peek()[0] != "end":
@@ -137,9 +126,7 @@ def parse_problem(text):
         raise PolyParseError("missing algebra section", 1, 1)
     if "morphism" not in sections:
         raise PolyParseError("missing morphism section", 1, 1)
-    pf = _assemble(sections)
-    _validate(pf, sections)
-    return pf
+    return _assemble(sections)
 
 
 def _section_body(stream, name):
@@ -203,86 +190,72 @@ def _section_body(stream, name):
 
 
 def _assemble(sections):
-    ring_body = sections["ring"][2]
-    algebra_body = sections["algebra"][2]
-    morph_body = sections["morphism"][2]
-    options = sections.get("options", (0, 0, {"scalars": {}}))[2]["scalars"]
-    minprimes_body = sections.get("minprimes")
-    pf = ProblemFile(
-        base_vars=tuple(ring_body["vars"]),
-        j_texts=tuple(map(_text, ring_body["relations"])),
-        y_vars=tuple(algebra_body["vars"]),
-        i_texts=tuple(map(_text, algebra_body["relations"])),
-        precision=morph_body["scalars"].get("precision", 0),
-        jet_texts={nm: _text(toks) for nm, toks, _, _ in morph_body["assign"]},
-        verify_texts={nm: _text(toks)
-                      for nm, toks, _, _ in morph_body["verify"]},
-        max_subset=options.get("max_subset", 3),
-        minprime_texts=tuple(tuple(map(_text, group))
-                             for group in minprimes_body[2]["groups"])
-        if minprimes_body else (),
-    )
-    return pf
-
-
-def _validate(pf, sections):
-    morph = sections["morphism"]
-    if pf.precision < 1:
+    """Check the statements and parse each polynomial once, over the
+    variables of both sections."""
+    ring, algebra, morph = (sections[name]
+                            for name in ("ring", "algebra", "morphism"))
+    precision = morph[2]["scalars"].get("precision", 0)
+    if precision < 1:
         raise PolyParseError("morphism precision must be at least 1",
                              morph[0], morph[1])
-    if len(set(pf.base_vars)) != len(pf.base_vars) or not pf.base_vars:
+    base_vars = ring[2]["vars"]
+    if len(set(base_vars)) != len(base_vars) or not base_vars:
         raise PolyParseError("ring vars must be nonempty and distinct",
-                             sections["ring"][0], sections["ring"][1])
-    table = pf.table()
-    minprimes = sections.get("minprimes")
-    groups = minprimes[2]["groups"] if minprimes else ()
-    for toks in (sections["ring"][2]["relations"]
-                 + sections["algebra"][2]["relations"]
-                 + [toks for group in groups for toks in group]):
-        parse_poly(table, toks)
-    declared = set(pf.y_vars)
-    for key, what in (("assign", "jet"), ("verify", "verify jet")):
+                             ring[0], ring[1])
+    table = VarTable.make(*((n, BASE) for n in base_vars),
+                          *((n, ALGEBRA) for n in algebra[2]["vars"]))
+
+    def parse_all(polys):
+        return tuple(parse_poly(table, toks) for toks in polys)
+
+    j_gens = parse_all(ring[2]["relations"])
+    relations = parse_all(algebra[2]["relations"])
+    minprimes = tuple(map(parse_all, sections["minprimes"][2]["groups"])
+                      if "minprimes" in sections else ())
+    declared = set(table.block_names(ALGEBRA))
+    jets, verify = {}, {}
+    for key, what, dest in (("assign", "jet", jets),
+                            ("verify", "verify jet", verify)):
         for nm, toks, line, col in morph[2][key]:
             if nm not in declared:
                 raise PolyParseError(
                     f"{what} for undeclared variable {nm!r}", line, col)
-            degree = parse_poly(table, toks).total_degree()
-            if key == "assign" and degree >= pf.precision:
+            dest[nm] = parse_poly(table, toks)
+            degree = dest[nm].total_degree()
+            if key == "assign" and degree >= precision:
                 raise PolyParseError(
                     f"jet for {nm!r} has degree {degree} >= precision "
-                    f"{pf.precision}", line, col)
-    missing = declared - set(pf.jet_texts)
+                    f"{precision}", line, col)
+    missing = declared - set(jets)
     if missing:
         raise PolyParseError(
             "morphism section is missing jets for: " + ", ".join(sorted(missing)),
             morph[0], morph[1])
-    return pf
+    options = sections.get("options", (0, 0, {"scalars": {}}))[2]["scalars"]
+    return ProblemFile(table, j_gens, relations, precision, jets, verify,
+                       options.get("max_subset", 3), minprimes)
 
 
 def print_problem(pf):
     """Canonical text for a ProblemFile; parse(print(pf)) round-trips."""
-    table = pf.table()
-    order = mixed_order(table)
+    order = mixed_order(pf.table)
 
-    def fmt(text):
-        return format_poly(parse_poly(table, text), order)
+    def fmt(polys):
+        return ", ".join(format_poly(p, order) for p in polys)
 
-    lines = ["ring {", f"  field Q;", "  vars " + " ".join(pf.base_vars) + ";"]
-    if pf.j_texts:
-        lines.append("  relations " + ", ".join(fmt(t) for t in pf.j_texts) + ";")
+    lines = ["ring {", "  field Q;", "  vars " + " ".join(pf.base_vars) + ";"]
+    if pf.j_gens:
+        lines.append("  relations " + fmt(pf.j_gens) + ";")
     lines += ["}", "algebra {", "  vars " + " ".join(pf.y_vars) + ";"]
-    if pf.i_texts:
-        lines.append("  relations " + ", ".join(fmt(t) for t in pf.i_texts) + ";")
+    if pf.relations:
+        lines.append("  relations " + fmt(pf.relations) + ";")
     lines += ["}", "morphism {", f"  precision {pf.precision};"]
-    for nm in pf.y_vars:
-        if nm in pf.jet_texts:
-            lines.append(f"  {nm} = " + fmt(pf.jet_texts[nm]) + ";")
-    for nm in pf.y_vars:
-        if nm in pf.verify_texts:
-            lines.append(f"  verify {nm} = " + fmt(pf.verify_texts[nm]) + ";")
+    lines += [f"  {nm} = {format_poly(pf.jets[nm], order)};"
+              for nm in pf.y_vars]
+    lines += [f"  verify {nm} = {format_poly(pf.verify[nm], order)};"
+              for nm in pf.y_vars if nm in pf.verify]
     lines += ["}", "options {", f"  max_subset {pf.max_subset};", "}"]
-    if pf.minprime_texts:
-        groups = " | ".join(", ".join(fmt(t) for t in group)
-                            for group in pf.minprime_texts)
-        lines.append("minprimes { " + groups + " }")
+    if pf.minprimes:
+        lines.append("minprimes { " + " | ".join(map(fmt, pf.minprimes))
+                     + " }")
     return "\n".join(lines) + "\n"

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from neron import errors
-from neron.cli import emit_trace, parse_trace, run_command
+from neron.cli import emit_trace, main, parse_trace, run_command
 
 GOLDEN = "problems/example4.gnd"
 TOO_SMALL = "problems/example4_N4.gnd"
@@ -180,6 +180,47 @@ def test_lift_command_on_hypersurface():
                                  f_indices=(0,))
     assert code == 0, err
     assert "agreement" in out
+
+
+def test_lift_machine_format_payload():
+    code, out, err = run_command("lift", HYPER, fmt="machine", rho=1,
+                                 target=20, f_indices=(0,))
+    assert code == 0, err
+    payload = json.loads(out)
+    assert set(payload) == {"e", "rho", "nu", "agreement", "update_orders",
+                            "lifted"}
+    assert payload["rho"] == 1 and set(payload["lifted"]) == {"Y1", "Y2"}
+
+
+def test_main_passes_f_indices_to_lift(capsys, monkeypatch):
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["f_indices"])
+        return run_command(*args, **kwargs)
+
+    monkeypatch.setattr("neron.cli.run_command", spy)
+    assert main(["lift", HYPER, "--rho", "1", "--target-precision", "12",
+                 "--f-indices", "0"]) == 0
+    assert seen == [(0,)]
+    expected = run_command("lift", HYPER, rho=1, target=12, f_indices=(0,))
+    assert capsys.readouterr().out == expected[1]
+
+
+def test_max_subset_override_reaches_the_pipeline():
+    def subsets(max_subset):
+        code, out, err = run_command("hba", GOLDEN, fmt="machine",
+                                     max_subset=max_subset)
+        assert code == 0, err
+        return json.loads(out)["subsets"]
+
+    assert max(map(len, subsets(None))) == 2
+    assert subsets(1) == [[0], [1], [2]]
+
+
+def test_unknown_command_exit_code():
+    assert run_command("frobnicate", GOLDEN) == \
+        (4, "", "unknown command 'frobnicate'\n")
 
 
 def test_cli_main_subprocess():

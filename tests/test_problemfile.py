@@ -3,8 +3,11 @@
 import glob
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neron.errors import PolyParseError
+from neron.poly import parse_poly
 from neron.problemfile import parse_problem, print_problem
 
 MINIMAL = """
@@ -43,7 +46,87 @@ def test_round_trip_print_parse():
         assert pf2.base_vars == pf.base_vars
         assert pf2.y_vars == pf.y_vars
         assert pf2.precision == pf.precision
-        assert pf2.minprime_texts == () or pf.minprime_texts != ()
+        assert pf2.minprimes == pf.minprimes
+
+
+def test_each_polynomial_is_parsed_once(monkeypatch):
+    calls = []
+
+    def counting_parse(table, text):
+        calls.append(text)
+        return parse_poly(table, text)
+
+    monkeypatch.setattr("neron.problemfile.parse_poly", counting_parse)
+    for path in sorted(glob.glob("problems/*.gnd")):
+        calls.clear()
+        with open(path) as fh:
+            pf = parse_problem(fh.read())
+        parsed = len(calls)
+        pf.build()
+        print_problem(pf)
+        assert len(calls) == parsed, path
+        assert parsed == (len(pf.j_gens) + len(pf.relations) + len(pf.jets)
+                          + len(pf.verify) + sum(map(len, pf.minprimes)))
+
+
+# (ring vars, J, minimal primes): base rings of local dimension 1
+RINGS = (("x1", (), ""),
+         ("x1 x2", ("x1*x2",), ""),
+         ("x1 x2", ("x1*x2",), "x1 | x2"),
+         ("x1 x2", ("x1^2 - x2^3",), ""))
+
+
+@st.composite
+def poly_texts(draw, names, max_deg):
+    """A sum of terms, written with repeated factors and any signs."""
+    terms = draw(st.lists(st.tuples(
+        st.fractions(-9, 9, max_denominator=4),
+        st.lists(st.sampled_from(names), max_size=max_deg)), max_size=4))
+    if not terms:
+        return "0"
+    return " ".join(
+        f"{'-' if c < 0 else '+'} {abs(c)}" + "".join(f"*{n}" for n in mon)
+        for c, mon in terms)
+
+
+@st.composite
+def problem_texts(draw):
+    base, j_gens, primes = draw(st.sampled_from(RINGS))
+    xs = base.split()
+    ys = [f"Y{i + 1}" for i in range(draw(st.integers(1, 2)))]
+    precision = draw(st.integers(1, 5))
+    relations = draw(st.lists(poly_texts(xs + ys, 3), max_size=2))
+    morphism = [f"precision {precision};"]
+    morphism += [f"{y} = {draw(poly_texts(xs, precision - 1))};" for y in ys]
+    morphism += [f"verify {y} = {draw(poly_texts(xs, 6))};" for y in ys
+                 if draw(st.booleans())]
+    sections = [
+        f"ring {{ field Q; vars {base}; "
+        + "".join(f"relations {g}; " for g in j_gens) + "}",
+        f"algebra {{ vars {' '.join(ys)}; "
+        + (f"relations {', '.join(relations)}; " if relations else "") + "}",
+        "morphism { " + " ".join(morphism) + " }",
+        f"options {{ max_subset {draw(st.integers(1, 3))}; }}"]
+    if primes:
+        sections.append(f"minprimes {{ {primes} }}")
+    return "\n".join(draw(st.permutations(sections))) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem_texts())
+def test_generated_problem_round_trip(text):
+    pf = parse_problem(text)
+    printed = print_problem(pf)
+    pf2 = parse_problem(printed)
+    assert print_problem(pf2) == printed
+    prob, prob2 = pf.build(), pf2.build()
+    assert prob2.relations == prob.relations
+    assert prob2.ring.j_gens == prob.ring.j_gens
+    assert prob2.max_subset == prob.max_subset
+    for key in ("jets", "verify"):
+        jets, jets2 = (getattr(p.morphism, key) for p in (prob, prob2))
+        assert {nm: (j.poly, j.precision) for nm, j in jets2.items()} == \
+            {nm: (j.poly, j.precision) for nm, j in jets.items()}
 
 
 def test_empty_relations_accepted():
@@ -53,7 +136,7 @@ def test_empty_relations_accepted():
     morphism { precision 3; Y1 = x; }
     """
     pf = parse_problem(text)
-    assert pf.j_texts == ()
+    assert pf.j_gens == ()
     prob = pf.build()
     assert prob.ring.j_gens == ()
 
@@ -112,7 +195,8 @@ def test_minprimes_groups():
     text = MINIMAL.replace("morphism",
                            "minprimes { x1 | x2 }\nmorphism")
     pf = parse_problem(text)
-    assert pf.minprime_texts == (("x1",), ("x2",))
+    x1, x2 = (parse_poly(pf.table, name) for name in ("x1", "x2"))
+    assert pf.minprimes == ((x1,), (x2,))
     prob = pf.build()
     assert len(prob.ring.primes) == 2
 
