@@ -106,7 +106,14 @@ def _cmd_lift(pf, fmt, rho, target, f_indices):
     ring = problem.ring
     if rho is None or target is None:
         raise PreconditionFailed("lift needs --rho and --target-precision")
-    idx = tuple(f_indices) if f_indices else tuple(range(len(problem.relations)))
+    n_rel = len(problem.relations)
+    idx = tuple(f_indices) if f_indices else tuple(range(n_rel))
+    for k, i in enumerate(idx):
+        if not 0 <= i < n_rel:
+            raise PreconditionFailed(
+                f"--f-indices: index {i} is out of range 0..{n_rel - 1}")
+        if i in idx[:k]:
+            raise PreconditionFailed(f"--f-indices: index {i} is repeated")
     approx = {nm: j.poly for nm, j in problem.morphism.jets.items()}
     lp = LiftingProblem(ring, tuple(problem.relations), idx, approx,
                         rho, target)

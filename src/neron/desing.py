@@ -33,7 +33,7 @@ from .localring import (Jet, LocalRingSpec, active_element,
                         small_vectors_by_norm)
 from .orders import (ALGEBRA, BASE, INVERTER, SLACK, TANGENT, global_order,
                      mixed_order)
-from .poly import (Polynomial, exact_div, format_poly, jacobian,
+from .poly import (Polynomial, PolySum, exact_div, format_poly, jacobian,
                    taylor_coefficients)
 
 
@@ -696,8 +696,7 @@ class ShiftedPoint:
     def move(self, t):
         """Put the tangent point at t: W = G(y')t."""
         self.one = t[0] ** 0
-        self.zero = self.one * 0
-        W = [sum((t_k * g for t_k, g in zip(t, row)), self.zero)
+        W = [self._total(t_k * g for t_k, g in zip(t, row))
              for row in self.Gy]
         self.W_pow = [_PowerCache(w) for w in W]
         self._b_pow = None
@@ -719,19 +718,37 @@ class ShiftedPoint:
             self._taylor[q] = coeffs
         return coeffs
 
+    def _total(self, terms):
+        """The sum of ``terms``, values in the domain of ``one``, added in
+        place.  Jets are summed at the smallest precision among them and
+        ``one``: their canonical polynomials are added and the sum is cut
+        there once, which is canonical, as the canonical form is linear."""
+        one = self.one
+        out = PolySum(self.table)
+        if not isinstance(one, Jet):
+            for term in terms:
+                out.add(term)
+            return out.value()
+        n = one.precision
+        for term in terms:
+            n = min(n, term.precision)
+            out.add(term.poly)
+        ring = one.ring
+        return Jet(ring, out.value().below((ring.base, n)), n)
+
     def _sum(self, coeffs, p, d_shift, k_min):
-        out = self.zero
-        for alpha, c_alpha in coeffs.items():
-            k = sum(alpha)
-            if k < k_min:
-                continue
-            term = self.one * (c_alpha * self.spow[p - k]
-                               * self.dpow[self.e * k - d_shift])
-            for j, aj in enumerate(alpha):
-                if aj:
-                    term = term * self.W_pow[j][aj]
-            out = out + term
-        return out
+        def taylor_terms():
+            for alpha, c_alpha in coeffs.items():
+                k = sum(alpha)
+                if k < k_min:
+                    continue
+                term = self.one * (c_alpha * self.spow[p - k]
+                                   * self.dpow[self.e * k - d_shift])
+                for j, aj in enumerate(alpha):
+                    if aj:
+                        term = term * self.W_pow[j][aj]
+                yield term
+        return self._total(taylor_terms())
 
     def expand(self, q, p, d_shift, k_min):
         """Sum over |alpha| >= k_min of
@@ -750,26 +767,27 @@ class ShiftedPoint:
         a_pow, b_pow = self.a_pow, self.b_pow
         coeffs = self._coefficients(q)
         expansion = self._sum(coeffs, p_q, 0, 0)
-        h_comb = [Polynomial.zero(table) for _ in self.y_names]
+        h_comb = [PolySum(table) for _ in self.y_names]
         for alpha, c_alpha in coeffs.items():
             prefix = c_alpha * self.spow[p_q - sum(alpha)]
             for j, aj in enumerate(alpha):
                 if not aj:
                     continue
-                geom = Polynomial.zero(table)
+                geom = PolySum(table)
                 for t in range(aj):
-                    geom = geom + a_pow[j][t] * b_pow[j][aj - 1 - t]
+                    geom.add(a_pow[j][t] * b_pow[j][aj - 1 - t])
                 suffix = Polynomial.const(table, 1)
                 for j2 in range(j + 1, len(alpha)):
                     if alpha[j2]:
                         suffix = suffix * b_pow[j2][alpha[j2]]
-                h_comb[j] = h_comb[j] + prefix * geom * suffix
+                h_comb[j].add(prefix * geom.value() * suffix)
                 prefix = prefix * a_pow[j][aj]
-        residual = self.spow[p_q] * q - expansion
+        residual = PolySum(table).add(self.spow[p_q] * q).add(expansion, -1)
         for comb, h_j in zip(h_comb, h):
+            comb = comb.value()
             if not comb.is_zero():
-                residual = residual - comb * h_j
-        if not residual.is_zero():
+                residual.add(comb * h_j, -1)
+        if not residual.value().is_zero():
             raise CertificateFailed("telescoped Taylor expansion mismatch")
         return expansion
 

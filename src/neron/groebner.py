@@ -11,8 +11,8 @@ where the unit is 1 for global orders and has lead term 1 (hence is
 invertible in the localization) otherwise.
 
 Both divisions run fraction-free on the integer views of ``poly``: the
-dividend is integer terms over one denominator, and a rational coefficient
-is built only for the remainder and for rows.
+dividend is integer terms over one denominator, the remainder is created
+from its integer terms, and a rational coefficient is built only for rows.
 
 Basis computation is Buchberger's loop with the normal pair-selection
 strategy and Gebauer-Moeller pruning.  Output bases are monic and sorted,
@@ -54,7 +54,7 @@ class _Prepared:
         self.ecart = poly.total_degree() - mon_deg(self.lm)
         self.idx = idx
         self.row = row
-        self.ints = poly._int_view()[1]
+        self.ints = poly._view()[2]
         self.b = self.ints[self.lm]
 
 
@@ -133,11 +133,7 @@ def _reduce_lead(h, den, rem, c, g, t, heap, keyf, degs=None):
 def _start(p, cut=None):
     """The dividend p, without its terms beyond the cut, as (integer terms,
     denominator): a copy to reduce.  Integer terms are taken as they are."""
-    if all(type(c) is int for c in p.terms.values()):
-        num, den, ints = 1, 1, p.terms
-    else:
-        s, ints = p._int_view()
-        num, den = s.numerator, s.denominator
+    num, den, ints = p._loose()
     if cut is not None:
         positions, bound = cut
         h = {m: v * num for m, v in ints.items()
@@ -185,9 +181,9 @@ def classic_nf(p, reducers, keyf, table, full=True, row=None, cut=None):
     The loop is fraction-free: the dividend is integer terms H over one
     denominator D (p = H/D), the remainder's terms sit over the same D, and
     each step (``_reduce_lead``) stays on ints.  The remainder is built
-    once, as a rational polynomial, at the end; when no step was taken it
-    keeps p's coefficients.  A row update takes the step's value-level
-    coefficient, one rational number per step.
+    once, from the integer terms, at the end; when no step was taken and
+    the cut dropped nothing, the remainder is p itself.  A row update
+    takes the step's value-level coefficient, one rational number per step.
     """
     if cut is not None:
         positions, bound = cut
@@ -230,9 +226,8 @@ def classic_nf(p, reducers, keyf, table, full=True, row=None, cut=None):
                         _step_coef(c, den, hit))
         den = _reduce_lead(h, den, rem, c, hit, t, heap, keyf)
         stepped = True
-    if not stepped:
-        # the remainder is p below the cut: keep its coefficients
-        return Polynomial(table, {m: p.terms[m] for m in rem}), row
+    if not stepped and len(rem) == len(p._mons()):
+        return p, row
     return from_int_terms(table, rem, 1, den), row
 
 
@@ -296,8 +291,8 @@ def spoly(f, g, keyf, table):
     lmf = f.lead(keyf)[0]
     lmg = g.lead(keyf)[0]
     lcm = mon_lcm(lmf, lmg)
-    F = f._int_view()[1]
-    G = g._int_view()[1]
+    F = f._view()[2]
+    G = g._view()[2]
     bf, bg = F[lmf], G[lmg]
     q = gcd(bf, bg)
     a, b = bg // q, bf // q

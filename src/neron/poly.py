@@ -1,16 +1,23 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-Terms are stored as a map from exponent tuples to nonzero coefficients: an
-``int`` when the coefficient is integral and a ``Fraction`` otherwise, so
-equal values always have equal types.  Each polynomial caches its integer
-view ``(content, integer terms)``: a positive rational content c and
-primitive integer terms (their gcd is 1) with poly = c * terms.  Products
-are created with their view already set, and the term loops of products,
-S-polynomials and normal forms (``groebner``) run on integer terms only; a
-rational coefficient is built where a result leaves the kernel, and only
-where a denominator survives.  No floating point appears anywhere; every
-identity the rest of the library relies on is exact.  Values are immutable
-after construction and safe to share across threads.
+A polynomial is held as its integer view ``(num, den, ints)``: a positive
+content num/den in lowest terms and primitive integer terms ``ints`` (a map
+from exponent tuples to nonzero ints whose gcd is 1), with poly =
+num/den * ints.  The view is unique, so it decides equality.  Products,
+sums, negation, scaling, cuts, derivatives and substitution run on views
+and create their results with the view set; so do the fraction-free normal
+forms of ``groebner``.
+
+``terms``, the value map from exponent tuples to coefficients (an ``int``
+when the coefficient is integral and a ``Fraction`` otherwise, so equal
+values always have equal types), is a cache built on first read.  A
+polynomial built from a value map (``from_terms``, ``const``, parsing)
+keeps that map and computes its view on first use instead.  Neither cache
+is ever changed once set: each is a function of the other, a race between
+two readers builds two equal dicts and keeps one, and no dict is mutated
+after it is published, so polynomials stay immutable and safe to share
+across threads.  No floating point appears anywhere; every identity the
+rest of the library relies on is exact.
 """
 
 from __future__ import annotations
@@ -53,27 +60,34 @@ def _canon_coeff(c):
     return c
 
 
+def _ratio(a, den):
+    """The rational a/den (den > 0) as an int when it is integral."""
+    g = gcd(a, den)
+    if g == den:
+        return a // den
+    return Fraction(a // g, den // g)
+
+
+def _times(n1, d1, n2, d2):
+    """(n1/d1) * (n2/d2) in lowest terms, for factors in lowest terms."""
+    if d1 == d2 == 1:
+        return n1 * n2, 1
+    g1 = gcd(n1, d2)
+    g2 = gcd(n2, d1)
+    return (n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)
+
+
 def _from_ints(table, ints, num=1, den=1):
     """The polynomial num/den * ints, created with its integer view set.
 
     ``ints`` are primitive integer terms and num/den > 0 is in lowest terms.
-    Each coefficient costs one gcd with den; it is a Fraction only when a
-    denominator survives.
+    Its value map is ``ints`` itself when num/den is 1 and is otherwise
+    built on first read.
     """
     if not ints:
-        return Polynomial(table, {})
-    if den == 1:
-        terms = ints if num == 1 else {m: v * num for m, v in ints.items()}
-        scale = num
-    else:
-        terms = {}
-        for m, v in ints.items():
-            g = gcd(v, den)
-            terms[m] = (v // den * num if g == den
-                        else Fraction(v // g * num, den // g))
-        scale = Fraction(num, den)
-    p = Polynomial(table, terms)
-    p._intview = (scale, ints)
+        num = den = 1
+    p = Polynomial(table, ints if num == den else None)
+    p._intview = (num, den, ints)
     return p
 
 
@@ -125,38 +139,76 @@ def mon_deg(a):
 class Polynomial:
     """Immutable sparse polynomial over a VarTable."""
 
-    __slots__ = ("table", "terms", "_hash", "_intview")
+    __slots__ = ("table", "_terms", "_hash", "_intview")
 
     def __init__(self, table, terms):
         self.table = table
-        self.terms = terms
+        self._terms = terms
         self._hash = None
         self._intview = None
 
-    def _int_view(self):
-        """(content, primitive integer terms) with poly = content * terms.
+    @property
+    def terms(self):
+        """The value map {exponent tuple: coefficient}, built from the
+        integer view on first read and cached."""
+        terms = self._terms
+        if terms is None:
+            num, den, ints = self._intview
+            terms = ({m: v * num for m, v in ints.items()} if den == 1 else
+                     {m: _ratio(v * num, den) for m, v in ints.items()})
+            self._terms = terms
+        return terms
 
-        Cached, and set at creation by products and normal forms, so
-        chained products split the content once.  The content of zero is 1.
+    def _mons(self):
+        """A dict keyed by the monomials: the value map or the integer
+        terms, whichever is at hand."""
+        terms = self._terms
+        return self._intview[2] if terms is None else terms
+
+    def _view(self):
+        """(num, den, primitive integer terms) with poly = num/den * terms.
+
+        Cached, and set at creation by the arithmetic, so chained products
+        and sums split the content once.  The content of zero is 1.
         """
         cached = self._intview
         if cached is None:
-            terms = self.terms
+            terms = self._terms
             vals = terms.values()
             if all(type(c) is int for c in vals):
                 g = gcd(*vals)
-                cached = ((1, terms) if g <= 1 else
-                          (g, {m: c // g for m, c in terms.items()}))
+                cached = ((1, 1, terms) if g <= 1 else
+                          (g, 1, {m: c // g for m, c in terms.items()}))
             else:
                 nums = [c.numerator for c in vals]
                 dens = [c.denominator for c in vals]
                 g = gcd(*nums)
                 den = lcm(*dens)
-                cached = (g if den == 1 else Fraction(g, den),
-                          {m: n // g * (den // d)
-                           for m, n, d in zip(terms, nums, dens)})
+                cached = (g, den, {m: n // g * (den // d)
+                                   for m, n, d in zip(terms, nums, dens)})
             self._intview = cached
         return cached
+
+    def _loose(self):
+        """(num, den, integer terms) with poly = num/den * terms, the terms
+        not necessarily primitive: the view when it is known, the value map
+        itself when its coefficients are all ints."""
+        view = self._intview
+        if view is None:
+            terms = self._terms
+            if all(type(c) is int for c in terms.values()):
+                return 1, 1, terms
+            view = self._view()
+        return view
+
+    def _scaled(self, num, den):
+        """num/den times this polynomial, for num != 0 and den > 0."""
+        n, d, ints = self._view()
+        if num < 0:
+            num = -num
+            ints = {m: -v for m, v in ints.items()}
+        n, d = _times(n, d, num, den)
+        return _from_ints(self.table, ints, n, d)
 
     # -- constructors ------------------------------------------------------
 
@@ -194,46 +246,62 @@ class Polynomial:
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self._mons()
 
     def is_constant(self):
-        return all(mon_deg(m) == 0 for m in self.terms)
+        return all(mon_deg(m) == 0 for m in self._mons())
+
+    def _coefficient(self, mon):
+        """The coefficient of ``mon``, 0 when it has none; from the view
+        when the value map is not built."""
+        terms = self._terms
+        if terms is not None:
+            return terms.get(mon, _ZERO)
+        num, den, ints = self._intview
+        v = ints.get(mon)
+        return _ZERO if v is None else _ratio(v * num, den)
 
     def constant_coefficient(self):
-        zero_mon = tuple(0 for _ in self.table.names)
-        return self.terms.get(zero_mon, _ZERO)
+        return self._coefficient(tuple(0 for _ in self.table.names))
 
     def total_degree(self):
         """Largest total degree, or -1 for the zero polynomial."""
-        if not self.terms:
+        mons = self._mons()
+        if not mons:
             return -1
-        return max(mon_deg(m) for m in self.terms)
+        return max(mon_deg(m) for m in mons)
 
     def order(self):
         """Smallest total degree of a term, or None for zero."""
-        if not self.terms:
+        mons = self._mons()
+        if not mons:
             return None
-        return min(mon_deg(m) for m in self.terms)
+        return min(mon_deg(m) for m in mons)
 
     def degree_in(self, positions):
-        if not self.terms:
+        mons = self._mons()
+        if not mons:
             return -1
-        return max(sum(m[i] for i in positions) for m in self.terms)
+        return max(sum(m[i] for i in positions) for m in mons)
 
     def involves(self, positions):
-        return any(any(m[i] for i in positions) for m in self.terms)
+        return any(any(m[i] for i in positions) for m in self._mons())
 
     def below(self, cut):
         """The terms of degree below N in the variables at ``positions``,
-        for ``cut = (positions, N)``."""
+        for ``cut = (positions, N)``; the polynomial itself when it has no
+        other terms."""
         positions, bound = cut
-        return Polynomial(self.table, {
-            m: c for m, c in self.terms.items()
-            if sum([m[i] for i in positions]) < bound})
+        num, den, ints = self._loose()
+        kept = {m: v for m, v in ints.items()
+                if sum([m[i] for i in positions]) < bound}
+        if len(kept) == len(ints):
+            return self
+        return from_int_terms(self.table, kept, num, den)
 
     def variables(self):
         used = set()
-        for m in self.terms:
+        for m in self._mons():
             for i, e in enumerate(m):
                 if e:
                     used.add(self.table.names[i])
@@ -241,17 +309,22 @@ class Polynomial:
 
     def lead(self, keyf):
         """(monomial, coefficient) maximal under the order key."""
-        if not self.terms:
+        mons = self._mons()
+        if not mons:
             raise NeronError("zero polynomial has no lead term")
-        m = max(self.terms, key=keyf)
-        return m, self.terms[m]
+        m = max(mons, key=keyf)
+        return m, self._coefficient(m)
 
     # -- arithmetic --------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.table == other.table and self.terms == other.terms
+        if self.table != other.table:
+            return False
+        if self._terms is not None and other._terms is not None:
+            return self._terms == other._terms
+        return self._view() == other._view()
 
     def __hash__(self):
         if self._hash is None:
@@ -259,23 +332,21 @@ class Polynomial:
         return self._hash
 
     def __neg__(self):
-        return Polynomial(self.table, {m: -c for m, c in self.terms.items()})
+        num, den, ints = self._loose()
+        return from_int_terms(self.table, {m: -v for m, v in ints.items()},
+                              num, den)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Polynomial.const(self.table, other)
-        out = dict(self.terms)
-        _add_into(out, other.terms)
-        return Polynomial(self.table, out)
+        return PolySum(self.table).add(self).add(other).value()
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Polynomial.const(self.table, other)
-        out = dict(self.terms)
-        _add_into(out, other.terms, -1)
-        return Polynomial(self.table, out)
+        return PolySum(self.table).add(self).add(other, -1).value()
 
     def __rsub__(self, other):
         return (-self) + other
@@ -298,19 +369,14 @@ class Polynomial:
             p = self if cut is None else self.below(cut)
             if other == 1:
                 return p
-            s, ints = p._int_view()
-            if other < 0:
-                other = -other
-                ints = {m: -v for m, v in ints.items()}
-            scale = s * other
-            return _from_ints(table, ints, scale.numerator, scale.denominator)
-        sa, ta = self._int_view()
-        sb, tb = other._int_view()
+            return p._scaled(other.numerator, other.denominator)
+        na, da, ta = self._view()
+        nb, db, tb = other._view()
         if not ta or not tb:
             return Polynomial(table, {})
         if len(ta) > len(tb):
             ta, tb = tb, ta
-        scale = sa * sb
+        num, den = _times(na, da, nb, db)
         # a cut can leave the integer terms of a product with a content
         finish = _from_ints if cut is None else from_int_terms
         if len(ta) == 1:
@@ -325,7 +391,7 @@ class Polynomial:
                          if sum([m2[i] for i in positions]) < room]
             ints = {tuple([x + y for x, y in zip(m1, m2)]): c1 * c2
                     for m2, c2 in items}
-            return finish(table, ints, scale.numerator, scale.denominator)
+            return finish(table, ints, num, den)
         # Packed exponents (Monagan & Pearce): each monomial becomes one int
         # with a field of `bits` bits per variable, the first variable in
         # the highest field.  The width holds the largest exponent sum of
@@ -375,7 +441,7 @@ class Polynomial:
         shifts = range(bits * (len(table) - 1), -1, -bits)
         ints = {tuple([p >> s & mask for s in shifts]): v
                 for p, v in out.items()}
-        return finish(table, ints, scale.numerator, scale.denominator)
+        return finish(table, ints, num, den)
 
     __mul__ = __rmul__ = mul
 
@@ -397,17 +463,14 @@ class Polynomial:
 
     def derivative(self, name):
         i = self.table.index(name)
+        num, den, ints = self._loose()
+        # m -> m - e_i is injective on the terms it keeps: nothing collides
         out = {}
-        for m, c in self.terms.items():
+        for m, v in ints.items():
             e = m[i]
             if e:
-                dm = m[:i] + (e - 1,) + m[i + 1:]
-                acc = out.get(dm, _ZERO) + c * e
-                if acc:
-                    out[dm] = _canon_coeff(acc)
-                else:
-                    out.pop(dm, None)
-        return Polynomial(self.table, out)
+                out[m[:i] + (e - 1,) + m[i + 1:]] = v * e
+        return from_int_terms(self.table, out, num, den)
 
     def substitute(self, assignment, cut=None):
         """Compose with ``assignment``, a map variable name -> Polynomial.
@@ -416,22 +479,25 @@ class Polynomial:
         this polynomial's table.  With ``cut = (positions, N)`` every power
         and product is taken under the cut (see ``mul``), which gives the
         composition with every term of degree at least N in the variables at
-        ``positions`` dropped.
+        ``positions`` dropped.  The composition runs on the integer terms
+        and takes the content once, at the end.
         """
+        table = self.table
         idx = {}
         for name, val in assignment.items():
             if isinstance(val, (int, Fraction)):
-                val = Polynomial.const(self.table, val)
-            if val.table != self.table:
+                val = Polynomial.const(table, val)
+            if val.table != table:
                 raise NeronError("substitution value over a different table")
-            idx[self.table.index(name)] = val
+            idx[table.index(name)] = val
         if not idx:
             return self if cut is None else self.below(cut)
-        powers = {i: {0: Polynomial.const(self.table, 1)} for i in idx}
-        out = {}
-        for m, c in self.terms.items():
+        powers = {i: {0: Polynomial.const(table, 1)} for i in idx}
+        num, den, ints = self._loose()
+        out = PolySum(table)
+        for m, c in ints.items():
             residual = tuple(0 if i in idx else e for i, e in enumerate(m))
-            factor = Polynomial(self.table, {residual: c})
+            factor = Polynomial(table, {residual: c})
             for i, val in idx.items():
                 e = m[i]
                 cache = powers[i]
@@ -443,8 +509,9 @@ class Polynomial:
                         p += 1
                         cache[p] = acc
                 factor = factor.mul(cache[e], cut)
-            _add_into(out, factor.terms)
-        return Polynomial(self.table, out)
+            out.add(factor)
+        total = out.value()
+        return total if num == den else total._scaled(num, den)
 
     def lift(self, newtable):
         """Reinterpret over an extended table (old positions must agree)."""
@@ -471,11 +538,12 @@ class Polynomial:
     def content(self):
         """Positive rational c with self/c integer, coprime coefficients;
         1 for zero."""
-        return self._int_view()[0]
+        num, den, _ = self._view()
+        return num if den == 1 else Fraction(num, den)
 
     def primitive(self):
-        c, ints = self._int_view()
-        if c == 1:
+        num, den, ints = self._view()
+        if num == den:
             return self
         return _from_ints(self.table, ints)
 
@@ -484,15 +552,55 @@ class Polynomial:
         return format_poly(self, mixed_order(self.table))
 
 
-def _add_into(out, terms, sign=1):
-    """In place out += sign * terms; integral sums are stored as ints."""
-    for m, c in terms.items():
-        acc = out.get(m, _ZERO) + c if sign == 1 else out.get(m, _ZERO) - c
-        if acc:
-            out[m] = (acc if type(acc) is int or acc.denominator != 1
-                      else acc.numerator)
-        else:
-            out.pop(m, None)
+class PolySum:
+    """A sum of polynomials over one table, added in place.
+
+    The running sum is integer terms over one common denominator, the lcm
+    of the denominators added so far.  Adding a polynomial is one pass over
+    its integer view and builds no rational coefficient; ``value()`` splits
+    the content off once, with one gcd pass.
+    """
+
+    __slots__ = ("table", "ints", "den")
+
+    def __init__(self, table):
+        self.table = table
+        self.ints = {}
+        self.den = 1
+
+    def add(self, p, sign=1):
+        """In place sum += sign * p; returns the sum."""
+        num, den, ints = p._loose()
+        if not ints:
+            return self
+        out = self.ints
+        if not out:
+            self.den = den
+            k = num if sign == 1 else -num
+            self.ints = dict(ints) if k == 1 else {m: v * k
+                                                   for m, v in ints.items()}
+            return self
+        if self.den % den:
+            f = den // gcd(self.den, den)
+            for m in out:
+                out[m] *= f
+            self.den *= f
+        k = num * (self.den // den)
+        if sign != 1:
+            k = -k
+        get = out.get
+        for m, v in ints.items():
+            acc = get(m, 0) + v * k
+            if acc:
+                out[m] = acc
+            else:
+                del out[m]
+        return self
+
+    def value(self):
+        """The sum as a polynomial.  It takes over the running terms, so
+        nothing is added after."""
+        return from_int_terms(self.table, self.ints, 1, self.den)
 
 
 def taylor_coefficients(f, names, at):
@@ -686,31 +794,41 @@ def parse_poly(table, text):
 
 
 def format_poly(p, order):
-    """Canonical printing: terms sorted descending in the active order."""
+    """Canonical printing: terms sorted descending in the active order.
+
+    Each coefficient is printed from the integer view, reduced by one gcd,
+    as ``str`` prints an int or a ``Fraction``."""
     if p.is_zero():
         return "0"
     keyf = order.key(p.table)
+    num, den, ints = p._view()
+    names = p.table.names
     parts = []
-    for m in sorted(p.terms, key=keyf, reverse=True):
-        c = p.terms[m]
+    for m in sorted(ints, key=keyf, reverse=True):
+        v = ints[m]
         factors = []
         for i, e in enumerate(m):
             if e == 1:
-                factors.append(p.table.names[i])
+                factors.append(names[i])
             elif e > 1:
-                factors.append(f"{p.table.names[i]}^{e}")
+                factors.append(f"{names[i]}^{e}")
         body = "*".join(factors)
-        mag = abs(c)
+        a = abs(v) * num
+        if den == 1:
+            mag = str(a)
+        else:
+            g = gcd(a, den)
+            mag = str(a // g) if g == den else f"{a // g}/{den // g}"
         if not body:
-            chunk = str(mag)
-        elif mag == 1:
+            chunk = mag
+        elif mag == "1":
             chunk = body
         else:
             chunk = f"{mag}*{body}"
         if not parts:
-            parts.append(chunk if c > 0 else f"-{chunk}")
+            parts.append(chunk if v > 0 else f"-{chunk}")
         else:
-            parts.append(f"+ {chunk}" if c > 0 else f"- {chunk}")
+            parts.append(f"+ {chunk}" if v > 0 else f"- {chunk}")
     return " ".join(parts)
 
 

@@ -161,7 +161,7 @@ def _section_body(stream, name):
                 line, col)
         if val == "vars":
             while stream.peek()[0] == "ident":
-                body["vars"].append(stream.next()[1])
+                body["vars"].append(stream.next())
             stream.expect(";")
         elif val == "relations":
             # each polynomial stops at "," or ";"; ";" ends the statement
@@ -198,12 +198,17 @@ def _assemble(sections):
     if precision < 1:
         raise PolyParseError("morphism precision must be at least 1",
                              morph[0], morph[1])
-    base_vars = ring[2]["vars"]
-    if len(set(base_vars)) != len(base_vars) or not base_vars:
-        raise PolyParseError("ring vars must be nonempty and distinct",
-                             ring[0], ring[1])
-    table = VarTable.make(*((n, BASE) for n in base_vars),
-                          *((n, ALGEBRA) for n in algebra[2]["vars"]))
+    if not ring[2]["vars"]:
+        raise PolyParseError("ring vars must be nonempty", ring[0], ring[1])
+    names = []
+    for _, name, line, col in ring[2]["vars"] + algebra[2]["vars"]:
+        if name in names:
+            raise PolyParseError(f"variable {name!r} is declared twice",
+                                 line, col)
+        names.append(name)
+    n_base = len(ring[2]["vars"])
+    table = VarTable.make(*((n, BASE) for n in names[:n_base]),
+                          *((n, ALGEBRA) for n in names[n_base:]))
 
     def parse_all(polys):
         return tuple(parse_poly(table, toks) for toks in polys)

@@ -192,6 +192,18 @@ def test_lift_machine_format_payload():
     assert payload["rho"] == 1 and set(payload["lifted"]) == {"Y1", "Y2"}
 
 
+@pytest.mark.parametrize("f_indices, message", [
+    ((1,), "index 1 is out of range 0..0"),
+    ((-1,), "index -1 is out of range 0..0"),
+    ((0, 0), "index 0 is repeated"),
+], ids=["past-the-last", "negative", "repeated"])
+def test_lift_rejects_a_bad_f_index(f_indices, message):
+    code, out, err = run_command("lift", HYPER, rho=1, target=12,
+                                 f_indices=f_indices)
+    assert (code, out) == (3, "")
+    assert err == f"PreconditionFailed: --f-indices: {message}\n"
+
+
 def test_main_passes_f_indices_to_lift(capsys, monkeypatch):
     seen = []
 

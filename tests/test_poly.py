@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from neron import (ALGEBRA, BASE, Polynomial, VarTable, format_poly,
                    global_order, jacobian, mixed_order, parse_poly,
-                   taylor_coefficients)
+                   std_basis, taylor_coefficients)
 from neron.errors import NeronError, PolyParseError
-from neron.poly import _canon_coeff
+from neron.groebner import _Prepared, classic_nf, mora_nf
+from neron.localring import Jet, LocalRingSpec
+from neron.poly import _canon_coeff, _from_ints
 
 
 def table2():
@@ -167,8 +169,8 @@ def reference_mul(a, b):
     ``Polynomial.__mul__``, so the dict must agree in keys, values, value
     types and insertion order.
     """
-    sa, ta = a._int_view()
-    sb, tb = b._int_view()
+    sa, ta = a.content(), a._view()[2]
+    sb, tb = b.content(), b._view()[2]
     if len(ta) > len(tb):
         ta, tb = tb, ta
     out = {}
@@ -308,7 +310,7 @@ def test_packed_product_fraction_coefficients():
     T = table_xy()
     a = parse_poly(T, "1/2*x1 + 1/3*Y1 - 5/6")
     b = parse_poly(T, "2/3*x1 - 3/4*Y2")
-    assert a._int_view()[0] != 1 and b._int_view()[0] != 1
+    assert a.content() != 1 and b.content() != 1
     got = assert_product_matches_reference(a, b)
     assert got[(2, 0, 0, 0)] == Fraction(1, 3)
     assert got[(1, 0, 0, 1)] == Fraction(-3, 8)
@@ -356,14 +358,15 @@ def assert_int_coefficients(p):
 def assert_view(p):
     """The cached view splits p exactly into content and primitive ints,
     and equals a view computed afresh from the terms."""
-    scale, ints = p._int_view()
-    assert scale > 0
+    num, den, ints = p._view()
+    scale = p.content()
+    assert scale > 0 and gcd(num, den) == 1 and scale == Fraction(num, den)
     assert all(type(v) is int for v in ints.values())
     assert not ints or gcd(*ints.values()) == 1
     assert {m: scale * v for m, v in ints.items()} == p.terms
-    fresh_scale, fresh = Polynomial(p.table, dict(p.terms))._int_view()
-    assert fresh_scale == scale and type(fresh_scale) is type(scale)
-    assert fresh == ints
+    fresh = Polynomial(p.table, dict(p.terms))
+    assert fresh._view() == (num, den, ints)
+    assert type(fresh.content()) is type(scale)
     assert p.content() == scale
     assert_int_coefficients(p)
 
@@ -382,7 +385,7 @@ def test_int_view_of_integral_fraction_terms():
     # terms built directly, bypassing from_terms' canonical coefficients
     T = table2()
     p = Polynomial(T, {(1, 0): Fraction(-4, 1), (0, 2): Fraction(6, 1)})
-    assert p._int_view() == (2, {(1, 0): -2, (0, 2): 3})
+    assert p._view() == (2, 1, {(1, 0): -2, (0, 2): 3})
     assert type(p.content()) is int
 
 
@@ -432,3 +435,123 @@ def test_substitute_under_a_cut_drops_only_terms_beyond_it(p, v, bound):
     for assignment in ({"Y1": v}, {"x2": v, "Y2": v * v}):
         assert (p.substitute(assignment, cut)
                 == p.substitute(assignment).below(cut))
+
+
+# ---------------------------------------------------------------------------
+# the value map is a cache: reading it first changes no result
+
+def read_first(p):
+    """p three ways: with only its integer view, the same after a read of
+    its value map, and with only the value map."""
+    num, den, ints = p._view()
+    lazy = _from_ints(p.table, dict(ints), num, den)
+    read = _from_ints(p.table, dict(ints), num, den)
+    read.terms
+    return lazy, read, Polynomial(p.table, dict(p.terms))
+
+
+def assert_same(x, y):
+    """Equal results; polynomials also in term order and value types."""
+    if isinstance(x, tuple):
+        assert len(x) == len(y)
+        for u, v in zip(x, y):
+            assert_same(u, v)
+    elif isinstance(x, Polynomial):
+        assert isinstance(y, Polynomial) and x == y
+        assert list(x.terms.items()) == list(y.terms.items())
+        assert ([type(c) for c in x.terms.values()]
+                == [type(c) for c in y.terms.values()])
+    else:
+        assert x == y and type(x) is type(y)
+
+
+def prepared_basis(T, order):
+    """Keys and prepared reducers of a fixed rational ideal over table_xy."""
+    gens = [parse_poly(T, t) for t in ("3/2*x1^2 - 2*x2*Y1 + 5/3*x1*Y2",
+                                        "7/4*x2^2 - x1*Y1 + 2/5*Y2^2")]
+    keyf = order.key(T)
+    basis = std_basis(gens, T, order)
+    return keyf, [_Prepared(g, keyf, i) for i, g in enumerate(basis)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_polys(), rational_polys(), st.integers(0, 6))
+def test_reading_the_value_map_first_changes_no_result(a, b, bound):
+    T = a.table
+    cut = (TABLE_XY_BASE, bound)
+    order = mixed_order(T)
+    gkeyf, gprep = prepared_basis(T, global_order())
+    mkeyf, mprep = prepared_basis(T, order)
+
+    def results(p, q):
+        out = [p + q, p - q, q - p, -p, p + 1, p - Fraction(1, 3),
+               p * q, p.mul(q, cut), p * Fraction(-5, 6), p.below(cut),
+               p.order(), p.total_degree(), p.is_zero(), p == q,
+               p == Polynomial(T, dict(p.terms)), hash(p),
+               format_poly(p, order), p.content(), p.primitive(),
+               p.derivative("x1"), p.substitute({"Y1": q}, cut),
+               classic_nf(p, gprep, gkeyf, T, full=True)[0],
+               classic_nf(p, mprep, mkeyf, T, full=True, cut=cut)[0],
+               mora_nf(p, mprep, mkeyf, T)[0]]
+        if not p.is_zero():
+            out.append(p.lead(order.key(T)))
+        return out
+
+    pairs = [(x, y) for x in read_first(a) for y in read_first(b)]
+    want = results(*pairs[0])
+    for x, y in pairs[1:]:
+        assert_same(results(x, y), want)
+    # and the results are right: sums against value-level sums, and a cut
+    # remainder against the terms below the cut
+    x, y = pairs[0]
+    for sign, got in ((1, want[0]), (-1, want[1])):
+        terms = dict(a.terms)
+        for m, c in b.terms.items():
+            terms[m] = terms.get(m, 0) + sign * c
+        assert got == Polynomial.from_terms(T, terms.items())
+    below = Polynomial.from_terms(
+        T, [(m, c) for m, c in a.terms.items() if m[0] + m[1] < bound])
+    assert classic_nf(x, [], mkeyf, T, full=True, cut=cut)[0] == below
+    assert want[22].below(cut) == want[22]
+
+
+def count_value_map_builds(monkeypatch):
+    """Record every polynomial whose value map is built from its view."""
+    built = []
+    terms = Polynomial.terms
+
+    def spy(p):
+        if p._terms is None:
+            built.append(p)
+        return terms.fget(p)
+    monkeypatch.setattr(Polynomial, "terms", property(spy))
+    return built
+
+
+def test_rational_jet_arithmetic_builds_no_value_map(monkeypatch):
+    T = table_xy()
+    ring = LocalRingSpec(T, [parse_poly(T, "x1^2*x2 - x2^3")])
+    n = 9
+    u = ring.jet(parse_poly(T, "1 + 1/2*x1 - 1/8*x1^2 + 1/16*x1^3"), n)
+    v = ring.jet(parse_poly(T, "2/3 - 5/7*x2 + 1/9*x1*x2 - 3/4*x2^2"), n)
+    w = ring.jet(parse_poly(T, "1/5*x1 + 3/8*x2 - 7/6*x1*x2"), n)
+    built = count_value_map_builds(monkeypatch)
+    z = u
+    for k in range(6):
+        z = (z * v - w) * Fraction(1, 2) + u * w
+        z = ring.jet(z.poly * w.poly + v.poly, n - k % 3).truncate(n - 3)
+        z = z + ring.jet(z.poly * z.poly, n - 3) - v.truncate(n - 3)
+        z = Jet(ring, z.poly, n)
+    assert not built
+    # the same chain on polynomials whose value maps are read at every step
+    monkeypatch.undo()
+    y = u
+    for k in range(6):
+        y = (y * v - w) * Fraction(1, 2) + u * w
+        y.poly.terms
+        y = ring.jet(y.poly * w.poly + v.poly, n - k % 3).truncate(n - 3)
+        y.poly.terms
+        y = y + ring.jet(y.poly * y.poly, n - 3) - v.truncate(n - 3)
+        y = Jet(ring, y.poly, n)
+    assert_same(z.poly, y.poly)
+    assert any(type(c) is Fraction for c in z.poly.terms.values())

@@ -220,3 +220,19 @@ def test_trailing_input_reported_at_the_statement_end():
         parse_problem(text)
     assert "trailing input 'x2'" in str(info.value)
     assert (info.value.line, info.value.col) == (4, 33)
+
+
+@pytest.mark.parametrize("ring_vars, algebra_vars, position", [
+    ("x", "Y1\n    x", (3, 5)),
+    ("x", "Y1 Y1", (2, 19)),
+    ("x Y1 x", "Y2", (1, 27)),
+], ids=["ring-and-algebra", "algebra-twice", "ring-twice"])
+def test_variable_declared_twice_is_a_parse_error(ring_vars, algebra_vars,
+                                                  position):
+    text = (f"ring {{ field Q; vars {ring_vars}; }}\n"
+            f"algebra {{ vars {algebra_vars}; relations x; }}\n"
+            "morphism { precision 3; Y1 = x; }\n")
+    with pytest.raises(PolyParseError) as info:
+        parse_problem(text)
+    assert "declared twice" in str(info.value)
+    assert (info.value.line, info.value.col) == position
