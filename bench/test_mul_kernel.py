@@ -1,7 +1,9 @@
 """Microbenchmarks of the polynomial product kernel, ``Polynomial.__mul__``,
 of its form under a degree cut, ``Polynomial.mul(other, cut)``, of the sum
 ``Polynomial.__add__``, of a jet product (``Jet.__mul__``: the cut product
-and ``reduce_jet``) and of Mora's normal form, ``groebner.mora_nf``.
+and ``reduce_jet``), of Mora's normal form, ``groebner.mora_nf``, and of
+the monomial and construction primitives under them: ``poly.mon_divides``,
+the mixed order's key, the constructor from a value map and ``hash``.
 
 Run from the repository root:
 
@@ -23,6 +25,12 @@ constant, made monic, as the square-root series of the lift are, and
 reduced (to 9 and 8, and 16 and 17 terms).  The normal-form case reduces the
 10x10 integer product against the monic standard basis of three fixed
 generators under the mixed order.
+The divisibility cases test every monomial of the integer operand a
+against every monomial of a*b.  The order-key cases evaluate the mixed
+order's key function, without its memo, on every monomial of the integer
+product.  The value-map cases build a polynomial from the value map of a
+rational product (int and ``Fraction`` coefficients), and the hash cases
+hash a fresh copy of that product.
 The exact counts are asserted, so a change of operands shows up as a
 failure, not as a different timing.  This directory lies outside
 ``testpaths``, so the default ``pytest`` run does not collect it.
@@ -37,6 +45,7 @@ from neron import (ALGEBRA, BASE, Polynomial, VarTable, mixed_order,
                    parse_poly, std_basis)
 from neron.groebner import _Prepared, mora_nf
 from neron.localring import LocalRingSpec
+from neron.poly import _from_ints, mon_divides
 
 TABLE = VarTable.make(("x1", BASE), ("x2", BASE),
                       ("Y1", ALGEBRA), ("Y2", ALGEBRA))
@@ -55,6 +64,11 @@ SUM_CASES = [(1, 5, 3, 6), (10, 10, 3, 20), (34, 34, 5, 67),
              (110, 110, 8, 219)]
 # (terms drawn for each operand, terms of the product jet)
 JET_CASES = [(10, 16), (30, 27)]
+# (terms of a, terms of b, largest exponent, pairs (monomial of a,
+# monomial of a*b) in which the first divides the second)
+DIVIDES_CASES = [(10, 10, 3, 532), (34, 34, 5, 19838)]
+# the product cases with more than five terms
+BIG_CASES = CASES[2:]
 JET_PRECISION = 12
 JET_RELATION = "x1^2*x2 - x2^3"
 
@@ -151,3 +165,50 @@ def test_mora_nf(benchmark):
     prepared = [_Prepared(g, KEYF, i) for i, g in enumerate(basis)]
     remainder, _ = benchmark(mora_nf, p, prepared, KEYF, TABLE)
     assert len(remainder.terms) == NF_REMAINDER_TERMS
+
+
+@pytest.mark.parametrize("na, nb, maxdeg, dividing", DIVIDES_CASES,
+                         ids=[f"{c[0]}x{c[1]}-{c[3]}-dividing"
+                              for c in DIVIDES_CASES])
+def test_mon_divides(benchmark, na, nb, maxdeg, dividing):
+    rng = random.Random(na)
+    a = operand(rng, na, maxdeg)
+    b = operand(rng, nb, maxdeg)
+    pairs = [(m1, m2) for m1 in a.monomials() for m2 in (a * b).monomials()]
+    hits = benchmark(lambda: sum([mon_divides(m1, m2) for m1, m2 in pairs]))
+    assert len(pairs) == na * len((a * b).monomials()) and hits == dividing
+
+
+@pytest.mark.parametrize("na, nb, maxdeg, product_terms", BIG_CASES,
+                         ids=[f"{c[0]}x{c[1]}-{c[3]}-keys" for c in BIG_CASES])
+def test_order_key(benchmark, na, nb, maxdeg, product_terms):
+    rng = random.Random(na)
+    mons = list((operand(rng, na, maxdeg)
+                 * operand(rng, nb, maxdeg)).monomials())
+    key = mixed_order(TABLE)._key_impl(TABLE, None)
+    keys = benchmark(lambda: list(map(key, mons)))
+    assert len(set(keys)) == len(mons) == product_terms
+
+
+def rational_product(na, nb, maxdeg):
+    rng = random.Random(na)
+    return monic(operand(rng, na, maxdeg)) * monic(operand(rng, nb, maxdeg))
+
+
+@pytest.mark.parametrize("na, nb, maxdeg, product_terms", BIG_CASES,
+                         ids=[f"{c[0]}x{c[1]}-{c[3]}-value-map"
+                              for c in BIG_CASES])
+def test_from_value_map(benchmark, na, nb, maxdeg, product_terms):
+    product = rational_product(na, nb, maxdeg)
+    terms = product.terms
+    result = benchmark(Polynomial, TABLE, terms)
+    assert len(result.monomials()) == product_terms and result == product
+
+
+@pytest.mark.parametrize("na, nb, maxdeg, product_terms", BIG_CASES,
+                         ids=[f"{c[0]}x{c[1]}-{c[3]}-hash" for c in BIG_CASES])
+def test_hash(benchmark, na, nb, maxdeg, product_terms):
+    product = rational_product(na, nb, maxdeg)
+    num, den, ints = product._view()
+    got = benchmark(lambda: hash(_from_ints(TABLE, ints, num, den)))
+    assert len(ints) == product_terms and got == hash(product)

@@ -271,9 +271,8 @@ def elkik_ideal(B, cap):
                     prod = (c * m).primitive()
                     if prod.is_zero():
                         continue
-                    key = frozenset(prod.terms.items())
-                    if key not in seen:
-                        seen.add(key)
+                    if prod not in seen:
+                        seen.add(prod)
                         products.append(prod)
             contributions.append(ElkikContribution(subset, colon,
                                                    tuple(minor_list),
@@ -282,9 +281,8 @@ def elkik_ideal(B, cap):
     seen = set()
     for c in contributions:
         for p in c.products:
-            key = frozenset(p.terms.items())
-            if key not in seen:
-                seen.add(key)
+            if p not in seen:
+                seen.add(p)
                 gens.append(p)
     elim_roles = tuple(r for r in table.roles_present() if r != BASE)
     h_cap_a = eliminate(gens + rels + j_gens, elim_roles, table, order)
@@ -850,7 +848,7 @@ def verify_certificate(cert, BT, vT, taylor_nf=True):
     # Q in (T)^2
     t_pos = table.block(TANGENT)
     for Q_i in cert.Q:
-        for m in Q_i.terms:
+        for m in Q_i.monomials():
             if sum(m[k] for k in t_pos) < 2:
                 raise CertificateFailed("Q has a term of tangent degree < 2")
     if not taylor_nf:
@@ -915,9 +913,8 @@ def localize_smooth(cert, BT, vT):
     # the rest are rewritten modulo (h) into tangent space first, so the
     # basis computation never touches the algebra variables.  A full basis
     # of (h, g) plus its saturation is the last resort.
-    subsystem = {frozenset(p.terms.items()) for p in cert.f}
-    pending = [q for q in BT.relations
-               if frozenset(q.terms.items()) not in subsystem]
+    subsystem = set(cert.f)
+    pending = [q for q in BT.relations if q not in subsystem]
     if pending:
         g_ideal = Ideal(table, list(cert.g) + list(ring.j_gens))
         still = []
@@ -984,19 +981,16 @@ def simplify_presentation(pres):
     while changed:
         changed = False
         for idx, rel in enumerate(rels):
+            mons = rel.monomials()
             for pos in sorted(removable):
                 unit_mon = tuple(1 if i == pos else 0
                                  for i in range(len(table)))
-                c = rel.terms.get(unit_mon)
-                if not c:
-                    continue
-                others = {m for m in rel.terms if m != unit_mon and m[pos]}
-                if others:
+                if unit_mon not in mons or any(
+                        m[pos] for m in mons if m != unit_mon):
                     continue
                 # rel = c*v + rest, v nowhere else in rel: v := -rest/c
-                rest = Polynomial(table, {m: cc for m, cc in rel.terms.items()
-                                          if m != unit_mon})
-                value = rest * exact_div(-1, c)
+                rest = rel.select(lambda m: m != unit_mon)
+                value = rest * exact_div(-1, rel.coefficient(unit_mon))
                 name = table.names[pos]
                 new_rels = []
                 for k, other in enumerate(rels):

@@ -132,8 +132,8 @@ def _reduce_lead(h, den, rem, c, g, t, heap, keyf, degs=None):
 
 def _start(p, cut=None):
     """The dividend p, without its terms beyond the cut, as (integer terms,
-    denominator): a copy to reduce.  Integer terms are taken as they are."""
-    num, den, ints = p._loose()
+    denominator): a copy to reduce."""
+    num, den, ints = p._view()
     if cut is not None:
         positions, bound = cut
         h = {m: v * num for m, v in ints.items()
@@ -226,7 +226,7 @@ def classic_nf(p, reducers, keyf, table, full=True, row=None, cut=None):
                         _step_coef(c, den, hit))
         den = _reduce_lead(h, den, rem, c, hit, t, heap, keyf)
         stepped = True
-    if not stepped and len(rem) == len(p._mons()):
+    if not stepped and len(rem) == len(p._view()[2]):
         return p, row
     return from_int_terms(table, rem, 1, den), row
 
@@ -268,7 +268,7 @@ def mora_nf(p, reducers, keyf, table, row=None):
         h_ecart = max(degs) - mon_deg(m)
         g = min(cands, key=lambda e: (e.ecart, e.idx))
         if g.ecart > h_ecart:
-            snap = _Prepared(Polynomial(table, dict(h)), keyf,
+            snap = _Prepared(from_int_terms(table, dict(h)), keyf,
                              _SNAPSHOT_BASE + n_snap,
                              {j: q * den for j, q in row.items()}
                              if row is not None else None)

@@ -14,7 +14,7 @@ from itertools import combinations
 from .errors import NeronError, NotInIdeal
 from .groebner import Ideal, divide_with_witness, std_basis
 from .orders import AUX, elim_order, global_order, mixed_order
-from .poly import Polynomial, exact_div, mon_divides
+from .poly import Polynomial
 
 
 def _aux_table(table, stem="t"):
@@ -51,12 +51,10 @@ def divide_out(p, g, table, order=None):
     order = mixed_order(table) if order is None else order
     if p.is_zero():
         return p
-    if len(g.terms) == 1:
-        (gm, gc), = g.terms.items()
-        if all(mon_divides(gm, m) for m in p.terms):
-            return Polynomial(table, {tuple(a - b for a, b in zip(m, gm)):
-                                      exact_div(c, gc)
-                                      for m, c in p.terms.items()})
+    if len(g.monomials()) == 1:
+        q = p.div_term(g)
+        if q is not None:
+            return q
     w = divide_with_witness(p, [g], table, order)
     if not w.remainder.is_zero():
         raise NotInIdeal("divide_out of an element outside the principal ideal")
@@ -163,9 +161,8 @@ def syzygies(gens, table, order=None):
     _, _, syz = std_basis(live, table, order, track="syz")
     seen = set()
     for vec in syz:
-        key = tuple(tuple(sorted(p.terms.items())) for p in vec)
-        if key not in seen:
-            seen.add(key)
+        if vec not in seen:
+            seen.add(vec)
             out.append(vec)
     return tuple(out)
 

@@ -90,12 +90,10 @@ class LocalRingSpec:
         unchanged (divisions absorb the difference through their J slots).
         """
         basis = self.j_ideal.basis(self.order)
-        if not basis or not all(len(b.terms) == 1 for b in basis):
+        if not basis or not all(len(b.monomials()) == 1 for b in basis):
             return p
-        leads = [next(iter(b.terms)) for b in basis]
-        keep = {m: c for m, c in p.terms.items()
-                if not any(mon_divides(lm, m) for lm in leads)}
-        return Polynomial(self.table, keep)
+        leads = [m for b in basis for m in b.monomials()]
+        return p.select(lambda m: not any(mon_divides(lm, m) for lm in leads))
 
     def reduce_jet(self, p, precision, prime=None):
         """Canonical form of p modulo J + (x)^N, or modulo P_i + (x)^N for
@@ -123,7 +121,7 @@ class LocalRingSpec:
         return ring
 
     def jet(self, p, precision):
-        if isinstance(p, (int, Fraction)):
+        if not isinstance(p, Polynomial):
             p = Polynomial.const(self.table, p)
         return Jet(self, self.reduce_jet(p, precision), precision)
 
@@ -186,10 +184,7 @@ class Jet:
     def _coerce(self, other):
         if isinstance(other, Jet):
             return other
-        return Jet(self.ring, self.ring.reduce_jet(
-            Polynomial.const(self.ring.table, other)
-            if isinstance(other, (int, Fraction)) else other,
-            self.precision), self.precision)
+        return self.ring.jet(other, self.precision)
 
     def _at(self, n):
         """The canonical polynomial at precision n <= self.precision: the
@@ -228,6 +223,8 @@ class Jet:
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        if k < 0:
+            raise NeronError("negative exponent in jet power")
         out = Jet(self.ring, Polynomial.const(self.ring.table, 1), self.precision)
         for _ in range(k):
             out = out * self
@@ -310,21 +307,21 @@ def jet_divide(num, den, result_precision=None):
     for m in cols:
         prod = ring.reduce_jet(den.poly * Polynomial(table, {m: 1}),
                                target)
-        col_vecs.append(prod.terms)
-        for mm in prod.terms:
+        col_vecs.append(prod)
+        for mm in prod.monomials():
             support.setdefault(mm, len(support))
     rhs_poly = ring.reduce_jet(num.poly, target)
-    for mm in rhs_poly.terms:
+    for mm in rhs_poly.monomials():
         support.setdefault(mm, len(support))
     nrows = len(support)
     ncols = len(cols)
     A = [[Fraction(0)] * ncols for _ in range(nrows)]
     for j, vec in enumerate(col_vecs):
-        for mm, c in vec.items():
-            A[support[mm]][j] = c
+        for mm in vec.monomials():
+            A[support[mm]][j] = vec.coefficient(mm)
     rhs = [Fraction(0)] * nrows
-    for mm, c in rhs_poly.terms.items():
-        rhs[support[mm]] = c
+    for mm in rhs_poly.monomials():
+        rhs[support[mm]] = rhs_poly.coefficient(mm)
     sol = _solve_exact(A, rhs)
     if sol is None:
         raise NotDivisible("jet division has no solution at this precision")
@@ -372,7 +369,7 @@ def _solve_exact(A, rhs):
             return None
     sol = [Fraction(0)] * ncols
     for r, col in enumerate(pivots):
-        sol[col] = rows[r][ncols] / rows[r][col]
+        sol[col] = exact_div(rows[r][ncols], rows[r][col])
     return sol
 
 
@@ -381,18 +378,18 @@ def _solve_exact(A, rhs):
 
 def _monomial_split(g, table):
     """Variables occurring in a monomial generator, or None."""
-    if len(g.terms) != 1:
+    if len(g.monomials()) != 1:
         return None
-    (m, _), = g.terms.items()
+    m, = g.monomials()
     return [i for i, e in enumerate(m) if e]
 
 
 def _content_split(g, table):
     """x_i dividing every term of a non-monomial generator, or None."""
-    if len(g.terms) < 2:
+    if len(g.monomials()) < 2:
         return None
     shared = None
-    for m in g.terms:
+    for m in g.monomials():
         sup = {i for i, e in enumerate(m) if e}
         shared = sup if shared is None else (shared & sup)
         if not shared:
@@ -431,7 +428,7 @@ def minimal_primes(j_gens, table, order=None, max_components=64):
         for g in basis:
             idxs = _monomial_split(g, table)
             if idxs is not None:
-                (m, _), = g.terms.items()
+                m, = g.monomials()
                 if len(idxs) >= 2:
                     v = Polynomial.var(table, table.names[idxs[0]])
                     branch1 = tuple(basis) + (v,)
@@ -458,7 +455,7 @@ def minimal_primes(j_gens, table, order=None, max_components=64):
                 break
         if split_done:
             continue
-        if _certify_prime(basis, table):
+        if _certify_prime(basis):
             finished.append(tuple(basis))
         else:
             raise DecompositionIncomplete(
@@ -476,23 +473,13 @@ def minimal_primes(j_gens, table, order=None, max_components=64):
                        for other in uniq)]
 
 
-def _certify_prime(basis, table):
-    if not basis:
+def _certify_prime(basis):
+    """True for a basis of variables (one-term, degree one) or of one
+    linear form: such an ideal is prime."""
+    if all(len(b.monomials()) == 1 and b.total_degree() == 1
+           for b in basis):
         return True
-    names = set()
-    all_vars = True
-    for b in basis:
-        if len(b.terms) == 1:
-            (m, _), = b.terms.items()
-            if sum(m) == 1:
-                names.add(table.names[[i for i, e in enumerate(m) if e][0]])
-                continue
-        all_vars = False
-    if all_vars:
-        return True
-    if len(basis) == 1 and basis[0].total_degree() == 1:
-        return True
-    return False
+    return len(basis) == 1 and basis[0].total_degree() == 1
 
 
 SMALL_VALUES = (0, 1, -1, 2, -2, 3, -3)   # entries of every searched vector

@@ -1,22 +1,23 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-A polynomial is held as its integer view ``(num, den, ints)``: a positive
-content num/den in lowest terms and primitive integer terms ``ints`` (a map
-from exponent tuples to nonzero ints whose gcd is 1), with poly =
-num/den * ints.  The view is unique, so it decides equality.  Products,
-sums, negation, scaling, cuts, derivatives and substitution run on views
-and create their results with the view set; so do the fraction-free normal
-forms of ``groebner``.
+A polynomial is its integer view ``(num, den, ints)``: a positive content
+num/den in lowest terms and primitive integer terms ``ints`` (a map from
+exponent tuples to nonzero ints whose gcd is 1), with poly = num/den *
+ints.  The zero polynomial is ``(1, 1, {})``.  The view is unique, so it
+decides equality and the hash.  The constructor turns a value map into
+the view once; products, sums, negation, scaling, cuts, derivatives and
+substitution run on views and create their results with ``_from_ints``.
 
-``terms``, the value map from exponent tuples to coefficients (an ``int``
-when the coefficient is integral and a ``Fraction`` otherwise, so equal
-values always have equal types), is a cache built on first read.  A
-polynomial built from a value map (``from_terms``, ``const``, parsing)
-keeps that map and computes its view on first use instead.  Neither cache
-is ever changed once set: each is a function of the other, a race between
-two readers builds two equal dicts and keeps one, and no dict is mutated
-after it is published, so polynomials stay immutable and safe to share
-across threads.  No floating point appears anywhere; every identity the
+``_view()`` is the contract that ``groebner`` reads: its fraction-free
+normal forms and S-polynomials take the integer terms directly.  Every
+other module reads monomials (``monomials()``) and the coefficients this
+module hands out (``lead``, ``coefficient``, ``content``); ``terms``, the
+value map from exponent tuples to coefficients (an ``int`` when the
+coefficient is integral and a ``Fraction`` otherwise), is built afresh on
+each read and is meant for callers outside the library.  Nothing is
+mutated after creation, so polynomials are immutable and safe to share
+across threads.  No floating point appears anywhere: a coefficient that
+is not an ``int`` or a ``Fraction`` is refused, and every identity the
 rest of the library relies on is exact.
 """
 
@@ -28,8 +29,8 @@ from math import gcd, lcm
 
 from .errors import NeronError, PolyParseError
 
-_ZERO = 0
-_ONE = 1
+_RATIONAL = (int, Fraction)
+_new = object.__new__
 
 
 def exact_div(a, b):
@@ -50,16 +51,6 @@ def exact_div(a, b):
     return out
 
 
-def _canon_coeff(c):
-    if isinstance(c, int):
-        return c
-    if not isinstance(c, Fraction):
-        c = Fraction(c)
-    if c.denominator == 1:
-        return c.numerator
-    return c
-
-
 def _ratio(a, den):
     """The rational a/den (den > 0) as an int when it is integral."""
     g = gcd(a, den)
@@ -78,26 +69,18 @@ def _times(n1, d1, n2, d2):
 
 
 def _from_ints(table, ints, num=1, den=1):
-    """The polynomial num/den * ints, created with its integer view set.
-
-    ``ints`` are primitive integer terms and num/den > 0 is in lowest terms.
-    Its value map is ``ints`` itself when num/den is 1 and is otherwise
-    built on first read.
-    """
-    if not ints:
-        num = den = 1
-    p = Polynomial(table, ints if num == den else None)
-    p._intview = (num, den, ints)
+    """The polynomial num/den * ints, for primitive integer terms ``ints``
+    and num/den > 0 in lowest terms."""
+    p = _new(Polynomial)
+    p.table = table
+    p._iv = (num, den, ints) if ints else (1, 1, ints)
+    p._hash = None
     return p
 
 
 def from_int_terms(table, ints, num=1, den=1):
     """The polynomial num/den * ints for integer terms and num, den > 0,
-    neither reduced; its content is split off with one gcd pass, except
-    for num = den, where ``ints`` are the terms and the view waits for its
-    first use."""
-    if num == den:
-        return Polynomial(table, ints)
+    neither reduced; its content is split off with one gcd pass."""
     g = gcd(*ints.values())
     if g > 1:
         ints = {m: v // g for m, v in ints.items()}
@@ -137,73 +120,54 @@ def mon_deg(a):
 
 
 class Polynomial:
-    """Immutable sparse polynomial over a VarTable."""
+    """Immutable sparse polynomial over a VarTable.
 
-    __slots__ = ("table", "_terms", "_hash", "_intview")
+    ``Polynomial(table, terms)`` is the polynomial with value map
+    ``terms`` {exponent tuple: int or Fraction}; zero coefficients are
+    dropped.
+    """
+
+    # the table, the integer view (num, den, ints) and the hash cache
+    __slots__ = ("table", "_iv", "_hash")
 
     def __init__(self, table, terms):
+        mons, nums, dens = [], [], []
+        for m, c in terms.items():
+            if not isinstance(c, _RATIONAL):
+                raise NeronError(f"coefficient {c!r} is not an int or a "
+                                 "Fraction")
+            if c:
+                mons.append(m)
+                nums.append(c.numerator)
+                dens.append(c.denominator)
+        g = gcd(*nums)
+        den = lcm(*dens)
         self.table = table
-        self._terms = terms
+        self._iv = (g or 1, den, {m: n // g * (den // d)
+                                  for m, n, d in zip(mons, nums, dens)})
         self._hash = None
-        self._intview = None
 
     @property
     def terms(self):
-        """The value map {exponent tuple: coefficient}, built from the
-        integer view on first read and cached."""
-        terms = self._terms
-        if terms is None:
-            num, den, ints = self._intview
-            terms = ({m: v * num for m, v in ints.items()} if den == 1 else
-                     {m: _ratio(v * num, den) for m, v in ints.items()})
-            self._terms = terms
-        return terms
-
-    def _mons(self):
-        """A dict keyed by the monomials: the value map or the integer
-        terms, whichever is at hand."""
-        terms = self._terms
-        return self._intview[2] if terms is None else terms
+        """The value map {exponent tuple: coefficient}, a new dict on each
+        read."""
+        num, den, ints = self._iv
+        if den == 1:
+            return {m: v * num for m, v in ints.items()}
+        return {m: _ratio(v * num, den) for m, v in ints.items()}
 
     def _view(self):
-        """(num, den, primitive integer terms) with poly = num/den * terms.
+        """(num, den, primitive integer terms) with poly = num/den * terms;
+        the content of zero is 1."""
+        return self._iv
 
-        Cached, and set at creation by the arithmetic, so chained products
-        and sums split the content once.  The content of zero is 1.
-        """
-        cached = self._intview
-        if cached is None:
-            terms = self._terms
-            vals = terms.values()
-            if all(type(c) is int for c in vals):
-                g = gcd(*vals)
-                cached = ((1, 1, terms) if g <= 1 else
-                          (g, 1, {m: c // g for m, c in terms.items()}))
-            else:
-                nums = [c.numerator for c in vals]
-                dens = [c.denominator for c in vals]
-                g = gcd(*nums)
-                den = lcm(*dens)
-                cached = (g, den, {m: n // g * (den // d)
-                                   for m, n, d in zip(terms, nums, dens)})
-            self._intview = cached
-        return cached
-
-    def _loose(self):
-        """(num, den, integer terms) with poly = num/den * terms, the terms
-        not necessarily primitive: the view when it is known, the value map
-        itself when its coefficients are all ints."""
-        view = self._intview
-        if view is None:
-            terms = self._terms
-            if all(type(c) is int for c in terms.values()):
-                return 1, 1, terms
-            view = self._view()
-        return view
+    def monomials(self):
+        """The exponent tuples of the terms, in term order."""
+        return self._iv[2].keys()
 
     def _scaled(self, num, den):
         """num/den times this polynomial, for num != 0 and den > 0."""
-        n, d, ints = self._view()
+        n, d, ints = self._iv
         if num < 0:
             num = -num
             ints = {m: -v for m, v in ints.items()}
@@ -214,94 +178,105 @@ class Polynomial:
 
     @staticmethod
     def zero(table):
-        return Polynomial(table, {})
+        return _from_ints(table, {})
 
     @staticmethod
     def const(table, value):
-        c = _canon_coeff(value)
-        if c == 0:
-            return Polynomial(table, {})
-        return Polynomial(table, {tuple(0 for _ in table.names): c})
+        return Polynomial(table, {tuple(0 for _ in table.names): value})
 
     @staticmethod
     def var(table, name, power=1):
         i = table.index(name)
         mon = tuple(power if j == i else 0 for j in range(len(table)))
-        return Polynomial(table, {mon: _ONE})
+        return _from_ints(table, {mon: 1})
 
     @staticmethod
     def from_terms(table, items):
-        terms = {}
+        """The sum of the terms c * x^mon for the pairs (mon, c) of
+        ``items``."""
+        total = PolySum(table)
         for mon, c in items:
-            c = _canon_coeff(c)
-            if c == 0:
-                continue
-            acc = terms.get(mon, _ZERO) + c
-            if acc:
-                terms[mon] = _canon_coeff(acc)
-            else:
-                terms.pop(mon, None)
-        return Polynomial(table, terms)
+            total.add(Polynomial(table, {mon: c}))
+        return total.value()
 
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self):
-        return not self._mons()
+        return not self._iv[2]
 
     def is_constant(self):
-        return all(mon_deg(m) == 0 for m in self._mons())
+        return all(mon_deg(m) == 0 for m in self._iv[2])
 
-    def _coefficient(self, mon):
-        """The coefficient of ``mon``, 0 when it has none; from the view
-        when the value map is not built."""
-        terms = self._terms
-        if terms is not None:
-            return terms.get(mon, _ZERO)
-        num, den, ints = self._intview
+    def coefficient(self, mon):
+        """The coefficient of ``mon``, 0 when it has none."""
+        num, den, ints = self._iv
         v = ints.get(mon)
-        return _ZERO if v is None else _ratio(v * num, den)
+        return 0 if v is None else _ratio(v * num, den)
 
     def constant_coefficient(self):
-        return self._coefficient(tuple(0 for _ in self.table.names))
+        return self.coefficient(tuple(0 for _ in self.table.names))
 
     def total_degree(self):
         """Largest total degree, or -1 for the zero polynomial."""
-        mons = self._mons()
+        mons = self._iv[2]
         if not mons:
             return -1
         return max(mon_deg(m) for m in mons)
 
     def order(self):
         """Smallest total degree of a term, or None for zero."""
-        mons = self._mons()
+        mons = self._iv[2]
         if not mons:
             return None
         return min(mon_deg(m) for m in mons)
 
     def degree_in(self, positions):
-        mons = self._mons()
+        mons = self._iv[2]
         if not mons:
             return -1
         return max(sum(m[i] for i in positions) for m in mons)
 
     def involves(self, positions):
-        return any(any(m[i] for i in positions) for m in self._mons())
+        return any(any(m[i] for i in positions) for m in self._iv[2])
+
+    def select(self, keep):
+        """The terms whose monomial satisfies ``keep``; the polynomial
+        itself when that is all of them."""
+        num, den, ints = self._iv
+        kept = {m: v for m, v in ints.items() if keep(m)}
+        if len(kept) == len(ints):
+            return self
+        return from_int_terms(self.table, kept, num, den)
 
     def below(self, cut):
         """The terms of degree below N in the variables at ``positions``,
         for ``cut = (positions, N)``; the polynomial itself when it has no
         other terms."""
         positions, bound = cut
-        num, den, ints = self._loose()
+        num, den, ints = self._iv
         kept = {m: v for m, v in ints.items()
                 if sum([m[i] for i in positions]) < bound}
         if len(kept) == len(ints):
             return self
         return from_int_terms(self.table, kept, num, den)
 
+    def div_term(self, g):
+        """The quotient by the one-term polynomial g, or None when the
+        monomial of g does not divide every term."""
+        gn, gd, gints = g._iv
+        (t, sign), = gints.items()  # a primitive one-term view is +-x^t
+        num, den, ints = self._iv
+        out = {}
+        for m, v in ints.items():
+            q = mon_div(m, t)
+            if q is None:
+                return None
+            out[q] = v * sign
+        return _from_ints(self.table, out, *_times(num, den, gd, gn))
+
     def variables(self):
         used = set()
-        for m in self._mons():
+        for m in self._iv[2]:
             for i, e in enumerate(m):
                 if e:
                     used.add(self.table.names[i])
@@ -309,47 +284,58 @@ class Polynomial:
 
     def lead(self, keyf):
         """(monomial, coefficient) maximal under the order key."""
-        mons = self._mons()
+        mons = self._iv[2]
         if not mons:
             raise NeronError("zero polynomial has no lead term")
         m = max(mons, key=keyf)
-        return m, self._coefficient(m)
+        return m, self.coefficient(m)
 
     # -- arithmetic --------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self.table != other.table:
-            return False
-        if self._terms is not None and other._terms is not None:
-            return self._terms == other._terms
-        return self._view() == other._view()
+        return self.table == other.table and self._iv == other._iv
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
+            num, den, ints = self._iv
+            self._hash = hash((num, den, frozenset(ints.items())))
         return self._hash
 
     def __neg__(self):
-        num, den, ints = self._loose()
-        return from_int_terms(self.table, {m: -v for m, v in ints.items()},
-                              num, den)
+        num, den, ints = self._iv
+        return _from_ints(self.table, {m: -v for m, v in ints.items()},
+                          num, den)
+
+    def _operand(self, other):
+        """``other`` as a polynomial over this table: rationals become
+        constants; None for anything else."""
+        if isinstance(other, Polynomial):
+            return other
+        if isinstance(other, _RATIONAL):
+            return Polynomial.const(self.table, other)
+        return None
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.const(self.table, other)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         return PolySum(self.table).add(self).add(other).value()
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.const(self.table, other)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         return PolySum(self.table).add(self).add(other, -1).value()
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return PolySum(self.table).add(self, -1).add(other).value()
 
     def mul(self, other, cut=None):
         """The product; with ``cut = (positions, N)`` only the term pairs
@@ -358,22 +344,24 @@ class Polynomial:
         least N in those variables dropped.
 
         The term loops run on the operands' integer views, and the product
-        is created with its own view set.  An uncut product of primitive
+        is created from its integer terms.  An uncut product of primitive
         integer polynomials is primitive (Gauss's lemma); a cut one has its
         content split off with one gcd.
         """
         table = self.table
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _RATIONAL):
             if other == 0:
-                return Polynomial(table, {})
+                return _from_ints(table, {})
             p = self if cut is None else self.below(cut)
             if other == 1:
                 return p
             return p._scaled(other.numerator, other.denominator)
-        na, da, ta = self._view()
-        nb, db, tb = other._view()
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        na, da, ta = self._iv
+        nb, db, tb = other._iv
         if not ta or not tb:
-            return Polynomial(table, {})
+            return _from_ints(table, {})
         if len(ta) > len(tb):
             ta, tb = tb, ta
         num, den = _times(na, da, nb, db)
@@ -463,7 +451,7 @@ class Polynomial:
 
     def derivative(self, name):
         i = self.table.index(name)
-        num, den, ints = self._loose()
+        num, den, ints = self._iv
         # m -> m - e_i is injective on the terms it keeps: nothing collides
         out = {}
         for m, v in ints.items():
@@ -485,7 +473,7 @@ class Polynomial:
         table = self.table
         idx = {}
         for name, val in assignment.items():
-            if isinstance(val, (int, Fraction)):
+            if isinstance(val, _RATIONAL):
                 val = Polynomial.const(table, val)
             if val.table != table:
                 raise NeronError("substitution value over a different table")
@@ -493,11 +481,11 @@ class Polynomial:
         if not idx:
             return self if cut is None else self.below(cut)
         powers = {i: {0: Polynomial.const(table, 1)} for i in idx}
-        num, den, ints = self._loose()
+        num, den, ints = self._iv
         out = PolySum(table)
         for m, c in ints.items():
             residual = tuple(0 if i in idx else e for i, e in enumerate(m))
-            factor = Polynomial(table, {residual: c})
+            factor = from_int_terms(table, {residual: c})
             for i, val in idx.items():
                 e = m[i]
                 cache = powers[i]
@@ -517,32 +505,34 @@ class Polynomial:
         """Reinterpret over an extended table (old positions must agree)."""
         if newtable.names[:len(self.table)] != self.table.names:
             raise NeronError("table extension must append variables")
-        pad = len(newtable) - len(self.table)
-        if pad == 0 and newtable == self.table:
+        if newtable == self.table:
             return self
-        return Polynomial(newtable,
-                          {m + (0,) * pad: c for m, c in self.terms.items()})
+        pad = (0,) * (len(newtable) - len(self.table))
+        num, den, ints = self._iv
+        return _from_ints(newtable, {m + pad: v for m, v in ints.items()},
+                          num, den)
 
     def restrict(self, newtable):
         """Project to a prefix table; extra positions must be unused."""
         n = len(newtable)
         if self.table.names[:n] != newtable.names:
             raise NeronError("not a prefix table")
+        num, den, ints = self._iv
         out = {}
-        for m, c in self.terms.items():
+        for m, v in ints.items():
             if any(m[n:]):
                 raise NeronError("polynomial uses variables outside the prefix")
-            out[m[:n]] = c
-        return Polynomial(newtable, out)
+            out[m[:n]] = v
+        return _from_ints(newtable, out, num, den)
 
     def content(self):
         """Positive rational c with self/c integer, coprime coefficients;
         1 for zero."""
-        num, den, _ = self._view()
+        num, den, _ = self._iv
         return num if den == 1 else Fraction(num, den)
 
     def primitive(self):
-        num, den, ints = self._view()
+        num, den, ints = self._iv
         if num == den:
             return self
         return _from_ints(self.table, ints)
@@ -570,7 +560,7 @@ class PolySum:
 
     def add(self, p, sign=1):
         """In place sum += sign * p; returns the sum."""
-        num, den, ints = p._loose()
+        num, den, ints = p._iv
         if not ints:
             return self
         out = self.ints

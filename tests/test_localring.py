@@ -267,6 +267,17 @@ def test_jet_divide_examples():
                    domain.jet(parse_poly(T, "x^2"), 5))
 
 
+def test_jet_divide_solves_exactly():
+    # the linear system path (constant term 0) divides by an integer pivot
+    domain = LocalRingSpec(VarTable.make(("x", BASE),), [])
+    T = domain.table
+    num = domain.jet(parse_poly(T, "x + x^2"), 5)
+    den = domain.jet(parse_poly(T, "3*x"), 5)
+    z = jet_divide(num, den)
+    assert z.poly == parse_poly(T, "1/3 + 1/3*x")
+    assert (den * z - num).is_zero()
+
+
 def test_jet_divide_non_uniqueness_is_harmless_mod_powers():
     # any solution agrees with any other modulo the annihilator of the
     # denominator; downstream uses only need the product identity

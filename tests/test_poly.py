@@ -1,20 +1,29 @@
 """Polynomial kernel: exact arithmetic, substitution, calculus, printing."""
 
+import os
 import random
+import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import neron.localring
+import neron.poly
+from conftest import random_certificate_instance
 from neron import (ALGEBRA, BASE, Polynomial, VarTable, format_poly,
                    global_order, jacobian, mixed_order, parse_poly,
                    std_basis, taylor_coefficients)
+from neron.cli import run_command
+from neron.desing import desingularize, verify_certificate
 from neron.errors import NeronError, PolyParseError
 from neron.groebner import _Prepared, classic_nf, mora_nf
+from neron.idealops import divide_out
+from neron.lifting import LiftingProblem, newton_lift
 from neron.localring import Jet, LocalRingSpec
-from neron.poly import _canon_coeff, _from_ints
+from neron.poly import _from_ints
 
 
 def table2():
@@ -184,8 +193,13 @@ def reference_mul(a, b):
                 del out[m]
     scale = sa * sb
     if scale != 1:
-        out = {m: _canon_coeff(v * scale) for m, v in out.items()}
+        out = {m: canon(v * scale) for m, v in out.items()}
     return out
+
+
+def canon(c):
+    """The rational c as an int when it is integral."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def assert_product_matches_reference(a, b):
@@ -356,14 +370,16 @@ def assert_int_coefficients(p):
 
 
 def assert_view(p):
-    """The cached view splits p exactly into content and primitive ints,
-    and equals a view computed afresh from the terms."""
+    """The view splits p exactly into content and primitive ints, in the
+    order of the terms, and equals the view the constructor computes from
+    the value map."""
     num, den, ints = p._view()
     scale = p.content()
     assert scale > 0 and gcd(num, den) == 1 and scale == Fraction(num, den)
-    assert all(type(v) is int for v in ints.values())
+    assert all(type(v) is int and v for v in ints.values())
     assert not ints or gcd(*ints.values()) == 1
     assert {m: scale * v for m, v in ints.items()} == p.terms
+    assert list(ints) == list(p.terms) == list(p.monomials())
     fresh = Polynomial(p.table, dict(p.terms))
     assert fresh._view() == (num, den, ints)
     assert type(fresh.content()) is type(scale)
@@ -438,15 +454,17 @@ def test_substitute_under_a_cut_drops_only_terms_beyond_it(p, v, bound):
 
 
 # ---------------------------------------------------------------------------
-# the value map is a cache: reading it first changes no result
+# the value map is built afresh on each read: reading it changes no result
 
 def read_first(p):
-    """p three ways: with only its integer view, the same after a read of
-    its value map, and with only the value map."""
+    """p three ways: created from its integer view, the same after a read
+    of its value map, and created from the value map."""
     num, den, ints = p._view()
     lazy = _from_ints(p.table, dict(ints), num, den)
     read = _from_ints(p.table, dict(ints), num, den)
-    read.terms
+    before = read._view()
+    read.terms["not a monomial"] = 0
+    assert read._view() is before and "not a monomial" not in read.terms
     return lazy, read, Polynomial(p.table, dict(p.terms))
 
 
@@ -516,13 +534,13 @@ def test_reading_the_value_map_first_changes_no_result(a, b, bound):
 
 
 def count_value_map_builds(monkeypatch):
-    """Record every polynomial whose value map is built from its view."""
+    """Record every polynomial whose value map is built from its view,
+    which is every read of ``terms``."""
     built = []
     terms = Polynomial.terms
 
     def spy(p):
-        if p._terms is None:
-            built.append(p)
+        built.append(p)
         return terms.fget(p)
     monkeypatch.setattr(Polynomial, "terms", property(spy))
     return built
@@ -555,3 +573,161 @@ def test_rational_jet_arithmetic_builds_no_value_map(monkeypatch):
         y = Jet(ring, y.poly, n)
     assert_same(z.poly, y.poly)
     assert any(type(c) is Fraction for c in z.poly.terms.values())
+
+
+# ---------------------------------------------------------------------------
+# one state: a value map and the arithmetic give the same polynomial
+
+_VALUES = st.one_of(
+    st.just(0), st.just(Fraction(0)),
+    st.integers(-40, 40),
+    st.integers(-6, 6).map(lambda k: Fraction(k, 1)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12))
+
+
+@st.composite
+def value_maps(draw):
+    """Value maps over table2 with zero entries, integral Fractions and,
+    through the factor, non-unit contents."""
+    mons = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    terms = draw(st.dictionaries(mons, _VALUES, max_size=7))
+    factor = draw(st.sampled_from([1, -1, 6, -35, Fraction(5, 6),
+                                   Fraction(-7, 4), Fraction(1, 12)]))
+    return {m: c * factor for m, c in terms.items()}
+
+
+def by_arithmetic(T, terms):
+    """The sum of Polynomial.const(c) * x1^i * x2^j over the value map."""
+    total = Polynomial.zero(T)
+    for (i, j), c in terms.items():
+        total = total + (Polynomial.const(T, c) * Polynomial.var(T, "x1", i)
+                         * Polynomial.var(T, "x2", j))
+    return total
+
+
+def by_view(T, terms):
+    """_from_ints of a content and primitive terms taken by hand."""
+    nonzero = {m: Fraction(c) for m, c in terms.items() if c}
+    if not nonzero:
+        return _from_ints(T, {})
+    content = Fraction(gcd(*(c.numerator for c in nonzero.values())),
+                       lcm(*(c.denominator for c in nonzero.values())))
+    return _from_ints(T, {m: int(c / content) for m, c in nonzero.items()},
+                      content.numerator, content.denominator)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value_maps())
+def test_value_map_and_arithmetic_build_the_same_polynomial(terms):
+    T = table2()
+    order = mixed_order(T)
+    want = {m: canon(c) for m, c in terms.items() if c}
+    built = [Polynomial(T, dict(terms)), Polynomial.from_terms(T, terms.items()),
+             by_arithmetic(T, terms), by_view(T, terms)]
+    for p in built:
+        assert p == built[0] and hash(p) == hash(built[0])
+        assert list(p.terms.items()) == list(want.items())
+        assert [type(c) for c in p.terms.values()] == [type(c) for c in
+                                                       want.values()]
+        assert format_poly(p, order) == format_poly(built[0], order)
+        assert p.is_zero() == (not want)
+        assert_view(p)
+
+
+def test_zero_coefficients_are_dropped():
+    T = table2()
+    zero = Polynomial.zero(T)
+    for terms in ({(1, 0): 0}, {(1, 0): Fraction(0)},
+                  {(1, 0): 0, (0, 0): 0, (2, 3): Fraction(0, 5)}):
+        p = Polynomial(T, terms)
+        assert p.is_zero() and p == zero and hash(p) == hash(zero)
+        assert p.terms == {} and format_poly(p, mixed_order(T)) == "0"
+        assert p.total_degree() == -1 and p.order() is None
+    p = Polynomial(T, {(1, 0): 0, (0, 1): 3})
+    assert p == parse_poly(T, "3*x2") and format_poly(p, mixed_order(T)) \
+        == "3*x2"
+
+
+def test_non_rational_coefficients_are_refused():
+    T = table2()
+    for bad in (0.1, 0.5, 0.0, 1.0, complex(1, 0), "1"):
+        with pytest.raises(NeronError):
+            Polynomial.const(T, bad)
+        with pytest.raises(NeronError):
+            Polynomial.from_terms(T, [((1, 0), 1), ((0, 1), bad)])
+        with pytest.raises(NeronError):
+            Polynomial(T, {(1, 0): bad})
+    x = parse_poly(T, "x1")
+    ops = (lambda: x + 0.5, lambda: 0.5 + x, lambda: x - 0.5,
+           lambda: 0.5 - x, lambda: x * 0.5, lambda: 0.5 * x)
+    for op in ops:
+        with pytest.raises(TypeError):
+            op()
+    # rationals still act as constants on both sides
+    assert 1 - x == parse_poly(T, "1 - x1")
+    assert Fraction(1, 2) * x + 1 == parse_poly(T, "1/2*x1 + 1")
+
+
+def test_jet_negative_power_raises():
+    T = table_xy()
+    ring = LocalRingSpec(T, [parse_poly(T, "x1^2*x2 - x2^3")])
+    u = ring.jet(parse_poly(T, "1 + x1"), 4)
+    with pytest.raises(NeronError):
+        u ** -1
+    assert u ** 0 == ring.jet(1, 4)
+    assert u ** 2 == ring.jet(parse_poly(T, "1 + 2*x1 + x1^2"), 4)
+
+
+def test_jets_refuse_float_operands():
+    T = table_xy()
+    ring = LocalRingSpec(T, [parse_poly(T, "x1^2*x2 - x2^3")])
+    u = ring.jet(parse_poly(T, "1 + x1"), 4)
+    for op in (lambda: u + 0.5, lambda: 0.5 - u, lambda: u * 0.5,
+               lambda: ring.jet(0.5, 3)):
+        with pytest.raises(NeronError):
+            op()
+    assert u + Fraction(1, 2) == ring.jet(parse_poly(T, "3/2 + x1"), 4)
+    assert 2 * u == ring.jet(parse_poly(T, "2 + 2*x1"), 4)
+
+
+def library_terms_readers(monkeypatch):
+    """Record the file of every read of ``Polynomial.terms`` made directly
+    by library code outside poly.py."""
+    lib = os.path.dirname(os.path.abspath(neron.poly.__file__))
+    readers = []
+    terms = Polynomial.terms
+
+    def spy(p):
+        path = os.path.abspath(sys._getframe(1).f_code.co_filename)
+        if os.path.dirname(path) == lib and path != neron.poly.__file__:
+            readers.append(os.path.basename(path))
+        return terms.fget(p)
+    monkeypatch.setattr(Polynomial, "terms", property(spy))
+    return readers
+
+
+def test_only_poly_reads_the_value_map(monkeypatch):
+    # seed 18 certifies, and its presentation loses unit linear terms
+    problem = random_certificate_instance(18)
+    approx = {nm: j.poly for nm, j in problem.morphism.jets.items()}
+    lift = LiftingProblem(problem.ring, problem.relations,
+                          tuple(range(len(problem.relations))), approx, 0, 80)
+    readers = library_terms_readers(monkeypatch)
+    result = desingularize(problem)
+    assert verify_certificate(result.certificate, result.algebra,
+                              result.morphism)
+    newton_lift(lift)
+    code, out, _ = run_command("desing", "problems/example1_hypersurface.gnd")
+    assert code == 0 and out
+    # and the monomial path of divide_out, which these do not reach
+    T = table2()
+    assert (divide_out(parse_poly(T, "x1^2*x2 - 1/2*x1*x2^3"),
+                       parse_poly(T, "-3*x1*x2"), T)
+            == parse_poly(T, "-1/3*x1 + 1/6*x2^2"))
+    assert readers == []
+    # the spy does see a read made from a library module
+    probe = {}
+    exec(compile("def read(p):\n    return p.terms\n",
+                 neron.localring.__file__, "exec"), probe)
+    probe["read"](Polynomial.const(problem.ring.table, 1))
+    assert readers == ["localring.py"]
