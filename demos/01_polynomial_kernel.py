@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 # Exact polynomial kernel: tables, term orders, bases, division witnesses.
 
-from neron import (ALGEBRA, BASE, VarTable, buchberger_criterion,
-                   format_poly, global_order, lift_division, local_order,
-                   mixed_order, parse_poly, std_basis)
+from neron import (ALGEBRA, BASE, NegDegRevLex, VarTable,
+                   buchberger_criterion, format_poly, global_order,
+                   lift_division, mixed_order, parse_poly, std_basis)
 
 # Variables live in named blocks: base variables x carry the local order,
 # algebra variables Y stay global, so computations happen over the
@@ -14,7 +14,7 @@ p = parse_poly(T, "(x1 + x2)*(x1 - x2)")
 print("exact arithmetic:", p)                       # x1^2 - x2^2
 
 # Under the local order the constant monomial dominates the base block.
-keyf = local_order().key(T)
+keyf = NegDegRevLex().key(T)
 print("local order ranks 1 above x1:", keyf((0, 0, 0, 0)) > keyf((1, 0, 0, 0)))
 
 # A standard basis under the mixed order (Y global above x local).

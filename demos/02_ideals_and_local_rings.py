@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 # Ideal operations over the localized base ring, minimal primes and jets.
 
-from neron import (ALGEBRA, BASE, VarTable, eliminate, ideal_equal,
-                   ideal_quotient, mixed_order, parse_poly,
-                   radical_membership, saturate)
+from neron import (ALGEBRA, BASE, Ideal, VarTable, eliminate, ideal_quotient,
+                   mixed_order, parse_poly, radical_membership, same_ideal,
+                   saturate)
 from neron.localring import (LocalRingSpec, jet_divide, jet_invert,
                              minimal_primes)
 
@@ -14,6 +14,8 @@ order = mixed_order(T)
 colon = ideal_quotient([parse_poly(T, "x1*x2")], [parse_poly(T, "x1")],
                        T, order)
 print("(x1*x2 : x1) =", colon)
+print("equal to (x2):",
+      same_ideal(Ideal(T, colon), Ideal(T, [parse_poly(T, "x2")]), order))
 
 sat, stable_at = saturate([parse_poly(T, "x1^2*x2")], parse_poly(T, "x1"),
                           T, order)

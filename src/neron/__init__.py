@@ -16,14 +16,14 @@ from .errors import (ActiveElementNotFound, BoundTooSmall, CertificateFailed,
                      VerificationFailed)
 from .orders import (ALGEBRA, AUX, BASE, INVERTER, SLACK, TANGENT, BlockOrder,
                      DegRevLex, NegDegRevLex, TermOrder, VarTable,
-                     elim_order, global_order, local_order, mixed_order)
+                     elim_order, global_order, mixed_order)
 from .poly import Polynomial, format_poly, jacobian, parse_poly, taylor_coefficients
-from .linalg import PolyMatrix, det, det_adjugate, identity, minors
+from .linalg import PolyMatrix, det, det_adjugate, minors
 from .groebner import (DivisionWitness, Ideal, buchberger_criterion,
                        divide_with_witness, lift_division, normal_form_against,
                        std_basis)
-from .idealops import (divide_out, eliminate, ideal_equal, ideal_quotient,
-                       intersect, krull_dim, radical_membership, saturate,
+from .idealops import (divide_out, eliminate, ideal_quotient, intersect,
+                       krull_dim, radical_membership, same_ideal, saturate,
                        syzygies)
 
 __all__ = [n for n in dir() if not n.startswith("_")]

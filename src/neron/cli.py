@@ -1,9 +1,8 @@
 """Command line driver: desing, hba, lift and check on problem files.
 
-Exit codes: 0 success; 2 the precision bound is too small (with the exact
-message on stderr); 3 a hypothesis or search condition failed; 4 parse
-error; 5 an internal certificate or verification failure.  Results go to
-stdout, diagnostics to stderr.
+Exit codes: 0 success, 4 an unreadable file or unknown command, and
+otherwise the code the raised error carries (see ``errors``).  Results go
+to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -15,21 +14,11 @@ from dataclasses import asdict
 
 from .desing import (AlgebraPresentation, desingularize, elkik_ideal,
                      validate_morphism)
-from .errors import (ActiveElementNotFound, BoundTooSmall, CompletionFailed,
-                     ConditionStarStarFailed, DecompositionIncomplete,
-                     DivisibilityViolated, DivisionFailed, HypothesisViolated,
-                     NeronError, NoContraction, NotAUnit, NotDivisible,
-                     PolyParseError, PreconditionFailed, TargetInsidePrime)
+from .errors import NeronError, PreconditionFailed
 from .lifting import LiftingProblem, newton_lift
 from .orders import mixed_order
 from .poly import format_poly
 from .problemfile import parse_problem
-
-_CONDITION_ERRORS = (ConditionStarStarFailed, HypothesisViolated,
-                     ActiveElementNotFound, TargetInsidePrime,
-                     CompletionFailed, PreconditionFailed, NoContraction,
-                     DivisionFailed, DivisibilityViolated, NotDivisible,
-                     DecompositionIncomplete, NotAUnit)
 
 
 def emit_trace(trace, fmt="text"):
@@ -140,8 +129,7 @@ def _cmd_check(pf, fmt):
     ring = problem.ring
     notes = []
     if ring.primes is None:
-        from .localring import minimal_primes
-        primes = minimal_primes(list(ring.j_gens), ring.table, ring.order)
+        primes = ring.with_minimal_primes().primes
         notes.append(f"minimal primes: {len(primes)} component(s)")
     else:  # pf.build() has validated them
         notes.append("supplied minimal primes validated")
@@ -172,19 +160,17 @@ def run_command(cmd, path, fmt="text", rho=None, target=None, f_indices=None,
         if cmd == "check":
             return _cmd_check(pf, fmt)
         return 4, "", f"unknown command {cmd!r}\n"
-    except PolyParseError as exc:
-        return 4, "", f"parse error: {exc}\n"
-    except BoundTooSmall as exc:
-        return 2, "", str(exc) + "\n"
-    except ConditionStarStarFailed as exc:
-        return 3, "", f"{type(exc).__name__}: {exc}\n" + "".join(
-            f"  subset {list(subset)}, prime "
-            f"{'-' if prime is None else prime}: {reason}\n"
-            for subset, prime, reason in exc.diagnostics)
-    except _CONDITION_ERRORS as exc:
-        return 3, "", f"{type(exc).__name__}: {exc}\n"
     except NeronError as exc:
-        return 5, "", f"{type(exc).__name__}: {exc}\n"
+        return exc.exit_code, "", exc.report()
+
+
+def _parse_indices(text):
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise PreconditionFailed(
+            f"--f-indices: {text!r} is not a comma separated list of "
+            f"integers") from None
 
 
 def main(argv=None):
@@ -209,14 +195,17 @@ def main(argv=None):
             p.add_argument("--f-indices", type=str, default=None,
                            help="comma separated generator indices forming f")
     args = parser.parse_args(argv)
-    f_indices = None
-    if getattr(args, "f_indices", None):
-        f_indices = tuple(int(t) for t in args.f_indices.split(","))
-    code, out, err = run_command(
-        args.command, args.file, fmt=args.format,
-        rho=getattr(args, "rho", None),
-        target=getattr(args, "target_precision", None),
-        f_indices=f_indices, max_subset=args.max_subset)
+    try:
+        f_indices = (_parse_indices(args.f_indices)
+                     if getattr(args, "f_indices", None) else None)
+    except NeronError as exc:
+        code, out, err = exc.exit_code, "", exc.report()
+    else:
+        code, out, err = run_command(
+            args.command, args.file, fmt=args.format,
+            rho=getattr(args, "rho", None),
+            target=getattr(args, "target_precision", None),
+            f_indices=f_indices, max_subset=args.max_subset)
     if out:
         sys.stdout.write(out)
     if err:

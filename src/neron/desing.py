@@ -25,12 +25,11 @@ from .errors import (ActiveElementNotFound, BoundTooSmall, CertificateFailed,
                      NotInIdeal, PreconditionFailed, TargetInsidePrime,
                      VerificationFailed)
 from .groebner import Ideal, lift_division
-from .idealops import eliminate, krull_dim, saturate, syzygies
-from .linalg import PolyMatrix, det, det_adjugate
+from .idealops import eliminate, ideal_quotient, krull_dim, saturate, syzygies
+from .linalg import PolyMatrix, det, det_adjugate, minors
 from .localring import (Jet, LocalRingSpec, active_element,
                         check_precision_bound, compute_e, jet_divide,
-                        jet_invert, minimal_primes, small_vectors,
-                        small_vectors_by_norm)
+                        jet_invert, small_vectors, small_vectors_by_norm)
 from .orders import (ALGEBRA, BASE, INVERTER, SLACK, TANGENT, global_order,
                      mixed_order)
 from .poly import (Polynomial, PolySum, exact_div, format_poly, jacobian,
@@ -234,36 +233,35 @@ def _survives_all(ring, precision, jet):
 # ---------------------------------------------------------------------------
 # stages
 
+def jacobian_colon(ring, fs, relations, y_names):
+    """(((fs) + J : I + J), the nonzero maximal minors of d(fs)/dY), with I
+    generated by ``relations``.  The minors come first; when none is
+    nonzero, the colon is not computed and both are empty."""
+    table = ring.table
+    jac = PolyMatrix(table, jacobian(list(fs), list(y_names)))
+    minor_list = tuple(m for m in minors(jac, len(fs)) if not m.is_zero())
+    if not minor_list:
+        return (), ()
+    j_gens = list(ring.j_gens)
+    return ideal_quotient(list(fs) + j_gens, list(relations) + j_gens,
+                          table, ring.order), minor_list
+
+
 def elkik_ideal(B, cap):
     """Sum over generator subsets of ((f):I) * Delta_f, plus its trace in A."""
     ring = B.ring
     table = ring.table
-    order = ring.order
     rels = [p for p in B.relations if not p.is_zero()]
-    y_names = list(B.algebra_names())
-    n = len(y_names)
+    y_names = B.algebra_names()
     j_gens = list(ring.j_gens)
-    i_plus_j = rels + j_gens
     contributions = []
-    sizes = range(0, min(cap, n, len(rels)) + 1) if rels else (0,)
-    from .idealops import ideal_quotient
-    from .linalg import minors as all_minors
+    sizes = range(1, min(cap, len(y_names), len(rels)) + 1) if rels else (0,)
     for r in sizes:
-        if r == 0 and rels:
-            continue
         for subset in itertools.combinations(range(len(rels)), r):
-            fs = [rels[i] for i in subset]
-            if r:
-                jac = PolyMatrix(table, jacobian(fs, y_names))
-                minor_list = [m for m in all_minors(jac, r) if not m.is_zero()]
-            else:
-                minor_list = [Polynomial.const(table, 1)]
+            colon, minor_list = jacobian_colon(
+                ring, [rels[i] for i in subset], rels, y_names)
             if not minor_list:
                 continue
-            colon = ideal_quotient(fs + j_gens if fs else j_gens,
-                                   i_plus_j if rels else
-                                   [Polynomial.zero(table)], table, order)
-            colon = tuple(c for c in colon if not c.is_zero())
             products = []
             seen = set()
             for c in colon:
@@ -274,8 +272,7 @@ def elkik_ideal(B, cap):
                     if prod not in seen:
                         seen.add(prod)
                         products.append(prod)
-            contributions.append(ElkikContribution(subset, colon,
-                                                   tuple(minor_list),
+            contributions.append(ElkikContribution(subset, colon, minor_list,
                                                    tuple(products)))
     gens = []
     seen = set()
@@ -285,7 +282,7 @@ def elkik_ideal(B, cap):
                 seen.add(p)
                 gens.append(p)
     elim_roles = tuple(r for r in table.roles_present() if r != BASE)
-    h_cap_a = eliminate(gens + rels + j_gens, elim_roles, table, order)
+    h_cap_a = eliminate(gens + rels + j_gens, elim_roles, table, ring.order)
     return ElkikData(contributions, tuple(gens), h_cap_a)
 
 
@@ -832,15 +829,17 @@ def verify_certificate(cert, BT, vT, taylor_nf=True):
             want = cert.P if i == j else Polynomial.zero(table)
             if GH[i, j] != want or HG[i, j] != want:
                 raise CertificateFailed("G*H = P*Id fails")
-    # selected rows of (df/dY)*G = P * pivot pattern
+    # selected rows of (df/dY)*G = P * pivot pattern; no rows when r = 0
     y_names = list(BT.algebra_names())
-    jac = PolyMatrix(table, jacobian(list(cert.f), y_names))
-    JG = jac.matmul(cert.G)
-    for i in range(cert.r):
-        for j in range(n):
-            want = cert.P if j == cert.pivots[i] else Polynomial.zero(table)
-            if JG[i, j] != want:
-                raise CertificateFailed("(df/dY)*G != P * pivot selection")
+    if cert.r:
+        jac = PolyMatrix(table, jacobian(list(cert.f), y_names))
+        JG = jac.matmul(cert.G)
+        for i in range(cert.r):
+            for j in range(n):
+                want = (cert.P if j == cert.pivots[i]
+                        else Polynomial.zero(table))
+                if JG[i, j] != want:
+                    raise CertificateFailed("(df/dY)*G != P * pivot selection")
     # d congruent to P modulo the relations
     rel_ideal = Ideal(table, list(BT.relations) + list(ring.j_gens))
     if not rel_ideal.contains(cert.d - cert.P, order):
@@ -1102,9 +1101,7 @@ def desingularize(problem):
     order = ring.order
     fmt = lambda p: format_poly(p, mixed_order(p.table))
 
-    if ring.primes is None:
-        primes = minimal_primes(list(ring.j_gens), ring.table, order)
-        ring = LocalRingSpec(ring.table, ring.j_gens, primes)
+    ring = ring.with_minimal_primes()
     record(1, {f"P_{i + 1}": "(" + ", ".join(fmt(g) for g in p) + ")"
                for i, p in enumerate(ring.primes)})
 

@@ -15,13 +15,10 @@ dividend is integer terms over one denominator, the remainder is created
 from its integer terms, and a rational coefficient is built only for rows.
 
 Basis computation is Buchberger's loop with the normal pair-selection
-strategy and Gebauer-Moeller pruning.  Output bases are monic and sorted,
-and identical inputs give byte-identical bases.  For global orders they are
-minimal and fully tail-reduced.  For local and mixed orders no element's
-lead divides an element added before it, but a later, smaller lead may
-divide an earlier one (``std_basis([x1^2, x1])`` keeps both), so the basis
-can hold redundant elements; ``Ideal.leads`` filters their leads.  Making
-these bases minimal is open (ROADMAP item 8).
+strategy and Gebauer-Moeller pruning.  Output bases are monic, sorted and
+minimal for every order: no element's lead divides another's.  Identical
+inputs give byte-identical bases, and for global orders they are also
+fully tail-reduced.
 """
 
 from __future__ import annotations
@@ -283,6 +280,15 @@ def mora_nf(p, reducers, keyf, table, row=None):
     return (from_int_terms(table, h, 1, den) if stepped else p), row
 
 
+def _divide(p, reducers, keyf, table, glob, full=True, row=None):
+    """Long division for global orders, Mora's normal form otherwise;
+    returns (remainder, row).  ``full=False`` stops a long division at the
+    first term no reducer divides, as Mora's normal form does."""
+    if glob:
+        return classic_nf(p, reducers, keyf, table, full=full, row=row)
+    return mora_nf(p, reducers, keyf, table, row=row)
+
+
 def spoly(f, g, keyf, table):
     """x^u * f/lc(f) - x^v * g/lc(g), with x^u * lm(f) = x^v * lm(g) the lcm
     of the leads, combined on the integer views: with F, G the primitive
@@ -343,9 +349,8 @@ def _update_pairs(G, P, new_idx, lms, glob):
 
 
 def std_basis(gens, table, order, *, track=None, stop_on_unit=False):
-    """Monic, sorted standard basis of the ideal generated by ``gens``:
-    minimal for global orders; under local and mixed orders it may keep
-    redundant elements, as the module docstring says.
+    """Monic, sorted, minimal standard basis of the ideal generated by
+    ``gens``.
 
     track=None     -> basis tuple
     track="rows"   -> (basis, rows): basis[k] = sum(rows[k][j] * gens[j])
@@ -362,11 +367,6 @@ def std_basis(gens, table, order, *, track=None, stop_on_unit=False):
     lms = []
     P = set()
     syzygies = []
-
-    def reduce_poly(p, row):
-        if glob:
-            return classic_nf(p, G, keyf, table, full=False, row=row)
-        return mora_nf(p, G, keyf, table, row=row)
 
     def add_element(p, row):
         nonlocal P
@@ -388,7 +388,7 @@ def std_basis(gens, table, order, *, track=None, stop_on_unit=False):
         if g.is_zero():
             continue
         row = {j: Polynomial.const(table, 1)} if track else None
-        r, row = reduce_poly(g, row)
+        r, row = _divide(g, G, keyf, table, glob, full=False, row=row)
         if r.is_zero():
             if track == "syz" and row and any(not q.is_zero()
                                               for q in row.values()):
@@ -412,7 +412,7 @@ def std_basis(gens, table, order, *, track=None, stop_on_unit=False):
             if track == "syz" and row:
                 syzygies.append(row)
             continue
-        r, row = reduce_poly(s, row)
+        r, row = _divide(s, G, keyf, table, glob, full=False, row=row)
         if r.is_zero():
             if track == "syz" and row and any(not q.is_zero()
                                               for q in row.values()):
@@ -444,12 +444,13 @@ def _row_tuple(row, ngens, table):
 
 
 def _post_process(G, keyf, glob, table, track):
+    """Keep each element whose lead no other lead divides (of equal leads,
+    the first), tail-reduce under a global order, make monic, sort."""
     live = sorted((g for g in G if not g.poly.is_zero()),
                   key=lambda g: keyf(g.lm))
-    minimal = []
-    for g in live:
-        if all(not mon_divides(h.lm, g.lm) for h in minimal):
-            minimal.append(g)
+    minimal = [g for k, g in enumerate(live)
+               if not any(mon_divides(h.lm, g.lm) and (h.lm != g.lm or j < k)
+                          for j, h in enumerate(live))]
     if glob:
         reduced = []
         for g in minimal:
@@ -472,20 +473,13 @@ def _post_process(G, keyf, glob, table, track):
     return out
 
 
-def _reduce(p, prepared, keyf, table, glob):
-    """Full classic division for global orders, Mora's NF otherwise."""
-    if glob:
-        return classic_nf(p, prepared, keyf, table, full=True)[0]
-    return mora_nf(p, prepared, keyf, table)[0]
-
-
 def normal_form_against(p, basis, table, order):
     """Normal form of p versus a precomputed basis (zero iff membership)."""
     if p.is_zero() or not basis:
         return p
     keyf = order.key(table)
     prepared = [_Prepared(b, keyf, i) for i, b in enumerate(basis)]
-    return _reduce(p, prepared, keyf, table, order.is_global(table))
+    return _divide(p, prepared, keyf, table, order.is_global(table))[0]
 
 
 class Ideal:
@@ -519,11 +513,9 @@ class Ideal:
         return self._prepared(order)[0]
 
     def leads(self, order):
-        """Minimal generators of the lead ideal (a frozenset of monomials),
-        without the redundant leads a basis for a local order may have."""
-        lms = {g.lm for g in self._prepared(order)[3]}
-        return frozenset(m for m in lms
-                         if not any(o != m and mon_divides(o, m) for o in lms))
+        """Minimal generators of the lead ideal: the basis leads, as a
+        frozenset of monomials."""
+        return frozenset(g.lm for g in self._prepared(order)[3])
 
     def nf(self, p, order):
         """Normal form of p; zero iff p lies in the ideal."""
@@ -532,7 +524,7 @@ class Ideal:
         basis, keyf, glob, prepared = self._prepared(order)
         if not basis:
             return p
-        return _reduce(p, prepared, keyf, self.table, glob)
+        return _divide(p, prepared, keyf, self.table, glob)[0]
 
     def contains(self, p, order):
         return self.nf(p, order).is_zero()
@@ -579,13 +571,10 @@ class DivisionWitness:
 
 def _witness_division(p, divisors, table, order, prepared):
     """Divide p by prepared reducers, tracking p itself as an extra slot."""
-    keyf = order.key(table)
     extra = len(divisors)
-    row = {extra: Polynomial.const(table, 1)}
-    if order.is_global(table):
-        r, row = classic_nf(p, prepared, keyf, table, full=True, row=row)
-    else:
-        r, row = mora_nf(p, prepared, keyf, table, row=row)
+    r, row = _divide(p, prepared, order.key(table), table,
+                    order.is_global(table),
+                    row={extra: Polynomial.const(table, 1)})
     zero = Polynomial.zero(table)
     unit = row.get(extra, zero)
     quotients = tuple(-row.get(j, zero) for j in range(extra))

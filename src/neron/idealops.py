@@ -97,11 +97,6 @@ def same_ideal(a, b, order):
             and all(b.contains(g, order) for g in a.basis(order)))
 
 
-def ideal_equal(gens_a, gens_b, table, order=None):
-    order = mixed_order(table) if order is None else order
-    return same_ideal(Ideal(table, gens_a), Ideal(table, gens_b), order)
-
-
 def saturate(gens, g, table, order=None, max_steps=100):
     """((I : g^infinity), k) with k the first index where the chain
     I, (I : g), ((I : g) : g), ... is stable.  ``gens`` may be an Ideal,
@@ -157,8 +152,7 @@ def syzygies(gens, table, order=None):
         if g.is_zero():
             out.append(tuple(one if i == j else zero
                              for i in range(len(gens))))
-    live = [g for g in gens]
-    _, _, syz = std_basis(live, table, order, track="syz")
+    _, _, syz = std_basis(gens, table, order, track="syz")
     seen = set()
     for vec in syz:
         if vec not in seen:

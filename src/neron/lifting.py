@@ -17,15 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .desing import (AlgebraPresentation, MorphismApprox, ShiftedPoint,
-                     complete_H, eval_exact)
+                     complete_H, eval_exact, jacobian_colon)
 from .errors import (DivisionFailed, HypothesisViolated, NeronError,
                      NoContraction, NotDivisible, PreconditionFailed)
 from .groebner import Ideal
-from .idealops import ideal_quotient
-from .linalg import PolyMatrix, det, det_adjugate, minors
-from .localring import LocalRingSpec, compute_e, jet_divide, minimal_primes
+from .linalg import det, det_adjugate
+from .localring import compute_e, jet_divide
 from .orders import ALGEBRA
-from .poly import Polynomial, jacobian
+from .poly import Polynomial
 
 
 @dataclass
@@ -63,15 +62,10 @@ def nu_bound(e, rho, c):
 def _jacobian_products(prob):
     """Evaluations at y' of generators of ((f):I) * Delta_f."""
     ring = prob.ring
-    table = ring.table
-    f_polys = list(prob.f_polys())
-    y_names = list(table.block_names(ALGEBRA))
-    j_gens = list(ring.j_gens)
-    colon = ideal_quotient(f_polys + j_gens,
-                           list(prob.relations) + j_gens, table, ring.order)
-    jac = PolyMatrix(table, jacobian(f_polys, y_names))
-    minor_list = [m for m in minors(jac, len(f_polys)) if not m.is_zero()]
-    subs = {nm: p for nm, p in prob.approx.items()}
+    colon, minor_list = jacobian_colon(
+        ring, prob.f_polys(), prob.relations,
+        ring.table.block_names(ALGEBRA))
+    subs = dict(prob.approx)
     out = []
     for c in colon:
         for m in minor_list:
@@ -96,12 +90,8 @@ def check_hypothesis(prob):
 
 def _completion_data(prob):
     """Square matrix H at y' and the element d = (det H)(y')."""
-    ring = prob.ring
-    if ring.primes is None:
-        primes = minimal_primes(list(ring.j_gens), ring.table, ring.order)
-        ring = LocalRingSpec(ring.table, ring.j_gens, primes,
-                             check_dimension=False)
-    f_polys = [p for p in prob.f_polys()]
+    ring = prob.ring.with_minimal_primes()
+    f_polys = list(prob.f_polys())
     prec = max(prob.target, prob.rho + 1, 2)
     v = MorphismApprox(prec, {nm: ring.jet(p, prec)
                               for nm, p in prob.approx.items()})
@@ -111,10 +101,6 @@ def _completion_data(prob):
     if d.is_zero():
         raise DivisionFailed("det(H) vanishes at the approximate solution")
     return H, d
-
-
-def _congruent(ring, a, b, k):
-    return ring.reduce_jet(a - b, k).is_zero()
 
 
 def _relations_vanish(ring, relations, point, k):
@@ -140,6 +126,14 @@ def newton_lift(prob):
     f_polys = list(prob.f_polys())
     r = len(f_polys)
     c = prob.target
+    if prob.rho < 0:
+        raise PreconditionFailed(f"rho = {prob.rho} is negative")
+    if c < 1:
+        raise PreconditionFailed(f"target precision {c} is below 1")
+    if r > len(y_names):
+        raise PreconditionFailed(
+            f"the subsystem f has {r} relations but there are only "
+            f"{len(y_names)} algebra variables")
 
     if not _relations_vanish(ring, prob.relations, prob.approx, prob.rho):
         raise PreconditionFailed("I(y') does not vanish modulo (x)^rho")
@@ -230,7 +224,7 @@ def strong_approx_decide(prob, y_second, precision):
     """
     ring = prob.ring
     for nm, p in prob.approx.items():
-        if not _congruent(ring, y_second[nm], p, prob.rho):
+        if not ring.reduce_jet(y_second[nm] - p, prob.rho).is_zero():
             raise PreconditionFailed(
                 "y'' does not agree with y' modulo (x)^rho")
     if not _relations_vanish(ring, prob.relations, y_second, precision):
@@ -243,7 +237,8 @@ def strong_approx_decide(prob, y_second, precision):
                            dict(y_second), prob.rho, prob.target)
     report = newton_lift(prob2)
     for nm, p in prob.approx.items():
-        if not _congruent(ring, report.lifted[nm].poly, p, prob.rho):
+        if not ring.reduce_jet(report.lifted[nm].poly - p,
+                               prob.rho).is_zero():
             raise PreconditionFailed(
                 "lifted solution does not agree with y' modulo (x)^rho")
     return report

@@ -69,13 +69,6 @@ class PolyMatrix:
                                for row in self.rows) + "]"
 
 
-def identity(table, n):
-    one = Polynomial.const(table, 1)
-    zero = Polynomial.zero(table)
-    return PolyMatrix(table, [[one if i == j else zero for j in range(n)]
-                              for i in range(n)])
-
-
 def _det_rows(table, rows, cols, memo):
     """Determinant of rows[len-cols:] x cols via expansion on the first row."""
     k = len(cols)

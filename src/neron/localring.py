@@ -110,6 +110,14 @@ class LocalRingSpec:
         return all(any(mon_divides(lm, m) for lm in leads)
                    for m in monomials_of_degree(table, table.block(BASE), N))
 
+    def with_minimal_primes(self):
+        """This ring when it has its primes; otherwise the same ring, its
+        dimension checked, with the minimal primes of J."""
+        if self.primes is not None:
+            return self
+        return LocalRingSpec(self.table, self.j_gens, minimal_primes(
+            list(self.j_gens), self.table, self.order))
+
     def with_table(self, newtable):
         """Same ring data lifted to an extended table."""
         ring = LocalRingSpec(newtable,
@@ -278,7 +286,7 @@ def _standard_monomials(ring, max_degree):
     return out
 
 
-def jet_divide(num, den, result_precision=None):
+def jet_divide(num, den):
     """Jet z with den*z = num modulo (x)^(N - ord den) + J, else NotDivisible.
 
     Solved as an exact linear system on the coefficients of z over the
@@ -289,7 +297,7 @@ def jet_divide(num, den, result_precision=None):
         raise NotDivisible("division by a zero jet")
     o = den.order()
     n = min(num.precision, den.precision)
-    n_res = n - o if result_precision is None else result_precision
+    n_res = n - o
     if n_res < 1:
         raise NotDivisible("no precision left after dividing")
     if num.is_zero():

@@ -207,8 +207,3 @@ def elim_order(table, roles, ambient=None):
 def global_order():
     """Plain degrevlex on everything (polynomial-ring computations)."""
     return DegRevLex()
-
-
-def local_order():
-    """Plain negative degrevlex on everything (pure base computations)."""
-    return NegDegRevLex()

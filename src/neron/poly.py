@@ -42,21 +42,9 @@ def exact_div(a, b):
     """
     if isinstance(a, int) and isinstance(b, int):
         q, r = divmod(a, b)
-        if not r:
-            return q
-        return Fraction(a, b)
-    out = Fraction(a) / b
-    if out.denominator == 1:
-        return out.numerator
-    return out
-
-
-def _ratio(a, den):
-    """The rational a/den (den > 0) as an int when it is integral."""
-    g = gcd(a, den)
-    if g == den:
-        return a // den
-    return Fraction(a // g, den // g)
+        return Fraction(a, b) if r else q
+    out = a / b
+    return out.numerator if out.denominator == 1 else out
 
 
 def _times(n1, d1, n2, d2):
@@ -154,7 +142,7 @@ class Polynomial:
         num, den, ints = self._iv
         if den == 1:
             return {m: v * num for m, v in ints.items()}
-        return {m: _ratio(v * num, den) for m, v in ints.items()}
+        return {m: exact_div(v * num, den) for m, v in ints.items()}
 
     def _view(self):
         """(num, den, primitive integer terms) with poly = num/den * terms;
@@ -211,7 +199,7 @@ class Polynomial:
         """The coefficient of ``mon``, 0 when it has none."""
         num, den, ints = self._iv
         v = ints.get(mon)
-        return 0 if v is None else _ratio(v * num, den)
+        return 0 if v is None else exact_div(v * num, den)
 
     def constant_coefficient(self):
         return self.coefficient(tuple(0 for _ in self.table.names))

@@ -23,11 +23,12 @@ import pytest
 from conftest import (CERTIFICATE_SEEDS, KNOWN_SLOW, REJECTED_SEEDS,
                       hypersurface_problem, random_certificate_instance,
                       space_curve_data, two_branch_problem)
-from neron import (ALGEBRA, BASE, Polynomial, PolyMatrix, VarTable,
+from neron import (ALGEBRA, BASE, Ideal, Polynomial, PolyMatrix, VarTable,
                    buchberger_criterion, det, det_adjugate, format_poly,
-                   global_order, ideal_equal, ideal_quotient, jacobian,
+                   global_order, ideal_quotient, jacobian,
                    lift_division, minors, mixed_order, normal_form_against,
-                   parse_poly, radical_membership, saturate, std_basis)
+                   parse_poly, radical_membership, same_ideal, saturate,
+                   std_basis)
 from neron.cli import emit_trace
 from neron.desing import (AlgebraPresentation, certify_subsystem_membership,
                           desingularize, elkik_ideal, factor_morphism,
@@ -131,7 +132,7 @@ def test_criterion_2_hypersurface_and_colon_identity():
     lhs = ideal_quotient([parse_poly(T, "Y1*Y2 - x^2"), h1, h2],
                          [parse_poly(T, "x^2")], T, order)
     rhs = [parse_poly(T, "x*T1*T2 - x^2*T2^2 + T1"), h1, h2]
-    assert ideal_equal(lhs, rhs, T, order)
+    assert same_ideal(Ideal(T, lhs), Ideal(T, rhs), order)
     elapsed = time.monotonic() - t0
     _verdict("criterion 2 (hypersurface + colon identity)", elapsed < 10.0,
              f"{elapsed:.2f} s")
@@ -295,7 +296,7 @@ def test_space_curve_twisted_witness():
 # relation, one per line; a change to any digest means a computed value or
 # the trace format changed
 SEED_DIGESTS = {
-    0: "9b03a9f1af05bc4eabe581a2c42520c9799c23588e9cdeccf6e6badc7bb0e9b1",
+    0: "feca30bb9194a53a1dbc4e07fbdbd6d3a0e2681373771f0b6e9be974ef1e5ba8",
     1: "b835df0a554c94368b775a7b0f1930a06c23e352b7053b8afec5c51123c4acad",
     2: "3085a4e5aceb8d6428f026044ee646aa11c34d291d3579e63e70bc5ba8a008bf",
     3: "6132ebf7c4b399d87bb580c809c1530b98824180cbb2280c03d8d932dbe74a54",
@@ -304,23 +305,23 @@ SEED_DIGESTS = {
     7: "e0cd7f8de270d79f0f11fc23210a3ad35f0a9414cba06c8cf0ca9e1a04e4a42f",
     8: "843aae03150df7f4d8e2d4af3e14918bb0847f5bfa1127f262503028af6e15a7",
     10: "f2de3b346f708f8a8e20ee3e701d433f031c6778447e0a653c8302e892ff4c4b",
-    11: "304efff30be2cbe0fc0f2e78161f28222d0d00b240c7b490896587c30d3904a6",
-    12: "0f0992da933eb6959f94bed58ff44a83e3699c4b5377536a9e3f4f202619b730",
-    13: "405d5538788884785e39f1b8cea1310a1e29cfd1afd0228ff7cc03179f2ee0ef",
+    11: "38e5816e1c9894736199a21db2c2cd0d7da84a5dc856a4a0fa036e5ba9da6868",
+    12: "76ea5ce473cebd47d43e2d6eb2a5b0fb2a352d97d8231e381fcb10bab6ab2fdb",
+    13: "a964e0cf9f6bdb26362cea9fe57e34bed17bfe0306ed5e644aa244031e68a24a",
     14: "8db9abd774a89d3a8f6a52677cfd888ad0131e1be9693376542e7da33c29103a",
     15: "7441a81b6863d04ada9bad3411ea8a0486cc8776bea603592faf7741317b9015",
-    16: "2d520a7967b3dd588b0fb5ef45c931d536998ef6cc1213f48d3f809ad1a89b4c",
-    17: "1777b003fd33c328939a168f768d530f68fc3e2b9b31aafd4be03f4afebd91ae",
+    16: "65f18cf0c3d73dd1b061f5e66b927aeca435b04a24dcc5d987fcc6e1f1c506b0",
+    17: "5d50752d5e3bec44328e97486dac532e45b6e425e08e60316ba688787fe1fbc9",
     18: "1b1bb192a7f6aa456a4ed05b6ff3096797f7606f70808227f9146f4cf2cd9280",
     19: "01a68136bc78dddad269f47f8edc0f337c0ae0b1001ca8478270ec22e3596bf2",
-    20: "64fb0ec6a418c467d3b403c93ec43639a1894742cd2ab9b746a1bbd5db2d62c7",
+    20: "502c345314582b5a0c98c94e87f9ab605bcaec7b2b5783049e6bde8fcbe1368a",
     21: "e24a1052d5fe1067524b1b0faea2bc70cb39ff2d4018fd2ed5adf6d7852d146b",
     22: "7b10c3061e5c11080998cf0f48d30e5219fa631f1a6fb783b50350d39dde8e00",
     23: "f2de3b346f708f8a8e20ee3e701d433f031c6778447e0a653c8302e892ff4c4b",
-    24: "38bb5c1388c83fbe4e6a0596080d315b6090b591364b27d64448e27e51fbd610",
+    24: "59324d8c9a116c8cc6a80bd616a94dc281cc6c11001f3f0a79a82611ea6e399e",
     25: "2244729627f5790e079c5179ea79e938b000fb7fe577d56d51ad660d18f1749b",
     26: "fc15ae8d96029a1d3edd56dc0c5f78de0bb3b1445d0969da29bd245909c60a27",
-    27: "e66079d03b4164b7f9153f0eeafa50bb3d0ae4bfa8754019ce02d57c12e170bc",
+    27: "f3f32094f8e36d5b75f94ea54fc744261ef43d264fcc8dbf2436f063be767a12",
     28: "35c994197e81fa904702b79bed16dd0d961f67da907a18b1b7f783f2150df0d6",
     29: "f2de3b346f708f8a8e20ee3e701d433f031c6778447e0a653c8302e892ff4c4b",
     31: "418fadd4e9156a4611584bc9c8334568111182bb54ecedd3463567b95a435ce5",
@@ -386,13 +387,15 @@ def test_criterion_4_certificate_property_suite(certified_seeds):
 # machine trace records 1-18 followed by format_poly of the g and h
 # relations, one per line; and the sha256 of format_poly of the expanded
 # multiplier.  The multiplier was not recorded for seeds 14 and 31, whose
-# expansion alone took most of their 19 s and 41 s.
+# expansion alone took most of their 19 s and 41 s.  The first digest of
+# seeds 0, 11, 12, 13, 16, 17, 20, 24 and 27 was re-pinned with SEED_DIGESTS
+# (record 3 only).
 PARENT_OUTPUT = {
     "hypersurface": (
         "e37354e2fed0ee1030eecfbdcb4587df37dd3f237109b98ca18980f89e334caf",
         "6858256b1a05e7969e647120450a89878037aff4c51945205a29997d3252495e"),
     0: (
-        "6684dd0c44a74859376dd751fce378ee12d9347ff53dd18e5e1b6b1e01940db6",
+        "c201a4df63f5365231c87f09446c953fd1cb47e9ddf66e7b63485d189ba01042",
         "d0ca224b5c725e034c70eb698c137f3b292740009f31b5f5e42485b5b11b44fb"),
     1: (
         "26c67bf518ca26f3bb55f91e855d5c27c77694a1006fa7be8ed8fcad246b0e68",
@@ -419,13 +422,13 @@ PARENT_OUTPUT = {
         "6b551becc9c1d1e85a0b5ad83c3fcd6c32be988193e55e9bc7905098f9cec956",
         "71c81b891830505fc52f6dce4cfdadf26306750ec65cf10ff3f3d24d4ff217cf"),
     11: (
-        "54a6f0b5f31c35b63a7a5cd8ee3b60cad175a73d59dcdb121529c8a99cbfbcff",
+        "636abe2dd9b7ae5e7de8723caf3e0711d7ed348f43542700ff99bda49ba55004",
         "3e009c1acaec5726993643cc36cfa953ae116a5fe53ba4ceaad6963190f1d63a"),
     12: (
-        "4a4dccd46d1d3bf08b9f33283f74536072977e3ab3e40f02a9db249fe03e4713",
+        "cda34ddb684c3a37f99320c9522fa362a772b2567f56ff75983719705de369e5",
         "b892973208e493ccfa5c14f16ddce6788200184742e00e2d1c7d462fcd69f651"),
     13: (
-        "9a9975069ef689220bfe5d389ccf27f3fce0b56f99ce9b5a5197d80fd6c7a474",
+        "596b51b066cff928c4ec93c4466c67c1c448c78ce9c3b5139e7f21a6cc0b9de5",
         "d3d25b09bc2325ed0d7007d6990236d7e1c3c67a211152850134d55c8a1376e9"),
     14: (
         "6a5c0e233c324ac9b696201796e65bdc1e660f2c4064d7636a94a7c2769f0dfe",
@@ -434,10 +437,10 @@ PARENT_OUTPUT = {
         "cdd76ff75604d4575190d9fec147759cd701c06359fe680f1c3b472d212e7d61",
         "739a2afd34b15ba455f9f47fdfe95ad6441259dd1edb1fb255a02a01e38e1cfe"),
     16: (
-        "b49eebc0b3666438681594da1aaac2f000e1b92ccc7663d5ca1075a22544704e",
+        "b94c27f9cfae24a2d8dec08b5bac83b48721e21df55d558c147e4312f40c0b7c",
         "2c3aaf8237d5cf79d7573bb361b386d9b82b2488fb6d29fcce2e1d07bfcb57a8"),
     17: (
-        "287ab3cd551c2e4b360b228cb6cae98effbcedc85cab8571102ed3c65f4eeeb6",
+        "2cad61f805717cd17ca17a0d9e61b0c7744d5989aced1ed21dc487cfe71f25ab",
         "9bffe7b687e8a41b783ef0058aa4b663156b8686c3a9717ec7cdde6bdfad38f6"),
     18: (
         "6ec3c27b2dc688fd6f182b6ba59b6f92c77a97c9ea18a5aa7f724ce476bda1a0",
@@ -446,7 +449,7 @@ PARENT_OUTPUT = {
         "51733cbf462514ff880548bbb5af38d0e0d5b3092fe5258ebdb4712ae420158f",
         "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b"),
     20: (
-        "a00bcd33098c90ab0fc438a25f9e9db56d963c882f8cb9d620a85b901d7ff78d",
+        "917c69cbc81606db60e53d5e0e798af60641de608b8c0a0d4a5b6f3328e7cbed",
         "c57ccf981b719f0f1cf2ff94788e53d0a929d75537daac6c10e4dea9cbbe7823"),
     21: (
         "8ba4c5d73ee7d78d2b4cf713d11b112543af5ec08441a6f6bbcf9e79bb094657",
@@ -458,7 +461,7 @@ PARENT_OUTPUT = {
         "6b551becc9c1d1e85a0b5ad83c3fcd6c32be988193e55e9bc7905098f9cec956",
         "71c81b891830505fc52f6dce4cfdadf26306750ec65cf10ff3f3d24d4ff217cf"),
     24: (
-        "55665f3f575c8ea1bdb078fc6c190ce4102ed36cf177321cd965e21a16405eba",
+        "61467efaee006ca06d0604332e2ce3c683c00ea695375be60174def1060351d7",
         "b892973208e493ccfa5c14f16ddce6788200184742e00e2d1c7d462fcd69f651"),
     25: (
         "08f5bb13d529e9173c53f688a4ef132b8d60a169f680773daffa59e7bbf3abae",
@@ -467,7 +470,7 @@ PARENT_OUTPUT = {
         "bfed9e336157a3915f4d1887e2da5391bf4cc3a728f8f3a3dcf1598cb34fb95f",
         "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b"),
     27: (
-        "4ec8ae4dbf520e9bd5266ee5be1903220705b9532705fa56e169399da5691b5d",
+        "e78da75854cd85af21fae1a605854740e9898fca681153e370d55ffb45f9b589",
         "b892973208e493ccfa5c14f16ddce6788200184742e00e2d1c7d462fcd69f651"),
     28: (
         "e5c255efe5c0ad76f8059965403d7ca40e87b36161201169639cc5d3bcdb795a",
@@ -615,7 +618,6 @@ def test_criterion_7_kernel_property_suites():
         return p
 
     # audit the bases of random Ideals and of a ring's J and prime Ideals
-    from neron import Ideal
     from neron.localring import minimal_primes
     ideals = []
     for _ in range(6):
@@ -633,7 +635,6 @@ def test_criterion_7_kernel_property_suites():
     assert audited >= 10
 
     # adjugate identity on random matrices
-    from neron import identity
     for n in (2, 3):
         for _ in range(4):
             M = PolyMatrix(T, [[rnd(1, 2) for _ in range(n)]

@@ -204,6 +204,25 @@ def test_lift_rejects_a_bad_f_index(f_indices, message):
     assert err == f"PreconditionFailed: --f-indices: {message}\n"
 
 
+@pytest.mark.parametrize("path, options, message", [
+    (GOLDEN, ["--rho", "1", "--target-precision", "12"],
+     "the subsystem f has 3 relations but there are only 2 algebra "
+     "variables"),
+    (HYPER, ["--rho", "-1", "--target-precision", "12"],
+     "rho = -1 is negative"),
+    (HYPER, ["--rho", "1", "--target-precision", "0"],
+     "target precision 0 is below 1"),
+    (HYPER, ["--rho", "1", "--target-precision", "12", "--f-indices", "x"],
+     "--f-indices: 'x' is not a comma separated list of integers"),
+], ids=["more-relations-than-variables", "negative-rho", "zero-target",
+        "non-integer-f-index"])
+def test_lift_rejects_bad_values_with_exit_3(path, options, message, capsys):
+    assert main(["lift", path] + options) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"PreconditionFailed: {message}\n")
+
+
 def test_main_passes_f_indices_to_lift(capsys, monkeypatch):
     seen = []
 

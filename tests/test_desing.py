@@ -8,7 +8,7 @@ import pytest
 from conftest import (hypersurface_problem, space_curve_data,
                       two_branch_problem, two_branch_table)
 from neron import (ALGEBRA, BASE, Ideal, Polynomial, PolyMatrix, VarTable,
-                   det, ideal_equal, jacobian, krull_dim, mixed_order,
+                   det, jacobian, krull_dim, mixed_order,
                    normal_form_against, parse_poly, radical_membership,
                    std_basis)
 from neron.desing import (AlgebraPresentation, MorphismApprox, complete_H,
@@ -430,3 +430,22 @@ def test_s_second_defining_property_hypersurface():
     lhs = cert.d * cert.s_second_num - cert.s ** q * cert.P
     h_ideal = Ideal(ring.table, list(cert.h) + list(ring.j_gens))
     assert h_ideal.contains(lhs, ring.order)
+
+
+NO_RELATIONS = """
+ring { field Q; vars x1 x2; relations x1*x2; }
+algebra { vars Y1 Y2; }
+morphism { precision 12; Y1 = x1 + x1^2; Y2 = x2; }
+"""
+
+
+def test_algebra_without_relations_certifies():
+    """B = A[Y1, Y2] is smooth: f is empty, the Jacobian check over r = 0
+    rows is vacuous, and nothing needs inverting."""
+    res = desingularize(parse_problem(NO_RELATIONS).build())
+    cert = res.certificate
+    assert (cert.r, cert.f, cert.g) == (0, (), ())
+    one = Polynomial.const(cert.s.table, 1)
+    assert (cert.s, cert.s_prime, cert.s_second_num) == (one, one, one)
+    assert verify_certificate(cert, res.algebra, res.morphism)
+    assert res.simplified == ()

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from neron import (ALGEBRA, BASE, Ideal, Polynomial, VarTable,
                    buchberger_criterion, divide_with_witness, global_order,
-                   lift_division, local_order, mixed_order,
-                   normal_form_against, parse_poly, std_basis)
+                   NegDegRevLex, lift_division, mixed_order,
+                   normal_form_against, parse_poly, same_ideal, std_basis)
 from neron.errors import NotInIdeal
 from neron.groebner import _Prepared, classic_nf, mora_nf
 from neron.poly import mon_div, mon_divides
@@ -96,7 +96,7 @@ def test_ideal_reduce_full_on_jet_ideal():
     # the ideal contains (x)^4, so full tail reduction terminates under
     # the local order
     T = VarTable.make(("x1", BASE), ("x2", BASE))
-    order = local_order()
+    order = NegDegRevLex()
     gens = [parse_poly(T, "x1^2 - x2^3")]
     gens += [parse_poly(T, m) for m in ("x1^4", "x1^3*x2", "x1^2*x2^2",
                                         "x1*x2^3", "x2^4")]
@@ -168,7 +168,7 @@ def test_lift_division_not_in_ideal():
 def test_mora_unit_is_one_plus_smaller_terms():
     # dividing x by x - x^2 in the localization needs a unit multiplier
     T = VarTable.make(("x", BASE),)
-    order = local_order()
+    order = NegDegRevLex()
     w = divide_with_witness(parse_poly(T, "x"), [parse_poly(T, "x - x^2")],
                             T, order)
     assert w.remainder.is_zero()
@@ -334,10 +334,58 @@ def test_normal_form_rescales_when_the_reducer_lead_does_not_divide():
     assert rem == want
     assert row[0] == parse_poly(T, "-1/3*x1 + 1/9*x2")
     # the same under a local order, where 2*x1 leads 2*x1 + 3*x1^2
-    keyf = local_order().key(T)
+    keyf = NegDegRevLex().key(T)
     g = parse_poly(T, "2*x1 + 3*x1^2")
     p = parse_poly(T, "x1*x2 + 5/7*x2^2")
     prepared = [_Prepared(g, keyf, 0)]
     want = value_mora_nf(p, prepared, keyf)
     assert mora_nf(p, prepared, keyf, T)[0] == want
     assert _with_rows(mora_nf, p, [g], prepared, keyf, T)[0] == want
+
+
+def test_local_bases_are_minimal():
+    T = VarTable.make(("x1", BASE), ("x2", BASE))
+    order = mixed_order(T)
+
+    def basis(*texts):
+        return std_basis([parse_poly(T, t) for t in texts], T, order)
+
+    assert basis("x1^2", "x1") == (parse_poly(T, "x1"),)
+    assert basis("x1^2", "x1 + x2^3") == (parse_poly(T, "x1 + x2^3"),
+                                          parse_poly(T, "x2^6"))
+
+
+@st.composite
+def maximal_ideal_gens(draw):
+    """An order and one or two nonzero generators inside (x1, x2, Y1), of
+    degree at most two in each x and one in Y1, free of Y1 under the local
+    order.  With three generators, or Y1 under the local order, Mora's
+    normal form can run for minutes (see CHANGES.md)."""
+    T = table_nf()
+    which = draw(st.sampled_from(["mixed", "local", "global"]))
+    order = {"mixed": mixed_order(T), "local": NegDegRevLex(),
+             "global": global_order()}[which]
+    mons = st.tuples(st.integers(0, 2), st.integers(0, 2),
+                     st.just(0) if which == "local" else st.integers(0, 1))
+    gens = [Polynomial.from_terms(T, draw(st.lists(
+        st.tuples(mons.filter(any), _NF_COEFFS), min_size=1, max_size=3)))
+        for _ in range(draw(st.integers(1, 2)))]
+    return T, order, ([g for g in gens if not g.is_zero()]
+                      or [Polynomial.var(T, "x1")])
+
+
+@settings(max_examples=150, deadline=None)
+@given(maximal_ideal_gens())
+def test_standard_bases_are_minimal_for_every_order(problem):
+    """No basis lead divides another, the basis generates the ideal of its
+    generators, and ``Ideal.leads`` is the set of basis leads."""
+    T, order, gens = problem
+    keyf = order.key(T)
+    basis = std_basis(gens, T, order)
+    leads = [b.lead(keyf)[0] for b in basis]
+    for i, a in enumerate(leads):
+        for j, b in enumerate(leads):
+            assert i == j or not mon_divides(a, b)
+    ideal = Ideal(T, gens)
+    assert same_ideal(ideal, Ideal(T, basis), order)
+    assert ideal.leads(order) == frozenset(leads)

@@ -6,13 +6,19 @@ from fractions import Fraction
 import pytest
 
 from neron import (ALGEBRA, BASE, Polynomial, PolyMatrix, VarTable, det,
-                   det_adjugate, identity, jacobian, minors, parse_poly)
+                   det_adjugate, jacobian, minors, parse_poly)
 from neron.errors import NeronError
 
 
 def table_xy():
     return VarTable.make(("x1", BASE), ("x2", BASE),
                          ("Y1", ALGEBRA), ("Y2", ALGEBRA), ("Y3", ALGEBRA))
+
+
+def identity(table, n):
+    one, zero = Polynomial.const(table, 1), Polynomial.zero(table)
+    return PolyMatrix(table, [[one if i == j else zero for j in range(n)]
+                              for i in range(n)])
 
 
 def random_matrix(table, rng, n):
@@ -62,13 +68,11 @@ def test_adjugate_identity_on_random_matrices():
             d, adj = det_adjugate(M)
             prod1 = adj.matmul(M)
             prod2 = M.matmul(adj)
-            I = identity(T, n)
             for i in range(n):
                 for j in range(n):
                     want = d if i == j else Polynomial.zero(T)
                     assert prod1[i, j] == want
                     assert prod2[i, j] == want
-            del I
 
 
 def test_minors_contains_fitting_witness():

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import neron.groebner as groebner
-from neron import (ALGEBRA, BASE, Ideal, Polynomial, VarTable, ideal_equal,
-                   ideal_quotient, mixed_order, parse_poly, std_basis)
+from neron import (ALGEBRA, BASE, Ideal, Polynomial, VarTable,
+                   ideal_quotient, mixed_order, parse_poly, same_ideal,
+                   std_basis)
 from neron.errors import (ActiveElementNotFound, DecompositionIncomplete,
                           NeronError, NotAUnit, NotDivisible,
                           TargetInsidePrime)
@@ -151,8 +152,8 @@ def test_compute_e_examples():
         nxt = ideal_quotient(list(chain[-1]), [d], T2, ring3.order)
         chain.append(tuple(std_basis(list(nxt), T2, ring3.order)))
     stable = next(k for k in range(len(chain) - 1)
-                  if ideal_equal(list(chain[k]), list(chain[k + 1]), T2,
-                                 ring3.order))
+                  if same_ideal(Ideal(T2, chain[k]), Ideal(T2, chain[k + 1]),
+                                ring3.order))
     assert compute_e(d, ring3) == max(1, stable) == 1
 
 

@@ -1,8 +1,8 @@
 """Term order semantics: global, local and block orders."""
 
 from neron import (ALGEBRA, BASE, BlockOrder, DegRevLex, NegDegRevLex,
-                   VarTable, elim_order, global_order, local_order,
-                   mixed_order, parse_poly)
+                   VarTable, elim_order, global_order, mixed_order,
+                   parse_poly)
 
 
 def table2():
@@ -23,7 +23,7 @@ def test_degrevlex_tie_break():
 
 def test_local_order_constant_maximal():
     T = table2()
-    keyf = local_order().key(T)
+    keyf = NegDegRevLex().key(T)
     assert keyf((0, 0)) > keyf((1, 0)) > keyf((2, 0))
     assert keyf((0, 0)) > keyf((0, 5))
 
@@ -39,7 +39,7 @@ def test_block_elimination_property():
 def test_is_global_classification():
     T = table_mixed()
     assert global_order().is_global(T)
-    assert not local_order().is_global(T)
+    assert not NegDegRevLex().is_global(T)
     assert not mixed_order(T).is_global(T)
     assert mixed_order(VarTable.make(("Y", ALGEBRA),)).is_global(
         VarTable.make(("Y", ALGEBRA),))
