@@ -29,7 +29,8 @@ from .idealops import eliminate, ideal_quotient, krull_dim, saturate, syzygies
 from .linalg import PolyMatrix, det, det_adjugate, minors
 from .localring import (Jet, LocalRingSpec, active_element,
                         check_precision_bound, compute_e, jet_divide,
-                        jet_invert, small_vectors, small_vectors_by_norm)
+                        jet_invert, monomials_of_degree,
+                        small_vectors_by_norm)
 from .orders import (ALGEBRA, BASE, INVERTER, SLACK, TANGENT, global_order,
                      mixed_order)
 from .poly import (Polynomial, PolySum, exact_div, format_poly, jacobian,
@@ -82,7 +83,6 @@ class MorphismApprox:
 class ElkikContribution:
     subset: tuple          # indices into the relation list
     colon_gens: tuple
-    minor_polys: tuple
     products: tuple
 
 
@@ -272,7 +272,7 @@ def elkik_ideal(B, cap):
                     if prod not in seen:
                         seen.add(prod)
                         products.append(prod)
-            contributions.append(ElkikContribution(subset, colon, minor_list,
+            contributions.append(ElkikContribution(subset, colon,
                                                    tuple(products)))
     gens = []
     seen = set()
@@ -388,10 +388,9 @@ def find_f_R(B, elkik, v):
 
 def complete_H(B, f_polys, v):
     """Square matrix: Jacobian rows of f on top, constant rows below, so the
-    evaluated determinant avoids every minimal prime.  The rows come from the
-    first 350 vectors of ``small_vectors`` (for one missing row; tuples of
-    the first 40 for more), then of ``small_vectors_by_norm``, which starts
-    with the unit rows; each tuple of rows is tried once."""
+    evaluated determinant avoids every minimal prime.  The rows are tuples
+    of the first 350 vectors of ``small_vectors_by_norm`` for one missing
+    row, of the first 40 for more; the walk starts with the unit rows."""
     ring = B.ring
     table = ring.table
     y_names = list(B.algebra_names())
@@ -417,16 +416,11 @@ def complete_H(B, f_polys, v):
         return M
     missing = n - r
     size = 350 if missing == 1 else 40
-    tried = set()
-    for vectors in (small_vectors(n), small_vectors_by_norm(n)):
-        pool = list(itertools.islice(vectors, size))
-        for rows in itertools.product(pool, repeat=missing):
-            if rows in tried:
-                continue
-            tried.add(rows)
-            M = accept(list(rows))
-            if M is not None:
-                return M
+    pool = list(itertools.islice(small_vectors_by_norm(n), size))
+    for rows in itertools.product(pool, repeat=missing):
+        M = accept(list(rows))
+        if M is not None:
+            return M
     raise CompletionFailed("no completion among the small constant rows")
 
 
@@ -443,7 +437,6 @@ class Reduction:
     d: Polynomial
     pivots: tuple
     p_cap_a: tuple
-    dim: int
     adjoined: bool
     note: str = ""
 
@@ -477,17 +470,17 @@ def mm_primary_reduction(B, f_polys, H, R, v):
             d = active_element(list(p_cap_a), ring.prime_ideals, table, order,
                                accept=congruent_to_p)
             return Reduction(B, v, tuple(f_polys), H, R, P, d, pivots,
-                             tuple(p_cap_a), dim, False)
+                             tuple(p_cap_a), False)
         except (ActiveElementNotFound, TargetInsidePrime):
             note = ("no active element congruent to P; "
                     "falling back to variable adjunction")
     else:
         note = "contraction has dimension 1"
     return _adjoin_variable(B, f_polys, H, R, P, v, pivots, tuple(p_cap_a),
-                            dim, note)
+                            note)
 
 
-def _adjoin_variable(B, f_polys, H, R, P, v, pivots, p_cap_a, dim, note):
+def _adjoin_variable(B, f_polys, H, R, P, v, pivots, p_cap_a, note):
     ring = B.ring
     table = ring.table
     vP = eval_at_jets(P, v, ring)
@@ -495,7 +488,6 @@ def _adjoin_variable(B, f_polys, H, R, P, v, pivots, p_cap_a, dim, note):
         raise ActiveElementNotFound("v(P) vanishes at jet precision")
     d_prime = None
     z = None
-    from .localring import monomials_of_degree
     base = table.block(BASE)
 
     def active(c):
@@ -556,14 +548,14 @@ def _adjoin_variable(B, f_polys, H, R, P, v, pivots, p_cap_a, dim, note):
     f1 = tuple(p.lift(table1) for p in f_polys) + (f_new,)
     pivots1 = pivots + (len(y_names1) - 1,)
     return Reduction(B1, v1, f1, H1, R1, P_final, d1, pivots1,
-                     p_cap_a, dim, True, note)
+                     p_cap_a, True, note)
 
 
 def _tangent_names(table, n):
     return [table.fresh_name(f"T{i + 1}") for i in range(n)]
 
 
-def build_hg(B, red, e, verify=True):
+def build_hg(B, red, e):
     """Construct the certificate data s, b, h, Q and g on a T-extended table.
 
     Divisions are exact with witnesses over the polynomial ring: failure
@@ -633,10 +625,6 @@ def build_hg(B, red, e, verify=True):
         f=tuple(f_polys), r=len(f_polys), H=H, R=R, P=P, d=d, e=e, s=s,
         b=tuple(b_list), Gprime=Gp, G=G, h=tuple(h_list), p=p_deg,
         Q=tuple(Q_list), g=tuple(g_list), pivots=red.pivots, point=point)
-
-    if verify:
-        verify_certificate(cert, BT, vT, taylor_nf=False)
-        certify_subsystem_membership(cert, BT)
     return cert, BT, vT
 
 
@@ -666,10 +654,9 @@ class ShiftedPoint:
     (localize_smooth) and the rewriting of a relation modulo
     h = s*(Y - y') - d^e*W (rewrite).  With t jets truncated at (x)^N and
     s = 1 it gives Q(t) in the Newton contraction of lifting.newton_lift.
-    The values t fix the domain.  A jet times a polynomial is a jet, but a
-    polynomial cannot take a jet as factor, so every product starts from
-    the tangent side or from the unit t_1^0; for polynomials that unit
-    factor changes no term.
+    The values t fix the domain: a product with a jet factor is a jet.
+    Products put the W factor first, so a jet product is called directly
+    rather than after ``Polynomial.__mul__`` declines a jet operand.
     """
 
     def __init__(self, ring, jets, G, s, d, e, t):
@@ -690,7 +677,6 @@ class ShiftedPoint:
 
     def move(self, t):
         """Put the tangent point at t: W = G(y')t."""
-        self.one = t[0] ** 0
         W = [self._total(t_k * g for t_k, g in zip(t, row))
              for row in self.Gy]
         self.W_pow = [_PowerCache(w) for w in W]
@@ -701,8 +687,8 @@ class ShiftedPoint:
         """Power caches of b_j = d^e*W_j, built on first use after a move:
         the Newton contraction moves many times but reads b only once."""
         if self._b_pow is None:
-            d_e = self.one * self.dpow[self.e]
-            self._b_pow = [_PowerCache(d_e * w[1]) for w in self.W_pow]
+            d_e = self.dpow[self.e]
+            self._b_pow = [_PowerCache(w[1] * d_e) for w in self.W_pow]
         return self._b_pow
 
     def _coefficients(self, q):
@@ -714,21 +700,21 @@ class ShiftedPoint:
         return coeffs
 
     def _total(self, terms):
-        """The sum of ``terms``, values in the domain of ``one``, added in
-        place.  Jets are summed at the smallest precision among them and
-        ``one``: their canonical polynomials are added and the sum is cut
-        there once, which is canonical, as the canonical form is linear."""
-        one = self.one
+        """The sum of ``terms``, all polynomials or all jets, added in place
+        (the zero polynomial when there are none).  Jets are summed at the
+        smallest precision among them: their canonical polynomials are
+        added and the sum is cut there once, which is canonical, as the
+        canonical form is linear."""
         out = PolySum(self.table)
-        if not isinstance(one, Jet):
-            for term in terms:
-                out.add(term)
-            return out.value()
-        n = one.precision
+        ring = n = None
         for term in terms:
-            n = min(n, term.precision)
-            out.add(term.poly)
-        ring = one.ring
+            if isinstance(term, Jet):
+                ring = term.ring
+                n = term.precision if n is None else min(n, term.precision)
+                term = term.poly
+            out.add(term)
+        if ring is None:
+            return out.value()
         return Jet(ring, out.value().below((ring.base, n)), n)
 
     def _sum(self, coeffs, p, d_shift, k_min):
@@ -737,11 +723,11 @@ class ShiftedPoint:
                 k = sum(alpha)
                 if k < k_min:
                     continue
-                term = self.one * (c_alpha * self.spow[p - k]
-                                   * self.dpow[self.e * k - d_shift])
+                term = (c_alpha * self.spow[p - k]
+                        * self.dpow[self.e * k - d_shift])
                 for j, aj in enumerate(alpha):
                     if aj:
-                        term = term * self.W_pow[j][aj]
+                        term = self.W_pow[j][aj] * term
                 yield term
         return self._total(taylor_terms())
 
@@ -1156,6 +1142,8 @@ def desingularize(problem):
     record(12, {"ok": True}, note="is not true")
 
     cert, BT, vT = build_hg(B, red, e)
+    verify_certificate(cert, BT, vT, taylor_nf=False)
+    certify_subsystem_membership(cert, BT)
     record(13, {"b": ", ".join(fmt(bi) for bi in cert.b)})
     record(14, {"Gprime": str(cert.Gprime)})
     s_text = fmt(cert.s)

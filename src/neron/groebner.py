@@ -18,7 +18,9 @@ Basis computation is Buchberger's loop with the normal pair-selection
 strategy and Gebauer-Moeller pruning.  Output bases are monic, sorted and
 minimal for every order: no element's lead divides another's.  Identical
 inputs give byte-identical bases, and for global orders they are also
-fully tail-reduced.
+fully tail-reduced.  The loop stops at the first element whose lead
+monomial is 1 (a unit of the ring the order realizes), which is then the
+whole minimal basis; only syzygy collection runs every pair.
 """
 
 from __future__ import annotations
@@ -348,7 +350,7 @@ def _update_pairs(G, P, new_idx, lms, glob):
     return P
 
 
-def std_basis(gens, table, order, *, track=None, stop_on_unit=False):
+def std_basis(gens, table, order, *, track=None):
     """Monic, sorted, minimal standard basis of the ideal generated by
     ``gens``.
 
@@ -358,6 +360,11 @@ def std_basis(gens, table, order, *, track=None, stop_on_unit=False):
                       sum(v[j] * gens[j]) = 0 exactly; with tracking enabled
                       all pairs are processed (no pruning) so the collected
                       vectors generate the first syzygy module.
+
+    Stop rule: unless syzygies are collected, the computation ends at the
+    first element whose lead monomial is 1.  Its lead divides every other
+    lead, so the minimal basis is that element alone (made monic), with
+    its row, whatever further pairs would add.
     """
     keyf = order.key(table)
     glob = order.is_global(table)
@@ -369,6 +376,7 @@ def std_basis(gens, table, order, *, track=None, stop_on_unit=False):
     syzygies = []
 
     def add_element(p, row):
+        """Append p; True when the stop rule ends the computation."""
         nonlocal P
         content = p.content()
         if content != 1:
@@ -383,6 +391,7 @@ def std_basis(gens, table, order, *, track=None, stop_on_unit=False):
             P = _update_pairs(G, P, len(G) - 1, lms, glob)
         else:
             P |= {(i, len(G) - 1) for i in range(len(G) - 1)}
+        return use_criteria and not any(prepared.lm)
 
     for j, g in enumerate(gens):
         if g.is_zero():
@@ -394,9 +403,9 @@ def std_basis(gens, table, order, *, track=None, stop_on_unit=False):
                                               for q in row.values()):
                 syzygies.append(dict(row))
             continue
-        add_element(r, row)
-        if stop_on_unit and r.is_constant():
-            return _finish(G, keyf, glob, table, track, gens, syzygies)
+        if add_element(r, row):
+            P = set()
+            break
 
     def pair_sort_key(pair):
         i, j = pair
@@ -418,14 +427,9 @@ def std_basis(gens, table, order, *, track=None, stop_on_unit=False):
                                               for q in row.values()):
                 syzygies.append(row)
             continue
-        add_element(r, row)
-        if stop_on_unit and r.is_constant():
+        if add_element(r, row):
             break
 
-    return _finish(G, keyf, glob, table, track, gens, syzygies)
-
-
-def _finish(G, keyf, glob, table, track, gens, syzygies):
     basis = _post_process(G, keyf, glob, table, track)
     if track is None:
         return tuple(b.poly for b in basis)

@@ -100,7 +100,9 @@ def same_ideal(a, b, order):
 def saturate(gens, g, table, order=None, max_steps=100):
     """((I : g^infinity), k) with k the first index where the chain
     I, (I : g), ((I : g) : g), ... is stable.  ``gens`` may be an Ideal,
-    whose cached bases the chain then starts from."""
+    whose cached bases the chain then starts from.  Each step contains
+    the one before, so equal lead ideals mean equal ideals
+    (Greuel-Pfister 1.6-1.7) and no containment is tested."""
     order = mixed_order(table) if order is None else order
     if g.is_zero():
         raise NeronError("saturation by zero")
@@ -108,7 +110,7 @@ def saturate(gens, g, table, order=None, max_steps=100):
     for k in range(max_steps):
         nxt = Ideal(table, quotient_by_poly(current.basis(order), g, table,
                                             order))
-        if same_ideal(current, nxt, order):
+        if current.leads(order) == nxt.leads(order):
             return current.basis(order), k
         current = nxt
     raise NeronError("saturation chain did not stabilize (cap reached)")
@@ -138,7 +140,7 @@ def radical_membership(p, gens, table):
     one = Polynomial.const(ext, 1)
     work = [g.lift(ext) for g in gens if not g.is_zero()]
     work.append(one - zv * p.lift(ext))
-    basis = std_basis(work, ext, global_order(), stop_on_unit=True)
+    basis = std_basis(work, ext, global_order())
     return any(b.is_constant() and not b.is_zero() for b in basis)
 
 

@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from .errors import (ActiveElementNotFound, DecompositionIncomplete,
                      NeronError, NotAUnit, NotDivisible, TargetInsidePrime)
 from .groebner import Ideal, std_basis
-from .idealops import radical_membership, same_ideal, saturate
+from .idealops import (intersect, krull_dim, radical_membership, same_ideal,
+                       saturate)
 from .orders import BASE, mixed_order
 from .poly import Polynomial, exact_div, mon_divides
 
@@ -79,7 +81,6 @@ class LocalRingSpec:
         return mixed_order(self.table)
 
     def local_dimension(self):
-        from .idealops import krull_dim
         return krull_dim(self.j_ideal, self.table, self.order, self.base)
 
     def monomial_reduce(self, p):
@@ -153,7 +154,6 @@ class LocalRingSpec:
                 if a is not b and all(b.contains(g, order) for g in a.gens):
                     raise NeronError("supplied primes are comparable")
         meet = None
-        from .idealops import intersect
         for p_gens in self.primes:
             meet = list(p_gens) if meet is None else intersect(
                 meet, list(p_gens), self.table, order)
@@ -323,11 +323,11 @@ def jet_divide(num, den):
         support.setdefault(mm, len(support))
     nrows = len(support)
     ncols = len(cols)
-    A = [[Fraction(0)] * ncols for _ in range(nrows)]
+    A = [[0] * ncols for _ in range(nrows)]
     for j, vec in enumerate(col_vecs):
         for mm in vec.monomials():
             A[support[mm]][j] = vec.coefficient(mm)
-    rhs = [Fraction(0)] * nrows
+    rhs = [0] * nrows
     for mm in rhs_poly.monomials():
         rhs[support[mm]] = rhs_poly.coefficient(mm)
     sol = _solve_exact(A, rhs)
@@ -338,46 +338,50 @@ def jet_divide(num, den):
 
 
 def _solve_exact(A, rhs):
-    """Gaussian elimination over the rationals; None when inconsistent.
+    """Gauss-Jordan elimination over the rationals, run fraction-free;
+    None when inconsistent.
 
-    Free variables are set to zero so low-degree particular solutions come
-    out when they exist (columns are ordered by ascending degree).
+    Each row is scaled to integers.  A step with pivot p, d the pivot of
+    the step before (1 at first), replaces every other row R by
+    (p*R - R[col]*pivot row) / d from the pivot column on, and the
+    division is exact (Bareiss 1968).  Each row stays a nonzero multiple
+    of its rational counterpart, so the pivot, the first nonzero entry of
+    its column, and the solution are those of elimination over Q.  The
+    last pivot is the common denominator of the solution.  Free variables
+    are set to zero so low-degree particular solutions come out when they
+    exist (columns are ordered by ascending degree).
     """
     nrows = len(A)
     ncols = len(A[0]) if nrows else 0
-    rows = [list(r) + [b] for r, b in zip(A, rhs)]
+    rows = []
+    for r, b in zip(A, rhs):
+        row = list(r) + [b]
+        scale = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (scale // x.denominator) for x in row])
     pivots = []
-    rank = 0
+    d = 1
     for col in range(ncols):
-        pivot = None
-        for r in range(rank, nrows):
-            if rows[r][col] != 0:
-                pivot = r
-                break
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, nrows) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         pr = rows[rank]
-        inv = Fraction(1, 1) / pr[col]
-        for r in range(nrows):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col] * inv
-                rr = rows[r]
+        p = pr[col]
+        for r, rr in enumerate(rows):
+            if r != rank:
+                a = rr[col]
                 for c in range(col, ncols + 1):
-                    rr[c] -= f * pr[c]
+                    rr[c] = (p * rr[c] - a * pr[c]) // d
         pivots.append(col)
-        rank += 1
-        if rank == nrows:
+        d = p
+        if len(pivots) == nrows:
             break
-    for r in range(rank, nrows):
-        if rows[r][ncols] != 0:
-            return None
-    for r in range(rank):
-        if all(rows[r][c] == 0 for c in range(ncols)) and rows[r][ncols] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
+    if any(rows[r][ncols] for r in range(len(pivots), nrows)):
+        return None
+    sol = [0] * ncols
     for r, col in enumerate(pivots):
-        sol[col] = exact_div(rows[r][ncols], rows[r][col])
+        sol[col] = exact_div(rows[r][ncols], d)
     return sol
 
 

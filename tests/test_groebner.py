@@ -1,6 +1,7 @@
 """Basis engine: Buchberger, Mora, witnesses, determinism."""
 
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -194,6 +195,44 @@ def test_zero_and_unit_ideals():
     assert std_basis([Polynomial.zero(T)], T, global_order()) == ()
     basis = std_basis([parse_poly(T, "2")], T, global_order())
     assert basis == (parse_poly(T, "1"),)
+
+
+def test_mixed_order_rows_basis_stops_at_the_unit_it_reaches():
+    """The S-polynomial of the two generators is -1 - x1, a unit under the
+    mixed order (its lead is 1).  The basis is that unit, made monic, with
+    the row that writes it through the generators."""
+    T = table_xy()
+    gens = [parse_poly(T, "Y1*Y2 - 1 - x1"), parse_poly(T, "Y1")]
+    basis, rows = std_basis(gens, T, mixed_order(T), track="rows")
+    assert basis == (parse_poly(T, "1 + x1"),)
+    assert rows == ((parse_poly(T, "-1"), parse_poly(T, "Y2")),)
+    assert rows[0][0] * gens[0] + rows[0][1] * gens[1] == basis[0]
+
+
+class _DeadlinePassed(Exception):
+    pass
+
+
+def _raise_deadline(signum, frame):
+    raise _DeadlinePassed()
+
+
+def test_unit_ideal_under_the_local_order_ends_at_once():
+    """Under NegDegRevLex() the first generator is a unit (its lead is 1),
+    so its monic multiple is the whole basis.  An interval timer turns a
+    run that goes on pairing and reducing into a failure, not a hang."""
+    T = table_nf()
+    gens = [parse_poly(T, "5*x1*Y1 + 7*x1^2*x2^2*Y1 + 17/8 - x1*x2^2"),
+            parse_poly(T, "-2*x1*x2*Y1 + 7*x1^2*x2^2*Y1 + 9*x1 + 4*x2")]
+    previous = signal.signal(signal.SIGALRM, _raise_deadline)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        basis = std_basis(gens, T, NegDegRevLex())
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert basis == (parse_poly(
+        T, "40/17*x1*Y1 + 56/17*x1^2*x2^2*Y1 + 1 - 8/17*x1*x2^2"),)
 
 
 # ---------------------------------------------------------------------------

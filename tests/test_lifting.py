@@ -201,8 +201,8 @@ def test_consistency_with_desingularization_formulas():
     # d is the evaluated determinant (the lifting convention), so the
     # pipeline invariant d = P mod I does not apply; compare formulas only.
     red = Reduction(B, v, (f,), H, Polynomial.const(T, 1),
-                    det(H), d, (0,), (), 0, False)
-    cert, BT, vT = build_hg(B, red, 1, verify=False)
+                    det(H), d, (0,), (), False)
+    cert, BT, vT = build_hg(B, red, 1)
     assert cert.s == Polynomial.const(BT.table, 1)
     # greenberg-side h: Y - y0 - d^e * adj(H)(y0) * T with the same data
     t_name = BT.table.block_names("tangent")[0]

@@ -15,10 +15,11 @@ from neron.errors import (ActiveElementNotFound, DecompositionIncomplete,
                           NeronError, NotAUnit, NotDivisible,
                           TargetInsidePrime)
 from neron.desing import _survives
-from neron.localring import (Jet, LocalRingSpec, active_element,
-                             check_precision_bound, compute_e, jet_divide,
-                             jet_invert, minimal_primes, monomials_of_degree,
-                             small_vectors, small_vectors_by_norm)
+from neron.localring import (Jet, LocalRingSpec, _solve_exact,
+                             active_element, check_precision_bound, compute_e,
+                             jet_divide, jet_invert, minimal_primes,
+                             monomials_of_degree, small_vectors,
+                             small_vectors_by_norm)
 
 
 def table2():
@@ -277,6 +278,43 @@ def test_jet_divide_solves_exactly():
     z = jet_divide(num, den)
     assert z.poly == parse_poly(T, "1/3 + 1/3*x")
     assert (den * z - num).is_zero()
+
+
+_ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7, Fraction(1, 2),
+                            Fraction(-5, 3)])
+
+
+@st.composite
+def linear_systems(draw):
+    """A small rational system A z = b.  Half the time the last equation
+    repeats the first with another right-hand side, which makes most of
+    these systems inconsistent."""
+    nrows = draw(st.integers(1, 4))
+    ncols = draw(st.integers(1, 4))
+    A = [[draw(_ENTRIES) for _ in range(ncols)] for _ in range(nrows)]
+    b = [draw(_ENTRIES) for _ in range(nrows)]
+    if draw(st.booleans()):
+        A.append(list(A[0]))
+        b.append(b[0] + draw(st.sampled_from([1, Fraction(2, 3)])))
+    return A, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_systems())
+def test_solve_exact_matches_sympy(system):
+    """The fraction-free elimination returns sympy's Gauss-Jordan solution
+    with every free parameter set to zero, and None exactly when sympy
+    finds no solution."""
+    import sympy
+    A, b = system
+    try:
+        sol, params = sympy.Matrix(A).gauss_jordan_solve(sympy.Matrix(b))
+    except ValueError:
+        want = None
+    else:
+        sol = sol.subs({t: 0 for t in params})
+        want = [Fraction(int(x.p), int(x.q)) for x in sol]
+    assert _solve_exact(A, b) == want
 
 
 def test_jet_divide_non_uniqueness_is_harmless_mod_powers():
