@@ -2,27 +2,25 @@
 # Ideal operations over the localized base ring, minimal primes and jets.
 
 from neron import (ALGEBRA, BASE, Ideal, VarTable, eliminate, ideal_quotient,
-                   mixed_order, parse_poly, radical_membership, same_ideal,
-                   saturate)
+                   parse_poly, radical_membership, same_ideal, saturate)
 from neron.localring import (LocalRingSpec, jet_divide, jet_invert,
                              minimal_primes)
 
 T = VarTable.make(("x1", BASE), ("x2", BASE), ("Y1", ALGEBRA), ("Y2", ALGEBRA))
-order = mixed_order(T)
 
 # Colon ideals, saturations, eliminations: all witnessable via normal forms.
-colon = ideal_quotient([parse_poly(T, "x1*x2")], [parse_poly(T, "x1")],
-                       T, order)
+# Each runs in the mixed order of its table: local in x, global in Y.
+colon = ideal_quotient([parse_poly(T, "x1*x2")], [parse_poly(T, "x1")], T)
 print("(x1*x2 : x1) =", colon)
 print("equal to (x2):",
-      same_ideal(Ideal(T, colon), Ideal(T, [parse_poly(T, "x2")]), order))
+      same_ideal(Ideal(T, colon), Ideal(T, [parse_poly(T, "x2")])))
 
-sat, stable_at = saturate([parse_poly(T, "x1^2*x2")], parse_poly(T, "x1"),
-                          T, order)
+sat, stable_at = saturate(Ideal(T, [parse_poly(T, "x1^2*x2")]),
+                          parse_poly(T, "x1"))
 print("(x1^2*x2 : x1^infinity) =", sat, " stabilizes at", stable_at)
 
 elim = eliminate([parse_poly(T, "(x1+x2)^2"), parse_poly(T, "x2*Y1 - x1*Y2"),
-                  parse_poly(T, "x1*x2")], (ALGEBRA,), T, order)
+                  parse_poly(T, "x1*x2")], (ALGEBRA,), T)
 print("eliminating the algebra block:", elim)
 
 print("x1 in radical of (x1^2):",

@@ -20,10 +20,8 @@ from .orders import (ALGEBRA, AUX, BASE, INVERTER, SLACK, TANGENT, BlockOrder,
 from .poly import Polynomial, format_poly, jacobian, parse_poly, taylor_coefficients
 from .linalg import PolyMatrix, det, det_adjugate, minors
 from .groebner import (DivisionWitness, Ideal, buchberger_criterion,
-                       divide_with_witness, lift_division, normal_form_against,
-                       std_basis)
-from .idealops import (divide_out, eliminate, ideal_quotient, intersect,
-                       krull_dim, radical_membership, same_ideal, saturate,
-                       syzygies)
+                       lift_division, normal_form_against, std_basis)
+from .idealops import (eliminate, ideal_quotient, intersect, krull_dim,
+                       radical_membership, same_ideal, saturate, syzygies)
 
 __all__ = [n for n in dir() if not n.startswith("_")]

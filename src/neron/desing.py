@@ -244,7 +244,7 @@ def jacobian_colon(ring, fs, relations, y_names):
         return (), ()
     j_gens = list(ring.j_gens)
     return ideal_quotient(list(fs) + j_gens, list(relations) + j_gens,
-                          table, ring.order), minor_list
+                          table), minor_list
 
 
 def elkik_ideal(B, cap):
@@ -282,7 +282,7 @@ def elkik_ideal(B, cap):
                 seen.add(p)
                 gens.append(p)
     elim_roles = tuple(r for r in table.roles_present() if r != BASE)
-    h_cap_a = eliminate(gens + rels + j_gens, elim_roles, table, ring.order)
+    h_cap_a = eliminate(gens + rels + j_gens, elim_roles, table)
     return ElkikData(contributions, tuple(gens), h_cap_a)
 
 
@@ -302,7 +302,7 @@ def sym_algebra_reduction(B, v):
     l = len(rels)
     if l == 0:
         return B, v
-    syz = syzygies(rels + j_gens, table, order)
+    syz = syzygies(rels + j_gens, table)
     ideal = Ideal(table, rels + j_gens)
     new_pairs = [(table.fresh_name(f"Y{len(B.algebra_names()) + k + 1}"),
                   ALGEBRA) for k in range(l)]
@@ -457,8 +457,8 @@ def mm_primary_reduction(B, f_polys, H, R, v):
     j_gens = list(ring.j_gens)
     P = R * det(H)
     elim_roles = tuple(r for r in table.roles_present() if r != BASE)
-    p_cap_a = eliminate([P] + rels + j_gens, elim_roles, table, order)
-    dim = krull_dim(list(p_cap_a) + j_gens, table, order, table.block(BASE))
+    p_cap_a = eliminate([P] + rels + j_gens, elim_roles, table)
+    dim = krull_dim(Ideal(table, list(p_cap_a) + j_gens))
     pivots = tuple(range(len(f_polys)))
     if dim != 1:
         rel_ideal = Ideal(table, rels + j_gens)
@@ -467,7 +467,7 @@ def mm_primary_reduction(B, f_polys, H, R, v):
             return rel_ideal.contains(c - P, order)
 
         try:
-            d = active_element(list(p_cap_a), ring.prime_ideals, table, order,
+            d = active_element(list(p_cap_a), ring.prime_ideals, table,
                                accept=congruent_to_p)
             return Reduction(B, v, tuple(f_polys), H, R, P, d, pivots,
                              tuple(p_cap_a), False)
@@ -913,10 +913,9 @@ def localize_smooth(cert, BT, vT):
             still = [q for q in still if not hg.contains(q, order)]
         if still:
             # saturating by each factor in turn saturates by their product
-            sat_gens = hg.gens
+            saturated = hg
             for u in factors:
-                sat_gens, _ = saturate(sat_gens, u, table, order)
-            saturated = Ideal(table, sat_gens)
+                saturated = Ideal(table, saturate(saturated, u)[0])
             for q in still:
                 if not saturated.contains(q, order):
                     raise CertificateFailed(
@@ -1083,11 +1082,9 @@ def desingularize(problem):
                                  {k: str(val) for k, val in values.items()},
                                  note))
 
-    ring = problem.ring
-    order = ring.order
     fmt = lambda p: format_poly(p, mixed_order(p.table))
 
-    ring = ring.with_minimal_primes()
+    ring = problem.ring.with_minimal_primes()
     record(1, {f"P_{i + 1}": "(" + ", ".join(fmt(g) for g in p) + ")"
                for i, p in enumerate(ring.primes)})
 
@@ -1101,8 +1098,8 @@ def desingularize(problem):
     record(3, {"H_gens": len(elkik.gens),
                "H_cap_A": "(" + ", ".join(fmt(g) for g in elkik.h_cap_a) + ")"})
 
-    dim_h = krull_dim(list(elkik.h_cap_a) + list(ring.j_gens), ring.table,
-                      order, ring.table.block(BASE))
+    dim_h = krull_dim(Ideal(ring.table,
+                            list(elkik.h_cap_a) + list(ring.j_gens)))
     if dim_h == 1:
         B, v = sym_algebra_reduction(B, v)
         ring = B.ring

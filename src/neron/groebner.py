@@ -573,27 +573,6 @@ class DivisionWitness:
         return acc == self.remainder
 
 
-def _witness_division(p, divisors, table, order, prepared):
-    """Divide p by prepared reducers, tracking p itself as an extra slot."""
-    extra = len(divisors)
-    r, row = _divide(p, prepared, order.key(table), table,
-                    order.is_global(table),
-                    row={extra: Polynomial.const(table, 1)})
-    zero = Polynomial.zero(table)
-    unit = row.get(extra, zero)
-    quotients = tuple(-row.get(j, zero) for j in range(extra))
-    return unit, quotients, r
-
-
-def divide_with_witness(p, divisors, table, order):
-    """Divide by a raw list (no basis completion); remainder may be nonzero."""
-    keyf = order.key(table)
-    prepared = [_Prepared(d, keyf, i) for i, d in enumerate(divisors)
-                if not d.is_zero()]
-    unit, quotients, r = _witness_division(p, divisors, table, order, prepared)
-    return DivisionWitness(p, tuple(divisors), unit, quotients, r)
-
-
 def lift_division(p, gens, table, order):
     """Express p exactly in terms of ``gens`` (zero remainder) or raise.
 
@@ -611,12 +590,17 @@ def lift_division(p, gens, table, order):
     basis, rows = std_basis(gens, table, order, track="rows")
     keyf = order.key(table)
     prepared = [_Prepared(b, keyf, i) for i, b in enumerate(basis)]
-    unit, q_basis, r = _witness_division(p, basis, table, order, prepared)
+    # p itself is tracked in the extra slot: its coefficient is the unit
+    extra = len(basis)
+    r, row = _divide(p, prepared, keyf, table, order.is_global(table),
+                     row={extra: Polynomial.const(table, 1)})
     if not r.is_zero():
         raise NotInIdeal("dividend is not in the ideal at this order")
     zero = Polynomial.zero(table)
+    unit = row.get(extra, zero)
     q_gens = [zero] * len(gens)
-    for qb, brow in zip(q_basis, rows):
+    for k, brow in enumerate(rows):
+        qb = -row.get(k, zero)
         if qb.is_zero():
             continue
         for j, coeff in enumerate(brow):

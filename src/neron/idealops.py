@@ -2,18 +2,23 @@
 
 Intersection uses the single auxiliary-variable t-trick; the quotient (I : J)
 is the intersection of (I : g) over the generators of J, and (I : g) is the
-intersection I meet (g) divided by g.  All of these remain valid over the
-localizations realized by local and mixed orders, because the auxiliary
-variable and eliminated blocks always carry a global order.
+intersection I meet (g) divided by g.
+
+Order rule: every operation here runs in ``mixed_order(table)``, which
+realizes the ring k[x]_(x)[Y, T, ...] that the table declares, just as a
+ring declared in Singular fixes the order of its ``quotient``, ``sat`` and
+``eliminate``.  No operation takes an order.  The results stay valid over the localization
+because the auxiliary variable and eliminated blocks always carry a global
+order.  ``radical_membership`` alone works in the polynomial ring.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import NeronError, NotInIdeal
-from .groebner import Ideal, divide_with_witness, std_basis
-from .orders import AUX, elim_order, global_order, mixed_order
+from .errors import NeronError
+from .groebner import Ideal, lift_division, std_basis
+from .orders import AUX, BASE, elim_order, global_order, mixed_order
 from .poly import Polynomial
 
 
@@ -22,9 +27,8 @@ def _aux_table(table, stem="t"):
     return table.extend((name, AUX)), name
 
 
-def intersect(gens_a, gens_b, table, order=None):
+def intersect(gens_a, gens_b, table):
     """Generators of the intersection of two ideals (t-trick)."""
-    order = mixed_order(table) if order is None else order
     ext, t = _aux_table(table)
     tv = Polynomial.var(ext, t)
     one = Polynomial.const(ext, 1)
@@ -32,7 +36,7 @@ def intersect(gens_a, gens_b, table, order=None):
     work += [(one - tv) * g.lift(ext) for g in gens_b if not g.is_zero()]
     if not work:
         return ()
-    basis = std_basis(work, ext, elim_order(ext, (AUX,), order))
+    basis = std_basis(work, ext, elim_order(ext, (AUX,)))
     t_pos = (ext.index(t),)
     out = []
     for b in basis:
@@ -41,89 +45,71 @@ def intersect(gens_a, gens_b, table, order=None):
     return tuple(out)
 
 
-def divide_out(p, g, table, order=None):
-    """A polynomial q with (q) = (p/g) in the ring the order implies.
+def quotient_by_poly(gens, g, table):
+    """(I : g) for a single nonzero polynomial g.
 
-    Used on generators of an intersection with (g); exact term-wise division
-    is attempted first, otherwise the division witness absorbs a unit, which
-    is harmless for generating sets.
-    """
-    order = mixed_order(table) if order is None else order
-    if p.is_zero():
-        return p
-    if len(g.monomials()) == 1:
-        q = p.div_term(g)
-        if q is not None:
-            return q
-    w = divide_with_witness(p, [g], table, order)
-    if not w.remainder.is_zero():
-        raise NotInIdeal("divide_out of an element outside the principal ideal")
-    return w.quotients[0]
-
-
-def quotient_by_poly(gens, g, table, order=None):
-    """(I : g) for a single nonzero polynomial g."""
-    order = mixed_order(table) if order is None else order
+    Each generator p of I meet (g) is divided by g: q is the quotient of
+    the witness unit*p = q*g of ``lift_division``.  The unit is invertible
+    in the local ring, so (q) = (p/g) there and the q generate (I : g)."""
     if g.is_zero():
         raise NeronError("colon by zero")
     if g.is_constant():
         return tuple(gens)
-    meet = intersect(gens, [g], table, order)
+    order = mixed_order(table)
     out = []
-    for p in meet:
-        q = divide_out(p, g, table, order)
+    for p in intersect(gens, [g], table):
+        q = lift_division(p, [g], table, order).quotients[0]
         if not q.is_zero():
             out.append(q)
     return tuple(out)
 
 
-def ideal_quotient(gens_i, gens_j, table, order=None):
+def ideal_quotient(gens_i, gens_j, table):
     """(I : J) = {h : h*J inside I}."""
-    order = mixed_order(table) if order is None else order
     live = [g for g in gens_j if not g.is_zero()]
     if not live:
         return (Polynomial.const(table, 1),)
     result = None
     for g in live:
-        q = quotient_by_poly(gens_i, g, table, order)
-        result = q if result is None else intersect(result, q, table, order)
-    return tuple(std_basis(result, table, order))
+        q = quotient_by_poly(gens_i, g, table)
+        result = q if result is None else intersect(result, q, table)
+    return tuple(std_basis(result, table, mixed_order(table)))
 
 
-def same_ideal(a, b, order):
-    """True when the Ideals a and b are equal at this order: a <= b with
-    equal lead ideals gives a = b (Greuel-Pfister 1.6-1.7)."""
+def same_ideal(a, b):
+    """True when the Ideals a and b are equal: a <= b with equal lead
+    ideals gives a = b (Greuel-Pfister 1.6-1.7)."""
+    order = mixed_order(a.table)
     return (a.leads(order) == b.leads(order)
             and all(b.contains(g, order) for g in a.basis(order)))
 
 
-def saturate(gens, g, table, order=None, max_steps=100):
-    """((I : g^infinity), k) with k the first index where the chain
-    I, (I : g), ((I : g) : g), ... is stable.  ``gens`` may be an Ideal,
-    whose cached bases the chain then starts from.  Each step contains
-    the one before, so equal lead ideals mean equal ideals
-    (Greuel-Pfister 1.6-1.7) and no containment is tested."""
-    order = mixed_order(table) if order is None else order
+def saturate(ideal, g, max_steps=100):
+    """((I : g^infinity), k) for the Ideal I, with k the first index where
+    the chain I, (I : g), ((I : g) : g), ... is stable.  The chain starts
+    from the cached basis of I.  Each step contains the one before, so
+    equal lead ideals mean equal ideals (Greuel-Pfister 1.6-1.7) and no
+    containment is tested."""
     if g.is_zero():
         raise NeronError("saturation by zero")
-    current = gens if isinstance(gens, Ideal) else Ideal(table, gens)
+    table = ideal.table
+    order = mixed_order(table)
+    current = ideal
     for k in range(max_steps):
-        nxt = Ideal(table, quotient_by_poly(current.basis(order), g, table,
-                                            order))
+        nxt = Ideal(table, quotient_by_poly(current.basis(order), g, table))
         if current.leads(order) == nxt.leads(order):
             return current.basis(order), k
         current = nxt
     raise NeronError("saturation chain did not stabilize (cap reached)")
 
 
-def eliminate(gens, roles, table, order=None):
+def eliminate(gens, roles, table):
     """Generators of the ideal intersected with the subring without ``roles``."""
-    ambient = mixed_order(table) if order is None else order
     positions = table.block(*roles)
     if not positions:
-        return tuple(std_basis(gens, table, ambient))
+        return tuple(std_basis(gens, table, mixed_order(table)))
     basis = std_basis([g for g in gens if not g.is_zero()], table,
-                      elim_order(table, tuple(roles), ambient))
+                      elim_order(table, tuple(roles)))
     return tuple(b for b in basis if not b.involves(positions))
 
 
@@ -144,9 +130,8 @@ def radical_membership(p, gens, table):
     return any(b.is_constant() and not b.is_zero() for b in basis)
 
 
-def syzygies(gens, table, order=None):
+def syzygies(gens, table):
     """Generating vectors of the first syzygy module of ``gens``."""
-    order = mixed_order(table) if order is None else order
     zero = Polynomial.zero(table)
     one = Polynomial.const(table, 1)
     out = []
@@ -154,7 +139,7 @@ def syzygies(gens, table, order=None):
         if g.is_zero():
             out.append(tuple(one if i == j else zero
                              for i in range(len(gens))))
-    _, _, syz = std_basis(gens, table, order, track="syz")
+    _, _, syz = std_basis(gens, table, mixed_order(table), track="syz")
     seen = set()
     for vec in syz:
         if vec not in seen:
@@ -163,18 +148,18 @@ def syzygies(gens, table, order=None):
     return tuple(out)
 
 
-def krull_dim(gens, table, order=None, positions=None):
-    """Dimension via independent variable sets of the lead-term ideal.
+def krull_dim(ideal):
+    """Dimension of the Ideal I over its base block: the size of the
+    largest set S of base variables such that no lead monomial of I has
+    its base support inside S (an independent set of the lead ideal, read
+    off the cached basis).
 
-    For a local order this is the dimension of the localized quotient; the
-    unit ideal returns -1.  ``gens`` may be an Ideal, whose cached basis is
-    then used.
+    Under the local order on the base this is the dimension of the
+    localized quotient; the unit ideal returns -1.
     """
-    order = mixed_order(table) if order is None else order
-    positions = tuple(range(len(table))) if positions is None else tuple(positions)
-    ideal = gens if isinstance(gens, Ideal) else Ideal(
-        table, [g for g in gens if not g.is_zero()])
-    leads = ideal.leads(order)
+    table = ideal.table
+    positions = table.block(BASE)
+    leads = ideal.leads(mixed_order(table))
     if any(not any(lm) for lm in leads):   # a constant: the unit ideal
         return -1
     supports = [frozenset(i for i in positions if lm[i]) for lm in leads]

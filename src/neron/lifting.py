@@ -167,18 +167,20 @@ def newton_lift(prob):
         if not b.is_zero() and (b.order() or 0) < 1:
             raise NoContraction("the contraction seed b has order zero")
 
-    # Q_i(T) = expand(f_i, p, 2e, 2) at jets T, with s = 1
+    # d^(e-1) * Q_i(T) = expand(f_i, p, e + 1, 2) at jets T, with s = 1.
+    # b is cut to the precision of T: the expansion of a relation linear
+    # in Y is the zero polynomial, which would not cut it.
     n = len(y_names)
     t_prec = min(b.precision for b in b_jets) if b_jets else prec
+    b_jets = [b.truncate(t_prec) for b in b_jets]
     t_cur = [ring.zero_jet(t_prec) for _ in range(n)]
     point = ShiftedPoint(ring, prob.approx, Gp, Polynomial.const(table, 1),
                          d, e, t_cur)
     p_deg = max((fp.degree_in(table.block(ALGEBRA)) for fp in f_polys),
                 default=0)
-    d_q = ring.jet(point.dpow[e - 1], t_prec)   # d^(e-1), the factor of Q
     orders = []
     for _ in range(c + 2):
-        t_next = [-b - d_q * point.expand(fp, p_deg, 2 * e, 2)
+        t_next = [-b - point.expand(fp, p_deg, e + 1, 2)
                   for b, fp in zip(b_jets, f_polys)] + t_cur[r:]
         diff_orders = [delta.order() for delta in
                        (tn - tc for tn, tc in zip(t_next, t_cur))

@@ -81,7 +81,7 @@ class LocalRingSpec:
         return mixed_order(self.table)
 
     def local_dimension(self):
-        return krull_dim(self.j_ideal, self.table, self.order, self.base)
+        return krull_dim(self.j_ideal)
 
     def monomial_reduce(self, p):
         """Canonical form modulo J when every J-basis lead is the whole term.
@@ -117,7 +117,7 @@ class LocalRingSpec:
         if self.primes is not None:
             return self
         return LocalRingSpec(self.table, self.j_gens, minimal_primes(
-            list(self.j_gens), self.table, self.order))
+            list(self.j_gens), self.table))
 
     def with_table(self, newtable):
         """Same ring data lifted to an extended table."""
@@ -156,7 +156,7 @@ class LocalRingSpec:
         meet = None
         for p_gens in self.primes:
             meet = list(p_gens) if meet is None else intersect(
-                meet, list(p_gens), self.table, order)
+                meet, list(p_gens), self.table)
         for g in meet or []:
             if not radical_membership(g, list(self.j_gens) or
                                       [Polynomial.zero(self.table)],
@@ -233,8 +233,11 @@ class Jet:
     def __pow__(self, k):
         if k < 0:
             raise NeronError("negative exponent in jet power")
-        out = Jet(self.ring, Polynomial.const(self.ring.table, 1), self.precision)
-        for _ in range(k):
+        if k == 0:
+            return Jet(self.ring, Polynomial.const(self.ring.table, 1),
+                       self.precision)
+        out = self
+        for _ in range(k - 1):
             out = out * self
         return out
 
@@ -388,35 +391,32 @@ def _solve_exact(A, rhs):
 # ---------------------------------------------------------------------------
 # minimal primes (restricted decomposer)
 
-def _monomial_split(g, table):
-    """Variables occurring in a monomial generator, or None."""
-    if len(g.monomials()) != 1:
-        return None
-    m, = g.monomials()
-    return [i for i, e in enumerate(m) if e]
+MAX_COMPONENTS = 64   # components minimal_primes tracks at most
 
 
-def _content_split(g, table):
-    """x_i dividing every term of a non-monomial generator, or None."""
-    if len(g.monomials()) < 2:
-        return None
+def _split_variable(g):
+    """Position of the first variable dividing every term of g, or None."""
     shared = None
     for m in g.monomials():
         sup = {i for i, e in enumerate(m) if e}
         shared = sup if shared is None else (shared & sup)
         if not shared:
             return None
-    return sorted(shared)
+    return min(shared)
 
 
-def minimal_primes(j_gens, table, order=None, max_components=64):
-    """Minimal primes over J via factor splitting plus saturation.
+def minimal_primes(j_gens, table):
+    """Minimal primes over J via variable splitting plus saturation.
 
+    One split rule: take the first basis element g, other than a variable
+    itself, that some variable divides term by term, and v the first such
+    variable.  A power v^k, k >= 2, is replaced by v; any other g branches
+    into (I, v) and (I : v^infinity).
     Handles the monomial-style relation ideals this library meets; anything
     it cannot certify raises DecompositionIncomplete, directing the caller
     to supply the primes explicitly (MINPRIMES in the problem file).
     """
-    order = mixed_order(table) if order is None else order
+    order = mixed_order(table)
     live = [g for g in j_gens if not g.is_zero()]
     if not live:
         return [()]
@@ -426,7 +426,7 @@ def minimal_primes(j_gens, table, order=None, max_components=64):
     work = [tuple(start)]
     finished = []
     while work:
-        if len(finished) + len(work) > max_components:
+        if len(finished) + len(work) > MAX_COMPONENTS:
             raise DecompositionIncomplete(
                 "too many components; supply MINPRIMES")
         gens = work.pop()
@@ -436,36 +436,23 @@ def minimal_primes(j_gens, table, order=None, max_components=64):
         if not basis:
             finished.append(())
             continue
-        split_done = False
+        branches = None
         for g in basis:
-            idxs = _monomial_split(g, table)
-            if idxs is not None:
-                m, = g.monomials()
-                if len(idxs) >= 2:
-                    v = Polynomial.var(table, table.names[idxs[0]])
-                    branch1 = tuple(basis) + (v,)
-                    branch2, _ = saturate(list(basis), v, table, order)
-                    work.append(branch1)
-                    work.append(tuple(branch2))
-                    split_done = True
-                    break
-                if m[idxs[0]] >= 2:
-                    v = Polynomial.var(table, table.names[idxs[0]])
-                    reduced = tuple(b for b in basis if b is not g) + (v,)
-                    work.append(reduced)
-                    split_done = True
-                    break
+            i = _split_variable(g)
+            if i is None:
                 continue
-            idxs = _content_split(g, table)
-            if idxs is not None:
-                v = Polynomial.var(table, table.names[idxs[0]])
-                branch1 = tuple(basis) + (v,)
-                branch2, _ = saturate(list(basis), v, table, order)
-                work.append(branch1)
-                work.append(tuple(branch2))
-                split_done = True
-                break
-        if split_done:
+            v = Polynomial.var(table, table.names[i])
+            mons = list(g.monomials())
+            if len(mons) == 1 and sum(mons[0]) == mons[0][i]:   # c * v^k
+                if mons[0][i] == 1:   # v itself: nothing to split
+                    continue
+                branches = (tuple(b for b in basis if b is not g) + (v,),)
+            else:
+                branches = (tuple(basis) + (v,),
+                            saturate(Ideal(table, basis), v)[0])
+            break
+        if branches is not None:
+            work.extend(branches)
             continue
         if _certify_prime(basis):
             finished.append(tuple(basis))
@@ -476,12 +463,12 @@ def minimal_primes(j_gens, table, order=None, max_components=64):
     uniq = []
     for gens in finished:
         ideal = Ideal(table, gens)
-        if not any(same_ideal(ideal, other, order) for other in uniq):
+        if not any(same_ideal(ideal, other) for other in uniq):
             uniq.append(ideal)
     return [ideal.gens for ideal in uniq
             if not any(other is not ideal
                        and all(ideal.contains(o, order) for o in other.gens)
-                       and not same_ideal(ideal, other, order)
+                       and not same_ideal(ideal, other)
                        for other in uniq)]
 
 
@@ -524,14 +511,14 @@ def small_vectors_by_norm(n, lo=1, hi=None):
         yield from of_norm(n, total)
 
 
-def active_element(target_gens, primes, table, order=None, accept=None):
+def active_element(target_gens, primes, table, accept=None):
     """Element of the target ideal avoiding every minimal prime.
 
     ``primes`` are Ideals.  Search order: the given generators first, then
     at most MAX_ACTIVE_ATTEMPTS other combinations, their coefficient
     vectors from ``small_vectors_by_norm``, each offered to ``accept`` once.
     """
-    order = mixed_order(table) if order is None else order
+    order = mixed_order(table)
     live = [g for g in target_gens if not g.is_zero()]
     if not live:
         raise TargetInsidePrime("target ideal is zero")
@@ -561,12 +548,11 @@ def active_element(target_gens, primes, table, order=None, accept=None):
         "no active element found within the attempt budget")
 
 
-def compute_e(d, ring, cap=50):
+def compute_e(d, ring):
     """Least e >= 1 with (0 : d^e) = (0 : d^(e+1)) in A: max(1, k) for k
     the index where the colon chain J, (J : d), ... of ``saturate`` is
     stable, started from ``ring.j_ideal`` to reuse its basis."""
-    return max(1, saturate(ring.j_ideal, d, ring.table, ring.order,
-                           max_steps=cap)[1])
+    return max(1, saturate(ring.j_ideal, d, max_steps=50)[1])
 
 
 def check_precision_bound(N, d, e, ring):

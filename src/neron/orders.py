@@ -6,8 +6,12 @@ local ring), algebra variables (Y), tangent variables (T), slack variables
 the t-trick and by radical membership.
 
 A term order is a key function on exponent tuples.  Orders are parameters of
-each computation, never baked into a polynomial: the same ideal is used under
-elimination, local and global orders during a single run.
+the basis engine, never baked into a polynomial: the same ideal is used under
+elimination, local and global orders during a single run.  The ideal
+operations run in ``mixed_order(table)``, the order the table declares.
+
+Key functions memoize their monomials and forget them at MEMO_LIMIT
+entries; the caches of key functions and orders are bounded too.
 """
 
 from __future__ import annotations
@@ -87,12 +91,17 @@ class VarTable:
         return f"{stem}_{k}"
 
 
+MEMO_LIMIT = 1 << 16   # monomials one key function remembers at most
+
+
 def _memoized(fn):
     cache = {}
 
     def wrapped(m):
         v = cache.get(m)
         if v is None:
+            if len(cache) >= MEMO_LIMIT:
+                cache.clear()
             v = fn(m)
             cache[m] = v
         return v
@@ -100,49 +109,46 @@ def _memoized(fn):
     return wrapped
 
 
-@lru_cache(maxsize=None)
-def _cached_key(order, table, positions):
-    return _memoized(order._key_impl(table, positions))
+@lru_cache(maxsize=256)
+def _cached_key(order, table):
+    return _memoized(order._key_impl(table, tuple(range(len(table)))))
 
 
 class TermOrder:
     """Base class. Subclasses provide key functions over exponent tuples."""
 
-    def key(self, table, positions=None):
+    def key(self, table):
         """Memoized sort key on exponent tuples; larger key = larger term."""
-        return _cached_key(self, table, positions)
+        return _cached_key(self, table)
 
     def _key_impl(self, table, positions):
         raise NotImplementedError
 
-    def is_global(self, table, positions=None):
+    def is_global(self, table):
         """True when every variable monomial compares above 1."""
-        positions = range(len(table)) if positions is None else positions
-        keyf = self.key(table, tuple(positions))
-        one = keyf(tuple(0 for _ in table.names))
-        for i in positions:
-            m = tuple(1 if j == i else 0 for j in range(len(table)))
-            if not keyf(m) > one:
-                return False
-        return True
+        keyf = self.key(table)
+        n = len(table)
+        one = keyf((0,) * n)
+        return all(keyf(tuple(1 if j == i else 0 for j in range(n))) > one
+                   for i in range(n))
 
 
 @dataclass(frozen=True)
 class DegRevLex(TermOrder):
-    def _key_impl(self, table, positions=None):
-        pos = tuple(range(len(table))) if positions is None else tuple(positions)
-        rev = pos[::-1]
-        return lambda m: (sum(m[i] for i in pos),) + tuple(-m[i] for i in rev)
+    def _key_impl(self, table, positions):
+        rev = positions[::-1]
+        return lambda m: ((sum(m[i] for i in positions),)
+                          + tuple(-m[i] for i in rev))
 
 
 @dataclass(frozen=True)
 class NegDegRevLex(TermOrder):
     """Local order: 1 ranks above every variable monomial of its block."""
 
-    def _key_impl(self, table, positions=None):
-        pos = tuple(range(len(table))) if positions is None else tuple(positions)
-        rev = pos[::-1]
-        return lambda m: (-sum(m[i] for i in pos),) + tuple(-m[i] for i in rev)
+    def _key_impl(self, table, positions):
+        rev = positions[::-1]
+        return lambda m: ((-sum(m[i] for i in positions),)
+                          + tuple(-m[i] for i in rev))
 
 
 @dataclass(frozen=True)
@@ -155,8 +161,7 @@ class BlockOrder(TermOrder):
 
     blocks: tuple  # tuple of (roles-tuple, TermOrder)
 
-    def _key_impl(self, table, positions=None):
-        positions = tuple(range(len(table))) if positions is None else tuple(positions)
+    def _key_impl(self, table, positions):
         keyfs = []
         covered = set()
         for roles, sub in self.blocks:
@@ -179,7 +184,7 @@ class BlockOrder(TermOrder):
         return keyf
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def mixed_order(table):
     """Standard order for computations over (k[x]/J)_(x)[Y, T, ...].
 
@@ -195,13 +200,13 @@ def mixed_order(table):
     return BlockOrder(((non_base, DegRevLex()), ((BASE,), NegDegRevLex())))
 
 
-@lru_cache(maxsize=None)
-def elim_order(table, roles, ambient=None):
-    """Elimination order: ``roles`` dominate, the rest keeps ``ambient``."""
+@lru_cache(maxsize=64)
+def elim_order(table, roles):
+    """Elimination order: ``roles`` dominate, the rest keeps the mixed
+    order of ``table``."""
     roles = tuple(roles)
-    ambient = mixed_order(table) if ambient is None else ambient
     rest = tuple(r for r in table.roles_present() if r not in roles)
-    return BlockOrder(((roles, DegRevLex()), (rest, ambient)))
+    return BlockOrder(((roles, DegRevLex()), (rest, mixed_order(table))))
 
 
 def global_order():

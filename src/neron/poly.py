@@ -248,20 +248,6 @@ class Polynomial:
             return self
         return from_int_terms(self.table, kept, num, den)
 
-    def div_term(self, g):
-        """The quotient by the one-term polynomial g, or None when the
-        monomial of g does not divide every term."""
-        gn, gd, gints = g._iv
-        (t, sign), = gints.items()  # a primitive one-term view is +-x^t
-        num, den, ints = self._iv
-        out = {}
-        for m, v in ints.items():
-            q = mon_div(m, t)
-            if q is None:
-                return None
-            out[q] = v * sign
-        return _from_ints(self.table, out, *_times(num, den, gd, gn))
-
     def variables(self):
         used = set()
         for m in self._iv[2]:

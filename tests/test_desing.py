@@ -40,8 +40,7 @@ def test_elkik_two_branch_instance():
     gens_all = list(data.gens) + list(prob.relations) + list(prob.ring.j_gens)
     assert radical_membership(parse_poly(T, "x1"), gens_all, T)
     assert radical_membership(parse_poly(T, "x2"), gens_all, T)
-    dim = krull_dim(list(data.h_cap_a) + list(prob.ring.j_gens), T,
-                    prob.ring.order, T.block(BASE))
+    dim = krull_dim(Ideal(T, list(data.h_cap_a) + list(prob.ring.j_gens)))
     assert dim == 0
 
 

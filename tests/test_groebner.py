@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neron import (ALGEBRA, BASE, Ideal, Polynomial, VarTable,
-                   buchberger_criterion, divide_with_witness, global_order,
-                   NegDegRevLex, lift_division, mixed_order,
-                   normal_form_against, parse_poly, same_ideal, std_basis)
+                   buchberger_criterion, global_order, NegDegRevLex,
+                   lift_division, mixed_order, normal_form_against,
+                   parse_poly, std_basis)
 from neron.errors import NotInIdeal
 from neron.groebner import _Prepared, classic_nf, mora_nf
 from neron.poly import mon_div, mon_divides
@@ -170,11 +170,14 @@ def test_mora_unit_is_one_plus_smaller_terms():
     # dividing x by x - x^2 in the localization needs a unit multiplier
     T = VarTable.make(("x", BASE),)
     order = NegDegRevLex()
-    w = divide_with_witness(parse_poly(T, "x"), [parse_poly(T, "x - x^2")],
-                            T, order)
+    w = lift_division(parse_poly(T, "x"), [parse_poly(T, "x - x^2")], T,
+                      order)
     assert w.remainder.is_zero()
     assert w.check()
     assert w.unit.constant_coefficient() == 1
+    # (1 - x)*x = 1*(x - x^2)
+    assert w.quotients == (Polynomial.const(T, 1),)
+    assert w.unit == parse_poly(T, "1 - x")
 
 
 def test_determinism_and_generator_order_independence():
@@ -425,6 +428,8 @@ def test_standard_bases_are_minimal_for_every_order(problem):
     for i, a in enumerate(leads):
         for j, b in enumerate(leads):
             assert i == j or not mon_divides(a, b)
-    ideal = Ideal(T, gens)
-    assert same_ideal(ideal, Ideal(T, basis), order)
+    ideal, spanned = Ideal(T, gens), Ideal(T, basis)
+    # equal at this order: equal lead ideals and one containment
+    assert ideal.leads(order) == spanned.leads(order)
+    assert all(spanned.contains(g, order) for g in ideal.basis(order))
     assert ideal.leads(order) == frozenset(leads)

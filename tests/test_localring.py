@@ -150,11 +150,10 @@ def test_compute_e_examples():
     d = parse_poly(T2, "x1 + x2")
     chain = [tuple(std_basis([parse_poly(T2, "x1^2*x2")], T2, ring3.order))]
     for _ in range(4):
-        nxt = ideal_quotient(list(chain[-1]), [d], T2, ring3.order)
+        nxt = ideal_quotient(list(chain[-1]), [d], T2)
         chain.append(tuple(std_basis(list(nxt), T2, ring3.order)))
     stable = next(k for k in range(len(chain) - 1)
-                  if same_ideal(Ideal(T2, chain[k]), Ideal(T2, chain[k + 1]),
-                                ring3.order))
+                  if same_ideal(Ideal(T2, chain[k]), Ideal(T2, chain[k + 1])))
     assert compute_e(d, ring3) == max(1, stable) == 1
 
 
@@ -182,6 +181,27 @@ def test_jet_arithmetic_truncates_to_min_precision():
     # canonical form drops J multiples
     c = ring.jet(parse_poly(T, "x1*x2 + x1"), 8)
     assert c.poly == parse_poly(T, "x1")
+
+
+def test_jet_power_makes_k_minus_one_products(monkeypatch):
+    ring = two_branch_ring()
+    T = ring.table
+    a = ring.jet(parse_poly(T, "1 + x1 + x2^2"), 6)
+    products = []
+    real = Jet.__mul__
+
+    def counted(self, other):
+        products.append((self, other))
+        return real(self, other)
+
+    monkeypatch.setattr(Jet, "__mul__", counted)
+    for k in range(6):
+        products.clear()
+        power = a ** k
+        assert len(products) == max(k - 1, 0), k
+        assert power.precision == 6
+        want = ring.jet(parse_poly(T, f"(1 + x1 + x2^2)^{k}"), 6)
+        assert power == want, k
 
 
 def test_jet_invert_examples():
@@ -340,7 +360,7 @@ def test_prime_list_invariants_after_decomposition():
     meet = None
     for p_gens in ring.primes:
         meet = list(p_gens) if meet is None else intersect(
-            meet, list(p_gens), T, ring.order)
+            meet, list(p_gens), T)
     for g in meet:
         assert radical_membership(g, list(ring.j_gens), T)
 

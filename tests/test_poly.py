@@ -19,8 +19,7 @@ from neron import (ALGEBRA, BASE, Polynomial, VarTable, format_poly,
 from neron.cli import run_command
 from neron.desing import desingularize, verify_certificate
 from neron.errors import NeronError, PolyParseError
-from neron.groebner import _Prepared, classic_nf, mora_nf
-from neron.idealops import divide_out
+from neron.groebner import _Prepared, classic_nf, lift_division, mora_nf
 from neron.lifting import LiftingProblem, newton_lift
 from neron.localring import Jet, LocalRingSpec
 from neron.poly import _from_ints
@@ -719,11 +718,13 @@ def test_only_poly_reads_the_value_map(monkeypatch):
     newton_lift(lift)
     code, out, _ = run_command("desing", "problems/example1_hypersurface.gnd")
     assert code == 0 and out
-    # and the monomial path of divide_out, which these do not reach
+    # and a division by one term: Mora's normal form removes one term per
+    # step, with unit 1
     T = table2()
-    assert (divide_out(parse_poly(T, "x1^2*x2 - 1/2*x1*x2^3"),
-                       parse_poly(T, "-3*x1*x2"), T)
-            == parse_poly(T, "-1/3*x1 + 1/6*x2^2"))
+    w = lift_division(parse_poly(T, "x1^2*x2 - 1/2*x1*x2^3"),
+                      [parse_poly(T, "-3*x1*x2")], T, mixed_order(T))
+    assert w.check() and w.unit == Polynomial.const(T, 1)
+    assert w.quotients == (parse_poly(T, "-1/3*x1 + 1/6*x2^2"),)
     assert readers == []
     # the spy does see a read made from a library module
     probe = {}
