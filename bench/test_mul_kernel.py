@@ -19,12 +19,14 @@ time the one-term path; the others have products of about 10^2, 10^3 and
 base degree ``2 * maxdeg``, half the largest base degree a product term
 can have.  The rational sum cases add the rational operands of the
 product cases.  The jet cases multiply two jets with rational coefficients
-in the base variables at precision 12, modulo the relation
-x1^2*x2 - x2^3: operands drawn with 10 and 30 random terms plus a
-constant, made monic, as the square-root series of the lift are, and
-reduced (to 9 and 8, and 16 and 17 terms).  The normal-form case reduces the
-10x10 integer product against the monic standard basis of three fixed
-generators under the mixed order.
+in the base variables at precision 12: operands drawn with 10 and 30
+random terms plus a constant, made monic, as the square-root series of
+the lift are, and reduced.  Modulo the binomial relation x1^2*x2 - x2^3
+(reduced by long division) they keep 9 and 8, and 16 and 17 terms;
+modulo the monomial relation x1^2*x2 (reduced by deletion, as the
+lift's J = (x1*x2) or (x1^2*x2) is) 4 and 4, and 9 and 7.  The
+normal-form case reduces the 10x10 integer product against the monic
+standard basis of three fixed generators under the mixed order.
 The divisibility cases test every monomial of the integer operand a
 against every monomial of a*b.  The order-key cases evaluate the mixed
 order's key function, without its memo, on every monomial of the integer
@@ -62,15 +64,17 @@ CUT_CASES = [(1, 1, 3, 0), (1, 5, 3, 4), (10, 10, 3, 36), (34, 34, 5, 514),
 # (terms of a, terms of b, largest exponent, terms of the sum)
 SUM_CASES = [(1, 5, 3, 6), (10, 10, 3, 20), (34, 34, 5, 67),
              (110, 110, 8, 219)]
-# (terms drawn for each operand, terms of the product jet)
-JET_CASES = [(10, 16), (30, 27)]
+# (relation, terms drawn for each operand, terms of each operand jet,
+# terms of the product jet)
+JET_CASES = [("x1^2*x2 - x2^3", 10, (9, 8), 16),
+             ("x1^2*x2 - x2^3", 30, (16, 17), 27),
+             ("x1^2*x2", 10, (4, 4), 9), ("x1^2*x2", 30, (9, 7), 14)]
 # (terms of a, terms of b, largest exponent, pairs (monomial of a,
 # monomial of a*b) in which the first divides the second)
 DIVIDES_CASES = [(10, 10, 3, 532), (34, 34, 5, 19838)]
 # the product cases with more than five terms
 BIG_CASES = CASES[2:]
 JET_PRECISION = 12
-JET_RELATION = "x1^2*x2 - x2^3"
 
 # the generators of the normal-form case, and the size of its remainder
 NF_GENS = ("3*x1^2 - 2*x2^3 + 5*x1*Y1", "7*x2*Y2 - 3*x1 + 4*x2^2",
@@ -145,13 +149,17 @@ def jet_operand(ring, rng, nterms):
                     JET_PRECISION)
 
 
-@pytest.mark.parametrize("nterms, product_terms", JET_CASES,
-                         ids=[f"jet-{c[0]}-terms" for c in JET_CASES])
-def test_jet_mul_rational(benchmark, nterms, product_terms):
-    ring = LocalRingSpec(TABLE, [parse_poly(TABLE, JET_RELATION)])
+@pytest.mark.parametrize(
+    "relation, nterms, operand_terms, product_terms", JET_CASES,
+    ids=[f"jet-{c[1]}-terms-" + ("monomial" if "-" not in c[0] else
+                                 "binomial") for c in JET_CASES])
+def test_jet_mul_rational(benchmark, relation, nterms, operand_terms,
+                          product_terms):
+    ring = LocalRingSpec(TABLE, [parse_poly(TABLE, relation)])
     rng = random.Random(nterms)
     a = jet_operand(ring, rng, nterms)
     b = jet_operand(ring, rng, nterms)
+    assert (len(a.poly.terms), len(b.poly.terms)) == operand_terms
     result = benchmark(a.__mul__, b)
     assert len(result.poly.terms) == product_terms
 

@@ -233,13 +233,18 @@ def _survives_all(ring, precision, jet):
 # ---------------------------------------------------------------------------
 # stages
 
+def jacobian_minors(table, fs, y_names):
+    """The nonzero maximal minors of d(fs)/dY, in ``minors`` order."""
+    jac = PolyMatrix(table, jacobian(list(fs), list(y_names)))
+    return tuple(m for m in minors(jac, len(fs)) if not m.is_zero())
+
+
 def jacobian_colon(ring, fs, relations, y_names):
     """(((fs) + J : I + J), the nonzero maximal minors of d(fs)/dY), with I
     generated by ``relations``.  The minors come first; when none is
     nonzero, the colon is not computed and both are empty."""
     table = ring.table
-    jac = PolyMatrix(table, jacobian(list(fs), list(y_names)))
-    minor_list = tuple(m for m in minors(jac, len(fs)) if not m.is_zero())
+    minor_list = jacobian_minors(table, fs, y_names)
     if not minor_list:
         return (), ()
     j_gens = list(ring.j_gens)

@@ -230,6 +230,36 @@ def classic_nf(p, reducers, keyf, table, full=True, row=None, cut=None):
     return from_int_terms(table, rem, 1, den), row
 
 
+def delete_multiples(p, leads, cut=None):
+    """The terms of p that no monomial of ``leads`` divides, without those
+    of degree N or more at ``positions`` for ``cut = (positions, N)``; p
+    itself when it loses none.
+
+    This is the full remainder of p by the monic one-term reducers x^lm:
+    each step subtracts c * x^t * x^lm, which removes the term c * x^m it
+    divides and adds none, so no heap and no scaling is needed."""
+    if not leads:
+        return p if cut is None else p.below(cut)
+    supports = [[(i, e) for i, e in enumerate(lm) if e] for lm in leads]
+    positions, bound = cut or ((), 1)   # no cut: every degree is 0 < 1
+    num, den, ints = p._view()
+    kept = {}
+    for m, v in ints.items():
+        if sum([m[i] for i in positions]) >= bound:
+            continue
+        for support in supports:
+            for i, e in support:
+                if m[i] < e:
+                    break
+            else:       # this lead divides m
+                break
+        else:           # no lead divides m
+            kept[m] = v
+    if len(kept) == len(ints):
+        return p
+    return from_int_terms(p.table, kept, num, den)
+
+
 def mora_nf(p, reducers, keyf, table, row=None):
     """Mora's weak normal form for arbitrary (in particular local) orders.
 
@@ -504,12 +534,18 @@ class Ideal:
         self._bases = {}
 
     def _prepared(self, order):
+        """(basis, key, is_global, reducers, one_term) for the order;
+        ``one_term`` is the tuple of basis leads when every basis element
+        is a single term, None otherwise."""
         got = self._bases.get(order)
         if got is None:
             keyf = order.key(self.table)
             basis = std_basis(self.gens, self.table, order)
-            got = (basis, keyf, order.is_global(self.table),
-                   [_Prepared(b, keyf, i) for i, b in enumerate(basis)])
+            prepared = [_Prepared(b, keyf, i) for i, b in enumerate(basis)]
+            one_term = (tuple(g.lm for g in prepared)
+                        if all(len(g.ints) == 1 for g in prepared) else None)
+            got = (basis, keyf, order.is_global(self.table), prepared,
+                   one_term)
             self._bases[order] = got
         return got
 
@@ -521,11 +557,16 @@ class Ideal:
         frozenset of monomials."""
         return frozenset(g.lm for g in self._prepared(order)[3])
 
+    def monomial_leads(self, order):
+        """The basis leads when every basis element is a single term (a
+        monomial ideal), None otherwise."""
+        return self._prepared(order)[4]
+
     def nf(self, p, order):
         """Normal form of p; zero iff p lies in the ideal."""
         if p.is_zero():
             return p
-        basis, keyf, glob, prepared = self._prepared(order)
+        basis, keyf, glob, prepared, _ = self._prepared(order)
         if not basis:
             return p
         return _divide(p, prepared, keyf, self.table, glob)[0]
@@ -545,10 +586,15 @@ class Ideal:
         over the standard monomials, the same as division by a basis of
         I + (x)^N.  Terminates for global orders, and for any order under
         a cut: the monomials below it are finitely many.
+
+        A basis of single terms (the zero ideal included) divides by
+        deletion: a monic one-term reducer removes the term it divides and
+        adds none, so ``delete_multiples`` gives ``classic_nf``'s remainder
+        in one pass over the terms.
         """
-        basis, keyf, _, prepared = self._prepared(order)
-        if not basis:
-            return p if cut is None else p.below(cut)
+        _, keyf, _, prepared, one_term = self._prepared(order)
+        if one_term is not None:
+            return delete_multiples(p, one_term, cut)
         return classic_nf(p, prepared, keyf, self.table, full=True,
                           cut=cut)[0]
 
@@ -578,7 +624,9 @@ def lift_division(p, gens, table, order):
 
     The generators are completed to a basis with representation tracking and
     the witnesses are composed, so the resulting identity
-    unit*p = sum(q*gens) holds exactly as polynomials.
+    unit*p = sum(q*gens) holds exactly as polynomials.  One nonzero
+    generator g needs no basis computation: its basis is g/lc(g), with
+    row 1/lc(g), as ``std_basis`` would return it.
     """
     live = [g for g in gens if not g.is_zero()]
     if p.is_zero():
@@ -587,8 +635,15 @@ def lift_division(p, gens, table, order):
                                tuple(zero for _ in gens), zero)
     if not live:
         raise NotInIdeal("dividend is not in the zero ideal")
-    basis, rows = std_basis(gens, table, order, track="rows")
     keyf = order.key(table)
+    zero = Polynomial.zero(table)
+    if len(live) == 1:
+        inv = exact_div(1, live[0].lead(keyf)[1])
+        basis = (live[0] * inv,)
+        rows = (tuple(Polynomial.const(table, inv) if g is live[0] else zero
+                      for g in gens),)
+    else:
+        basis, rows = std_basis(gens, table, order, track="rows")
     prepared = [_Prepared(b, keyf, i) for i, b in enumerate(basis)]
     # p itself is tracked in the extra slot: its coefficient is the unit
     extra = len(basis)
@@ -596,7 +651,6 @@ def lift_division(p, gens, table, order):
                      row={extra: Polynomial.const(table, 1)})
     if not r.is_zero():
         raise NotInIdeal("dividend is not in the ideal at this order")
-    zero = Polynomial.zero(table)
     unit = row.get(extra, zero)
     q_gens = [zero] * len(gens)
     for k, brow in enumerate(rows):
@@ -606,8 +660,7 @@ def lift_division(p, gens, table, order):
         for j, coeff in enumerate(brow):
             if coeff is not None and not coeff.is_zero():
                 q_gens[j] = q_gens[j] + qb * coeff
-    return DivisionWitness(p, tuple(gens), unit, tuple(q_gens),
-                           Polynomial.zero(table))
+    return DivisionWitness(p, tuple(gens), unit, tuple(q_gens), zero)
 
 
 def buchberger_criterion(basis, table, order):

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .desing import (AlgebraPresentation, MorphismApprox, ShiftedPoint,
-                     complete_H, eval_exact, jacobian_colon)
+                     complete_H, eval_exact, jacobian_colon,
+                     jacobian_minors)
 from .errors import (DivisionFailed, HypothesisViolated, NeronError,
                      NoContraction, NotDivisible, PreconditionFailed)
 from .groebner import Ideal
@@ -60,18 +61,25 @@ def nu_bound(e, rho, c):
 
 
 def _jacobian_products(prob):
-    """Evaluations at y' of generators of ((f):I) * Delta_f."""
+    """Evaluations at y' of generators of ((f) + J : I + J) * Delta_f.
+
+    When every nonzero relation is one of f, I lies in (f) and the colon
+    is the unit ideal: the data are the nonzero maximal minors themselves,
+    and no colon is computed."""
     ring = prob.ring
-    colon, minor_list = jacobian_colon(
-        ring, prob.f_polys(), prob.relations,
-        ring.table.block_names(ALGEBRA))
+    fs = prob.f_polys()
+    y_names = ring.table.block_names(ALGEBRA)
+    if all(p.is_zero() or p in fs for p in prob.relations):
+        data = jacobian_minors(ring.table, fs, y_names)
+    else:
+        colon, minor_list = jacobian_colon(ring, fs, prob.relations, y_names)
+        data = [c * m for c in colon for m in minor_list]
     subs = dict(prob.approx)
     out = []
-    for c in colon:
-        for m in minor_list:
-            val = ring.monomial_reduce((c * m).substitute(subs))
-            if not val.is_zero():
-                out.append(val)
+    for p in data:
+        val = ring.monomial_reduce(p.substitute(subs))
+        if not val.is_zero():
+            out.append(val)
     return out
 
 
@@ -81,6 +89,11 @@ def check_hypothesis(prob):
     The hypothesis of the theorem reads (x)^rho in (J, (x)^nu, data) with
     nu = nu_bound(e, rho, c) > rho; by Nakayama's lemma in A that holds
     exactly when (x)^rho lies in (J, data), so neither nu nor e is needed.
+    Only that ideal matters, so when f is all of I (``neron lift`` without
+    ``--f-indices``) the colon ((f) + J : I + J), which is then (1), is
+    skipped and the data are the nonzero maximal minors of df/dY.  A colon
+    computed by the t-trick may come out as a unit of k[x]_(x) other than
+    1, which generates the same ideal.
     """
     ring = prob.ring
     return ring.contains_power(

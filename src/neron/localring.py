@@ -8,7 +8,10 @@ truncates to the minimum precision of its operands.  The canonical form is
 unique and linear (Greuel-Pfister 1.6-1.7), so sums, differences and
 truncations of canonical jets only drop the terms at or above the cut.
 Division by J is left to products, which multiply no pair of terms whose
-x-degrees sum to N or more, and to polynomials entering a jet.
+x-degrees sum to N or more, and to polynomials entering a jet.  When the
+basis of J is all single terms, as for J = (x1*x2) or J = 0, that division
+is deletion: the terms a lead divides and the terms past the cut are
+dropped in one pass, which is the heap division's remainder exactly.
 
 The module also houses the restricted minimal prime decomposer, the
 small-vector and active element searches, the annihilator exponent and the
@@ -23,7 +26,7 @@ from math import lcm
 
 from .errors import (ActiveElementNotFound, DecompositionIncomplete,
                      NeronError, NotAUnit, NotDivisible, TargetInsidePrime)
-from .groebner import Ideal, std_basis
+from .groebner import Ideal, delete_multiples, std_basis
 from .idealops import (intersect, krull_dim, radical_membership, same_ideal,
                        saturate)
 from .orders import BASE, mixed_order
@@ -84,21 +87,22 @@ class LocalRingSpec:
         return krull_dim(self.j_ideal)
 
     def monomial_reduce(self, p):
-        """Canonical form modulo J when every J-basis lead is the whole term.
+        """Canonical form modulo J when every element of J's basis is a
+        single term.
 
-        Reduction by single-term relations only deletes monomials, so this
-        terminates for any order; for non-monomial J the input is returned
-        unchanged (divisions absorb the difference through their J slots).
+        Such relations only delete the monomials they divide
+        (``delete_multiples``, as in ``reduce_jet``), so this terminates
+        for any order; for non-monomial J the input is returned unchanged
+        (divisions absorb the difference through their J slots).
         """
-        basis = self.j_ideal.basis(self.order)
-        if not basis or not all(len(b.monomials()) == 1 for b in basis):
-            return p
-        leads = [m for b in basis for m in b.monomials()]
-        return p.select(lambda m: not any(mon_divides(lm, m) for lm in leads))
+        leads = self.j_ideal.monomial_leads(self.order)
+        return p if leads is None else delete_multiples(p, leads)
 
     def reduce_jet(self, p, precision, prime=None):
         """Canonical form of p modulo J + (x)^N, or modulo P_i + (x)^N for
-        the prime of index ``prime`` (each P_i contains J)."""
+        the prime of index ``prime`` (each P_i contains J).  A basis of
+        single terms (J = (x1*x2), J = 0) reduces by deletion, which gives
+        the remainder of ``classic_nf``'s heap division, used otherwise."""
         ideal = self.j_ideal if prime is None else self.prime_ideals[prime]
         return ideal.reduce_full(p, self.order, cut=(self.base, precision))
 

@@ -33,8 +33,7 @@ from neron.cli import emit_trace
 from neron.desing import (AlgebraPresentation, certify_subsystem_membership,
                           desingularize, elkik_ideal, factor_morphism,
                           verify_certificate)
-from neron.errors import (ConditionStarStarFailed, NeronError,
-                          VerificationFailed)
+from neron.errors import ConditionStarStarFailed, VerificationFailed
 from neron.lifting import (LiftingProblem, newton_lift, nu_bound,
                            strong_approx_decide)
 from neron.localring import Jet, LocalRingSpec

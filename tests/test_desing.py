@@ -7,17 +7,16 @@ import pytest
 
 from conftest import (hypersurface_problem, space_curve_data,
                       two_branch_problem, two_branch_table)
-from neron import (ALGEBRA, BASE, Ideal, Polynomial, PolyMatrix, VarTable,
-                   det, jacobian, krull_dim, mixed_order,
-                   normal_form_against, parse_poly, radical_membership,
-                   std_basis)
+from neron import (ALGEBRA, BASE, Ideal, Polynomial, VarTable, det,
+                   jacobian, krull_dim, normal_form_against, parse_poly,
+                   radical_membership, std_basis)
 from neron.desing import (AlgebraPresentation, MorphismApprox, complete_H,
                           desingularize, elkik_ideal, eval_at_jets,
                           factor_morphism, find_f_R, mm_primary_reduction,
                           sym_algebra_reduction, verify_certificate)
-from neron.errors import (BoundTooSmall, CertificateFailed,
-                          ConditionStarStarFailed, VerificationFailed)
-from neron.localring import Jet, LocalRingSpec, minimal_primes
+from neron.errors import (BoundTooSmall, ConditionStarStarFailed,
+                          VerificationFailed)
+from neron.localring import Jet, LocalRingSpec
 from neron.problemfile import parse_problem
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")

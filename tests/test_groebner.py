@@ -3,11 +3,13 @@
 import random
 import signal
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import neron.groebner as groebner
 from neron import (ALGEBRA, BASE, Ideal, Polynomial, VarTable,
                    buchberger_criterion, global_order, NegDegRevLex,
                    lift_division, mixed_order, normal_form_against,
@@ -359,6 +361,77 @@ def test_mixed_order_normal_forms_match_the_value_division(problem, bound):
     assert classic_nf(p, prepared, keyf, T, cut=cut)[0] == want
     rows = classic_nf(p, prepared, keyf, T, row={}, cut=cut)
     assert rows[0] == want
+
+
+@st.composite
+def deletion_problems(draw):
+    """An order, a rational dividend, one to three single-term generators
+    (a constant among them gives the unit ideal), whether the binomial
+    x1^2*x2 - x2^3 joins them, and a base-degree cut or None.  Under the
+    mixed order the binomial case always has a cut: long division by a
+    basis that is not all single terms need not end there without one."""
+    T = table_nf()
+    which = draw(st.sampled_from(["mixed", "global"]))
+    order = mixed_order(T) if which == "mixed" else global_order()
+    mons = st.tuples(*[st.integers(0, 3)] * len(T))
+    p = Polynomial.from_terms(T, draw(st.lists(st.tuples(mons, _NF_COEFFS),
+                                               max_size=8)))
+    gens = [Polynomial(T, {m: c}) for m, c in draw(st.lists(
+        st.tuples(mons, _NF_COEFFS), min_size=1, max_size=3))]
+    binomial = draw(st.booleans())
+    bound = draw(st.one_of(st.none(), st.integers(0, 6)))
+    if binomial and bound is None and which == "mixed":
+        bound = 4
+    return T, order, p, gens, binomial, bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(deletion_problems())
+def test_reduce_full_by_deletion_is_the_long_division(problem):
+    """``Ideal.reduce_full`` deletes against a basis of single terms and
+    gives ``classic_nf``'s remainder, with and without a cut; a basis
+    that is not all single terms still goes through ``classic_nf``."""
+    T, order, p, gens, binomial, bound = problem
+    if binomial:
+        gens = gens + [parse_poly(T, "x1^2*x2 - x2^3")]
+    ideal = Ideal(T, gens)
+    keyf = order.key(T)
+    basis = ideal.basis(order)
+    one_term = all(len(b.monomials()) == 1 for b in basis)
+    assert binomial or one_term
+    assert ideal.monomial_leads(order) == (
+        tuple(b.lead(keyf)[0] for b in basis) if one_term else None)
+    prepared = [_Prepared(b, keyf, i) for i, b in enumerate(basis)]
+    cut = None if bound is None else (T.block(BASE), bound)
+    want = classic_nf(p, prepared, keyf, T, full=True, cut=cut)[0]
+    with mock.patch.object(groebner, "classic_nf",
+                           wraps=groebner.classic_nf) as spy:
+        got = ideal.reduce_full(p, order, cut)
+    assert got == want
+    assert spy.called == (not one_term)
+    if one_term:
+        assert got == groebner.delete_multiples(p, [b.lead(keyf)[0]
+                                                    for b in basis], cut)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nf_problems(), st.sampled_from(["mixed", "global"]))
+def test_one_generator_division_computes_no_basis(problem, which):
+    """Dividing by one generator builds its basis g/lc(g) without
+    ``std_basis``; the witness is the one the basis of [g, g], which
+    ``std_basis`` computes, gives (the second copy reduces to zero)."""
+    T, q, gens = problem
+    order = mixed_order(T) if which == "mixed" else global_order()
+    g = gens[0]
+    p = q * g
+    with mock.patch.object(groebner, "std_basis",
+                           wraps=groebner.std_basis) as spy:
+        w = lift_division(p, [g], T, order)
+    assert not spy.called
+    assert w.check() and w.remainder.is_zero()
+    both = lift_division(p, [g, g], T, order)
+    assert (w.unit, w.quotients) == (both.unit, both.quotients[:1])
+    assert both.quotients[1].is_zero()
 
 
 def test_normal_form_rescales_when_the_reducer_lead_does_not_divide():

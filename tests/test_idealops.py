@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from neron import (ALGEBRA, BASE, Ideal, Polynomial, VarTable,
                    eliminate, global_order, ideal_quotient, intersect,
                    krull_dim, mixed_order, normal_form_against, parse_poly,

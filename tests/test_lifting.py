@@ -1,5 +1,6 @@
 """Strong approximation: the linear bound and the Newton contraction."""
 
+import dataclasses
 import hashlib
 from fractions import Fraction
 
@@ -9,10 +10,11 @@ from conftest import random_certificate_instance, two_branch_problem
 from neron import (ALGEBRA, BASE, Polynomial, VarTable, format_poly,
                    parse_poly)
 from neron.desing import (AlgebraPresentation, Reduction, build_hg,
-                          complete_H, eval_exact)
+                          complete_H, eval_exact, jacobian_colon)
 from neron.errors import (CompletionFailed, HypothesisViolated, NeronError,
                           PreconditionFailed)
 from neron.groebner import Ideal
+from neron.idealops import same_ideal
 from neron.lifting import (LiftingProblem, _completion_data,
                            _jacobian_products, check_hypothesis, newton_lift,
                            nu_bound, strong_approx_decide)
@@ -276,6 +278,61 @@ def test_check_hypothesis_matches_nu_formulation():
                 nu = rho + 1
             assert check_hypothesis(prob) == _hypothesis_with_cut(prob, nu), \
                 (seed, rho)
+
+
+def _colon_route_ideal(prob):
+    """(J, evaluated generators of ((f) + J : I + J) * Delta_f), the colon
+    computed by ``jacobian_colon``."""
+    ring = prob.ring
+    colon, minor_list = jacobian_colon(ring, prob.f_polys(), prob.relations,
+                                       ring.table.block_names(ALGEBRA))
+    subs = dict(prob.approx)
+    return Ideal(ring.table, [ring.monomial_reduce((c * m).substitute(subs))
+                              for c in colon for m in minor_list]
+                 + list(ring.j_gens))
+
+
+def test_unit_colon_shortcut_gives_the_colon_routes_ideal():
+    """With every relation in f, I lies in (f) and the colon is (1): the
+    minors alone give the ideal the colon route gives, and the verdicts
+    for rho 0-3 agree, on generator seeds 0-31."""
+    for seed in range(32):
+        prob = _generator_lift_problem(seed, 0)
+        ring = prob.ring
+        slow = _colon_route_ideal(prob)
+        fast = Ideal(ring.table, _jacobian_products(prob) + list(ring.j_gens))
+        assert same_ideal(fast, slow), seed
+        for rho in range(4):
+            prob_rho = dataclasses.replace(prob, rho=rho)
+            assert check_hypothesis(prob_rho) == ring.contains_power(
+                slow, rho), (seed, rho)
+
+
+def test_only_a_proper_subsystem_computes_the_colon(monkeypatch):
+    """The colon is computed when f is a proper part of I, and skipped
+    when every nonzero relation is one of f."""
+    import neron.lifting as lifting
+    calls = []
+    real = lifting.jacobian_colon
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lifting, "jacobian_colon", spy)
+    tb = two_branch_problem()
+    ring = tb.ring
+    approx = {nm: j.poly for nm, j in tb.morphism.jets.items()}
+    prob = LiftingProblem(ring, tb.relations, (0,), approx, 4, 8)
+    assert check_hypothesis(prob)
+    assert len(calls) == 1
+    ideal = Ideal(ring.table, _jacobian_products(prob) + list(ring.j_gens))
+    assert len(calls) == 2
+    assert same_ideal(ideal, _colon_route_ideal(prob))
+    zero = Polynomial.zero(ring.table)
+    whole = LiftingProblem(ring, (tb.relations[0], zero), (0,), approx, 4, 8)
+    assert check_hypothesis(whole)
+    assert len(calls) == 2
 
 
 def test_newton_lift_cubic_taylor_term_non_unit_d():

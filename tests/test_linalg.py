@@ -1,7 +1,6 @@
 """Determinants, adjugates and minors of polynomial matrices."""
 
 import random
-from fractions import Fraction
 
 import pytest
 

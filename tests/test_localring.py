@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 import neron.groebner as groebner
 from neron import (ALGEBRA, BASE, Ideal, Polynomial, VarTable,
-                   ideal_quotient, mixed_order, parse_poly, same_ideal,
-                   std_basis)
+                   ideal_quotient, parse_poly, same_ideal, std_basis)
 from neron.errors import (ActiveElementNotFound, DecompositionIncomplete,
                           NeronError, NotAUnit, NotDivisible,
                           TargetInsidePrime)

@@ -1,8 +1,7 @@
 """Term order semantics: global, local and block orders."""
 
-from neron import (ALGEBRA, BASE, BlockOrder, DegRevLex, NegDegRevLex,
-                   VarTable, elim_order, global_order, mixed_order,
-                   parse_poly)
+from neron import (ALGEBRA, BASE, NegDegRevLex, VarTable, elim_order,
+                   global_order, mixed_order, parse_poly)
 
 
 def table2():
