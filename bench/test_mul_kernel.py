@@ -33,6 +33,15 @@ order's key function, without its memo, on every monomial of the integer
 product.  The value-map cases build a polynomial from the value map of a
 rational product (int and ``Fraction`` coefficients), and the hash cases
 hash a fresh copy of that product.
+The strand cases are one-variable cut products shaped as those of one
+``lift`` pass, where the jets W = G(y')t have precision 81 and x1-order 9:
+the square W*W of 72 terms, a 72x72 product, a Newton step's shape (a
+step of order 18, 63 terms, times a sum S_2 of 72 terms), and the small
+8x8, 3x3 and 2x40 products that set ``poly._STRAND_MIN``.  Their coefficients
+are those of the binomial series of (1 + x1)^(1/2) and (1 + x1)^(-1/2),
+dyadic rationals like the lift's square-root jets.  Each runs through the
+convolution and through the dict loop, the kernel chosen by setting
+``_STRAND_MIN``.
 The exact counts are asserted, so a change of operands shows up as a
 failure, not as a different timing.  This directory lies outside
 ``testpaths``, so the default ``pytest`` run does not collect it.
@@ -43,6 +52,7 @@ from fractions import Fraction
 
 import pytest
 
+import neron.poly
 from neron import (ALGEBRA, BASE, Polynomial, VarTable, mixed_order,
                    parse_poly, std_basis)
 from neron.groebner import _Prepared, mora_nf
@@ -75,6 +85,20 @@ DIVIDES_CASES = [(10, 10, 3, 532), (34, 34, 5, 19838)]
 # the product cases with more than five terms
 BIG_CASES = CASES[2:]
 JET_PRECISION = 12
+
+# (case, binomial exponent and x1-exponents of a, of b (None: b is a, a
+# square), terms of a and b, terms of the product below the cut at 81)
+HALF, MINUS_HALF = Fraction(1, 2), Fraction(-1, 2)
+STRAND_CASES = [("square-72", (HALF, 9, 81), None, (72, 72), 63),
+                ("72x72", (HALF, 9, 81), (MINUS_HALF, 9, 81), (72, 72), 63),
+                ("step-63x72", (MINUS_HALF, 18, 81), (HALF, 9, 81),
+                 (63, 72), 54),
+                ("8x8", (HALF, 9, 17), (MINUS_HALF, 9, 17), (8, 8), 15),
+                ("3x3", (HALF, 9, 12), (MINUS_HALF, 9, 12), (3, 3), 5),
+                ("2x40", (HALF, 9, 11), (MINUS_HALF, 9, 49), (2, 40), 41)]
+STRAND_CUT = (TABLE.block(BASE), 81)
+# _STRAND_MIN for each kernel
+KERNELS = {"convolution": 1, "dict-loop": 10 ** 9}
 
 # the generators of the normal-form case, and the size of its remainder
 NF_GENS = ("3*x1^2 - 2*x2^3 + 5*x1*Y1", "7*x2*Y2 - 3*x1 + 4*x2^2",
@@ -162,6 +186,30 @@ def test_jet_mul_rational(benchmark, relation, nterms, operand_terms,
     assert (len(a.poly.terms), len(b.poly.terms)) == operand_terms
     result = benchmark(a.__mul__, b)
     assert len(result.poly.terms) == product_terms
+
+
+def binomial_strand(r, low, high):
+    """The terms c_k * x1^k of (1 + x1)^r for low <= k < high."""
+    items, c = [], Fraction(1)
+    for k in range(high):
+        if k >= low:
+            items.append(((k, 0, 0, 0), c))
+        c = c * (r - k) / (k + 1)
+    return Polynomial.from_terms(TABLE, items)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("case, a_spec, b_spec, operand_terms, product_terms",
+                         STRAND_CASES, ids=[c[0] for c in STRAND_CASES])
+def test_strand_mul(benchmark, monkeypatch, kernel, case, a_spec, b_spec,
+                    operand_terms, product_terms):
+    a = binomial_strand(*a_spec)
+    b = a if b_spec is None else binomial_strand(*b_spec)
+    assert (len(a.monomials()), len(b.monomials())) == operand_terms
+    monkeypatch.setattr(neron.poly, "_STRAND_MIN", KERNELS[kernel],
+                        raising=False)
+    result = benchmark(a.mul, b, STRAND_CUT)
+    assert len(result.monomials()) == product_terms
 
 
 def test_mora_nf(benchmark):

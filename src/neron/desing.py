@@ -634,17 +634,41 @@ def build_hg(B, red, e):
 
 
 class _PowerCache:
-    """Cached nonnegative powers of one polynomial or jet."""
+    """Cached nonnegative powers of one polynomial or jet W.
+
+    ``advance(D)`` builds the cache of W' = W + D on this one:
+    W'^a = W^a + D*S_a, with S_2 = W + W' and S_a = S_(a-1)*W + W'^(a-1).
+    For a Newton step D of high x-order, D*S_a under the jets' cut meets
+    only a short prefix of S_a.  The link to the older cache is dropped at
+    the next advance, so the chain is one deep.
+    """
 
     def __init__(self, base):
         self.powers = [base ** 0, base]
+        # (cache of W, D, [S_2, S_3, ...]) while this cache is the newest
+        self._prev = None
+
+    def advance(self, step):
+        """The cache of W + step, built on this one."""
+        new = _PowerCache(self.powers[1] + step)
+        new._prev = (self, step, [])
+        self._prev = None
+        return new
 
     def __getitem__(self, k):
         if k < 0:
             raise NeronError("negative exponent in a cached power")
         powers = self.powers
         while len(powers) <= k:
-            powers.append(powers[-1] * powers[1])
+            a = len(powers)
+            if self._prev is None:
+                powers.append(powers[-1] * powers[1])
+                continue
+            old, step, sums = self._prev
+            w = old[1]
+            s = w + powers[1] if a == 2 else sums[-1] * w + powers[a - 1]
+            sums.append(s)
+            powers.append(old[a] + step * s)
         return powers[k]
 
 
@@ -678,13 +702,23 @@ class ShiftedPoint:
         # h_j = a_j - b_j with a_j = s*(Y_j - y'_j) and b_j = d^e*W_j
         self.a_pow = [_PowerCache(s * (Polynomial.var(table, nm) - jets[nm]))
                       for nm in self.y_names]
-        self.move(t)
+        self._t = t
+        self.W_pow = [_PowerCache(w) for w in self._image(t)]
+        self._b_pow = None
+
+    def _image(self, t):
+        """G(y')t."""
+        return [self._total(t_k * g for t_k, g in zip(t, row))
+                for row in self.Gy]
 
     def move(self, t):
-        """Put the tangent point at t: W = G(y')t."""
-        W = [self._total(t_k * g for t_k, g in zip(t, row))
-             for row in self.Gy]
-        self.W_pow = [_PowerCache(w) for w in W]
+        """Put the tangent point at t.  W advances by the step: with
+        D = G(y')(t - t_prev), W' = W + D, and each power cache of W' is
+        built on the one of W (see ``_PowerCache``), so a Newton step that
+        changes t only at high x-order costs short products."""
+        steps = self._image([new - old for new, old in zip(t, self._t)])
+        self._t = t
+        self.W_pow = [w.advance(step) for w, step in zip(self.W_pow, steps)]
         self._b_pow = None
 
     @property

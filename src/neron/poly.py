@@ -23,6 +23,7 @@ rest of the library relies on is exact.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
@@ -64,6 +65,79 @@ def _from_ints(table, ints, num=1, den=1):
     p._iv = (num, den, ints) if ints else (1, 1, ints)
     p._hash = None
     return p
+
+
+# A cut product is tried as a convolution only when its shorter operand has
+# at least this many terms.  Smaller products save about what a failed shape
+# test costs (bench/test_mul_kernel.py, the strand and jet cases).
+_STRAND_MIN = 8
+
+
+def _strand(ints):
+    """Integer terms as a monomial times a polynomial in one variable: the
+    position i that varies, the least monomial and the coefficients from
+    its exponent at i upward, 0 in the gaps.  None unless exactly one
+    position varies, with no more gaps than terms."""
+    cols = list(zip(*ints))
+    varying = [i for i, col in enumerate(cols)
+               if col.count(col[0]) != len(col)]
+    if len(varying) != 1:
+        return None
+    i, = varying
+    mon = [min(col) for col in cols]
+    dense = [0] * (max(cols[i]) - mon[i] + 1)
+    if len(dense) > 2 * len(ints):
+        return None
+    for e, c in zip(cols[i], ints.values()):
+        dense[e - mon[i]] = c
+    return i, mon, dense
+
+
+def _convolve(sa, sb, cut):
+    """Integer terms of the cut product of two strands on one position
+    (``_strand``): a truncated convolution, one dot product of the first
+    strand and the reversed second per exponent (von zur Gathen & Gerhard,
+    Modern Computer Algebra, ch. 8)."""
+    i, ma, a = sa
+    _, mb, b = sb
+    mon = [x + y for x, y in zip(ma, mb)]
+    positions, bound = cut
+    room = bound - sum([mon[j] for j in positions])
+    size = len(a) + len(b) - 1
+    if i in positions:
+        size = min(size, room)
+    elif room <= 0:
+        return {}
+    low, nb, rev = mon[i], len(b), b[::-1]
+    out = {}
+    for s in range(size):
+        lo, hi = max(0, s - nb + 1), min(s + 1, len(a))
+        v = sum(map(operator.mul, a[lo:hi],
+                    rev[nb - 1 - s + lo:nb - 1 - s + hi]))
+        if v:
+            mon[i] = low + s
+            out[tuple(mon)] = v
+    return out
+
+
+def _pack(terms, bits):
+    """(packed monomial, coefficient) pairs, the first variable in the
+    highest field of ``bits`` bits."""
+    out = []
+    for m, c in terms.items():
+        p = 0
+        for e in m:
+            p = (p << bits) | e
+        out.append((p, c))
+    return out
+
+
+def _by_degree(mons, packed, positions):
+    """The packed terms sorted by their degree at ``positions``, and those
+    degrees."""
+    degs = [sum([m[i] for i in positions]) for m in mons]
+    order = sorted(range(len(packed)), key=degs.__getitem__)
+    return [packed[k] for k in order], [degs[k] for k in order]
 
 
 def from_int_terms(table, ints, num=1, den=1):
@@ -150,7 +224,8 @@ class Polynomial:
         return self._iv
 
     def monomials(self):
-        """The exponent tuples of the terms, in term order."""
+        """The exponent tuples of the terms, a view in insertion order;
+        no monomial order is implied."""
         return self._iv[2].keys()
 
     def _scaled(self, num, den):
@@ -320,7 +395,13 @@ class Polynomial:
         The term loops run on the operands' integer views, and the product
         is created from its integer terms.  An uncut product of primitive
         integer polynomials is primitive (Gauss's lemma); a cut one has its
-        content split off with one gcd.
+        content split off with one gcd.  Three shapes take a shorter path,
+        with the same product but maybe another insertion order of its
+        terms: a one-term operand shifts the other's terms; a cut product
+        of two operands that are each a monomial times a polynomial in one
+        shared variable, as jets over one base variable are, is a
+        truncated convolution (``_convolve``); a square, ``p.mul(p)`` with
+        the same object, visits each unordered term pair once.
         """
         table = self.table
         if isinstance(other, _RATIONAL):
@@ -354,6 +435,11 @@ class Polynomial:
             ints = {tuple([x + y for x, y in zip(m1, m2)]): c1 * c2
                     for m2, c2 in items}
             return finish(table, ints, num, den)
+        if cut is not None and len(ta) >= _STRAND_MIN:
+            sa = _strand(ta)
+            sb = sa if ta is tb or sa is None else _strand(tb)
+            if sb is not None and sa[0] == sb[0]:
+                return finish(table, _convolve(sa, sb, cut), num, den)
         # Packed exponents (Monagan & Pearce): each monomial becomes one int
         # with a field of `bits` bits per variable, the first variable in
         # the highest field.  The width holds the largest exponent sum of
@@ -362,34 +448,37 @@ class Polynomial:
         # addition, and packing is injective, so the accumulation below
         # visits and cancels keys exactly as the tuple loop would.
         bits = (max(map(max, ta)) + max(map(max, tb))).bit_length() or 1
-        pa = []
-        for m, c in ta.items():
-            p = 0
-            for e in m:
-                p = (p << bits) | e
-            pa.append((p, c))
-        pb = []
-        for m, c in tb.items():
-            p = 0
-            for e in m:
-                p = (p << bits) | e
-            pb.append((p, c))
-        if cut is None:
+        pa = _pack(ta, bits)
+        pb = pa if tb is ta else _pack(tb, bits)
+        out = {}
+        if cut is not None:
+            positions, bound = cut
+        if tb is ta:
+            # A square: each term meets itself once and the terms after it
+            # with its coefficient doubled.  Sorted by degree under a cut,
+            # a term's partners are a prefix, and once a term's own pair is
+            # cut every later one is.
+            if cut is not None:
+                pa, da = _by_degree(ta, pa, positions)
+            rows = []
+            for k, (p1, c1) in enumerate(pa):
+                end = (len(pa) if cut is None
+                       else bisect_left(da, bound - da[k]))
+                if end <= k:
+                    break
+                out[p1 + p1] = c1 * c1
+                rows.append((p1, 2 * c1, pa[k + 1:end]))
+        elif cut is None:
             rows = [(p1, c1, pb) for p1, c1 in pa]
         else:
             # Sorted by degree, each term of the shorter operand meets only
             # the prefix of the longer one that keeps the pair below the cut.
-            positions, bound = cut
-            db = [sum([m[i] for i in positions]) for m in tb]
-            by_degree = sorted(range(len(pb)), key=db.__getitem__)
-            pb = [pb[k] for k in by_degree]
-            db = [db[k] for k in by_degree]
+            pb, db = _by_degree(tb, pb, positions)
             rows = []
             for m, (p1, c1) in zip(ta, pa):
                 k = bisect_left(db, bound - sum([m[i] for i in positions]))
                 if k:
                     rows.append((p1, c1, pb[:k]))
-        out = {}
         get = out.get
         for p1, c1, row in rows:
             for p2, c2 in row:
@@ -454,7 +543,9 @@ class Polynomial:
             idx[table.index(name)] = val
         if not idx:
             return self if cut is None else self.below(cut)
-        powers = {i: {0: Polynomial.const(table, 1)} for i in idx}
+        # seeded with val itself, so that val * val is a square
+        powers = {i: {0: Polynomial.const(table, 1), 1: val}
+                  for i, val in idx.items()}
         num, den, ints = self._iv
         out = PolySum(table)
         for m, c in ints.items():

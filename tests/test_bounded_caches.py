@@ -1,6 +1,7 @@
 """Every cache in the library is bounded.
 
-The library modules are parsed, not imported: an unbounded cache is
+The library modules, the benches and the demos are parsed, not imported:
+an unbounded cache is
 ``functools.cache`` or ``lru_cache`` called with a ``maxsize`` of None,
 positional or by keyword.  A bare ``@lru_cache`` keeps its default bound.
 """
@@ -9,7 +10,10 @@ import ast
 import glob
 import os
 
-SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "neron")
+import pytest
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+SRC = os.path.join(ROOT, "src", "neron")
 
 
 def _name(node):
@@ -62,12 +66,22 @@ def test_the_checker_finds_each_kind():
                                 "    return cache.get(m)\n")
 
 
-def test_library_caches_are_bounded():
-    paths = sorted(glob.glob(os.path.join(SRC, "*.py")))
+def offenders(paths):
+    """"file:line: text" for each unbounded cache in ``paths``."""
     assert paths
-    offenders = []
+    found = []
     for path in paths:
         with open(path, encoding="utf-8") as fh:
             for line, text in unbounded_caches(fh.read(), path):
-                offenders.append(f"{os.path.basename(path)}:{line}: {text}")
-    assert offenders == []
+                found.append(f"{os.path.basename(path)}:{line}: {text}")
+    return found
+
+
+def test_library_caches_are_bounded():
+    assert offenders(sorted(glob.glob(os.path.join(SRC, "*.py")))) == []
+
+
+@pytest.mark.parametrize("scope", ["bench", "demos"])
+def test_bench_and_demo_caches_are_bounded(scope):
+    paths = sorted(glob.glob(os.path.join(ROOT, scope, "*.py")))
+    assert offenders(paths) == []

@@ -10,12 +10,14 @@ from conftest import (hypersurface_problem, space_curve_data,
 from neron import (ALGEBRA, BASE, Ideal, Polynomial, VarTable, det,
                    jacobian, krull_dim, normal_form_against, parse_poly,
                    radical_membership, std_basis)
-from neron.desing import (AlgebraPresentation, MorphismApprox, complete_H,
-                          desingularize, elkik_ideal, eval_at_jets,
-                          factor_morphism, find_f_R, mm_primary_reduction,
-                          sym_algebra_reduction, verify_certificate)
+from neron.desing import (AlgebraPresentation, MorphismApprox, ShiftedPoint,
+                          _PowerCache, complete_H, desingularize, elkik_ideal,
+                          eval_at_jets, factor_morphism, find_f_R,
+                          mm_primary_reduction, sym_algebra_reduction,
+                          verify_certificate)
 from neron.errors import (BoundTooSmall, ConditionStarStarFailed,
                           VerificationFailed)
+from neron.linalg import PolyMatrix
 from neron.localring import Jet, LocalRingSpec
 from neron.problemfile import parse_problem
 
@@ -447,3 +449,79 @@ def test_algebra_without_relations_certifies():
     assert (cert.s, cert.s_prime, cert.s_second_num) == (one, one, one)
     assert verify_certificate(cert, res.algebra, res.morphism)
     assert res.simplified == ()
+
+
+# -- the shifted point's power caches ----------------------------------------
+
+POWER_TABLE = VarTable.make(("x1", BASE), ("x2", BASE), ("Y1", ALGEBRA))
+# the ring of a lift: J = (x1^2*x2) is one-dimensional
+POWER_RING = LocalRingSpec(POWER_TABLE, [parse_poly(POWER_TABLE, "x1^2*x2")])
+
+
+def _jets(texts, precision=12, ring=POWER_RING):
+    return [ring.jet(parse_poly(ring.table, t), precision) for t in texts]
+
+
+def test_advanced_power_cache_is_the_fresh_cache():
+    # J = 0 over one base variable, whose jets take the convolution path,
+    # then J = (x1^2*x2), then polynomials
+    table = VarTable.make(("x1", BASE), ("Y1", ALGEBRA))
+    line = LocalRingSpec(table, [])
+    cases = [_jets(["3 - x1 + 2/3*x1^2 - 5*x1^6 + x1^9",
+                    "-7/2*x1^4 + x1^5 + 2*x1^8"], 10, line),
+             _jets(["3 - x1 + 2/3*x1^2*x2 - x2^4 + 5*x1^6",
+                    "-7/2*x1^4 + x1^3*x2^2 + 2*x2^5"], 10),
+             [parse_poly(POWER_TABLE, t) for t in
+              ("1/2*Y1 - x1 + 2*x1*x2", "3*x2^2*Y1 - x1^3 + 1")]]
+    for base, d in cases:
+        fresh = _PowerCache(base + d)
+        # read in order, with the powers of W already built
+        old = _PowerCache(base)
+        old[4]
+        new = old.advance(d)
+        assert [new[a] for a in range(5)] == [fresh[a] for a in range(5)]
+        # read the highest power first, with the powers of W still to build
+        new = _PowerCache(base).advance(d)
+        assert new[4] == fresh[4]
+        assert [new[a] for a in range(4)] == [fresh[a] for a in range(4)]
+
+
+def _point(t_texts):
+    """The shifted point of a lift with G = (1 + x1), s = 1, d = x1 and
+    e = 1, at the tangent jets of ``t_texts``."""
+    G = PolyMatrix(POWER_TABLE, [[parse_poly(POWER_TABLE, "1 + x1")]])
+    one = Polynomial.const(POWER_TABLE, 1)
+    return ShiftedPoint(POWER_RING, {"Y1": parse_poly(POWER_TABLE, "1 + x2")},
+                        G, one, parse_poly(POWER_TABLE, "x1"), 1,
+                        _jets(t_texts))
+
+
+def test_a_move_builds_the_square_from_the_step(monkeypatch):
+    point = _point(["x1 - 2*x2 + 3*x1*x2^2"])
+    point.W_pow[0][2]
+    point.move(_jets(["x1 - 2*x2 + 3*x1*x2^2 + x1^5 - 4*x2^7"]))
+    step, = _jets(["(1 + x1)*(x1^5 - 4*x2^7)"])
+    factors = []
+    jet_mul = Jet.__mul__
+
+    def spy(a, b):
+        factors.append((a, b))
+        return jet_mul(a, b)
+    monkeypatch.setattr(Jet, "__mul__", spy)
+    square = point.W_pow[0][2]
+    monkeypatch.undo()
+    assert square == point.W_pow[0][1] * point.W_pow[0][1]
+    assert len(factors) == 1 and step in factors[0]
+
+
+def test_power_cache_chain_is_one_deep():
+    point = _point(["0"])
+    caches = [point.W_pow[0]]
+    for text in ("x1 + x2^2", "x1 + x2^2 - x1^4*x2"):
+        point.W_pow[0][2]
+        point.move(_jets([text]))
+        caches.append(point.W_pow[0])
+    first, second, third = caches
+    assert first._prev is second._prev is None
+    assert third._prev[0] is second
+    assert third[2] == third[1] * third[1]

@@ -5,6 +5,7 @@ import random
 import sys
 from fractions import Fraction
 from math import gcd, lcm
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -337,6 +338,94 @@ def test_packed_product_cancelled_monomial_is_created_again():
     b = Polynomial.from_terms(T, [((2,), 1), ((1,), -1), ((0,), 1)])
     got = assert_product_matches_reference(a, b)
     assert list(got.items()) == [((0,), 1), ((4,), 1), ((2,), 1)]
+
+
+def assert_same_product(got, want):
+    """Equal products with equal coefficient value types; the insertion
+    order of the terms is free."""
+    assert got == want
+    got, want = got.terms, want.terms
+    assert all(type(got[m]) is type(c) for m, c in want.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(operand_pairs(), st.data())
+def test_square_is_the_product_of_equal_operands(pair, data):
+    p = pair[0]
+    num, den, ints = p._view()
+    q = _from_ints(p.table, dict(ints), num, den)
+    assert q == p and q is not p
+    positions = tuple(sorted(data.draw(
+        st.sets(st.integers(0, len(p.table) - 1), min_size=1))))
+    bound = data.draw(st.one_of(st.integers(0, 24), st.just(2 * 10 ** 6)))
+    cut = data.draw(st.sampled_from([None, (positions, bound)]))
+    assert_same_product(p.mul(p, cut), p.mul(q, cut))
+    assert_same_product(p.mul(p, cut), Polynomial(p.table,
+                                                  reference_cut(p, q, cut)))
+
+
+def reference_cut(a, b, cut):
+    """The tuple loop's product, with the terms at or past the cut
+    dropped."""
+    terms = reference_mul(a, b)
+    if cut is None:
+        return terms
+    positions, bound = cut
+    return {m: c for m, c in terms.items()
+            if sum(m[i] for i in positions) < bound}
+
+
+@st.composite
+def strands(draw, n, i, size):
+    """A monomial times a polynomial in the variable at position i with
+    ``size`` terms, gaps between their exponents and at most as many gaps
+    as terms."""
+    mon = draw(st.tuples(*[st.integers(0, 4)] * n))
+    steps = draw(st.lists(st.integers(1, 2), min_size=size - 1,
+                          max_size=size - 1))
+    exps = [mon[i]]
+    for step in steps:
+        exps.append(exps[-1] + step)
+    coeffs = draw(st.lists(_COEFFS, min_size=size, max_size=size))
+    return Polynomial.from_terms(
+        table_of(n), [(mon[:i] + (e,) + mon[i + 1:], c)
+                      for e, c in zip(exps, coeffs)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_strand_product_is_the_dict_loop(data):
+    n = data.draw(st.integers(1, 4))
+    i = data.draw(st.integers(0, n - 1))
+    least = neron.poly._STRAND_MIN
+    a = data.draw(strands(n, i, data.draw(st.integers(least, least + 12))))
+    b = data.draw(strands(n, i, data.draw(st.integers(least, least + 12))))
+    # the variable inside, then outside, the cut positions
+    others = [j for j in range(n) if j != i]
+    bound = data.draw(st.integers(0, 60))
+    cuts = [((i,), bound)]
+    if others:
+        cuts.append((tuple(others), bound))
+    for cut in cuts:
+        for x, y in ((a, b), (b, a), (a, a)):
+            with patch.object(neron.poly, "_convolve",
+                              wraps=neron.poly._convolve) as spy:
+                got = x.mul(y, cut)
+            assert spy.call_count == 1
+            with patch.object(neron.poly, "_STRAND_MIN", 10 ** 9):
+                want = x.mul(y, cut)
+            assert_same_product(got, want)
+            assert got.terms == reference_cut(x, y, cut)
+    if others:
+        # a second varying variable sends the product to the dict loop
+        j = others[0]
+        m = next(iter(a.monomials()))
+        c = a + Polynomial.from_terms(
+            a.table, [(m[:j] + (m[j] + 1,) + m[j + 1:], 1)])
+        with patch.object(neron.poly, "_convolve") as spy:
+            got = c.mul(b, cuts[0])
+        assert spy.call_count == 0
+        assert got.terms == reference_cut(c, b, cuts[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Every imported name is used.
 
-The library modules and the tests are parsed, not imported: a name that
+The library modules, the tests, the benches and the demos are parsed, not
+imported: a name that
 an ``import`` or ``from ... import`` binds must be read somewhere in the
 same module.  ``__future__`` imports bind no name, and a package's
 ``__init__.py`` re-exports what it imports, so neither is checked.
@@ -10,8 +11,11 @@ import ast
 import glob
 import os
 
+import pytest
+
 HERE = os.path.dirname(__file__)
 SRC = os.path.join(HERE, os.pardir, "src", "neron")
+ROOT = os.path.join(HERE, os.pardir)
 
 
 def unused_imports(source, filename="<source>"):
@@ -46,15 +50,26 @@ def test_the_checker_finds_each_kind():
                               "    return os.path.join(a, s)\n")
 
 
-def test_modules_and_tests_use_every_import():
-    paths = sorted(glob.glob(os.path.join(SRC, "*.py"))
-                   + glob.glob(os.path.join(HERE, "*.py")))
+def offenders(paths):
+    """"file:line: name" for each unused import in ``paths``."""
     assert paths
-    offenders = []
+    found = []
     for path in paths:
         if os.path.basename(path) == "__init__.py":
             continue
         with open(path, encoding="utf-8") as fh:
             for line, name in unused_imports(fh.read(), path):
-                offenders.append(f"{os.path.basename(path)}:{line}: {name}")
-    assert offenders == []
+                found.append(f"{os.path.basename(path)}:{line}: {name}")
+    return found
+
+
+def test_modules_and_tests_use_every_import():
+    paths = sorted(glob.glob(os.path.join(SRC, "*.py"))
+                   + glob.glob(os.path.join(HERE, "*.py")))
+    assert offenders(paths) == []
+
+
+@pytest.mark.parametrize("scope", ["bench", "demos"])
+def test_benches_and_demos_use_every_import(scope):
+    paths = sorted(glob.glob(os.path.join(ROOT, scope, "*.py")))
+    assert offenders(paths) == []
