@@ -37,11 +37,19 @@ The strand cases are one-variable cut products shaped as those of one
 ``lift`` pass, where the jets W = G(y')t have precision 81 and x1-order 9:
 the square W*W of 72 terms, a 72x72 product, a Newton step's shape (a
 step of order 18, 63 terms, times a sum S_2 of 72 terms), and the small
-8x8, 3x3 and 2x40 products that set ``poly._STRAND_MIN``.  Their coefficients
-are those of the binomial series of (1 + x1)^(1/2) and (1 + x1)^(-1/2),
-dyadic rationals like the lift's square-root jets.  Each runs through the
-convolution and through the dict loop, the kernel chosen by setting
-``_STRAND_MIN``.
+8x8, 3x3 and 2x40 products.  Their coefficients are those of the
+binomial series of (1 + x1)^(1/2) and (1 + x1)^(-1/2), dyadic rationals
+like the lift's square-root jets.
+The dense cases are exact products in the shape of the expansion of s''
+in ``localize_smooth``: x1-strands of 62, 72 and 84 terms times the
+T-monomials T1^2, T1*T2 and T2^2 (18-bit coefficients) times a
+polynomial in x1 alone of 106 terms (22 bits); three x1-strands of 49
+terms over x2^0, x2^1 and x2^2 (97 bits) times one of 74 terms in x1
+(151 bits); and the square of two x1-strands of 73 and 77 terms over
+T1^0 and T1^1 (18 bits).  The strand and dense cases each run through
+the strand kernel (``poly._strand_product``) and through the dict loop,
+the kernel chosen by setting ``poly._STRAND_MIN``, and each checks its
+product against the other kernel's.
 The exact counts are asserted, so a change of operands shows up as a
 failure, not as a different timing.  This directory lies outside
 ``testpaths``, so the default ``pytest`` run does not collect it.
@@ -53,8 +61,8 @@ from fractions import Fraction
 import pytest
 
 import neron.poly
-from neron import (ALGEBRA, BASE, Polynomial, VarTable, mixed_order,
-                   parse_poly, std_basis)
+from neron import (ALGEBRA, BASE, TANGENT, Polynomial, VarTable,
+                   mixed_order, parse_poly, std_basis)
 from neron.groebner import _Prepared, mora_nf
 from neron.localring import LocalRingSpec
 from neron.poly import _from_ints, mon_divides
@@ -98,7 +106,24 @@ STRAND_CASES = [("square-72", (HALF, 9, 81), None, (72, 72), 63),
                 ("2x40", (HALF, 9, 11), (MINUS_HALF, 9, 49), (2, 40), 41)]
 STRAND_CUT = (TABLE.block(BASE), 81)
 # _STRAND_MIN for each kernel
-KERNELS = {"convolution": 1, "dict-loop": 10 ** 9}
+KERNELS = {"strand": 1, "dict-loop": 10 ** 9}
+
+# x1 with the tangent variables of the expansion of s''
+T_TABLE = VarTable.make(("x1", BASE), ("T1", TANGENT), ("T2", TANGENT))
+# (case, operand specs, terms of a and b, terms of the product); a spec is
+# (table, [(monomial of a strand, x1-exponents drawn from, terms)], bits)
+DENSE_CASES = [
+    ("s2-218x106",
+     (T_TABLE, [((0, 2, 0), (2, 91), 62), ((0, 1, 1), (2, 91), 72),
+                ((0, 0, 2), (2, 91), 84)], 18),
+     (T_TABLE, [((0, 0, 0), (4, 115), 106)], 22), (218, 106), 596),
+    ("147x74-x1-x2",
+     (TABLE, [((0, 0, 0, 0), (0, 49), 49), ((0, 1, 0, 0), (0, 49), 49),
+              ((0, 2, 0, 0), (0, 49), 49)], 97),
+     (TABLE, [((0, 0, 0, 0), (0, 81), 74)], 151), (147, 74), 387),
+    ("square-150",
+     (T_TABLE, [((0, 0, 0), (0, 89), 73), ((0, 1, 0), (0, 89), 77)], 18),
+     None, (150, 150), 526)]
 
 # the generators of the normal-form case, and the size of its remainder
 NF_GENS = ("3*x1^2 - 2*x2^3 + 5*x1*Y1", "7*x2*Y2 - 3*x1 + 4*x2^2",
@@ -198,6 +223,20 @@ def binomial_strand(r, low, high):
     return Polynomial.from_terms(TABLE, items)
 
 
+def product_by(kernel, a, b, cut=None):
+    """a.mul(b, cut) through ``kernel``, one of KERNELS."""
+    saved = neron.poly._STRAND_MIN
+    neron.poly._STRAND_MIN = KERNELS[kernel]
+    try:
+        return a.mul(b, cut)
+    finally:
+        neron.poly._STRAND_MIN = saved
+
+
+def other(kernel):
+    return next(k for k in KERNELS if k != kernel)
+
+
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("case, a_spec, b_spec, operand_terms, product_terms",
                          STRAND_CASES, ids=[c[0] for c in STRAND_CASES])
@@ -206,10 +245,37 @@ def test_strand_mul(benchmark, monkeypatch, kernel, case, a_spec, b_spec,
     a = binomial_strand(*a_spec)
     b = a if b_spec is None else binomial_strand(*b_spec)
     assert (len(a.monomials()), len(b.monomials())) == operand_terms
-    monkeypatch.setattr(neron.poly, "_STRAND_MIN", KERNELS[kernel],
-                        raising=False)
+    want = product_by(other(kernel), a, b, STRAND_CUT)
+    monkeypatch.setattr(neron.poly, "_STRAND_MIN", KERNELS[kernel])
     result = benchmark(a.mul, b, STRAND_CUT)
-    assert len(result.monomials()) == product_terms
+    assert len(result.monomials()) == product_terms and result == want
+
+
+def dense_operand(spec, rng):
+    """The sum over strands of a monomial times ``terms`` random
+    coefficients of ``bits`` bits at x1-exponents drawn from a range."""
+    table, strands, bits = spec
+    items = []
+    for mon, (low, high), terms in strands:
+        for e in sorted(rng.sample(range(low, high), terms)):
+            c = rng.randrange(2 ** (bits - 1), 2 ** bits)
+            items.append(((e + mon[0],) + mon[1:], rng.choice((c, -c))))
+    return Polynomial.from_terms(table, items)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("case, a_spec, b_spec, operand_terms, product_terms",
+                         DENSE_CASES, ids=[c[0] for c in DENSE_CASES])
+def test_dense_mul(benchmark, monkeypatch, kernel, case, a_spec, b_spec,
+                   operand_terms, product_terms):
+    rng = random.Random(case)
+    a = dense_operand(a_spec, rng)
+    b = a if b_spec is None else dense_operand(b_spec, rng)
+    assert (len(a.monomials()), len(b.monomials())) == operand_terms
+    want = product_by(other(kernel), a, b)
+    monkeypatch.setattr(neron.poly, "_STRAND_MIN", KERNELS[kernel])
+    result = benchmark(a.mul, b)
+    assert len(result.monomials()) == product_terms and result == want
 
 
 def test_mora_nf(benchmark):

@@ -702,7 +702,6 @@ class ShiftedPoint:
         # h_j = a_j - b_j with a_j = s*(Y_j - y'_j) and b_j = d^e*W_j
         self.a_pow = [_PowerCache(s * (Polynomial.var(table, nm) - jets[nm]))
                       for nm in self.y_names]
-        self._t = t
         self.W_pow = [_PowerCache(w) for w in self._image(t)]
         self._b_pow = None
 
@@ -711,14 +710,14 @@ class ShiftedPoint:
         return [self._total(t_k * g for t_k, g in zip(t, row))
                 for row in self.Gy]
 
-    def move(self, t):
-        """Put the tangent point at t.  W advances by the step: with
-        D = G(y')(t - t_prev), W' = W + D, and each power cache of W' is
-        built on the one of W (see ``_PowerCache``), so a Newton step that
-        changes t only at high x-order costs short products."""
-        steps = self._image([new - old for new, old in zip(t, self._t)])
-        self._t = t
-        self.W_pow = [w.advance(step) for w, step in zip(self.W_pow, steps)]
+    def move(self, steps):
+        """Advance the tangent point t by ``steps``, the differences
+        t - t_prev.  W advances by the step: with D = G(y') steps,
+        W' = W + D, and each power cache of W' is built on the one of W
+        (see ``_PowerCache``), so a Newton step that changes t only at
+        high x-order costs short products."""
+        self.W_pow = [w.advance(step) for w, step
+                      in zip(self.W_pow, self._image(steps))]
         self._b_pow = None
 
     @property
@@ -901,14 +900,28 @@ def verify_certificate(cert, BT, vT, taylor_nf=True):
     return True
 
 
+def congruent_to_one(u, d_ideal, tangent, order):
+    """True iff u - 1 lies in (d, T) + J, for ``d_ideal`` = (d) + J and T
+    the variables at the positions ``tangent``, decided on the slice
+    T = 0 (see ``localize_smooth``)."""
+    return d_ideal.contains(
+        (u - 1).select(lambda m: not any([m[i] for i in tangent])), order)
+
+
 def localize_smooth(cert, BT, vT):
-    """Assemble E_{s s' s''}, certify I in (h, g) and build the result."""
+    """Assemble E_{s s' s''}, certify I in (h, g) and build the result.
+
+    Each localized factor u of s, s' and s'' must be congruent to 1
+    modulo (d, T) + J.  T -> 0 is a ring map with kernel (T), d and J
+    lie in the base, and the units of the mixed order are free of T, so
+    that holds exactly when the slice T = 0 of u - 1, its terms free of
+    T, lies in (d) + J (``congruent_to_one``).
+    """
     ring = BT.ring
     table = ring.table
     order = ring.order
     y_names = list(BT.algebra_names())
     t_names = list(table.block_names(TANGENT))
-    t_vars = [Polynomial.var(table, nm) for nm in t_names]
     y_positions = table.block(ALGEBRA, SLACK)
 
     jac_g = PolyMatrix(table, jacobian(list(cert.g), t_names))
@@ -924,11 +937,11 @@ def localize_smooth(cert, BT, vT):
     cert.s_second_pow = q_pow
 
     # E is localized at s, s' and s'' one factor at a time; each factor is
-    # a unit congruent to 1 modulo (d, T)
+    # a unit congruent to 1 modulo (d, T) + J
     factors = (cert.s, s_prime, s_second)
-    dt_ideal = Ideal(table, [cert.d] + t_vars + list(ring.j_gens))
+    d_ideal = Ideal(table, [cert.d] + list(ring.j_gens))
     for u in factors:
-        if not dt_ideal.contains(u - 1, order):
+        if not congruent_to_one(u, d_ideal, table.block(TANGENT), order):
             raise CertificateFailed(
                 "a localized factor is not congruent to 1 mod (d, T)")
 

@@ -195,8 +195,8 @@ def newton_lift(prob):
     for _ in range(c + 2):
         t_next = [-b - point.expand(fp, p_deg, e + 1, 2)
                   for b, fp in zip(b_jets, f_polys)] + t_cur[r:]
-        diff_orders = [delta.order() for delta in
-                       (tn - tc for tn, tc in zip(t_next, t_cur))
+        steps = [tn - tc for tn, tc in zip(t_next, t_cur)]
+        diff_orders = [delta.order() for delta in steps
                        if not delta.is_zero()]
         if not diff_orders:
             break
@@ -206,7 +206,7 @@ def newton_lift(prob):
                 "update order did not strictly increase")
         orders.append(step)
         t_cur = t_next
-        point.move(t_cur)
+        point.move(steps)
         if step > t_prec:
             break
 

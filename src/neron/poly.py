@@ -23,7 +23,6 @@ rest of the library relies on is exact.
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
@@ -67,57 +66,102 @@ def _from_ints(table, ints, num=1, den=1):
     return p
 
 
-# A cut product is tried as a convolution only when its shorter operand has
-# at least this many terms.  Smaller products save about what a failed shape
-# test costs (bench/test_mul_kernel.py, the strand and jet cases).
+# A product goes strand by strand (``_strand_product``) when each operand
+# has at least this many terms per strand, so at least this many terms.
+# Below it, the dict loop is about as fast (bench/test_mul_kernel.py).
 _STRAND_MIN = 8
 
 
-def _strand(ints):
-    """Integer terms as a monomial times a polynomial in one variable: the
-    position i that varies, the least monomial and the coefficients from
-    its exponent at i upward, 0 in the gaps.  None unless exactly one
-    position varies, with no more gaps than terms."""
-    cols = list(zip(*ints))
-    varying = [i for i, col in enumerate(cols)
-               if col.count(col[0]) != len(col)]
-    if len(varying) != 1:
+def _strands(ints, i):
+    """The integer terms as strands along position i: {monomial with
+    position i zeroed: (least exponent at i, coefficients from there
+    upward with 0 in the gaps)}.  None when there are fewer than
+    ``_STRAND_MIN`` terms per strand or more gaps than terms."""
+    groups = {}
+    for m, c in ints.items():
+        key = m[:i] + (0,) + m[i + 1:]
+        row = groups.get(key)
+        if row is None:
+            groups[key] = row = {}
+        row[m[i]] = c
+    spans = {key: (min(row), max(row)) for key, row in groups.items()}
+    if (len(ints) < _STRAND_MIN * len(groups) or 2 * len(ints)
+            < sum([high - low + 1 for low, high in spans.values()])):
         return None
-    i, = varying
-    mon = [min(col) for col in cols]
-    dense = [0] * (max(cols[i]) - mon[i] + 1)
-    if len(dense) > 2 * len(ints):
-        return None
-    for e, c in zip(cols[i], ints.values()):
-        dense[e - mon[i]] = c
-    return i, mon, dense
+    return {key: (low, [groups[key].get(e, 0) for e in range(low, high + 1)])
+            for key, (low, high) in spans.items()}
 
 
-def _convolve(sa, sb, cut):
-    """Integer terms of the cut product of two strands on one position
-    (``_strand``): a truncated convolution, one dot product of the first
-    strand and the reversed second per exponent (von zur Gathen & Gerhard,
-    Modern Computer Algebra, ch. 8)."""
-    i, ma, a = sa
-    _, mb, b = sb
-    mon = [x + y for x, y in zip(ma, mb)]
-    positions, bound = cut
-    room = bound - sum([mon[j] for j in positions])
-    size = len(a) + len(b) - 1
-    if i in positions:
-        size = min(size, room)
-    elif room <= 0:
-        return {}
-    low, nb, rev = mon[i], len(b), b[::-1]
+def _kronecker(a, b, n, scale):
+    """The first n coefficients of scale * a * b, for coefficient lists
+    a and b, by one integer product (Kronecker substitution; Harvey, JSC
+    2009).
+
+    Only the first n entries of a and b reach those coefficients.  Each
+    list is packed as the sum of c_k 2^(kB), with slots of B bits that
+    hold any coefficient of the product, at most scale * max|a| * max|b|
+    * min(len(a), len(b)), with a sign bit to spare.  Adding 2^(B-1) to
+    every slot makes each slot's digit its coefficient plus 2^(B-1), with
+    no borrow between slots, so the coefficients are read off the bytes.
+    """
+    same = b is a
+    a = a[:n]
+    b = a if same else b[:n]
+    nbytes = (scale * max(map(abs, a)) * max(map(abs, b))
+              * min(len(a), len(b))).bit_length() // 8 + 1
+    half = 1 << (8 * nbytes - 1)
+    half_slot = half.to_bytes(nbytes, "little")
+
+    def pack(dense):
+        return int.from_bytes(b"".join(
+            [(c + half).to_bytes(nbytes, "little") for c in dense]),
+            "little") - int.from_bytes(half_slot * len(dense), "little")
+
+    za = pack(a)
+    z = scale * za * (za if same else pack(b)) + int.from_bytes(
+        half_slot * n, "little")
+    data = memoryview((z & ((1 << (8 * nbytes * n)) - 1)).to_bytes(
+        n * nbytes, "little"))
+    return [int.from_bytes(data[k:k + nbytes], "little") - half
+            for k in range(0, n * nbytes, nbytes)]
+
+
+def _strand_product(ta, tb, cut):
+    """Integer terms of the product, or None when an operand is not
+    dense in strands (``_strands``) along the position where the longer
+    one spans the most exponents.  Each strand pair is one integer
+    product (``_kronecker``); under a cut, the pairs and the coefficients
+    at or past it are not computed."""
+    cols = list(zip(*tb))
+    i = max(range(len(cols)), key=lambda j: max(cols[j]) - min(cols[j]))
+    square = ta is tb
+    sb = _strands(tb, i)
+    sa = sb if square or sb is None else _strands(ta, i)
+    if sa is None:
+        return None
+    pa = list(sa.items())
+    pb = pa if square else list(sb.items())
     out = {}
-    for s in range(size):
-        lo, hi = max(0, s - nb + 1), min(s + 1, len(a))
-        v = sum(map(operator.mul, a[lo:hi],
-                    rev[nb - 1 - s + lo:nb - 1 - s + hi]))
-        if v:
-            mon[i] = low + s
-            out[tuple(mon)] = v
-    return out
+    get = out.get
+    for k, (ka, (la, a)) in enumerate(pa):
+        # a square meets each unordered strand pair once, doubled when the
+        # two strands differ
+        for kb, (lb, b) in pb[k:] if square else pb:
+            key = [x + y for x, y in zip(ka, kb)]
+            low, n = la + lb, len(a) + len(b) - 1
+            if cut is not None:
+                room = cut[1] - sum([key[j] for j in cut[0]])
+                if room <= (low if i in cut[0] else 0):
+                    continue
+                if i in cut[0]:
+                    n = min(n, room - low)
+            pre, post = tuple(key[:i]), tuple(key[i + 1:])
+            for e, v in enumerate(_kronecker(
+                    a, b, n, 2 if square and kb is not ka else 1)):
+                if v:
+                    m = pre + (low + e,) + post
+                    out[m] = get(m, 0) + v
+    return {m: v for m, v in out.items() if v}
 
 
 def _pack(terms, bits):
@@ -397,11 +441,13 @@ class Polynomial:
         integer polynomials is primitive (Gauss's lemma); a cut one has its
         content split off with one gcd.  Three shapes take a shorter path,
         with the same product but maybe another insertion order of its
-        terms: a one-term operand shifts the other's terms; a cut product
-        of two operands that are each a monomial times a polynomial in one
-        shared variable, as jets over one base variable are, is a
-        truncated convolution (``_convolve``); a square, ``p.mul(p)`` with
-        the same object, visits each unordered term pair once.
+        terms: a one-term operand shifts the other's terms; operands that
+        are dense strands along one variable (terms that differ only in its
+        exponent, as the jets and the expansion of s'' are), with at least
+        ``_STRAND_MIN`` terms per strand, multiply strand by strand, each
+        strand pair as one integer product, cut or not
+        (``_strand_product``); a square, ``p.mul(p)`` with the same object,
+        visits each unordered term or strand pair once.
         """
         table = self.table
         if isinstance(other, _RATIONAL):
@@ -435,11 +481,10 @@ class Polynomial:
             ints = {tuple([x + y for x, y in zip(m1, m2)]): c1 * c2
                     for m2, c2 in items}
             return finish(table, ints, num, den)
-        if cut is not None and len(ta) >= _STRAND_MIN:
-            sa = _strand(ta)
-            sb = sa if ta is tb or sa is None else _strand(tb)
-            if sb is not None and sa[0] == sb[0]:
-                return finish(table, _convolve(sa, sb, cut), num, den)
+        if len(ta) >= _STRAND_MIN:
+            ints = _strand_product(ta, tb, cut)
+            if ints is not None:
+                return finish(table, ints, num, den)
         # Packed exponents (Monagan & Pearce): each monomial becomes one int
         # with a field of `bits` bits per variable, the first variable in
         # the highest field.  The width holds the largest exponent sum of

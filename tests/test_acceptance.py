@@ -14,6 +14,7 @@ smooth over A outside V(x1 + x2 + x3); and each x_i lies in it once
 Y = (1, 1, 1), the morphism of problems/example21.gnd, is imposed.
 """
 
+import glob
 import hashlib
 import os
 import time
@@ -23,7 +24,8 @@ import pytest
 from conftest import (CERTIFICATE_SEEDS, KNOWN_SLOW, REJECTED_SEEDS,
                       hypersurface_problem, random_certificate_instance,
                       space_curve_data, two_branch_problem)
-from neron import (ALGEBRA, BASE, Ideal, Polynomial, PolyMatrix, VarTable,
+from neron import (ALGEBRA, BASE, TANGENT, Ideal, Polynomial, PolyMatrix,
+                   VarTable,
                    buchberger_criterion, det, det_adjugate, format_poly,
                    global_order, ideal_quotient, jacobian,
                    lift_division, minors, mixed_order, normal_form_against,
@@ -31,9 +33,10 @@ from neron import (ALGEBRA, BASE, Ideal, Polynomial, PolyMatrix, VarTable,
                    std_basis)
 from neron.cli import emit_trace
 from neron.desing import (AlgebraPresentation, certify_subsystem_membership,
-                          desingularize, elkik_ideal, factor_morphism,
-                          verify_certificate)
-from neron.errors import ConditionStarStarFailed, VerificationFailed
+                          congruent_to_one, desingularize, elkik_ideal,
+                          factor_morphism, verify_certificate)
+from neron.errors import (ConditionStarStarFailed, NeronError,
+                          VerificationFailed)
 from neron.lifting import (LiftingProblem, newton_lift, nu_bound,
                            strong_approx_decide)
 from neron.localring import Jet, LocalRingSpec
@@ -530,6 +533,44 @@ def test_factored_localization_keeps_the_single_inverter_output(
             w * u - Polynomial.const(table, 1)
             for w, u in zip(w_vars, pres.inverted))
     assert not changed, f"output changed for {changed}"
+
+
+def test_unit_congruence_is_decided_on_the_t_zero_slice(certified_seeds):
+    """``congruent_to_one`` decides u - 1 in (d, T) + J by the membership
+    of its slice T = 0 in (d) + J.  On every certificate seed and every
+    shipped problem that certifies, it agrees with the membership of u - 1
+    in the whole ideal (d, T) + J for the factors s, s', s'' and for 2 and
+    1 + T1; 1 + T1 passes both, and 2 fails both wherever (d) + J is
+    proper.  That is on the two shipped problems that certify; on the
+    generator seeds d is a unit, and every factor passes both."""
+    results = dict(certified_seeds)
+    for path in sorted(glob.glob(os.path.join(
+            os.path.dirname(__file__), os.pardir, "problems", "*.gnd"))):
+        with open(path, encoding="utf-8") as fh:
+            try:
+                results[path] = desingularize(parse_problem(fh.read()).build())
+            except NeronError:
+                continue
+    assert len(results) == len(CERTIFICATE_SEEDS) + 2
+    proper = 0
+    for res in results.values():
+        cert = res.certificate
+        ring = res.algebra.ring
+        table, order = ring.table, ring.order
+        tangent = table.block(TANGENT)
+        t_vars = [Polynomial.var(table, nm)
+                  for nm in table.block_names(TANGENT)]
+        d_ideal = Ideal(table, [cert.d] + list(ring.j_gens))
+        dt_ideal = Ideal(table, [cert.d] + t_vars + list(ring.j_gens))
+        two, one_plus_t = Polynomial.const(table, 2), 1 + t_vars[0]
+        for u in (cert.s, cert.s_prime, cert.s_second_num, two, one_plus_t):
+            assert congruent_to_one(u, d_ideal, tangent, order) \
+                == dt_ideal.contains(u - 1, order)
+        assert congruent_to_one(one_plus_t, d_ideal, tangent, order)
+        if not d_ideal.contains(Polynomial.const(table, 1), order):
+            proper += 1
+            assert not congruent_to_one(two, d_ideal, tangent, order)
+    assert proper >= 2
 
 
 def test_generator_seed_statuses_partition_the_range():

@@ -499,7 +499,7 @@ def _point(t_texts):
 def test_a_move_builds_the_square_from_the_step(monkeypatch):
     point = _point(["x1 - 2*x2 + 3*x1*x2^2"])
     point.W_pow[0][2]
-    point.move(_jets(["x1 - 2*x2 + 3*x1*x2^2 + x1^5 - 4*x2^7"]))
+    point.move(_jets(["x1^5 - 4*x2^7"]))
     step, = _jets(["(1 + x1)*(x1^5 - 4*x2^7)"])
     factors = []
     jet_mul = Jet.__mul__
@@ -517,7 +517,7 @@ def test_a_move_builds_the_square_from_the_step(monkeypatch):
 def test_power_cache_chain_is_one_deep():
     point = _point(["0"])
     caches = [point.W_pow[0]]
-    for text in ("x1 + x2^2", "x1 + x2^2 - x1^4*x2"):
+    for text in ("x1 + x2^2", "-x1^4*x2"):
         point.W_pow[0][2]
         point.move(_jets([text]))
         caches.append(point.W_pow[0])

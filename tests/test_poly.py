@@ -3,6 +3,7 @@
 import os
 import random
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, lcm
 from unittest.mock import patch
@@ -392,6 +393,23 @@ def strands(draw, n, i, size):
                       for e, c in zip(exps, coeffs)])
 
 
+@contextmanager
+def strand_kernel_spy():
+    """Patch ``poly._strand_product`` with a spy; yields the list of what
+    each call returned (None when an operand failed the strand test)."""
+    kernel = neron.poly._strand_product
+    returned = []
+
+    def spy(*args):
+        returned.append(kernel(*args))
+        return returned[-1]
+    with patch.object(neron.poly, "_strand_product", spy):
+        yield returned
+
+
+DICT_LOOP = 10 ** 9    # a _STRAND_MIN that no product passes
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_strand_product_is_the_dict_loop(data):
@@ -408,24 +426,94 @@ def test_strand_product_is_the_dict_loop(data):
         cuts.append((tuple(others), bound))
     for cut in cuts:
         for x, y in ((a, b), (b, a), (a, a)):
-            with patch.object(neron.poly, "_convolve",
-                              wraps=neron.poly._convolve) as spy:
+            with strand_kernel_spy() as spy:
                 got = x.mul(y, cut)
-            assert spy.call_count == 1
-            with patch.object(neron.poly, "_STRAND_MIN", 10 ** 9):
+            assert len(spy) == 1 and spy[0] is not None
+            with patch.object(neron.poly, "_STRAND_MIN", DICT_LOOP):
                 want = x.mul(y, cut)
             assert_same_product(got, want)
             assert got.terms == reference_cut(x, y, cut)
-    if others:
-        # a second varying variable sends the product to the dict loop
-        j = others[0]
-        m = next(iter(a.monomials()))
-        c = a + Polynomial.from_terms(
-            a.table, [(m[:j] + (m[j] + 1,) + m[j + 1:], 1)])
-        with patch.object(neron.poly, "_convolve") as spy:
-            got = c.mul(b, cuts[0])
-        assert spy.call_count == 0
-        assert got.terms == reference_cut(c, b, cuts[0])
+    # a product below the gate goes to the dict loop
+    c = Polynomial.from_terms(
+        a.table, list(a.terms.items())[:least - 1])
+    with strand_kernel_spy() as spy:
+        got = c.mul(b, cuts[0])
+    assert len(spy) == 0
+    assert got.terms == reference_cut(c, b, cuts[0])
+
+
+# coefficients that cancel (+-1), that sit at a slot boundary (+-2^k and
+# +-(2^k - 1) for k around multiples of 8) and that carry a denominator
+_KERNEL_COEFFS = st.one_of(
+    st.sampled_from([1, -1]),
+    st.builds(lambda k, sign, less: sign * (2 ** k - less),
+              st.sampled_from([7, 8, 9, 15, 16, 31, 32, 63, 64, 127, 128]),
+              st.sampled_from([1, -1]), st.sampled_from([0, 1])),
+    _COEFFS)
+
+
+@st.composite
+def dense_strand_operands(draw):
+    """Two operands over 1-4 variables, each one to three strands along
+    one position with at least ``_STRAND_MIN`` terms each, gaps of at
+    most one exponent, and a rational content."""
+    n = draw(st.integers(1, 4))
+    i = draw(st.integers(0, n - 1))
+    least = neron.poly._STRAND_MIN
+    T = table_of(n)
+
+    def poly():
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            mon = draw(st.tuples(*[st.integers(0, 3)] * n))
+            size = draw(st.integers(least, least + 12))
+            steps = draw(st.lists(st.integers(1, 2), min_size=size - 1,
+                                  max_size=size - 1))
+            e = mon[i]
+            for step in [0] + steps:
+                e += step
+                terms[mon[:i] + (e,) + mon[i + 1:]] = draw(_KERNEL_COEFFS)
+        scale = draw(st.sampled_from([1, -1, 6, Fraction(-5, 3)]))
+        return Polynomial(T, terms) * scale
+    return poly(), poly()
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_strand_operands(), st.data())
+def test_strand_kernel_is_the_reference_and_the_dict_loop(pair, data):
+    a, b = pair
+    n = len(a.table)
+    positions = tuple(sorted(data.draw(
+        st.sets(st.integers(0, n - 1), min_size=1))))
+    cut = data.draw(st.sampled_from(
+        [None, (positions, data.draw(st.integers(0, 60)))]))
+    for x, y in ((a, b), (b, a), (a, a)):
+        with strand_kernel_spy() as spy:
+            got = x.mul(y, cut)
+        assert len(spy) == 1 and spy[0] is not None
+        with patch.object(neron.poly, "_STRAND_MIN", DICT_LOOP):
+            want = x.mul(y, cut)
+        assert_same_product(got, want)
+        assert_same_product(got, Polynomial(x.table, reference_cut(x, y, cut)))
+
+
+@pytest.mark.parametrize("k", range(1, 16))
+@pytest.mark.parametrize("size", [12, 14])
+def test_strand_kernel_at_the_slot_boundary(k, size):
+    # the primitive a = 1 + 2^k*(x + ... + x^(size-1)): the slot holds
+    # size * 4^k, and the coefficient (size - 1) * 4^k of a^2 takes more
+    # than half of it, so a slot one bit short fails for k = 2 mod 4;
+    # negative coefficients need the borrow of a balanced slot
+    T = table_of(1)
+    a = Polynomial.from_terms(
+        T, [((e,), 2 ** k if e else 1) for e in range(size)])
+    b = Polynomial.from_terms(
+        T, [((e,), (-1) ** e * 2 ** k if e else 1) for e in range(size)])
+    for x, y in ((a, a), (a, -a), (a, b), (b, b)):
+        with strand_kernel_spy() as spy:
+            got = x * y
+        assert len(spy) == 1 and spy[0] is not None
+        assert_same_product(got, Polynomial(T, reference_mul(x, y)))
 
 
 # ---------------------------------------------------------------------------
