@@ -1,9 +1,11 @@
 """Microbenchmarks of the polynomial product kernel, ``Polynomial.__mul__``,
 of its form under a degree cut, ``Polynomial.mul(other, cut)``, of the sum
 ``Polynomial.__add__``, of a jet product (``Jet.__mul__``: the cut product
-and ``reduce_jet``), of Mora's normal form, ``groebner.mora_nf``, and of
-the monomial and construction primitives under them: ``poly.mon_divides``,
-the mixed order's key, the constructor from a value map and ``hash``.
+and ``reduce_jet``), of Mora's normal form, ``groebner.mora_nf``, of a
+standard basis, ``groebner.std_basis``, and of the monomial and
+construction primitives under them: ``poly.mon_divides`` and the mixed
+order's key on exponent tuples, their packed forms in the basis engine
+(``orders.Packing``), the constructor from a value map and ``hash``.
 
 Run from the repository root:
 
@@ -27,10 +29,15 @@ modulo the monomial relation x1^2*x2 (reduced by deletion, as the
 lift's J = (x1*x2) or (x1^2*x2) is) 4 and 4, and 9 and 7.  The
 normal-form case reduces the 10x10 integer product against the monic
 standard basis of three fixed generators under the mixed order.
+The basis case is the t-trick intersection that costs the most in
+one ``seeds`` pass (``idealops.intersect`` of three generators and one
+over x1, x2, Y1, Y2, Y3): the standard basis under the elimination order
+of t*I + (1 - t)*(g), seven elements of 353 terms in all, three free of t.
 The divisibility cases test every monomial of the integer operand a
-against every monomial of a*b.  The order-key cases evaluate the mixed
-order's key function, without its memo, on every monomial of the integer
-product.  The value-map cases build a polynomial from the value map of a
+against every monomial of a*b, on exponent tuples and on packed
+monomials.  The order-key cases evaluate the mixed order's key function,
+without its memo, on every monomial of the integer product, and the
+packed key (one xor) on the same monomials packed.  The value-map cases build a polynomial from the value map of a
 rational product (int and ``Fraction`` coefficients), and the hash cases
 hash a fresh copy of that product.
 The strand cases are one-variable cut products shaped as those of one
@@ -53,6 +60,10 @@ product against the other kernel's.
 The exact counts are asserted, so a change of operands shows up as a
 failure, not as a different timing.  This directory lies outside
 ``testpaths``, so the default ``pytest`` run does not collect it.
+
+Compare a parent and a change by interleaved runs, both copies timed in
+turn, not by whole-file runs minutes apart: on a shared host the medians
+of code that did not change drift by up to 60 % between such runs.
 """
 
 import random
@@ -61,10 +72,11 @@ from fractions import Fraction
 import pytest
 
 import neron.poly
-from neron import (ALGEBRA, BASE, TANGENT, Polynomial, VarTable,
-                   mixed_order, parse_poly, std_basis)
-from neron.groebner import _Prepared, mora_nf
+from neron import (ALGEBRA, AUX, BASE, TANGENT, Polynomial, VarTable,
+                   elim_order, mixed_order, parse_poly, std_basis)
+from neron.groebner import _reducers, mora_nf
 from neron.localring import LocalRingSpec
+from neron.orders import packing
 from neron.poly import _from_ints, mon_divides
 
 TABLE = VarTable.make(("x1", BASE), ("x2", BASE),
@@ -129,6 +141,17 @@ DENSE_CASES = [
 NF_GENS = ("3*x1^2 - 2*x2^3 + 5*x1*Y1", "7*x2*Y2 - 3*x1 + 4*x2^2",
            "2*Y1^2 - 5*x1*Y2 + 3*x2")
 NF_BASIS_SIZE, NF_REMAINDER_TERMS = 7, 104
+
+# the basis case: I, g, and the basis size, its terms and its elements
+# free of t
+INTERSECT_TABLE = VarTable.make(("x1", BASE), ("x2", BASE), ("Y1", ALGEBRA),
+                                ("Y2", ALGEBRA), ("Y3", ALGEBRA), ("t", AUX))
+INTERSECT_I = ("Y1 - Y2 + 2*x1*Y2 - 4*Y3 + 1 - 4*x1 + 2*x2 + 4*x1^2"
+               " + 4*x1*x2",
+               "-x1*Y1 + 2*x2*Y1 + Y2 - 2*Y3 - 1 + 2*x1 - 2*x2 + 4*x1*x2",
+               "x1^2*x2")
+INTERSECT_G = "-Y2 - 4*Y3 + 1 - 2*x1 + 2*x2 + 8*x1*x2"
+INTERSECT_SIZES = (7, 353, 3)
 
 
 def operand(rng, nterms, maxdeg):
@@ -284,21 +307,52 @@ def test_mora_nf(benchmark):
     basis = std_basis([parse_poly(TABLE, t) for t in NF_GENS], TABLE,
                       mixed_order(TABLE))
     assert len(basis) == NF_BASIS_SIZE
-    prepared = [_Prepared(g, KEYF, i) for i, g in enumerate(basis)]
-    remainder, _ = benchmark(mora_nf, p, prepared, KEYF, TABLE)
+    pk, prepared = _reducers(basis, mixed_order(TABLE), TABLE)
+    remainder, _ = benchmark(mora_nf, p, prepared, pk)
     assert len(remainder.terms) == NF_REMAINDER_TERMS
+
+
+def test_intersect_std_basis(benchmark):
+    T = INTERSECT_TABLE
+    tv = Polynomial.var(T, "t")
+    work = [tv * parse_poly(T, g) for g in INTERSECT_I]
+    work.append((1 - tv) * parse_poly(T, INTERSECT_G))
+    basis = benchmark(std_basis, work, T, elim_order(T, (AUX,)))
+    assert (len(basis), sum(len(b.monomials()) for b in basis),
+            sum(not b.involves((T.index("t"),)) for b in basis)) == \
+        INTERSECT_SIZES
+
+
+def divides_pairs(na, nb, maxdeg):
+    """The pairs (monomial of a, monomial of a*b) of a divisibility case."""
+    rng = random.Random(na)
+    a = operand(rng, na, maxdeg)
+    b = operand(rng, nb, maxdeg)
+    pairs = [(m1, m2) for m1 in a.monomials() for m2 in (a * b).monomials()]
+    assert len(pairs) == na * len((a * b).monomials())
+    return pairs
+
+
+@pytest.mark.parametrize("na, nb, maxdeg, dividing", DIVIDES_CASES,
+                         ids=[f"{c[0]}x{c[1]}-{c[3]}-packed-dividing"
+                              for c in DIVIDES_CASES])
+def test_packed_divides(benchmark, na, nb, maxdeg, dividing):
+    pairs = divides_pairs(na, nb, maxdeg)
+    pk = packing(mixed_order(TABLE), TABLE, max(sum(m) for _, m in pairs))
+    guard = pk.guard
+    packed = [(pk.pack(m1), pk.pack(m2) | guard) for m1, m2 in pairs]
+    hits = benchmark(lambda: sum([(m2 - m1) & guard == guard
+                                  for m1, m2 in packed]))
+    assert hits == dividing
 
 
 @pytest.mark.parametrize("na, nb, maxdeg, dividing", DIVIDES_CASES,
                          ids=[f"{c[0]}x{c[1]}-{c[3]}-dividing"
                               for c in DIVIDES_CASES])
 def test_mon_divides(benchmark, na, nb, maxdeg, dividing):
-    rng = random.Random(na)
-    a = operand(rng, na, maxdeg)
-    b = operand(rng, nb, maxdeg)
-    pairs = [(m1, m2) for m1 in a.monomials() for m2 in (a * b).monomials()]
+    pairs = divides_pairs(na, nb, maxdeg)
     hits = benchmark(lambda: sum([mon_divides(m1, m2) for m1, m2 in pairs]))
-    assert len(pairs) == na * len((a * b).monomials()) and hits == dividing
+    assert hits == dividing
 
 
 @pytest.mark.parametrize("na, nb, maxdeg, product_terms", BIG_CASES,
@@ -310,6 +364,24 @@ def test_order_key(benchmark, na, nb, maxdeg, product_terms):
     key = mixed_order(TABLE)._key_impl(TABLE, tuple(range(len(TABLE))))
     keys = benchmark(lambda: list(map(key, mons)))
     assert len(set(keys)) == len(mons) == product_terms
+
+
+@pytest.mark.parametrize("na, nb, maxdeg, product_terms", BIG_CASES,
+                         ids=[f"{c[0]}x{c[1]}-{c[3]}-packed-keys"
+                              for c in BIG_CASES])
+def test_packed_order_key(benchmark, na, nb, maxdeg, product_terms):
+    rng = random.Random(na)
+    mons = list((operand(rng, na, maxdeg)
+                 * operand(rng, nb, maxdeg)).monomials())
+    order = mixed_order(TABLE)
+    pk = packing(order, TABLE, max(map(sum, mons)))
+    packed = [pk.pack(m) for m in mons]
+    neg = pk.neg
+    keys = benchmark(lambda: [a ^ neg for a in packed])
+    assert len(set(keys)) == len(mons) == product_terms
+    key = order.key(TABLE)
+    assert sorted(range(len(mons)), key=keys.__getitem__) == sorted(
+        range(len(mons)), key=lambda k: key(mons[k]))
 
 
 def rational_product(na, nb, maxdeg):

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 # Exact polynomial kernel: tables, term orders, bases, division witnesses.
 
-from neron import (ALGEBRA, BASE, NegDegRevLex, VarTable,
-                   buchberger_criterion, format_poly, global_order,
-                   lift_division, mixed_order, parse_poly, std_basis)
+from neron import (ALGEBRA, BASE, Ideal, NegDegRevLex, VarTable, format_poly,
+                   global_order, lift_division, mixed_order, parse_poly,
+                   std_basis)
 
 # Variables live in named blocks: base variables x carry the local order,
 # algebra variables Y stay global, so computations happen over the
@@ -26,9 +26,13 @@ print("standard basis:")
 for b in basis:
     print("   ", format_poly(b, order))
 
-# Every computed basis satisfies the Buchberger criterion.
-print("all S-polynomials reduce to zero:",
-      buchberger_criterion(basis, T, order))
+# Membership is decided in the localization the order realizes: x1^2*Y2,
+# which only an S-polynomial of the generators reaches, lies in the ideal;
+# x2*Y1 does not.
+ideal = Ideal(T, [g1, g2])
+print("x1^2*Y2 in the ideal:",
+      ideal.contains(parse_poly(T, "x1^2*Y2"), order),
+      "| x2*Y1 in the ideal:", ideal.contains(parse_poly(T, "x2*Y1"), order))
 
 # Memberships come with exact witnesses: unit * p = sum(q_i * g_i).
 w = lift_division(parse_poly(T, "x1^2*Y2"), [g1, g2], T, order)

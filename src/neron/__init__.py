@@ -19,8 +19,8 @@ from .orders import (ALGEBRA, AUX, BASE, INVERTER, SLACK, TANGENT, BlockOrder,
                      elim_order, global_order, mixed_order)
 from .poly import Polynomial, format_poly, jacobian, parse_poly, taylor_coefficients
 from .linalg import PolyMatrix, det, det_adjugate, minors
-from .groebner import (DivisionWitness, Ideal, buchberger_criterion,
-                       lift_division, normal_form_against, std_basis)
+from .groebner import (DivisionWitness, Ideal, lift_division,
+                       normal_form_against, std_basis)
 from .idealops import (eliminate, ideal_quotient, intersect, krull_dim,
                        radical_membership, same_ideal, saturate, syzygies)
 

@@ -10,94 +10,137 @@ the localization).  Divisions can carry witnesses, exact identities
 where the unit is 1 for global orders and has lead term 1 (hence is
 invertible in the localization) otherwise.
 
-Both divisions run fraction-free on the integer views of ``poly``: the
-dividend is integer terms over one denominator, the remainder is created
-from its integer terms, and a rational coefficient is built only for rows.
+Both divisions run fraction-free on the integer views of ``poly``, with
+monomials packed into ints (``orders.Packing``): the dividend is packed
+integer terms over one denominator, each reducer (``_Prepared``) holds
+its packed terms and lead, and a step's divisibility test, monomial
+product, order comparison and ecart are int operations.  The remainder is
+unpacked once, from its integer terms, and a rational coefficient is
+built only for rows.  The operands of one computation share one packing,
+taken from their degrees; a step whose terms would pass its degree limit
+repacks them all wider first, so no result depends on the width.
 
 Basis computation is Buchberger's loop with the normal pair-selection
-strategy and Gebauer-Moeller pruning.  Output bases are monic, sorted and
-minimal for every order: no element's lead divides another's.  Identical
-inputs give byte-identical bases, and for global orders they are also
-fully tail-reduced.  The loop stops at the first element whose lead
-monomial is 1 (a unit of the ring the order realizes), which is then the
-whole minimal basis; only syzygy collection runs every pair.
+strategy and Gebauer-Moeller pruning, on packed leads.  Output bases are
+monic, sorted and minimal for every order: no element's lead divides
+another's.  Identical inputs give byte-identical bases, and for global
+orders they are also fully tail-reduced.  The loop stops at the first
+element whose lead monomial is 1 (a unit of the ring the order
+realizes), which is then the whole minimal basis; only syzygy collection
+runs every pair.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import gcd
+from operator import attrgetter
 
-from .errors import NotInIdeal
-from .poly import (Polynomial, exact_div, from_int_terms, mon_deg, mon_div,
-                   mon_divides, mon_lcm, mon_mul)
+from .errors import NeronError, NotInIdeal
+from .orders import packing
+from .poly import Polynomial, exact_div, from_int_terms
 
 _SNAPSHOT_BASE = 10 ** 9
+_ECART = attrgetter("ecart", "idx")
 
 
 class _Prepared:
-    """Reducer with cached lead data for one order.
+    """Reducer at one packing: its polynomial num/den * ints with the
+    primitive integer terms ``ints`` under packed monomials, the packed
+    lead ``lm``, the integer coefficient ``b`` there, the largest total
+    degree ``deg`` and the ecart.
 
     ``row`` is either None (the element stands for itself in position
     ``idx`` of the tracking space) or a sparse dict {j: Polynomial} with
-    poly = sum(row[j] * space[j]) exactly.  ``ints`` are the primitive
-    integer terms of poly and ``b`` their coefficient at the lead.
+    the polynomial = sum(row[j] * space[j]) exactly.
     """
 
-    __slots__ = ("poly", "lm", "lc", "ecart", "idx", "row", "ints", "b")
+    __slots__ = ("num", "den", "ints", "lm", "b", "deg", "ecart", "idx",
+                 "row")
 
-    def __init__(self, poly, keyf, idx, row=None):
-        self.poly = poly
-        self.lm, self.lc = poly.lead(keyf)
-        self.ecart = poly.total_degree() - mon_deg(self.lm)
+    def __init__(self, num, den, ints, pk, idx, row=None):
+        rev, limit = pk.rev, pk.limit
+        self.num, self.den, self.ints = num, den, ints
+        self.lm = lm = min([m ^ rev for m in ints]) ^ rev
+        self.b = ints[lm]
+        self.deg = max([m & limit for m in ints])
+        self.ecart = self.deg - (lm & limit)
         self.idx = idx
         self.row = row
-        self.ints = poly._view()[2]
-        self.b = self.ints[self.lm]
+
+    def lc(self):
+        """The lead coefficient, num/den * b."""
+        return exact_div(self.b * self.num, self.den)
+
+    def repacked(self, pk, old):
+        """This reducer, packed by ``old``, at the packing ``pk``."""
+        return _Prepared(self.num, self.den,
+                         {pk.repack(m, old): v for m, v in self.ints.items()},
+                         pk, self.idx, self.row)
 
 
-class _RK:
-    """Reversed-order heap entry so heapq acts as a max-heap on keys."""
-
-    __slots__ = ("k", "m")
-
-    def __init__(self, k, m):
-        self.k = k
-        self.m = m
-
-    def __lt__(self, other):
-        return self.k > other.k
+def _prepare(p, pk, idx, row=None):
+    """The nonzero polynomial p as a reducer at the packing ``pk``."""
+    num, den, ints = p._view()
+    pack = pk.pack
+    return _Prepared(num, den, {pack(m): v for m, v in ints.items()}, pk,
+                     idx, row)
 
 
-def _sub_scaled(h, g_terms, mon, coef, heap=None, keyf=None, degs=None):
-    """In-place h -= coef * x^mon * g on integer terms; new monomials are
-    pushed on the heap and the optional degree multiset is kept in sync."""
-    shift = any(mon)
+def _reducers(basis, order, table):
+    """The packing for ``basis`` under ``order`` and its reducers."""
+    pk = packing(order, table, max([b.total_degree() for b in basis],
+                                   default=0))
+    return pk, [_prepare(b, pk, i) for i, b in enumerate(basis)]
+
+
+def _unpacked(pk, ints, num=1, den=1):
+    """The polynomial num/den * ints of packed integer terms."""
+    unpack = pk.unpack
+    return from_int_terms(pk.table, {unpack(m): v for m, v in ints.items()},
+                          num, den)
+
+
+def _widen(pk, deg, reducers, *terms):
+    """The packing for total degree ``deg``, the reducers and each dict of
+    packed terms in ``terms`` repacked to it, in their order."""
+    wide = pk.wider(deg)
+    return (wide, [g.repacked(wide, pk) for g in reducers],
+            *[{wide.repack(m, pk): v for m, v in d.items()} for d in terms])
+
+
+def _sub_scaled(h, g_terms, t, coef, heap=None, pk=None, degs=None):
+    """In-place h -= coef * x^t * g on packed integer terms; new monomials
+    m are pushed on the heap as m ^ pk.rev and the optional degree
+    multiset is kept in sync."""
+    if pk is not None:
+        rev, limit = pk.rev, pk.limit
+    get = h.get
     for m, c in g_terms.items():
-        key = tuple([x + y for x, y in zip(m, mon)]) if shift else m
-        acc = h.get(key)
+        key = m + t
+        acc = get(key)
         if acc is None:
             h[key] = -coef * c
             if heap is not None:
-                heapq.heappush(heap, _RK(keyf(key), key))
+                heappush(heap, key ^ rev)
             if degs is not None:
-                d = sum(key)
+                d = key & limit
                 degs[d] = degs.get(d, 0) + 1
         else:
-            acc = acc - coef * c
+            acc -= coef * c
             if acc:
                 h[key] = acc
             else:
                 del h[key]
                 if degs is not None:
-                    d = sum(key)
+                    d = key & limit
                     degs[d] -= 1
                     if not degs[d]:
                         del degs[d]
 
 
-def _reduce_lead(h, den, rem, c, g, t, heap, keyf, degs=None):
+def _reduce_lead(h, den, rem, c, g, t, heap, pk, degs=None):
     """One fraction-free step of a division: h/den, whose lead term is
     c*x^m, loses that term to g, with x^t * lm(g) = m.  Returns the new den.
 
@@ -117,7 +160,7 @@ def _reduce_lead(h, den, rem, c, g, t, heap, keyf, degs=None):
         for m in rem:
             rem[m] *= f
         den *= f
-    _sub_scaled(h, g.ints, t, k, heap, keyf, degs)
+    _sub_scaled(h, g.ints, t, k, heap, pk, degs)
     if f != 1:
         q = gcd(den, *h.values(), *rem.values())
         if q != 1:
@@ -129,25 +172,37 @@ def _reduce_lead(h, den, rem, c, g, t, heap, keyf, degs=None):
     return den
 
 
-def _start(p, cut=None):
-    """The dividend p, without its terms beyond the cut, as (integer terms,
-    denominator): a copy to reduce."""
+def _start(p, reducers, pk, cut=None):
+    """A copy of the dividend, without its terms beyond the cut, as
+    (packed integer terms, denominator), with the packing that holds it
+    and the reducers at that packing.
+
+    p is a Polynomial or the pair (packed integer terms, denominator) that
+    ``spoly`` returns."""
+    if not isinstance(p, Polynomial):
+        h, den = p
+        return dict(h), den, pk, reducers
     num, den, ints = p._view()
     if cut is not None:
         positions, bound = cut
-        h = {m: v * num for m, v in ints.items()
-             if sum([m[i] for i in positions]) < bound}
-    elif num == 1:
-        h = dict(ints)
-    else:
-        h = {m: v * num for m, v in ints.items()}
-    return h, den
+        ints = {m: v for m, v in ints.items()
+                if sum([m[i] for i in positions]) < bound}
+    deg = max(map(sum, ints), default=0)
+    if deg > pk.limit:
+        pk, reducers = _widen(pk, deg, reducers)
+    pack = pk.pack
+    return {pack(m): v * num for m, v in ints.items()}, den, pk, reducers
+
+
+def _unchanged(p, pk):
+    """The dividend p of ``_start`` as a Polynomial, after a division that
+    took no step (so it never repacked)."""
+    return p if isinstance(p, Polynomial) else _unpacked(pk, p[0], 1, p[1])
 
 
 def _step_coef(c, den, g):
     """The value-level quotient coefficient (c/den) / lc(g) of a step."""
-    lc = g.lc
-    return exact_div(c * lc.denominator, den * lc.numerator)
+    return exact_div(c * g.den, den * g.b * g.num)
 
 
 def _reducer_row(table, g):
@@ -168,8 +223,9 @@ def _row_update(table, row, g_row, mon, coef):
             row[j] = upd
 
 
-def classic_nf(p, reducers, keyf, table, full=True, row=None, cut=None):
-    """Long division; returns (remainder, row).
+def classic_nf(p, reducers, pk, full=True, row=None, cut=None):
+    """Long division by reducers at the packing ``pk``; returns
+    (remainder, row).
 
     ``cut = (positions, N)`` drops every term of degree at least N in the
     variables at ``positions``, on entry and as it comes off the heap: the
@@ -179,55 +235,71 @@ def classic_nf(p, reducers, keyf, table, full=True, row=None, cut=None):
 
     The loop is fraction-free: the dividend is integer terms H over one
     denominator D (p = H/D), the remainder's terms sit over the same D, and
-    each step (``_reduce_lead``) stays on ints.  The remainder is built
-    once, from the integer terms, at the end; when no step was taken and
-    the cut dropped nothing, the remainder is p itself.  A row update
-    takes the step's value-level coefficient, one rational number per step.
+    each step (``_reduce_lead``) stays on ints.  Monomials are packed
+    ints: the heap holds m ^ pk.rev, so it pops the largest term first,
+    and a reducer divides m by the guard-bit test.  A step whose terms
+    would pass the packing's degree limit first repacks everything wider.
+    The remainder is unpacked once, at the end; when no step was taken
+    and the cut dropped nothing, it is the dividend unchanged.  A row
+    update takes the step's value-level coefficient, one rational number
+    per step.
     """
+    h, den, pk, reducers = _start(p, reducers, pk, cut)
+    table = pk.table
     if cut is not None:
         positions, bound = cut
 
         def dropped(m):
-            return sum(m[i] for i in positions) >= bound
+            return sum([m >> pk.shifts[i] & pk.limit
+                        for i in positions]) >= bound
 
-    h, den = _start(p, cut)
-    heap = [_RK(keyf(m), m) for m in h]
-    heapq.heapify(heap)
+    rev, guard, limit = pk.rev, pk.guard, pk.limit
+    heap = [m ^ rev for m in h]
+    heapify(heap)
     rem = {}
     stepped = False
     while h:
-        while heap and heap[0].m not in h:
-            heapq.heappop(heap)
+        while heap and heap[0] ^ rev not in h:
+            heappop(heap)
         if not heap:
             break
-        m = heap[0].m
+        m = heap[0] ^ rev
         if cut is not None and dropped(m):
             del h[m]
-            heapq.heappop(heap)
+            heappop(heap)
             continue
         c = h[m]
+        top = m | guard
         hit = None
         for g in reducers:
-            if mon_divides(g.lm, m):
+            if (top - g.lm) & guard == guard:
                 hit = g
                 break
         if hit is None:
             rem[m] = c
             del h[m]
-            heapq.heappop(heap)
+            heappop(heap)
             if not full:
                 rem.update(h)
                 h = {}
             continue
-        t = mon_div(m, hit.lm)
+        t = m - hit.lm
+        need = (t & limit) + hit.deg
+        if need > limit:
+            pk, reducers, h, rem = _widen(pk, need, reducers, h, rem)
+            rev, guard, limit = pk.rev, pk.guard, pk.limit
+            heap = [k ^ rev for k in h]
+            heapify(heap)
+            continue
         if row is not None:
-            _row_update(table, row, _reducer_row(table, hit), t,
+            _row_update(table, row, _reducer_row(table, hit), pk.unpack(t),
                         _step_coef(c, den, hit))
-        den = _reduce_lead(h, den, rem, c, hit, t, heap, keyf)
+        den = _reduce_lead(h, den, rem, c, hit, t, heap, pk)
         stepped = True
-    if not stepped and len(rem) == len(p._view()[2]):
-        return p, row
-    return from_int_terms(table, rem, 1, den), row
+    if not stepped and len(rem) == len(
+            p._view()[2] if isinstance(p, Polynomial) else p[0]):
+        return _unchanged(p, pk), row
+    return _unpacked(pk, rem, 1, den), row
 
 
 def delete_multiples(p, leads, cut=None):
@@ -260,94 +332,112 @@ def delete_multiples(p, leads, cut=None):
     return from_int_terms(p.table, kept, num, den)
 
 
-def mora_nf(p, reducers, keyf, table, row=None):
-    """Mora's weak normal form for arbitrary (in particular local) orders.
+def mora_nf(p, reducers, pk, row=None):
+    """Mora's weak normal form for arbitrary (in particular local) orders,
+    by reducers at the packing ``pk``.
 
     Head reduction with ecart selection; reducers found en route with larger
     ecart than the current element trigger a snapshot that later reductions
     may reuse.  Returns (remainder, row).  The remainder is zero iff p lies
     in the ideal of the localization the order realizes.
 
-    The loop is fraction-free, as in ``classic_nf``: the dividend is
-    integer terms H over one denominator D.  A snapshot keeps H as it is,
-    since a nonzero multiple of a reducer removes the same terms; its row
-    is scaled by D to match.  The remainder is built once, as H/D, or is p
-    itself when no step was taken.
+    The loop is fraction-free, as in ``classic_nf``, on packed monomials:
+    the dividend is integer terms H over one denominator D, the heap holds
+    plain ints, a reducer divides by the guard-bit test and the ecart
+    reads the total-degree field.  A snapshot keeps H as it is, since a
+    nonzero multiple of a reducer removes the same terms; its row is
+    scaled by D to match.  The remainder is unpacked once, as H/D, or is
+    the dividend unchanged when no step was taken.
     """
-    local = list(reducers)
-    h, den = _start(p)
-    heap = [_RK(keyf(m), m) for m in h]
-    heapq.heapify(heap)
+    h, den, pk, local = _start(p, reducers, pk)
+    local = list(local)
+    table = pk.table
+    rev, guard, limit = pk.rev, pk.guard, pk.limit
+    heap = [m ^ rev for m in h]
+    heapify(heap)
     degs = {}
     for m in h:
-        d = mon_deg(m)
+        d = m & limit
         degs[d] = degs.get(d, 0) + 1
     n_snap = 0
     stepped = False
     while h:
-        while heap and heap[0].m not in h:
-            heapq.heappop(heap)
+        while heap and heap[0] ^ rev not in h:
+            heappop(heap)
         if not heap:
             break
-        m = heap[0].m
-        c = h[m]
-        cands = [g for g in local if mon_divides(g.lm, m)]
+        m = heap[0] ^ rev
+        top = m | guard
+        cands = [g for g in local if (top - g.lm) & guard == guard]
         if not cands:
             break
-        h_ecart = max(degs) - mon_deg(m)
-        g = min(cands, key=lambda e: (e.ecart, e.idx))
-        if g.ecart > h_ecart:
-            snap = _Prepared(from_int_terms(table, dict(h)), keyf,
+        g = min(cands, key=_ECART)
+        t = m - g.lm
+        need = (t & limit) + g.deg
+        if need > limit:
+            pk, local, h = _widen(pk, need, local, h)
+            rev, guard, limit = pk.rev, pk.guard, pk.limit
+            heap = [k ^ rev for k in h]
+            heapify(heap)
+            continue
+        c = h[m]
+        if g.ecart > max(degs) - (m & limit):
+            q = gcd(*h.values())
+            snap = _Prepared(q, 1, {k: v // q for k, v in h.items()}, pk,
                              _SNAPSHOT_BASE + n_snap,
-                             {j: q * den for j, q in row.items()}
+                             {j: r * den for j, r in row.items()}
                              if row is not None else None)
             n_snap += 1
             local.append(snap)
-        t = mon_div(m, g.lm)
         if row is not None:
-            _row_update(table, row, _reducer_row(table, g), t,
+            _row_update(table, row, _reducer_row(table, g), pk.unpack(t),
                         _step_coef(c, den, g))
-        den = _reduce_lead(h, den, {}, c, g, t, heap, keyf, degs)
+        den = _reduce_lead(h, den, {}, c, g, t, heap, pk, degs)
         stepped = True
-    return (from_int_terms(table, h, 1, den) if stepped else p), row
+    if not stepped:
+        return _unchanged(p, pk), row
+    return _unpacked(pk, h, 1, den), row
 
 
-def _divide(p, reducers, keyf, table, glob, full=True, row=None):
+def _divide(p, reducers, pk, full=True, row=None):
     """Long division for global orders, Mora's normal form otherwise;
     returns (remainder, row).  ``full=False`` stops a long division at the
     first term no reducer divides, as Mora's normal form does."""
-    if glob:
-        return classic_nf(p, reducers, keyf, table, full=full, row=row)
-    return mora_nf(p, reducers, keyf, table, row=row)
+    if pk.glob:
+        return classic_nf(p, reducers, pk, full=full, row=row)
+    return mora_nf(p, reducers, pk, row=row)
 
 
-def spoly(f, g, keyf, table):
-    """x^u * f/lc(f) - x^v * g/lc(g), with x^u * lm(f) = x^v * lm(g) the lcm
-    of the leads, combined on the integer views: with F, G the primitive
-    integer terms, bf, bg their leads and q = gcd(bf, bg), it is
-    ((bg/q) * x^u * F - (bf/q) * x^v * G) / (bf*bg/q)."""
-    lmf = f.lead(keyf)[0]
-    lmg = g.lead(keyf)[0]
-    lcm = mon_lcm(lmf, lmg)
-    F = f._view()[2]
-    G = g._view()[2]
-    bf, bg = F[lmf], G[lmg]
+def spoly(f, g, pk):
+    """x^u * f/lc(f) - x^v * g/lc(g) for reducers f and g, with x^u * lm(f)
+    = x^v * lm(g) the lcm of the leads, on the packed integer terms: with
+    F, G the primitive terms, bf, bg their leads and q = gcd(bf, bg), it
+    is ((bg/q) * x^u * F - (bf/q) * x^v * G) / (bf*bg/q).  Returned as
+    (packed integer terms, denominator) over their least denominator, the
+    dividend form the normal forms take."""
+    lcm = pk.lcm(f.lm, g.lm)
+    bf, bg = f.b, g.b
     q = gcd(bf, bg)
     a, b = bg // q, bf // q
     den = bf * a
     if den < 0:
         a, b, den = -a, -b, -den
-    u = mon_div(lcm, lmf)
-    out = {tuple([x + y for x, y in zip(m, u)]): a * c for m, c in F.items()}
-    _sub_scaled(out, G, mon_div(lcm, lmg), b)
-    return from_int_terms(table, out, 1, den)
+    u = lcm - f.lm
+    out = {m + u: a * c for m, c in f.ints.items()}
+    _sub_scaled(out, g.ints, lcm - g.lm, b)
+    q = gcd(den, *out.values())
+    if q != 1:
+        out = {m: v // q for m, v in out.items()}
+        den //= q
+    return out, den
 
 
-def _spoly_row(table, gi, gj, keyf):
-    lcm = mon_lcm(gi.lm, gj.lm)
+def _spoly_row(table, gi, gj, pk):
+    lcm = pk.lcm(gi.lm, gj.lm)
     row = {}
     for g, sign in ((gi, 1), (gj, -1)):
-        shift = Polynomial(table, {mon_div(lcm, g.lm): exact_div(sign, g.lc)})
+        shift = Polynomial(table, {pk.unpack(lcm - g.lm):
+                                   exact_div(sign, g.lc())})
         for j, q in _reducer_row(table, g).items():
             cur = row.get(j)
             upd = (cur + shift * q) if cur is not None else shift * q
@@ -358,26 +448,29 @@ def _spoly_row(table, gi, gj, keyf):
     return row
 
 
-def _update_pairs(G, P, new_idx, lms, glob):
-    """Gebauer-Moeller pair update after appending element new_idx."""
-    lmf = lms[new_idx]
-    P = {pair for pair in P
-         if (not mon_divides(lmf, mon_lcm(lms[pair[0]], lms[pair[1]]))
-             or mon_lcm(lms[pair[0]], lms[pair[1]]) == mon_lcm(lms[pair[0]], lmf)
-             or mon_lcm(lms[pair[0]], lms[pair[1]]) == mon_lcm(lms[pair[1]], lmf))}
-    lcm_groups = {}
-    for i in range(new_idx):
-        lcm_groups.setdefault(mon_lcm(lms[i], lmf), []).append(i)
+def _update_pairs(P, lms, pk):
+    """Gebauer-Moeller pair update after appending the last lead of
+    ``lms``: drops the pairs of P ({pair: lcm of its leads}) that the new
+    lead makes redundant and returns the new pairs as (i, j, lcm)."""
+    new = len(lms) - 1
+    f = lms[new]
+    divides, limit, lcm = pk.divides, pk.limit, pk.lcm
+    with_f = [lcm(a, f) for a in lms[:new]]
+    for (i, j), L in list(P.items()):
+        if divides(f, L) and L != with_f[i] and L != with_f[j]:
+            del P[(i, j)]
+    groups = {}
+    for i, L in enumerate(with_f):
+        groups.setdefault(L, []).append(i)
+    # by degree, a proper divisor of an lcm comes before it, so the
+    # minimal lcms do not depend on the order of equal degrees
     minimal = []
-    for L in sorted(lcm_groups, key=lambda m: (mon_deg(m), m)):
-        if all(not mon_divides(L2, L) for L2 in minimal):
+    for L in sorted(groups, key=lambda L: L & limit):
+        if not any(divides(L2, L) for L2 in minimal):
             minimal.append(L)
-    for L in minimal:
-        if glob and any(mon_lcm(lms[i], lmf) == mon_mul(lms[i], lmf)
-                        for i in lcm_groups[L]):
-            continue
-        P.add((min(lcm_groups[L]), new_idx))
-    return P
+    return [(groups[L][0], new, L) for L in minimal
+            if not (pk.glob and any(with_f[i] == lms[i] + f
+                                    for i in groups[L]))]
 
 
 def std_basis(gens, table, order, *, track=None):
@@ -391,67 +484,83 @@ def std_basis(gens, table, order, *, track=None):
                       all pairs are processed (no pruning) so the collected
                       vectors generate the first syzygy module.
 
+    The elements are reducers at one packing, wide enough for twice the
+    largest degree among them, so every lcm and S-polynomial of two fits;
+    an element past that repacks them wider.  The pair queue is a heap
+    of (key of the lcm, i, j), each key computed once per pair; a pair
+    that the criteria drop stays in the heap and is skipped.
+
     Stop rule: unless syzygies are collected, the computation ends at the
     first element whose lead monomial is 1.  Its lead divides every other
     lead, so the minimal basis is that element alone (made monic), with
     its row, whatever further pairs would add.
     """
-    keyf = order.key(table)
-    glob = order.is_global(table)
+    pk = packing(order, table, max([g.total_degree() for g in gens],
+                                   default=0))
     use_criteria = track != "syz"
 
     G = []
     lms = []
-    P = set()
+    P = {}          # live pairs -> the lcm of their leads
+    queue = []      # (key of the lcm, i, j), dropped pairs included
     syzygies = []
 
     def add_element(p, row):
         """Append p; True when the stop rule ends the computation."""
-        nonlocal P
+        nonlocal pk
         content = p.content()
-        if content != 1:
+        if content != 1 and row is not None:
             inv = exact_div(1, content)
-            p = p * inv
-            if row is not None:
-                row = {j: q * inv for j, q in row.items()}
-        prepared = _Prepared(p, keyf, len(G), row)
-        G.append(prepared)
-        lms.append(prepared.lm)
+            row = {j: q * inv for j, q in row.items()}
+        deg = p.total_degree()
+        if 2 * deg > pk.limit:
+            old, pk = pk, pk.wider(deg)
+            G[:] = [g.repacked(pk, old) for g in G]
+            lms[:] = [g.lm for g in G]
+            for i, j in P:
+                P[(i, j)] = pk.lcm(lms[i], lms[j])
+            queue[:] = [(pk.key(L), i, j) for (i, j), L in P.items()]
+            heapify(queue)
+        pack = pk.pack
+        g = _Prepared(1, 1, {pack(m): v for m, v in p._view()[2].items()},
+                      pk, len(G), row)
+        G.append(g)
+        lms.append(g.lm)
         if use_criteria:
-            P = _update_pairs(G, P, len(G) - 1, lms, glob)
+            pairs = _update_pairs(P, lms, pk)
         else:
-            P |= {(i, len(G) - 1) for i in range(len(G) - 1)}
-        return use_criteria and not any(prepared.lm)
+            pairs = [(i, len(G) - 1, pk.lcm(lms[i], g.lm))
+                     for i in range(len(G) - 1)]
+        for i, j, L in pairs:
+            P[(i, j)] = L
+            heappush(queue, (pk.key(L), i, j))
+        return use_criteria and not g.lm
 
     for j, g in enumerate(gens):
         if g.is_zero():
             continue
         row = {j: Polynomial.const(table, 1)} if track else None
-        r, row = _divide(g, G, keyf, table, glob, full=False, row=row)
+        r, row = _divide(g, G, pk, full=False, row=row)
         if r.is_zero():
             if track == "syz" and row and any(not q.is_zero()
                                               for q in row.values()):
                 syzygies.append(dict(row))
             continue
         if add_element(r, row):
-            P = set()
+            queue = []
             break
 
-    def pair_sort_key(pair):
-        i, j = pair
-        return (keyf(mon_lcm(lms[i], lms[j])), pair)
-
-    while P:
-        pair = min(P, key=pair_sort_key)
-        P.remove(pair)
-        i, j = pair
-        s = spoly(G[i].poly, G[j].poly, keyf, table)
-        row = _spoly_row(table, G[i], G[j], keyf) if track else None
-        if s.is_zero():
+    while queue:
+        _, i, j = heappop(queue)
+        if P.pop((i, j), None) is None:
+            continue
+        s = spoly(G[i], G[j], pk)
+        row = _spoly_row(table, G[i], G[j], pk) if track else None
+        if not s[0]:
             if track == "syz" and row:
                 syzygies.append(row)
             continue
-        r, row = _divide(s, G, keyf, table, glob, full=False, row=row)
+        r, row = _divide(s, G, pk, full=False, row=row)
         if r.is_zero():
             if track == "syz" and row and any(not q.is_zero()
                                               for q in row.values()):
@@ -460,14 +569,14 @@ def std_basis(gens, table, order, *, track=None):
         if add_element(r, row):
             break
 
-    basis = _post_process(G, keyf, glob, table, track)
+    basis = _post_process(G, pk, track)
     if track is None:
-        return tuple(b.poly for b in basis)
-    rows = tuple(_row_tuple(b.row, len(gens), table) for b in basis)
+        return tuple(p for p, _ in basis)
+    rows = tuple(_row_tuple(row, len(gens), table) for _, row in basis)
     if track == "rows":
-        return tuple(b.poly for b in basis), rows
+        return tuple(p for p, _ in basis), rows
     syz_vecs = tuple(_row_tuple(v, len(gens), table) for v in syzygies)
-    return tuple(b.poly for b in basis), rows, syz_vecs
+    return tuple(p for p, _ in basis), rows, syz_vecs
 
 
 def _row_tuple(row, ngens, table):
@@ -477,43 +586,42 @@ def _row_tuple(row, ngens, table):
     return tuple(row.get(j, zero) for j in range(ngens))
 
 
-def _post_process(G, keyf, glob, table, track):
-    """Keep each element whose lead no other lead divides (of equal leads,
-    the first), tail-reduce under a global order, make monic, sort."""
-    live = sorted((g for g in G if not g.poly.is_zero()),
-                  key=lambda g: keyf(g.lm))
+def _post_process(G, pk, track):
+    """The minimal basis as (polynomial, row) pairs, monic and sorted by
+    lead, largest first: keep each element whose lead no other lead
+    divides (of equal leads, the first), tail-reduce under a global
+    order.  Tail reduction keeps each lead and its coefficient."""
+    neg, divides = pk.neg, pk.divides
+    live = sorted(G, key=lambda g: g.lm ^ neg)
     minimal = [g for k, g in enumerate(live)
-               if not any(mon_divides(h.lm, g.lm) and (h.lm != g.lm or j < k)
+               if not any(divides(h.lm, g.lm) and (h.lm != g.lm or j < k)
                           for j, h in enumerate(live))]
-    if glob:
-        reduced = []
-        for g in minimal:
-            others = [h for h in minimal if h is not g]
-            row = dict(g.row) if (track and g.row is not None) else None
-            r, row = classic_nf(g.poly, others, keyf, table, full=True,
-                                row=row)
-            reduced.append(_Prepared(r, keyf, g.idx, row))
-        minimal = reduced
     out = []
     for g in minimal:
-        lc = g.poly.lead(keyf)[1]
-        inv = exact_div(1, lc)
-        p = g.poly * inv
-        row = None
-        if track and g.row is not None:
-            row = {j: q * inv for j, q in g.row.items()}
-        out.append(_Prepared(p, keyf, g.idx, row))
-    out.sort(key=lambda g: keyf(g.lm), reverse=True)
-    return out
+        row = g.row if track else None
+        if pk.glob:
+            others = [h for h in minimal if h is not g]
+            p, row = classic_nf(({m: v * g.num for m, v in g.ints.items()},
+                                 g.den), others, pk, full=True,
+                                row=None if row is None else dict(row))
+        else:
+            p = _unpacked(pk, g.ints, g.num, g.den)
+        inv = exact_div(1, g.lc())
+        if row is not None:
+            row = {j: q * inv for j, q in row.items()}
+        out.append((g.lm ^ neg, p * inv, row))
+    out.sort(key=lambda e: e[0], reverse=True)
+    return [(p, row) for _, p, row in out]
 
 
 def normal_form_against(p, basis, table, order):
     """Normal form of p versus a precomputed basis (zero iff membership)."""
     if p.is_zero() or not basis:
         return p
-    keyf = order.key(table)
-    prepared = [_Prepared(b, keyf, i) for i, b in enumerate(basis)]
-    return _divide(p, prepared, keyf, table, order.is_global(table))[0]
+    if any(b.is_zero() for b in basis):
+        raise NeronError("zero polynomial has no lead term")
+    pk, prepared = _reducers(basis, order, table)
+    return _divide(p, prepared, pk)[0]
 
 
 class Ideal:
@@ -534,18 +642,16 @@ class Ideal:
         self._bases = {}
 
     def _prepared(self, order):
-        """(basis, key, is_global, reducers, one_term) for the order;
+        """(basis, packing, reducers, one_term) for the order;
         ``one_term`` is the tuple of basis leads when every basis element
         is a single term, None otherwise."""
         got = self._bases.get(order)
         if got is None:
-            keyf = order.key(self.table)
             basis = std_basis(self.gens, self.table, order)
-            prepared = [_Prepared(b, keyf, i) for i, b in enumerate(basis)]
-            one_term = (tuple(g.lm for g in prepared)
+            pk, prepared = _reducers(basis, order, self.table)
+            one_term = (tuple(pk.unpack(g.lm) for g in prepared)
                         if all(len(g.ints) == 1 for g in prepared) else None)
-            got = (basis, keyf, order.is_global(self.table), prepared,
-                   one_term)
+            got = (basis, pk, prepared, one_term)
             self._bases[order] = got
         return got
 
@@ -555,21 +661,22 @@ class Ideal:
     def leads(self, order):
         """Minimal generators of the lead ideal: the basis leads, as a
         frozenset of monomials."""
-        return frozenset(g.lm for g in self._prepared(order)[3])
+        _, pk, prepared, _ = self._prepared(order)
+        return frozenset(pk.unpack(g.lm) for g in prepared)
 
     def monomial_leads(self, order):
         """The basis leads when every basis element is a single term (a
         monomial ideal), None otherwise."""
-        return self._prepared(order)[4]
+        return self._prepared(order)[3]
 
     def nf(self, p, order):
         """Normal form of p; zero iff p lies in the ideal."""
         if p.is_zero():
             return p
-        basis, keyf, glob, prepared, _ = self._prepared(order)
+        basis, pk, prepared, _ = self._prepared(order)
         if not basis:
             return p
-        return _divide(p, prepared, keyf, self.table, glob)[0]
+        return _divide(p, prepared, pk)[0]
 
     def contains(self, p, order):
         return self.nf(p, order).is_zero()
@@ -592,11 +699,10 @@ class Ideal:
         adds none, so ``delete_multiples`` gives ``classic_nf``'s remainder
         in one pass over the terms.
         """
-        _, keyf, _, prepared, one_term = self._prepared(order)
+        _, pk, prepared, one_term = self._prepared(order)
         if one_term is not None:
             return delete_multiples(p, one_term, cut)
-        return classic_nf(p, prepared, keyf, self.table, full=True,
-                          cut=cut)[0]
+        return classic_nf(p, prepared, pk, full=True, cut=cut)[0]
 
     def __repr__(self):
         return f"Ideal({list(self.gens)!r})"
@@ -635,19 +741,19 @@ def lift_division(p, gens, table, order):
                                tuple(zero for _ in gens), zero)
     if not live:
         raise NotInIdeal("dividend is not in the zero ideal")
-    keyf = order.key(table)
     zero = Polynomial.zero(table)
     if len(live) == 1:
-        inv = exact_div(1, live[0].lead(keyf)[1])
+        _, (single,) = _reducers(live, order, table)
+        inv = exact_div(1, single.lc())
         basis = (live[0] * inv,)
         rows = (tuple(Polynomial.const(table, inv) if g is live[0] else zero
                       for g in gens),)
     else:
         basis, rows = std_basis(gens, table, order, track="rows")
-    prepared = [_Prepared(b, keyf, i) for i, b in enumerate(basis)]
+    pk, prepared = _reducers(basis, order, table)
     # p itself is tracked in the extra slot: its coefficient is the unit
     extra = len(basis)
-    r, row = _divide(p, prepared, keyf, table, order.is_global(table),
+    r, row = _divide(p, prepared, pk,
                      row={extra: Polynomial.const(table, 1)})
     if not r.is_zero():
         raise NotInIdeal("dividend is not in the ideal at this order")
@@ -662,15 +768,3 @@ def lift_division(p, gens, table, order):
                 q_gens[j] = q_gens[j] + qb * coeff
     return DivisionWitness(p, tuple(gens), unit, tuple(q_gens), zero)
 
-
-def buchberger_criterion(basis, table, order):
-    """True when every S-polynomial of the basis reduces to zero."""
-    if len(basis) < 2:
-        return True
-    keyf = order.key(table)
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            s = spoly(basis[i], basis[j], keyf, table)
-            if not normal_form_against(s, basis, table, order).is_zero():
-                return False
-    return True

@@ -198,27 +198,9 @@ def from_int_terms(table, ints, num=1, den=1):
 # ---------------------------------------------------------------------------
 # monomial helpers (exponent tuples over a fixed VarTable)
 
-def mon_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def mon_divides(a, b):
     """True when monomial a divides monomial b."""
     return all(x <= y for x, y in zip(a, b))
-
-
-def mon_div(a, b):
-    """Quotient a / b, or None when b does not divide a."""
-    out = []
-    for x, y in zip(a, b):
-        if x < y:
-            return None
-        out.append(x - y)
-    return tuple(out)
-
-
-def mon_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def mon_deg(a):

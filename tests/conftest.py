@@ -1,12 +1,38 @@
-"""Shared instance builders for the pipeline tests."""
+"""Shared instance builders for the pipeline tests, and the Buchberger
+criterion as a test oracle."""
+
+from fractions import Fraction
 
 import pytest
 
-from neron import ALGEBRA, BASE, Polynomial, VarTable, parse_poly
+from neron import (ALGEBRA, BASE, Polynomial, VarTable, normal_form_against,
+                   parse_poly)
 from neron.desing import DesingProblem, MorphismApprox
 from neron.localring import LocalRingSpec, jet_invert, minimal_primes
 
 PROBLEM_DIR = "problems"
+
+
+def s_polynomial(f, g, keyf):
+    """x^u * f/lc(f) - x^v * g/lc(g), with x^u * lm(f) = x^v * lm(g) the
+    lcm of the leads, on rational values."""
+    (mf, cf), (mg, cg) = f.lead(keyf), g.lead(keyf)
+    lcm = tuple(map(max, mf, mg))
+
+    def shift(m, c):
+        return Polynomial(f.table, {tuple(a - b for a, b in zip(lcm, m)):
+                                    Fraction(1) / c})
+
+    return shift(mf, cf) * f - shift(mg, cg) * g
+
+
+def buchberger_criterion(basis, table, order):
+    """True when every S-polynomial of the basis reduces to zero: the test
+    oracle that a basis is a standard basis of what it generates."""
+    keyf = order.key(table)
+    return all(normal_form_against(s_polynomial(f, g, keyf), basis, table,
+                                   order).is_zero()
+               for i, f in enumerate(basis) for g in basis[i + 1:])
 
 
 def two_branch_table():

@@ -22,11 +22,11 @@ import time
 import pytest
 
 from conftest import (CERTIFICATE_SEEDS, KNOWN_SLOW, REJECTED_SEEDS,
-                      hypersurface_problem, random_certificate_instance,
-                      space_curve_data, two_branch_problem)
+                      buchberger_criterion, hypersurface_problem,
+                      random_certificate_instance, space_curve_data,
+                      two_branch_problem)
 from neron import (ALGEBRA, BASE, TANGENT, Ideal, Polynomial, PolyMatrix,
-                   VarTable,
-                   buchberger_criterion, det, det_adjugate, format_poly,
+                   VarTable, det, det_adjugate, format_poly,
                    global_order, ideal_quotient, jacobian,
                    lift_division, minors, mixed_order, normal_form_against,
                    parse_poly, radical_membership, same_ideal, saturate,

@@ -10,13 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import neron.groebner as groebner
-from neron import (ALGEBRA, BASE, Ideal, Polynomial, VarTable,
-                   buchberger_criterion, global_order, NegDegRevLex,
+from conftest import buchberger_criterion
+from neron import (ALGEBRA, BASE, DegRevLex, Ideal, Polynomial, VarTable,
+                   global_order, NegDegRevLex,
                    lift_division, mixed_order, normal_form_against,
                    parse_poly, std_basis)
 from neron.errors import NotInIdeal
-from neron.groebner import _Prepared, classic_nf, mora_nf
-from neron.poly import mon_div, mon_divides
+from neron.groebner import _reducers, classic_nf, mora_nf
+from neron.orders import AUX, Packing, elim_order
+from neron.poly import mon_divides
+
+
+def mon_div(a, b):
+    return tuple(x - y for x, y in zip(a, b))
 
 
 def table_xy():
@@ -243,6 +249,22 @@ def test_unit_ideal_under_the_local_order_ends_at_once():
 # ---------------------------------------------------------------------------
 # the fraction-free normal forms against the division on rational values
 
+class ValueReducer:
+    """A reducer on rational values: its lead, lead coefficient and ecart
+    read off the polynomial with the order's tuple key."""
+
+    def __init__(self, poly, keyf, idx):
+        self.poly = poly
+        self.lm, self.lc = poly.lead(keyf)
+        self.ecart = poly.total_degree() - sum(self.lm)
+        self.idx = idx
+
+
+def value_reducers(gens, order):
+    keyf = order.key(gens[0].table)
+    return keyf, [ValueReducer(g, keyf, i) for i, g in enumerate(gens)]
+
+
 def _value_subtract(h, g, t, coef):
     for gm, gc in g.poly.terms.items():
         key = tuple(a + b for a, b in zip(gm, t))
@@ -253,12 +275,13 @@ def _value_subtract(h, g, t, coef):
             h.pop(key, None)
 
 
-def value_classic_nf(p, reducers, keyf, cut=None):
+def value_classic_nf(p, gens, order, cut=None):
     """Long division on rational coefficients, one quotient term per step,
     with the reducer choice and the cut of ``classic_nf``."""
     def dropped(m):
         return cut is not None and sum(m[i] for i in cut[0]) >= cut[1]
 
+    keyf, reducers = value_reducers(gens, order)
     h = {m: c for m, c in p.terms.items() if not dropped(m)}
     rem = {}
     while h:
@@ -274,10 +297,10 @@ def value_classic_nf(p, reducers, keyf, cut=None):
     return Polynomial.from_terms(p.table, rem.items())
 
 
-def value_mora_nf(p, reducers, keyf):
+def value_mora_nf(p, gens, order):
     """Mora's normal form on rational coefficients, with the ecart choice
     and the snapshots of ``mora_nf``."""
-    local = list(reducers)
+    keyf, local = value_reducers(gens, order)
     h = dict(p.terms)
     while h:
         m = max(h, key=keyf)
@@ -286,8 +309,9 @@ def value_mora_nf(p, reducers, keyf):
             break
         g = min(cands, key=lambda e: (e.ecart, e.idx))
         if g.ecart > max(sum(k) for k in h) - sum(m):
-            local.append(_Prepared(Polynomial.from_terms(p.table, h.items()),
-                                   keyf, 10 ** 9 + len(local)))
+            local.append(ValueReducer(
+                Polynomial.from_terms(p.table, h.items()), keyf,
+                10 ** 9 + len(local)))
         _value_subtract(h, g, mon_div(m, g.lm), Fraction(h[m]) / g.lc)
     return Polynomial.from_terms(p.table, h.items())
 
@@ -317,11 +341,12 @@ def nf_problems(draw):
     return T, poly(0), gens or [Polynomial.var(T, "x1")]
 
 
-def _with_rows(nf, p, gens, prepared, keyf, T, **kw):
+def _with_rows(nf, p, gens, prepared, pk, **kw):
     """The normal form with rows over the space gens + [p], starting from
     row {p: 1}; checks rem == sum(row[j] * space[j]) exactly."""
+    T = p.table
     space = list(gens) + [p]
-    rem, row = nf(p, prepared, keyf, T,
+    rem, row = nf(p, prepared, pk,
                   row={len(gens): Polynomial.const(T, 1)}, **kw)
     total = Polynomial.zero(T)
     for j, q in row.items():
@@ -334,32 +359,32 @@ def _with_rows(nf, p, gens, prepared, keyf, T, **kw):
 @given(nf_problems())
 def test_global_normal_forms_match_the_value_division(problem):
     T, p, gens = problem
-    keyf = global_order().key(T)
-    prepared = [_Prepared(g, keyf, i) for i, g in enumerate(gens)]
-    want = value_classic_nf(p, prepared, keyf)
-    got = classic_nf(p, prepared, keyf, T, full=True)[0]
+    order = global_order()
+    pk, prepared = _reducers(gens, order, T)
+    want = value_classic_nf(p, gens, order)
+    got = classic_nf(p, prepared, pk, full=True)[0]
     assert got == want
-    rem, row = _with_rows(classic_nf, p, gens, prepared, keyf, T, full=True)
+    rem, row = _with_rows(classic_nf, p, gens, prepared, pk, full=True)
     assert rem == want
     assert row[len(gens)] == Polynomial.const(T, 1)
-    want = value_mora_nf(p, prepared, keyf)
-    assert mora_nf(p, prepared, keyf, T)[0] == want
-    assert _with_rows(mora_nf, p, gens, prepared, keyf, T)[0] == want
+    want = value_mora_nf(p, gens, order)
+    assert mora_nf(p, prepared, pk)[0] == want
+    assert _with_rows(mora_nf, p, gens, prepared, pk)[0] == want
 
 
 @settings(max_examples=150, deadline=None)
 @given(nf_problems(), st.integers(1, 5))
 def test_mixed_order_normal_forms_match_the_value_division(problem, bound):
     T, p, gens = problem
-    keyf = mixed_order(T).key(T)
-    prepared = [_Prepared(g, keyf, i) for i, g in enumerate(gens)]
-    want = value_mora_nf(p, prepared, keyf)
-    assert mora_nf(p, prepared, keyf, T)[0] == want
-    assert _with_rows(mora_nf, p, gens, prepared, keyf, T)[0] == want
+    order = mixed_order(T)
+    pk, prepared = _reducers(gens, order, T)
+    want = value_mora_nf(p, gens, order)
+    assert mora_nf(p, prepared, pk)[0] == want
+    assert _with_rows(mora_nf, p, gens, prepared, pk)[0] == want
     cut = (T.block(BASE), bound)
-    want = value_classic_nf(p, prepared, keyf, cut)
-    assert classic_nf(p, prepared, keyf, T, cut=cut)[0] == want
-    rows = classic_nf(p, prepared, keyf, T, row={}, cut=cut)
+    want = value_classic_nf(p, gens, order, cut)
+    assert classic_nf(p, prepared, pk, cut=cut)[0] == want
+    rows = classic_nf(p, prepared, pk, row={}, cut=cut)
     assert rows[0] == want
 
 
@@ -401,9 +426,9 @@ def test_reduce_full_by_deletion_is_the_long_division(problem):
     assert binomial or one_term
     assert ideal.monomial_leads(order) == (
         tuple(b.lead(keyf)[0] for b in basis) if one_term else None)
-    prepared = [_Prepared(b, keyf, i) for i, b in enumerate(basis)]
+    pk, prepared = _reducers(basis, order, T)
     cut = None if bound is None else (T.block(BASE), bound)
-    want = classic_nf(p, prepared, keyf, T, full=True, cut=cut)[0]
+    want = classic_nf(p, prepared, pk, full=True, cut=cut)[0]
     with mock.patch.object(groebner, "classic_nf",
                            wraps=groebner.classic_nf) as spy:
         got = ideal.reduce_full(p, order, cut)
@@ -438,24 +463,22 @@ def test_normal_form_rescales_when_the_reducer_lead_does_not_divide():
     # the integer lead 3 of 3*x1 + x2 does not divide the lead 1 of the
     # dividend, so each step scales the dividend's integer terms by 3
     T = VarTable.make(("x1", BASE), ("x2", BASE))
-    keyf = global_order().key(T)
     g = parse_poly(T, "3*x1 + x2")
     p = parse_poly(T, "x1^2 + 1/2*x2")
-    prepared = [_Prepared(g, keyf, 0)]
+    pk, prepared = _reducers([g], global_order(), T)
     want = parse_poly(T, "1/9*x2^2 + 1/2*x2")
-    assert classic_nf(p, prepared, keyf, T)[0] == want
-    assert mora_nf(p, prepared, keyf, T)[0] == want
-    rem, row = _with_rows(classic_nf, p, [g], prepared, keyf, T)
+    assert classic_nf(p, prepared, pk)[0] == want
+    assert mora_nf(p, prepared, pk)[0] == want
+    rem, row = _with_rows(classic_nf, p, [g], prepared, pk)
     assert rem == want
     assert row[0] == parse_poly(T, "-1/3*x1 + 1/9*x2")
     # the same under a local order, where 2*x1 leads 2*x1 + 3*x1^2
-    keyf = NegDegRevLex().key(T)
     g = parse_poly(T, "2*x1 + 3*x1^2")
     p = parse_poly(T, "x1*x2 + 5/7*x2^2")
-    prepared = [_Prepared(g, keyf, 0)]
-    want = value_mora_nf(p, prepared, keyf)
-    assert mora_nf(p, prepared, keyf, T)[0] == want
-    assert _with_rows(mora_nf, p, [g], prepared, keyf, T)[0] == want
+    pk, prepared = _reducers([g], NegDegRevLex(), T)
+    want = value_mora_nf(p, [g], NegDegRevLex())
+    assert mora_nf(p, prepared, pk)[0] == want
+    assert _with_rows(mora_nf, p, [g], prepared, pk)[0] == want
 
 
 def test_local_bases_are_minimal():
@@ -506,3 +529,102 @@ def test_standard_bases_are_minimal_for_every_order(problem):
     assert ideal.leads(order) == spanned.leads(order)
     assert all(spanned.contains(g, order) for g in ideal.basis(order))
     assert ideal.leads(order) == frozenset(leads)
+
+
+# ---------------------------------------------------------------------------
+# the engine on packed monomials: widening, and sympy as a global oracle
+
+def _spy_wider():
+    return mock.patch.object(Packing, "wider", autospec=True,
+                             side_effect=Packing.wider)
+
+
+def test_normal_forms_repack_wider_mid_division():
+    """Each reducer set fits 4-bit fields (limit 15).  Mora's step on the
+    lead x1^13*x2 by x1 + x1^2*x2 makes terms of degree 16, and long division
+    of t^4 by t - Y1^5 under the elimination order reaches Y1^20, so both
+    divisions repack wider on the way; a dividend of degree 18 repacks
+    before the first step.  Each still gives the value division's
+    remainder."""
+    T = VarTable.make(("x1", BASE), ("x2", BASE))
+    order = NegDegRevLex()
+    g = parse_poly(T, "x1 + x1^2*x2")
+    pk, prepared = _reducers([g], order, T)
+    assert pk.limit == 15
+    p = parse_poly(T, "x1^13*x2 + 3*x2^15")
+    with _spy_wider() as spy:
+        got = mora_nf(p, prepared, pk)[0]
+    assert spy.called
+    assert got == value_mora_nf(p, [g], order)
+
+    E = VarTable.make(("Y1", ALGEBRA), ("t", AUX))
+    order = elim_order(E, (AUX,))
+    g = parse_poly(E, "t - Y1^5")
+    pk, prepared = _reducers([g], order, E)
+    assert pk.glob and pk.limit == 15
+    for text, want in (("t^4 + Y1", "Y1^20 + Y1"),
+                       ("Y1^17*t - 2", "Y1^22 - 2")):
+        p = parse_poly(E, text)
+        with _spy_wider() as spy:
+            got = classic_nf(p, prepared, pk)[0]
+        assert spy.called
+        assert got == parse_poly(E, want) == value_classic_nf(p, [g], order)
+
+
+def test_std_basis_repacks_wider_when_an_element_grows():
+    """The generators have degree 5, so the basis starts at 4-bit fields,
+    which hold elements up to degree 7; the element Y1^10 - Y1 repacks
+    the basis and its pair queue wider.  The elimination order on (t, Y1)
+    is lex, whose reduced basis sympy gives."""
+    sympy = pytest.importorskip("sympy")
+    E = VarTable.make(("Y1", ALGEBRA), ("t", AUX))
+    gens = [parse_poly(E, "t - Y1^5"), parse_poly(E, "t^2 - Y1")]
+    order = elim_order(E, (AUX,))
+    with _spy_wider() as spy:
+        basis = std_basis(gens, E, order)
+    assert spy.called
+    t, y1 = sympy.symbols("t Y1")
+    want = sympy.groebner([t - y1 ** 5, t ** 2 - y1], t, y1, order="lex")
+    assert set(basis) == {_from_sympy(E, g, (y1, t), order)
+                          for g in want.exprs}
+
+
+def _from_sympy(T, expr, syms, order):
+    """The sympy expression over ``syms`` (in table order), made monic
+    under ``order``."""
+    import sympy
+    p = Polynomial(T, {m: Fraction(int(c.p), int(c.q))
+                       for m, c in sympy.Poly(expr, *syms).terms()})
+    return p * (1 / Fraction(p.lead(order.key(T))[1]))
+
+
+@st.composite
+def global_gens(draw):
+    """One to three nonzero generators over two or three variables, of at
+    most three terms of degree at most three with small coefficients."""
+    n = draw(st.integers(2, 3))
+    T = VarTable(tuple(f"x{i}" for i in range(1, n + 1)), (BASE,) * n)
+    mons = st.tuples(*[st.integers(0, 3)] * n).filter(lambda m: sum(m) <= 3)
+    gens = [Polynomial.from_terms(T, draw(st.lists(
+        st.tuples(mons, st.integers(-3, 3).filter(bool)),
+        min_size=1, max_size=3))) for _ in range(draw(st.integers(1, 3)))]
+    return T, [g for g in gens if not g.is_zero()] or [
+        Polynomial.var(T, "x1")]
+
+
+@settings(max_examples=60, deadline=5000)
+@given(global_gens())
+def test_global_bases_are_sympys_reduced_basis(problem):
+    """Under DegRevLex(), std_basis is the reduced Groebner basis, which
+    is unique: sympy's grevlex basis, made monic, with the variables in
+    table order."""
+    import sympy
+    T, gens = problem
+    syms = sympy.symbols(T.names)
+    exprs = [sum(int(c) * sympy.prod([s ** e for s, e in zip(syms, m)])
+                 for m, c in g.terms.items()) for g in gens]
+    want = sympy.groebner(exprs, *syms, order="grevlex")
+    got = std_basis(gens, T, DegRevLex())
+    assert set(got) == {_from_sympy(T, e, syms, DegRevLex())
+                        for e in want.exprs}
+    assert len(got) == len(want.exprs)

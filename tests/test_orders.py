@@ -1,7 +1,16 @@
-"""Term order semantics: global, local and block orders."""
+"""Term order semantics: global, local and block orders, and the packing
+of monomials into ints that the basis engine runs on."""
 
-from neron import (ALGEBRA, BASE, NegDegRevLex, VarTable, elim_order,
-                   global_order, mixed_order, parse_poly)
+from operator import add
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from neron import (ALGEBRA, AUX, BASE, TANGENT, DegRevLex, NegDegRevLex,
+                   VarTable, elim_order, global_order, mixed_order,
+                   parse_poly)
+from neron.orders import packing
+from neron.poly import mon_divides
 
 
 def table2():
@@ -65,3 +74,85 @@ def test_lead_term_under_mixed_order():
     keyf = mixed_order(T).key(T)
     lm, lc = p.lead(keyf)
     assert lm == (0, 1, 1, 0) and lc == 1
+
+
+# ---------------------------------------------------------------------------
+# packed monomials against the tuple definitions
+
+def _tuple_product(a, b):
+    return tuple(map(add, a, b))
+
+
+def _tuple_lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+@st.composite
+def packing_cases(draw):
+    """A table of 1-8 variables with drawn roles, one of the four orders
+    the library builds on it (the elimination order over the table
+    extended by an AUX variable), and monomials of that table whose total
+    degrees run up to and past the narrowest packing's limit."""
+    n = draw(st.integers(1, 8))
+    roles = draw(st.lists(st.sampled_from((BASE, ALGEBRA, TANGENT)),
+                          min_size=n, max_size=n))
+    T = VarTable(tuple(f"v{i}" for i in range(n)), tuple(roles))
+    which = draw(st.sampled_from(["global", "local", "mixed", "elim"]))
+    if which == "elim":
+        T = T.extend((T.fresh_name("t"), AUX))
+        order = elim_order(T, (AUX,))
+    else:
+        order = {"global": DegRevLex(), "local": NegDegRevLex(),
+                 "mixed": mixed_order(T)}[which]
+    mons = st.lists(st.integers(0, 17), min_size=len(T),
+                    max_size=len(T)).map(tuple)
+    return T, order, draw(st.lists(mons, min_size=2, max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(packing_cases())
+def test_packed_monomials_are_the_tuple_monomials(case):
+    """Round trips, keys, divisibility, products and lcms of packed
+    monomials agree with the exponent tuples, at the packing that holds
+    the largest degree drawn."""
+    T, order, mons = case
+    pk = packing(order, T, max(map(sum, mons)))
+    keyf = order.key(T)
+    packed = [pk.pack(m) for m in mons]
+    assert [pk.unpack(a) for a in packed] == mons
+    assert pk.glob == order.is_global(T)
+    assert (sorted(range(len(mons)), key=lambda k: keyf(mons[k]))
+            == sorted(range(len(mons)), key=lambda k: pk.key(packed[k]))
+            == sorted(range(len(mons)), key=lambda k: packed[k] ^ pk.rev,
+                      reverse=True))
+    for a, pa in zip(mons, packed):
+        assert pa & pk.limit == sum(a)
+        for b, pb in zip(mons, packed):
+            assert pk.divides(pa, pb) == mon_divides(a, b)
+            if sum(a) + sum(b) <= pk.limit:
+                assert pa + pb == pk.pack(_tuple_product(a, b))
+                assert pk.lcm(pa, pb) == pk.pack(_tuple_lcm(a, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(packing_cases())
+def test_monomials_past_the_width_repack_wider(case):
+    """The product of two monomials that fit the narrowest packing sets a
+    guard bit exactly when its degree passes the limit; every monomial
+    packs exactly at the packing ``wider`` gives for its degree, and one
+    that fits the narrow packing repacks to its own packing there."""
+    T, order, mons = case
+    narrow = packing(order, T, 0)
+    assert narrow.bits == 4 and narrow.limit == 15
+    for m in mons:
+        wide = narrow.wider(sum(m))
+        assert wide.limit >= 2 * sum(m)
+        assert wide.unpack(wide.pack(m)) == m
+        if sum(m) <= narrow.limit:
+            assert wide.repack(narrow.pack(m), narrow) == wide.pack(m)
+    fitting = [m for m in mons if sum(m) <= narrow.limit]
+    for a in fitting:
+        for b in fitting:
+            product = narrow.pack(a) + narrow.pack(b)
+            assert (bool(product & narrow.guard)
+                    == (sum(a) + sum(b) > narrow.limit))

@@ -3,7 +3,9 @@
 Each ``PINNED`` entry pins the exit code and the sha256 of stdout of
 ``run_command(cmd, path, fmt="machine")``.  Each ``CLI_PINNED`` entry pins
 the exit code and the sha256 of stdout and of stderr of one command the
-benchmark's ``cli`` workload runs, in its format.  A change to any digest
+benchmark's ``cli`` workload runs, in its format.  ``HUGE_EXPONENTS`` pins
+the same for two problems whose exponents lie far past any small field
+width of the packed monomials.  A change to any digest
 means an output format or a computed value changed; refactors must leave
 them as they are.
 """
@@ -127,3 +129,42 @@ def test_cli_output_digests(cmd, fmt, name):
     assert (code, hashlib.sha256(out.encode()).hexdigest(),
             hashlib.sha256(err.encode()).hexdigest()) == \
         CLI_PINNED[(cmd, fmt, name)]
+
+
+_HUGE_RING = """ring {{
+  field Q;
+  vars x1 x2;
+  relations {relation};
+}}
+algebra {{
+  vars Y1;
+  relations {algebra};
+}}
+morphism {{
+  precision 4;
+  Y1 = 1;
+}}
+"""
+
+# command -> (relation of the ring, relation of the algebra, exit code,
+# sha256 of stdout, sha256 of stderr), in the text format
+HUGE_EXPONENTS = {
+    "check": ("x1^70000*x2", "Y1^2 - 1 - x1", 5, EMPTY,
+              "fc53a305881e3b0408de1a8ced242e7c6a5c5c82166b7c0e0c0ba30996d72d68"),
+    "hba": ("x1^70000*x2 - x2^3", "x1*Y1^2 - x2", 0,
+            "e79ea70813280f167e4c1ade2f6074f2f347d8f8984773fac08a91c1bf33a2a3",
+            EMPTY),
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(HUGE_EXPONENTS))
+def test_huge_exponent_digests(cmd, tmp_path):
+    """``check`` stops at the saturation cap with exit 5, and ``hba``
+    prints its two ideals."""
+    relation, algebra, *want = HUGE_EXPONENTS[cmd]
+    path = tmp_path / f"{cmd}.gnd"
+    path.write_text(_HUGE_RING.format(relation=relation, algebra=algebra),
+                    encoding="utf-8")
+    code, out, err = run_command(cmd, str(path))
+    assert [code, hashlib.sha256(out.encode()).hexdigest(),
+            hashlib.sha256(err.encode()).hexdigest()] == want

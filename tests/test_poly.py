@@ -21,7 +21,7 @@ from neron import (ALGEBRA, BASE, Polynomial, VarTable, format_poly,
 from neron.cli import run_command
 from neron.desing import desingularize, verify_certificate
 from neron.errors import NeronError, PolyParseError
-from neron.groebner import _Prepared, classic_nf, lift_division, mora_nf
+from neron.groebner import _reducers, classic_nf, lift_division, mora_nf
 from neron.lifting import LiftingProblem, newton_lift
 from neron.localring import Jet, LocalRingSpec
 from neron.poly import _from_ints
@@ -660,12 +660,11 @@ def assert_same(x, y):
 
 
 def prepared_basis(T, order):
-    """Keys and prepared reducers of a fixed rational ideal over table_xy."""
+    """The packing and prepared reducers of a fixed rational ideal over
+    table_xy."""
     gens = [parse_poly(T, t) for t in ("3/2*x1^2 - 2*x2*Y1 + 5/3*x1*Y2",
                                         "7/4*x2^2 - x1*Y1 + 2/5*Y2^2")]
-    keyf = order.key(T)
-    basis = std_basis(gens, T, order)
-    return keyf, [_Prepared(g, keyf, i) for i, g in enumerate(basis)]
+    return _reducers(std_basis(gens, T, order), order, T)
 
 
 @settings(max_examples=100, deadline=None)
@@ -674,8 +673,8 @@ def test_reading_the_value_map_first_changes_no_result(a, b, bound):
     T = a.table
     cut = (TABLE_XY_BASE, bound)
     order = mixed_order(T)
-    gkeyf, gprep = prepared_basis(T, global_order())
-    mkeyf, mprep = prepared_basis(T, order)
+    gpk, gprep = prepared_basis(T, global_order())
+    mpk, mprep = prepared_basis(T, order)
 
     def results(p, q):
         out = [p + q, p - q, q - p, -p, p + 1, p - Fraction(1, 3),
@@ -684,9 +683,9 @@ def test_reading_the_value_map_first_changes_no_result(a, b, bound):
                p == Polynomial(T, dict(p.terms)), hash(p),
                format_poly(p, order), p.content(), p.primitive(),
                p.derivative("x1"), p.substitute({"Y1": q}, cut),
-               classic_nf(p, gprep, gkeyf, T, full=True)[0],
-               classic_nf(p, mprep, mkeyf, T, full=True, cut=cut)[0],
-               mora_nf(p, mprep, mkeyf, T)[0]]
+               classic_nf(p, gprep, gpk, full=True)[0],
+               classic_nf(p, mprep, mpk, full=True, cut=cut)[0],
+               mora_nf(p, mprep, mpk)[0]]
         if not p.is_zero():
             out.append(p.lead(order.key(T)))
         return out
@@ -705,7 +704,7 @@ def test_reading_the_value_map_first_changes_no_result(a, b, bound):
         assert got == Polynomial.from_terms(T, terms.items())
     below = Polynomial.from_terms(
         T, [(m, c) for m, c in a.terms.items() if m[0] + m[1] < bound])
-    assert classic_nf(x, [], mkeyf, T, full=True, cut=cut)[0] == below
+    assert classic_nf(x, [], mpk, full=True, cut=cut)[0] == below
     assert want[22].below(cut) == want[22]
 
 
