@@ -177,8 +177,8 @@ def _start(p, reducers, pk, cut=None):
     (packed integer terms, denominator), with the packing that holds it
     and the reducers at that packing.
 
-    p is a Polynomial or the pair (packed integer terms, denominator) that
-    ``spoly`` returns."""
+    p is a Polynomial or a pair (packed integer terms, denominator) at
+    ``pk``, as ``spoly`` returns them."""
     if not isinstance(p, Polynomial):
         h, den = p
         return dict(h), den, pk, reducers
@@ -194,10 +194,18 @@ def _start(p, reducers, pk, cut=None):
     return {pack(m): v * num for m, v in ints.items()}, den, pk, reducers
 
 
+def _remainder(p, h, den, pk):
+    """The remainder h/den in the form of the dividend p: a Polynomial, or
+    the triple (packed integer terms, denominator, packing)."""
+    if isinstance(p, Polynomial):
+        return _unpacked(pk, h, 1, den)
+    return h, den, pk
+
+
 def _unchanged(p, pk):
-    """The dividend p of ``_start`` as a Polynomial, after a division that
-    took no step (so it never repacked)."""
-    return p if isinstance(p, Polynomial) else _unpacked(pk, p[0], 1, p[1])
+    """The dividend p of ``_start`` as a remainder of its own form, after a
+    division that took no step (so it never repacked)."""
+    return p if isinstance(p, Polynomial) else (*p, pk)
 
 
 def _step_coef(c, den, g):
@@ -239,10 +247,10 @@ def classic_nf(p, reducers, pk, full=True, row=None, cut=None):
     ints: the heap holds m ^ pk.rev, so it pops the largest term first,
     and a reducer divides m by the guard-bit test.  A step whose terms
     would pass the packing's degree limit first repacks everything wider.
-    The remainder is unpacked once, at the end; when no step was taken
-    and the cut dropped nothing, it is the dividend unchanged.  A row
-    update takes the step's value-level coefficient, one rational number
-    per step.
+    The remainder comes in the dividend's form (``_remainder``): unpacked
+    once, at the end, for a Polynomial; when no step was taken and the cut
+    dropped nothing, it is the dividend unchanged.  A row update takes the
+    step's value-level coefficient, one rational number per step.
     """
     h, den, pk, reducers = _start(p, reducers, pk, cut)
     table = pk.table
@@ -299,7 +307,7 @@ def classic_nf(p, reducers, pk, full=True, row=None, cut=None):
     if not stepped and len(rem) == len(
             p._view()[2] if isinstance(p, Polynomial) else p[0]):
         return _unchanged(p, pk), row
-    return _unpacked(pk, rem, 1, den), row
+    return _remainder(p, rem, den, pk), row
 
 
 def delete_multiples(p, leads, cut=None):
@@ -346,8 +354,9 @@ def mora_nf(p, reducers, pk, row=None):
     plain ints, a reducer divides by the guard-bit test and the ecart
     reads the total-degree field.  A snapshot keeps H as it is, since a
     nonzero multiple of a reducer removes the same terms; its row is
-    scaled by D to match.  The remainder is unpacked once, as H/D, or is
-    the dividend unchanged when no step was taken.
+    scaled by D to match.  The remainder is H/D in the dividend's form
+    (unpacked once for a Polynomial), or the dividend unchanged when no
+    step was taken.
     """
     h, den, pk, local = _start(p, reducers, pk)
     local = list(local)
@@ -396,7 +405,7 @@ def mora_nf(p, reducers, pk, row=None):
         stepped = True
     if not stepped:
         return _unchanged(p, pk), row
-    return _unpacked(pk, h, 1, den), row
+    return _remainder(p, h, den, pk), row
 
 
 def _divide(p, reducers, pk, full=True, row=None):
@@ -486,9 +495,11 @@ def std_basis(gens, table, order, *, track=None):
 
     The elements are reducers at one packing, wide enough for twice the
     largest degree among them, so every lcm and S-polynomial of two fits;
-    an element past that repacks them wider.  The pair queue is a heap
-    of (key of the lcm, i, j), each key computed once per pair; a pair
-    that the criteria drop stays in the heap and is skipped.
+    an element past that repacks them wider.  The generators and the
+    S-polynomials go to the normal forms packed, and their remainders
+    come back packed, so only the final basis is unpacked.  The pair
+    queue is a heap of (key of the lcm, i, j), each key computed once per
+    pair; a pair that the criteria drop stays in the heap and is skipped.
 
     Stop rule: unless syzygies are collected, the computation ends at the
     first element whose lead monomial is 1.  Its lead divides every other
@@ -505,14 +516,17 @@ def std_basis(gens, table, order, *, track=None):
     queue = []      # (key of the lcm, i, j), dropped pairs included
     syzygies = []
 
-    def add_element(p, row):
-        """Append p; True when the stop rule ends the computation."""
+    def add_element(r, row):
+        """Append the packed remainder r, made primitive; True when the
+        stop rule ends the computation."""
         nonlocal pk
-        content = p.content()
-        if content != 1 and row is not None:
-            inv = exact_div(1, content)
-            row = {j: q * inv for j, q in row.items()}
-        deg = p.total_degree()
+        h, den, rpk = r
+        q = gcd(*h.values())
+        if q != den and row is not None:
+            inv = exact_div(den, q)     # 1/content
+            row = {j: c * inv for j, c in row.items()}
+        limit = rpk.limit
+        deg = max([m & limit for m in h])
         if 2 * deg > pk.limit:
             old, pk = pk, pk.wider(deg)
             G[:] = [g.repacked(pk, old) for g in G]
@@ -521,9 +535,11 @@ def std_basis(gens, table, order, *, track=None):
                 P[(i, j)] = pk.lcm(lms[i], lms[j])
             queue[:] = [(pk.key(L), i, j) for (i, j), L in P.items()]
             heapify(queue)
-        pack = pk.pack
-        g = _Prepared(1, 1, {pack(m): v for m, v in p._view()[2].items()},
-                      pk, len(G), row)
+        if q != 1:
+            h = {m: v // q for m, v in h.items()}
+        if rpk is not pk:
+            h = {pk.repack(m, rpk): v for m, v in h.items()}
+        g = _Prepared(1, 1, h, pk, len(G), row)
         G.append(g)
         lms.append(g.lm)
         if use_criteria:
@@ -540,8 +556,11 @@ def std_basis(gens, table, order, *, track=None):
         if g.is_zero():
             continue
         row = {j: Polynomial.const(table, 1)} if track else None
-        r, row = _divide(g, G, pk, full=False, row=row)
-        if r.is_zero():
+        num, den, ints = g._view()
+        pack = pk.pack
+        r, row = _divide(({pack(m): v * num for m, v in ints.items()}, den),
+                         G, pk, full=False, row=row)
+        if not r[0]:
             if track == "syz" and row and any(not q.is_zero()
                                               for q in row.values()):
                 syzygies.append(dict(row))
@@ -561,7 +580,7 @@ def std_basis(gens, table, order, *, track=None):
                 syzygies.append(row)
             continue
         r, row = _divide(s, G, pk, full=False, row=row)
-        if r.is_zero():
+        if not r[0]:
             if track == "syz" and row and any(not q.is_zero()
                                               for q in row.values()):
                 syzygies.append(row)
@@ -599,17 +618,22 @@ def _post_process(G, pk, track):
     out = []
     for g in minimal:
         row = g.row if track else None
+        inv = exact_div(1, g.lc())
         if pk.glob:
             others = [h for h in minimal if h is not g]
-            p, row = classic_nf(({m: v * g.num for m, v in g.ints.items()},
-                                 g.den), others, pk, full=True,
-                                row=None if row is None else dict(row))
+            (h, den, rpk), row = classic_nf(
+                ({m: v * g.num for m, v in g.ints.items()}, g.den), others,
+                pk, full=True, row=None if row is None else dict(row))
+            p = _unpacked(rpk, h, 1, den) * inv
         else:
-            p = _unpacked(pk, g.ints, g.num, g.den)
-        inv = exact_div(1, g.lc())
+            # g/lc(g) = ints/b
+            unpack, sign = pk.unpack, (1 if g.b > 0 else -1)
+            p = from_int_terms(pk.table, {unpack(m): sign * v
+                                          for m, v in g.ints.items()},
+                               1, abs(g.b))
         if row is not None:
             row = {j: q * inv for j, q in row.items()}
-        out.append((g.lm ^ neg, p * inv, row))
+        out.append((g.lm ^ neg, p, row))
     out.sort(key=lambda e: e[0], reverse=True)
     return [(p, row) for _, p, row in out]
 
