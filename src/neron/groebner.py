@@ -80,19 +80,18 @@ class _Prepared:
                          pk, self.idx, self.row)
 
 
-def _prepare(p, pk, idx, row=None):
-    """The nonzero polynomial p as a reducer at the packing ``pk``."""
-    num, den, ints = p._view()
-    pack = pk.pack
-    return _Prepared(num, den, {pack(m): v for m, v in ints.items()}, pk,
-                     idx, row)
-
-
 def _reducers(basis, order, table):
-    """The packing for ``basis`` under ``order`` and its reducers."""
+    """The packing for the nonzero polynomials ``basis`` under ``order``,
+    and their reducers."""
     pk = packing(order, table, max([b.total_degree() for b in basis],
                                    default=0))
-    return pk, [_prepare(b, pk, i) for i, b in enumerate(basis)]
+    pack = pk.pack
+    reducers = []
+    for i, b in enumerate(basis):
+        num, den, ints = b._view()
+        reducers.append(_Prepared(num, den, {pack(m): v
+                                             for m, v in ints.items()}, pk, i))
+    return pk, reducers
 
 
 def _unpacked(pk, ints, num=1, den=1):
