@@ -15,7 +15,7 @@ from neron import (ALGEBRA, BASE, DegRevLex, Ideal, Polynomial, VarTable,
                    global_order, NegDegRevLex,
                    lift_division, mixed_order, normal_form_against,
                    parse_poly, std_basis)
-from neron.errors import NotInIdeal
+from neron.errors import NeronError, NotInIdeal
 from neron.groebner import _reducers, classic_nf, mora_nf
 from neron.orders import AUX, Packing, elim_order
 from neron.poly import mon_divides
@@ -206,6 +206,14 @@ def test_zero_and_unit_ideals():
     assert std_basis([Polynomial.zero(T)], T, global_order()) == ()
     basis = std_basis([parse_poly(T, "2")], T, global_order())
     assert basis == (parse_poly(T, "1"),)
+
+
+def test_normal_form_against_a_zero_basis_element_is_a_typed_error():
+    T = table_xy()
+    with pytest.raises(NeronError):
+        normal_form_against(parse_poly(T, "x1"),
+                            (parse_poly(T, "x2"), Polynomial.zero(T)), T,
+                            global_order())
 
 
 def test_mixed_order_rows_basis_stops_at_the_unit_it_reaches():
