@@ -3,9 +3,10 @@ of its form under a degree cut, ``Polynomial.mul(other, cut)``, of the sum
 ``Polynomial.__add__``, of a jet product (``Jet.__mul__``: the cut product
 and ``reduce_jet``), of Mora's normal form, ``groebner.mora_nf``, of a
 standard basis, ``groebner.std_basis``, and of the monomial and
-construction primitives under them: ``poly.mon_divides`` and the mixed
-order's key on exponent tuples, their packed forms in the basis engine
-(``orders.Packing``), the constructor from a value map and ``hash``.
+construction primitives under them: divisibility (``mon_divides`` below)
+and the mixed order's key (``TermOrder.key``) on exponent tuples, their
+packed forms (``orders.Packing``, the layout the library runs on), the
+constructor from a value map and ``hash``.
 
 Run from the repository root:
 
@@ -35,8 +36,8 @@ over x1, x2, Y1, Y2, Y3): the standard basis under the elimination order
 of t*I + (1 - t)*(g), seven elements of 353 terms in all, three free of t.
 The divisibility cases test every monomial of the integer operand a
 against every monomial of a*b, on exponent tuples and on packed
-monomials.  The order-key cases evaluate the mixed order's key function,
-without its memo, on every monomial of the integer product, and the
+monomials.  The order-key cases evaluate the mixed order's tuple key,
+which has no memo, on every monomial of the integer product, and the
 packed key (one xor) on the same monomials packed.  The value-map cases build a polynomial from the value map of a
 rational product (int and ``Fraction`` coefficients), and the hash cases
 hash a fresh copy of that product.
@@ -77,11 +78,17 @@ from neron import (ALGEBRA, AUX, BASE, TANGENT, Polynomial, VarTable,
 from neron.groebner import _reducers, mora_nf
 from neron.localring import LocalRingSpec
 from neron.orders import packing
-from neron.poly import _from_ints, mon_divides
+from neron.poly import _from_ints
 
 TABLE = VarTable.make(("x1", BASE), ("x2", BASE),
                       ("Y1", ALGEBRA), ("Y2", ALGEBRA))
 KEYF = mixed_order(TABLE).key(TABLE)
+
+
+def mon_divides(a, b):
+    """True when the exponent tuple a divides b."""
+    return all(x <= y for x, y in zip(a, b))
+
 
 # (terms of a, terms of b, largest exponent, terms of the product)
 CASES = [(1, 1, 3, 1), (1, 5, 3, 5), (10, 10, 3, 97), (34, 34, 5, 1050),
@@ -361,7 +368,7 @@ def test_order_key(benchmark, na, nb, maxdeg, product_terms):
     rng = random.Random(na)
     mons = list((operand(rng, na, maxdeg)
                  * operand(rng, nb, maxdeg)).monomials())
-    key = mixed_order(TABLE)._key_impl(TABLE, tuple(range(len(TABLE))))
+    key = mixed_order(TABLE).key(TABLE)
     keys = benchmark(lambda: list(map(key, mons)))
     assert len(set(keys)) == len(mons) == product_terms
 

@@ -441,18 +441,14 @@ def spoly(f, g, pk):
 
 
 def _spoly_row(table, gi, gj, pk):
+    """The row of ``spoly(gi, gj)``: x^u * row(gi)/lc(gi) - x^v *
+    row(gj)/lc(gj), as two row updates."""
     lcm = pk.lcm(gi.lm, gj.lm)
     row = {}
-    for g, sign in ((gi, 1), (gj, -1)):
-        shift = Polynomial(table, {pk.unpack(lcm - g.lm):
-                                   exact_div(sign, g.lc())})
-        for j, q in _reducer_row(table, g).items():
-            cur = row.get(j)
-            upd = (cur + shift * q) if cur is not None else shift * q
-            if upd.is_zero():
-                row.pop(j, None)
-            else:
-                row[j] = upd
+    _row_update(table, row, _reducer_row(table, gi), pk.unpack(lcm - gi.lm),
+                exact_div(-1, gi.lc()))
+    _row_update(table, row, _reducer_row(table, gj), pk.unpack(lcm - gj.lm),
+                exact_div(1, gj.lc()))
     return row
 
 

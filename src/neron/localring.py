@@ -30,7 +30,7 @@ from .groebner import Ideal, delete_multiples, std_basis
 from .idealops import (intersect, krull_dim, radical_membership, same_ideal,
                        saturate)
 from .orders import BASE, mixed_order
-from .poly import Polynomial, exact_div, mon_divides
+from .poly import Polynomial, exact_div
 
 
 def monomials_of_degree(table, positions, degree):
@@ -109,11 +109,12 @@ class LocalRingSpec:
     def contains_power(self, ideal, N):
         """True iff (x)^N lies in ``ideal`` (of the base variables) locally:
         iff (x)^N <= L(I), as L(I + (x)^N) = L(I) + (x)^N under the local
-        degree order."""
+        degree order; that is, when ``delete_multiples`` by the leads
+        leaves nothing of the sum of the monomials of degree N."""
         table = self.table
-        leads = ideal.leads(self.order)
-        return all(any(mon_divides(lm, m) for lm in leads)
-                   for m in monomials_of_degree(table, table.block(BASE), N))
+        power = Polynomial(table, dict.fromkeys(
+            monomials_of_degree(table, table.block(BASE), N), 1))
+        return delete_multiples(power, ideal.leads(self.order)).is_zero()
 
     def with_minimal_primes(self):
         """This ring when it has its primes; otherwise the same ring, its
@@ -281,16 +282,14 @@ def jet_invert(u):
 
 
 def _standard_monomials(ring, max_degree):
-    """Monomials of degree < max_degree outside the lead ideal of J."""
+    """Monomials of degree < max_degree outside the lead ideal of J, by
+    degree: the terms of their sum that ``delete_multiples`` keeps."""
     table = ring.table
     base = table.block(BASE)
+    ones = Polynomial(table, {m: 1 for d in range(max_degree)
+                              for m in monomials_of_degree(table, base, d)})
     leads = ring.j_ideal.leads(ring.order)
-    out = []
-    for d in range(max_degree):
-        for m in monomials_of_degree(table, base, d):
-            if not any(mon_divides(lm, m) for lm in leads):
-                out.append(m)
-    return out
+    return list(delete_multiples(ones, leads).monomials())
 
 
 def jet_divide(num, den):

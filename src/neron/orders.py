@@ -7,16 +7,17 @@ the t-trick and by radical membership.
 
 A term order is a sequence of segments, each a degree (global or local)
 and a reverse-lexicographic tie break over some variables; its key function
-on exponent tuples follows that sequence.  Orders are parameters of the
-basis engine, never baked into a polynomial: the same ideal is used under
-elimination, local and global orders during a single run.  The ideal
-operations run in ``mixed_order(table)``, the order the table declares.
-The basis engine reads an order through a ``Packing``: monomials packed
-into ints whose fields follow the same sequence, so that products,
-divisibility tests and comparisons are int operations.
+on exponent tuples follows that sequence and is the definition of the
+order.  Orders are parameters of the basis engine, never baked into a
+polynomial: the same ideal is used under elimination, local and global
+orders during a single run.  The ideal operations run in
+``mixed_order(table)``, the order the table declares.
 
-Key functions memoize their monomials and forget them at MEMO_LIMIT
-entries; the caches of key functions, packings and orders are bounded too.
+The library reads an order only through a ``Packing``: monomials packed
+into ints whose fields follow the same sequence, so that products,
+divisibility tests and comparisons are int operations.  The basis engine,
+the product loop and the printer share it.  The caches of packings and
+orders are bounded.
 """
 
 from __future__ import annotations
@@ -97,29 +98,6 @@ class VarTable:
         return f"{stem}_{k}"
 
 
-MEMO_LIMIT = 1 << 16   # monomials one key function remembers at most
-
-
-def _memoized(fn):
-    cache = {}
-
-    def wrapped(m):
-        v = cache.get(m)
-        if v is None:
-            if len(cache) >= MEMO_LIMIT:
-                cache.clear()
-            v = fn(m)
-            cache[m] = v
-        return v
-
-    return wrapped
-
-
-@lru_cache(maxsize=256)
-def _cached_key(order, table):
-    return _memoized(order._key_impl(table, tuple(range(len(table)))))
-
-
 class TermOrder:
     """Base class.  Subclasses list their comparison sequence as
     segments: ``(sign, positions)`` compares the degree in the variables
@@ -127,15 +105,11 @@ class TermOrder:
     exponents in reverse, each negated (the revlex tie break)."""
 
     def key(self, table):
-        """Memoized sort key on exponent tuples; larger key = larger term."""
-        return _cached_key(self, table)
-
-    def _segments(self, table, positions):
-        raise NotImplementedError
-
-    def _key_impl(self, table, positions):
-        segments = tuple((sign, pos, pos[::-1])
-                         for sign, pos in self._segments(table, positions))
+        """Sort key on exponent tuples; larger key = larger term.  This is
+        the definition of the order, with no memo: the library compares
+        packed monomials (``Packing.key``), which order the same way."""
+        segments = tuple((sign, pos, pos[::-1]) for sign, pos in
+                         self._segments(table, tuple(range(len(table)))))
 
         def keyf(m):
             out = ()
@@ -145,6 +119,9 @@ class TermOrder:
             return out
 
         return keyf
+
+    def _segments(self, table, positions):
+        raise NotImplementedError
 
     def is_global(self, table):
         """True when every variable monomial compares above 1: every
@@ -221,8 +198,9 @@ class Packing:
       order: a min-heap of ``a ^ rev`` pops the largest monomial first,
       and ``^ rev`` recovers it.
 
-    The engine takes the width from its operands (``packing``), and a
-    step whose total degree would pass ``limit`` repacks wider.
+    Every user takes the width from its operands (``packing``): the
+    products and sorts of the product loop and the printer never go past
+    ``limit``, and a step of the basis engine that would repacks wider.
     """
 
     __slots__ = ("order", "table", "bits", "limit", "guard", "neg", "rev",
@@ -321,7 +299,7 @@ def _cached_packing(order, table, bits):
 def packing(order, table, deg):
     """The packing of ``order`` on ``table`` for operands of total degree
     at most ``deg``: at least 4 value bits, and room for 2*deg, so every
-    lcm and S-polynomial of two operands fits too."""
+    product, lcm and S-polynomial of two operands fits too."""
     return _cached_packing(order, table, max(4, (2 * deg).bit_length()))
 
 

@@ -7,6 +7,9 @@ ints.  The zero polynomial is ``(1, 1, {})``.  The view is unique, so it
 decides equality and the hash.  The constructor turns a value map into
 the view once; products, sums, negation, scaling, cuts, derivatives and
 substitution run on views and create their results with ``_from_ints``.
+Monomials are exponent tuples; the product's term loop and the printer's
+sort pack them into ints through ``orders.Packing``, the one monomial
+layout of the library, which the basis engine runs on too.
 
 ``_view()`` is the contract that ``groebner`` reads: its fraction-free
 normal forms and S-polynomials take the integer terms directly.  Every
@@ -28,8 +31,10 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import NeronError, PolyParseError
+from .orders import DegRevLex, mixed_order, packing
 
 _RATIONAL = (int, Fraction)
+_DEGREVLEX = DegRevLex()
 _new = object.__new__
 
 
@@ -164,18 +169,6 @@ def _strand_product(ta, tb, cut):
     return {m: v for m, v in out.items() if v}
 
 
-def _pack(terms, bits):
-    """(packed monomial, coefficient) pairs, the first variable in the
-    highest field of ``bits`` bits."""
-    out = []
-    for m, c in terms.items():
-        p = 0
-        for e in m:
-            p = (p << bits) | e
-        out.append((p, c))
-    return out
-
-
 def _by_degree(mons, packed, positions):
     """The packed terms sorted by their degree at ``positions``, and those
     degrees."""
@@ -193,18 +186,6 @@ def from_int_terms(table, ints, num=1, den=1):
         num *= g
     g = gcd(num, den)
     return _from_ints(table, ints, num // g, den // g)
-
-
-# ---------------------------------------------------------------------------
-# monomial helpers (exponent tuples over a fixed VarTable)
-
-def mon_divides(a, b):
-    """True when monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mon_deg(a):
-    return sum(a)
 
 
 class Polynomial:
@@ -294,7 +275,7 @@ class Polynomial:
         return not self._iv[2]
 
     def is_constant(self):
-        return all(mon_deg(m) == 0 for m in self._iv[2])
+        return all(sum(m) == 0 for m in self._iv[2])
 
     def coefficient(self, mon):
         """The coefficient of ``mon``, 0 when it has none."""
@@ -310,14 +291,14 @@ class Polynomial:
         mons = self._iv[2]
         if not mons:
             return -1
-        return max(mon_deg(m) for m in mons)
+        return max(map(sum, mons))
 
     def order(self):
         """Smallest total degree of a term, or None for zero."""
         mons = self._iv[2]
         if not mons:
             return None
-        return min(mon_deg(m) for m in mons)
+        return min(map(sum, mons))
 
     def degree_in(self, positions):
         mons = self._iv[2]
@@ -467,16 +448,16 @@ class Polynomial:
             ints = _strand_product(ta, tb, cut)
             if ints is not None:
                 return finish(table, ints, num, den)
-        # Packed exponents (Monagan & Pearce): each monomial becomes one int
-        # with a field of `bits` bits per variable, the first variable in
-        # the highest field.  The width holds the largest exponent sum of
-        # this product, so adding two packed monomials never carries from
-        # one field into the next; the product of monomials is one int
-        # addition, and packing is injective, so the accumulation below
-        # visits and cancels keys exactly as the tuple loop would.
-        bits = (max(map(max, ta)) + max(map(max, tb))).bit_length() or 1
-        pa = _pack(ta, bits)
-        pb = pa if tb is ta else _pack(tb, bits)
+        # Packed monomials (orders.Packing): the degrevlex packing has the
+        # fewest fields, and it holds twice the larger operand degree, so
+        # packing is linear on these products and injective; the product of
+        # monomials is one int addition, and the accumulation below visits
+        # and cancels keys exactly as the tuple loop would.
+        pk = packing(_DEGREVLEX, table, max(max(map(sum, ta)),
+                                            max(map(sum, tb))))
+        pack = pk.pack
+        pa = [(pack(m), c) for m, c in ta.items()]
+        pb = pa if tb is ta else [(pack(m), c) for m, c in tb.items()]
         out = {}
         if cut is not None:
             positions, bound = cut
@@ -515,11 +496,9 @@ class Polynomial:
                     out[p] = acc
                 else:
                     del out[p]
-        mask = (1 << bits) - 1
-        shifts = range(bits * (len(table) - 1), -1, -bits)
-        ints = {tuple([p >> s & mask for s in shifts]): v
-                for p, v in out.items()}
-        return finish(table, ints, num, den)
+        unpack = pk.unpack
+        return finish(table, {unpack(p): v for p, v in out.items()}, num,
+                      den)
 
     __mul__ = __rmul__ = mul
 
@@ -630,7 +609,6 @@ class Polynomial:
         return _from_ints(self.table, ints)
 
     def __repr__(self):
-        from .orders import mixed_order
         return format_poly(self, mixed_order(self.table))
 
 
@@ -876,17 +854,19 @@ def parse_poly(table, text):
 
 
 def format_poly(p, order):
-    """Canonical printing: terms sorted descending in the active order.
+    """Canonical printing: terms sorted descending in the active order,
+    by their packed keys (``orders.Packing.key``).
 
     Each coefficient is printed from the integer view, reduced by one gcd,
     as ``str`` prints an int or a ``Fraction``."""
     if p.is_zero():
         return "0"
-    keyf = order.key(p.table)
+    pk = packing(order, p.table, p.total_degree())
+    pack, neg = pk.pack, pk.neg
     num, den, ints = p._view()
     names = p.table.names
     parts = []
-    for m in sorted(ints, key=keyf, reverse=True):
+    for m in sorted(ints, key=lambda m: pack(m) ^ neg, reverse=True):
         v = ints[m]
         factors = []
         for i, e in enumerate(m):

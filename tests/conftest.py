@@ -13,6 +13,12 @@ from neron.localring import LocalRingSpec, jet_invert, minimal_primes
 PROBLEM_DIR = "problems"
 
 
+def mon_divides(a, b):
+    """True when the exponent tuple a divides b: the reference that packed
+    divisibility (``orders.Packing.divides``) is compared against."""
+    return all(x <= y for x, y in zip(a, b))
+
+
 def s_polynomial(f, g, keyf):
     """x^u * f/lc(f) - x^v * g/lc(g), with x^u * lm(f) = x^v * lm(g) the
     lcm of the leads, on rational values."""

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import neron.groebner as groebner
-from conftest import buchberger_criterion
+from conftest import buchberger_criterion, mon_divides
 from neron import (ALGEBRA, BASE, DegRevLex, Ideal, Polynomial, VarTable,
                    global_order, NegDegRevLex,
                    lift_division, mixed_order, normal_form_against,
@@ -18,7 +18,6 @@ from neron import (ALGEBRA, BASE, DegRevLex, Ideal, Polynomial, VarTable,
 from neron.errors import NeronError, NotInIdeal
 from neron.groebner import _reducers, classic_nf, mora_nf
 from neron.orders import AUX, Packing, elim_order
-from neron.poly import mon_divides
 
 
 def mon_div(a, b):

@@ -1,16 +1,17 @@
 """Term order semantics: global, local and block orders, and the packing
-of monomials into ints that the basis engine runs on."""
+of monomials into ints that the basis engine, the product loop and the
+printer run on."""
 
 from operator import add
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mon_divides
 from neron import (ALGEBRA, AUX, BASE, TANGENT, DegRevLex, NegDegRevLex,
-                   VarTable, elim_order, global_order, mixed_order,
-                   parse_poly)
+                   Polynomial, VarTable, elim_order, format_poly,
+                   global_order, mixed_order, parse_poly)
 from neron.orders import packing
-from neron.poly import mon_divides
 
 
 def table2():
@@ -114,7 +115,8 @@ def packing_cases(draw):
 def test_packed_monomials_are_the_tuple_monomials(case):
     """Round trips, keys, divisibility, products and lcms of packed
     monomials agree with the exponent tuples, at the packing that holds
-    the largest degree drawn."""
+    the largest degree drawn; ``format_poly`` prints the terms in
+    descending ``order.key``."""
     T, order, mons = case
     pk = packing(order, T, max(map(sum, mons)))
     keyf = order.key(T)
@@ -132,6 +134,10 @@ def test_packed_monomials_are_the_tuple_monomials(case):
             if sum(a) + sum(b) <= pk.limit:
                 assert pa + pb == pk.pack(_tuple_product(a, b))
                 assert pk.lcm(pa, pb) == pk.pack(_tuple_lcm(a, b))
+    descending = sorted(set(mons), key=keyf, reverse=True)
+    assert format_poly(Polynomial(T, dict.fromkeys(mons, 1)), order) == (
+        " + ".join(format_poly(Polynomial(T, {m: 1}), order)
+                   for m in descending))
 
 
 @settings(max_examples=200, deadline=None)

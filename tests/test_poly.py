@@ -24,6 +24,7 @@ from neron.errors import NeronError, PolyParseError
 from neron.groebner import _reducers, classic_nf, lift_division, mora_nf
 from neron.lifting import LiftingProblem, newton_lift
 from neron.localring import Jet, LocalRingSpec
+from neron.orders import TermOrder
 from neron.poly import _from_ints
 
 
@@ -218,16 +219,31 @@ def table_of(n):
 
 _EXPONENTS = st.one_of(st.integers(0, 6),
                        st.sampled_from([63, 64, 127, 128, 129, 10 ** 6]))
+# total degrees on either side of the widths of the degrevlex packing the
+# product loop takes for its operands: 4 value bits up to degree 7, 5 up to
+# 15, 6 up to 31, 17 up to 2^16 - 1 and 18 from 2^16
+_WIDTH_DEGREES = st.sampled_from([7, 8, 15, 16, 2 ** 16 - 1, 2 ** 16,
+                                  2 ** 16 + 1])
 _COEFFS = st.one_of(st.integers(-5, 5).filter(bool),
                     st.fractions(min_value=-3, max_value=3,
                                  max_denominator=7).filter(bool))
 
 
 @st.composite
+def width_monomials(draw, n):
+    """Exponent tuples of n variables with a total degree from
+    ``_WIDTH_DEGREES``."""
+    d = draw(_WIDTH_DEGREES)
+    cuts = sorted(draw(st.lists(st.integers(0, d), min_size=n - 1,
+                                max_size=n - 1)))
+    return tuple(b - a for a, b in zip([0, *cuts], [*cuts, d]))
+
+
+@st.composite
 def operand_pairs(draw):
     n = draw(st.integers(1, 4))
     T = table_of(n)
-    mons = st.tuples(*[_EXPONENTS] * n)
+    mons = st.one_of(st.tuples(*[_EXPONENTS] * n), width_monomials(n))
 
     def poly():
         # at most one term half the time: one-term operands take their own
@@ -865,20 +881,42 @@ def test_jets_refuse_float_operands():
     assert 2 * u == ring.jet(parse_poly(T, "2 + 2*x1"), 4)
 
 
+def library_caller():
+    """The file name of the library module whose code called the spy that
+    calls this, or None for a caller outside the library."""
+    path = os.path.abspath(sys._getframe(2).f_code.co_filename)
+    lib = os.path.dirname(os.path.abspath(neron.poly.__file__))
+    return os.path.basename(path) if os.path.dirname(path) == lib else None
+
+
 def library_terms_readers(monkeypatch):
     """Record the file of every read of ``Polynomial.terms`` made directly
     by library code outside poly.py."""
-    lib = os.path.dirname(os.path.abspath(neron.poly.__file__))
     readers = []
     terms = Polynomial.terms
 
     def spy(p):
-        path = os.path.abspath(sys._getframe(1).f_code.co_filename)
-        if os.path.dirname(path) == lib and path != neron.poly.__file__:
-            readers.append(os.path.basename(path))
+        caller = library_caller()
+        if caller not in (None, "poly.py"):
+            readers.append(caller)
         return terms.fget(p)
     monkeypatch.setattr(Polynomial, "terms", property(spy))
     return readers
+
+
+def library_key_callers(monkeypatch):
+    """Record the file of every call of ``TermOrder.key``, the tuple key,
+    made directly by library code."""
+    callers = []
+    key = TermOrder.key
+
+    def spy(order, table):
+        caller = library_caller()
+        if caller is not None:
+            callers.append(caller)
+        return key(order, table)
+    monkeypatch.setattr(TermOrder, "key", spy)
+    return callers
 
 
 def test_only_poly_reads_the_value_map(monkeypatch):
@@ -888,6 +926,7 @@ def test_only_poly_reads_the_value_map(monkeypatch):
     lift = LiftingProblem(problem.ring, problem.relations,
                           tuple(range(len(problem.relations))), approx, 0, 80)
     readers = library_terms_readers(monkeypatch)
+    key_callers = library_key_callers(monkeypatch)
     result = desingularize(problem)
     assert verify_certificate(result.certificate, result.algebra,
                               result.morphism)
@@ -902,9 +941,14 @@ def test_only_poly_reads_the_value_map(monkeypatch):
     assert w.check() and w.unit == Polynomial.const(T, 1)
     assert w.quotients == (parse_poly(T, "-1/3*x1 + 1/6*x2^2"),)
     assert readers == []
-    # the spy does see a read made from a library module
+    # no library code orders monomials by the tuple key: they are packed
+    assert key_callers == []
+    # the spies do see a read and a key made from a library module
     probe = {}
-    exec(compile("def read(p):\n    return p.terms\n",
+    exec(compile("def read(p):\n    return p.terms\n"
+                 "def key(order, table):\n    return order.key(table)\n",
                  neron.localring.__file__, "exec"), probe)
     probe["read"](Polynomial.const(problem.ring.table, 1))
     assert readers == ["localring.py"]
+    probe["key"](mixed_order(T), T)
+    assert key_callers == ["localring.py"]
