@@ -26,13 +26,13 @@ print("standard basis:")
 for b in basis:
     print("   ", format_poly(b, order))
 
-# Membership is decided in the localization the order realizes: x1^2*Y2,
+# An Ideal holds this basis, the one of its table's mixed order, and
+# decides membership in the localization that order realizes: x1^2*Y2,
 # which only an S-polynomial of the generators reaches, lies in the ideal;
 # x2*Y1 does not.
 ideal = Ideal(T, [g1, g2])
-print("x1^2*Y2 in the ideal:",
-      ideal.contains(parse_poly(T, "x1^2*Y2"), order),
-      "| x2*Y1 in the ideal:", ideal.contains(parse_poly(T, "x2*Y1"), order))
+print("x1^2*Y2 in the ideal:", ideal.contains(parse_poly(T, "x1^2*Y2")),
+      "| x2*Y1 in the ideal:", ideal.contains(parse_poly(T, "x2*Y1")))
 
 # Memberships come with exact witnesses: unit * p = sum(q_i * g_i).
 w = lift_division(parse_poly(T, "x1^2*Y2"), [g1, g2], T, order)

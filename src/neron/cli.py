@@ -150,6 +150,8 @@ def run_command(cmd, path, fmt="text", rho=None, target=None, f_indices=None,
     try:
         pf = parse_problem(text)
         if max_subset is not None:
+            if max_subset < 1:
+                raise PreconditionFailed("--max-subset must be at least 1")
             pf.max_subset = max_subset
         if cmd == "desing":
             return _cmd_desing(pf, fmt)

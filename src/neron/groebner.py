@@ -38,7 +38,7 @@ from math import gcd
 from operator import attrgetter
 
 from .errors import NeronError, NotInIdeal
-from .orders import packing
+from .orders import mixed_order, packing
 from .poly import Polynomial, exact_div, from_int_terms
 
 _SNAPSHOT_BASE = 10 ** 9
@@ -644,81 +644,81 @@ def normal_form_against(p, basis, table, order):
 
 
 class Ideal:
-    """Immutable ideal: generators plus, per term order, a standard basis.
+    """Immutable ideal of the ring its table declares: generators plus the
+    standard basis under ``mixed_order(table)``, computed on first use
+    with its prepared lead data and kept as long as the Ideal.
 
-    The basis of each order is computed on first use, together with its
-    prepared lead data, and lives as long as the Ideal.  Membership is
-    decided in the ring the order implies: the polynomial ring for global
-    orders, the localization for local and mixed ones.  ``leads`` reads the
-    lead ideal off the same basis: I <= I' with L(I) = L(I') gives I = I'.
+    Membership is decided in the localization at the base variables; a
+    test in another ring calls ``std_basis`` and ``normal_form_against``
+    with its order.  ``leads`` reads the lead ideal off the same basis:
+    I <= I' with L(I) = L(I') gives I = I'.
     """
 
-    __slots__ = ("table", "gens", "_bases")
+    __slots__ = ("table", "gens", "_basis")
 
     def __init__(self, table, gens):
         self.table = table
         self.gens = tuple(gens)
-        self._bases = {}
+        self._basis = None
 
-    def _prepared(self, order):
-        """(basis, packing, reducers, one_term) for the order;
-        ``one_term`` is the tuple of basis leads when every basis element
-        is a single term, None otherwise."""
-        got = self._bases.get(order)
-        if got is None:
+    def _prepared(self):
+        """(basis, packing, reducers, one_term); ``one_term`` is the tuple
+        of basis leads when every basis element is a single term, None
+        otherwise."""
+        if self._basis is None:
+            order = mixed_order(self.table)
             basis = std_basis(self.gens, self.table, order)
             pk, prepared = _reducers(basis, order, self.table)
             one_term = (tuple(pk.unpack(g.lm) for g in prepared)
                         if all(len(g.ints) == 1 for g in prepared) else None)
-            got = (basis, pk, prepared, one_term)
-            self._bases[order] = got
-        return got
+            self._basis = (basis, pk, prepared, one_term)
+        return self._basis
 
-    def basis(self, order):
-        return self._prepared(order)[0]
+    def basis(self):
+        return self._prepared()[0]
 
-    def leads(self, order):
+    def leads(self):
         """Minimal generators of the lead ideal: the basis leads, as a
         frozenset of monomials."""
-        _, pk, prepared, _ = self._prepared(order)
+        _, pk, prepared, _ = self._prepared()
         return frozenset(pk.unpack(g.lm) for g in prepared)
 
-    def monomial_leads(self, order):
+    def monomial_leads(self):
         """The basis leads when every basis element is a single term (a
         monomial ideal), None otherwise."""
-        return self._prepared(order)[3]
+        return self._prepared()[3]
 
-    def nf(self, p, order):
+    def nf(self, p):
         """Normal form of p; zero iff p lies in the ideal."""
         if p.is_zero():
             return p
-        basis, pk, prepared, _ = self._prepared(order)
+        basis, pk, prepared, _ = self._prepared()
         if not basis:
             return p
         return _divide(p, prepared, pk)[0]
 
-    def contains(self, p, order):
-        return self.nf(p, order).is_zero()
+    def contains(self, p):
+        return self.nf(p).is_zero()
 
-    def reduce_full(self, p, order, cut=None):
+    def reduce_full(self, p, cut=None):
         """Fully tail-reduced remainder of p by long division.
 
         With ``cut = (positions, N)`` the remainder is taken modulo the
         ideal plus (x)^N, x the variables at ``positions``: terms of degree
         at least N are dropped, so no generator of (x)^N is ever listed.
-        When the ideal lives in the x variables and the order is local
-        on them, the leading ideal of I + (x)^N is that of I plus (x)^N
-        (Mora; Greuel-Pfister 1.6-1.7), so the remainder is the unique one
-        over the standard monomials, the same as division by a basis of
-        I + (x)^N.  Terminates for global orders, and for any order under
-        a cut: the monomials below it are finitely many.
+        When the ideal lives in the base variables x, on which the mixed
+        order is local, the leading ideal of I + (x)^N is that of I plus
+        (x)^N (Mora; Greuel-Pfister 1.6-1.7), so the remainder is the
+        unique one over the standard monomials, the same as division by a
+        basis of I + (x)^N.  Terminates under a cut: the monomials below it
+        are finitely many.
 
         A basis of single terms (the zero ideal included) divides by
         deletion: a monic one-term reducer removes the term it divides and
         adds none, so ``delete_multiples`` gives ``classic_nf``'s remainder
         in one pass over the terms.
         """
-        _, pk, prepared, one_term = self._prepared(order)
+        _, pk, prepared, one_term = self._prepared()
         if one_term is not None:
             return delete_multiples(p, one_term, cut)
         return classic_nf(p, prepared, pk, full=True, cut=cut)[0]

@@ -7,7 +7,8 @@ intersection I meet (g) divided by g.
 Order rule: every operation here runs in ``mixed_order(table)``, which
 realizes the ring k[x]_(x)[Y, T, ...] that the table declares, just as a
 ring declared in Singular fixes the order of its ``quotient``, ``sat`` and
-``eliminate``.  No operation takes an order.  The results stay valid over the localization
+``eliminate``; an ``Ideal`` holds its basis under that order.  No
+operation takes an order.  The results stay valid over the localization
 because the auxiliary variable and eliminated blocks always carry a global
 order.  ``radical_membership`` alone works in the polynomial ring.
 """
@@ -79,9 +80,8 @@ def ideal_quotient(gens_i, gens_j, table):
 def same_ideal(a, b):
     """True when the Ideals a and b are equal: a <= b with equal lead
     ideals gives a = b (Greuel-Pfister 1.6-1.7)."""
-    order = mixed_order(a.table)
-    return (a.leads(order) == b.leads(order)
-            and all(b.contains(g, order) for g in a.basis(order)))
+    return (a.leads() == b.leads()
+            and all(b.contains(g) for g in a.basis()))
 
 
 def saturate(ideal, g, max_steps=100):
@@ -93,12 +93,11 @@ def saturate(ideal, g, max_steps=100):
     if g.is_zero():
         raise NeronError("saturation by zero")
     table = ideal.table
-    order = mixed_order(table)
     current = ideal
     for k in range(max_steps):
-        nxt = Ideal(table, quotient_by_poly(current.basis(order), g, table))
-        if current.leads(order) == nxt.leads(order):
-            return current.basis(order), k
+        nxt = Ideal(table, quotient_by_poly(current.basis(), g, table))
+        if current.leads() == nxt.leads():
+            return current.basis(), k
         current = nxt
     raise NeronError("saturation chain did not stabilize (cap reached)")
 
@@ -159,7 +158,7 @@ def krull_dim(ideal):
     """
     table = ideal.table
     positions = table.block(BASE)
-    leads = ideal.leads(mixed_order(table))
+    leads = ideal.leads()
     if any(not any(lm) for lm in leads):   # a constant: the unit ideal
         return -1
     supports = [frozenset(i for i in positions if lm[i]) for lm in leads]

@@ -50,9 +50,11 @@ class LocalRingSpec:
 
     ``table`` may contain more blocks than the base; J and the primes live in
     the base variables.  The local dimension at the origin must be 1.
-    ``j_ideal`` and ``prime_ideals`` hold J and the primes as Ideals; the
-    truncated ideals J + (x)^N and P_i + (x)^N are never built, since
-    ``reduce_jet`` divides by J or P_i under a degree cut at N.
+    ``j_ideal`` and ``prime_ideals`` hold J and the primes as Ideals, each
+    with its basis under ``mixed_order(table)``, which realizes the
+    localization at (x).  The truncated ideals J + (x)^N and P_i + (x)^N
+    are never built, since ``reduce_jet`` divides by J or P_i under a
+    degree cut at N.
     """
 
     def __init__(self, table, j_gens, primes=None, check_dimension=True):
@@ -79,10 +81,6 @@ class LocalRingSpec:
 
     # -- bases and reduction ------------------------------------------------
 
-    @property
-    def order(self):
-        return mixed_order(self.table)
-
     def local_dimension(self):
         return krull_dim(self.j_ideal)
 
@@ -91,11 +89,11 @@ class LocalRingSpec:
         single term.
 
         Such relations only delete the monomials they divide
-        (``delete_multiples``, as in ``reduce_jet``), so this terminates
-        for any order; for non-monomial J the input is returned unchanged
+        (``delete_multiples``, as in ``reduce_jet``), so this always
+        terminates; for non-monomial J the input is returned unchanged
         (divisions absorb the difference through their J slots).
         """
-        leads = self.j_ideal.monomial_leads(self.order)
+        leads = self.j_ideal.monomial_leads()
         return p if leads is None else delete_multiples(p, leads)
 
     def reduce_jet(self, p, precision, prime=None):
@@ -104,7 +102,7 @@ class LocalRingSpec:
         single terms (J = (x1*x2), J = 0) reduces by deletion, which gives
         the remainder of ``classic_nf``'s heap division, used otherwise."""
         ideal = self.j_ideal if prime is None else self.prime_ideals[prime]
-        return ideal.reduce_full(p, self.order, cut=(self.base, precision))
+        return ideal.reduce_full(p, cut=(self.base, precision))
 
     def contains_power(self, ideal, N):
         """True iff (x)^N lies in ``ideal`` (of the base variables) locally:
@@ -114,7 +112,7 @@ class LocalRingSpec:
         table = self.table
         power = Polynomial(table, dict.fromkeys(
             monomials_of_degree(table, table.block(BASE), N), 1))
-        return delete_multiples(power, ideal.leads(self.order)).is_zero()
+        return delete_multiples(power, ideal.leads()).is_zero()
 
     def with_minimal_primes(self):
         """This ring when it has its primes; otherwise the same ring, its
@@ -146,17 +144,16 @@ class LocalRingSpec:
         """Check the stated invariants of a user-supplied prime list."""
         if self.primes is None:
             raise NeronError("no primes to validate")
-        order = self.order
         for prime in self.prime_ideals:
             for g in prime.gens:
                 if g.constant_coefficient() != 0:
                     raise NeronError("a supplied prime is the unit ideal")
             for g in self.j_gens:
-                if not prime.contains(g, order):
+                if not prime.contains(g):
                     raise NeronError("a supplied prime does not contain J")
         for a in self.prime_ideals:
             for b in self.prime_ideals:
-                if a is not b and all(b.contains(g, order) for g in a.gens):
+                if a is not b and all(b.contains(g) for g in a.gens):
                     raise NeronError("supplied primes are comparable")
         meet = None
         for p_gens in self.primes:
@@ -288,7 +285,7 @@ def _standard_monomials(ring, max_degree):
     base = table.block(BASE)
     ones = Polynomial(table, {m: 1 for d in range(max_degree)
                               for m in monomials_of_degree(table, base, d)})
-    leads = ring.j_ideal.leads(ring.order)
+    leads = ring.j_ideal.leads()
     return list(delete_multiples(ones, leads).monomials())
 
 
@@ -470,7 +467,7 @@ def minimal_primes(j_gens, table):
             uniq.append(ideal)
     return [ideal.gens for ideal in uniq
             if not any(other is not ideal
-                       and all(ideal.contains(o, order) for o in other.gens)
+                       and all(ideal.contains(o) for o in other.gens)
                        and not same_ideal(ideal, other)
                        for other in uniq)]
 
@@ -488,17 +485,11 @@ SMALL_VALUES = (0, 1, -1, 2, -2, 3, -3)   # entries of every searched vector
 MAX_ACTIVE_ATTEMPTS = 1000  # combinations active_element tries at most
 
 
-def small_vectors(n):
-    """Nonzero vectors of length n with entries in SMALL_VALUES, each once,
-    in ``itertools.product`` order."""
-    for vec in itertools.product(SMALL_VALUES, repeat=n):
-        if any(vec):
-            yield vec
-
-
 def small_vectors_by_norm(n, lo=1, hi=None):
-    """``small_vectors(n)`` stably sorted by L1 norm, norms lo to hi: each
-    +-e_i comes first, each +-e_i +- e_j before any norm-3 vector."""
+    """Vectors of length n with entries in SMALL_VALUES and L1 norm lo to
+    hi, each once, by norm and within a norm in ``itertools.product``
+    order: each +-e_i comes first, each +-e_i +- e_j before any norm-3
+    vector."""
     top = max(SMALL_VALUES)
 
     def of_norm(k, total):
@@ -514,6 +505,12 @@ def small_vectors_by_norm(n, lo=1, hi=None):
         yield from of_norm(n, total)
 
 
+def avoids_primes(p, primes):
+    """True iff p lies in none of the Ideals ``primes``: for the minimal
+    primes of J, iff p is active."""
+    return not any(prime.contains(p) for prime in primes)
+
+
 def active_element(target_gens, primes, table, accept=None):
     """Element of the target ideal avoiding every minimal prime.
 
@@ -521,19 +518,14 @@ def active_element(target_gens, primes, table, accept=None):
     at most MAX_ACTIVE_ATTEMPTS other combinations, their coefficient
     vectors from ``small_vectors_by_norm``, each offered to ``accept`` once.
     """
-    order = mixed_order(table)
     live = [g for g in target_gens if not g.is_zero()]
     if not live:
         raise TargetInsidePrime("target ideal is zero")
     for prime in primes:
-        if all(prime.contains(g, order) for g in live):
+        if all(prime.contains(g) for g in live):
             raise TargetInsidePrime("target ideal lies inside a minimal prime")
-
-    def is_active(d):
-        return not any(prime.contains(d, order) for prime in primes)
-
     for g in live:
-        if is_active(g) and (accept is None or accept(g)):
+        if avoids_primes(g, primes) and (accept is None or accept(g)):
             return g
     for coeffs in itertools.islice(small_vectors_by_norm(len(live)),
                                    MAX_ACTIVE_ATTEMPTS):
@@ -543,7 +535,7 @@ def active_element(target_gens, primes, table, accept=None):
         for c, g in zip(coeffs, live):
             if c:
                 d = d + g * c
-        if d.is_zero() or not is_active(d):
+        if d.is_zero() or not avoids_primes(d, primes):
             continue
         if accept is None or accept(d):
             return d

@@ -48,14 +48,6 @@ class ProblemFile:
     max_subset: int = 3
     minprimes: tuple = ()
 
-    @property
-    def base_vars(self):
-        return self.table.block_names(BASE)
-
-    @property
-    def y_vars(self):
-        return self.table.block_names(ALGEBRA)
-
     def build(self):
         """Ring and morphism jets ready for the pipeline."""
         primes = self.minprimes or None
@@ -176,6 +168,9 @@ def _section_body(stream, name):
             stream.expect(";")
         elif val in ("precision", "max_subset"):
             kind2, val2, line2, col2 = stream.expect("int")
+            if val == "max_subset" and int(val2) < 1:
+                raise PolyParseError("max_subset must be at least 1",
+                                     line, col)
             body["scalars"][val] = int(val2)
             stream.expect(";")
         else:
@@ -244,21 +239,23 @@ def _assemble(sections):
 def print_problem(pf):
     """Canonical text for a ProblemFile; parse(print(pf)) round-trips."""
     order = mixed_order(pf.table)
+    y_vars = pf.table.block_names(ALGEBRA)
 
     def fmt(polys):
         return ", ".join(format_poly(p, order) for p in polys)
 
-    lines = ["ring {", "  field Q;", "  vars " + " ".join(pf.base_vars) + ";"]
+    lines = ["ring {", "  field Q;",
+             "  vars " + " ".join(pf.table.block_names(BASE)) + ";"]
     if pf.j_gens:
         lines.append("  relations " + fmt(pf.j_gens) + ";")
-    lines += ["}", "algebra {", "  vars " + " ".join(pf.y_vars) + ";"]
+    lines += ["}", "algebra {", "  vars " + " ".join(y_vars) + ";"]
     if pf.relations:
         lines.append("  relations " + fmt(pf.relations) + ";")
     lines += ["}", "morphism {", f"  precision {pf.precision};"]
     lines += [f"  {nm} = {format_poly(pf.jets[nm], order)};"
-              for nm in pf.y_vars]
+              for nm in y_vars]
     lines += [f"  verify {nm} = {format_poly(pf.verify[nm], order)};"
-              for nm in pf.y_vars if nm in pf.verify]
+              for nm in y_vars if nm in pf.verify]
     lines += ["}", "options {", f"  max_subset {pf.max_subset};", "}"]
     if pf.minprimes:
         lines.append("minprimes { " + " | ".join(map(fmt, pf.minprimes))

@@ -67,7 +67,6 @@ def test_criterion_1_golden_trace():
     res = desingularize(prob)
     ring = prob.ring
     T0 = ring.table
-    order = ring.order
 
     # minimal primes
     prime_strs = {tuple(sorted(str(g) for g in p)) for p in ring.primes}
@@ -367,7 +366,7 @@ def test_criterion_4_certificate_property_suite(certified_seeds):
         certify_subsystem_membership(cert, BT)
         # inverted factors congruent to 1 modulo (d, T)
         table = ringT.table
-        order = ringT.order
+        order = mixed_order(table)
         t_vars = [Polynomial.var(table, nm)
                   for nm in table.block_names("tangent")]
         dt_basis = std_basis([cert.d] + t_vars + list(ringT.j_gens),
@@ -556,7 +555,7 @@ def test_unit_congruence_is_decided_on_the_t_zero_slice(certified_seeds):
     for res in results.values():
         cert = res.certificate
         ring = res.algebra.ring
-        table, order = ring.table, ring.order
+        table = ring.table
         tangent = table.block(TANGENT)
         t_vars = [Polynomial.var(table, nm)
                   for nm in table.block_names(TANGENT)]
@@ -564,12 +563,12 @@ def test_unit_congruence_is_decided_on_the_t_zero_slice(certified_seeds):
         dt_ideal = Ideal(table, [cert.d] + t_vars + list(ring.j_gens))
         two, one_plus_t = Polynomial.const(table, 2), 1 + t_vars[0]
         for u in (cert.s, cert.s_prime, cert.s_second_num, two, one_plus_t):
-            assert congruent_to_one(u, d_ideal, tangent, order) \
-                == dt_ideal.contains(u - 1, order)
-        assert congruent_to_one(one_plus_t, d_ideal, tangent, order)
-        if not d_ideal.contains(Polynomial.const(table, 1), order):
+            assert congruent_to_one(u, d_ideal, tangent) \
+                == dt_ideal.contains(u - 1)
+        assert congruent_to_one(one_plus_t, d_ideal, tangent)
+        if not d_ideal.contains(Polynomial.const(table, 1)):
             proper += 1
-            assert not congruent_to_one(two, d_ideal, tangent, order)
+            assert not congruent_to_one(two, d_ideal, tangent)
     assert proper >= 2
 
 
@@ -668,8 +667,10 @@ def test_criterion_7_kernel_property_suites():
     ideals += [ring.j_ideal, *ring.prime_ideals]
     audited = 0
     for ideal in ideals:
-        for o in (order, global_order()):
-            assert buchberger_criterion(ideal.basis(o), ideal.table, o)
+        gorder = global_order()
+        for o, basis in ((order, ideal.basis()),
+                         (gorder, std_basis(ideal.gens, ideal.table, gorder))):
+            assert buchberger_criterion(basis, ideal.table, o)
             audited += 1
     assert audited >= 10
 

@@ -1,13 +1,15 @@
 """The library surface that the frozen benchmark in perfbench/ reads.
 
-Every traced function and method must still resolve, and one op of each
-workload must still solve, so a deletion cannot silently break a workload
-or drop a traced layer.  The tracer itself is not installed: it rewraps
-module attributes for the whole process.
+Every traced function and method must still resolve, one op of each
+workload must still solve, and the benchmark's own test must pass, so a
+deletion cannot silently break a workload or drop a traced layer.  The
+tracer itself is not installed: it rewraps module attributes for the
+whole process.
 """
 
 import importlib
 import os
+import subprocess
 import sys
 
 import pytest
@@ -43,3 +45,16 @@ def test_one_op_of_each_workload_solves():
     for op_id in ("seed-17", "lift-0", "check:example4"):
         _, outcome, _ = workloads.timed(ops[op_id], rejections)
         assert outcome == "solved", op_id
+
+
+def test_frozen_inputs_test_passes():
+    """``perfbench/test_frozen_inputs.py`` prints with ``format_poly(p,
+    order)`` and reads ``DesingProblem.seed``, and its generator builds
+    with ``Polynomial.from_terms``.  The file lies outside ``testpaths``,
+    so it runs as its own pytest process."""
+    root = os.path.join(PERFBENCH, os.pardir)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "perfbench/test_frozen_inputs.py",
+         "-q", "-p", "no:cacheprovider"],
+        cwd=root, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]

@@ -249,6 +249,23 @@ def test_max_subset_override_reaches_the_pipeline():
     assert subsets(1) == [[0], [1], [2]]
 
 
+def test_max_subset_below_one_in_the_file_is_a_parse_error():
+    code, out, err = _run_text(MISPLACED_BASE.replace("max_subset 3",
+                                                      "max_subset 0"))
+    assert (code, out) == (4, "")
+    assert err == ("parse error: max_subset must be at least 1 "
+                   "(line 4, col 11)\n")
+
+
+@pytest.mark.parametrize("cmd", ["hba", "desing"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_max_subset_below_one_is_a_precondition_failure(cmd, value, capsys):
+    assert main([cmd, GOLDEN, "--max-subset", value]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "PreconditionFailed: --max-subset must be at least 1\n")
+
+
 def test_unknown_command_exit_code():
     assert run_command("frobnicate", GOLDEN) == \
         (4, "", "unknown command 'frobnicate'\n")

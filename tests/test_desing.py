@@ -8,13 +8,13 @@ import pytest
 from conftest import (hypersurface_problem, space_curve_data,
                       two_branch_problem, two_branch_table)
 from neron import (ALGEBRA, BASE, Ideal, Polynomial, VarTable, det,
-                   jacobian, krull_dim, normal_form_against, parse_poly,
-                   radical_membership, std_basis)
+                   jacobian, krull_dim, mixed_order, normal_form_against,
+                   parse_poly, radical_membership, std_basis)
 from neron.desing import (AlgebraPresentation, MorphismApprox, ShiftedPoint,
-                          _PowerCache, complete_H, desingularize, elkik_ideal,
-                          eval_at_jets, factor_morphism, find_f_R,
-                          mm_primary_reduction, sym_algebra_reduction,
-                          verify_certificate)
+                          _PowerCache, _in_j, complete_H, desingularize,
+                          elkik_ideal, eval_at_jets, factor_morphism,
+                          find_f_R, mm_primary_reduction,
+                          sym_algebra_reduction, verify_certificate)
 from neron.errors import (BoundTooSmall, ConditionStarStarFailed,
                           VerificationFailed)
 from neron.linalg import PolyMatrix
@@ -27,8 +27,9 @@ PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
 def nf_equal_mod(ring, a, b, extra=()):
     """Equality of residues modulo J plus optional extra relations."""
     gens = list(ring.j_gens) + list(extra)
-    basis = std_basis(gens, ring.table, ring.order)
-    return normal_form_against(a - b, basis, ring.table, ring.order).is_zero()
+    order = mixed_order(ring.table)
+    basis = std_basis(gens, ring.table, order)
+    return normal_form_against(a - b, basis, ring.table, order).is_zero()
 
 
 # -- smoothness ideal ---------------------------------------------------------
@@ -60,7 +61,7 @@ def test_elkik_space_curve_minors():
     ring = LocalRingSpec(T, J)
     B = AlgebraPresentation(ring, fs)
     data = elkik_ideal(B, 3)
-    order = ring.order
+    order = mixed_order(T)
     # the scaled minors land in the ideal generated by the products
     basis = std_basis(list(data.gens) + list(fs) + J, T, order)
     for witness in ("x2^2*Y2 * x2", "x1^2*Y1 * x1", "x3^2*Y3 * x3"):
@@ -301,6 +302,19 @@ def test_golden_full_verify_certificate(golden_result):
                               taylor_nf=True)
 
 
+def test_in_j_decides_membership_in_the_polynomial_ring():
+    """The certificate identities hold as polynomials, so ``_in_j`` tests
+    membership in J in k[x]: x1 lies in J = (x1 + x1*x2) in the
+    localization, where 1 + x2 is a unit, but not in k[x]."""
+    T = VarTable.make(("x1", BASE), ("x2", BASE))
+    j = parse_poly(T, "x1 + x1*x2")
+    ring = LocalRingSpec(T, [j])
+    x1 = parse_poly(T, "x1")
+    assert ring.j_ideal.contains(x1)
+    assert not _in_j(x1, ring)
+    assert _in_j(j * parse_poly(T, "x2 + 3"), ring)
+
+
 def test_golden_simplified_relations(golden_result):
     res = golden_result
     ring = res.presentation.ring
@@ -429,7 +443,7 @@ def test_s_second_defining_property_hypersurface():
     assert q > 0 and not cert.d.is_constant()
     lhs = cert.d * cert.s_second_num - cert.s ** q * cert.P
     h_ideal = Ideal(ring.table, list(cert.h) + list(ring.j_gens))
-    assert h_ideal.contains(lhs, ring.order)
+    assert h_ideal.contains(lhs)
 
 
 NO_RELATIONS = """

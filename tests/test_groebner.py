@@ -63,19 +63,26 @@ def test_hypersurface_mixed_basis_exists():
 def test_buchberger_criterion_on_cached_bases():
     T = table_xy()
     ideal = Ideal(T, (parse_poly(T, "x2*Y1 - x1*Y2"), parse_poly(T, "x1*x2")))
-    for order in (global_order(), mixed_order(T)):
-        basis = ideal.basis(order)
-        assert buchberger_criterion(basis, T, order)
+    assert buchberger_criterion(ideal.basis(), T, mixed_order(T))
+    order = global_order()
+    assert buchberger_criterion(std_basis(ideal.gens, T, order), T, order)
 
 
-def test_ideal_basis_is_computed_once_per_order():
+def test_ideal_basis_is_computed_once():
+    """An Ideal computes one basis, under its table's mixed order, and
+    every method reads it."""
     T = table_xy()
     ideal = Ideal(T, (parse_poly(T, "x2*Y1 - x1*Y2"), parse_poly(T, "x1*x2")))
-    for order in (global_order(), mixed_order(T)):
-        basis = ideal.basis(order)
-        assert ideal.basis(order) is basis
-        assert basis == std_basis(ideal.gens, T, order)
-    assert ideal.basis(global_order()) != ideal.basis(mixed_order(T))
+    p = parse_poly(T, "x1*Y1")
+    with mock.patch.object(groebner, "std_basis",
+                           wraps=groebner.std_basis) as spy:
+        basis = ideal.basis()
+        ideal.leads(), ideal.monomial_leads(), ideal.nf(p)
+        ideal.contains(p), ideal.reduce_full(p, cut=(T.block(BASE), 3))
+        assert ideal.basis() is basis
+    assert spy.call_count == 1
+    assert basis == std_basis(ideal.gens, T, mixed_order(T))
+    assert basis != std_basis(ideal.gens, T, global_order())
 
 
 def _random_poly(T, rng, terms=5, maxdeg=3):
@@ -90,44 +97,49 @@ def test_ideal_nf_agrees_with_normal_form_against():
     for order in (global_order(), mixed_order(T)):
         for _ in range(6):
             ideal = Ideal(T, [_random_poly(T, rng, 3, 2) for _ in range(2)])
-            basis = ideal.basis(order)
+            basis = std_basis(ideal.gens, T, order)
             for _ in range(5):
                 p = _random_poly(T, rng)
-                r = ideal.nf(p, order)
-                assert r == normal_form_against(p, basis, T, order)
-                assert ideal.contains(p, order) == r.is_zero()
+                r = normal_form_against(p, basis, T, order)
                 member = p * ideal.gens[0]
-                assert ideal.contains(member, order)
+                assert normal_form_against(member, basis, T, order).is_zero()
+                if order != mixed_order(T):
+                    continue
+                assert ideal.nf(p) == r
+                assert ideal.contains(p) == r.is_zero()
+                assert ideal.contains(member)
 
 
 def test_ideal_reduce_full_on_jet_ideal():
     # the ideal contains (x)^4, so full tail reduction terminates under
-    # the local order
+    # the local order, the mixed order of a table of base variables
     T = VarTable.make(("x1", BASE), ("x2", BASE))
-    order = NegDegRevLex()
+    assert mixed_order(T) == NegDegRevLex()
     gens = [parse_poly(T, "x1^2 - x2^3")]
     gens += [parse_poly(T, m) for m in ("x1^4", "x1^3*x2", "x1^2*x2^2",
                                         "x1*x2^3", "x2^4")]
     ideal = Ideal(T, gens)
-    r = ideal.reduce_full(parse_poly(T, "x1 + x1^2 + x1^3"), order)
+    r = ideal.reduce_full(parse_poly(T, "x1 + x1^2 + x1^3"))
     assert r == parse_poly(T, "x1 + x2^3")
-    assert ideal.contains(parse_poly(T, "x1^2 - x2^3"), order)
-    assert not ideal.contains(parse_poly(T, "x2^3"), order)
+    assert ideal.contains(parse_poly(T, "x1^2 - x2^3"))
+    assert not ideal.contains(parse_poly(T, "x2^3"))
     # the same remainder from (x1^2 - x2^3) alone under a degree cut at 4
     cut = Ideal(T, gens[:1]).reduce_full(
-        parse_poly(T, "x1 + x1^2 + x1^3"), order, cut=((0, 1), 4))
+        parse_poly(T, "x1 + x1^2 + x1^3"), cut=((0, 1), 4))
     assert cut == r
 
 
 def test_normal_form_examples():
     T = table_xy()
     rng = random.Random(2)
-    ideal = Ideal(T, (parse_poly(T, "x1*x2"),))
+    order = global_order()
+    basis = std_basis([parse_poly(T, "x1*x2")], T, order)
     for _ in range(10):
         q = _random_poly(T, rng)
-        assert ideal.nf(parse_poly(T, "x1*x2") * q, global_order()).is_zero()
-    h2 = Ideal(T, (parse_poly(T, "x1"),))
-    assert h2.nf(parse_poly(T, "x1 + x2"), global_order()) == \
+        assert normal_form_against(parse_poly(T, "x1*x2") * q, basis, T,
+                                   order).is_zero()
+    h2 = std_basis([parse_poly(T, "x1")], T, order)
+    assert normal_form_against(parse_poly(T, "x1 + x2"), h2, T, order) == \
         parse_poly(T, "x2")
 
 
@@ -140,7 +152,7 @@ def test_normal_form_gamma_membership():
          parse_poly(T, "x3") * alpha]
     ideal = Ideal(T, tuple(I))
     gamma = parse_poly(T, "x1 + x2 + x3")
-    assert ideal.contains(gamma * alpha, mixed_order(T))
+    assert ideal.contains(gamma * alpha)
 
 
 def test_witnessed_membership_re_expansion():
@@ -426,24 +438,25 @@ def test_reduce_full_by_deletion_is_the_long_division(problem):
     T, order, p, gens, binomial, bound = problem
     if binomial:
         gens = gens + [parse_poly(T, "x1^2*x2 - x2^3")]
-    ideal = Ideal(T, gens)
     keyf = order.key(T)
-    basis = ideal.basis(order)
+    basis = std_basis(gens, T, order)
+    leads = tuple(b.lead(keyf)[0] for b in basis)
     one_term = all(len(b.monomials()) == 1 for b in basis)
     assert binomial or one_term
-    assert ideal.monomial_leads(order) == (
-        tuple(b.lead(keyf)[0] for b in basis) if one_term else None)
     pk, prepared = _reducers(basis, order, T)
     cut = None if bound is None else (T.block(BASE), bound)
     want = classic_nf(p, prepared, pk, full=True, cut=cut)[0]
+    if one_term:
+        assert groebner.delete_multiples(p, leads, cut) == want
+    if order != mixed_order(T):
+        return
+    ideal = Ideal(T, gens)
+    assert ideal.monomial_leads() == (leads if one_term else None)
     with mock.patch.object(groebner, "classic_nf",
                            wraps=groebner.classic_nf) as spy:
-        got = ideal.reduce_full(p, order, cut)
+        got = ideal.reduce_full(p, cut)
     assert got == want
     assert spy.called == (not one_term)
-    if one_term:
-        assert got == groebner.delete_multiples(p, [b.lead(keyf)[0]
-                                                    for b in basis], cut)
 
 
 @settings(max_examples=100, deadline=None)
@@ -531,11 +544,13 @@ def test_standard_bases_are_minimal_for_every_order(problem):
     for i, a in enumerate(leads):
         for j, b in enumerate(leads):
             assert i == j or not mon_divides(a, b)
-    ideal, spanned = Ideal(T, gens), Ideal(T, basis)
+    spanned = std_basis(basis, T, order)
     # equal at this order: equal lead ideals and one containment
-    assert ideal.leads(order) == spanned.leads(order)
-    assert all(spanned.contains(g, order) for g in ideal.basis(order))
-    assert ideal.leads(order) == frozenset(leads)
+    assert {b.lead(keyf)[0] for b in spanned} == set(leads)
+    assert all(normal_form_against(g, spanned, T, order).is_zero()
+               for g in basis)
+    if order == mixed_order(T):
+        assert Ideal(T, gens).leads() == frozenset(leads)
 
 
 # ---------------------------------------------------------------------------

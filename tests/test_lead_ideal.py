@@ -25,13 +25,13 @@ def _power_by_membership(ring, ideal, N):
     """The oracle: (x)^N lies in the ideal iff every degree-N monomial
     has normal form zero."""
     T = ring.table
-    return all(ideal.contains(Polynomial(T, {m: 1}), ring.order)
+    return all(ideal.contains(Polynomial(T, {m: 1}))
                for m in monomials_of_degree(T, T.block(BASE), N))
 
 
-def _equal_both_ways(a, b, order):
-    return (all(b.contains(g, order) for g in a.basis(order))
-            and all(a.contains(g, order) for g in b.basis(order)))
+def _equal_both_ways(a, b):
+    return (all(b.contains(g) for g in a.basis())
+            and all(a.contains(g) for g in b.basis()))
 
 
 def _lift_problem(seed, rho):
@@ -117,11 +117,10 @@ def test_contains_power_on_a_cusp_and_the_unit_ideal():
 
 def _colon_chain(ring, d, length):
     """J, (J : d), ((J : d) : d), ... built step by step."""
-    T, order = ring.table, ring.order
+    T = ring.table
     chain = [Ideal(T, ring.j_gens)]
     for _ in range(length):
-        chain.append(Ideal(T, quotient_by_poly(chain[-1].basis(order), d,
-                                               T)))
+        chain.append(Ideal(T, quotient_by_poly(chain[-1].basis(), d, T)))
     return chain
 
 
@@ -132,15 +131,14 @@ def test_compute_e_matches_a_colon_chain_on_the_seeds(seed_ds):
             continue
         ring = random_certificate_instance(seed).ring
         chain = _colon_chain(ring, d, 4)
-        equal = [_equal_both_ways(a, b, ring.order)
-                 for a, b in zip(chain, chain[1:])]
+        equal = [_equal_both_ways(a, b) for a, b in zip(chain, chain[1:])]
         assert equal == [same_ideal(a, b)
                          for a, b in zip(chain, chain[1:])], seed
         assert compute_e(d, ring) == max(1, equal.index(True)), seed
 
 
 def _same_ideal_pairs():
-    """(a, b, order) pairs: consecutive colon-chain ideals and the minimal
+    """(a, b) pairs: consecutive colon-chain ideals and the minimal
     prime components of the rings in the tests, each against the other
     components and against itself with J added to its generators."""
     pairs = []
@@ -160,24 +158,24 @@ def _same_ideal_pairs():
             ("x1", "x3"), ("x1 - x2", "x3 - x2"),
             ("x1 + x2 + x3", "x1^2 + x1*x2 + x2^2")))))
     for ring in rings:
-        T, order = ring.table, ring.order
+        T = ring.table
         for text in ("x1", "x1 + x2", "x1^2 - x2^2", "x2^3"):
             if "x2" in text and len(T.block(BASE)) < 2:
                 continue
             chain = _colon_chain(ring, parse_poly(T, text), 3)
-            pairs += [(a, b, order) for a, b in zip(chain, chain[1:])]
+            pairs += list(zip(chain, chain[1:]))
         comps = list(ring.prime_ideals)
         comps += [Ideal(T, p.gens + ring.j_gens) for p in comps]
-        pairs += [(a, b, order) for a in comps for b in comps]
+        pairs += [(a, b) for a in comps for b in comps]
     return pairs
 
 
 def test_same_ideal_matches_two_way_containment():
     pairs = _same_ideal_pairs()
     verdicts = []
-    for a, b, order in pairs:
+    for a, b in pairs:
         got = same_ideal(a, b)
-        assert got == _equal_both_ways(a, b, order), (a, b)
+        assert got == _equal_both_ways(a, b), (a, b)
         verdicts.append(got)
     assert True in verdicts and False in verdicts
 
@@ -186,9 +184,8 @@ def test_same_ideal_ignores_redundant_leads():
     """Under the local order the basis of (x1^2, x1) keeps both elements;
     the lead ideal is still (x1)."""
     T = VarTable.make(("x1", BASE), ("x2", BASE))
-    order = LocalRingSpec(T, [], check_dimension=False).order
     x1 = parse_poly(T, "x1")
     redundant = Ideal(T, [x1 * x1, x1])
-    assert redundant.leads(order) == frozenset({(1, 0)})
+    assert redundant.leads() == frozenset({(1, 0)})
     assert same_ideal(redundant, Ideal(T, [x1]))
     assert same_ideal(Ideal(T, [x1]), redundant)

@@ -1,5 +1,6 @@
 """Base ring layer: primes, active elements, jets, precision bound."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,16 +10,16 @@ from hypothesis import strategies as st
 
 import neron.groebner as groebner
 from neron import (ALGEBRA, BASE, Ideal, Polynomial, VarTable,
-                   ideal_quotient, parse_poly, same_ideal, std_basis)
+                   ideal_quotient, mixed_order, parse_poly, same_ideal,
+                   std_basis)
 from neron.errors import (ActiveElementNotFound, DecompositionIncomplete,
                           NeronError, NotAUnit, NotDivisible,
                           TargetInsidePrime)
 from neron.desing import _survives
-from neron.localring import (Jet, LocalRingSpec, _solve_exact,
+from neron.localring import (SMALL_VALUES, Jet, LocalRingSpec, _solve_exact,
                              active_element, check_precision_bound, compute_e,
                              jet_divide, jet_invert, minimal_primes,
-                             monomials_of_degree, small_vectors,
-                             small_vectors_by_norm)
+                             monomials_of_degree, small_vectors_by_norm)
 
 
 def table2():
@@ -90,10 +91,11 @@ def test_active_element_examples():
         active_element([x1], (Ideal(T, [x1]),), T)
     combo = active_element([parse_poly(T, "x1^2"), parse_poly(T, "x2^2")],
                            ring.prime_ideals, T)
+    order = mixed_order(T)
     for p_gens in ring.primes:
-        basis = std_basis(list(p_gens), T, ring.order)
+        basis = std_basis(list(p_gens), T, order)
         from neron import normal_form_against
-        assert not normal_form_against(combo, basis, T, ring.order).is_zero()
+        assert not normal_form_against(combo, basis, T, order).is_zero()
 
 
 def test_active_element_tries_each_multiple_once():
@@ -123,7 +125,15 @@ def test_active_element_combines_the_first_generator():
     gens = [parse_poly(T, t) for t in ("x2", "x1", "x1^2", "x1^3", "x1^4")]
     d = active_element(gens, ring.prime_ideals, T)
     assert d == parse_poly(T, "x2 + x1^4")
-    assert not any(p.contains(d, ring.order) for p in ring.prime_ideals)
+    assert not any(p.contains(d) for p in ring.prime_ideals)
+
+
+def small_vectors(n):
+    """Nonzero vectors of length n with entries in SMALL_VALUES, each once,
+    in ``itertools.product`` order: the reference the search sorts."""
+    for vec in itertools.product(SMALL_VALUES, repeat=n):
+        if any(vec):
+            yield vec
 
 
 def test_small_vectors_by_norm_is_product_order_sorted_by_norm():
@@ -147,10 +157,11 @@ def test_compute_e_examples():
     T2 = table2()
     ring3 = LocalRingSpec(T2, [parse_poly(T2, "x1^2*x2")])
     d = parse_poly(T2, "x1 + x2")
-    chain = [tuple(std_basis([parse_poly(T2, "x1^2*x2")], T2, ring3.order))]
+    order = mixed_order(T2)
+    chain = [tuple(std_basis([parse_poly(T2, "x1^2*x2")], T2, order))]
     for _ in range(4):
         nxt = ideal_quotient(list(chain[-1]), [d], T2)
-        chain.append(tuple(std_basis(list(nxt), T2, ring3.order)))
+        chain.append(tuple(std_basis(list(nxt), T2, order)))
     stable = next(k for k in range(len(chain) - 1)
                   if same_ideal(Ideal(T2, chain[k]), Ideal(T2, chain[k + 1])))
     assert compute_e(d, ring3) == max(1, stable) == 1
@@ -353,8 +364,8 @@ def test_prime_list_invariants_after_decomposition():
     from neron import normal_form_against, radical_membership
     for prime in ring.prime_ideals:
         for g in ring.j_gens:
-            assert normal_form_against(g, prime.basis(ring.order), T,
-                                       ring.order).is_zero()
+            assert normal_form_against(g, prime.basis(), T,
+                                       mixed_order(T)).is_zero()
     from neron import intersect
     meet = None
     for p_gens in ring.primes:
@@ -418,7 +429,7 @@ def test_degree_cut_matches_explicit_generators(index):
     division by a basis of J + (x)^N and P_i + J + (x)^N, the ideals built
     from the degree-N monomials."""
     ring, label = _degree_cut_rings()[index]
-    T, order = ring.table, ring.order
+    T = ring.table
     rng = random.Random(800 + index)
     gens = list(ring.j_gens) + [g for p in ring.primes for g in p]
     nonzero = 0
@@ -432,12 +443,12 @@ def test_degree_cut_matches_explicit_generators(index):
                 # a multiple of a generator plus a tail above the cut
                 p = p * rng.choice(gens) + _random_base_poly(T, rng, N + 3)
             got = ring.reduce_jet(p, N)
-            assert got == ref.reduce_full(p, order), (label, N, p)
+            assert got == ref.reduce_full(p), (label, N, p)
             nonzero += not got.is_zero()
             jet = ring.jet(p, N)
             for i, ref_prime in enumerate(ref_primes):
                 assert _survives(ring, N, jet, i) == (
-                    not ref_prime.contains(jet.poly, order)), (label, N, i, p)
+                    not ref_prime.contains(jet.poly)), (label, N, i, p)
     assert nonzero
 
 

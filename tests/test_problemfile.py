@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neron.errors import PolyParseError
+from neron.orders import ALGEBRA, BASE
 from neron.poly import parse_poly
 from neron.problemfile import parse_problem, print_problem
 
@@ -19,8 +20,8 @@ morphism { precision 4; Y1 = x1; Y2 = x2; }
 
 def test_parse_minimal():
     pf = parse_problem(MINIMAL)
-    assert pf.base_vars == ("x1", "x2")
-    assert pf.y_vars == ("Y1", "Y2")
+    assert pf.table.block_names(BASE) == ("x1", "x2")
+    assert pf.table.block_names(ALGEBRA) == ("Y1", "Y2")
     assert pf.precision == 4
     assert pf.max_subset == 3
     prob = pf.build()
@@ -43,8 +44,9 @@ def test_round_trip_print_parse():
         text = print_problem(pf)
         pf2 = parse_problem(text)
         assert print_problem(pf2) == text
-        assert pf2.base_vars == pf.base_vars
-        assert pf2.y_vars == pf.y_vars
+        assert pf2.table.block_names(BASE) == pf.table.block_names(BASE)
+        assert pf2.table.block_names(ALGEBRA) == \
+            pf.table.block_names(ALGEBRA)
         assert pf2.precision == pf.precision
         assert pf2.minprimes == pf.minprimes
 
@@ -151,6 +153,14 @@ def test_jet_degree_at_precision_rejected_with_position():
         parse_problem(text)
     assert info.value.line is not None
     assert "degree" in str(info.value)
+
+
+def test_max_subset_below_one_rejected_with_position():
+    text = MINIMAL + "options { max_subset 0; }\n"
+    with pytest.raises(PolyParseError) as info:
+        parse_problem(text)
+    assert "max_subset must be at least 1" in str(info.value)
+    assert (info.value.line, info.value.col) == (5, 11)
 
 
 def test_undeclared_variable_rejected():
