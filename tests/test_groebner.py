@@ -77,8 +77,10 @@ def test_ideal_basis_is_computed_once():
     with mock.patch.object(groebner, "std_basis",
                            wraps=groebner.std_basis) as spy:
         basis = ideal.basis()
-        ideal.leads(), ideal.monomial_leads(), ideal.nf(p)
-        ideal.contains(p), ideal.reduce_full(p, cut=(T.block(BASE), 3))
+        ideal.leads()
+        ideal.monomial_leads()
+        ideal.contains(p)   # through nf
+        ideal.reduce_full(p, cut=(T.block(BASE), 3))
         assert ideal.basis() is basis
     assert spy.call_count == 1
     assert basis == std_basis(ideal.gens, T, mixed_order(T))
