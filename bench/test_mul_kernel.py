@@ -90,6 +90,12 @@ def mon_divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
+def lead(p):
+    """(monomial, coefficient) of p maximal under the mixed order."""
+    m = max(p.monomials(), key=KEYF)
+    return m, p.coefficient(m)
+
+
 # (terms of a, terms of b, largest exponent, terms of the product)
 CASES = [(1, 1, 3, 1), (1, 5, 3, 5), (10, 10, 3, 97), (34, 34, 5, 1050),
          (110, 110, 8, 10288)]
@@ -168,7 +174,7 @@ def operand(rng, nterms, maxdeg):
 
 
 def monic(p):
-    return p * Fraction(1, p.lead(KEYF)[1])
+    return p * Fraction(1, lead(p)[1])
 
 
 @pytest.mark.parametrize("na, nb, maxdeg, product_terms", CASES,

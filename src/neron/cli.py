@@ -31,7 +31,8 @@ def emit_trace(trace, fmt="text"):
 
 
 def parse_trace(data):
-    """Re-parse the machine trace format into plain records."""
+    """Re-parse the machine trace format into plain records.  The
+    benchmark's cli workload checks machine output with it."""
     records = []
     for line in data.decode().splitlines():
         if line.strip():

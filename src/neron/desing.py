@@ -253,7 +253,10 @@ def jacobian_colon(ring, fs, relations, y_names):
 
 
 def elkik_ideal(B, cap):
-    """Sum over generator subsets of ((f):I) * Delta_f, plus its trace in A."""
+    """Sum over generator subsets of ((f):I) * Delta_f, plus its trace in A,
+    over the subsets of at most ``cap`` relations."""
+    if cap < 1:
+        raise PreconditionFailed("max_subset must be at least 1")
     ring = B.ring
     table = ring.table
     rels = [p for p in B.relations if not p.is_zero()]

@@ -490,11 +490,13 @@ def std_basis(gens, table, order, *, track=None):
 
     The elements are reducers at one packing, wide enough for twice the
     largest degree among them, so every lcm and S-polynomial of two fits;
-    an element past that repacks them wider.  The generators and the
-    S-polynomials go to the normal forms packed, and their remainders
-    come back packed, so only the final basis is unpacked.  The pair
-    queue is a heap of (key of the lcm, i, j), each key computed once per
-    pair; a pair that the criteria drop stays in the heap and is skipped.
+    an element past that repacks them wider.  One loop divides every
+    dividend packed: the generators with their unit rows, then the
+    S-polynomial of each live pair.  A dividend that is or reduces to zero
+    gives its row as a syzygy, any other remainder an element, and only
+    the final basis is unpacked.  The pair queue is a heap of (key of the
+    lcm, i, j), each key computed once per pair; a pair that the criteria
+    drop stays in the heap and is skipped.
 
     Stop rule: unless syzygies are collected, the computation ends at the
     first element whose lead monomial is 1.  Its lead divides every other
@@ -547,41 +549,29 @@ def std_basis(gens, table, order, *, track=None):
             heappush(queue, (pk.key(L), i, j))
         return use_criteria and not g.lm
 
-    for j, g in enumerate(gens):
-        if g.is_zero():
-            continue
-        row = {j: Polynomial.const(table, 1)} if track else None
-        num, den, ints = g._view()
-        pack = pk.pack
-        r, row = _divide(({pack(m): v * num for m, v in ints.items()}, den),
-                         G, pk, full=False, row=row)
-        if not r[0]:
-            if track == "syz" and row and any(not q.is_zero()
-                                              for q in row.values()):
-                syzygies.append(dict(row))
-            continue
-        if add_element(r, row):
-            queue = []
-            break
+    def dividends():
+        """Each generator, packed, with its unit row, then the
+        S-polynomial and row of each live pair popped from the heap."""
+        one = Polynomial.const(table, 1)
+        for j, g in enumerate(gens):
+            num, den, ints = g._view()
+            pack = pk.pack
+            yield (({pack(m): v * num for m, v in ints.items()}, den),
+                   {j: one} if track else None)
+        while queue:
+            _, i, j = heappop(queue)
+            if P.pop((i, j), None) is not None:
+                yield (spoly(G[i], G[j], pk),
+                       _spoly_row(table, G[i], G[j], pk) if track else None)
 
-    while queue:
-        _, i, j = heappop(queue)
-        if P.pop((i, j), None) is None:
-            continue
-        s = spoly(G[i], G[j], pk)
-        row = _spoly_row(table, G[i], G[j], pk) if track else None
-        if not s[0]:
-            if track == "syz" and row:
-                syzygies.append(row)
-            continue
-        r, row = _divide(s, G, pk, full=False, row=row)
-        if not r[0]:
-            if track == "syz" and row and any(not q.is_zero()
-                                              for q in row.values()):
-                syzygies.append(row)
-            continue
-        if add_element(r, row):
-            break
+    for r, row in dividends():
+        if r[0]:
+            r, row = _divide(r, G, pk, full=False, row=row)
+        if r[0]:
+            if add_element(r, row):
+                break
+        elif track == "syz" and row:
+            syzygies.append(row)
 
     basis = _post_process(G, pk, track)
     if track is None:
@@ -634,7 +624,9 @@ def _post_process(G, pk, track):
 
 
 def normal_form_against(p, basis, table, order):
-    """Normal form of p versus a precomputed basis (zero iff membership)."""
+    """Normal form of p versus a precomputed basis (zero iff membership).
+    ``desing._in_j`` needs it: membership in J in the polynomial ring takes
+    J's global basis, which no ``Ideal`` holds."""
     if p.is_zero() or not basis:
         return p
     if any(b.is_zero() for b in basis):
@@ -738,6 +730,8 @@ class DivisionWitness:
     remainder: Polynomial
 
     def check(self):
+        """True when the identity holds; demo 01 shows a witness checked
+        this way."""
         acc = self.dividend * self.unit
         for q, d in zip(self.quotients, self.divisors):
             acc = acc - q * d
@@ -750,8 +744,8 @@ def lift_division(p, gens, table, order):
     The generators are completed to a basis with representation tracking and
     the witnesses are composed, so the resulting identity
     unit*p = sum(q*gens) holds exactly as polynomials.  One nonzero
-    generator g needs no basis computation: its basis is g/lc(g), with
-    row 1/lc(g), as ``std_basis`` would return it.
+    generator g needs no basis: the division runs by g itself, with row
+    1, each step subtracting what a step by its basis g/lc(g) would.
     """
     live = [g for g in gens if not g.is_zero()]
     if p.is_zero():
@@ -762,11 +756,9 @@ def lift_division(p, gens, table, order):
         raise NotInIdeal("dividend is not in the zero ideal")
     zero = Polynomial.zero(table)
     if len(live) == 1:
-        _, (single,) = _reducers(live, order, table)
-        inv = exact_div(1, single.lc())
-        basis = (live[0] * inv,)
-        rows = (tuple(Polynomial.const(table, inv) if g is live[0] else zero
-                      for g in gens),)
+        basis = (live[0],)
+        one = Polynomial.const(table, 1)
+        rows = (tuple(one if g is live[0] else zero for g in gens),)
     else:
         basis, rows = std_basis(gens, table, order, track="rows")
     pk, prepared = _reducers(basis, order, table)

@@ -79,7 +79,8 @@ def ideal_quotient(gens_i, gens_j, table):
 
 def same_ideal(a, b):
     """True when the Ideals a and b are equal: a <= b with equal lead
-    ideals gives a = b (Greuel-Pfister 1.6-1.7)."""
+    ideals gives a = b (Greuel-Pfister 1.6-1.7).  ``minimal_primes``
+    deduplicates and compares its components with it."""
     return (a.leads() == b.leads()
             and all(b.contains(g) for g in a.basis()))
 
@@ -130,7 +131,8 @@ def radical_membership(p, gens, table):
 
 
 def syzygies(gens, table):
-    """Generating vectors of the first syzygy module of ``gens``."""
+    """Generating vectors of the first syzygy module of ``gens``, each
+    once, the unit vectors of the zero generators first."""
     zero = Polynomial.zero(table)
     one = Polynomial.const(table, 1)
     out = []
@@ -139,7 +141,7 @@ def syzygies(gens, table):
             out.append(tuple(one if i == j else zero
                              for i in range(len(gens))))
     _, _, syz = std_basis(gens, table, mixed_order(table), track="syz")
-    seen = set()
+    seen = set(out)
     for vec in syz:
         if vec not in seen:
             seen.add(vec)

@@ -235,7 +235,9 @@ def strong_approx_decide(prob, y_second, precision):
     ``y_second`` maps variable names to polynomials with
     I(y'') = 0 modulo (x)^precision and y'' = y' modulo (x)^rho, where
     precision = (e+2)*(rho+1).  The lift runs from y'' to the requested
-    target and the result agrees with y' modulo (x)^rho.
+    target and the result agrees with y' modulo (x)^rho.  It is the
+    paper's strong approximation statement; demo 04 and acceptance
+    criterion 6 run it.
     """
     ring = prob.ring
     for nm, p in prob.approx.items():

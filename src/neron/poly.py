@@ -13,11 +13,11 @@ layout of the library, which the basis engine runs on too.
 
 ``_view()`` is the contract that ``groebner`` reads: its fraction-free
 normal forms and S-polynomials take the integer terms directly.  Every
-other module reads monomials (``monomials()``) and the coefficients this
-module hands out (``lead``, ``coefficient``, ``content``); ``terms``, the
-value map from exponent tuples to coefficients (an ``int`` when the
-coefficient is integral and a ``Fraction`` otherwise), is built afresh on
-each read and is meant for callers outside the library.  Nothing is
+other module reads monomials (``monomials()``) and single coefficients
+(``coefficient``); ``terms``, the value map from exponent tuples to
+coefficients (an ``int`` when the coefficient is integral and a
+``Fraction`` otherwise), is built afresh on each read and is meant for
+callers outside the library.  Nothing is
 mutated after creation, so polynomials are immutable and safe to share
 across threads.  No floating point appears anywhere: a coefficient that
 is not an ``int`` or a ``Fraction`` is refused, and every identity the
@@ -219,7 +219,8 @@ class Polynomial:
     @property
     def terms(self):
         """The value map {exponent tuple: coefficient}, a new dict on each
-        read."""
+        read.  No library module reads it; it stays because the frozen
+        benchmark's tracer sizes products with it."""
         num, den, ints = self._iv
         if den == 1:
             return {m: v * num for m, v in ints.items()}
@@ -263,7 +264,8 @@ class Polynomial:
     @staticmethod
     def from_terms(table, items):
         """The sum of the terms c * x^mon for the pairs (mon, c) of
-        ``items``."""
+        ``items``.  ``jet_divide`` builds its quotient with it, and the
+        frozen benchmark's instance generator builds its operands."""
         total = PolySum(table)
         for mon, c in items:
             total.add(Polynomial(table, {mon: c}))
@@ -337,14 +339,6 @@ class Polynomial:
                 if e:
                     used.add(self.table.names[i])
         return used
-
-    def lead(self, keyf):
-        """(monomial, coefficient) maximal under the order key."""
-        mons = self._iv[2]
-        if not mons:
-            raise NeronError("zero polynomial has no lead term")
-        m = max(mons, key=keyf)
-        return m, self.coefficient(m)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -596,12 +590,6 @@ class Polynomial:
             out[m[:n]] = v
         return _from_ints(newtable, out, num, den)
 
-    def content(self):
-        """Positive rational c with self/c integer, coprime coefficients;
-        1 for zero."""
-        num, den, _ = self._iv
-        return num if den == 1 else Fraction(num, den)
-
     def primitive(self):
         num, den, ints = self._iv
         if num == den:
@@ -756,9 +744,11 @@ def _tokenize(text, symbols=_SYMBOLS):
     return tokens
 
 
-class _PolyParser:
-    def __init__(self, table, tokens):
-        self.table = table
+class _Tokens:
+    """A cursor over a ``_tokenize`` token list, which ends in an ``end``
+    token."""
+
+    def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
 
@@ -770,9 +760,20 @@ class _PolyParser:
         self.pos += 1
         return tok
 
-    def fail(self, message):
-        kind, val, line, col = self.peek()
-        raise PolyParseError(message + (f", got {val!r}" if val else ""), line, col)
+    def expect(self, kind, what=None):
+        """The next token, which must be of ``kind``; the error calls the
+        token it wanted ``what``, or its kind."""
+        tok = self.next()
+        if tok[0] != kind:
+            raise PolyParseError(f"expected {what or kind}, got {tok[1]!r}",
+                                 tok[2], tok[3])
+        return tok
+
+
+class _PolyParser(_Tokens):
+    def __init__(self, table, tokens):
+        super().__init__(tokens)
+        self.table = table
 
     def parse_expr(self):
         sign = 1
@@ -807,10 +808,10 @@ class _PolyParser:
         base = self.parse_atom()
         if self.peek()[0] == "^":
             self.next()
-            kind, val, line, col = self.peek()
+            kind, val, line, col = self.next()
             if kind != "int":
-                self.fail("expected integer exponent")
-            self.next()
+                raise PolyParseError("expected integer exponent" + (
+                    f", got {val!r}" if val else ""), line, col)
             return base ** int(val)
         return base
 

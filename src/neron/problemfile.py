@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from .desing import DesingProblem, MorphismApprox
 from .errors import PolyParseError
 from .localring import LocalRingSpec
-from .orders import ALGEBRA, BASE, VarTable, mixed_order
-from .poly import _tokenize, format_poly, parse_poly
+from .orders import ALGEBRA, BASE, VarTable
+from .poly import _tokenize, _Tokens, parse_poly
 
 # structural symbols plus those of the polynomial syntax
 _SYMBOLS = "{};=|,+-*^()/"
@@ -63,27 +63,6 @@ class ProblemFile:
                              max_subset=self.max_subset)
 
 
-class _Stream:
-    def __init__(self, text):
-        self.tokens = _tokenize(text, _SYMBOLS)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind, what=None):
-        tok = self.next()
-        if tok[0] != kind:
-            raise PolyParseError(f"expected {what or kind}, got {tok[1]!r}",
-                                 tok[2], tok[3])
-        return tok
-
-
 def _collect_poly(stream, stop_kinds):
     """Tokens of one polynomial, closed by an ``end`` token at the stop
     symbol, so that ``parse_poly`` reports positions in the file."""
@@ -101,7 +80,7 @@ def _collect_poly(stream, stop_kinds):
 
 def parse_problem(text):
     """Parse and validate a problem file; each polynomial is parsed once."""
-    stream = _Stream(text)
+    stream = _Tokens(_tokenize(text, _SYMBOLS))
     sections = {}
     while stream.peek()[0] != "end":
         kind, name, line, col = stream.expect("ident", "section name")
@@ -112,12 +91,9 @@ def parse_problem(text):
             raise PolyParseError(f"duplicate section {name!r}", line, col)
         stream.expect("{")
         sections[name] = (line, col, _section_body(stream, name))
-    if "ring" not in sections:
-        raise PolyParseError("missing ring section", 1, 1)
-    if "algebra" not in sections:
-        raise PolyParseError("missing algebra section", 1, 1)
-    if "morphism" not in sections:
-        raise PolyParseError("missing morphism section", 1, 1)
+    for name in ("ring", "algebra", "morphism"):
+        if name not in sections:
+            raise PolyParseError(f"missing {name} section", 1, 1)
     return _assemble(sections)
 
 
@@ -234,30 +210,3 @@ def _assemble(sections):
     options = sections.get("options", (0, 0, {"scalars": {}}))[2]["scalars"]
     return ProblemFile(table, j_gens, relations, precision, jets, verify,
                        options.get("max_subset", 3), minprimes)
-
-
-def print_problem(pf):
-    """Canonical text for a ProblemFile; parse(print(pf)) round-trips."""
-    order = mixed_order(pf.table)
-    y_vars = pf.table.block_names(ALGEBRA)
-
-    def fmt(polys):
-        return ", ".join(format_poly(p, order) for p in polys)
-
-    lines = ["ring {", "  field Q;",
-             "  vars " + " ".join(pf.table.block_names(BASE)) + ";"]
-    if pf.j_gens:
-        lines.append("  relations " + fmt(pf.j_gens) + ";")
-    lines += ["}", "algebra {", "  vars " + " ".join(y_vars) + ";"]
-    if pf.relations:
-        lines.append("  relations " + fmt(pf.relations) + ";")
-    lines += ["}", "morphism {", f"  precision {pf.precision};"]
-    lines += [f"  {nm} = {format_poly(pf.jets[nm], order)};"
-              for nm in y_vars]
-    lines += [f"  verify {nm} = {format_poly(pf.verify[nm], order)};"
-              for nm in y_vars if nm in pf.verify]
-    lines += ["}", "options {", f"  max_subset {pf.max_subset};", "}"]
-    if pf.minprimes:
-        lines.append("minprimes { " + " | ".join(map(fmt, pf.minprimes))
-                     + " }")
-    return "\n".join(lines) + "\n"

@@ -1,5 +1,6 @@
-"""Shared instance builders for the pipeline tests, and the Buchberger
-criterion as a test oracle."""
+"""Shared instance builders for the pipeline tests, reference helpers on
+exponent tuples and values, and the Buchberger criterion as a test
+oracle."""
 
 from fractions import Fraction
 
@@ -19,10 +20,25 @@ def mon_divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
+def lead(p, keyf):
+    """(monomial, coefficient) of the nonzero p, maximal under the tuple
+    key ``keyf`` (``TermOrder.key``): the reference for the packed leads
+    the basis engine reads."""
+    m = max(p.monomials(), key=keyf)
+    return m, p.coefficient(m)
+
+
+def content(p):
+    """The positive rational c with p/c primitive integer terms, 1 for
+    zero, as an int when it is one: num/den of the integer view."""
+    num, den, _ = p._view()
+    return num if den == 1 else Fraction(num, den)
+
+
 def s_polynomial(f, g, keyf):
     """x^u * f/lc(f) - x^v * g/lc(g), with x^u * lm(f) = x^v * lm(g) the
     lcm of the leads, on rational values."""
-    (mf, cf), (mg, cg) = f.lead(keyf), g.lead(keyf)
+    (mf, cf), (mg, cg) = lead(f, keyf), lead(g, keyf)
     lcm = tuple(map(max, mf, mg))
 
     def shift(m, c):

@@ -3,11 +3,12 @@
 Every traced function and method must still resolve, one op of each
 workload must still solve, and the benchmark's own test must pass, so a
 deletion cannot silently break a workload or drop a traced layer.  The
-tracer itself is not installed: it rewraps module attributes for the
-whole process.
+tracer rewraps module attributes for the whole process, so it is
+installed only in a pass of its own process.
 """
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -58,3 +59,24 @@ def test_frozen_inputs_test_passes():
          "-q", "-p", "no:cacheprovider"],
         cwd=root, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]
+
+
+def test_traced_cli_pass_matches_the_untraced_one():
+    """One ``cli`` pass with the tracer installed and one without, each in
+    a fresh process: the tracer finds every name it reads (``terms``,
+    ``TermOrder.key``, ``spoly``, ...), and each op ends the same way and
+    prints the same bytes under it."""
+    root = os.path.join(PERFBENCH, os.pardir)
+    passes = []
+    for trace in ("1", "0"):
+        proc = subprocess.run(
+            [sys.executable, os.path.join(PERFBENCH, "passrun.py"), root,
+             "cli", "-1", trace],
+            cwd=root, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        passes.append(json.loads(proc.stdout.splitlines()[-1]))
+    traced, plain = passes
+    assert traced["missing"] == []
+    assert ([(op["id"], op["outcome"], op["digest"]) for op in traced["ops"]]
+            == [(op["id"], op["outcome"], op["digest"])
+                for op in plain["ops"]])

@@ -16,7 +16,7 @@ from neron.desing import (AlgebraPresentation, MorphismApprox, ShiftedPoint,
                           find_f_R, mm_primary_reduction,
                           sym_algebra_reduction, verify_certificate)
 from neron.errors import (BoundTooSmall, ConditionStarStarFailed,
-                          VerificationFailed)
+                          PreconditionFailed, VerificationFailed)
 from neron.linalg import PolyMatrix
 from neron.localring import Jet, LocalRingSpec
 from neron.problemfile import parse_problem
@@ -54,6 +54,27 @@ def test_elkik_zero_ideal_is_unit():
     B = AlgebraPresentation(ring, ())
     data = elkik_ideal(B, 3)
     assert any(g.is_constant() and not g.is_zero() for g in data.gens)
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_elkik_ideal_rejects_max_subset_below_one(cap):
+    """A library caller bypasses the file's and the CLI's checks; no
+    subset size below 1 exists, with relations or without."""
+    prob = two_branch_problem()
+    for rels in (prob.relations, ()):
+        B = AlgebraPresentation(prob.ring, rels)
+        with pytest.raises(PreconditionFailed,
+                           match="^max_subset must be at least 1$"):
+            elkik_ideal(B, cap)
+
+
+def test_desingularize_rejects_max_subset_below_one():
+    """The hypothesis error, not a verdict on the instance
+    (``ConditionStarStarFailed``)."""
+    prob = dataclasses.replace(two_branch_problem(), max_subset=0)
+    with pytest.raises(PreconditionFailed,
+                       match="^max_subset must be at least 1$"):
+        desingularize(prob)
 
 
 def test_elkik_space_curve_minors():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import neron.groebner as groebner
-from conftest import buchberger_criterion, mon_divides
+from conftest import buchberger_criterion, lead, mon_divides
 from neron import (ALGEBRA, BASE, DegRevLex, Ideal, Polynomial, VarTable,
                    global_order, NegDegRevLex,
                    lift_division, mixed_order, normal_form_against,
@@ -45,7 +45,7 @@ def test_hand_buchberger_mixed_order():
     assert set(basis) == {g1, g2, parse_poly(T, "x1^2*Y2")}
     # lead terms witness that the monomial x2*Y1 heads an element
     keyf = mixed_order(T).key(T)
-    leads = {b.lead(keyf)[0] for b in basis}
+    leads = {lead(b, keyf)[0] for b in basis}
     assert (0, 1, 1, 0) in leads
 
 
@@ -241,6 +241,44 @@ def test_mixed_order_rows_basis_stops_at_the_unit_it_reaches():
     assert rows[0][0] * gens[0] + rows[0][1] * gens[1] == basis[0]
 
 
+# (generators, one expected syzygy up to sign, whether an S-polynomial is
+# zero before any division): each case reaches one source of syzygies
+SYZYGY_SOURCES = {
+    "zero-generator": (["x1", "0"], ["0", "1"], None),
+    "generator-reduces-to-zero": (["x1", "x2", "x1 + x2"], ["1", "1", "-1"],
+                                  None),
+    "zero-spoly": (["x1", "x2"], ["x2", "-x1"], True),
+    "spoly-reduces-to-zero": (["x1 + x2^2", "x2 + x1^2"],
+                              ["x2 + x1^2", "-x1 - x2^2"], False),
+}
+
+
+@pytest.mark.parametrize("which", ["mixed", "global"])
+@pytest.mark.parametrize("case", SYZYGY_SOURCES)
+def test_each_syzygy_source_multiplies_back(case, which):
+    """A zero generator, a generator that reduces to zero, and a zero or
+    zero-reducing S-polynomial (Koszul) each give their row as a syzygy."""
+    T = table_xy()
+    texts, want, zero_spoly = SYZYGY_SOURCES[case]
+    gens = [parse_poly(T, g) for g in texts]
+    order = mixed_order(T) if which == "mixed" else global_order()
+    spolys, real = [], groebner.spoly
+
+    def spy(*args):
+        spolys.append(real(*args))
+        return spolys[-1]
+
+    with mock.patch.object(groebner, "spoly", spy):
+        _, _, syz = std_basis(gens, T, order, track="syz")
+    for v in syz:
+        assert sum((q * g for q, g in zip(v, gens)),
+                   Polynomial.zero(T)).is_zero()
+    want = tuple(parse_poly(T, q) for q in want)
+    assert want in syz or tuple(-q for q in want) in syz
+    if zero_spoly is not None:
+        assert [not s[0] for s in spolys] == [zero_spoly]
+
+
 class _DeadlinePassed(Exception):
     pass
 
@@ -276,7 +314,7 @@ class ValueReducer:
 
     def __init__(self, poly, keyf, idx):
         self.poly = poly
-        self.lm, self.lc = poly.lead(keyf)
+        self.lm, self.lc = lead(poly, keyf)
         self.ecart = poly.total_degree() - sum(self.lm)
         self.idx = idx
 
@@ -442,7 +480,7 @@ def test_reduce_full_by_deletion_is_the_long_division(problem):
         gens = gens + [parse_poly(T, "x1^2*x2 - x2^3")]
     keyf = order.key(T)
     basis = std_basis(gens, T, order)
-    leads = tuple(b.lead(keyf)[0] for b in basis)
+    leads = tuple(lead(b, keyf)[0] for b in basis)
     one_term = all(len(b.monomials()) == 1 for b in basis)
     assert binomial or one_term
     pk, prepared = _reducers(basis, order, T)
@@ -464,7 +502,7 @@ def test_reduce_full_by_deletion_is_the_long_division(problem):
 @settings(max_examples=100, deadline=None)
 @given(nf_problems(), st.sampled_from(["mixed", "global"]))
 def test_one_generator_division_computes_no_basis(problem, which):
-    """Dividing by one generator builds its basis g/lc(g) without
+    """Dividing by one generator divides by g itself, packed once, without
     ``std_basis``; the witness is the one the basis of [g, g], which
     ``std_basis`` computes, gives (the second copy reduces to zero)."""
     T, q, gens = problem
@@ -472,9 +510,12 @@ def test_one_generator_division_computes_no_basis(problem, which):
     g = gens[0]
     p = q * g
     with mock.patch.object(groebner, "std_basis",
-                           wraps=groebner.std_basis) as spy:
+                           wraps=groebner.std_basis) as spy, \
+            mock.patch.object(groebner, "_reducers",
+                              wraps=groebner._reducers) as packs:
         w = lift_division(p, [g], T, order)
     assert not spy.called
+    assert packs.call_count == (0 if p.is_zero() else 1)
     assert w.check() and w.remainder.is_zero()
     both = lift_division(p, [g, g], T, order)
     assert (w.unit, w.quotients) == (both.unit, both.quotients[:1])
@@ -542,13 +583,13 @@ def test_standard_bases_are_minimal_for_every_order(problem):
     T, order, gens = problem
     keyf = order.key(T)
     basis = std_basis(gens, T, order)
-    leads = [b.lead(keyf)[0] for b in basis]
+    leads = [lead(b, keyf)[0] for b in basis]
     for i, a in enumerate(leads):
         for j, b in enumerate(leads):
             assert i == j or not mon_divides(a, b)
     spanned = std_basis(basis, T, order)
     # equal at this order: equal lead ideals and one containment
-    assert {b.lead(keyf)[0] for b in spanned} == set(leads)
+    assert {lead(b, keyf)[0] for b in spanned} == set(leads)
     assert all(normal_form_against(g, spanned, T, order).is_zero()
                for g in basis)
     if order == mixed_order(T):
@@ -619,7 +660,7 @@ def _from_sympy(T, expr, syms, order):
     import sympy
     p = Polynomial(T, {m: Fraction(int(c.p), int(c.q))
                        for m, c in sympy.Poly(expr, *syms).terms()})
-    return p * (1 / Fraction(p.lead(order.key(T))[1]))
+    return p * (1 / Fraction(lead(p, order.key(T))[1]))
 
 
 @st.composite

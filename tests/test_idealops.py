@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from neron import (ALGEBRA, BASE, Ideal, Polynomial, VarTable,
                    eliminate, global_order, ideal_quotient, intersect,
                    krull_dim, mixed_order, normal_form_against, parse_poly,
@@ -189,6 +191,24 @@ def test_syzygies_scaled_generators():
             if all((v[i] - target[i] * c).is_zero() for i in range(3)):
                 found = True
     assert found
+
+
+@pytest.mark.parametrize("texts, units", [
+    (["x1", "0", "x2"], [1]),
+    (["x1", "x1", "0"], [2]),
+    (["0", "x1", "0"], [0, 2]),
+])
+def test_syzygies_list_zero_generators_first_and_once(texts, units):
+    T = table_xy()
+    gens = [parse_poly(T, g) for g in texts]
+    out = syzygies(gens, T)
+    assert len(set(out)) == len(out)
+    one, zero = Polynomial.const(T, 1), Polynomial.zero(T)
+    assert out[:len(units)] == tuple(
+        tuple(one if i == j else zero for i in range(len(gens)))
+        for j in units)
+    for v in out:
+        assert sum((q * g for q, g in zip(v, gens)), zero).is_zero()
 
 
 def test_syzygies_single_nonzerodivisor():

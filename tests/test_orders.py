@@ -7,7 +7,7 @@ from operator import add
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mon_divides
+from conftest import lead, mon_divides
 from neron import (ALGEBRA, AUX, BASE, TANGENT, DegRevLex, NegDegRevLex,
                    Polynomial, VarTable, elim_order, format_poly,
                    global_order, mixed_order, parse_poly)
@@ -73,7 +73,7 @@ def test_lead_term_under_mixed_order():
     T = table_mixed()
     p = parse_poly(T, "x2*Y1 - x1*Y2")
     keyf = mixed_order(T).key(T)
-    lm, lc = p.lead(keyf)
+    lm, lc = lead(p, keyf)
     assert lm == (0, 1, 1, 0) and lc == 1
 
 

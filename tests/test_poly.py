@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import neron.localring
 import neron.poly
-from conftest import random_certificate_instance
+from conftest import content, lead, random_certificate_instance
 from neron import (ALGEBRA, BASE, Polynomial, VarTable, format_poly,
                    global_order, jacobian, mixed_order, parse_poly,
                    std_basis, taylor_coefficients)
@@ -180,8 +180,8 @@ def reference_mul(a, b):
     ``Polynomial.__mul__``, so the dict must agree in keys, values, value
     types and insertion order.
     """
-    sa, ta = a.content(), a._view()[2]
-    sb, tb = b.content(), b._view()[2]
+    sa, ta = content(a), a._view()[2]
+    sb, tb = content(b), b._view()[2]
     if len(ta) > len(tb):
         ta, tb = tb, ta
     out = {}
@@ -341,7 +341,7 @@ def test_packed_product_fraction_coefficients():
     T = table_xy()
     a = parse_poly(T, "1/2*x1 + 1/3*Y1 - 5/6")
     b = parse_poly(T, "2/3*x1 - 3/4*Y2")
-    assert a.content() != 1 and b.content() != 1
+    assert content(a) != 1 and content(b) != 1
     got = assert_product_matches_reference(a, b)
     assert got[(2, 0, 0, 0)] == Fraction(1, 3)
     assert got[(1, 0, 0, 1)] == Fraction(-3, 8)
@@ -566,7 +566,7 @@ def assert_view(p):
     order of the terms, and equals the view the constructor computes from
     the value map."""
     num, den, ints = p._view()
-    scale = p.content()
+    scale = content(p)
     assert scale > 0 and gcd(num, den) == 1 and scale == Fraction(num, den)
     assert all(type(v) is int and v for v in ints.values())
     assert not ints or gcd(*ints.values()) == 1
@@ -574,8 +574,8 @@ def assert_view(p):
     assert list(ints) == list(p.terms) == list(p.monomials())
     fresh = Polynomial(p.table, dict(p.terms))
     assert fresh._view() == (num, den, ints)
-    assert type(fresh.content()) is type(scale)
-    assert p.content() == scale
+    assert type(content(fresh)) is type(scale)
+    assert content(p) == scale
     assert_int_coefficients(p)
 
 
@@ -585,8 +585,8 @@ def test_int_view_splits_the_content(p):
     assert_view(p)
     prim = p.primitive()
     assert_view(prim)
-    assert prim.content() == 1
-    assert prim * p.content() == p
+    assert content(prim) == 1
+    assert prim * content(p) == p
 
 
 def test_int_view_of_integral_fraction_terms():
@@ -594,7 +594,7 @@ def test_int_view_of_integral_fraction_terms():
     T = table2()
     p = Polynomial(T, {(1, 0): Fraction(-4, 1), (0, 2): Fraction(6, 1)})
     assert p._view() == (2, 1, {(1, 0): -2, (0, 2): 3})
-    assert type(p.content()) is int
+    assert type(content(p)) is int
 
 
 @settings(max_examples=200, deadline=None)
@@ -633,7 +633,7 @@ def test_sums_and_scalings_that_clear_denominators_give_ints():
               half - parse_poly(T, "-1/2*x1 + 1/2*x2")):
         assert_int_coefficients(q)
     assert (half + half).terms == {(1, 0): 1, (0, 1): 3}
-    assert type((half * 2).content()) is int
+    assert type(content(half * 2)) is int
 
 
 @settings(max_examples=100, deadline=None)
@@ -697,13 +697,13 @@ def test_reading_the_value_map_first_changes_no_result(a, b, bound):
                p * q, p.mul(q, cut), p * Fraction(-5, 6), p.below(cut),
                p.order(), p.total_degree(), p.is_zero(), p == q,
                p == Polynomial(T, dict(p.terms)), hash(p),
-               format_poly(p, order), p.content(), p.primitive(),
+               format_poly(p, order), content(p), p.primitive(),
                p.derivative("x1"), p.substitute({"Y1": q}, cut),
                classic_nf(p, gprep, gpk, full=True)[0],
                classic_nf(p, mprep, mpk, full=True, cut=cut)[0],
                mora_nf(p, mprep, mpk)[0]]
         if not p.is_zero():
-            out.append(p.lead(order.key(T)))
+            out.append(lead(p, order.key(T)))
         return out
 
     pairs = [(x, y) for x in read_first(a) for y in read_first(b)]
@@ -801,10 +801,10 @@ def by_view(T, terms):
     nonzero = {m: Fraction(c) for m, c in terms.items() if c}
     if not nonzero:
         return _from_ints(T, {})
-    content = Fraction(gcd(*(c.numerator for c in nonzero.values())),
-                       lcm(*(c.denominator for c in nonzero.values())))
-    return _from_ints(T, {m: int(c / content) for m, c in nonzero.items()},
-                      content.numerator, content.denominator)
+    scale = Fraction(gcd(*(c.numerator for c in nonzero.values())),
+                     lcm(*(c.denominator for c in nonzero.values())))
+    return _from_ints(T, {m: int(c / scale) for m, c in nonzero.items()},
+                      scale.numerator, scale.denominator)
 
 
 @settings(max_examples=200, deadline=None)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from neron.errors import PolyParseError
 from neron.orders import ALGEBRA, BASE
-from neron.poly import parse_poly
-from neron.problemfile import parse_problem, print_problem
+from neron.poly import Polynomial, parse_poly
+from neron.problemfile import parse_problem
 
 MINIMAL = """
 ring { field Q; vars x1 x2; relations x1*x2; }
@@ -37,20 +37,6 @@ def test_parse_all_shipped_files():
         assert pf.precision >= 1
 
 
-def test_round_trip_print_parse():
-    for path in sorted(glob.glob("problems/*.gnd")):
-        with open(path) as fh:
-            pf = parse_problem(fh.read())
-        text = print_problem(pf)
-        pf2 = parse_problem(text)
-        assert print_problem(pf2) == text
-        assert pf2.table.block_names(BASE) == pf.table.block_names(BASE)
-        assert pf2.table.block_names(ALGEBRA) == \
-            pf.table.block_names(ALGEBRA)
-        assert pf2.precision == pf.precision
-        assert pf2.minprimes == pf.minprimes
-
-
 def test_each_polynomial_is_parsed_once(monkeypatch):
     calls = []
 
@@ -65,7 +51,6 @@ def test_each_polynomial_is_parsed_once(monkeypatch):
             pf = parse_problem(fh.read())
         parsed = len(calls)
         pf.build()
-        print_problem(pf)
         assert len(calls) == parsed, path
         assert parsed == (len(pf.j_gens) + len(pf.relations) + len(pf.jets)
                           + len(pf.verify) + sum(map(len, pf.minprimes)))
@@ -80,55 +65,85 @@ RINGS = (("x1", (), ""),
 
 @st.composite
 def poly_texts(draw, names, max_deg):
-    """A sum of terms, written with repeated factors and any signs."""
+    """A sum of terms, written with repeated factors and any signs, and
+    the terms (coefficient, factor names) it is written from."""
     terms = draw(st.lists(st.tuples(
         st.fractions(-9, 9, max_denominator=4),
         st.lists(st.sampled_from(names), max_size=max_deg)), max_size=4))
     if not terms:
-        return "0"
+        return "0", terms
     return " ".join(
         f"{'-' if c < 0 else '+'} {abs(c)}" + "".join(f"*{n}" for n in mon)
-        for c, mon in terms)
+        for c, mon in terms), terms
+
+
+def drawn_value(T, terms):
+    """The polynomial of drawn terms, built without the parser."""
+    total = Polynomial.zero(T)
+    for c, mon in terms:
+        term = Polynomial.const(T, c)
+        for n in mon:
+            term = term * Polynomial.var(T, n)
+        total = total + term
+    return total
 
 
 @st.composite
 def problem_texts(draw):
+    """A problem file and the fields it is written from."""
     base, j_gens, primes = draw(st.sampled_from(RINGS))
     xs = base.split()
     ys = [f"Y{i + 1}" for i in range(draw(st.integers(1, 2)))]
     precision = draw(st.integers(1, 5))
     relations = draw(st.lists(poly_texts(xs + ys, 3), max_size=2))
+    jets = {y: draw(poly_texts(xs, precision - 1)) for y in ys}
+    verify = {y: draw(poly_texts(xs, 6)) for y in ys if draw(st.booleans())}
+    max_subset = draw(st.integers(1, 3))
     morphism = [f"precision {precision};"]
-    morphism += [f"{y} = {draw(poly_texts(xs, precision - 1))};" for y in ys]
-    morphism += [f"verify {y} = {draw(poly_texts(xs, 6))};" for y in ys
-                 if draw(st.booleans())]
+    morphism += [f"{y} = {text};" for y, (text, _) in jets.items()]
+    morphism += [f"verify {y} = {text};" for y, (text, _) in verify.items()]
+    texts = [text for text, _ in relations]
     sections = [
         f"ring {{ field Q; vars {base}; "
         + "".join(f"relations {g}; " for g in j_gens) + "}",
         f"algebra {{ vars {' '.join(ys)}; "
-        + (f"relations {', '.join(relations)}; " if relations else "") + "}",
+        + (f"relations {', '.join(texts)}; " if texts else "") + "}",
         "morphism { " + " ".join(morphism) + " }",
-        f"options {{ max_subset {draw(st.integers(1, 3))}; }}"]
+        f"options {{ max_subset {max_subset}; }}"]
     if primes:
         sections.append(f"minprimes {{ {primes} }}")
-    return "\n".join(draw(st.permutations(sections))) + "\n"
+    fields = {"xs": tuple(xs), "ys": tuple(ys), "j_gens": j_gens,
+              "primes": primes, "precision": precision,
+              "max_subset": max_subset,
+              "relations": [terms for _, terms in relations],
+              "jets": {y: terms for y, (_, terms) in jets.items()},
+              "verify": {y: terms for y, (_, terms) in verify.items()}}
+    return "\n".join(draw(st.permutations(sections))) + "\n", fields
 
 
 @settings(max_examples=60, deadline=None)
 @given(problem_texts())
-def test_generated_problem_round_trip(text):
+def test_generated_problem_round_trip(drawn):
+    """Drawn fields, written as a problem file, parse back to themselves;
+    each drawn polynomial is compared with its value built from its
+    terms."""
+    text, want = drawn
     pf = parse_problem(text)
-    printed = print_problem(pf)
-    pf2 = parse_problem(printed)
-    assert print_problem(pf2) == printed
-    prob, prob2 = pf.build(), pf2.build()
-    assert prob2.relations == prob.relations
-    assert prob2.ring.j_gens == prob.ring.j_gens
-    assert prob2.max_subset == prob.max_subset
+    T = pf.table
+    assert T.block_names(BASE) == want["xs"]
+    assert T.block_names(ALGEBRA) == want["ys"]
+    assert pf.precision == want["precision"]
+    assert pf.max_subset == want["max_subset"]
+    assert pf.j_gens == tuple(parse_poly(T, g) for g in want["j_gens"])
+    assert pf.relations == tuple(drawn_value(T, terms)
+                                 for terms in want["relations"])
     for key in ("jets", "verify"):
-        jets, jets2 = (getattr(p.morphism, key) for p in (prob, prob2))
-        assert {nm: (j.poly, j.precision) for nm, j in jets2.items()} == \
-            {nm: (j.poly, j.precision) for nm, j in jets.items()}
+        assert getattr(pf, key) == {y: drawn_value(T, terms)
+                                    for y, terms in want[key].items()}
+    groups = want["primes"].split("|") if want["primes"] else []
+    assert pf.minprimes == tuple(
+        tuple(parse_poly(T, g) for g in group.split(",")) for group in groups)
+    assert pf.build().max_subset == want["max_subset"]
 
 
 def test_empty_relations_accepted():
@@ -161,6 +176,42 @@ def test_max_subset_below_one_rejected_with_position():
         parse_problem(text)
     assert "max_subset must be at least 1" in str(info.value)
     assert (info.value.line, info.value.col) == (5, 11)
+
+
+_R = "ring { field Q; vars x; }\n"
+_A = "algebra { vars Y1; }\n"
+_M = "morphism { precision 3; Y1 = x; }\n"
+PARSE_ERRORS = [
+    ("", "missing ring section (line 1, col 1)"),
+    (_R, "missing algebra section (line 1, col 1)"),
+    (_R + _A, "missing morphism section (line 1, col 1)"),
+    ("3 ring", "expected section name, got '3' (line 1, col 1)"),
+    ("ring vars", "expected {, got 'vars' (line 1, col 6)"),
+    ("ring { 3 }", "expected statement keyword, got '3' (line 1, col 8)"),
+    (_R.replace("Q", "7"), "expected field name, got '7' (line 1, col 14)"),
+    (_R + _A + _M.replace("3", "x"), "expected int, got 'x' (line 3, col 22)"),
+    (_R + _A + _M.replace("Y1 = x;", "verify 3"),
+     "expected variable, got '3' (line 3, col 32)"),
+    (_R + _A + _M.replace("Y1 = x;", "Y1 x;"),
+     "expected =, got 'x' (line 3, col 28)"),
+    (_R + _A + _M.replace("Y1 = x;", "Y1 = x^;"),
+     "expected integer exponent (line 3, col 32)"),
+    (_R + _A + _M.replace("Y1 = x;", "Y1 = x^Y1;"),
+     "expected integer exponent, got 'Y1' (line 3, col 32)"),
+    (_R + _A + _M.replace("Y1 = x;", "Y1 = 1/x;"),
+     "expected denominator (line 3, col 32)"),
+    (_R + _A + _M.replace("Y1 = x;", "Y1 = (x;"),
+     "expected ')' (line 3, col 32)"),
+]
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS)
+def test_parse_error_texts(text, message):
+    """The texts of the token cursor's and the parsers' errors, with the
+    position of the token they name."""
+    with pytest.raises(PolyParseError) as info:
+        parse_problem(text)
+    assert str(info.value) == message
 
 
 def test_undeclared_variable_rejected():
