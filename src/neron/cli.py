@@ -10,21 +10,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
 from .desing import (AlgebraPresentation, desingularize, elkik_ideal,
                      validate_morphism)
 from .errors import NeronError, PreconditionFailed
 from .lifting import LiftingProblem, newton_lift
-from .orders import mixed_order
-from .poly import format_poly
 from .problemfile import parse_problem
 
 
 def emit_trace(trace, fmt="text"):
-    """Render a trace; the machine format is line-delimited JSON."""
+    """Render a trace: each record's text line, or one JSON object per
+    record with its label, line, note and rendered values."""
     if fmt == "machine":
-        lines = (json.dumps(asdict(rec), sort_keys=True) for rec in trace)
+        lines = (json.dumps({"label": rec.label, "line": rec.line,
+                             "note": rec.note, "values": rec.rendered()},
+                            sort_keys=True) for rec in trace)
     else:
         lines = (rec.text() for rec in trace)
     return "".join(line + "\n" for line in lines).encode()
@@ -44,14 +44,11 @@ def _cmd_desing(pf, fmt):
     problem = pf.build()
     result = desingularize(problem)
     out = emit_trace(result.trace, fmt).decode()
-    order = mixed_order(result.presentation.table)
     if fmt == "machine":
         payload = {
-            "relations": [format_poly(p, order)
-                          for p in result.presentation.relations],
-            "simplified": [format_poly(p, order) for p in result.simplified],
-            "inverted": [format_poly(p, order)
-                         for p in result.presentation.inverted],
+            "relations": list(map(str, result.presentation.relations)),
+            "simplified": list(map(str, result.simplified)),
+            "inverted": list(map(str, result.presentation.inverted)),
         }
         if result.jet_map is not None:
             payload["jet_checks"] = [list(c) for c in result.jet_map.checks]
@@ -59,10 +56,10 @@ def _cmd_desing(pf, fmt):
     else:
         out += "output relations:\n"
         for p in result.simplified:
-            out += "  " + format_poly(p, order) + "\n"
-        # "(s) * (s') * (s'')" as trace record 19 already printed it
-        localized = next(rec.values["multiplier"] for rec in result.trace
-                         if rec.line == 19)
+            out += f"  {p}\n"
+        # "(s) * (s') * (s'')" as trace record 19 prints it
+        localized = next(rec.rendered()["multiplier"]
+                         for rec in result.trace if rec.line == 19)
         out += "localized at: " + localized + "\n"
         if result.jet_map is not None:
             out += (f"jet factorization verified at precision "
@@ -74,20 +71,19 @@ def _cmd_hba(pf, fmt):
     problem = pf.build()
     B = AlgebraPresentation(problem.ring, tuple(problem.relations))
     data = elkik_ideal(B, problem.max_subset)
-    order = mixed_order(problem.ring.table)
     if fmt == "machine":
         payload = {
-            "generators": [format_poly(p, order) for p in data.gens],
-            "h_cap_a": [format_poly(p, order) for p in data.h_cap_a],
+            "generators": list(map(str, data.gens)),
+            "h_cap_a": list(map(str, data.h_cap_a)),
             "subsets": [list(c.subset) for c in data.contributions],
         }
         return 0, json.dumps(payload, sort_keys=True) + "\n", ""
     out = "smoothness ideal generators:\n"
     for p in data.gens:
-        out += "  " + format_poly(p, order) + "\n"
+        out += f"  {p}\n"
     out += "contraction to the base:\n"
     for p in data.h_cap_a:
-        out += "  " + format_poly(p, order) + "\n"
+        out += f"  {p}\n"
     return 0, out, ""
 
 
@@ -108,20 +104,18 @@ def _cmd_lift(pf, fmt, rho, target, f_indices):
     lp = LiftingProblem(ring, tuple(problem.relations), idx, approx,
                         rho, target)
     report = newton_lift(lp)
-    order = mixed_order(ring.table)
     if fmt == "machine":
         payload = {
             "e": report.e, "rho": report.rho, "nu": report.nu,
             "agreement": report.agreement,
             "update_orders": report.update_orders,
-            "lifted": {nm: format_poly(j.poly, order)
-                       for nm, j in report.lifted.items()},
+            "lifted": {nm: str(j.poly) for nm, j in report.lifted.items()},
         }
         return 0, json.dumps(payload, sort_keys=True) + "\n", ""
     out = (f"e = {report.e}, rho = {report.rho}, nu(c) = {report.nu}, "
            f"agreement = {report.agreement}\n")
     for nm, j in report.lifted.items():
-        out += f"  {nm} = {format_poly(j.poly, order)} (precision {j.precision})\n"
+        out += f"  {nm} = {j.poly} (precision {j.precision})\n"
     return 0, out, ""
 
 
@@ -146,7 +140,7 @@ def run_command(cmd, path, fmt="text", rho=None, target=None, f_indices=None,
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return 4, "", f"cannot read problem file: {exc}\n"
     try:
         pf = parse_problem(text)

@@ -31,9 +31,8 @@ from .localring import (Jet, LocalRingSpec, active_element, avoids_primes,
                         check_precision_bound, compute_e, jet_divide,
                         jet_invert, monomials_of_degree,
                         small_vectors_by_norm)
-from .orders import (ALGEBRA, BASE, INVERTER, SLACK, TANGENT, global_order,
-                     mixed_order)
-from .poly import (Polynomial, PolySum, exact_div, format_poly, jacobian,
+from .orders import ALGEBRA, BASE, INVERTER, SLACK, TANGENT, global_order
+from .poly import (Polynomial, PolySum, exact_div, jacobian,
                    taylor_coefficients)
 
 
@@ -119,9 +118,9 @@ class SmoothingCertificate:
     point: "ShiftedPoint" = None   # the expansion build_hg made, reused
 
 
-# trace line -> (label, text template over the record's values).  A template
-# of None lists every value as `key = value`.  A record whose `triggered` or
-# `ok` value is False prints its note instead.
+# trace line -> (label, text template over the record's rendered values).
+# A template of None lists every value as `key = value`.  A record whose
+# `triggered` value is False prints its note instead.
 _TRACE_LINES = {
     1: ("minimal_primes", None),
     2: ("coefficient_base", "D = {D}"),
@@ -146,18 +145,35 @@ _TRACE_LINES = {
 }
 
 
+def _render(value):
+    """A trace value's text: a list prints as an ideal ``(a, b)``, a pair
+    ``(sep, items)`` as its items joined by ``sep``, the rest with str."""
+    if isinstance(value, list):
+        return "(" + ", ".join(map(str, value)) + ")"
+    if isinstance(value, tuple):
+        sep, items = value
+        return sep.join(map(_render, items))
+    return str(value)
+
+
 @dataclass
 class TraceRecord:
+    """One pipeline step's values as computed, rendered only to print."""
+
     line: int
     label: str
     values: dict
     note: str = ""
 
+    def rendered(self):
+        """The values as text, keyed as in ``values``."""
+        return {k: _render(v) for k, v in self.values.items()}
+
     def text(self):
         """The record's line of the text trace."""
-        v = self.values
         template = _TRACE_LINES[self.line][1]
-        if v.get("triggered", v.get("ok")) == "False":
+        v = self.rendered()
+        if self.values.get("triggered") is False:
             body = self.note
         elif template is None:
             body = ", ".join(f"{k} = {val}" for k, val in v.items()
@@ -181,8 +197,8 @@ class DesingResult:
     presentation: AlgebraPresentation
     certificate: SmoothingCertificate
     simplified: tuple
-    trace: list
     morphism: MorphismApprox
+    trace: list = field(default_factory=list)   # desingularize records it
     algebra: AlgebraPresentation = None
     jet_map: FactorReport = None
 
@@ -971,8 +987,8 @@ def localize_smooth(cert, BT, vT):
             for q in still:
                 if not saturated.contains(q):
                     raise CertificateFailed(
-                        "relation not contained in (h, g) after saturation: "
-                        + format_poly(q, mixed_order(table)))
+                        "relation not contained in (h, g) after "
+                        f"saturation: {q}")
 
     # standard-smooth unit minor: rows (h, g), columns (Y, pivot T).  The
     # Jacobian is block triangular (dh/dY = s*Id, dg/dY = 0), so the minor
@@ -999,7 +1015,7 @@ def localize_smooth(cert, BT, vT):
         + tuple(p.lift(tableW) for p in cert.h) + w_rels
     presentation = AlgebraPresentation(ringW, relations, inverted)
     simplified = simplify_presentation(presentation)
-    return DesingResult(presentation, cert, simplified, [], vT, algebra=BT)
+    return DesingResult(presentation, cert, simplified, vT, algebra=BT)
 
 
 def simplify_presentation(pres):
@@ -1129,26 +1145,20 @@ def desingularize(problem):
     """Run the nineteen-stage pipeline and return the certified result."""
     trace = []
 
-    def record(line, values, note=""):
-        trace.append(TraceRecord(line, _TRACE_LINES[line][0],
-                                 {k: str(val) for k, val in values.items()},
-                                 note))
-
-    fmt = lambda p: format_poly(p, mixed_order(p.table))
+    def record(line, note="", **values):
+        trace.append(TraceRecord(line, _TRACE_LINES[line][0], values, note))
 
     ring = problem.ring.with_minimal_primes()
-    record(1, {f"P_{i + 1}": "(" + ", ".join(fmt(g) for g in p) + ")"
-               for i, p in enumerate(ring.primes)})
+    record(1, **{f"P_{i + 1}": list(p) for i, p in enumerate(ring.primes)})
 
-    record(2, {"D": "A"}, note="trivial coefficient extension")
+    record(2, "trivial coefficient extension", D="A")
 
     B = AlgebraPresentation(ring, tuple(problem.relations))
     v = problem.morphism.lift(ring)
     validate_morphism(B.relations, v, ring)
 
     elkik = elkik_ideal(B, problem.max_subset)
-    record(3, {"H_gens": len(elkik.gens),
-               "H_cap_A": "(" + ", ".join(fmt(g) for g in elkik.h_cap_a) + ")"})
+    record(3, H_gens=len(elkik.gens), H_cap_A=list(elkik.h_cap_a))
 
     dim_h = krull_dim(Ideal(ring.table,
                             list(elkik.h_cap_a) + list(ring.j_gens)))
@@ -1156,57 +1166,50 @@ def desingularize(problem):
         B, v = sym_algebra_reduction(B, v)
         ring = B.ring
         elkik = elkik_ideal(B, problem.max_subset)
-        record(4, {"triggered": True, "new_vars": len(B.algebra_names())},
-               note="conormal symmetric algebra with slack variables")
+        record(4, "conormal symmetric algebra with slack variables",
+               triggered=True, new_vars=len(B.algebra_names()))
     else:
-        record(4, {"triggered": False}, note="is not true")
+        record(4, "is not true", triggered=False)
 
     contrib, R0 = find_f_R(B, elkik, v)
     f_polys = tuple(B.relations[i] for i in contrib.subset)
-    record(5, {"f": ", ".join(fmt(p) for p in f_polys)})
+    record(5, f=(", ", f_polys))
 
     H0 = complete_H(B, list(f_polys), v)
-    record(6, {"H": str(H0), "det": fmt(det(H0))})
-    record(7, {"R": fmt(R0)})
+    record(6, H=H0, det=det(H0))
+    record(7, R=R0)
 
     red = mm_primary_reduction(B, list(f_polys), H0, R0, v)
-    record(8, {"P": fmt(red.P),
-               "P_cap_A": "(" + ", ".join(fmt(g) for g in red.p_cap_a) + ")"})
+    record(8, P=red.P, P_cap_A=list(red.p_cap_a))
     if red.adjoined:
-        record(9, {"triggered": True, "f_new": fmt(red.f[-1])},
-               note="experimental: " + red.note)
+        record(9, "experimental: " + red.note, triggered=True,
+               f_new=red.f[-1])
     else:
-        record(9, {"triggered": False}, note="is not true")
-    record(10, {"d": fmt(red.d)},
-           note="P := d" if not red.adjoined else "d := d'^2")
+        record(9, "is not true", triggered=False)
+    record(10, "P := d" if not red.adjoined else "d := d'^2", d=red.d)
     B, v = red.B, red.v
     ring = B.ring
 
     e = compute_e(red.d, ring)
-    record(11, {"e": e})
+    record(11, e=e)
 
     if not check_precision_bound(v.precision, red.d, e, ring):
-        record(12, {"ok": False}, note=BoundTooSmall.MESSAGE)
         raise BoundTooSmall()
-    record(12, {"ok": True}, note="is not true")
+    record(12, "is not true", ok=True)
 
     cert, BT, vT = build_hg(B, red, e)
     verify_certificate(cert, BT, vT, taylor_nf=False)
     certify_subsystem_membership(cert, BT)
-    record(13, {"b": ", ".join(fmt(bi) for bi in cert.b)})
-    record(14, {"Gprime": str(cert.Gprime)})
-    s_text = fmt(cert.s)
-    record(15, {"s": s_text, "h": "; ".join(fmt(hi) for hi in cert.h)})
-    record(16, {"p": cert.p, "g": "; ".join(fmt(gi) for gi in cert.g)})
+    record(13, b=(", ", cert.b))
+    record(14, Gprime=cert.Gprime)
+    record(15, s=cert.s, h=("; ", cert.h))
+    record(16, p=cert.p, g=("; ", cert.g))
 
     result = localize_smooth(cert, BT, vT)
-    s_prime_text = fmt(cert.s_prime)
-    record(17, {"s_prime": s_prime_text})
-    s_second_text = fmt(cert.s_second_num)
-    record(18, {"s_second": s_second_text, "s_power": cert.s_second_pow})
-    record(19, {"relations": "; ".join(fmt(p) for p in result.simplified),
-                "multiplier": " * ".join(
-                    f"({u})" for u in (s_text, s_prime_text, s_second_text))})
+    record(17, s_prime=cert.s_prime)
+    record(18, s_second=cert.s_second_num, s_power=cert.s_second_pow)
+    record(19, relations=("; ", result.simplified), multiplier=(
+        " * ", [[cert.s], [cert.s_prime], [cert.s_second_num]]))
     result.trace = trace
 
     if vT.verify:

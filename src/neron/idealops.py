@@ -132,21 +132,13 @@ def radical_membership(p, gens, table):
 
 def syzygies(gens, table):
     """Generating vectors of the first syzygy module of ``gens``, each
-    once, the unit vectors of the zero generators first."""
-    zero = Polynomial.zero(table)
-    one = Polynomial.const(table, 1)
-    out = []
-    for j, g in enumerate(gens):
-        if g.is_zero():
-            out.append(tuple(one if i == j else zero
-                             for i in range(len(gens))))
+    once, the unit vectors of the zero generators first.  ``std_basis``
+    gives each zero generator its unit row and never divides by it, so
+    only those vectors have an entry at a zero generator."""
     _, _, syz = std_basis(gens, table, mixed_order(table), track="syz")
-    seen = set(out)
-    for vec in syz:
-        if vec not in seen:
-            seen.add(vec)
-            out.append(vec)
-    return tuple(out)
+    zeros = [j for j, g in enumerate(gens) if g.is_zero()]
+    return tuple(sorted(dict.fromkeys(syz), key=lambda v: all(
+        v[j].is_zero() for j in zeros)))
 
 
 def krull_dim(ideal):

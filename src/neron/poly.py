@@ -17,11 +17,13 @@ other module reads monomials (``monomials()``) and single coefficients
 (``coefficient``); ``terms``, the value map from exponent tuples to
 coefficients (an ``int`` when the coefficient is integral and a
 ``Fraction`` otherwise), is built afresh on each read and is meant for
-callers outside the library.  Nothing is
-mutated after creation, so polynomials are immutable and safe to share
-across threads.  No floating point appears anywhere: a coefficient that
-is not an ``int`` or a ``Fraction`` is refused, and every identity the
-rest of the library relies on is exact.
+callers outside the library.  Every print of a polynomial in the library
+is ``str(p)``, its canonical text (``format_poly`` in the table's mixed
+order).  The view is never mutated; the hash and the text are derived
+from it on first use and kept, so polynomials are immutable and safe to
+share across threads.  No floating point appears anywhere: a coefficient
+that is not an ``int`` or a ``Fraction`` is refused, and every identity
+the rest of the library relies on is exact.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def _from_ints(table, ints, num=1, den=1):
     p = _new(Polynomial)
     p.table = table
     p._iv = (num, den, ints) if ints else (1, 1, ints)
-    p._hash = None
+    p._hash = p._text = None
     return p
 
 
@@ -196,8 +198,9 @@ class Polynomial:
     dropped.
     """
 
-    # the table, the integer view (num, den, ints) and the hash cache
-    __slots__ = ("table", "_iv", "_hash")
+    # the table, the integer view (num, den, ints), and the hash and the
+    # canonical text, each computed on first use
+    __slots__ = ("table", "_iv", "_hash", "_text")
 
     def __init__(self, table, terms):
         mons, nums, dens = [], [], []
@@ -214,7 +217,7 @@ class Polynomial:
         self.table = table
         self._iv = (g or 1, den, {m: n // g * (den // d)
                                   for m, n, d in zip(mons, nums, dens)})
-        self._hash = None
+        self._hash = self._text = None
 
     @property
     def terms(self):
@@ -597,7 +600,11 @@ class Polynomial:
         return _from_ints(self.table, ints)
 
     def __repr__(self):
-        return format_poly(self, mixed_order(self.table))
+        """The canonical text, ``format_poly`` in the table's mixed order;
+        computed once and kept, like the hash."""
+        if self._text is None:
+            self._text = format_poly(self, mixed_order(self.table))
+        return self._text
 
 
 class PolySum:
@@ -723,9 +730,9 @@ def _tokenize(text, symbols=_SYMBOLS):
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("int", text[i:j], line, col))
             col += j - i
@@ -847,7 +854,11 @@ def parse_poly(table, text):
     also be a ``_tokenize`` token list; errors carry its positions."""
     parser = _PolyParser(
         table, _tokenize(text) if isinstance(text, str) else text)
-    p = parser.parse_expr()
+    try:
+        p = parser.parse_expr()
+    except RecursionError:
+        raise PolyParseError("expression nested too deeply",
+                             *parser.peek()[2:]) from None
     kind, val, line, col = parser.peek()
     if kind != "end":
         raise PolyParseError(f"trailing input {val!r}", line, col)

@@ -1,13 +1,19 @@
 """Command line driver: commands, formats, exit codes."""
 
 import json
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import neron.poly
+from conftest import random_certificate_instance
 from neron import errors
 from neron.cli import emit_trace, main, parse_trace, run_command
+from neron.desing import desingularize
 
 GOLDEN = "problems/example4.gnd"
 TOO_SMALL = "problems/example4_N4.gnd"
@@ -57,10 +63,13 @@ NO_SUBSYSTEM = """
 
 
 def _run_text(text, cmd="desing"):
+    """Run ``cmd`` on a temporary problem file holding ``text``, a str or
+    raw bytes."""
     import os
     import tempfile
-    with tempfile.NamedTemporaryFile("w", suffix=".gnd", delete=False) as fh:
-        fh.write(text)
+    data = text if isinstance(text, bytes) else text.encode()
+    with tempfile.NamedTemporaryFile("wb", suffix=".gnd", delete=False) as fh:
+        fh.write(data)
         path = fh.name
     try:
         return run_command(cmd, path)
@@ -317,3 +326,86 @@ def test_exit_code_of_every_error(cls, monkeypatch):
     assert (code, out) == (expected, "")
     if code in (3, 5):
         assert err.startswith(f"{name}: boom")
+
+
+def _with_relation(relation):
+    """A problem file whose algebra relation is ``relation`` (line 2)."""
+    return ("ring { field Q; vars x1 x2; relations x1*x2; }\n"
+            f"algebra {{ vars Y1; relations {relation}; }}\n"
+            "morphism { precision 4; Y1 = x1; }\n")
+
+
+NOT_UTF8 = b"ring { field Q; vars x\xff1; }\n"
+DEEP_PARENS = _with_relation("(" * 400 + "Y1" + ")" * 400)
+DEEP_MINUS = _with_relation("-" * 1200 + "Y1")
+# a digit that int() cannot read
+SUPERSCRIPT = _with_relation("Y1 - \u00b2")
+
+
+def test_a_file_that_is_not_utf8_is_unreadable():
+    code, out, err = _run_text(NOT_UTF8, "check")
+    assert (code, out) == (4, "")
+    assert err == ("cannot read problem file: 'utf-8' codec can't decode "
+                   "byte 0xff in position 22: invalid start byte\n")
+
+
+@pytest.mark.parametrize("text, opener", [(DEEP_PARENS, "("),
+                                          (DEEP_MINUS, "-")],
+                         ids=["parentheses", "unary-minus"])
+def test_deep_nesting_is_a_parse_error_at_its_token(text, opener):
+    """The error names the token where parsing stopped, which lies inside
+    the run of openers; the recursion limit decides which one."""
+    code, out, err = _run_text(text, "check")
+    assert (code, out) == (4, "")
+    match = re.fullmatch(r"parse error: expression nested too deeply "
+                         r"\(line 2, col (\d+)\)\n", err)
+    assert match, err
+    assert text.splitlines()[1][int(match[1]) - 1] == opener
+
+
+# the problem-file syntax, a token at a time
+_SOUP = ("ring", "algebra", "morphism", "options", "minprimes", "field",
+         "vars", "relations", "precision", "verify", "max_subset", "Q", "x1",
+         "x2", "Y1", "0", "1", "2", "7", "{", "}", ";", "=", "|", ",", "+",
+         "-", "*", "^", "(", ")", "/", "#", "\n")
+
+
+@settings(max_examples=200, deadline=2000)
+@example(NOT_UTF8)
+@example(DEEP_PARENS.encode())
+@example(DEEP_MINUS.encode())
+@example(SUPERSCRIPT.encode())
+@given(st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.sampled_from(_SOUP), max_size=60).map(
+        lambda tokens: " ".join(tokens).encode())))
+def test_check_never_raises_on_a_malformed_file(data):
+    """Arbitrary bytes and token soup end in a documented exit code, with
+    nothing on stdout unless the check passed."""
+    code, out, err = _run_text(data, "check")
+    assert code in (0, 2, 3, 4, 5)
+    assert code == 0 or out == ""
+
+
+def test_printing_happens_at_the_edge(monkeypatch):
+    """``desingularize`` prints nothing, and a ``desing`` command renders
+    each polynomial it prints once, however often the text is read.  The
+    spy replaces ``format_poly`` in every module that binds it."""
+    printed = []
+    format_poly = neron.poly.format_poly
+
+    def spy(p, order):
+        printed.append(p)       # kept alive, so each id names one object
+        return format_poly(p, order)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "neron"
+                and getattr(module, "format_poly", None) is format_poly):
+            monkeypatch.setattr(module, "format_poly", spy)
+    desingularize(random_certificate_instance(17))
+    assert printed == []
+    for fmt in ("text", "machine"):
+        code, out, err = run_command("desing", HYPER, fmt)
+        assert code == 0, err
+        assert printed and len({id(p) for p in printed}) == len(printed)
+        printed.clear()
