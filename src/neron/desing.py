@@ -583,8 +583,8 @@ def build_hg(B, red, e):
     n = len(B.algebra_names())
     t_pairs = [(nm, TANGENT) for nm in _tangent_names(ring.table, n)]
     table = ring.table.extend(*t_pairs)
-    ringT = ring.with_table(table)
     BT = B.lift(table)
+    ringT = BT.ring
     vT = v.lift(ringT)
     t_names = [nm for nm, _ in t_pairs]
     f_polys = [p.lift(table) for p in red.f]
@@ -786,57 +786,80 @@ class ShiftedPoint:
         c_alpha * s^(p-|alpha|) * d^(e|alpha| - d_shift) * W^alpha."""
         return self._sum(self._coefficients(q), p, d_shift, k_min)
 
-    def rewrite(self, q, p_q, h):
-        """expand(q, p_q, 0, 0), checked to equal s^p_q * q modulo (h).
+    def h_combination(self, q, p):
+        """The witness c with s^p*q - expand(q, p, 0, 0) = sum_j c_j*h_j.
 
-        s^p_q * q is the sum of c_alpha * s^(p_q-|alpha|) * a^alpha and the
-        expansion the same sum over b^alpha; a^alpha - b^alpha telescopes
-        into an explicit combination of the h_j, so the check is an exact
-        polynomial identity, with no basis computation.
+        With h_j = a_j - b_j, s^p*q is the sum over alpha of
+        c_alpha * s^(p-|alpha|) * a^alpha, and the expansion is the same
+        sum over b^alpha.  Each a^alpha - b^alpha telescopes coordinate by
+        coordinate, by a_j^k - b_j^k = h_j * sum_t a_j^t * b_j^(k-1-t).
         """
         table = self.table
         a_pow, b_pow = self.a_pow, self.b_pow
-        coeffs = self._coefficients(q)
-        expansion = self._sum(coeffs, p_q, 0, 0)
-        h_comb = [PolySum(table) for _ in self.y_names]
-        for alpha, c_alpha in coeffs.items():
-            prefix = c_alpha * self.spow[p_q - sum(alpha)]
-            for j, aj in enumerate(alpha):
-                if not aj:
-                    continue
+        comb = [PolySum(table) for _ in self.y_names]
+        for alpha, c_alpha in self._coefficients(q).items():
+            support = [j for j, aj in enumerate(alpha) if aj]
+            if not support:
+                continue          # a^0 - b^0 = 0
+            prefix = c_alpha * self.spow[p - sum(alpha)]
+            for k, j in enumerate(support):
+                aj = alpha[j]
                 geom = PolySum(table)
                 for t in range(aj):
                     geom.add(a_pow[j][t] * b_pow[j][aj - 1 - t])
-                suffix = Polynomial.const(table, 1)
-                for j2 in range(j + 1, len(alpha)):
-                    if alpha[j2]:
-                        suffix = suffix * b_pow[j2][alpha[j2]]
-                h_comb[j].add(prefix * geom.value() * suffix)
-                prefix = prefix * a_pow[j][aj]
-        residual = PolySum(table).add(self.spow[p_q] * q).add(expansion, -1)
-        for comb, h_j in zip(h_comb, h):
-            comb = comb.value()
-            if not comb.is_zero():
-                residual.add(comb * h_j, -1)
-        if not residual.value().is_zero():
+                term = prefix * geom.value()
+                for j2 in support[k + 1:]:
+                    term = term * b_pow[j2][alpha[j2]]
+                comb[j].add(term)
+                if j != support[-1]:
+                    prefix = prefix * a_pow[j][aj]
+        return [c.value() for c in comb]
+
+    def rewrite(self, q, p_q, h):
+        """expand(q, p_q, 0, 0), checked to equal s^p_q * q modulo (h) by
+        the exact identity with its witness ``h_combination``."""
+        expansion = self.expand(q, p_q, 0, 0)
+        if self.spow[p_q] * q - expansion != sum(
+                c * h_j for c, h_j in zip(self.h_combination(q, p_q), h)):
             raise CertificateFailed("telescoped Taylor expansion mismatch")
         return expansion
 
 
-def certify_subsystem_membership(cert, BT):
-    """Exact witness that s^p * f_i - d^(e+1) * g_i lies in (h) + (J).
-
-    The h-combination is reconstructed by telescoping the Taylor expansion
-    of f_i, so the check is a pure polynomial identity followed by a
-    membership in the relation ideal J (a term-deletion test for monomial
-    J, a normal form otherwise).  The expansion is the one build_hg made.
+def certify_subsystem_membership(cert, BT, vT):
+    """Exact, by + and * on the certificate's fields, with W = G(y')T and
+    L_i = s^p*f_i(y') + s^(p-1)*d^e*sum_j df_i/dY_j(y')*W_j + d^(2e)*Q_i:
+    h_j = s*(Y_j - y'_j) - d^e*W_j; the Taylor identity s^p*f_i - L_i =
+    sum_j c_ij*h_j, c_i the telescoped witness (``h_combination``);
+    g_i = s^p*(b_i + T_piv(i)) + d^(e-1)*Q_i; L_i - d^(e+1)*g_i in J.
     """
     ring = BT.ring
-    point = cert.point
+    table = ring.table
+    s, d, e, p = cert.s, cert.d, cert.e, cert.p
+    jets = {nm: j.poly for nm, j in vT.jets.items()}
+    y_names = BT.algebra_names()
+    t_vars = [Polynomial.var(table, nm) for nm in table.block_names(TANGENT)]
+    # one substitution per row; reducing modulo J keeps the T_k apart
+    W = [ring.monomial_reduce(sum(g * t for g, t in zip(row, t_vars))
+                              .substitute(jets)) for row in cert.G.rows]
+    d_e, s_p, s_p1 = d ** e, s ** p, s ** (p - 1)
+    for nm, h_j, W_j in zip(y_names, cert.h, W):
+        if h_j != s * (Polynomial.var(table, nm) - jets[nm]) - d_e * W_j:
+            raise CertificateFailed("h is not s*(Y - y') - d^e*G(y')T")
     for i, fpoly in enumerate(cert.f):
-        expansion = point.rewrite(fpoly, cert.p, cert.h)
-        slack = expansion - point.dpow[cert.e + 1] * cert.g[i]
-        if not _in_j(slack, ring):
+        lin = sum(fpoly.derivative(nm).substitute(jets) * W_j
+                  for nm, W_j in zip(y_names, W))
+        L_i = (s_p * fpoly.substitute(jets) + s_p1 * d_e * lin
+               + d_e * d_e * cert.Q[i])
+        # The witness c_i comes from the point that build_hg cached, not
+        # from the certificate; the identity is checked exactly against
+        # the certificate's own fields, so a wrong c_i can only fail it.
+        comb = cert.point.h_combination(fpoly, p)
+        if s_p * fpoly - L_i != sum(c * h_j for c, h_j in zip(comb, cert.h)):
+            raise CertificateFailed("Taylor identity fails modulo (h)")
+        if cert.g[i] != (s_p * (cert.b[i] + t_vars[cert.pivots[i]])
+                         + d ** (e - 1) * cert.Q[i]):
+            raise CertificateFailed("g is not s^p*(b + T_piv) + d^(e-1)*Q")
+        if not _in_j(L_i - d_e * d * cert.g[i], ring):
             raise CertificateFailed(
                 "subsystem relation is not expressible through (h, g) and J")
     return True
@@ -857,64 +880,34 @@ def _in_j(p, ring):
     return normal_form_against(reduced, basis, ring.table, order).is_zero()
 
 
-def verify_certificate(cert, BT, vT, taylor_nf=True):
-    """Check the displayed identities of the construction exactly."""
+def verify_certificate(cert, BT, vT):
+    """Check the certificate's identities exactly, or raise
+    CertificateFailed: G*H = H*G = P*Id, the pivot rows of (df/dY)*G,
+    d = P modulo the relations (``Ideal.contains``), Q in (T)^2, and
+    ``certify_subsystem_membership``."""
     ring = BT.ring
     table = ring.table
     n = len(BT.algebra_names())
-    # G*H = H*G = P * identity
-    GH = cert.G.matmul(cert.H)
-    HG = cert.H.matmul(cert.G)
-    for i in range(n):
-        for j in range(n):
-            want = cert.P if i == j else Polynomial.zero(table)
-            if GH[i, j] != want or HG[i, j] != want:
-                raise CertificateFailed("G*H = P*Id fails")
+    zero = Polynomial.zero(table)
+    P_id = PolyMatrix(table, [[cert.P if i == j else zero for j in range(n)]
+                              for i in range(n)])
+    if cert.G.matmul(cert.H) != P_id or cert.H.matmul(cert.G) != P_id:
+        raise CertificateFailed("G*H = P*Id fails")
     # selected rows of (df/dY)*G = P * pivot pattern; no rows when r = 0
-    y_names = list(BT.algebra_names())
     if cert.r:
-        jac = PolyMatrix(table, jacobian(list(cert.f), y_names))
-        JG = jac.matmul(cert.G)
-        for i in range(cert.r):
-            for j in range(n):
-                want = (cert.P if j == cert.pivots[i]
-                        else Polynomial.zero(table))
-                if JG[i, j] != want:
-                    raise CertificateFailed("(df/dY)*G != P * pivot selection")
+        jac = PolyMatrix(table, jacobian(list(cert.f), BT.algebra_names()))
+        if jac.matmul(cert.G) != PolyMatrix(
+                table, [P_id.rows[k] for k in cert.pivots]):
+            raise CertificateFailed("(df/dY)*G != P * pivot selection")
     # d congruent to P modulo the relations
-    rel_ideal = Ideal(table, list(BT.relations) + list(ring.j_gens))
-    if not rel_ideal.contains(cert.d - cert.P):
+    if not Ideal(table, list(BT.relations) + list(ring.j_gens)).contains(
+            cert.d - cert.P):
         raise CertificateFailed("d is not congruent to P modulo the relations")
-    # Q in (T)^2
     t_pos = table.block(TANGENT)
-    for Q_i in cert.Q:
-        for m in Q_i.monomials():
-            if sum(m[k] for k in t_pos) < 2:
-                raise CertificateFailed("Q has a term of tangent degree < 2")
-    if not taylor_nf:
-        return True
-    # Taylor identity modulo (h)
-    h_ideal = Ideal(table, list(cert.h) + list(ring.j_gens))
-    t_vars = [Polynomial.var(table, nm)
-              for nm in table.block_names(TANGENT)]
-    Gy_rows = [[ring.monomial_reduce(eval_exact(entry, vT)) for entry in row]
-               for row in cert.G.rows]
-    d_e = cert.d ** cert.e
-    for i, fpoly in enumerate(cert.f):
-        sp = cert.s ** cert.p
-        lhs = sp * fpoly - sp * eval_exact(fpoly, vT)
-        lin = Polynomial.zero(table)
-        for j, nm in enumerate(y_names):
-            dfj = eval_exact(fpoly.derivative(nm), vT)
-            Wj = Polynomial.zero(table)
-            for k, tv in enumerate(t_vars):
-                Wj = Wj + Gy_rows[j][k] * tv
-            lin = lin + dfj * Wj
-        lhs = lhs - (cert.s ** (cert.p - 1)) * d_e * lin \
-            - (cert.d ** (2 * cert.e)) * cert.Q[i]
-        if not h_ideal.contains(lhs):
-            raise CertificateFailed("Taylor identity fails modulo (h)")
-    return True
+    if any(sum(m[k] for k in t_pos) < 2
+           for Q_i in cert.Q for m in Q_i.monomials()):
+        raise CertificateFailed("Q has a term of tangent degree < 2")
+    return certify_subsystem_membership(cert, BT, vT)
 
 
 def congruent_to_one(u, d_ideal, tangent):
@@ -1198,8 +1191,7 @@ def desingularize(problem):
     record(12, "is not true", ok=True)
 
     cert, BT, vT = build_hg(B, red, e)
-    verify_certificate(cert, BT, vT, taylor_nf=False)
-    certify_subsystem_membership(cert, BT)
+    verify_certificate(cert, BT, vT)
     record(13, b=(", ", cert.b))
     record(14, Gprime=cert.Gprime)
     record(15, s=cert.s, h=("; ", cert.h))

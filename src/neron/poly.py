@@ -702,6 +702,27 @@ def taylor_coefficients(f, names, at):
 # parsing and printing
 
 _SYMBOLS = "+-*^(),/"
+# CPython refuses int <-> str conversions past 4 300 digits, process-wide;
+# longer numbers are converted in halves, each piece below this length.
+_DIGITS = 4000
+_DIGITS_BOUND = 10 ** _DIGITS
+
+
+def _int(digits):
+    """The int of a string of decimal digits, of any length."""
+    if len(digits) <= _DIGITS:
+        return int(digits)
+    k = len(digits) // 2
+    return _int(digits[:-k]) * 10 ** k + _int(digits[-k:])
+
+
+def _decimal(n):
+    """``str(n)`` for an int n >= 0 of any size."""
+    if n < _DIGITS_BOUND:
+        return str(n)
+    k = n.bit_length() * 30103 // 200000   # about half the digits
+    high, low = divmod(n, 10 ** k)
+    return _decimal(high) + _decimal(low).rjust(k, "0")
 
 
 def _tokenize(text, symbols=_SYMBOLS):
@@ -819,19 +840,19 @@ class _PolyParser(_Tokens):
             if kind != "int":
                 raise PolyParseError("expected integer exponent" + (
                     f", got {val!r}" if val else ""), line, col)
-            return base ** int(val)
+            return base ** _int(val)
         return base
 
     def parse_atom(self):
         kind, val, line, col = self.next()
         if kind == "int":
-            num = int(val)
+            num = _int(val)
             if self.peek()[0] == "/":
                 self.next()
                 kind2, val2, line2, col2 = self.next()
                 if kind2 != "int":
                     raise PolyParseError("expected denominator", line2, col2)
-                den = int(val2)
+                den = _int(val2)
                 if den == 0:
                     raise PolyParseError("zero denominator", line2, col2)
                 return Polynomial.const(self.table, exact_div(num, den))
@@ -885,14 +906,15 @@ def format_poly(p, order):
             if e == 1:
                 factors.append(names[i])
             elif e > 1:
-                factors.append(f"{names[i]}^{e}")
+                factors.append(f"{names[i]}^{_decimal(e)}")
         body = "*".join(factors)
         a = abs(v) * num
         if den == 1:
-            mag = str(a)
+            mag = _decimal(a)
         else:
             g = gcd(a, den)
-            mag = str(a // g) if g == den else f"{a // g}/{den // g}"
+            mag = _decimal(a // g) + ("" if g == den
+                                      else "/" + _decimal(den // g))
         if not body:
             chunk = mag
         elif mag == "1":

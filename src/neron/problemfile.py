@@ -23,7 +23,7 @@ from .desing import DesingProblem, MorphismApprox
 from .errors import PolyParseError
 from .localring import LocalRingSpec
 from .orders import ALGEBRA, BASE, VarTable
-from .poly import _tokenize, _Tokens, parse_poly
+from .poly import _int, _tokenize, _Tokens, parse_poly
 
 # structural symbols plus those of the polynomial syntax
 _SYMBOLS = "{};=|,+-*^()/"
@@ -144,10 +144,10 @@ def _section_body(stream, name):
             stream.expect(";")
         elif val in ("precision", "max_subset"):
             kind2, val2, line2, col2 = stream.expect("int")
-            if val == "max_subset" and int(val2) < 1:
+            if val == "max_subset" and _int(val2) < 1:
                 raise PolyParseError("max_subset must be at least 1",
                                      line, col)
-            body["scalars"][val] = int(val2)
+            body["scalars"][val] = _int(val2)
             stream.expect(";")
         else:
             # `Y1 = poly;` morphism assignment, or `verify Y1 = poly;`

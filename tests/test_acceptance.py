@@ -32,9 +32,9 @@ from neron import (ALGEBRA, BASE, TANGENT, Ideal, Polynomial, PolyMatrix,
                    parse_poly, radical_membership, same_ideal, saturate,
                    std_basis)
 from neron.cli import emit_trace
-from neron.desing import (AlgebraPresentation, certify_subsystem_membership,
-                          congruent_to_one, desingularize, elkik_ideal,
-                          factor_morphism, verify_certificate)
+from neron.desing import (AlgebraPresentation, congruent_to_one,
+                          desingularize, elkik_ideal, factor_morphism,
+                          verify_certificate)
 from neron.errors import (ConditionStarStarFailed, NeronError,
                           VerificationFailed)
 from neron.lifting import (LiftingProblem, newton_lift, nu_bound,
@@ -360,10 +360,10 @@ def test_criterion_4_certificate_property_suite(certified_seeds):
         cert = res.certificate
         BT = res.algebra
         ringT = BT.ring
-        # G*H = P*Id, pivot identity, d = P mod I, Q in (T)^2
-        verify_certificate(cert, BT, res.morphism, taylor_nf=False)
-        # Taylor identity in (h), with the combination exhibited exactly
-        certify_subsystem_membership(cert, BT)
+        # G*H = P*Id, pivot identity, d = P mod I, Q in (T)^2, the
+        # definitions of h and g, the Taylor identity by its telescoped
+        # combination of the h, and the subsystem relations modulo J
+        verify_certificate(cert, BT, res.morphism)
         # inverted factors congruent to 1 modulo (d, T)
         table = ringT.table
         order = mixed_order(table)
@@ -587,14 +587,44 @@ def test_rejected_seeds_fail_condition_star_star(seed):
     assert info.value.diagnostics
 
 
+def _taylor_lhs(cert, BT, vT, i):
+    """s^p*f_i - s^p*f_i(y') - s^(p-1)*d^e*sum_j df_i/dY_j(y')*W_j
+    - d^(2e)*Q_i, with W = G(y')T, built here with + and * alone."""
+    ring = BT.ring
+    table = ring.table
+    jets = {nm: j.poly for nm, j in vT.jets.items()}
+    t_vars = [Polynomial.var(table, nm) for nm in table.block_names(TANGENT)]
+    f = cert.f[i]
+    lin = Polynomial.zero(table)
+    for nm, row in zip(BT.algebra_names(), cert.G.rows):
+        W_j = Polynomial.zero(table)
+        for entry, t_k in zip(row, t_vars):
+            W_j = W_j + ring.monomial_reduce(entry.substitute(jets)) * t_k
+        lin = lin + f.derivative(nm).substitute(jets) * W_j
+    sp = cert.s ** cert.p
+    return (sp * f - sp * f.substitute(jets)
+            - cert.s ** (cert.p - 1) * cert.d ** cert.e * lin
+            - cert.d ** (2 * cert.e) * cert.Q[i])
+
+
 def test_criterion_4_taylor_nf_cross_check():
-    """Cross-validate the telescoped witness against the normal-form route
-    on a sample of the suite instances."""
-    for seed in CERTIFICATE_SEEDS[:6]:
-        prob = random_certificate_instance(seed)
-        res = desingularize(prob)
-        verify_certificate(res.certificate, res.algebra, res.morphism,
-                           taylor_nf=True)
+    """Cross-validate the telescoped witness against the normal-form route:
+    beside ``verify_certificate``, each Taylor identity's left side lies in
+    (h) + J by a standard basis of the h, on a sample of the suite
+    instances and on the two shipped problems whose d is not a unit."""
+    results = [desingularize(random_certificate_instance(seed))
+               for seed in CERTIFICATE_SEEDS[:6]]
+    for name in ("example1_hypersurface", "example4"):
+        path = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "problems", f"{name}.gnd")
+        with open(path, encoding="utf-8") as fh:
+            results.append(desingularize(parse_problem(fh.read()).build()))
+    for res in results:
+        cert, BT = res.certificate, res.algebra
+        assert verify_certificate(cert, BT, res.morphism)
+        h_ideal = Ideal(BT.table, list(cert.h) + list(BT.ring.j_gens))
+        for i in range(cert.r):
+            assert h_ideal.contains(_taylor_lhs(cert, BT, res.morphism, i))
 
 
 def test_criterion_5_jet_factorization():

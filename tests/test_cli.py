@@ -340,6 +340,8 @@ DEEP_PARENS = _with_relation("(" * 400 + "Y1" + ")" * 400)
 DEEP_MINUS = _with_relation("-" * 1200 + "Y1")
 # a digit that int() cannot read
 SUPERSCRIPT = _with_relation("Y1 - \u00b2")
+# 5 000 digits, past the 4 300 that int() reads by default
+LONG_LITERAL = _with_relation("Y1 - " + "7" * 5000)
 
 
 def test_a_file_that_is_not_utf8_is_unreadable():
@@ -363,6 +365,15 @@ def test_deep_nesting_is_a_parse_error_at_its_token(text, opener):
     assert text.splitlines()[1][int(match[1]) - 1] == opener
 
 
+@pytest.mark.parametrize("last, code", [("4", 0), ("5", 3)])
+def test_long_integer_literals_are_read_exactly(last, code):
+    """2 * 77...7 (5 000 sevens) is 155...54: the relation vanishes at
+    Y1 = x1 only when each digit is read."""
+    text = _with_relation("2*" + "7" * 5000 + "*Y1 - 1" + "5" * 4999 + last
+                          + "*x1")
+    assert _run_text(text, "check")[0] == code
+
+
 # the problem-file syntax, a token at a time
 _SOUP = ("ring", "algebra", "morphism", "options", "minprimes", "field",
          "vars", "relations", "precision", "verify", "max_subset", "Q", "x1",
@@ -375,6 +386,7 @@ _SOUP = ("ring", "algebra", "morphism", "options", "minprimes", "field",
 @example(DEEP_PARENS.encode())
 @example(DEEP_MINUS.encode())
 @example(SUPERSCRIPT.encode())
+@example(LONG_LITERAL.encode())
 @given(st.one_of(
     st.binary(max_size=200),
     st.lists(st.sampled_from(_SOUP), max_size=60).map(

@@ -5,9 +5,9 @@ import os
 
 import pytest
 
-from conftest import (hypersurface_problem, space_curve_data,
-                      two_branch_problem, two_branch_table)
-from neron import (ALGEBRA, BASE, Ideal, Polynomial, VarTable, det,
+from conftest import (hypersurface_problem, random_certificate_instance,
+                      space_curve_data, two_branch_problem, two_branch_table)
+from neron import (ALGEBRA, BASE, TANGENT, Ideal, Polynomial, VarTable, det,
                    jacobian, krull_dim, mixed_order, normal_form_against,
                    parse_poly, radical_membership, std_basis)
 from neron.desing import (AlgebraPresentation, MorphismApprox, ShiftedPoint,
@@ -15,8 +15,9 @@ from neron.desing import (AlgebraPresentation, MorphismApprox, ShiftedPoint,
                           elkik_ideal, eval_at_jets, factor_morphism,
                           find_f_R, mm_primary_reduction,
                           sym_algebra_reduction, verify_certificate)
-from neron.errors import (BoundTooSmall, ConditionStarStarFailed,
-                          PreconditionFailed, VerificationFailed)
+from neron.errors import (BoundTooSmall, CertificateFailed,
+                          ConditionStarStarFailed, PreconditionFailed,
+                          VerificationFailed)
 from neron.linalg import PolyMatrix
 from neron.localring import Jet, LocalRingSpec
 from neron.problemfile import parse_problem
@@ -319,8 +320,7 @@ def test_golden_full_verify_certificate(golden_result):
     BT = AlgebraPresentation(
         ringT,
         tuple(p.lift(ringT.table) for p in two_branch_problem().relations))
-    assert verify_certificate(res.certificate, BT, res.morphism,
-                              taylor_nf=True)
+    assert verify_certificate(res.certificate, BT, res.morphism)
 
 
 def test_in_j_decides_membership_in_the_polynomial_ring():
@@ -484,6 +484,59 @@ def test_algebra_without_relations_certifies():
     assert (cert.s, cert.s_prime, cert.s_second_num) == (one, one, one)
     assert verify_certificate(cert, res.algebra, res.morphism)
     assert res.simplified == ()
+
+
+# -- a corrupted certificate --------------------------------------------------
+
+@pytest.fixture(scope="module")
+def checked_results():
+    """A generator seed whose certificate has s, b and Q nonzero and not
+    constant (p = 2), and the shipped problem whose d is (x1 + x2)^2."""
+    with open(os.path.join(PROBLEMS, "example4.gnd"), encoding="utf-8") as fh:
+        example4 = desingularize(parse_problem(fh.read()).build())
+    return {"seed-22": desingularize(random_certificate_instance(22)),
+            "example4": example4}
+
+
+def _changed(res, field):
+    """The certificate's fields with one coefficient of ``field`` raised
+    by one: of T1^2 in Q_1 (so Q stays in (T)^2), of Y1 in h_1, of T1 in
+    g_1, of the constant term in b_1, s, d and G[1, 1]."""
+    cert = res.certificate
+    table = res.algebra.table
+    one = Polynomial.const(table, 1)
+    t1 = Polynomial.var(table, table.block_names(TANGENT)[0])
+    y1 = Polynomial.var(table, res.algebra.algebra_names()[0])
+    if field == "G":
+        rows = [list(row) for row in cert.G.rows]
+        rows[0][0] = rows[0][0] + one
+        return {"G": PolyMatrix(table, rows)}
+    if field in ("s", "d"):
+        return {field: getattr(cert, field) + one}
+    bump = {"Q": t1 ** 2, "h": y1, "g": t1, "b": one}[field]
+    old = getattr(cert, field)
+    return {field: (old[0] + bump,) + old[1:]}
+
+
+@pytest.mark.parametrize("field", ["Q", "h", "g", "b", "s", "d", "G"])
+@pytest.mark.parametrize("source", ["seed-22", "example4"])
+def test_a_changed_coefficient_fails_the_certificate_check(
+        checked_results, source, field):
+    """Each identity the check reads is exact: one coefficient more in any
+    field is a CertificateFailed, exit 5.  The shifted point that
+    build_hg cached stays as it was, so it cannot stand in for the
+    changed field."""
+    res = checked_results[source]
+    bad = dataclasses.replace(res.certificate, **_changed(res, field))
+    with pytest.raises(CertificateFailed) as info:
+        verify_certificate(bad, res.algebra, res.morphism)
+    assert info.value.exit_code == 5
+
+
+@pytest.mark.parametrize("source", ["seed-22", "example4"])
+def test_the_untouched_certificate_passes_the_check(checked_results, source):
+    res = checked_results[source]
+    assert verify_certificate(res.certificate, res.algebra, res.morphism)
 
 
 # -- the shifted point's power caches ----------------------------------------

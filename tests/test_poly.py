@@ -154,6 +154,36 @@ def test_parse_rational_coefficients():
     assert p.constant_coefficient() == Fraction(-1, 2)
 
 
+# CPython's int() and str() refuse more than 4 300 digits by default
+SEVENS = "7" * 5000
+
+
+def test_long_integer_literals_parse_exactly():
+    T = table_xy()
+    sevens = sum(7 * 10 ** k for k in range(5000))
+    assert parse_poly(T, "Y1 - " + SEVENS) == (Polynomial.var(T, "Y1")
+                                               - sevens)
+    assert parse_poly(T, "1/" + SEVENS) == Polynomial.const(
+        T, Fraction(1, sevens))
+    assert parse_poly(T, "x1^" + SEVENS) == Polynomial.var(T, "x1", sevens)
+
+
+@pytest.mark.parametrize("value", [
+    10 ** 4400 + 1, -(10 ** 4400) + 3, Fraction(-3, 10 ** 4400 + 7),
+    Fraction(10 ** 4500 + 1, 10 ** 4400 + 7)],
+    ids=["int", "negative", "denominator", "both"])
+def test_long_coefficients_print_and_parse_back(value):
+    T = table_xy()
+    p = parse_poly(T, "x1*Y1 - 2") * value
+    assert parse_poly(T, str(p)) == p
+
+
+def test_a_long_integer_prints_its_digits():
+    T = table_xy()
+    assert str(Polynomial.const(T, 10 ** 4400 + 1)) == "1" + "0" * 4399 + "1"
+    assert str(Polynomial.var(T, "x1", 10 ** 4400)) == "x1^1" + "0" * 4400
+
+
 def test_parse_errors_carry_position():
     T = table2()
     with pytest.raises(PolyParseError):

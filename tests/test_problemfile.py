@@ -28,6 +28,14 @@ def test_parse_minimal():
     assert len(prob.relations) == 1
 
 
+def test_long_scalars_parse_exactly():
+    """Past CPython's 4 300-digit limit of int()."""
+    big = "1" + "0" * 4999
+    pf = parse_problem(MINIMAL.replace("precision 4;", f"precision {big};")
+                       + f"options {{ max_subset {big}; }}\n")
+    assert (pf.precision, pf.max_subset) == (10 ** 4999, 10 ** 4999)
+
+
 def test_parse_all_shipped_files():
     files = sorted(glob.glob("problems/*.gnd"))
     assert len(files) >= 4
