@@ -5,13 +5,16 @@ Run from the repository root:
     PYTHONPATH=src python -m pytest bench/test_certificate.py --benchmark-only
 
 Each case runs ``desingularize`` once, outside the timing, and then times
-``verify_certificate`` on its result: G*H = H*G = P*Id, the pivot rows,
-d = P modulo the relations (a standard basis), Q in (T)^2, and
-``certify_subsystem_membership`` (the definitions of h and g, the Taylor
-identity against its telescoped witness, the subsystem relations modulo
-J).  The cases are the generator seeds 17-27 of ``tests/conftest.py``,
-the seeds of the ``seeds`` workload, and ``problems/
-example1_hypersurface.gnd``, whose d = x^2 is not a unit.  The shifted
+``verify_certificate`` on its result: s, d and g free of Y, G*H = H*G =
+P*Id, the pivot rows, d = P modulo the relations (a standard basis), Q in
+(T)^2, ``certify_subsystem_membership`` (the definitions of h and g, the
+Taylor identity against its telescoped witness, the subsystem relations
+modulo J), s, s' and s'' congruent to 1 modulo (d, T) + J, and I in
+(h, g) in tangent space.  The cases are the generator seeds 17-27 of
+``tests/conftest.py``, the seeds of the ``seeds`` workload, ``problems/
+example1_hypersurface.gnd``, whose d = x^2 is not a unit, and ``problems/
+example4.gnd``, the one shipped input with relations outside f (two), so
+the last membership test is timed too.  The shifted
 point that ``build_hg`` stores on the certificate keeps its power caches
 between rounds, as it does when a caller re-checks a returned result, so
 the timing is that of a re-check.
@@ -41,7 +44,7 @@ from conftest import random_certificate_instance  # noqa: E402
 SHAPES = {17: (3, 3, 1), 18: (1, 1, 1), 19: (1, 1, 1), 20: (4, 4, 1),
           21: (2, 2, 1), 22: (2, 2, 2), 23: (2, 2, 2), 24: (3, 3, 1),
           25: (2, 2, 2), 26: (1, 1, 1), 27: (3, 3, 1),
-          "example1_hypersurface": (3, 2, 2)}
+          "example1_hypersurface": (3, 2, 2), "example4": (2, 1, 1)}
 
 
 def _result(case):

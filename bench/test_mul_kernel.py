@@ -49,7 +49,7 @@ step of order 18, 63 terms, times a sum S_2 of 72 terms), and the small
 binomial series of (1 + x1)^(1/2) and (1 + x1)^(-1/2), dyadic rationals
 like the lift's square-root jets.
 The dense cases are exact products in the shape of the expansion of s''
-in ``localize_smooth``: x1-strands of 62, 72 and 84 terms times the
+in ``build_hg``: x1-strands of 62, 72 and 84 terms times the
 T-monomials T1^2, T1*T2 and T2^2 (18-bit coefficients) times a
 polynomial in x1 alone of 106 terms (22 bits); three x1-strands of 49
 terms over x2^0, x2^1 and x2^2 (97 bits) times one of 74 terms in x1

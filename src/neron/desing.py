@@ -112,9 +112,9 @@ class SmoothingCertificate:
     Q: tuple
     g: tuple
     pivots: tuple
-    s_prime: Polynomial = None
-    s_second_num: Polynomial = None
-    s_second_pow: int = 0
+    s_prime: Polynomial
+    s_second_num: Polynomial
+    s_second_pow: int
     point: "ShiftedPoint" = None   # the expansion build_hg made, reused
 
 
@@ -573,10 +573,12 @@ def _tangent_names(table, n):
 
 
 def build_hg(B, red, e):
-    """Construct the certificate data s, b, h, Q and g on a T-extended table.
+    """Construct the complete certificate on a T-extended table: s, b, h,
+    Q and g, the pivot minor s' of dg/dT, and s'' with its s-power q.
 
     Divisions are exact with witnesses over the polynomial ring: failure
-    signals an invalid instance or a too-small precision bound.
+    signals an invalid instance or a too-small precision bound.  Nothing
+    writes to the certificate afterwards; ``verify_certificate`` checks it.
     """
     ring = B.ring
     v = red.v
@@ -638,10 +640,18 @@ def build_hg(B, red, e):
     g_list = [s_p * b_i + s_p * t_vars[piv] + point.dpow[e - 1] * Q_i
               for b_i, piv, Q_i in zip(b_list, red.pivots, Q_list)]
 
+    jac_g = PolyMatrix(table, jacobian(g_list, t_names))
+    s_prime = det(jac_g.submatrix(range(len(g_list)), list(red.pivots)))
+    # s'' from the s-cleared expansion of P at the shifted point
+    q_pow = max(P.degree_in(y_positions), 0)
+    s_second = point.spow[q_pow + 1] + point.expand(P, q_pow, 1, 1)
+
     cert = SmoothingCertificate(
         f=tuple(f_polys), r=len(f_polys), H=H, R=R, P=P, d=d, e=e, s=s,
         b=tuple(b_list), Gprime=Gp, G=G, h=tuple(h_list), p=p_deg,
-        Q=tuple(Q_list), g=tuple(g_list), pivots=red.pivots, point=point)
+        Q=tuple(Q_list), g=tuple(g_list), pivots=red.pivots,
+        s_prime=s_prime, s_second_num=s_second, s_second_pow=q_pow,
+        point=point)
     return cert, BT, vT
 
 
@@ -691,10 +701,11 @@ class ShiftedPoint:
     Putting Y = y' + d^e*W/s into q and clearing denominators with s^p turns
     the Taylor coefficient c_alpha of q at y' into
     c_alpha * s^(p-|alpha|) * d^(e|alpha|) * W^alpha.  With t the tangent
-    variables T, this one expansion gives Q in g (build_hg), the unit s''
-    (localize_smooth) and the rewriting of a relation modulo
-    h = s*(Y - y') - d^e*W (rewrite).  With t jets truncated at (x)^N and
-    s = 1 it gives Q(t) in the Newton contraction of lifting.newton_lift.
+    variables T, this one expansion gives Q in g and the unit s''
+    (build_hg), and the rewriting of a relation modulo
+    h = s*(Y - y') - d^e*W (verify_certificate).  With t jets truncated at
+    (x)^N and s = 1 it gives Q(t) in the Newton contraction of
+    lifting.newton_lift.
     The values t fix the domain: a product with a jet factor is a jet.
     Products put the W factor first, so a jet product is called directly
     rather than after ``Polynomial.__mul__`` declines a jet operand.
@@ -815,15 +826,6 @@ class ShiftedPoint:
                     prefix = prefix * a_pow[j][aj]
         return [c.value() for c in comb]
 
-    def rewrite(self, q, p_q, h):
-        """expand(q, p_q, 0, 0), checked to equal s^p_q * q modulo (h) by
-        the exact identity with its witness ``h_combination``."""
-        expansion = self.expand(q, p_q, 0, 0)
-        if self.spow[p_q] * q - expansion != sum(
-                c * h_j for c, h_j in zip(self.h_combination(q, p_q), h)):
-            raise CertificateFailed("telescoped Taylor expansion mismatch")
-        return expansion
-
 
 def certify_subsystem_membership(cert, BT, vT):
     """Exact, by + and * on the certificate's fields, with W = G(y')T and
@@ -881,12 +883,23 @@ def _in_j(p, ring):
 
 
 def verify_certificate(cert, BT, vT):
-    """Check the certificate's identities exactly, or raise
-    CertificateFailed: G*H = H*G = P*Id, the pivot rows of (df/dY)*G,
-    d = P modulo the relations (``Ideal.contains``), Q in (T)^2, and
-    ``certify_subsystem_membership``."""
+    """Check every identity of the certificate exactly, or raise
+    CertificateFailed: s, d and the g free of Y; G*H = H*G = P*Id, the
+    pivot rows of (df/dY)*G, d = P modulo the relations
+    (``Ideal.contains``), Q in (T)^2 and ``certify_subsystem_membership``;
+    s, s' and s'' congruent to 1 modulo (d, T) + J (``congruent_to_one``);
+    and I in (h, g), decided in tangent space (``outside_saturation``)."""
     ring = BT.ring
     table = ring.table
+    j_gens = list(ring.j_gens)
+    y_positions = table.block(ALGEBRA, SLACK)
+    # With s, d and W = G(y')T free of Y, the definition of h checked below
+    # gives dh/dY = s*Id, and g free of Y gives dg/dY = 0: the Jacobian of
+    # (h, g) in (Y, pivot T) is block triangular with minor s^n * s'.
+    if cert.s.involves(y_positions) or cert.d.involves(y_positions):
+        raise CertificateFailed("dh/dY is not s * identity")
+    if any(g_i.involves(y_positions) for g_i in cert.g):
+        raise CertificateFailed("dg/dY is not zero")
     n = len(BT.algebra_names())
     zero = Polynomial.zero(table)
     P_id = PolyMatrix(table, [[cert.P if i == j else zero for j in range(n)]
@@ -900,102 +913,82 @@ def verify_certificate(cert, BT, vT):
                 table, [P_id.rows[k] for k in cert.pivots]):
             raise CertificateFailed("(df/dY)*G != P * pivot selection")
     # d congruent to P modulo the relations
-    if not Ideal(table, list(BT.relations) + list(ring.j_gens)).contains(
+    if not Ideal(table, list(BT.relations) + j_gens).contains(
             cert.d - cert.P):
         raise CertificateFailed("d is not congruent to P modulo the relations")
     t_pos = table.block(TANGENT)
     if any(sum(m[k] for k in t_pos) < 2
            for Q_i in cert.Q for m in Q_i.monomials()):
         raise CertificateFailed("Q has a term of tangent degree < 2")
-    return certify_subsystem_membership(cert, BT, vT)
+    certify_subsystem_membership(cert, BT, vT)
+
+    # E is localized at s, s' and s'' one factor at a time
+    d_ideal = Ideal(table, [cert.d] + j_gens)
+    for u in (cert.s, cert.s_prime, cert.s_second_num):
+        if not congruent_to_one(u, d_ideal, t_pos):
+            raise CertificateFailed(
+                "a localized factor is not congruent to 1 mod (d, T)")
+
+    # I in (h, g) once s, s' and s'' are inverted.  A relation of f is
+    # settled by the subsystem check.  Any other relation q, of degree p_q
+    # in Y, has E_q = expand(q, p_q, 0, 0) with s^p_q*q - E_q = sum_j c_j*h_j
+    # by the telescoped witness, so q lies in (h, g) when E_q lies in
+    # (g) + J, or in its saturation by s'*s''.  This is the test in Y-space
+    # too, on a Y-free ideal: s is a unit of the local ring (s = 1 mod
+    # (d) + J, and when d is a unit, s = P(y')/d mod J is one), so
+    # phi: Y -> y' + d^e*W/s is a ring map.  It kills h, fixes what is free
+    # of Y (g, s', s'' and E_q), and s^p_q*phi(q) = E_q.  Hence q lies in
+    # (h, g) + J exactly when E_q lies in (g) + J, and likewise with both
+    # sides saturated by s*s'*s''; saturating by the unit s changes nothing.
+    subsystem = set(cert.f)
+    outside = [q for q in BT.relations if q not in subsystem]
+    expansions = []
+    for q in outside:
+        p_q = max(q.degree_in(y_positions), 0)
+        E_q = cert.point.expand(q, p_q, 0, 0)
+        comb = cert.point.h_combination(q, p_q)
+        if cert.s ** p_q * q - E_q != sum(
+                c * h_j for c, h_j in zip(comb, cert.h)):
+            raise CertificateFailed("telescoped Taylor expansion mismatch")
+        expansions.append(E_q)
+    missing = outside_saturation(expansions, list(cert.g) + j_gens,
+                                 (cert.s_prime, cert.s_second_num), table)
+    if missing:
+        raise CertificateFailed("relation not contained in (h, g) after "
+                                f"saturation: {outside[missing[0]]}")
+    return True
+
+
+def outside_saturation(elements, gens, factors, table):
+    """The indices of the ``elements`` outside (gens) : (prod factors)^inf.
+    Each is tested in (gens) first; the saturation, one factor in turn,
+    is computed once and only when some element fails that test."""
+    ideal = Ideal(table, gens)
+    outside = [k for k, p in enumerate(elements) if not ideal.contains(p)]
+    if outside:
+        for u in factors:
+            ideal = Ideal(table, saturate(ideal, u)[0])
+        outside = [k for k in outside if not ideal.contains(elements[k])]
+    return outside
 
 
 def congruent_to_one(u, d_ideal, tangent):
     """True iff u - 1 lies in (d, T) + J, for ``d_ideal`` = (d) + J and T
-    the variables at the positions ``tangent``, decided on the slice
-    T = 0 (see ``localize_smooth``)."""
+    the variables at the positions ``tangent``.  T -> 0 is a ring map with
+    kernel (T), d and J lie in the base, and the units of the mixed order
+    are free of T, so that holds exactly when the slice T = 0 of u - 1,
+    its terms free of T, lies in (d) + J."""
     return d_ideal.contains(
         (u - 1).select(lambda m: not any([m[i] for i in tangent])))
 
 
 def localize_smooth(cert, BT, vT):
-    """Assemble E_{s s' s''}, certify I in (h, g) and build the result.
-
-    Each localized factor u of s, s' and s'' must be congruent to 1
-    modulo (d, T) + J.  T -> 0 is a ring map with kernel (T), d and J
-    lie in the base, and the units of the mixed order are free of T, so
-    that holds exactly when the slice T = 0 of u - 1, its terms free of
-    T, lies in (d) + J (``congruent_to_one``).
-    """
+    """Assemble E = D[Y, T]_{s s' s''}/(g, h) from the certificate and
+    build the result; it assembles E only, as ``verify_certificate`` has
+    decided every identity of the certificate."""
     ring = BT.ring
     table = ring.table
-    y_names = list(BT.algebra_names())
-    t_names = list(table.block_names(TANGENT))
-    y_positions = table.block(ALGEBRA, SLACK)
-
-    jac_g = PolyMatrix(table, jacobian(list(cert.g), t_names))
-    piv_cols = list(cert.pivots)
-    s_prime = det(jac_g.submatrix(range(cert.r), piv_cols))
-
-    # s'' from the s-cleared expansion of P at the shifted point
-    point = cert.point
-    q_pow = max(cert.P.degree_in(y_positions), 0)
-    s_second = point.spow[q_pow + 1] + point.expand(cert.P, q_pow, 1, 1)
-    cert.s_prime = s_prime
-    cert.s_second_num = s_second
-    cert.s_second_pow = q_pow
-
-    # E is localized at s, s' and s'' one factor at a time; each factor is
-    # a unit congruent to 1 modulo (d, T) + J
-    factors = (cert.s, s_prime, s_second)
-    d_ideal = Ideal(table, [cert.d] + list(ring.j_gens))
-    for u in factors:
-        if not congruent_to_one(u, d_ideal, table.block(TANGENT)):
-            raise CertificateFailed(
-                "a localized factor is not congruent to 1 mod (d, T)")
-
-    # membership certificate: I inside (h, g) after saturation.  Relations
-    # that are part of the subsystem carry the telescoped witness already;
-    # the rest are rewritten modulo (h) into tangent space first, so the
-    # basis computation never touches the algebra variables.  A full basis
-    # of (h, g) plus its saturation is the last resort.
-    subsystem = set(cert.f)
-    pending = [q for q in BT.relations if q not in subsystem]
-    if pending:
-        g_ideal = Ideal(table, list(cert.g) + list(ring.j_gens))
-        still = []
-        for q in pending:
-            p_q = max(q.degree_in(y_positions), 0)
-            expansion = point.rewrite(q, p_q, cert.h)
-            if not g_ideal.contains(expansion):
-                still.append(q)
-        if still:
-            hg = Ideal(table, list(cert.h) + list(cert.g) + list(ring.j_gens))
-            still = [q for q in still if not hg.contains(q)]
-        if still:
-            # saturating by each factor in turn saturates by their product
-            saturated = hg
-            for u in factors:
-                saturated = Ideal(table, saturate(saturated, u)[0])
-            for q in still:
-                if not saturated.contains(q):
-                    raise CertificateFailed(
-                        "relation not contained in (h, g) after "
-                        f"saturation: {q}")
-
-    # standard-smooth unit minor: rows (h, g), columns (Y, pivot T).  The
-    # Jacobian is block triangular (dh/dY = s*Id, dg/dY = 0), so the minor
-    # equals s^n * s'; the block structure is asserted instead of expanding
-    # the full determinant.
-    for i, nm_i in enumerate(y_names):
-        for j, nm_j in enumerate(y_names):
-            want = cert.s if i == j else Polynomial.zero(table)
-            if cert.h[i].derivative(nm_j) != want:
-                raise CertificateFailed("dh/dY is not s * identity")
-    for g_i in cert.g:
-        for nm_j in y_names:
-            if not g_i.derivative(nm_j).is_zero():
-                raise CertificateFailed("dg/dY is not zero")
+    factors = (cert.s, cert.s_prime, cert.s_second_num)
 
     # one inverter relation W_k*u_k - 1 per factor u_k
     w_names = [table.fresh_name(f"W{k + 1}") for k in range(len(factors))]

@@ -25,7 +25,8 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import (ActiveElementNotFound, DecompositionIncomplete,
-                     NeronError, NotAUnit, NotDivisible, TargetInsidePrime)
+                     NeronError, NotAUnit, NotDivisible, PreconditionFailed,
+                     TargetInsidePrime)
 from .groebner import Ideal, delete_multiples, std_basis
 from .idealops import (intersect, krull_dim, radical_membership, same_ideal,
                        saturate)
@@ -68,16 +69,20 @@ class LocalRingSpec:
         others = tuple(i for i in range(len(table)) if i not in self.base)
         for g in self.j_gens:
             if g.constant_coefficient() != 0:
-                raise NeronError("relation ideal is not contained in (x)")
+                raise PreconditionFailed(
+                    "relation ideal is not contained in (x)")
             if g.involves(others):
-                raise NeronError("relation ideal must live in the base block")
+                raise PreconditionFailed(
+                    "relation ideal must live in the base block")
         # the degree cut of reduce_jet needs ideals of the base variables
         if any(g.involves(others) for p in self.primes or () for g in p):
-            raise NeronError("minimal primes must live in the base block")
+            raise PreconditionFailed(
+                "minimal primes must live in the base block")
         if check_dimension:
             dim = self.local_dimension()
             if dim != 1:
-                raise NeronError(f"base ring has local dimension {dim}, not 1")
+                raise PreconditionFailed(
+                    f"base ring has local dimension {dim}, not 1")
 
     # -- bases and reduction ------------------------------------------------
 
@@ -147,14 +152,16 @@ class LocalRingSpec:
         for prime in self.prime_ideals:
             for g in prime.gens:
                 if g.constant_coefficient() != 0:
-                    raise NeronError("a supplied prime is the unit ideal")
+                    raise PreconditionFailed(
+                        "a supplied prime is the unit ideal")
             for g in self.j_gens:
                 if not prime.contains(g):
-                    raise NeronError("a supplied prime does not contain J")
+                    raise PreconditionFailed(
+                        "a supplied prime does not contain J")
         for a in self.prime_ideals:
             for b in self.prime_ideals:
                 if a is not b and all(b.contains(g) for g in a.gens):
-                    raise NeronError("supplied primes are comparable")
+                    raise PreconditionFailed("supplied primes are comparable")
         meet = None
         for p_gens in self.primes:
             meet = list(p_gens) if meet is None else intersect(
@@ -163,7 +170,7 @@ class LocalRingSpec:
             if not radical_membership(g, list(self.j_gens) or
                                       [Polynomial.zero(self.table)],
                                       self.table):
-                raise NeronError(
+                raise PreconditionFailed(
                     "intersection of supplied primes is not in the radical of J")
         return True
 

@@ -169,8 +169,9 @@ def _assemble(sections):
     if precision < 1:
         raise PolyParseError("morphism precision must be at least 1",
                              morph[0], morph[1])
-    if not ring[2]["vars"]:
-        raise PolyParseError("ring vars must be nonempty", ring[0], ring[1])
+    for name, (line, col, body) in (("ring", ring), ("algebra", algebra)):
+        if not body["vars"]:
+            raise PolyParseError(f"{name} vars must be nonempty", line, col)
     names = []
     for _, name, line, col in ring[2]["vars"] + algebra[2]["vars"]:
         if name in names:

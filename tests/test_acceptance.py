@@ -360,11 +360,13 @@ def test_criterion_4_certificate_property_suite(certified_seeds):
         cert = res.certificate
         BT = res.algebra
         ringT = BT.ring
-        # G*H = P*Id, pivot identity, d = P mod I, Q in (T)^2, the
-        # definitions of h and g, the Taylor identity by its telescoped
-        # combination of the h, and the subsystem relations modulo J
+        # s, d and g free of Y, G*H = P*Id, pivot identity, d = P mod I,
+        # Q in (T)^2, the definitions of h and g, the Taylor identity by
+        # its telescoped combination of the h, the subsystem relations
+        # modulo J, the unit congruences and I in (h, g)
         verify_certificate(cert, BT, res.morphism)
-        # inverted factors congruent to 1 modulo (d, T)
+        # inverted factors congruent to 1 modulo (d, T), cross-checked by a
+        # basis of the whole ideal (the check decides it on T = 0)
         table = ringT.table
         order = mixed_order(table)
         t_vars = [Polynomial.var(table, nm)

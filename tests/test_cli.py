@@ -83,6 +83,44 @@ def test_parse_error_exit_code():
     assert "parse error" in err
 
 
+_BAD_RING = """ring {{ field Q; vars {vars}; {relations} }}
+algebra {{ vars Y1; relations Y1 - x1; }}
+morphism {{ precision 5; Y1 = x1; }}
+{minprimes}"""
+
+
+def _bad_ring(relations="relations x1*x2;", minprimes="", vars="x1 x2"):
+    return _BAD_RING.format(vars=vars, relations=relations,
+                            minprimes=minprimes)
+
+
+HYPOTHESIS_VIOLATIONS = {
+    "J = (1)": (_bad_ring("relations 1;"),
+                "relation ideal is not contained in (x)"),
+    "dimension 2": (_bad_ring("", vars="x1 y"),
+                    "base ring has local dimension 2, not 1"),
+    "{ x1 | }": (_bad_ring(minprimes="minprimes { x1 | }"),
+                 "intersection of supplied primes is not in the radical "
+                 "of J"),
+    "{ Y1 }": (_bad_ring(minprimes="minprimes { Y1 }"),
+               "minimal primes must live in the base block"),
+    "{ 1 | x2 }": (_bad_ring(minprimes="minprimes { 1 | x2 }"),
+                   "a supplied prime is the unit ideal"),
+    "{ x1 | x2 + Y1 }": (_bad_ring(minprimes="minprimes { x1 | x2 + Y1 }"),
+                         "minimal primes must live in the base block"),
+}
+
+
+@pytest.mark.parametrize("case", list(HYPOTHESIS_VIOLATIONS))
+def test_a_violated_ring_hypothesis_exits_3(case):
+    """A base ring or prime list that breaks a stated hypothesis is a
+    PreconditionFailed, exit 3, not an internal failure (exit 5)."""
+    text, message = HYPOTHESIS_VIOLATIONS[case]
+    code, out, err = _run_text(text, "check")
+    assert (code, out) == (3, "")
+    assert err == f"PreconditionFailed: {message}\n"
+
+
 def test_coeffext_section_rejected():
     # coefficient extensions are not implemented; a file that asks for one
     # is refused instead of run as if the section were absent

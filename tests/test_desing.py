@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+import neron.desing
 from conftest import (hypersurface_problem, random_certificate_instance,
                       space_curve_data, two_branch_problem, two_branch_table)
 from neron import (ALGEBRA, BASE, TANGENT, Ideal, Polynomial, VarTable, det,
@@ -14,7 +15,8 @@ from neron.desing import (AlgebraPresentation, MorphismApprox, ShiftedPoint,
                           _PowerCache, _in_j, complete_H, desingularize,
                           elkik_ideal, eval_at_jets, factor_morphism,
                           find_f_R, mm_primary_reduction,
-                          sym_algebra_reduction, verify_certificate)
+                          outside_saturation, sym_algebra_reduction,
+                          verify_certificate)
 from neron.errors import (BoundTooSmall, CertificateFailed,
                           ConditionStarStarFailed, PreconditionFailed,
                           VerificationFailed)
@@ -501,7 +503,7 @@ def checked_results():
 def _changed(res, field):
     """The certificate's fields with one coefficient of ``field`` raised
     by one: of T1^2 in Q_1 (so Q stays in (T)^2), of Y1 in h_1, of T1 in
-    g_1, of the constant term in b_1, s, d and G[1, 1]."""
+    g_1, of the constant term in b_1, s, d, s', s'' and G[1, 1]."""
     cert = res.certificate
     table = res.algebra.table
     one = Polynomial.const(table, 1)
@@ -511,15 +513,24 @@ def _changed(res, field):
         rows = [list(row) for row in cert.G.rows]
         rows[0][0] = rows[0][0] + one
         return {"G": PolyMatrix(table, rows)}
-    if field in ("s", "d"):
+    if field in ("s", "d", "s_prime", "s_second_num"):
         return {field: getattr(cert, field) + one}
     bump = {"Q": t1 ** 2, "h": y1, "g": t1, "b": one}[field]
     old = getattr(cert, field)
     return {field: (old[0] + bump,) + old[1:]}
 
 
-@pytest.mark.parametrize("field", ["Q", "h", "g", "b", "s", "d", "G"])
-@pytest.mark.parametrize("source", ["seed-22", "example4"])
+# s' and s'' are read by their congruence to 1 modulo (d, T) + J, which
+# says nothing on seed 22: its d is a unit.  On example4, d = (x1 + x2)^2
+# and s' = s'' = 1, so 2 is not congruent to 1.
+CHANGED_FIELDS = [
+    pytest.param(source, field, id=f"{source}-{field}")
+    for source in ("seed-22", "example4")
+    for field in ("Q", "h", "g", "b", "s", "d", "G")
+    + (("s_prime", "s_second_num") if source == "example4" else ())]
+
+
+@pytest.mark.parametrize("source, field", CHANGED_FIELDS)
 def test_a_changed_coefficient_fails_the_certificate_check(
         checked_results, source, field):
     """Each identity the check reads is exact: one coefficient more in any
@@ -537,6 +548,97 @@ def test_a_changed_coefficient_fails_the_certificate_check(
 def test_the_untouched_certificate_passes_the_check(checked_results, source):
     res = checked_results[source]
     assert verify_certificate(res.certificate, res.algebra, res.morphism)
+
+
+BLOCK_MESSAGES = {"s": r"dh/dY is not s \* identity",
+                  "d": r"dh/dY is not s \* identity",
+                  "g": "dg/dY is not zero"}
+
+
+@pytest.mark.parametrize("field", list(BLOCK_MESSAGES))
+@pytest.mark.parametrize("source", ["seed-22", "example4"])
+def test_a_y_dependent_field_fails_the_block_check(checked_results, source,
+                                                   field):
+    """The Jacobian of (h, g) in Y is s*Id over 0 because s, d and the g
+    are free of Y; with Y1 added to one of them the check fails there."""
+    res = checked_results[source]
+    cert = res.certificate
+    y1 = Polynomial.var(res.algebra.table, res.algebra.algebra_names()[0])
+    old = getattr(cert, field)
+    new = (old[0] + y1,) + old[1:] if field == "g" else old + y1
+    bad = dataclasses.replace(cert, **{field: new})
+    with pytest.raises(CertificateFailed, match=BLOCK_MESSAGES[field]):
+        verify_certificate(bad, res.algebra, res.morphism)
+
+
+def test_a_relation_outside_h_g_fails_the_check(checked_results):
+    """example4's algebra with Y1 - 7 appended: its tangent-space image
+    lies in (g) + J neither before nor after saturation by s'*s''."""
+    res = checked_results["example4"]
+    BT = res.algebra
+    extra = parse_poly(BT.table, "Y1 - 7")
+    bigger = AlgebraPresentation(BT.ring, BT.relations + (extra,))
+    with pytest.raises(CertificateFailed, match="after saturation: Y1 - 7"):
+        verify_certificate(res.certificate, bigger, res.morphism)
+
+
+def test_the_saturation_fallback_decides_membership():
+    """T1 lies outside (T1 + T1^2) but inside its saturation by 1 + T1,
+    which is not a unit: T1 is a variable of the global block."""
+    T = VarTable.make(("x", BASE), ("T1", TANGENT))
+    t1, gen = parse_poly(T, "T1"), parse_poly(T, "T1 + T1^2")
+    assert not Ideal(T, [gen]).contains(t1)
+    assert outside_saturation([t1], [gen], (), T) == [0]
+    assert outside_saturation([t1], [gen], (parse_poly(T, "1 + T1"),),
+                              T) == []
+    assert outside_saturation([t1 + 1], [gen], (parse_poly(T, "1 + T1"),),
+                              T) == [0]
+
+
+@pytest.mark.parametrize("source", ["seed-17", "example4"])
+def test_construction_decides_nothing(monkeypatch, source):
+    """``localize_smooth`` assembles E only: it tests no membership,
+    saturates nothing, decides no congruence and takes no derivative, and
+    no field of the certificate changes after ``build_hg`` returns it.
+    The check, called before it, does decide."""
+    desing = neron.desing
+    calls = {"inside": 0, "outside": 0}
+    state = {"inside": False}
+
+    def spying(fn):
+        def spy(*args, **kwargs):
+            calls["inside" if state["inside"] else "outside"] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    for owner, name in ((Ideal, "contains"), (Polynomial, "derivative"),
+                        (desing, "saturate"), (desing, "congruent_to_one")):
+        monkeypatch.setattr(owner, name, spying(getattr(owner, name)))
+    built = {}
+    build_hg, localize_smooth = desing.build_hg, desing.localize_smooth
+
+    def build(*args):
+        cert, BT, vT = build_hg(*args)
+        built.update(vars(cert))
+        return cert, BT, vT
+
+    def localize(*args):
+        state["inside"] = True
+        try:
+            return localize_smooth(*args)
+        finally:
+            state["inside"] = False
+    monkeypatch.setattr(desing, "build_hg", build)
+    monkeypatch.setattr(desing, "localize_smooth", localize)
+    if source == "seed-17":
+        res = desingularize(random_certificate_instance(17))
+    else:
+        with open(os.path.join(PROBLEMS, "example4.gnd"),
+                  encoding="utf-8") as fh:
+            res = desingularize(parse_problem(fh.read()).build())
+    assert calls["inside"] == 0 and calls["outside"] > 0
+    assert built and all(getattr(res.certificate, k) is v
+                         for k, v in built.items())
 
 
 # -- the shifted point's power caches ----------------------------------------

@@ -210,6 +210,8 @@ PARSE_ERRORS = [
      "expected denominator (line 3, col 32)"),
     (_R + _A + _M.replace("Y1 = x;", "Y1 = (x;"),
      "expected ')' (line 3, col 32)"),
+    (_R + "algebra { vars; }\n" + _M,
+     "algebra vars must be nonempty (line 2, col 1)"),
 ]
 
 
