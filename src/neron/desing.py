@@ -224,16 +224,8 @@ def eval_at_jets(p, v, ring):
     precision among the jets that actually occur."""
     names = [n for n in v.jets if n in p.variables()]
     prec = min((v.jets[n].precision for n in names), default=v.precision)
-    q = p.substitute({n: j.poly for n, j in v.jets.items()})
-    return ring.jet(q, prec)
-
-
-def eval_exact(p, v):
-    """Exact substitution of the jet representatives, no truncation.
-
-    The certificate identities are exact polynomial statements about the
-    chosen representatives, so the construction must not truncate."""
-    return p.substitute({n: j.poly for n, j in v.jets.items()})
+    return Jet(ring, ring.at(p, {n: j.poly for n, j in v.jets.items()},
+                             prec), prec)
 
 
 def _survives(ring, precision, jet, i):
@@ -554,13 +546,14 @@ def _adjoin_variable(B, f_polys, H, R, P, v, pivots, p_cap_a, note):
     if verify1:
         vv = MorphismApprox(max(j.precision for j in verify1.values()),
                             verify1)
+        vP_hi = eval_at_jets(P.lift(table1), vv, ring1)
         try:
-            vP_hi = eval_at_jets(P.lift(table1), vv, ring1)
-            z_hi = jet_divide(ring1.jet(d_prime.lift(table1), vv.precision),
-                              vP_hi)
-            verify1[new_name] = z_hi
-        except NotDivisible:
-            verify1 = {}
+            verify1[new_name] = jet_divide(
+                ring1.jet(d_prime.lift(table1), vv.precision), vP_hi)
+        except NotDivisible as exc:
+            raise VerificationFailed(
+                f"no verification jet for the adjoined variable {new_name}: "
+                f"{exc}") from exc
     v1 = MorphismApprox(v.precision, jets1, verify1)
     f1 = tuple(p.lift(table1) for p in f_polys) + (f_new,)
     pivots1 = pivots + (len(y_names1) - 1,)
@@ -577,8 +570,10 @@ def build_hg(B, red, e):
     Q and g, the pivot minor s' of dg/dT, and s'' with its s-power q.
 
     Divisions are exact with witnesses over the polynomial ring: failure
-    signals an invalid instance or a too-small precision bound.  Nothing
-    writes to the certificate afterwards; ``verify_certificate`` checks it.
+    signals an invalid instance or a too-small precision bound.  Values at
+    y' are exact: the identities are exact polynomial statements about the
+    chosen jet representatives.  Nothing writes to the certificate
+    afterwards; ``verify_certificate`` checks it.
     """
     ring = B.ring
     v = red.v
@@ -588,6 +583,7 @@ def build_hg(B, red, e):
     BT = B.lift(table)
     ringT = BT.ring
     vT = v.lift(ringT)
+    jets = {nm: j.poly for nm, j in vT.jets.items()}
     t_names = [nm for nm, _ in t_pairs]
     f_polys = [p.lift(table) for p in red.f]
     H = red.H.lift(table)
@@ -600,7 +596,7 @@ def build_hg(B, red, e):
     dH, Gp = det_adjugate(H)
     G = Gp.scale(R)
 
-    vP = ringT.monomial_reduce(eval_exact(P, vT))
+    vP = ringT.monomial_reduce(P.substitute(jets))
     try:
         w = lift_division(vP, [d] + j_gens, table, gorder)
     except NotInIdeal as exc:
@@ -614,7 +610,7 @@ def build_hg(B, red, e):
     b_list = []
     de_ideal = Ideal(table, [d ** e] + j_gens)
     for fpoly in f_polys:
-        val = ringT.monomial_reduce(eval_exact(fpoly, vT))
+        val = ringT.monomial_reduce(fpoly.substitute(jets))
         try:
             wb = lift_division(val, [d_pow] + j_gens, table, gorder)
         except NotInIdeal as exc:
@@ -626,8 +622,7 @@ def build_hg(B, red, e):
         b_list.append(b_i)
 
     t_vars = [Polynomial.var(table, nm) for nm in t_names]
-    point = ShiftedPoint(ringT, {nm: j.poly for nm, j in vT.jets.items()},
-                         G, s, d, e, t_vars)
+    point = ShiftedPoint(ringT, jets, G, s, d, e, t_vars)
     # h_j = s*(Y_j - y'_j) - d^e*(G(y')T)_j
     h_list = [a[1] - b[1] for a, b in zip(point.a_pow, point.b_pow)]
 
@@ -884,11 +879,12 @@ def _in_j(p, ring):
 
 def verify_certificate(cert, BT, vT):
     """Check every identity of the certificate exactly, or raise
-    CertificateFailed: s, d and the g free of Y; G*H = H*G = P*Id, the
-    pivot rows of (df/dY)*G, d = P modulo the relations
-    (``Ideal.contains``), Q in (T)^2 and ``certify_subsystem_membership``;
-    s, s' and s'' congruent to 1 modulo (d, T) + J (``congruent_to_one``);
-    and I in (h, g), decided in tangent space (``outside_saturation``)."""
+    CertificateFailed: s, d, s', s'' and the g free of Y; G*H = H*G =
+    P*Id, the pivot rows of (df/dY)*G, b in (d^e) + J and d = P modulo the
+    relations (``Ideal.contains``), Q in (T)^2 and
+    ``certify_subsystem_membership``; s, s' and s'' congruent to 1 modulo
+    (d, T) + J (``congruent_to_one``); and I in (h, g), decided in tangent
+    space (``outside_saturation``) on expansions E_q free of Y."""
     ring = BT.ring
     table = ring.table
     j_gens = list(ring.j_gens)
@@ -898,6 +894,10 @@ def verify_certificate(cert, BT, vT):
     # (h, g) in (Y, pivot T) is block triangular with minor s^n * s'.
     if cert.s.involves(y_positions) or cert.d.involves(y_positions):
         raise CertificateFailed("dh/dY is not s * identity")
+    # the tangent-space argument below needs s' and s'' free of Y too
+    if any(u.involves(y_positions) for u in (cert.s_prime,
+                                            cert.s_second_num)):
+        raise CertificateFailed("s' or s'' is not free of Y")
     if any(g_i.involves(y_positions) for g_i in cert.g):
         raise CertificateFailed("dg/dY is not zero")
     n = len(BT.algebra_names())
@@ -912,6 +912,9 @@ def verify_certificate(cert, BT, vT):
         if jac.matmul(cert.G) != PolyMatrix(
                 table, [P_id.rows[k] for k in cert.pivots]):
             raise CertificateFailed("(df/dY)*G != P * pivot selection")
+    de_ideal = Ideal(table, [cert.d ** cert.e] + j_gens)
+    if not all(de_ideal.contains(b_i) for b_i in cert.b):
+        raise CertificateFailed("b does not lie in (d^e) + J")
     # d congruent to P modulo the relations
     if not Ideal(table, list(BT.relations) + j_gens).contains(
             cert.d - cert.P):
@@ -950,6 +953,8 @@ def verify_certificate(cert, BT, vT):
         if cert.s ** p_q * q - E_q != sum(
                 c * h_j for c, h_j in zip(comb, cert.h)):
             raise CertificateFailed("telescoped Taylor expansion mismatch")
+        if E_q.involves(y_positions):
+            raise CertificateFailed("an expansion E_q is not free of Y")
         expansions.append(E_q)
     missing = outside_saturation(expansions, list(cert.g) + j_gens,
                                  (cert.s_prime, cert.s_second_num), table)
@@ -1090,7 +1095,8 @@ def factor_morphism(result, y_high):
             raise VerificationFailed(
                 f"epsilon division failed for {nm}: {exc}") from exc
 
-    Hy = [[ring.jet(eval_exact(entry.lift(table), lifted), hi_prec)
+    low_point = {nm: j.poly for nm, j in low.items()}
+    Hy = [[Jet(ring, ring.at(entry.lift(table), low_point, hi_prec), hi_prec)
            for entry in row] for row in cert.H.rows]
     eps_prec = min(e.precision for e in eps.values())
     t_jets = []
@@ -1108,8 +1114,7 @@ def factor_morphism(result, y_high):
     checks = []
 
     def expect_zero(label, poly):
-        val = ring.reduce_jet(poly.substitute(subs), prec)
-        ok = val.is_zero()
+        ok = ring.at(poly, subs, prec).is_zero()
         checks.append((label, ok))
         if not ok:
             raise VerificationFailed(f"{label} does not vanish at jet level")
@@ -1120,8 +1125,7 @@ def factor_morphism(result, y_high):
         expect_zero(f"g[{i}]", g_i.lift(table))
     # each inverter W_k takes the inverse of the jet value of its factor
     for wn, u in zip(table.block_names(INVERTER), pres.inverted):
-        subs[wn] = jet_invert(
-            Jet(ring, ring.reduce_jet(u.substitute(subs), prec), prec)).poly
+        subs[wn] = jet_invert(Jet(ring, ring.at(u, subs, prec), prec)).poly
     for k, rel in enumerate(pres.relations):
         expect_zero(f"output[{k}]", rel)
     return FactorReport(True, prec, eps, dict(zip(t_names, t_jets)), checks)
@@ -1203,12 +1207,20 @@ def desingularize(problem):
 
 
 def validate_morphism(relations, v, ring):
-    """I(y') must vanish modulo (x)^N (+ J): the data must be a morphism.
-    Raises PreconditionFailed otherwise."""
+    """I(y') must vanish modulo (x)^N (+ J): the data must be a morphism;
+    and each verify jet must extend its morphism jet below N.  Raises
+    PreconditionFailed otherwise."""
     for rel in relations:
         val = eval_at_jets(rel, v, ring)
         if not val.is_zero():
             raise PreconditionFailed(
                 "the jets do not define a morphism: a relation does not "
                 "vanish at jet precision")
+    for nm, hi in v.verify.items():
+        low = v.jets.get(nm)
+        if low is not None and not ring.reduce_jet(
+                hi.poly - low.poly, low.precision).is_zero():
+            raise PreconditionFailed(
+                f"verification jet for {nm} does not extend the morphism "
+                "jet below N")
 

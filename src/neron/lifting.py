@@ -17,13 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .desing import (AlgebraPresentation, MorphismApprox, ShiftedPoint,
-                     complete_H, eval_exact, jacobian_colon,
-                     jacobian_minors)
+                     complete_H, jacobian_colon, jacobian_minors)
 from .errors import (DivisionFailed, HypothesisViolated, NeronError,
                      NoContraction, NotDivisible, PreconditionFailed)
 from .groebner import Ideal
 from .linalg import det, det_adjugate
-from .localring import compute_e, jet_divide
+from .localring import Jet, compute_e, jet_divide
 from .orders import ALGEBRA
 from .poly import Polynomial
 
@@ -110,20 +109,11 @@ def _completion_data(prob):
                               for nm, p in prob.approx.items()})
     B = AlgebraPresentation(ring, tuple(prob.relations))
     H = complete_H(B, f_polys, v)
-    d = ring.monomial_reduce(eval_exact(det(H), v))
+    d = ring.monomial_reduce(det(H).substitute(
+        {nm: j.poly for nm, j in v.jets.items()}))
     if d.is_zero():
         raise DivisionFailed("det(H) vanishes at the approximate solution")
     return H, d
-
-
-def _relations_vanish(ring, relations, point, k):
-    """True iff every relation at ``point`` vanishes modulo J + (x)^k.
-
-    The substitution runs under the cut at k: the terms it drops lie in
-    the ideal (x)^k, so the canonical remainder is the same."""
-    cut = (ring.base, k)
-    return all(ring.reduce_jet(rel.substitute(point, cut), k).is_zero()
-               for rel in relations)
 
 
 def newton_lift(prob):
@@ -148,7 +138,8 @@ def newton_lift(prob):
             f"the subsystem f has {r} relations but there are only "
             f"{len(y_names)} algebra variables")
 
-    if not _relations_vanish(ring, prob.relations, prob.approx, prob.rho):
+    if any(not ring.at(rel, prob.approx, prob.rho).is_zero()
+           for rel in prob.relations):
         raise PreconditionFailed("I(y') does not vanish modulo (x)^rho")
 
     H, d = _completion_data(prob)
@@ -166,7 +157,7 @@ def newton_lift(prob):
     d_e1 = d_jet ** (e + 1)
     b_jets = []
     for fp in f_polys:
-        val = ring.jet(fp.substitute(prob.approx, (ring.base, prec)), prec)
+        val = Jet(ring, ring.at(fp, prob.approx, prec), prec)
         if val.is_zero():
             b_jets.append(ring.zero_jet(max(prec - d_e1.order() if
                                             d_e1.order() else prec, 1)))
@@ -216,8 +207,9 @@ def newton_lift(prob):
         acc = ring.jet(prob.approx[nm], c)
         lifted[nm] = (acc + b_pow[1].truncate(min(t_prec, c))).truncate(c)
 
-    if not _relations_vanish(ring, prob.relations,
-                             {nm: j.poly for nm, j in lifted.items()}, c):
+    lifted_point = {nm: j.poly for nm, j in lifted.items()}
+    if any(not ring.at(rel, lifted_point, c).is_zero()
+           for rel in prob.relations):
         raise DivisionFailed(
             "the lifted jets do not annihilate every relation")
 
@@ -244,7 +236,8 @@ def strong_approx_decide(prob, y_second, precision):
         if not ring.reduce_jet(y_second[nm] - p, prob.rho).is_zero():
             raise PreconditionFailed(
                 "y'' does not agree with y' modulo (x)^rho")
-    if not _relations_vanish(ring, prob.relations, y_second, precision):
+    if any(not ring.at(rel, y_second, precision).is_zero()
+           for rel in prob.relations):
         raise PreconditionFailed(
             "I(y'') does not vanish modulo (x)^precision")
     if not check_hypothesis(prob):

@@ -46,6 +46,25 @@ def monomials_of_degree(table, positions, degree):
     return out
 
 
+def standard_monomials(ideal):
+    """The monomials of the base variables outside the lead ideal of
+    ``ideal``, one list per degree from 0 in ``monomials_of_degree`` order,
+    until a degree has none.  They are closed under division, so degree
+    k+1 holds x_i*m for m of degree k and x_i from the last variable of m
+    on: each monomial is reached once, in order."""
+    base, leads = ideal.table.block(BASE), ideal.leads()
+    # (monomial, index in the base of its last variable)
+    level = [((0,) * len(ideal.table), 0)]
+    while True:
+        level = [(m, k) for m, k in level if not any(
+            all(a >= b for a, b in zip(m, lm)) for lm in leads)]
+        if not level:
+            return
+        yield [m for m, _ in level]
+        level = [(m[:i] + (m[i] + 1,) + m[i + 1:], j) for m, k in level
+                 for j, i in enumerate(base[k:], k)]
+
+
 class LocalRingSpec:
     """Base ring data: variables, relation ideal J, minimal primes.
 
@@ -109,15 +128,20 @@ class LocalRingSpec:
         ideal = self.j_ideal if prime is None else self.prime_ideals[prime]
         return ideal.reduce_full(p, cut=(self.base, precision))
 
+    def at(self, p, point, precision):
+        """Canonical form of p at ``point`` (name -> Polynomial) modulo
+        J + (x)^N, substituted under the cut at N: the terms it drops lie
+        in (x)^N, and the canonical form is unique and linear."""
+        cut = (self.base, precision)
+        return self.reduce_jet(p.substitute(point, cut), precision)
+
     def contains_power(self, ideal, N):
         """True iff (x)^N lies in ``ideal`` (of the base variables) locally:
-        iff (x)^N <= L(I), as L(I + (x)^N) = L(I) + (x)^N under the local
-        degree order; that is, when ``delete_multiples`` by the leads
-        leaves nothing of the sum of the monomials of degree N."""
-        table = self.table
-        power = Polynomial(table, dict.fromkeys(
-            monomials_of_degree(table, table.block(BASE), N), 1))
-        return delete_multiples(power, ideal.leads()).is_zero()
+        iff (x)^N <= L(I) under the local degree order, iff no standard
+        monomial has degree N.  They are closed under division, so an ideal
+        of positive dimension has them in every degree."""
+        return krull_dim(ideal) <= 0 and all(
+            degree < N for degree, _ in enumerate(standard_monomials(ideal)))
 
     def with_minimal_primes(self):
         """This ring when it has its primes; otherwise the same ring, its
@@ -285,17 +309,6 @@ def jet_invert(u):
     return z
 
 
-def _standard_monomials(ring, max_degree):
-    """Monomials of degree < max_degree outside the lead ideal of J, by
-    degree: the terms of their sum that ``delete_multiples`` keeps."""
-    table = ring.table
-    base = table.block(BASE)
-    ones = Polynomial(table, {m: 1 for d in range(max_degree)
-                              for m in monomials_of_degree(table, base, d)})
-    leads = ring.j_ideal.leads()
-    return list(delete_multiples(ones, leads).monomials())
-
-
 def jet_divide(num, den):
     """Jet z with den*z = num modulo (x)^(N - ord den) + J, else NotDivisible.
 
@@ -319,7 +332,7 @@ def jet_divide(num, den):
         return (num.truncate(min(num.precision, n_res)) * inv).truncate(n_res)
     table = ring.table
     target = n_res + o
-    cols = _standard_monomials(ring, n_res)
+    cols = sum(itertools.islice(standard_monomials(ring.j_ideal), n_res), [])
     col_vecs = []
     support = {}
     for m in cols:

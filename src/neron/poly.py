@@ -312,7 +312,7 @@ class Polynomial:
         return max(sum(m[i] for i in positions) for m in mons)
 
     def involves(self, positions):
-        return any(any(m[i] for i in positions) for m in self._iv[2])
+        return any(m[i] for m in self._iv[2] for i in positions)
 
     def select(self, keep):
         """The terms whose monomial satisfies ``keep``; the polynomial

@@ -51,6 +51,47 @@ def test_bound_too_small_exit_code_and_message():
     assert err.strip() == "the algorithm fails since the bound N is too small"
 
 
+def _rewritten(path, tmp_path, old, new):
+    """A copy of the problem file at ``path`` under ``tmp_path``, with the
+    text matching the pattern ``old`` replaced by ``new``."""
+    with open(path, encoding="utf-8") as fh:
+        text = re.sub(old, new, fh.read())
+    out = tmp_path / path.split("/")[-1]
+    out.write_text(text, encoding="utf-8")
+    return str(out)
+
+
+# exit codes of check, hba and desing with the precision set to 10^29.
+# Precision bounds are decided by a staircase walk bounded by the
+# colength, never by N; example4's verify jets stop at degree 23, so they
+# do not extend its jets below N.
+HUGE = (r"precision \d+;", f"precision {10 ** 29};")
+HUGE_PRECISION_EXITS = {HYPER: (3, 0, 3), CURVE: (3, 0, 3),
+                        GOLDEN: (3, 0, 3), TOO_SMALL: (0, 0, 0)}
+
+
+@pytest.mark.parametrize("path", list(HUGE_PRECISION_EXITS))
+@pytest.mark.parametrize("k, cmd", enumerate(("check", "hba", "desing")))
+def test_huge_precision_ends_in_a_typed_outcome(tmp_path, path, k, cmd):
+    code, out, err = run_command(cmd, _rewritten(path, tmp_path, *HUGE))
+    assert code == HUGE_PRECISION_EXITS[path][k], err
+
+
+@pytest.mark.parametrize("old, new", [
+    HUGE, (r"verify Y1 = x1 \+ x1\^2", "verify Y1 = x1 + 2*x1^2")])
+def test_a_verify_jet_that_does_not_extend_its_jet_is_refused(
+        tmp_path, old, new):
+    """check and desing agree: a verify jet that differs from its morphism
+    jet below N is a precondition failure, exit 3, before any basis work
+    of desing."""
+    path = _rewritten(GOLDEN, tmp_path, old, new)
+    for cmd in ("check", "desing"):
+        code, out, err = run_command(cmd, path)
+        assert code == 3
+        assert err.startswith("PreconditionFailed: verification jet for Y1 "
+                              "does not extend")
+
+
 # the two monomial relations admit no passing subsystem
 NO_SUBSYSTEM = """
     ring { field Q; vars x1 x2; relations x1*x2; }

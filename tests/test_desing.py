@@ -1,5 +1,6 @@
 """Pipeline stages: smoothness ideal, subsystem search, reduction, output."""
 
+import copy
 import dataclasses
 import os
 
@@ -18,8 +19,8 @@ from neron.desing import (AlgebraPresentation, MorphismApprox, ShiftedPoint,
                           outside_saturation, sym_algebra_reduction,
                           verify_certificate)
 from neron.errors import (BoundTooSmall, CertificateFailed,
-                          ConditionStarStarFailed, PreconditionFailed,
-                          VerificationFailed)
+                          ConditionStarStarFailed, NotDivisible,
+                          PreconditionFailed, VerificationFailed)
 from neron.linalg import PolyMatrix
 from neron.localring import Jet, LocalRingSpec
 from neron.problemfile import parse_problem
@@ -368,17 +369,22 @@ def test_factor_morphism_trivial_extension(hypersurface_result):
         assert t.is_zero()
 
 
+def hypersurface_with_verify():
+    """The hypersurface at precision 13 with verify jets to precision 20;
+    it adjoins Y3 at stage 9."""
+    prob = hypersurface_problem()
+    return dataclasses.replace(prob, morphism=MorphismApprox(
+        prob.morphism.precision, prob.morphism.jets,
+        hypersurface_problem(n=20).morphism.jets))
+
+
 def test_factor_morphism_evaluates_each_inverter_relation():
     """W_k is the inverse of the jet value of the listed factor u_k, and
     W_k*u_k - 1 is evaluated like every other output relation.  With jets
     to precision 20 the checks run at precision 15, where s, s' and s'' of
     the hypersurface differ from 1, so a listed factor that is off in its
     last tracked coefficient leaves its inverter relation nonzero."""
-    prob = hypersurface_problem()
-    prob = dataclasses.replace(prob, morphism=MorphismApprox(
-        prob.morphism.precision, prob.morphism.jets,
-        hypersurface_problem(n=20).morphism.jets))
-    res = desingularize(prob)
+    res = desingularize(hypersurface_with_verify())
     rep = res.jet_map
     pres = res.presentation
     n_out = len(pres.relations)
@@ -394,6 +400,24 @@ def test_factor_morphism_evaluates_each_inverter_relation():
         with pytest.raises(VerificationFailed,
                            match=rf"output\[{n_out - 3 + k}\]"):
             factor_morphism(bad, res.morphism.verify)
+
+
+def test_an_adjoined_variable_without_a_verify_jet_fails(monkeypatch):
+    """Requested verify jets are never dropped: when the jet division for
+    the adjoined variable fails at the verify precision, desingularize
+    raises VerificationFailed naming that variable."""
+    divide = neron.desing.jet_divide
+
+    def refuse_at_verify_precision(num, den):
+        if num.precision == 20:
+            raise NotDivisible("refused")
+        return divide(num, den)
+
+    monkeypatch.setattr(neron.desing, "jet_divide",
+                        refuse_at_verify_precision)
+    with pytest.raises(VerificationFailed,
+                       match="adjoined variable Y3: refused"):
+        desingularize(hypersurface_with_verify())
 
 
 def test_factor_morphism_corruption_detected(golden_result):
@@ -552,6 +576,8 @@ def test_the_untouched_certificate_passes_the_check(checked_results, source):
 
 BLOCK_MESSAGES = {"s": r"dh/dY is not s \* identity",
                   "d": r"dh/dY is not s \* identity",
+                  "s_prime": "s' or s'' is not free of Y",
+                  "s_second_num": "s' or s'' is not free of Y",
                   "g": "dg/dY is not zero"}
 
 
@@ -560,7 +586,8 @@ BLOCK_MESSAGES = {"s": r"dh/dY is not s \* identity",
 def test_a_y_dependent_field_fails_the_block_check(checked_results, source,
                                                    field):
     """The Jacobian of (h, g) in Y is s*Id over 0 because s, d and the g
-    are free of Y; with Y1 added to one of them the check fails there."""
+    are free of Y, and the tangent-space test needs s' and s'' free of Y;
+    with Y1 added to one of them the check fails there."""
     res = checked_results[source]
     cert = res.certificate
     y1 = Polynomial.var(res.algebra.table, res.algebra.algebra_names()[0])
@@ -580,6 +607,46 @@ def test_a_relation_outside_h_g_fails_the_check(checked_results):
     bigger = AlgebraPresentation(BT.ring, BT.relations + (extra,))
     with pytest.raises(CertificateFailed, match="after saturation: Y1 - 7"):
         verify_certificate(res.certificate, bigger, res.morphism)
+
+
+def test_a_b_outside_d_e_fails_the_check(checked_results):
+    """example4 with b_1 + 1 and g_1 rebuilt to match: the check decides
+    b in (d^e) + J itself, before the subsystem identities."""
+    res = checked_results["example4"]
+    cert = res.certificate
+    one = Polynomial.const(res.algebra.table, 1)
+    bad = dataclasses.replace(
+        cert, b=(cert.b[0] + one,) + cert.b[1:],
+        g=(cert.g[0] + cert.s ** cert.p,) + cert.g[1:])
+    with pytest.raises(CertificateFailed,
+                       match=r"b does not lie in \(d\^e\) \+ J"):
+        verify_certificate(bad, res.algebra, res.morphism)
+
+
+def test_an_expansion_with_y_fails_the_check(checked_results):
+    """example4 with the expansion E_q of its first relation outside f
+    shifted by h_1, and that witness shifted to match: the telescoped
+    identity still holds, but E_q involves Y, so the tangent-space
+    argument does not apply and the check refuses it."""
+    res = checked_results["example4"]
+    cert = res.certificate
+    q = next(r for r in res.algebra.relations if r not in cert.f)
+    point = copy.copy(cert.point)
+    expand, combination = point.expand, point.h_combination
+
+    def shifted_expand(p, *args):
+        E = expand(p, *args)
+        return E + cert.h[0] if p == q else E
+
+    def shifted_combination(p, deg):
+        comb = combination(p, deg)
+        return [comb[0] - 1] + comb[1:] if p == q else comb
+
+    point.expand, point.h_combination = shifted_expand, shifted_combination
+    bad = dataclasses.replace(cert, point=point)
+    with pytest.raises(CertificateFailed,
+                       match="an expansion E_q is not free of Y"):
+        verify_certificate(bad, res.algebra, res.morphism)
 
 
 def test_the_saturation_fallback_decides_membership():
