@@ -500,28 +500,28 @@ def _adjoin_variable(B, f_polys, H, R, P, v, pivots, p_cap_a, note):
     vP = eval_at_jets(P, v, ring)
     if vP.is_zero():
         raise ActiveElementNotFound("v(P) vanishes at jet precision")
-    d_prime = None
-    z = None
     base = table.block(BASE)
-    # constants first: when v(P) is a unit jet the inert choice d' = 1
-    # collapses the localization data to units
-    candidates = [Polynomial.const(table, 1)]
-    for deg in range(1, v.precision):
-        mons = [Polynomial(table, {m: 1})
-                for m in monomials_of_degree(table, base, deg)]
-        candidates.extend(mons)
-        for a, b2 in itertools.combinations(mons, 2):
-            candidates.append(a + b2)
-    for c in candidates:
-        if not avoids_primes(c, ring.prime_ideals):
+
+    def candidates():
+        # constants first: when v(P) is a unit jet the inert choice d' = 1
+        # collapses the localization data to units; then each degree's
+        # monomials and their pairwise sums, built only when tried
+        yield Polynomial.const(table, 1)
+        for deg in range(1, v.precision):
+            mons = [Polynomial(table, {m: 1})
+                    for m in monomials_of_degree(table, base, deg)]
+            yield from mons
+            yield from (a + b for a, b in itertools.combinations(mons, 2))
+
+    for d_prime in candidates():
+        if not avoids_primes(d_prime, ring.prime_ideals):
             continue
         try:
-            z = jet_divide(ring.jet(c, v.precision), vP)
+            z = jet_divide(ring.jet(d_prime, v.precision), vP)
         except NotDivisible:
             continue
-        d_prime = c
         break
-    if d_prime is None:
+    else:
         raise ActiveElementNotFound(
             "no active element in the evaluated contraction ideal")
     new_name = table.fresh_name(f"Y{len(B.algebra_names()) + 1}")

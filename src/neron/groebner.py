@@ -1,16 +1,20 @@
 """Groebner bases for global orders, standard bases for local and mixed ones.
 
-The division procedure switches on the order: ordinary multivariate long
-division for global orders, Mora's normal form with ecart selection for
-orders in which some variables rank below 1 (those realize computations in
-the localization).  Divisions can carry witnesses, exact identities
+Every division runs in one loop, ``_normal_form``, as Singular's engine
+divides with one normal form.  Its rule follows from its input: long
+division under a global order or for a fully reduced remainder (a degree
+cut is taken with the latter), and otherwise Mora's weak normal form with
+ecart selection, for orders in which some variables rank below 1 (those
+realize computations in the localization).  Long division is Mora's rule
+at ecart 0, so under a degree order the two agree.  Divisions can carry
+witnesses, exact identities
 
     unit * dividend = sum(quotient_i * divisor_i) + remainder
 
 where the unit is 1 for global orders and has lead term 1 (hence is
 invertible in the localization) otherwise.
 
-Both divisions run fraction-free on the integer views of ``poly``, with
+The loop runs fraction-free on the integer views of ``poly``, with
 monomials packed into ints (``orders.Packing``): the dividend is packed
 integer terms over one denominator, each reducer (``_Prepared``) holds
 its packed terms and lead, and a step's divisibility test, monomial
@@ -193,20 +197,6 @@ def _start(p, reducers, pk, cut=None):
     return {pack(m): v * num for m, v in ints.items()}, den, pk, reducers
 
 
-def _remainder(p, h, den, pk):
-    """The remainder h/den in the form of the dividend p: a Polynomial, or
-    the triple (packed integer terms, denominator, packing)."""
-    if isinstance(p, Polynomial):
-        return _unpacked(pk, h, 1, den)
-    return h, den, pk
-
-
-def _unchanged(p, pk):
-    """The dividend p of ``_start`` as a remainder of its own form, after a
-    division that took no step (so it never repacked)."""
-    return p if isinstance(p, Polynomial) else (*p, pk)
-
-
 def _step_coef(c, den, g):
     """The value-level quotient coefficient (c/den) / lc(g) of a step."""
     return exact_div(c * g.den, den * g.b * g.num)
@@ -228,85 +218,6 @@ def _row_update(table, row, g_row, mon, coef):
             row.pop(j, None)
         else:
             row[j] = upd
-
-
-def classic_nf(p, reducers, pk, full=True, row=None, cut=None):
-    """Long division by reducers at the packing ``pk``; returns
-    (remainder, row).
-
-    ``cut = (positions, N)`` drops every term of degree at least N in the
-    variables at ``positions``, on entry and as it comes off the heap: the
-    division then runs modulo the ideal plus (x)^N without listing (x)^N.
-    A cut is meant for full reduction without rows.  Termination is
-    guaranteed for global orders, and for any order under a cut.
-
-    The loop is fraction-free: the dividend is integer terms H over one
-    denominator D (p = H/D), the remainder's terms sit over the same D, and
-    each step (``_reduce_lead``) stays on ints.  Monomials are packed
-    ints: the heap holds m ^ pk.rev, so it pops the largest term first,
-    and a reducer divides m by the guard-bit test.  A step whose terms
-    would pass the packing's degree limit first repacks everything wider.
-    The remainder comes in the dividend's form (``_remainder``): unpacked
-    once, at the end, for a Polynomial; when no step was taken and the cut
-    dropped nothing, it is the dividend unchanged.  A row update takes the
-    step's value-level coefficient, one rational number per step.
-    """
-    h, den, pk, reducers = _start(p, reducers, pk, cut)
-    table = pk.table
-    if cut is not None:
-        positions, bound = cut
-
-        def dropped(m):
-            return sum([m >> pk.shifts[i] & pk.limit
-                        for i in positions]) >= bound
-
-    rev, guard, limit = pk.rev, pk.guard, pk.limit
-    heap = [m ^ rev for m in h]
-    heapify(heap)
-    rem = {}
-    stepped = False
-    while h:
-        while heap and heap[0] ^ rev not in h:
-            heappop(heap)
-        if not heap:
-            break
-        m = heap[0] ^ rev
-        if cut is not None and dropped(m):
-            del h[m]
-            heappop(heap)
-            continue
-        c = h[m]
-        top = m | guard
-        hit = None
-        for g in reducers:
-            if (top - g.lm) & guard == guard:
-                hit = g
-                break
-        if hit is None:
-            rem[m] = c
-            del h[m]
-            heappop(heap)
-            if not full:
-                rem.update(h)
-                h = {}
-            continue
-        t = m - hit.lm
-        need = (t & limit) + hit.deg
-        if need > limit:
-            pk, reducers, h, rem = _widen(pk, need, reducers, h, rem)
-            rev, guard, limit = pk.rev, pk.guard, pk.limit
-            heap = [k ^ rev for k in h]
-            heapify(heap)
-            continue
-        if row is not None:
-            _row_update(table, row, _reducer_row(table, hit), pk.unpack(t),
-                        _step_coef(c, den, hit))
-        den = _reduce_lead(h, den, rem, c, hit, t, heap, pk)
-        stepped = True
-    if not stepped and len(rem) == len(
-            p._view()[2] if isinstance(p, Polynomial) else p[0]):
-        return _unchanged(p, pk), row
-    return _remainder(p, rem, den, pk), row
 
 
 def delete_multiples(p, leads, cut=None):
@@ -339,34 +250,61 @@ def delete_multiples(p, leads, cut=None):
     return from_int_terms(p.table, kept, num, den)
 
 
-def mora_nf(p, reducers, pk, row=None):
-    """Mora's weak normal form for arbitrary (in particular local) orders,
-    by reducers at the packing ``pk``.
+def _normal_form(p, reducers, pk, full, row, cut):
+    """The one division loop; returns (remainder, row).  Its rule follows
+    from its input (Greuel-Pfister 1.6-1.7):
 
-    Head reduction with ecart selection; reducers found en route with larger
-    ecart than the current element trigger a snapshot that later reductions
-    may reuse.  Returns (remainder, row).  The remainder is zero iff p lies
-    in the ideal of the localization the order realizes.
+    - Long division under a global order or when ``full``: each step
+      takes the first reducer whose lead divides the largest term, and the
+      remainder is p's own.  ``full`` sets a term that no reducer divides
+      aside and goes on; otherwise that term ends the division.  A cut is
+      taken with ``full``: ``cut = (positions, N)`` drops every term of
+      degree at least N in the variables at ``positions``, on entry and as
+      it comes off the heap, so the division runs modulo the ideal plus
+      (x)^N.  It ends under a global order or a cut.
+    - Mora's weak normal form otherwise: each step takes the reducer of
+      least (ecart, idx); when that ecart exceeds the dividend's, the
+      dividend is first snapshot into the reducers.  The remainder is that
+      of u*p for a unit u, zero iff p lies in the ideal of the localization
+      the order realizes.  A snapshot cannot carry the terms set aside, so
+      a full division keeps to long division.
 
-    The loop is fraction-free, as in ``classic_nf``, on packed monomials:
-    the dividend is integer terms H over one denominator D, the heap holds
-    plain ints, a reducer divides by the guard-bit test and the ecart
-    reads the total-degree field.  A snapshot keeps H as it is, since a
-    nonzero multiple of a reducer removes the same terms; its row is
-    scaled by D to match.  The remainder is H/D in the dividend's form
-    (unpacked once for a Polynomial), or the dividend unchanged when no
-    step was taken.
+    Under a degree order every ecart is 0 and the reducers are in idx
+    order, so the two rules take the same steps and no snapshot fires.
+
+    The dividend is integer terms H over one denominator D, the remainder
+    shares D, and each step (``_reduce_lead``) stays on ints.  The heap
+    holds packed m ^ pk.rev, so it pops the largest term first; a reducer
+    divides m by the guard-bit test, the ecart reads the total-degree
+    field, and a step past the packing's degree limit first repacks
+    everything wider.  A snapshot keeps H, as a nonzero multiple of a
+    reducer removes the same terms, and scales its row by D.  The
+    remainder comes in the dividend's form: a Polynomial, unpacked once,
+    or the triple (packed integer terms, denominator, packing); it is the
+    dividend unchanged when no step was taken and no term dropped.  A row
+    update takes the step's value-level coefficient.
     """
-    h, den, pk, local = _start(p, reducers, pk)
+    h, den, pk, local = _start(p, reducers, pk, cut)
+    mora = not (pk.glob or full)
     local = list(local)
     table = pk.table
+    if cut is not None:
+        positions, bound = cut
+
+        def dropped(m):
+            return sum([m >> pk.shifts[i] & pk.limit
+                        for i in positions]) >= bound
+
     rev, guard, limit = pk.rev, pk.guard, pk.limit
     heap = [m ^ rev for m in h]
     heapify(heap)
-    degs = {}
-    for m in h:
-        d = m & limit
-        degs[d] = degs.get(d, 0) + 1
+    degs = None
+    if mora:
+        degs = {}
+        for m in h:
+            d = m & limit
+            degs[d] = degs.get(d, 0) + 1
+    rem = {}
     n_snap = 0
     stepped = False
     while h:
@@ -375,21 +313,37 @@ def mora_nf(p, reducers, pk, row=None):
         if not heap:
             break
         m = heap[0] ^ rev
+        if cut is not None and dropped(m):
+            del h[m]
+            heappop(heap)
+            continue
         top = m | guard
-        cands = [g for g in local if (top - g.lm) & guard == guard]
-        if not cands:
-            break
-        g = min(cands, key=_ECART)
+        if mora:
+            g = min([g for g in local if (top - g.lm) & guard == guard],
+                    key=_ECART, default=None)
+        else:
+            for g in local:
+                if (top - g.lm) & guard == guard:
+                    break
+            else:
+                g = None
+        if g is None:
+            if not full:
+                rem = h
+                break
+            rem[m] = h.pop(m)
+            heappop(heap)
+            continue
         t = m - g.lm
         need = (t & limit) + g.deg
         if need > limit:
-            pk, local, h = _widen(pk, need, local, h)
+            pk, local, h, rem = _widen(pk, need, local, h, rem)
             rev, guard, limit = pk.rev, pk.guard, pk.limit
             heap = [k ^ rev for k in h]
             heapify(heap)
             continue
         c = h[m]
-        if g.ecart > max(degs) - (m & limit):
+        if mora and g.ecart > max(degs) - (m & limit):
             q = gcd(*h.values())
             snap = _Prepared(q, 1, {k: v // q for k, v in h.items()}, pk,
                              _SNAPSHOT_BASE + n_snap,
@@ -400,17 +354,36 @@ def mora_nf(p, reducers, pk, row=None):
         if row is not None:
             _row_update(table, row, _reducer_row(table, g), pk.unpack(t),
                         _step_coef(c, den, g))
-        den = _reduce_lead(h, den, {}, c, g, t, heap, pk, degs)
+        den = _reduce_lead(h, den, rem, c, g, t, heap, pk, degs)
         stepped = True
-    if not stepped:
-        return _unchanged(p, pk), row
-    return _remainder(p, h, den, pk), row
+    if isinstance(p, Polynomial):
+        if stepped or len(rem) < len(p._view()[2]):
+            p = _unpacked(pk, rem, 1, den)
+        return p, row
+    if stepped or len(rem) < len(p[0]):
+        return (rem, den, pk), row
+    return (*p, pk), row
+
+
+def classic_nf(p, reducers, pk, full=True, row=None, cut=None):
+    """Long division by reducers at the packing ``pk`` (full, or under a
+    global order), run by ``_normal_form``; returns (remainder, row).  A
+    cut is taken with ``full`` and meant for reduction without rows."""
+    return _normal_form(p, reducers, pk, full, row, cut)
+
+
+def mora_nf(p, reducers, pk, row=None):
+    """Mora's weak normal form by reducers at the packing ``pk`` (long
+    division under a global order), run by ``_normal_form``; returns
+    (remainder, row)."""
+    return _normal_form(p, reducers, pk, False, row, None)
 
 
 def _divide(p, reducers, pk, full=True, row=None):
-    """Long division for global orders, Mora's normal form otherwise;
-    returns (remainder, row).  ``full=False`` stops a long division at the
-    first term no reducer divides, as Mora's normal form does."""
+    """Long division for global orders, Mora's normal form otherwise, each
+    through its entry point into ``_normal_form``; returns (remainder,
+    row).  ``full=False`` stops a long division at the first term no
+    reducer divides, as Mora's normal form does."""
     if pk.glob:
         return classic_nf(p, reducers, pk, full=full, row=row)
     return mora_nf(p, reducers, pk, row=row)
@@ -707,8 +680,8 @@ class Ideal:
 
         A basis of single terms (the zero ideal included) divides by
         deletion: a monic one-term reducer removes the term it divides and
-        adds none, so ``delete_multiples`` gives ``classic_nf``'s remainder
-        in one pass over the terms.
+        adds none, so ``delete_multiples`` gives the long division's
+        remainder (``classic_nf``) in one pass over the terms.
         """
         _, pk, prepared, one_term = self._prepared()
         if one_term is not None:

@@ -11,7 +11,7 @@ Division by J is left to products, which multiply no pair of terms whose
 x-degrees sum to N or more, and to polynomials entering a jet.  When the
 basis of J is all single terms, as for J = (x1*x2) or J = 0, that division
 is deletion: the terms a lead divides and the terms past the cut are
-dropped in one pass, which is the heap division's remainder exactly.
+dropped in one pass, which is the division loop's remainder exactly.
 
 The module also houses the restricted minimal prime decomposer, the
 small-vector and active element searches, the annihilator exponent and the
@@ -113,7 +113,8 @@ class LocalRingSpec:
         single term.
 
         Such relations only delete the monomials they divide
-        (``delete_multiples``, as in ``reduce_jet``), so this always
+        (``delete_multiples``, as in ``reduce_jet``), which is the remainder
+        of the one division loop's long division, so this always
         terminates; for non-monomial J the input is returned unchanged
         (divisions absorb the difference through their J slots).
         """
@@ -124,7 +125,9 @@ class LocalRingSpec:
         """Canonical form of p modulo J + (x)^N, or modulo P_i + (x)^N for
         the prime of index ``prime`` (each P_i contains J).  A basis of
         single terms (J = (x1*x2), J = 0) reduces by deletion, which gives
-        the remainder of ``classic_nf``'s heap division, used otherwise."""
+        the remainder of the one division loop (``groebner._normal_form``),
+        used otherwise: long division under the cut, so the remainder is
+        p's own, with no unit."""
         ideal = self.j_ideal if prime is None else self.prime_ideals[prime]
         return ideal.reduce_full(p, cut=(self.base, precision))
 
@@ -564,9 +567,13 @@ def active_element(target_gens, primes, table, accept=None):
 
 
 def compute_e(d, ring):
-    """Least e >= 1 with (0 : d^e) = (0 : d^(e+1)) in A: max(1, k) for k
-    the index where the colon chain J, (J : d), ... of ``saturate`` is
-    stable, started from ``ring.j_ideal`` to reuse its basis."""
+    """Least e >= 1 with (0 : d^e) = (0 : d^(e+1)) in A.  A d with a
+    nonzero constant term is a unit of A, so every (0 : d^k) is 0 and e = 1
+    with no colon.  Otherwise e = max(1, k) for k the index where the colon
+    chain J, (J : d), ... of ``saturate`` is stable, started from
+    ``ring.j_ideal`` to reuse its basis."""
+    if d.constant_coefficient():
+        return 1
     return max(1, saturate(ring.j_ideal, d, max_steps=50)[1])
 
 

@@ -534,7 +534,10 @@ class Polynomial:
         and product is taken under the cut (see ``mul``), which gives the
         composition with every term of degree at least N in the variables at
         ``positions`` dropped.  The composition runs on the integer terms
-        and takes the content once, at the end.
+        and takes the content once, at the end.  A term takes the powers of
+        only the variables it involves, so one that involves none is never
+        multiplied under the cut: a term whose other variables already pass
+        the cut is dropped first, as every product of it would be.
         """
         table = self.table
         idx = {}
@@ -547,15 +550,19 @@ class Polynomial:
         if not idx:
             return self if cut is None else self.below(cut)
         # seeded with val itself, so that val * val is a square
-        powers = {i: {0: Polynomial.const(table, 1), 1: val}
-                  for i, val in idx.items()}
+        powers = {i: {1: val} for i, val in idx.items()}
         num, den, ints = self._iv
         out = PolySum(table)
         for m, c in ints.items():
             residual = tuple(0 if i in idx else e for i, e in enumerate(m))
+            if cut is not None and sum(
+                    [residual[i] for i in cut[0]]) >= cut[1]:
+                continue
             factor = from_int_terms(table, {residual: c})
             for i, val in idx.items():
                 e = m[i]
+                if not e:
+                    continue
                 cache = powers[i]
                 if e not in cache:
                     p = max(cache)

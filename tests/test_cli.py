@@ -77,6 +77,20 @@ def test_huge_precision_ends_in_a_typed_outcome(tmp_path, path, k, cmd):
     assert code == HUGE_PRECISION_EXITS[path][k], err
 
 
+def test_huge_precision_jet_division_at_stage_9_is_untyped(tmp_path):
+    """Pins a known gap, not a wanted outcome: at precision 10^29 with
+    jets Y1 = Y2 = x, stage 9 tries d' = 1 at once, and ``jet_divide``
+    asks ``itertools.islice`` for one column per standard monomial below
+    N, which it refuses with a ValueError (exit 1 from ``main``).  A run
+    budget or a stated bound on jet division would make this a typed
+    exit; re-pin it then."""
+    path = _rewritten(HYPER, tmp_path, r"precision \d+;\s*Y1 = [^;]*;"
+                      r"\s*Y2 = [^;]*;",
+                      f"precision {10 ** 29}; Y1 = x; Y2 = x;")
+    with pytest.raises(ValueError, match="islice"):
+        run_command("desing", path)
+
+
 @pytest.mark.parametrize("old, new", [
     HUGE, (r"verify Y1 = x1 \+ x1\^2", "verify Y1 = x1 + 2*x1^2")])
 def test_a_verify_jet_that_does_not_extend_its_jet_is_refused(

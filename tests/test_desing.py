@@ -420,6 +420,27 @@ def test_an_adjoined_variable_without_a_verify_jet_fails(monkeypatch):
         desingularize(hypersurface_with_verify())
 
 
+def test_the_adjunction_builds_candidates_only_as_it_tries_them(
+        monkeypatch):
+    """Seed 22 adjoins a variable with d' = 1, the first candidate, so no
+    monomial of any degree below N is listed."""
+    calls = {"adjoin": 0, "monomials": 0}
+
+    def counting(name, fn):
+        def spy(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        return spy
+
+    monkeypatch.setattr(neron.desing, "_adjoin_variable",
+                        counting("adjoin", neron.desing._adjoin_variable))
+    monkeypatch.setattr(neron.desing, "monomials_of_degree",
+                        counting("monomials",
+                                 neron.desing.monomials_of_degree))
+    desingularize(random_certificate_instance(22))
+    assert calls == {"adjoin": 1, "monomials": 0}
+
+
 def test_factor_morphism_corruption_detected(golden_result):
     res = golden_result
     ring = res.presentation.ring

@@ -6,7 +6,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import neron.groebner as groebner
@@ -693,3 +693,58 @@ def test_global_bases_are_sympys_reduced_basis(problem):
     assert set(got) == {_from_sympy(T, e, syms, DegRevLex())
                         for e in want.exprs}
     assert len(got) == len(want.exprs)
+
+
+@st.composite
+def homogeneous_memberships(draw):
+    """One to three generators over x1, x2, x3, each homogeneous of degree
+    one to three, and a dividend: a combination of them, plus a tail
+    unless the draw makes it a member."""
+    T = VarTable.make(("x1", BASE), ("x2", BASE), ("x3", BASE))
+    coeffs = st.sampled_from((-3, -2, -1, 1, 2, 3))
+
+    def terms(mons):
+        return Polynomial.from_terms(T, draw(st.lists(
+            st.tuples(mons, coeffs), min_size=1, max_size=3)))
+
+    def homogeneous(deg):
+        return terms(st.integers(0, deg).flatmap(
+            lambda a: st.integers(0, deg - a).map(
+                lambda b: (a, b, deg - a - b))))
+
+    gens = [g for g in (homogeneous(draw(st.integers(1, 3)))
+                        for _ in range(draw(st.integers(1, 3))))
+            if not g.is_zero()] or [Polynomial.var(T, "x1")]
+    mons = st.tuples(*[st.integers(0, 2)] * 3)
+    p = Polynomial.zero(T)
+    for g in gens:
+        p = p + terms(mons) * g
+    if not draw(st.booleans()):
+        p = p + terms(mons)
+    return T, gens, p
+
+
+@settings(max_examples=100, deadline=5000)
+@given(homogeneous_memberships())
+def test_local_membership_in_a_homogeneous_ideal_is_sympys(problem):
+    """Local membership for ecart-0 bases: under NegDegRevLex() the
+    standard basis of a homogeneous ideal is homogeneous, so every reducer
+    has ecart 0, Mora's rule takes the first divisor and no snapshot
+    fires.  A homogeneous ideal's associated primes lie in (x), so
+    localizing at (x) adds no members, and membership in the polynomial
+    ring, which sympy's grevlex basis decides, is the oracle.  Snapshots
+    are covered by the ``value_mora_nf`` tests above."""
+    import sympy
+    T, gens, p = problem
+    assert mixed_order(T) == NegDegRevLex()
+    syms = sympy.symbols(T.names)
+
+    def expr(q):
+        return sum((sympy.Rational(c.numerator, c.denominator)
+                    * sympy.prod([s ** e for s, e in zip(syms, m)])
+                    for m, c in q.terms.items()), sympy.Integer(0))
+
+    want = sympy.groebner([expr(g) for g in gens], *syms,
+                          order="grevlex").contains(expr(p))
+    event("member" if want else "not a member")
+    assert Ideal(T, gens).contains(p) == want

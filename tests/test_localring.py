@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import neron.groebner as groebner
+import neron.idealops
 from neron import (ALGEBRA, BASE, Ideal, Polynomial, VarTable,
                    ideal_quotient, mixed_order, parse_poly, same_ideal,
                    std_basis)
@@ -165,6 +166,25 @@ def test_compute_e_examples():
     stable = next(k for k in range(len(chain) - 1)
                   if same_ideal(Ideal(T2, chain[k]), Ideal(T2, chain[k + 1])))
     assert compute_e(d, ring3) == max(1, stable) == 1
+
+
+def test_compute_e_of_a_unit_takes_no_colon(monkeypatch):
+    """A d with a nonzero constant term is a unit of A: (0 : d^k) = 0, so
+    e = 1 without a standard basis."""
+    ring = two_branch_ring()
+    calls = []
+
+    def spying(fn):
+        def spy(*args, **kw):
+            calls.append(fn.__name__)
+            return fn(*args, **kw)
+        return spy
+
+    for module in (groebner, neron.idealops):
+        monkeypatch.setattr(module, "std_basis", spying(module.std_basis))
+    for text in ("1 + x1", "-2 + x1*x2 + x2^3", "3"):
+        assert compute_e(parse_poly(ring.table, text), ring) == 1
+    assert calls == []
 
 
 def test_precision_bound_examples():

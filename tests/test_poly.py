@@ -9,7 +9,7 @@ from math import gcd, lcm
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import neron.localring
@@ -668,6 +668,10 @@ def test_sums_and_scalings_that_clear_denominators_give_ints():
 
 @settings(max_examples=100, deadline=None)
 @given(rational_polys(), rational_polys(), st.integers(0, 7))
+# x1^4*Y1 and x2^5 pass the cut before Y1 is replaced; x1*x2 involves no
+# substituted variable
+@example(parse_poly(table_xy(), "x1^4*Y1 + x2^5 + x1*x2 + 2*x1*Y1^2"),
+         parse_poly(table_xy(), "x2 + x1^2"), 4)
 def test_substitute_under_a_cut_drops_only_terms_beyond_it(p, v, bound):
     cut = (TABLE_XY_BASE, bound)
     for assignment in ({"Y1": v}, {"x2": v, "Y2": v * v}):
