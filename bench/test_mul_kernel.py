@@ -1,8 +1,9 @@
 """Microbenchmarks of the polynomial product kernel, ``Polynomial.__mul__``,
 of its form under a degree cut, ``Polynomial.mul(other, cut)``, of the sum
 ``Polynomial.__add__``, of a jet product (``Jet.__mul__``: the cut product
-and ``reduce_jet``), of Mora's normal form, ``groebner.mora_nf``, of a
-standard basis, ``groebner.std_basis``, and of the monomial and
+and ``reduce_jet``), of jet division by a unit (``jet_divide``), of
+Mora's normal form, ``groebner.mora_nf``, of a standard basis,
+``groebner.std_basis``, and of the monomial and
 construction primitives under them: divisibility (``mon_divides`` below)
 and the mixed order's key (``TermOrder.key``) on exponent tuples, their
 packed forms (``orders.Packing``, the layout the library runs on), the
@@ -48,6 +49,12 @@ step of order 18, 63 terms, times a sum S_2 of 72 terms), and the small
 8x8, 3x3 and 2x40 products.  Their coefficients are those of the
 binomial series of (1 + x1)^(1/2) and (1 + x1)^(-1/2), dyadic rationals
 like the lift's square-root jets.
+The jet-division cases divide by a unit at precision 81 modulo
+(x1*x2) (``jet_divide``, which solves the quotient degree by degree): the
+lift's shape, the 8 terms of (1 + x1)^(1/2) from x1^9 on over the first
+12 terms of (1 + x1)^(-1/2), and the same numerator over a dense unit,
+the first 81 terms of (1 + x1)^(-1/2).  Each checks its quotient against
+Newton's inverse times the numerator (``jet_invert``).
 The dense cases are exact products in the shape of the expansion of s''
 in ``build_hg``: x1-strands of 62, 72 and 84 terms times the
 T-monomials T1^2, T1*T2 and T2^2 (18-bit coefficients) times a
@@ -76,7 +83,7 @@ import neron.poly
 from neron import (ALGEBRA, AUX, BASE, TANGENT, Polynomial, VarTable,
                    elim_order, mixed_order, parse_poly, std_basis)
 from neron.groebner import _reducers, mora_nf
-from neron.localring import LocalRingSpec
+from neron.localring import LocalRingSpec, jet_divide, jet_invert
 from neron.orders import packing
 from neron.poly import _from_ints
 
@@ -132,6 +139,13 @@ STRAND_CASES = [("square-72", (HALF, 9, 81), None, (72, 72), 63),
 STRAND_CUT = (TABLE.block(BASE), 81)
 # _STRAND_MIN for each kernel
 KERNELS = {"strand": 1, "dict-loop": 10 ** 9}
+
+# (case, binomial exponent and x1-exponents of the numerator and of the
+# unit, terms of each and of the quotient); both are jets at precision 81
+DIVIDE_CASES = [("lift-8/12", (HALF, 9, 17), (MINUS_HALF, 0, 12), (8, 12), 72),
+                ("dense-8/81", (HALF, 9, 17), (MINUS_HALF, 0, 81), (8, 81),
+                 72)]
+DIVIDE_RING = LocalRingSpec(TABLE, [parse_poly(TABLE, "x1*x2")])
 
 # x1 with the tangent variables of the expansion of s''
 T_TABLE = VarTable.make(("x1", BASE), ("T1", TANGENT), ("T2", TANGENT))
@@ -285,6 +299,20 @@ def test_strand_mul(benchmark, monkeypatch, kernel, case, a_spec, b_spec,
     monkeypatch.setattr(neron.poly, "_STRAND_MIN", KERNELS[kernel])
     result = benchmark(a.mul, b, STRAND_CUT)
     assert len(result.monomials()) == product_terms and result == want
+
+
+@pytest.mark.parametrize("case, num_spec, den_spec, operand_terms, "
+                         "quotient_terms", DIVIDE_CASES,
+                         ids=[c[0] for c in DIVIDE_CASES])
+def test_jet_divide_by_unit(benchmark, case, num_spec, den_spec,
+                            operand_terms, quotient_terms):
+    num, den = (DIVIDE_RING.jet(binomial_strand(*spec), 81)
+                for spec in (num_spec, den_spec))
+    assert (len(num.poly.monomials()), len(den.poly.monomials())) == \
+        operand_terms
+    result = benchmark(jet_divide, num, den)
+    assert len(result.poly.monomials()) == quotient_terms
+    assert result == num * jet_invert(den)
 
 
 def dense_operand(spec, rng):

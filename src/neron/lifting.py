@@ -21,7 +21,7 @@ from .desing import (AlgebraPresentation, MorphismApprox, ShiftedPoint,
 from .errors import (DivisionFailed, HypothesisViolated, NeronError,
                      NoContraction, NotDivisible, PreconditionFailed)
 from .groebner import Ideal
-from .linalg import det, det_adjugate
+from .linalg import det_adjugate
 from .localring import Jet, compute_e, jet_divide
 from .orders import ALGEBRA
 from .poly import Polynomial
@@ -101,7 +101,8 @@ def check_hypothesis(prob):
 
 
 def _completion_data(prob):
-    """Square matrix H at y' and the element d = (det H)(y')."""
+    """(H, d, G'): the square matrix H at y', the element d = (det H)(y')
+    and the adjugate G' of H, from one ``det_adjugate``."""
     ring = prob.ring.with_minimal_primes()
     f_polys = list(prob.f_polys())
     prec = max(prob.target, prob.rho + 1, 2)
@@ -109,11 +110,12 @@ def _completion_data(prob):
                               for nm, p in prob.approx.items()})
     B = AlgebraPresentation(ring, tuple(prob.relations))
     H = complete_H(B, f_polys, v)
-    d = ring.monomial_reduce(det(H).substitute(
+    dH, Gp = det_adjugate(H)
+    d = ring.monomial_reduce(dH.substitute(
         {nm: j.poly for nm, j in v.jets.items()}))
     if d.is_zero():
         raise DivisionFailed("det(H) vanishes at the approximate solution")
-    return H, d
+    return H, d, Gp
 
 
 def newton_lift(prob):
@@ -142,14 +144,12 @@ def newton_lift(prob):
            for rel in prob.relations):
         raise PreconditionFailed("I(y') does not vanish modulo (x)^rho")
 
-    H, d = _completion_data(prob)
+    _, d, Gp = _completion_data(prob)
     e = compute_e(d, ring)
     if not check_hypothesis(prob):
         raise HypothesisViolated(
             "the evaluated Jacobian ideal does not reach (x)^rho")
     nu = nu_bound(e, prob.rho, c)
-
-    _, Gp = det_adjugate(H)
 
     d_ord = d.order() or 0
     prec = c + (e + 1) * d_ord + 1

@@ -21,8 +21,9 @@ precision bound test.
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import (ActiveElementNotFound, DecompositionIncomplete,
                      NeronError, NotAUnit, NotDivisible, PreconditionFailed,
@@ -30,8 +31,10 @@ from .errors import (ActiveElementNotFound, DecompositionIncomplete,
 from .groebner import Ideal, delete_multiples, std_basis
 from .idealops import (intersect, krull_dim, radical_membership, same_ideal,
                        saturate)
-from .orders import BASE, mixed_order
-from .poly import Polynomial, exact_div
+from .orders import BASE, DegRevLex, mixed_order, packing
+from .poly import Polynomial, exact_div, from_int_terms
+
+_DEGREVLEX = DegRevLex()
 
 
 def monomials_of_degree(table, positions, degree):
@@ -256,6 +259,12 @@ class Jet:
         return (-self) + other
 
     def __mul__(self, other):
+        """The product at the smaller precision.  A rational or a constant
+        polynomial scales the content, which keeps the form canonical.
+        Any other factor enters as a jet (a polynomial is reduced on
+        entry), and their product is cut at the precision and reduced."""
+        if isinstance(other, Polynomial) and other.is_constant():
+            other = other.constant_coefficient()
         if isinstance(other, (int, Fraction)):
             return Jet(self.ring, self.poly * other, self.precision)
         other = self._coerce(other)
@@ -315,8 +324,17 @@ def jet_invert(u):
 def jet_divide(num, den):
     """Jet z with den*z = num modulo (x)^(N - ord den) + J, else NotDivisible.
 
-    Solved as an exact linear system on the coefficients of z over the
-    standard monomials; any solution is returned (free coordinates zero).
+    Three paths, after the shortcuts for a zero num and for num = den:
+    - a constant den c scales num by 1/c, at any precision;
+    - a unit den, whose x-degree-0 part is a nonzero constant c, has one
+      quotient.  When J's basis is all single terms (J = 0 included), it
+      is solved one x-degree at a time (``_divide_by_unit``); for any
+      other J it is num * jet_invert(den).  A den with a constant term
+      and another term of x-degree 0 raises NotAUnit;
+    - a den with no constant term is solved as an exact linear system on
+      the coefficients of z over the standard monomials; any solution is
+      returned (free coordinates zero).  A precision that needs more than
+      sys.maxsize unknowns raises PreconditionFailed.
     """
     ring = num.ring
     if den.is_zero():
@@ -330,9 +348,18 @@ def jet_divide(num, den):
         return ring.zero_jet(n_res)
     if num.poly == den.poly:
         return ring.jet(1, n_res)
-    if den.poly.constant_coefficient() != 0:
-        inv = jet_invert(den.truncate(min(den.precision, n_res)))
-        return (num.truncate(min(num.precision, n_res)) * inv).truncate(n_res)
+    c = den.poly.constant_coefficient()
+    if c != 0:
+        if den.poly.is_constant():
+            return Jet(ring, num._at(n) * exact_div(1, c), n)
+        leads = ring.j_ideal.monomial_leads()
+        if leads is not None:
+            return _divide_by_unit(num, den, n, leads)
+        return num * jet_invert(den.truncate(n))
+    if n_res > sys.maxsize:
+        raise PreconditionFailed(
+            f"jet division at precision {n} has more unknowns than can be "
+            f"listed")
     table = ring.table
     target = n_res + o
     cols = sum(itertools.islice(standard_monomials(ring.j_ideal), n_res), [])
@@ -361,6 +388,91 @@ def jet_divide(num, den):
         raise NotDivisible("jet division has no solution at this precision")
     z = Polynomial.from_terms(table, [(m, c) for m, c in zip(cols, sol) if c])
     return ring.jet(z, n_res)
+
+
+def _divide_by_unit(num, den, n, leads):
+    """The jet z with den*z = num modulo J + (x)^n, for J with the basis of
+    single terms ``leads`` and den a nonzero constant c modulo (x).
+
+    The power-series recurrence (Knuth, TAOCP vol. 2, 4.7): with p_k the
+    part of x-degree k of p, z_k = (num_k - sum_(j>=1) [den_j*z_(k-j)]) / c,
+    where [.] drops the multiples of the leads, as reduction modulo J
+    does.  Each z_k is kept as integer terms over its own denominator, in
+    lowest terms, so the denominators do not grow with a power of c; z is
+    built from them once.  A term of z_k is a term of num times at most k
+    terms of den, which bounds the degrees, so monomials are packed
+    (``orders.Packing``) and multiply by one int addition.
+    """
+    ring = num.ring
+    base = ring.base
+
+    def degree(m):
+        return sum([m[i] for i in base])
+
+    # den = dn/dd * dints, so z solves dints*z = a/b * nints
+    dn, dd, dints = den.poly._view()
+    nn, nd, nints = num.poly._view()
+    scale = Fraction(nn * dd, nd * dn)
+    a, b = scale.numerator, scale.denominator
+    pk = packing(_DEGREVLEX, ring.table, max([
+        max(map(sum, nints)) + (n - 1) * max(map(sum, dints)),
+        *map(sum, leads)]))
+    pack, divides = pk.pack, pk.divides
+    c = None
+    parts = {}      # x-degree j >= 1 -> [(packed monomial, coefficient)]
+    for m, v in dints.items():
+        j = degree(m)
+        if j == 0:
+            if any(m):
+                raise NotAUnit("jet is not a nonzero constant modulo (x)")
+            c = v
+        else:
+            parts.setdefault(j, []).append((pack(m), v))
+    parts = sorted(parts.items())
+    rhs = {}        # x-degree k -> {packed monomial: coefficient}
+    for m, v in nints.items():
+        rhs.setdefault(degree(m), {})[pack(m)] = a * v
+    leads = [pack(lm) for lm in leads]
+    z = []          # z_k = ints / q as (ints, q), q > 0
+    for k in range(n):
+        acc = rhs.get(k, {})
+        L = b if acc else 1     # the denominator of acc
+        get = acc.get
+        for j, terms in parts:
+            if j > k:
+                break
+            ints, q = z[k - j]
+            if not ints:
+                continue
+            f, r = divmod(L, q)
+            if r:       # widen acc's denominator to lcm(L, q)
+                g = q // gcd(L, q)
+                for m in acc:
+                    acc[m] *= g
+                L *= g
+                f = L // q
+            for mt, v in terms:
+                cv = v * f
+                for mz, w in ints.items():
+                    m = mt + mz
+                    acc[m] = get(m, 0) - cv * w
+        ints = {m: v for m, v in acc.items()
+                if v and not any(divides(lm, m) for lm in leads)}
+        if not ints:
+            z.append((ints, 1))
+            continue
+        q = L * c
+        g = gcd(q, *ints.values())
+        if q < 0:
+            g = -g
+        if g != 1:
+            q //= g
+            ints = {m: v // g for m, v in ints.items()}
+        z.append((ints, q))
+    Q = lcm(*[q for ints, q in z if ints])
+    unpack = pk.unpack
+    out = {unpack(m): v * (Q // q) for ints, q in z for m, v in ints.items()}
+    return Jet(ring, from_int_terms(ring.table, out, 1, Q), n)
 
 
 def _solve_exact(A, rhs):

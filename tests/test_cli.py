@@ -77,18 +77,19 @@ def test_huge_precision_ends_in_a_typed_outcome(tmp_path, path, k, cmd):
     assert code == HUGE_PRECISION_EXITS[path][k], err
 
 
-def test_huge_precision_jet_division_at_stage_9_is_untyped(tmp_path):
-    """Pins a known gap, not a wanted outcome: at precision 10^29 with
-    jets Y1 = Y2 = x, stage 9 tries d' = 1 at once, and ``jet_divide``
-    asks ``itertools.islice`` for one column per standard monomial below
-    N, which it refuses with a ValueError (exit 1 from ``main``).  A run
-    budget or a stated bound on jet division would make this a typed
-    exit; re-pin it then."""
+def test_huge_precision_jet_division_at_stage_9_is_typed(tmp_path):
+    """At precision 10^29 with jets Y1 = Y2 = x, stage 9 tries d' = 1 at
+    once, and ``jet_divide`` would need one unknown per standard monomial
+    below N, more than can be listed: a precondition failure naming the
+    precision, exit 3, and not NotDivisible, which would send stage 9
+    through its candidates for every degree below N."""
     path = _rewritten(HYPER, tmp_path, r"precision \d+;\s*Y1 = [^;]*;"
                       r"\s*Y2 = [^;]*;",
                       f"precision {10 ** 29}; Y1 = x; Y2 = x;")
-    with pytest.raises(ValueError, match="islice"):
-        run_command("desing", path)
+    code, out, err = run_command("desing", path)
+    assert code == 3 and out == ""
+    assert err.startswith("PreconditionFailed: jet division at precision "
+                          f"{10 ** 29} ")
 
 
 @pytest.mark.parametrize("old, new", [

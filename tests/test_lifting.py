@@ -273,7 +273,7 @@ def test_check_hypothesis_matches_nu_formulation():
         for rho in range(3):
             prob = _generator_lift_problem(seed, rho)
             try:
-                _, d = _completion_data(prob)
+                d = _completion_data(prob)[1]
                 nu = nu_bound(compute_e(d, prob.ring), rho, prob.target)
             except CompletionFailed:
                 nu = rho + 1

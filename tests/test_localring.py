@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import neron.groebner as groebner
 import neron.idealops
+import neron.localring
 from neron import (ALGEBRA, BASE, Ideal, Polynomial, VarTable,
                    ideal_quotient, mixed_order, parse_poly, same_ideal,
                    std_basis)
@@ -328,6 +330,101 @@ def test_jet_divide_solves_exactly():
     z = jet_divide(num, den)
     assert z.poly == parse_poly(T, "1/3 + 1/3*x")
     assert (den * z - num).is_zero()
+
+
+# jet division by a unit: the rings, each with the table its J lives in.
+# J = 0 has one base variable, so the ring has dimension 1; the binomial
+# J is the one whose division keeps Newton's inverse (jet_invert).
+_UNIT_TABLE = VarTable.make(("x1", BASE), ("x2", BASE), ("Y1", ALGEBRA))
+_LINE_TABLE = VarTable.make(("x1", BASE), ("Y1", ALGEBRA))
+_UNIT_RINGS = ((LocalRingSpec(_LINE_TABLE, []), False),) + tuple(
+    (LocalRingSpec(_UNIT_TABLE, [parse_poly(_UNIT_TABLE, t)]), newton)
+    for t, newton in (("x1*x2", False), ("x1^2*x2", False),
+                      ("x1^2*x2 - x2^3", True)))
+_UNIT_COEFFS = st.one_of(
+    st.builds(lambda k, e: Fraction(k, 2 ** e),
+              st.integers(-99, 99).filter(bool), st.integers(0, 12)),
+    st.builds(Fraction, st.integers(-99, 99).filter(bool),
+              st.integers(1, 9)))
+
+
+@st.composite
+def unit_divisions(draw):
+    """A ring, its flag for Newton's path, and jets num and den at one
+    precision from 1 to 90: den a nonzero constant plus up to 19 terms of
+    positive x-degree in the base, num up to 8 terms, some with Y1."""
+    ring, newton = draw(st.sampled_from(_UNIT_RINGS))
+    table = ring.table
+    nbase = len(ring.base)
+    n = draw(st.integers(1, 90))
+
+    def base_mon(low):
+        exps = draw(st.lists(st.integers(0, 8), min_size=nbase,
+                             max_size=nbase))
+        exps[0] = max(exps[0], low - sum(exps[1:]))
+        return tuple(exps)
+
+    den = [((0,) * len(table), draw(_UNIT_COEFFS))]
+    for _ in range(draw(st.integers(0, 19))):
+        den.append((base_mon(1) + (0,), draw(_UNIT_COEFFS)))
+    num = [(base_mon(0) + (draw(st.integers(0, 2)),), draw(_UNIT_COEFFS))
+           for _ in range(draw(st.integers(1, 8)))]
+    return (ring, newton, ring.jet(Polynomial.from_terms(table, num), n),
+            ring.jet(Polynomial.from_terms(table, den), n))
+
+
+@settings(max_examples=100, deadline=20000)
+@given(unit_divisions())
+def test_jet_divide_by_a_unit_matches_newtons_inverse(data):
+    """Division by a unit is Newton's inverse times num, the unique
+    quotient; it takes Newton's path only for a J that is not monomial."""
+    ring, newton, num, den = data
+    n = num.precision
+    want = (num.truncate(n) * jet_invert(den.truncate(n))).truncate(n)
+    with mock.patch.object(neron.localring, "jet_invert",
+                           wraps=jet_invert) as spy:
+        assert jet_divide(num, den) == want
+    assert spy.called == (newton and not den.poly.is_constant()
+                          and not num.is_zero() and num.poly != den.poly)
+
+
+def test_jet_divide_by_a_unit_edges():
+    for ring, _ in _UNIT_RINGS:
+        T = ring.table
+        # a constant den scales at any precision, at once
+        huge = 10 ** 29
+        num = ring.jet(parse_poly(T, "x1 + 1/2*x1^3*Y1"), huge)
+        z = jet_divide(num, ring.jet(Polynomial.const(T, Fraction(-3, 4)),
+                                     huge))
+        assert z.precision == huge
+        assert z.poly == parse_poly(T, "-4/3*x1 - 2/3*x1^3*Y1")
+        # a nonzero constant plus Y1, of x-degree 0, is not a unit
+        with pytest.raises(NotAUnit):
+            jet_divide(num.truncate(4), ring.jet(parse_poly(T, "1 + Y1"), 4))
+        # Y1 may ride on den's terms of positive x-degree
+        den = ring.jet(parse_poly(T, "2 + x1*Y1 - 3*x1^2"), 8)
+        z = jet_divide(num.truncate(8), den)
+        assert z == (num.truncate(8) * jet_invert(den)).truncate(8)
+        assert (den * z - num.truncate(8)).is_zero()
+
+
+def test_jet_times_a_constant_polynomial_scales():
+    """A constant polynomial factor scales the jet as its value does, and
+    no reduction runs."""
+    cases = []
+    for ring, _ in _UNIT_RINGS:
+        T = ring.table
+        jet = ring.jet(parse_poly(T, "1/3 - x1 + 5/7*x1^2*Y1 + x1^4"), 6)
+        for c in (0, 1, -2, Fraction(7, 12)):
+            const = Polynomial.const(T, c)
+            want = jet * c
+            assert want == jet * ring.jet(const, 6)
+            cases.append((jet, const, want))
+    with mock.patch.object(LocalRingSpec, "reduce_jet", autospec=True,
+                           side_effect=LocalRingSpec.reduce_jet) as spy:
+        for jet, const, want in cases:
+            assert jet * const == want and const * jet == want
+    assert not spy.called
 
 
 _ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7, Fraction(1, 2),
