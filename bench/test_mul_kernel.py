@@ -54,7 +54,16 @@ The jet-division cases divide by a unit at precision 81 modulo
 lift's shape, the 8 terms of (1 + x1)^(1/2) from x1^9 on over the first
 12 terms of (1 + x1)^(-1/2), and the same numerator over a dense unit,
 the first 81 terms of (1 + x1)^(-1/2).  Each checks its quotient against
-Newton's inverse times the numerator (``jet_invert``).
+Newton's inverse times the numerator (``newton_inverse``).
+The jet-inversion cases invert a unit (``jet_invert``, which solves the
+inverse degree by degree over a monomial J) and check it against
+Newton's inverse: the shape of the instance generator's square roots,
+(1 + x1 - 2*x1^2 + x1*x2) times the first 9 terms of (1 + x1)^(1/2)
+modulo (x1^2*x2) at precision 9, and the dense first 81 and 161 terms of
+(1 + x1)^(-1/2) modulo (x1*x2) at precisions 81 and 161.
+The minimal-primes case decomposes (x1^2*x2) (``minimal_primes``), a
+relation ideal of the instance generator, whose every basis, colon and
+intersection is monomial.
 The dense cases are exact products in the shape of the expansion of s''
 in ``build_hg``: x1-strands of 62, 72 and 84 terms times the
 T-monomials T1^2, T1*T2 and T2^2 (18-bit coefficients) times a
@@ -83,7 +92,8 @@ import neron.poly
 from neron import (ALGEBRA, AUX, BASE, TANGENT, Polynomial, VarTable,
                    elim_order, mixed_order, parse_poly, std_basis)
 from neron.groebner import _reducers, mora_nf
-from neron.localring import LocalRingSpec, jet_divide, jet_invert
+from neron.localring import (LocalRingSpec, jet_divide, jet_invert,
+                             minimal_primes, newton_inverse)
 from neron.orders import packing
 from neron.poly import _from_ints
 
@@ -146,6 +156,19 @@ DIVIDE_CASES = [("lift-8/12", (HALF, 9, 17), (MINUS_HALF, 0, 12), (8, 12), 72),
                 ("dense-8/81", (HALF, 9, 17), (MINUS_HALF, 0, 81), (8, 81),
                  72)]
 DIVIDE_RING = LocalRingSpec(TABLE, [parse_poly(TABLE, "x1*x2")])
+
+# (case, relation, unit factor, binomial exponent and x1-exponents of the
+# series it multiplies, precision, terms of the unit and of its inverse)
+INVERT_CASES = [
+    ("sqrt-9", "x1^2*x2", "1 + x1 - 2*x1^2 + x1*x2", (HALF, 0, 9), 9,
+     (10, 10)),
+    ("dense-81", "x1*x2", "1", (MINUS_HALF, 0, 81), 81, (81, 81)),
+    ("dense-161", "x1*x2", "1", (MINUS_HALF, 0, 161), 161, (161, 161))]
+
+# the relation of the minimal-primes case over the base alone, and its
+# components
+PRIMES_TABLE = VarTable.make(("x1", BASE), ("x2", BASE))
+PRIMES_J, PRIMES = "x1^2*x2", [("x2",), ("x1",)]
 
 # x1 with the tangent variables of the expansion of s''
 T_TABLE = VarTable.make(("x1", BASE), ("T1", TANGENT), ("T2", TANGENT))
@@ -312,7 +335,26 @@ def test_jet_divide_by_unit(benchmark, case, num_spec, den_spec,
         operand_terms
     result = benchmark(jet_divide, num, den)
     assert len(result.poly.monomials()) == quotient_terms
-    assert result == num * jet_invert(den)
+    assert result == num * newton_inverse(den)
+
+
+@pytest.mark.parametrize("case, relation, factor, series, precision, terms",
+                         INVERT_CASES, ids=[c[0] for c in INVERT_CASES])
+def test_jet_invert(benchmark, case, relation, factor, series, precision,
+                    terms):
+    ring = LocalRingSpec(TABLE, [parse_poly(TABLE, relation)])
+    unit = ring.jet(parse_poly(TABLE, factor) * binomial_strand(*series),
+                    precision)
+    result = benchmark(jet_invert, unit)
+    assert (len(unit.poly.monomials()), len(result.poly.monomials())) == terms
+    assert result == newton_inverse(unit)
+
+
+def test_minimal_primes(benchmark):
+    T = PRIMES_TABLE
+    result = benchmark(minimal_primes, [parse_poly(T, PRIMES_J)], T)
+    assert result == [tuple(parse_poly(T, g) for g in prime)
+                      for prime in PRIMES]
 
 
 def dense_operand(spec, rng):

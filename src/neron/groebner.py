@@ -32,6 +32,12 @@ orders they are also fully tail-reduced.  The loop stops at the first
 element whose lead monomial is 1 (a unit of the ring the order
 realizes), which is then the whole minimal basis; only syzygy collection
 runs every pair.
+
+A monomial ideal needs no loop: when every generator is a single term
+(``single_terms``), its basis is its minimal generators, which are unique
+(Miller & Sturmfels, Combinatorial Commutative Algebra, ch. 1), made monic
+and sorted as the loop sorts (``minimal_monomials``).  Every S-polynomial
+of two terms is zero, so the loop would return the same tuple.
 """
 
 from __future__ import annotations
@@ -82,6 +88,31 @@ class _Prepared:
         return _Prepared(self.num, self.den,
                          {pk.repack(m, old): v for m, v in self.ints.items()},
                          pk, self.idx, self.row)
+
+
+def single_terms(gens):
+    """The monomials of the nonzero ``gens`` when each is a single term,
+    None otherwise: the one test for a monomial ideal."""
+    out = []
+    for g in gens:
+        mons = g.monomials()
+        if len(mons) > 1:
+            return None
+        out.extend(mons)
+    return tuple(out)
+
+
+def minimal_monomials(mons, table, order):
+    """The standard basis of the ideal of the monomials ``mons`` under any
+    order: its minimal generators, monic and sorted by lead, largest first,
+    as ``std_basis`` returns them.  A constant gives (1), as the stop rule
+    does, and no monomial the zero ideal ()."""
+    pk = packing(order, table, max(map(sum, mons), default=0))
+    divides, neg = pk.divides, pk.neg
+    packed = sorted(set(map(pk.pack, mons)), key=lambda a: a ^ neg,
+                    reverse=True)
+    return tuple(from_int_terms(table, {pk.unpack(a): 1}) for a in packed
+                 if not any(b != a and divides(b, a) for b in packed))
 
 
 def _reducers(basis, order, table):
@@ -475,7 +506,14 @@ def std_basis(gens, table, order, *, track=None):
     first element whose lead monomial is 1.  Its lead divides every other
     lead, so the minimal basis is that element alone (made monic), with
     its row, whatever further pairs would add.
+
+    Without tracking, generators that are all single terms skip the loop:
+    their basis is ``minimal_monomials``, the tuple the loop would return.
     """
+    if track is None:
+        mons = single_terms(gens)
+        if mons is not None:
+            return minimal_monomials(mons, table, order)
     pk = packing(order, table, max([g.total_degree() for g in gens],
                                    default=0))
     use_criteria = track != "syz"
@@ -634,9 +672,7 @@ class Ideal:
             order = mixed_order(self.table)
             basis = std_basis(self.gens, self.table, order)
             pk, prepared = _reducers(basis, order, self.table)
-            one_term = (tuple(pk.unpack(g.lm) for g in prepared)
-                        if all(len(g.ints) == 1 for g in prepared) else None)
-            self._basis = (basis, pk, prepared, one_term)
+            self._basis = (basis, pk, prepared, single_terms(basis))
         return self._basis
 
     def basis(self):

@@ -2,7 +2,11 @@
 
 Intersection uses the single auxiliary-variable t-trick; the quotient (I : J)
 is the intersection of (I : g) over the generators of J, and (I : g) is the
-intersection I meet (g) divided by g.
+intersection I meet (g) divided by g.  Monomial input takes the closed
+forms (Miller & Sturmfels, Combinatorial Commutative Algebra, ch. 1): two
+ideals of single terms meet in the ideal of the lcms of their generators,
+and the elements of I meet (g) for a single term g divide by it term by
+term.  Each gives the tuple the t-trick and ``lift_division`` give.
 
 Order rule: every operation here runs in ``mixed_order(table)``, which
 realizes the ring k[x]_(x)[Y, T, ...] that the table declares, just as a
@@ -16,11 +20,13 @@ order.  ``radical_membership`` alone works in the polynomial ring.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import sub
 
 from .errors import NeronError
-from .groebner import Ideal, lift_division, std_basis
+from .groebner import (Ideal, lift_division, minimal_monomials, single_terms,
+                       std_basis)
 from .orders import AUX, BASE, elim_order, global_order, mixed_order
-from .poly import Polynomial
+from .poly import Polynomial, from_int_terms
 
 
 def _aux_table(table, stem="t"):
@@ -29,7 +35,24 @@ def _aux_table(table, stem="t"):
 
 
 def intersect(gens_a, gens_b, table):
-    """Generators of the intersection of two ideals (t-trick)."""
+    """Generators of the intersection of two ideals.
+
+    Two monomial ideals meet in the ideal of the lcms lcm(a_i, b_j), whose
+    minimal generators, monic and sorted largest first under
+    ``mixed_order(table)``, are the t-free elements of the t-trick's basis:
+    it only ever makes monomials and monomial multiples of (1 - t)*b_j,
+    and the S-polynomial of t*a and t*b - b is lcm(a, b).  Any other input
+    takes the t-trick (``t_trick_intersect``)."""
+    a, b = single_terms(gens_a), single_terms(gens_b)
+    if a is None or b is None:
+        return t_trick_intersect(gens_a, gens_b, table)
+    return minimal_monomials([tuple(map(max, m, n)) for m in a for n in b],
+                             table, mixed_order(table))
+
+
+def t_trick_intersect(gens_a, gens_b, table):
+    """Generators of the intersection of two ideals: the elements free of
+    t of a basis of t*I + (1 - t)*K under an order that eliminates t."""
     ext, t = _aux_table(table)
     tv = Polynomial.var(ext, t)
     one = Polynomial.const(ext, 1)
@@ -51,18 +74,34 @@ def quotient_by_poly(gens, g, table):
 
     Each generator p of I meet (g) is divided by g: q is the quotient of
     the witness unit*p = q*g of ``lift_division``.  The unit is invertible
-    in the local ring, so (q) = (p/g) there and the q generate (I : g)."""
+    in the local ring, so (q) = (p/g) there and the q generate (I : g).
+    A single term g divides p term by term, for any I: p lies in (g) in
+    the polynomial ring, g has ecart 0, so no division step needs a unit
+    and ``lift_division``'s quotient is that one."""
     if g.is_zero():
         raise NeronError("colon by zero")
     if g.is_constant():
         return tuple(gens)
+    meet = intersect(gens, [g], table)
+    if single_terms([g]) is not None:
+        return tuple(_divide_by_term(p, g) for p in meet)
     order = mixed_order(table)
     out = []
-    for p in intersect(gens, [g], table):
+    for p in meet:
         q = lift_division(p, [g], table, order).quotients[0]
         if not q.is_zero():
             out.append(q)
     return tuple(out)
+
+
+def _divide_by_term(p, g):
+    """p / g for a single term g that divides every term of p."""
+    gn, gd, gints = g._view()
+    ((mg, sign),) = gints.items()       # primitive: sign is 1 or -1
+    num, den, ints = p._view()
+    return from_int_terms(p.table, {tuple(map(sub, m, mg)): sign * v
+                                    for m, v in ints.items()},
+                          num * gd, den * gn)
 
 
 def ideal_quotient(gens_i, gens_j, table):

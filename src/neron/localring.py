@@ -300,20 +300,37 @@ class Jet:
 
 
 def jet_invert(u):
-    """Jet z with u*z = 1 modulo (x)^N.  u must be a nonzero constant
+    """Jet z with u*z = 1 modulo J + (x)^N.  u must be a nonzero constant
     modulo (x), which makes it a unit: (x) is nilpotent modulo (x)^N.
 
-    Newton's iteration with doubling precision (von zur Gathen & Gerhard,
-    Modern Computer Algebra, 9.1): an inverse z modulo (x)^k gives
-    z - z*(u*z - 1) modulo (x)^2k, so ceil(log2 N) steps reach N.
+    The inverse is unique in canonical form, so each of three paths gives
+    the same jet: a constant u = c gives 1/c at once, at any precision;
+    over a J whose basis is all single terms (J = 0 included), 1/u is
+    solved one x-degree at a time (``_divide_by_unit``); any other J takes
+    Newton's inverse (``newton_inverse``).
     """
     ring, n = u.ring, u.precision
     head = u.poly.below((ring.base, 1))
     c = head.constant_coefficient()
     if c == 0 or not head.is_constant():
         raise NotAUnit("jet is not a nonzero constant modulo (x)")
-    # u = c: 1/c is the inverse at every precision
-    z = ring.jet(exact_div(1, c), n if u.poly == head else 1)
+    if u.poly == head:
+        return ring.jet(exact_div(1, c), n)
+    leads = ring.j_ideal.monomial_leads()
+    if leads is not None:
+        return _divide_by_unit(ring.jet(1, n), u, n, leads)
+    return newton_inverse(u)
+
+
+def newton_inverse(u):
+    """The inverse of the unit jet u (a nonzero constant modulo (x)) by
+    Newton's iteration with doubling precision (von zur Gathen & Gerhard,
+    Modern Computer Algebra, 9.1): an inverse z modulo (x)^k gives
+    z - z*(u*z - 1) modulo (x)^2k, so ceil(log2 N) steps reach N.
+    ``jet_invert`` takes it for a J that is not monomial; the tests
+    compare the other paths with it."""
+    ring, n = u.ring, u.precision
+    z = ring.jet(exact_div(1, u.poly.constant_coefficient()), 1)
     while z.precision < n:
         # canonical at precision k is canonical at any higher precision
         z = Jet(ring, z.poly, min(2 * z.precision, n))
@@ -401,8 +418,14 @@ def _divide_by_unit(num, den, n, leads):
     lowest terms, so the denominators do not grow with a power of c; z is
     built from them once.  A term of z_k is a term of num times at most k
     terms of den, which bounds the degrees, so monomials are packed
-    (``orders.Packing``) and multiply by one int addition.
+    (``orders.Packing``) and multiply by one int addition.  A precision
+    past sys.maxsize, whose degrees could not all be solved, raises
+    PreconditionFailed.
     """
+    if n > sys.maxsize:
+        raise PreconditionFailed(
+            f"jet division by a unit at precision {n} has more degrees than "
+            f"can be solved")
     ring = num.ring
     base = ring.base
 

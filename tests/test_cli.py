@@ -2,6 +2,7 @@
 
 import json
 import re
+import signal
 import subprocess
 import sys
 
@@ -90,6 +91,43 @@ def test_huge_precision_jet_division_at_stage_9_is_typed(tmp_path):
     assert code == 3 and out == ""
     assert err.startswith("PreconditionFailed: jet division at precision "
                           f"{10 ** 29} ")
+
+
+# the square root of 1 + x: d = 2*Y1 is a unit at the jet
+SQRT = """
+    ring { field Q; vars x; }
+    algebra { vars Y1; relations Y1^2 - 1 - x; }
+    morphism { precision 4; Y1 = 1 + 1/2*x - 1/8*x^2 + 1/16*x^3; }
+    """
+
+
+class _DeadlinePassed(Exception):
+    pass
+
+
+def _raise_deadline(signum, frame):
+    raise _DeadlinePassed()
+
+
+def test_lift_to_a_huge_target_with_a_unit_d_is_typed(tmp_path, capsys):
+    """Dividing by the unit d at a target c of 10^29 would solve one degree
+    at a time below c + 1, the precision of the lift's jets when d has
+    order 0: a precondition failure naming that precision, exit 3, within
+    an interval timer that turns a run without end into a failure."""
+    path = tmp_path / "sqrt.gnd"
+    path.write_text(SQRT, encoding="utf-8")
+    previous = signal.signal(signal.SIGALRM, _raise_deadline)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        code = main(["lift", str(path), "--rho", "1",
+                     "--target-precision", str(10 ** 29)])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err.startswith("PreconditionFailed: jet division by a "
+                                   f"unit at precision {10 ** 29 + 1} ")
 
 
 @pytest.mark.parametrize("old, new", [

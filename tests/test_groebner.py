@@ -596,6 +596,48 @@ def test_standard_bases_are_minimal_for_every_order(problem):
         assert Ideal(T, gens).leads() == frozenset(leads)
 
 
+@st.composite
+def monomial_gens(draw):
+    """An order and zero to five single terms over x1, x2, Y1, some of them
+    constants or zero.  The engine never runs a division step on single
+    terms (each S-polynomial of two is zero), so these draws stay clear of
+    Mora's long runs on the inputs ``maximal_ideal_gens`` avoids."""
+    T = table_nf()
+    order = draw(st.sampled_from([mixed_order(T), NegDegRevLex(),
+                                  global_order()]))
+    mons = st.tuples(*[st.integers(0, 3)] * len(T))
+    coeffs = st.one_of(_NF_COEFFS, st.just(0))
+    return T, order, [Polynomial(T, {m: c}) for m, c in draw(st.lists(
+        st.tuples(mons, coeffs), max_size=5))]
+
+
+@settings(max_examples=200, deadline=5000)
+@given(monomial_gens())
+def test_monomial_bases_are_the_engines(problem):
+    """The closed form of a monomial ideal's basis, its minimal generators
+    monic and sorted largest first, is the tuple the engine computes with
+    rows (``track="rows"`` always runs Buchberger's loop)."""
+    T, order, gens = problem
+    assert std_basis(gens, T, order) == std_basis(gens, T, order,
+                                                  track="rows")[0]
+
+
+def test_monomial_bases_skip_the_loop():
+    """Single-term generators never reach the division loop; one generator
+    with two terms does."""
+    T = table_nf()
+    x1, x2 = Polynomial.var(T, "x1"), Polynomial.var(T, "x2")
+    with mock.patch.object(groebner, "_divide",
+                           wraps=groebner._divide) as spy:
+        assert std_basis([x1 * x2, x1 ** 2, 3 * x1 * x2 ** 2], T,
+                         mixed_order(T)) == (x1 ** 2, x1 * x2)
+        assert std_basis([x1, Polynomial.const(T, Fraction(2, 3))], T,
+                         mixed_order(T)) == (Polynomial.const(T, 1),)
+        assert not spy.called
+        std_basis([x1 * x2, x1 + x2], T, mixed_order(T))
+        assert spy.called
+
+
 # ---------------------------------------------------------------------------
 # the engine on packed monomials: widening, and sympy as a global oracle
 

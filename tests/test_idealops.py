@@ -1,14 +1,20 @@
 """Quotients, saturation, elimination, radical membership, syzygies, dimension."""
 
 import random
+from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import neron.idealops as idealops
 from neron import (ALGEBRA, BASE, Ideal, Polynomial, VarTable,
                    eliminate, global_order, ideal_quotient, intersect,
-                   krull_dim, mixed_order, normal_form_against, parse_poly,
-                   radical_membership, same_ideal, saturate, std_basis,
-                   syzygies)
+                   krull_dim, lift_division, mixed_order, normal_form_against,
+                   parse_poly, radical_membership, same_ideal, saturate,
+                   std_basis, syzygies)
+from neron.idealops import quotient_by_poly, t_trick_intersect
 
 
 def table_xy():
@@ -120,6 +126,89 @@ def test_intersection_matches_membership_oracle():
                 meet_basis = std_basis(list(meet), T, order)
                 assert normal_form_against(lcm, meet_basis, T,
                                            order).is_zero()
+
+
+# closed forms against the engine: tables with and without an algebra
+# block, and rational coefficients
+_TABLES = (VarTable.make(("x1", BASE), ("x2", BASE), ("Y1", ALGEBRA)),
+           VarTable.make(("x1", BASE), ("x2", BASE), ("x3", BASE)))
+_COEFFS = st.one_of(st.integers(-9, 9).filter(bool),
+                    st.fractions(min_value=-4, max_value=4,
+                                 max_denominator=9).filter(bool))
+
+
+def _terms(draw, T, size, positive=False):
+    """A polynomial of ``size`` drawn terms over T, exponents 0-2 (at
+    least one positive with ``positive``)."""
+    mons = st.tuples(*[st.integers(0, 2)] * len(T))
+    if positive:
+        mons = mons.filter(any)
+    return Polynomial.from_terms(T, draw(st.lists(
+        st.tuples(mons, _COEFFS), min_size=size, max_size=size)))
+
+
+@st.composite
+def monomial_pairs(draw):
+    """A table and two lists of zero to three single terms, constants
+    included."""
+    T = draw(st.sampled_from(_TABLES))
+    return T, *[[_terms(draw, T, 1) for _ in range(draw(st.integers(0, 3)))]
+                for _ in range(2)]
+
+
+@settings(max_examples=200, deadline=5000)
+@given(monomial_pairs())
+def test_monomial_intersections_are_the_t_tricks(problem):
+    """Two monomial ideals meet in the minimal lcms of their generators,
+    the tuple the t-trick computes."""
+    T, a, b = problem
+    assert intersect(a, b, T) == t_trick_intersect(a, b, T)
+
+
+@st.composite
+def term_colons(draw):
+    """A table, one or two generators of one or two terms, and a single
+    term g of positive degree: at most two generators of at most two
+    terms, as ``test_groebner.maximal_ideal_gens`` keeps its draws, so the
+    t-trick stays clear of Mora's long runs."""
+    T = draw(st.sampled_from(_TABLES))
+    gens = [_terms(draw, T, draw(st.integers(1, 2)))
+            for _ in range(draw(st.integers(1, 2)))]
+    return (T, [g for g in gens if not g.is_zero()] or [Polynomial.var(T, "x1")],
+            _terms(draw, T, 1, positive=True))
+
+
+@settings(max_examples=100, deadline=10000)
+@given(term_colons())
+def test_colons_by_a_term_are_lift_divisions(problem):
+    """(I : g) for a single term g divides each generator of I meet (g)
+    term by term: the quotients of ``lift_division``, whose unit is 1."""
+    T, gens, g = problem
+    order = mixed_order(T)
+    want = []
+    for p in intersect(gens, [g], T):
+        w = lift_division(p, [g], T, order)
+        assert w.unit == Polynomial.const(T, 1)
+        want.append(w.quotients[0])
+    with mock.patch.object(idealops, "lift_division") as spy:
+        assert quotient_by_poly(gens, g, T) == tuple(want)
+    assert not spy.called
+
+
+def test_closed_forms_by_example():
+    T = _TABLES[0]
+    x1, x2, Y1 = (Polynomial.var(T, v) for v in ("x1", "x2", "Y1"))
+    # the lcms are x1^2*x2, x1^2*Y1, x1*x2*Y1 and x1*Y1; only the first
+    # and the last are minimal
+    meet = intersect([x1 ** 2, x1 * Y1], [x2, x1 * Y1], T)
+    assert set(meet) == {x1 ** 2 * x2, x1 * Y1}
+    assert meet == t_trick_intersect([x1 ** 2, x1 * Y1], [x2, x1 * Y1], T)
+    assert intersect([x1], [], T) == ()
+    one = Polynomial.const(T, Fraction(1, 3))
+    assert intersect([one], [2 * x2, -x2 ** 2], T) == (x2,)
+    # a non-monomial I: (x1*x2 + x2^2*Y1) : -3*x2 = (-1/3*(x1 + x2*Y1))
+    assert quotient_by_poly([x1 * x2 + x2 ** 2 * Y1], -3 * x2, T) == (
+        (x1 + x2 * Y1) * Fraction(-1, 3),)
 
 
 def test_radical_membership_examples():

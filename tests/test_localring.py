@@ -17,12 +17,13 @@ from neron import (ALGEBRA, BASE, Ideal, Polynomial, VarTable,
                    std_basis)
 from neron.errors import (ActiveElementNotFound, DecompositionIncomplete,
                           NeronError, NotAUnit, NotDivisible,
-                          TargetInsidePrime)
+                          PreconditionFailed, TargetInsidePrime)
 from neron.desing import _survives
 from neron.localring import (SMALL_VALUES, Jet, LocalRingSpec, _solve_exact,
                              active_element, check_precision_bound, compute_e,
                              jet_divide, jet_invert, minimal_primes,
-                             monomials_of_degree, small_vectors_by_norm)
+                             monomials_of_degree, newton_inverse,
+                             small_vectors_by_norm)
 
 
 def table2():
@@ -257,7 +258,7 @@ def test_jet_invert_examples():
         jet_invert(ring.jet(parse_poly(T, "x1"), 5))
 
 
-def test_jet_invert_edges():
+def test_jet_invert_edges_on_each_ring():
     ring = two_branch_ring()
     T = ring.table
     # precision 1: the constant 1/c, whatever the higher terms
@@ -332,9 +333,9 @@ def test_jet_divide_solves_exactly():
     assert (den * z - num).is_zero()
 
 
-# jet division by a unit: the rings, each with the table its J lives in.
-# J = 0 has one base variable, so the ring has dimension 1; the binomial
-# J is the one whose division keeps Newton's inverse (jet_invert).
+# jet division and inversion of a unit: the rings, each with the table
+# its J lives in.  J = 0 has one base variable, so the ring has dimension
+# 1; the binomial J is the one whose inverse is Newton's (newton_inverse).
 _UNIT_TABLE = VarTable.make(("x1", BASE), ("x2", BASE), ("Y1", ALGEBRA))
 _LINE_TABLE = VarTable.make(("x1", BASE), ("Y1", ALGEBRA))
 _UNIT_RINGS = ((LocalRingSpec(_LINE_TABLE, []), False),) + tuple(
@@ -380,7 +381,7 @@ def test_jet_divide_by_a_unit_matches_newtons_inverse(data):
     quotient; it takes Newton's path only for a J that is not monomial."""
     ring, newton, num, den = data
     n = num.precision
-    want = (num.truncate(n) * jet_invert(den.truncate(n))).truncate(n)
+    want = (num.truncate(n) * newton_inverse(den.truncate(n))).truncate(n)
     with mock.patch.object(neron.localring, "jet_invert",
                            wraps=jet_invert) as spy:
         assert jet_divide(num, den) == want
@@ -404,8 +405,39 @@ def test_jet_divide_by_a_unit_edges():
         # Y1 may ride on den's terms of positive x-degree
         den = ring.jet(parse_poly(T, "2 + x1*Y1 - 3*x1^2"), 8)
         z = jet_divide(num.truncate(8), den)
-        assert z == (num.truncate(8) * jet_invert(den)).truncate(8)
+        assert z == (num.truncate(8) * newton_inverse(den)).truncate(8)
         assert (den * z - num.truncate(8)).is_zero()
+
+
+@settings(max_examples=100, deadline=20000)
+@given(unit_divisions())
+def test_jet_invert_by_the_recurrence_matches_newtons_inverse(data):
+    """The inverse of a unit is unique in canonical form: over a J of
+    single terms the degree-by-degree recurrence gives Newton's inverse,
+    and only the binomial J takes Newton's path."""
+    ring, newton, _, den = data
+    with mock.patch.object(neron.localring, "newton_inverse",
+                           wraps=newton_inverse) as spy:
+        z = jet_invert(den)
+    assert z == newton_inverse(den)
+    assert spy.called == (newton and not den.poly.is_constant())
+
+
+def test_jet_invert_edges():
+    for ring, newton in _UNIT_RINGS:
+        T = ring.table
+        # a constant unit inverts at any precision, at once
+        huge = 10 ** 29
+        z = jet_invert(ring.jet(Polynomial.const(T, Fraction(-3, 4)), huge))
+        assert z.precision == huge
+        assert z.poly == Polynomial.const(T, Fraction(-4, 3))
+        # a nonzero constant plus Y1, of x-degree 0, is not a unit
+        with pytest.raises(NotAUnit):
+            jet_invert(ring.jet(parse_poly(T, "1 + Y1"), 4))
+        # the recurrence would take one step per degree below 10^29
+        if not newton:
+            with pytest.raises(PreconditionFailed, match=str(huge)):
+                jet_invert(ring.jet(parse_poly(T, "1 + x1"), huge))
 
 
 def test_jet_times_a_constant_polynomial_scales():
