@@ -70,10 +70,16 @@ T-monomials T1^2, T1*T2 and T2^2 (18-bit coefficients) times a
 polynomial in x1 alone of 106 terms (22 bits); three x1-strands of 49
 terms over x2^0, x2^1 and x2^2 (97 bits) times one of 74 terms in x1
 (151 bits); and the square of two x1-strands of 73 and 77 terms over
-T1^0 and T1^1 (18 bits).  The strand and dense cases each run through
-the strand kernel (``poly._strand_product``) and through the dict loop,
-the kernel chosen by setting ``poly._STRAND_MIN``, and each checks its
-product against the other kernel's.
+T1^0 and T1^1 (18 bits).  The square cases multiply the integer operand
+a of the 10x10 case by itself, uncut and under the cut at base degree 6;
+the dict loop meets each ordered term pair of a square once, as it does
+for any other product.  The strand, dense and square cases each run
+through the strand kernel (``poly._strand_product``) and through the dict
+loop, the kernel chosen by setting ``poly._STRAND_MIN``, and each checks
+its product against the other kernel's.  The square's operand has one
+term per strand, below the gate, so the library squares it in the dict
+loop; forced through the strand kernel, each of its terms is a strand.
+Its square is also checked against a times an equal copy of a.
 The exact counts are asserted, so a change of operands shows up as a
 failure, not as a different timing.  This directory lies outside
 ``testpaths``, so the default ``pytest`` run does not collect it.
@@ -149,6 +155,10 @@ STRAND_CASES = [("square-72", (HALF, 9, 81), None, (72, 72), 63),
 STRAND_CUT = (TABLE.block(BASE), 81)
 # _STRAND_MIN for each kernel
 KERNELS = {"strand": 1, "dict-loop": 10 ** 9}
+
+# (case, base-degree cut or None, terms of the square of the integer
+# operand a of the 10x10 case)
+SQUARE_CASES = [("square-10", None, 55), ("square-10-cut", 6, 5)]
 
 # (case, binomial exponent and x1-exponents of the numerator and of the
 # unit, terms of each and of the quotient); both are jets at precision 81
@@ -322,6 +332,20 @@ def test_strand_mul(benchmark, monkeypatch, kernel, case, a_spec, b_spec,
     monkeypatch.setattr(neron.poly, "_STRAND_MIN", KERNELS[kernel])
     result = benchmark(a.mul, b, STRAND_CUT)
     assert len(result.monomials()) == product_terms and result == want
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("case, bound, square_terms", SQUARE_CASES,
+                         ids=[c[0] for c in SQUARE_CASES])
+def test_square_mul(benchmark, monkeypatch, kernel, case, bound,
+                    square_terms):
+    a = operand(random.Random(10), 10, 3)
+    cut = None if bound is None else (TABLE.block(BASE), bound)
+    want = product_by(other(kernel), a, a, cut)
+    assert want == a.mul(Polynomial(TABLE, a.terms), cut)
+    monkeypatch.setattr(neron.poly, "_STRAND_MIN", KERNELS[kernel])
+    result = benchmark(a.mul, a, cut)
+    assert len(result.monomials()) == square_terms and result == want
 
 
 @pytest.mark.parametrize("case, num_spec, den_spec, operand_terms, "

@@ -303,23 +303,17 @@ def jet_invert(u):
     """Jet z with u*z = 1 modulo J + (x)^N.  u must be a nonzero constant
     modulo (x), which makes it a unit: (x) is nilpotent modulo (x)^N.
 
-    The inverse is unique in canonical form, so each of three paths gives
-    the same jet: a constant u = c gives 1/c at once, at any precision;
-    over a J whose basis is all single terms (J = 0 included), 1/u is
-    solved one x-degree at a time (``_divide_by_unit``); any other J takes
-    Newton's inverse (``newton_inverse``).
+    The inverse is the quotient ``jet_divide(1, u)``, so it takes the
+    paths of a unit den there: a constant u = c gives 1/c at once, at any
+    precision; over a J whose basis is all single terms 1/u is solved one
+    x-degree at a time; any other J takes Newton's inverse.
     """
     ring, n = u.ring, u.precision
     head = u.poly.below((ring.base, 1))
     c = head.constant_coefficient()
     if c == 0 or not head.is_constant():
         raise NotAUnit("jet is not a nonzero constant modulo (x)")
-    if u.poly == head:
-        return ring.jet(exact_div(1, c), n)
-    leads = ring.j_ideal.monomial_leads()
-    if leads is not None:
-        return _divide_by_unit(ring.jet(1, n), u, n, leads)
-    return newton_inverse(u)
+    return jet_divide(ring.jet(1, n), u)
 
 
 def newton_inverse(u):
@@ -327,9 +321,12 @@ def newton_inverse(u):
     Newton's iteration with doubling precision (von zur Gathen & Gerhard,
     Modern Computer Algebra, 9.1): an inverse z modulo (x)^k gives
     z - z*(u*z - 1) modulo (x)^2k, so ceil(log2 N) steps reach N.
-    ``jet_invert`` takes it for a J that is not monomial; the tests
-    compare the other paths with it."""
+    ``jet_divide`` takes it for a unit den when J is not monomial; the
+    tests compare the other paths with it.  A u whose x-degree-0 part is
+    not a constant raises NotAUnit."""
     ring, n = u.ring, u.precision
+    if not u.poly.below((ring.base, 1)).is_constant():
+        raise NotAUnit("jet is not a nonzero constant modulo (x)")
     z = ring.jet(exact_div(1, u.poly.constant_coefficient()), 1)
     while z.precision < n:
         # canonical at precision k is canonical at any higher precision
@@ -346,8 +343,9 @@ def jet_divide(num, den):
     - a unit den, whose x-degree-0 part is a nonzero constant c, has one
       quotient.  When J's basis is all single terms (J = 0 included), it
       is solved one x-degree at a time (``_divide_by_unit``); for any
-      other J it is num * jet_invert(den).  A den with a constant term
-      and another term of x-degree 0 raises NotAUnit;
+      other J it is num times Newton's inverse (``newton_inverse``).  A
+      den with a constant term and another term of x-degree 0 raises
+      NotAUnit;
     - a den with no constant term is solved as an exact linear system on
       the coefficients of z over the standard monomials; any solution is
       returned (free coordinates zero).  A precision that needs more than
@@ -372,7 +370,7 @@ def jet_divide(num, den):
         leads = ring.j_ideal.monomial_leads()
         if leads is not None:
             return _divide_by_unit(num, den, n, leads)
-        return num * jet_invert(den.truncate(n))
+        return num * newton_inverse(den.truncate(n))
     if n_res > sys.maxsize:
         raise PreconditionFailed(
             f"jet division at precision {n} has more unknowns than can be "

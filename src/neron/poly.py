@@ -28,7 +28,6 @@ the rest of the library relies on is exact.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -169,14 +168,6 @@ def _strand_product(ta, tb, cut):
                     m = pre + (low + e,) + post
                     out[m] = get(m, 0) + v
     return {m: v for m, v in out.items() if v}
-
-
-def _by_degree(mons, packed, positions):
-    """The packed terms sorted by their degree at ``positions``, and those
-    degrees."""
-    degs = [sum([m[i] for i in positions]) for m in mons]
-    order = sorted(range(len(packed)), key=degs.__getitem__)
-    return [packed[k] for k in order], [degs[k] for k in order]
 
 
 def from_int_terms(table, ints, num=1, den=1):
@@ -399,15 +390,17 @@ class Polynomial:
         The term loops run on the operands' integer views, and the product
         is created from its integer terms.  An uncut product of primitive
         integer polynomials is primitive (Gauss's lemma); a cut one has its
-        content split off with one gcd.  Three shapes take a shorter path,
-        with the same product but maybe another insertion order of its
-        terms: a one-term operand shifts the other's terms; operands that
-        are dense strands along one variable (terms that differ only in its
-        exponent, as the jets and the expansion of s'' are), with at least
-        ``_STRAND_MIN`` terms per strand, multiply strand by strand, each
-        strand pair as one integer product, cut or not
-        (``_strand_product``); a square, ``p.mul(p)`` with the same object,
-        visits each unordered term or strand pair once.
+        content split off with one gcd.  Each term of the shorter operand
+        meets each term of the longer one, or under a cut those whose
+        degree keeps the pair below it, in the tuple loop's order.  Two
+        shapes take a shorter path, with the same product but maybe another
+        insertion order of its terms: a one-term operand shifts the other's
+        terms; operands that are dense strands along one variable (terms
+        that differ only in its exponent, as the jets and the expansion of
+        s'' are), with at least ``_STRAND_MIN`` terms per strand, multiply
+        strand by strand, each strand pair as one integer product, cut or
+        not (``_strand_product``), and a square ``p.mul(p)`` there meets
+        each unordered strand pair once.
         """
         table = self.table
         if isinstance(other, _RATIONAL):
@@ -454,36 +447,19 @@ class Polynomial:
                                             max(map(sum, tb))))
         pack = pk.pack
         pa = [(pack(m), c) for m, c in ta.items()]
-        pb = pa if tb is ta else [(pack(m), c) for m, c in tb.items()]
-        out = {}
-        if cut is not None:
-            positions, bound = cut
-        if tb is ta:
-            # A square: each term meets itself once and the terms after it
-            # with its coefficient doubled.  Sorted by degree under a cut,
-            # a term's partners are a prefix, and once a term's own pair is
-            # cut every later one is.
-            if cut is not None:
-                pa, da = _by_degree(ta, pa, positions)
-            rows = []
-            for k, (p1, c1) in enumerate(pa):
-                end = (len(pa) if cut is None
-                       else bisect_left(da, bound - da[k]))
-                if end <= k:
-                    break
-                out[p1 + p1] = c1 * c1
-                rows.append((p1, 2 * c1, pa[k + 1:end]))
-        elif cut is None:
+        pb = [(pack(m), c) for m, c in tb.items()]
+        if cut is None:
             rows = [(p1, c1, pb) for p1, c1 in pa]
         else:
-            # Sorted by degree, each term of the shorter operand meets only
-            # the prefix of the longer one that keeps the pair below the cut.
-            pb, db = _by_degree(tb, pb, positions)
+            # a term meets the terms that keep the pair below the cut
+            positions, bound = cut
+            degs = [sum([m[i] for i in positions]) for m in tb]
             rows = []
             for m, (p1, c1) in zip(ta, pa):
-                k = bisect_left(db, bound - sum([m[i] for i in positions]))
-                if k:
-                    rows.append((p1, c1, pb[:k]))
+                room = bound - sum([m[i] for i in positions])
+                rows.append((p1, c1,
+                             [t for t, d in zip(pb, degs) if d < room]))
+        out = {}
         get = out.get
         for p1, c1, row in rows:
             for p2, c2 in row:

@@ -286,10 +286,17 @@ def operand_pairs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(operand_pairs())
+@example((parse_poly(table_of(2), "2*x1 - 3*x2 + x1^2*x2"),
+          parse_poly(table_of(2), "x1 - x2")))
 def test_packed_product_matches_tuple_loop(pair):
+    """Products, and squares below the strand kernel's size, list their
+    terms in the tuple loop's order."""
     a, b = pair
     assert_product_matches_reference(a, b)
     assert_product_matches_reference(b, a)
+    for p in pair:
+        if len(p.monomials()) < neron.poly._STRAND_MIN:
+            assert_product_matches_reference(p, p)
 
 
 @settings(max_examples=200, deadline=None)
