@@ -24,6 +24,15 @@ of f and the s-power.  A change of inputs shows up as a failure, not as a
 different timing.  This directory lies outside ``testpaths``, so the
 default ``pytest`` run does not collect it.
 
+``test_elkik_ideal`` times stage 3, ``elkik_ideal``: the colons
+((f) + J : I + J) and the maximal minors of every subset f of at most
+``max_subset`` relations, and the trace of their sum in A.  Its cases are
+seeds 17-27, the two shipped problems above and ``problems/example21.gnd``,
+whose three relations share a factor; each builds the presentation from
+the problem's ring as given, so Example 21 runs although its minimal
+primes are not found.  Each case asserts (subsets, H_gens): the number of
+subsets with a nonzero minor and the number of generators of H.
+
 Compare a parent and a change by interleaved runs, both copies timed in
 turn, as ``bench/test_mul_kernel.py`` says.
 """
@@ -33,7 +42,8 @@ import sys
 
 import pytest
 
-from neron.desing import desingularize, verify_certificate
+from neron.desing import (AlgebraPresentation, desingularize, elkik_ideal,
+                          verify_certificate)
 from neron.problemfile import parse_problem
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -47,12 +57,23 @@ SHAPES = {17: (3, 3, 1), 18: (1, 1, 1), 19: (1, 1, 1), 20: (4, 4, 1),
           "example1_hypersurface": (3, 2, 2), "example4": (2, 1, 1)}
 
 
-def _result(case):
+# case -> (subsets, H_gens)
+ELKIK_SHAPES = {17: (3, 5), 18: (1, 1), 19: (1, 1), 20: (7, 34), 21: (3, 5),
+                22: (1, 1), 23: (1, 1), 24: (3, 6), 25: (1, 1), 26: (1, 1),
+                27: (3, 6), "example1_hypersurface": (1, 2),
+                "example4": (6, 5), "example21": (3, 21)}
+
+
+def _problem(case):
     if isinstance(case, int):
-        return desingularize(random_certificate_instance(case))
+        return random_certificate_instance(case)
     path = os.path.join(ROOT, "problems", f"{case}.gnd")
     with open(path, encoding="utf-8") as fh:
-        return desingularize(parse_problem(fh.read()).build())
+        return parse_problem(fh.read()).build()
+
+
+def _result(case):
+    return desingularize(_problem(case))
 
 
 @pytest.mark.parametrize("case", list(SHAPES), ids=str)
@@ -61,3 +82,11 @@ def test_verify_certificate(benchmark, case):
     cert = res.certificate
     assert (len(cert.h), cert.r, cert.p) == SHAPES[case]
     assert benchmark(verify_certificate, cert, res.algebra, res.morphism)
+
+
+@pytest.mark.parametrize("case", list(ELKIK_SHAPES), ids=str)
+def test_elkik_ideal(benchmark, case):
+    prob = _problem(case)
+    B = AlgebraPresentation(prob.ring, tuple(prob.relations))
+    data = benchmark(elkik_ideal, B, prob.max_subset)
+    assert (len(data.contributions), len(data.gens)) == ELKIK_SHAPES[case]

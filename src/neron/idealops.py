@@ -2,11 +2,14 @@
 
 Intersection uses the single auxiliary-variable t-trick; the quotient (I : J)
 is the intersection of (I : g) over the generators of J, and (I : g) is the
-intersection I meet (g) divided by g.  Monomial input takes the closed
-forms (Miller & Sturmfels, Combinatorial Commutative Algebra, ch. 1): two
-ideals of single terms meet in the ideal of the lcms of their generators,
-and the elements of I meet (g) for a single term g divide by it term by
-term.  Each gives the tuple the t-trick and ``lift_division`` give.
+intersection I meet (g) divided by g.  A generator g of J that is also one
+of I has (I : g) = (1), known without a basis, so it is skipped: in the
+colon ((f) + J : I + J) of ``elkik_ideal`` and ``check_hypothesis`` that
+is every g in f or in J.  Monomial input takes the closed forms (Miller &
+Sturmfels, Combinatorial Commutative Algebra, ch. 1): two ideals of single
+terms meet in the ideal of the lcms of their generators, and the elements
+of I meet (g) for a single term g divide by it term by term.  Each gives
+the tuple the t-trick and ``lift_division`` give.
 
 Order rule: every operation here runs in ``mixed_order(table)``, which
 realizes the ring k[x]_(x)[Y, T, ...] that the table declares, just as a
@@ -105,8 +108,13 @@ def _divide_by_term(p, g):
 
 
 def ideal_quotient(gens_i, gens_j, table):
-    """(I : J) = {h : h*J inside I}."""
-    live = [g for g in gens_j if not g.is_zero()]
+    """(I : J) = {h : h*J inside I}, the intersection of the (I : g) over
+    the nonzero generators g of J.  A g that is also a generator of I has
+    (I : g) = (1), which leaves every intersection as it is, so it costs
+    no basis; when every generator of J is one of I, (I : J) is (1) and
+    no basis is computed."""
+    own = set(gens_i)
+    live = [g for g in gens_j if not g.is_zero() and g not in own]
     if not live:
         return (Polynomial.const(table, 1),)
     result = None

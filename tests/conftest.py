@@ -1,6 +1,6 @@
 """Shared instance builders for the pipeline tests, reference helpers on
-exponent tuples and values, and the Buchberger criterion as a test
-oracle."""
+exponent tuples and values, and the Buchberger criterion and the colon
+chain as test oracles."""
 
 from fractions import Fraction
 
@@ -9,6 +9,7 @@ import pytest
 from neron import (ALGEBRA, BASE, Polynomial, VarTable, normal_form_against,
                    parse_poly)
 from neron.desing import DesingProblem, MorphismApprox
+from neron.idealops import intersect, quotient_by_poly
 from neron.localring import LocalRingSpec, jet_invert, minimal_primes
 
 PROBLEM_DIR = "problems"
@@ -55,6 +56,18 @@ def buchberger_criterion(basis, table, order):
     return all(normal_form_against(s_polynomial(f, g, keyf), basis, table,
                                    order).is_zero()
                for i, f in enumerate(basis) for g in basis[i + 1:])
+
+
+def chain_quotient(gens_i, gens_j, table):
+    """(I : J) with every nonzero generator g of J sent through the t-trick
+    ``quotient_by_poly`` and the (I : g) intersected in turn, a g shared
+    with I included: the oracle that ``ideal_quotient``, which skips the
+    shared ones, is compared against.  Returns generators, not a basis."""
+    result = (Polynomial.const(table, 1),)
+    for k, g in enumerate(h for h in gens_j if not h.is_zero()):
+        q = quotient_by_poly(gens_i, g, table)
+        result = q if k == 0 else intersect(result, q, table)
+    return result
 
 
 def two_branch_table():

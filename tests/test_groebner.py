@@ -545,15 +545,20 @@ def test_normal_form_rescales_when_the_reducer_lead_does_not_divide():
 
 
 def test_local_bases_are_minimal():
-    T = VarTable.make(("x1", BASE), ("x2", BASE))
-    order = mixed_order(T)
-
-    def basis(*texts):
-        return std_basis([parse_poly(T, t) for t in texts], T, order)
-
-    assert basis("x1^2", "x1") == (parse_poly(T, "x1"),)
-    assert basis("x1^2", "x1 + x2^3") == (parse_poly(T, "x1 + x2^3"),
-                                          parse_poly(T, "x2^6"))
+    """Under a local order a divisor sorts after its multiples; the basis
+    still drops every element whose lead another lead divides, under the
+    mixed order of a table with an algebra block and under the local
+    order."""
+    T = VarTable.make(("x1", BASE), ("x2", BASE), ("Y1", ALGEBRA))
+    for order in (mixed_order(T), NegDegRevLex()):
+        keyf = order.key(T)
+        for texts, want in ((("x1^2", "x1"), ("x1",)),
+                            (("x1^2", "x1 + x2^3"), ("x1 + x2^3", "x2^6"))):
+            basis = std_basis([parse_poly(T, t) for t in texts], T, order)
+            assert basis == tuple(parse_poly(T, w) for w in want), order
+            leads = [lead(b, keyf)[0] for b in basis]
+            assert not any(mon_divides(a, b) for i, a in enumerate(leads)
+                           for j, b in enumerate(leads) if i != j)
 
 
 @st.composite

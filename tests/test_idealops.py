@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import neron.idealops as idealops
+from conftest import chain_quotient
 from neron import (ALGEBRA, BASE, Ideal, Polynomial, VarTable,
                    eliminate, global_order, ideal_quotient, intersect,
                    krull_dim, lift_division, mixed_order, normal_form_against,
@@ -209,6 +210,65 @@ def test_closed_forms_by_example():
     # a non-monomial I: (x1*x2 + x2^2*Y1) : -3*x2 = (-1/3*(x1 + x2*Y1))
     assert quotient_by_poly([x1 * x2 + x2 ** 2 * Y1], -3 * x2, T) == (
         (x1 + x2 * Y1) * Fraction(-1, 3),)
+
+
+@st.composite
+def colons(draw):
+    """A table, I of one or two generators and J of one or two, where J
+    shares some generators with I and has others of its own, lies inside
+    I, or shares none.  Generators have one or two terms, as
+    ``term_colons`` keeps its draws."""
+    T = draw(st.sampled_from(_TABLES))
+
+    def gens(low):
+        out = [_terms(draw, T, draw(st.integers(1, 2)))
+               for _ in range(draw(st.integers(low, 2)))]
+        return [g for g in out if not g.is_zero()]
+
+    gens_i = gens(1) or [Polynomial.var(T, "x1")]
+    share = draw(st.sampled_from(("shared", "inside", "disjoint")))
+    own = [g for g in gens(1) if g not in gens_i] or [Polynomial.var(T, "x2")]
+    if share == "inside":
+        gens_j = draw(st.lists(st.sampled_from(gens_i), min_size=1,
+                               max_size=2))
+    elif share == "shared":
+        gens_j = [draw(st.sampled_from(gens_i)), own[0]]
+    else:
+        gens_j = [g for g in own if g not in gens_i]
+    return T, gens_i, draw(st.permutations(gens_j)), share
+
+
+@settings(max_examples=100, deadline=10000)
+@given(colons())
+def test_colons_match_the_chain_over_every_generator(problem):
+    """(I : J) skips the generators of J that are generators of I, whose
+    colon is (1), and is the ideal the chain over every generator gives;
+    a J inside I gives (1) itself."""
+    T, gens_i, gens_j, share = problem
+    got = ideal_quotient(gens_i, gens_j, T)
+    assert same_ideal(Ideal(T, got), Ideal(T, chain_quotient(gens_i, gens_j,
+                                                             T)))
+    if share == "inside":
+        assert got == (Polynomial.const(T, 1),)
+
+
+def test_shared_generators_cost_no_colon():
+    """A generator of J that is one of I makes no ``quotient_by_poly``
+    call, and a J inside I makes no ``std_basis`` call at all."""
+    T = _TABLES[0]
+    x1, x2, Y1 = (Polynomial.var(T, v) for v in ("x1", "x2", "Y1"))
+    gens_i = [x1 * Y1 - x2, x2 ** 2]
+    with mock.patch.object(idealops, "quotient_by_poly",
+                           wraps=quotient_by_poly) as spy:
+        got = ideal_quotient(gens_i, [x2 ** 2, x1 + Y1, Polynomial.zero(T)],
+                             T)
+    assert [c.args[1] for c in spy.call_args_list] == [x1 + Y1]
+    assert same_ideal(Ideal(T, got), Ideal(T, chain_quotient(
+        gens_i, [x2 ** 2, x1 + Y1], T)))
+    with mock.patch.object(idealops, "std_basis", wraps=std_basis) as spy:
+        assert ideal_quotient(gens_i, gens_i[::-1], T) == (
+            Polynomial.const(T, 1),)
+    assert not spy.called
 
 
 def test_radical_membership_examples():

@@ -6,11 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_certificate_instance, two_branch_problem
+import neron.idealops as idealops
+from conftest import (chain_quotient, random_certificate_instance,
+                      two_branch_problem)
 from neron import (ALGEBRA, BASE, Polynomial, VarTable, format_poly,
                    mixed_order, parse_poly)
 from neron.desing import (AlgebraPresentation, Reduction, build_hg,
-                          complete_H, jacobian_colon)
+                          complete_H, jacobian_minors)
 from neron.errors import (CompletionFailed, HypothesisViolated, NeronError,
                           PreconditionFailed)
 from neron.groebner import Ideal
@@ -283,10 +285,14 @@ def test_check_hypothesis_matches_nu_formulation():
 
 def _colon_route_ideal(prob):
     """(J, evaluated generators of ((f) + J : I + J) * Delta_f), the colon
-    computed by ``jacobian_colon``."""
+    computed by ``chain_quotient``, which sends every generator of I + J
+    through the t-trick, those of (f) + J included."""
     ring = prob.ring
-    colon, minor_list = jacobian_colon(ring, prob.f_polys(), prob.relations,
-                                       ring.table.block_names(ALGEBRA))
+    fs, j_gens = list(prob.f_polys()), list(ring.j_gens)
+    colon = chain_quotient(fs + j_gens, list(prob.relations) + j_gens,
+                           ring.table)
+    minor_list = jacobian_minors(ring.table, fs,
+                                 ring.table.block_names(ALGEBRA))
     subs = dict(prob.approx)
     return Ideal(ring.table, [ring.monomial_reduce((c * m).substitute(subs))
                               for c in colon for m in minor_list]
@@ -295,8 +301,9 @@ def _colon_route_ideal(prob):
 
 def test_unit_colon_shortcut_gives_the_colon_routes_ideal():
     """With every relation in f, I lies in (f) and the colon is (1): the
-    minors alone give the ideal the colon route gives, and the verdicts
-    for rho 0-3 agree, on generator seeds 0-31."""
+    minors alone, which ``ideal_quotient`` gives without a basis, give the
+    ideal the t-trick's colon gives, and the verdicts for rho 0-3 agree,
+    on generator seeds 0-31."""
     for seed in range(32):
         prob = _generator_lift_problem(seed, 0)
         ring = prob.ring
@@ -310,30 +317,30 @@ def test_unit_colon_shortcut_gives_the_colon_routes_ideal():
 
 
 def test_only_a_proper_subsystem_computes_the_colon(monkeypatch):
-    """The colon is computed when f is a proper part of I, and skipped
-    when every nonzero relation is one of f."""
-    import neron.lifting as lifting
+    """A proper f sends the generators of I + J outside (f) + J through
+    ``quotient_by_poly``; when every nonzero relation is one of f, every
+    generator is shared and no ``quotient_by_poly`` call is made."""
     calls = []
-    real = lifting.jacobian_colon
+    real = idealops.quotient_by_poly
 
     def spy(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(lifting, "jacobian_colon", spy)
+    monkeypatch.setattr(idealops, "quotient_by_poly", spy)
     tb = two_branch_problem()
     ring = tb.ring
     approx = {nm: j.poly for nm, j in tb.morphism.jets.items()}
     prob = LiftingProblem(ring, tb.relations, (0,), approx, 4, 8)
     assert check_hypothesis(prob)
-    assert len(calls) == 1
+    assert calls
     ideal = Ideal(ring.table, _jacobian_products(prob) + list(ring.j_gens))
-    assert len(calls) == 2
     assert same_ideal(ideal, _colon_route_ideal(prob))
+    calls.clear()
     zero = Polynomial.zero(ring.table)
     whole = LiftingProblem(ring, (tb.relations[0], zero), (0,), approx, 4, 8)
     assert check_hypothesis(whole)
-    assert len(calls) == 2
+    assert not calls
 
 
 def test_newton_lift_cubic_taylor_term_non_unit_d():
