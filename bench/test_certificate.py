@@ -33,6 +33,12 @@ the problem's ring as given, so Example 21 runs although its minimal
 primes are not found.  Each case asserts (subsets, H_gens): the number of
 subsets with a nonzero minor and the number of generators of H.
 
+``test_taylor_coefficients`` times ``taylor_coefficients`` of each f and
+of P at the jets y', in the algebra names of the T-extended table, as
+``ShiftedPoint`` expands them once each in ``build_hg``.  Its cases are
+seeds 17-27 and ``example4``; each asserts the number of coefficients of
+each polynomial, f first.
+
 Compare a parent and a change by interleaved runs, both copies timed in
 turn, as ``bench/test_mul_kernel.py`` says.
 """
@@ -44,6 +50,7 @@ import pytest
 
 from neron.desing import (AlgebraPresentation, desingularize, elkik_ideal,
                           verify_certificate)
+from neron.poly import taylor_coefficients
 from neron.problemfile import parse_problem
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -55,6 +62,13 @@ SHAPES = {17: (3, 3, 1), 18: (1, 1, 1), 19: (1, 1, 1), 20: (4, 4, 1),
           21: (2, 2, 1), 22: (2, 2, 2), 23: (2, 2, 2), 24: (3, 3, 1),
           25: (2, 2, 2), 26: (1, 1, 1), 27: (3, 3, 1),
           "example1_hypersurface": (3, 2, 2), "example4": (2, 1, 1)}
+
+
+# case -> number of Taylor coefficients of each f, then of P
+TAYLOR_COUNTS = {17: (2, 1, 2, 3), 18: (1, 1), 19: (1, 1),
+                 20: (3, 2, 3, 2, 3), 21: (2, 2, 1), 22: (3, 4, 9),
+                 23: (3, 4, 9), 24: (2, 2, 1, 3), 25: (3, 4, 9), 26: (1, 1),
+                 27: (2, 2, 1, 3), "example4": (3, 1)}
 
 
 # case -> (subsets, H_gens)
@@ -90,3 +104,16 @@ def test_elkik_ideal(benchmark, case):
     B = AlgebraPresentation(prob.ring, tuple(prob.relations))
     data = benchmark(elkik_ideal, B, prob.max_subset)
     assert (len(data.contributions), len(data.gens)) == ELKIK_SHAPES[case]
+
+
+@pytest.mark.parametrize("case", list(TAYLOR_COUNTS), ids=str)
+def test_taylor_coefficients(benchmark, case):
+    cert = _result(case).certificate
+    names, at = cert.point.y_names, cert.point.jets_poly
+    polys = cert.f + (cert.P,)
+
+    def expand_all():
+        return [taylor_coefficients(q, names, at) for q in polys]
+
+    counts = tuple(len(c) for c in benchmark(expand_all))
+    assert counts == TAYLOR_COUNTS[case]

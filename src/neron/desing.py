@@ -29,7 +29,7 @@ from .idealops import eliminate, ideal_quotient, krull_dim, saturate, syzygies
 from .linalg import PolyMatrix, det, det_adjugate, minors
 from .localring import (Jet, LocalRingSpec, active_element, avoids_primes,
                         check_precision_bound, compute_e, jet_divide,
-                        jet_invert, monomials_of_degree,
+                        jet_invert, monomials_of_degree, small_combinations,
                         small_vectors_by_norm)
 from .orders import ALGEBRA, BASE, INVERTER, SLACK, TANGENT, global_order
 from .poly import (Polynomial, PolySum, exact_div, jacobian,
@@ -278,25 +278,10 @@ def elkik_ideal(B, cap):
                 ring, [rels[i] for i in subset], rels, y_names)
             if not minor_list:
                 continue
-            products = []
-            seen = set()
-            for c in colon:
-                for m in minor_list:
-                    prod = (c * m).primitive()
-                    if prod.is_zero():
-                        continue
-                    if prod not in seen:
-                        seen.add(prod)
-                        products.append(prod)
-            contributions.append(ElkikContribution(subset, colon,
-                                                   tuple(products)))
-    gens = []
-    seen = set()
-    for c in contributions:
-        for p in c.products:
-            if p not in seen:
-                seen.add(p)
-                gens.append(p)
+            prods = [(c * m).primitive() for c in colon for m in minor_list]
+            products = tuple(dict.fromkeys(p for p in prods if not p.is_zero()))
+            contributions.append(ElkikContribution(subset, colon, products))
+    gens = list(dict.fromkeys(p for c in contributions for p in c.products))
     elim_roles = tuple(r for r in table.roles_present() if r != BASE)
     h_cap_a = eliminate(gens + rels + j_gens, elim_roles, table)
     return ElkikData(contributions, tuple(gens), h_cap_a)
@@ -359,8 +344,9 @@ def find_f_R(B, elkik, v):
     """Subsystem f and colon witness R passing the per-prime jet tests.
 
     Enumeration is deterministic: subsets smallest first in index order; for
-    R the colon generators first, then small-integer combinations of the
-    first MAX_R_GENS of them, up to L1 norm MAX_R_NORM.
+    R the walk of ``small_combinations``: the colon generators first, then
+    small-integer combinations of the first MAX_R_GENS of them, of L1 norm
+    2 to MAX_R_NORM.
     """
     ring = B.ring
     nprimes = len(ring.primes)
@@ -380,18 +366,10 @@ def find_f_R(B, elkik, v):
                 break
         if not per_prime_ok:
             continue
-        cands = list(contrib.colon_gens)
-        for cand in cands:
-            if _survives_all(ring, v.precision, eval_at_jets(cand, v, ring)):
-                return contrib, cand
-        k = min(len(cands), MAX_R_GENS)
-        for vec in small_vectors_by_norm(k, 2, MAX_R_NORM):
-            R = Polynomial.zero(ring.table)
-            for c, g in zip(vec, cands[:k]):
-                if c:
-                    R = R + g * c
-            if R.is_zero():
-                continue
+        cands = contrib.colon_gens
+        vectors = small_vectors_by_norm(min(len(cands), MAX_R_GENS), 2,
+                                        MAX_R_NORM)
+        for R in small_combinations(cands, vectors):
             if _survives_all(ring, v.precision, eval_at_jets(R, v, ring)):
                 return contrib, R
         diagnostics.append((contrib.subset, None,
@@ -481,7 +459,7 @@ def mm_primary_reduction(B, f_polys, H, R, v):
             return rel_ideal.contains(c - P)
 
         try:
-            d = active_element(list(p_cap_a), ring.prime_ideals, table,
+            d = active_element(list(p_cap_a), ring.prime_ideals,
                                accept=congruent_to_p)
             return Reduction(B, v, tuple(f_polys), H, R, P, d, pivots,
                              tuple(p_cap_a), False)

@@ -1,7 +1,9 @@
 """Ideal operations built on the basis engine.
 
-Intersection uses the single auxiliary-variable t-trick; the quotient (I : J)
-is the intersection of (I : g) over the generators of J, and (I : g) is the
+Intersection uses the single auxiliary-variable t-trick: ``eliminate``
+t from t*I + (1 - t)*K.  ``radical_membership`` takes the same auxiliary
+variable for the Rabinowitsch trick.  The quotient (I : J) is the
+intersection of (I : g) over the generators of J, and (I : g) is the
 intersection I meet (g) divided by g.  A generator g of J that is also one
 of I has (I : g) = (1), known without a basis, so it is skipped: in the
 colon ((f) + J : I + J) of ``elkik_ideal`` and ``check_hypothesis`` that
@@ -32,8 +34,8 @@ from .orders import AUX, BASE, elim_order, global_order, mixed_order
 from .poly import Polynomial, from_int_terms
 
 
-def _aux_table(table, stem="t"):
-    name = table.fresh_name(stem)
+def _aux_table(table):
+    name = table.fresh_name("t")
     return table.extend((name, AUX)), name
 
 
@@ -54,22 +56,14 @@ def intersect(gens_a, gens_b, table):
 
 
 def t_trick_intersect(gens_a, gens_b, table):
-    """Generators of the intersection of two ideals: the elements free of
-    t of a basis of t*I + (1 - t)*K under an order that eliminates t."""
+    """Generators of the intersection of two ideals: t*I + (1 - t)*K with
+    t eliminated (``eliminate``), read back over ``table``."""
     ext, t = _aux_table(table)
     tv = Polynomial.var(ext, t)
     one = Polynomial.const(ext, 1)
-    work = [tv * g.lift(ext) for g in gens_a if not g.is_zero()]
-    work += [(one - tv) * g.lift(ext) for g in gens_b if not g.is_zero()]
-    if not work:
-        return ()
-    basis = std_basis(work, ext, elim_order(ext, (AUX,)))
-    t_pos = (ext.index(t),)
-    out = []
-    for b in basis:
-        if not b.involves(t_pos):
-            out.append(b.restrict(table))
-    return tuple(out)
+    work = [tv * g.lift(ext) for g in gens_a]
+    work += [(one - tv) * g.lift(ext) for g in gens_b]
+    return tuple(b.restrict(table) for b in eliminate(work, (AUX,), ext))
 
 
 def quotient_by_poly(gens, g, table):
@@ -168,11 +162,11 @@ def radical_membership(p, gens, table):
     """
     if p.is_zero():
         return True
-    ext, z = _aux_table(table, stem="z")
-    zv = Polynomial.var(ext, z)
+    ext, t = _aux_table(table)
+    tv = Polynomial.var(ext, t)
     one = Polynomial.const(ext, 1)
     work = [g.lift(ext) for g in gens if not g.is_zero()]
-    work.append(one - zv * p.lift(ext))
+    work.append(one - tv * p.lift(ext))
     basis = std_basis(work, ext, global_order())
     return any(b.is_constant() and not b.is_zero() for b in basis)
 

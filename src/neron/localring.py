@@ -401,7 +401,7 @@ def jet_divide(num, den):
     sol = _solve_exact(A, rhs)
     if sol is None:
         raise NotDivisible("jet division has no solution at this precision")
-    z = Polynomial.from_terms(table, [(m, c) for m, c in zip(cols, sol) if c])
+    z = Polynomial(table, dict(zip(cols, sol)))   # the columns are distinct
     return ring.jet(z, n_res)
 
 
@@ -667,12 +667,30 @@ def avoids_primes(p, primes):
     return not any(prime.contains(p) for prime in primes)
 
 
-def active_element(target_gens, primes, table, accept=None):
+def small_combinations(gens, vectors):
+    """The nonzero generators, then each nonzero combination sum(c_i*g_i)
+    for the coefficient vectors ``vectors`` in their order.  A vector
+    shorter than ``gens`` combines the first generators, and each +e_i is
+    skipped, as its combination is a generator, offered first."""
+    yield from (g for g in gens if not g.is_zero())
+    for vec in vectors:
+        if vec.count(0) == len(vec) - 1 and 1 in vec:
+            continue
+        d = None
+        for c, g in zip(vec, gens):
+            if c:
+                d = g * c if d is None else d + g * c
+        if d is not None and not d.is_zero():
+            yield d
+
+
+def active_element(target_gens, primes, accept=None):
     """Element of the target ideal avoiding every minimal prime.
 
-    ``primes`` are Ideals.  Search order: the given generators first, then
-    at most MAX_ACTIVE_ATTEMPTS other combinations, their coefficient
-    vectors from ``small_vectors_by_norm``, each offered to ``accept`` once.
+    ``primes`` are Ideals.  Search order (``small_combinations``): the
+    given generators first, then the combinations by the first
+    MAX_ACTIVE_ATTEMPTS vectors of ``small_vectors_by_norm``, each offered
+    to ``accept`` once.
     """
     live = [g for g in target_gens if not g.is_zero()]
     if not live:
@@ -680,20 +698,10 @@ def active_element(target_gens, primes, table, accept=None):
     for prime in primes:
         if all(prime.contains(g) for g in live):
             raise TargetInsidePrime("target ideal lies inside a minimal prime")
-    for g in live:
-        if avoids_primes(g, primes) and (accept is None or accept(g)):
-            return g
-    for coeffs in itertools.islice(small_vectors_by_norm(len(live)),
-                                   MAX_ACTIVE_ATTEMPTS):
-        if coeffs.count(0) == len(coeffs) - 1 and 1 in coeffs:
-            continue  # a generator itself, tried above
-        d = Polynomial.zero(table)
-        for c, g in zip(coeffs, live):
-            if c:
-                d = d + g * c
-        if d.is_zero() or not avoids_primes(d, primes):
-            continue
-        if accept is None or accept(d):
+    vectors = itertools.islice(small_vectors_by_norm(len(live)),
+                               MAX_ACTIVE_ATTEMPTS)
+    for d in small_combinations(live, vectors):
+        if avoids_primes(d, primes) and (accept is None or accept(d)):
             return d
     raise ActiveElementNotFound(
         "no active element found within the attempt budget")

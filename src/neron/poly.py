@@ -258,8 +258,8 @@ class Polynomial:
     @staticmethod
     def from_terms(table, items):
         """The sum of the terms c * x^mon for the pairs (mon, c) of
-        ``items``.  ``jet_divide`` builds its quotient with it, and the
-        frozen benchmark's instance generator builds its operands."""
+        ``items``.  No library module calls it; it stays because the frozen
+        benchmark's instance generator builds its operands with it."""
         total = PolySum(table)
         for mon, c in items:
             total.add(Polynomial(table, {mon: c}))
@@ -644,41 +644,30 @@ class PolySum:
 def taylor_coefficients(f, names, at):
     """Coefficients of f expanded around the point ``at`` in ``names``.
 
-    Returns a dict mapping multi-indices alpha (tuples over ``names``) to the
-    polynomial (d^alpha f / alpha!) evaluated at ``at``; that is, the exact
-    coefficient of prod (X_i - at_i)^alpha_i.  ``at`` maps each name to a
-    polynomial or constant.
+    Returns a dict mapping multi-indices alpha (tuples over ``names``) to
+    the exact coefficient c_alpha of prod (X_i - at_i)^alpha_i, so that f
+    is the sum of c_alpha * prod (X_i - at_i)^alpha_i and c_alpha is
+    (d^alpha f / alpha!) evaluated at ``at``.  ``at`` maps names to
+    polynomials or constants free of ``names``; a name of ``names`` that
+    it leaves out expands around 0, and one of its names outside ``names``
+    is replaced by its value.  f is composed once with X_i + at_i
+    (``substitute``), and the terms of the composition are grouped by
+    their exponents at ``names``.
     """
     table = f.table
-    out = {}
-    stack = [(tuple(0 for _ in names), f, 1)]
-    while stack:
-        alpha, g, factor = stack.pop()
-        if g.is_zero():
-            continue
-        if alpha not in out:
-            out[alpha] = (g, factor)
-            # extend along the last nonzero coordinate and beyond to avoid
-            # revisiting permutations of the same multi-index
-            start = 0
-            for i in range(len(alpha) - 1, -1, -1):
-                if alpha[i]:
-                    start = i
-                    break
-            for i in range(start, len(names)):
-                d = g.derivative(names[i])
-                if d.is_zero():
-                    continue
-                nalpha = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
-                stack.append((nalpha, d, exact_div(factor, nalpha[i])))
-    result = {}
-    subs = {n: (v if isinstance(v, Polynomial) else Polynomial.const(table, v))
-            for n, v in at.items()}
-    for alpha, (g, factor) in out.items():
-        val = g.substitute(subs) * factor
-        if not val.is_zero():
-            result[alpha] = val
-    return result
+    num, den, ints = f.substitute(
+        {n: Polynomial.var(table, n) + v if n in names else v
+         for n, v in at.items()})._iv
+    pos = [table.index(n) for n in names]
+    groups = {}
+    for m, c in ints.items():
+        alpha = tuple([m[i] for i in pos])
+        rest = list(m)
+        for i in pos:
+            rest[i] = 0
+        groups.setdefault(alpha, {})[tuple(rest)] = c
+    return {alpha: from_int_terms(table, group, num, den)
+            for alpha, group in groups.items()}
 
 
 # ---------------------------------------------------------------------------

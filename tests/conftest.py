@@ -1,6 +1,6 @@
 """Shared instance builders for the pipeline tests, reference helpers on
-exponent tuples and values, and the Buchberger criterion and the colon
-chain as test oracles."""
+exponent tuples and values, and the Buchberger criterion, the colon chain
+and the Taylor expansion by derivatives as test oracles."""
 
 from fractions import Fraction
 
@@ -11,6 +11,7 @@ from neron import (ALGEBRA, BASE, Polynomial, VarTable, normal_form_against,
 from neron.desing import DesingProblem, MorphismApprox
 from neron.idealops import intersect, quotient_by_poly
 from neron.localring import LocalRingSpec, jet_invert, minimal_primes
+from neron.poly import exact_div
 
 PROBLEM_DIR = "problems"
 
@@ -68,6 +69,36 @@ def chain_quotient(gens_i, gens_j, table):
         q = quotient_by_poly(gens_i, g, table)
         result = q if k == 0 else intersect(result, q, table)
     return result
+
+
+def taylor_by_derivatives(f, names, at):
+    """{alpha: (d^alpha f / alpha!) evaluated at ``at``}, its nonzero
+    values, by a walk over the derivatives of f, each multi-index once,
+    and one substitution per multi-index; a name of ``names`` that ``at``
+    leaves out is evaluated at 0.  The oracle that ``taylor_coefficients``,
+    one substitution of the shifted point, is compared against."""
+    table = f.table
+    out = {}
+    stack = [(tuple(0 for _ in names), f, 1)]
+    while stack:
+        alpha, g, factor = stack.pop()
+        if g.is_zero() or alpha in out:
+            continue
+        out[alpha] = (g, factor)
+        # extend along the last nonzero coordinate and beyond, so that no
+        # permutation of a multi-index is visited again
+        start = max((i for i, a in enumerate(alpha) if a), default=0)
+        for i in range(start, len(names)):
+            nalpha = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+            stack.append((nalpha, g.derivative(names[i]),
+                          exact_div(factor, nalpha[i])))
+    point = dict.fromkeys(names, 0)
+    point.update(at)
+    subs = {n: v if isinstance(v, Polynomial) else Polynomial.const(table, v)
+            for n, v in point.items()}
+    values = {alpha: g.substitute(subs) * factor
+              for alpha, (g, factor) in out.items()}
+    return {alpha: v for alpha, v in values.items() if not v.is_zero()}
 
 
 def two_branch_table():

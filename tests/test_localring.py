@@ -19,10 +19,12 @@ from neron.errors import (ActiveElementNotFound, DecompositionIncomplete,
                           NeronError, NotAUnit, NotDivisible,
                           PreconditionFailed, TargetInsidePrime)
 from neron.desing import _survives
-from neron.localring import (SMALL_VALUES, Jet, LocalRingSpec, _solve_exact,
-                             active_element, check_precision_bound, compute_e,
-                             jet_divide, jet_invert, minimal_primes,
-                             monomials_of_degree, newton_inverse,
+from neron.desing import MAX_R_GENS, MAX_R_NORM
+from neron.localring import (MAX_ACTIVE_ATTEMPTS, SMALL_VALUES, Jet,
+                             LocalRingSpec, _solve_exact, active_element,
+                             check_precision_bound, compute_e, jet_divide,
+                             jet_invert, minimal_primes, monomials_of_degree,
+                             newton_inverse, small_combinations,
                              small_vectors_by_norm)
 
 
@@ -88,13 +90,13 @@ def test_active_element_examples():
     ring = two_branch_ring()
     T = ring.table
     target = [parse_poly(T, "(x1+x2)^2")]
-    d = active_element(target, ring.prime_ideals, T)
+    d = active_element(target, ring.prime_ideals)
     assert d == parse_poly(T, "(x1+x2)^2")
     x1 = parse_poly(T, "x1")
     with pytest.raises(TargetInsidePrime):
-        active_element([x1], (Ideal(T, [x1]),), T)
+        active_element([x1], (Ideal(T, [x1]),))
     combo = active_element([parse_poly(T, "x1^2"), parse_poly(T, "x2^2")],
-                           ring.prime_ideals, T)
+                           ring.prime_ideals)
     order = mixed_order(T)
     for p_gens in ring.primes:
         basis = std_basis(list(p_gens), T, order)
@@ -115,7 +117,7 @@ def test_active_element_tries_each_multiple_once():
         return False
 
     with pytest.raises(ActiveElementNotFound):
-        active_element([g], ring.prime_ideals, T, accept=refuse)
+        active_element([g], ring.prime_ideals, accept=refuse)
     assert len(offered) <= 7
     assert offered == [g * c for c in (1, -1, 2, -2, 3, -3)]
 
@@ -127,7 +129,7 @@ def test_active_element_combines_the_first_generator():
     ring = two_branch_ring()
     T = ring.table
     gens = [parse_poly(T, t) for t in ("x2", "x1", "x1^2", "x1^3", "x1^4")]
-    d = active_element(gens, ring.prime_ideals, T)
+    d = active_element(gens, ring.prime_ideals)
     assert d == parse_poly(T, "x2 + x1^4")
     assert not any(p.contains(d) for p in ring.prime_ideals)
 
@@ -149,6 +151,74 @@ def test_small_vectors_by_norm_is_product_order_sorted_by_norm():
             vec for vec in by_norm if 2 <= norm(vec) <= 5]
     assert list(small_vectors_by_norm(3, 1, 1)) == [
         (0, 0, 1), (0, 0, -1), (0, 1, 0), (0, -1, 0), (1, 0, 0), (-1, 0, 0)]
+
+
+def active_walk(live, table):
+    """Every element the search of ``active_element`` offered before
+    ``small_combinations``, in its order: the generators, then the nonzero
+    combinations by the first MAX_ACTIVE_ATTEMPTS vectors, +e_i skipped."""
+    out = list(live)
+    for coeffs in itertools.islice(small_vectors_by_norm(len(live)),
+                                   MAX_ACTIVE_ATTEMPTS):
+        if coeffs.count(0) == len(coeffs) - 1 and 1 in coeffs:
+            continue
+        d = Polynomial.zero(table)
+        for c, g in zip(coeffs, live):
+            if c:
+                d = d + g * c
+        if not d.is_zero():
+            out.append(d)
+    return out
+
+
+def witness_walk(cands, table):
+    """Every R that ``find_f_R`` tried before ``small_combinations``, in
+    its order: the colon generators, then the nonzero combinations of the
+    first MAX_R_GENS of them, of L1 norm 2 to MAX_R_NORM."""
+    out = list(cands)
+    k = min(len(cands), MAX_R_GENS)
+    for vec in small_vectors_by_norm(k, 2, MAX_R_NORM):
+        R = Polynomial.zero(table)
+        for c, g in zip(vec, cands[:k]):
+            if c:
+                R = R + g * c
+        if not R.is_zero():
+            out.append(R)
+    return out
+
+
+def test_small_combinations_walk_in_the_searches_order():
+    T = table2()
+    # 2*x1 - (2*x1) and x1 + x2 - (x1 + x2) cancel: zero combinations
+    gens = [parse_poly(T, t) for t in
+            ("x1", "2*x1", "x2", "x1 + x2", "x1*x2 - 1", "x2^2", "3")]
+    for live in (gens[:1], gens[:2], gens[:4]):
+        assert list(small_combinations(live, itertools.islice(
+            small_vectors_by_norm(len(live)), MAX_ACTIVE_ATTEMPTS))) == (
+            active_walk(live, T))
+    # seven generators: the vectors of length six are shorter
+    for cands in (gens[:3], gens):
+        k = min(len(cands), MAX_R_GENS)
+        assert list(small_combinations(cands, small_vectors_by_norm(
+            k, 2, MAX_R_NORM))) == witness_walk(cands, T)
+
+
+def test_small_combinations_by_example():
+    T = table2()
+    x1, x2, zero = parse_poly(T, "x1"), parse_poly(T, "x2"), Polynomial.zero(T)
+    vectors = [(1,), (0, 1), (-1,), (0, -1, 0), (1, -1), (0, 0), (2, -1),
+               (1, 0, 5)]
+    # +e_i skipped at any length, -e_i kept, x1 - x1 and 0 skipped, and
+    # (1, 0, 5) is no +e_i
+    assert list(small_combinations([x1, x1], vectors)) == [
+        x1, x1, -x1, -x1, x1, x1]
+    assert list(small_combinations([x1, x2], vectors)) == [
+        x1, x2, -x1, -x2, x1 - x2, 2 * x1 - x2, x1]
+    # a zero generator is not offered but keeps its place in the vectors
+    assert list(small_combinations(
+        [x1, zero, x2], [(0, 0, -1), (0, 2, 0), (1, 0, 1)])) == [
+        x1, x2, -x2, x1 + x2]
+    assert list(small_combinations([], [(), (1,)])) == []
 
 
 def test_compute_e_examples():

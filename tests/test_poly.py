@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import neron.localring
 import neron.poly
-from conftest import content, lead, random_certificate_instance
+from conftest import (content, lead, random_certificate_instance,
+                      taylor_by_derivatives)
 from neron import (ALGEBRA, BASE, Polynomial, VarTable, format_poly,
                    global_order, jacobian, mixed_order, parse_poly,
                    std_basis, taylor_coefficients)
@@ -684,6 +685,54 @@ def test_substitute_under_a_cut_drops_only_terms_beyond_it(p, v, bound):
     for assignment in ({"Y1": v}, {"x2": v, "Y2": v * v}):
         assert (p.substitute(assignment, cut)
                 == p.substitute(assignment).below(cut))
+
+
+_TAYLOR_NAMES = ("Y1", "Y2", "x2")
+
+
+@st.composite
+def taylor_points(draw):
+    """(f, names, at): distinct names among Y1, Y2 and x2, and a point
+    ``at`` on some of them, each value free of them: 0, a constant or a
+    polynomial in x1.  Names left out of ``at`` and names of ``at``
+    outside ``names`` are both drawn."""
+    T = table_xy()
+    subsets = st.lists(st.sampled_from(_TAYLOR_NAMES), unique=True)
+    in_x1 = st.lists(st.tuples(st.integers(0, 3), _RATIONALS),
+                     max_size=3).map(lambda items: Polynomial.from_terms(
+                         T, [((e, 0, 0, 0), c) for e, c in items]))
+    values = st.one_of(st.just(0), _RATIONALS, in_x1)
+    at = {n: draw(values) for n in draw(subsets)}
+    return draw(rational_polys()), draw(subsets), at
+
+
+_TXY = table_xy()
+
+
+@settings(max_examples=200, deadline=10000)
+@given(taylor_points())
+@example((Polynomial.zero(_TXY), ["Y1", "x2"], {"Y1": 3}))
+@example((parse_poly(_TXY, "x2*Y1^2 - 1/2*Y1*Y2 + x1"), ["Y1", "x2"],
+          {"Y1": Fraction(-2, 3), "Y2": parse_poly(_TXY, "1 + x1")}))
+@example((parse_poly(_TXY, "Y1^3*Y2 + x2"), ["Y2", "Y1"],
+          {"Y1": 0, "Y2": parse_poly(_TXY, "x1^2 - 2")}))
+def test_taylor_coefficients_match_the_derivatives(point):
+    # f = sum c_alpha * prod (X_i - at_i)^alpha_i, at_i = 0 for a name that
+    # at leaves out, once the names of at outside names take their values
+    f, names, at = point
+    T = f.table
+    coeffs = taylor_coefficients(f, names, at)
+    assert coeffs == taylor_by_derivatives(f, names, at)
+    positions = [T.index(n) for n in names]
+    total = Polynomial.zero(T)
+    for alpha, c in coeffs.items():
+        assert len(alpha) == len(names)
+        assert not c.is_zero() and not c.involves(positions)
+        for n, a in zip(names, alpha):
+            c = c * (Polynomial.var(T, n) - at.get(n, 0)) ** a
+        total = total + c
+    assert total == f.substitute({n: v for n, v in at.items()
+                                  if n not in names})
 
 
 # ---------------------------------------------------------------------------
