@@ -39,6 +39,13 @@ of P at the jets y', in the algebra names of the T-extended table, as
 seeds 17-27 and ``example4``; each asserts the number of coefficients of
 each polynomial, f first.
 
+``test_build_hg`` times stage 13, ``build_hg``, on the arguments that
+``desingularize`` passes it, caught once outside the timing: s and b by
+division, h, the expansions of Q and s'' at the shifted point, g and the
+pivot minor s'.  Each round builds a new shifted point.  Its cases are
+seeds 17-27, ``example1_hypersurface`` and ``example4``; each asserts
+the number of terms of each Q and of s''.
+
 Compare a parent and a change by interleaved runs, both copies timed in
 turn, as ``bench/test_mul_kernel.py`` says.
 """
@@ -48,6 +55,7 @@ import sys
 
 import pytest
 
+import neron.desing
 from neron.desing import (AlgebraPresentation, desingularize, elkik_ideal,
                           verify_certificate)
 from neron.poly import taylor_coefficients
@@ -76,6 +84,16 @@ ELKIK_SHAPES = {17: (3, 5), 18: (1, 1), 19: (1, 1), 20: (7, 34), 21: (3, 5),
                 22: (1, 1), 23: (1, 1), 24: (3, 6), 25: (1, 1), 26: (1, 1),
                 27: (3, 6), "example1_hypersurface": (1, 2),
                 "example4": (6, 5), "example21": (3, 21)}
+
+
+# case -> (terms of each Q, terms of s'')
+BUILD_HG_TERMS = {17: ((0, 0, 0), 18), 18: ((0,), 1), 19: ((0,), 1),
+                  20: ((0, 0, 0, 0), 134), 21: ((0, 0), 1),
+                  22: ((49, 98), 1183), 23: ((49, 98), 1183),
+                  24: ((0, 0, 0), 3), 25: ((49, 98), 1183), 26: ((0,), 1),
+                  27: ((0, 0, 0), 3),
+                  "example1_hypersurface": ((157, 157), 1747),
+                  "example4": ((0,), 1)}
 
 
 def _problem(case):
@@ -117,3 +135,19 @@ def test_taylor_coefficients(benchmark, case):
 
     counts = tuple(len(c) for c in benchmark(expand_all))
     assert counts == TAYLOR_COUNTS[case]
+
+
+@pytest.mark.parametrize("case", list(BUILD_HG_TERMS), ids=str)
+def test_build_hg(benchmark, monkeypatch, case):
+    build_hg = neron.desing.build_hg
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return build_hg(*args)
+    monkeypatch.setattr(neron.desing, "build_hg", spy)
+    desingularize(_problem(case))
+    monkeypatch.undo()
+    cert = benchmark(build_hg, *calls[0])[0]
+    assert (tuple(len(q.monomials()) for q in cert.Q),
+            len(cert.s_second_num.monomials())) == BUILD_HG_TERMS[case]

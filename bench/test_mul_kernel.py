@@ -80,6 +80,12 @@ its product against the other kernel's.  The square's operand has one
 term per strand, below the gate, so the library squares it in the dict
 loop; forced through the strand kernel, each of its terms is a strand.
 Its square is also checked against a times an equal copy of a.
+The one-term cases multiply an operand shaped as s'' of seeds 22, 23
+and 25 (x1-strands over the ten T-monomials of degree at most 3, 1 183
+terms of 306 bits, content 1/2^300) by a one-term factor: the constant
++1, whose product keeps the operand's integer terms; -1, which negates
+them; -3/7; and the monomial x1^2*T1, which shifts them.  Each checks its
+product against the value-map product.
 The exact counts are asserted, so a change of operands shows up as a
 failure, not as a different timing.  This directory lies outside
 ``testpaths``, so the default ``pytest`` run does not collect it.
@@ -196,6 +202,15 @@ DENSE_CASES = [
     ("square-150",
      (T_TABLE, [((0, 0, 0), (0, 89), 73), ((0, 1, 0), (0, 89), 77)], 18),
      None, (150, 150), 526)]
+
+# the operand of the one-term cases, shaped as s'' of seed 22: 1 183
+# terms, and the one-term factors
+S2_SPEC = (T_TABLE, [((0, a, b), (0, 161), 121 if (a, b) == (0, 0) else 118)
+                     for k in range(4) for a, b in
+                     ((k - j, j) for j in range(k + 1))], 306)
+S2_TERMS = 1183
+ONE_TERM_FACTORS = [("plus-one", "1"), ("minus-one", "-1"),
+                    ("c/d", "-3/7"), ("monomial", "x1^2*T1")]
 
 # the generators of the normal-form case, and the size of its remainder
 NF_GENS = ("3*x1^2 - 2*x2^3 + 5*x1*Y1", "7*x2*Y2 - 3*x1 + 4*x2^2",
@@ -406,6 +421,20 @@ def test_dense_mul(benchmark, monkeypatch, kernel, case, a_spec, b_spec,
     monkeypatch.setattr(neron.poly, "_STRAND_MIN", KERNELS[kernel])
     result = benchmark(a.mul, b)
     assert len(result.monomials()) == product_terms and result == want
+
+
+@pytest.mark.parametrize("case, factor", ONE_TERM_FACTORS,
+                         ids=[c[0] for c in ONE_TERM_FACTORS])
+def test_one_term_mul(benchmark, case, factor):
+    b = dense_operand(S2_SPEC, random.Random("s2")) * Fraction(1, 2 ** 300)
+    u = parse_poly(T_TABLE, factor)
+    assert len(b.monomials()) == S2_TERMS
+    result = benchmark(u.__mul__, b)
+    (mon, c), = u.terms.items()
+    assert len(result.monomials()) == S2_TERMS
+    assert result == Polynomial(T_TABLE, {
+        tuple(x + y for x, y in zip(mon, m)): c * v
+        for m, v in b.terms.items()})
 
 
 def test_mora_nf(benchmark):

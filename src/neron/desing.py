@@ -735,10 +735,13 @@ class ShiftedPoint:
 
     def _total(self, terms):
         """The sum of ``terms``, all polynomials or all jets, added in place
-        (the zero polynomial when there are none).  Jets are summed at the
-        smallest precision among them: their canonical polynomials are
-        added and the sum is cut there once, which is canonical, as the
-        canonical form is linear."""
+        (the zero polynomial when there are none, the term itself when
+        there is one).  Jets are summed at the smallest precision among
+        them: their canonical polynomials are added and the sum is cut
+        there once, which is canonical, as the canonical form is linear."""
+        terms = list(terms)
+        if len(terms) == 1:
+            return terms[0]
         out = PolySum(self.table)
         ring = n = None
         for term in terms:
@@ -752,22 +755,29 @@ class ShiftedPoint:
         return Jet(ring, out.value().below((ring.base, n)), n)
 
     def _sum(self, coeffs, p, d_shift, k_min):
-        def taylor_terms():
-            for alpha, c_alpha in coeffs.items():
-                k = sum(alpha)
-                if k < k_min:
-                    continue
-                term = (c_alpha * self.spow[p - k]
-                        * self.dpow[self.e * k - d_shift])
-                for j, aj in enumerate(alpha):
-                    if aj:
-                        term = self.W_pow[j][aj] * term
-                yield term
-        return self._total(taylor_terms())
+        """The sum over the Taylor degrees k >= k_min of the sum over
+        |alpha| = k of c_alpha * W^alpha, times s^(p-k) * d^(ek - d_shift):
+        one product by the powers of s and d per degree, not one per
+        multi-index."""
+        by_degree = {}
+        for alpha, term in coeffs.items():
+            k = sum(alpha)
+            if k < k_min:
+                continue
+            for j, aj in enumerate(alpha):
+                if aj:
+                    term = self.W_pow[j][aj] * term
+            by_degree.setdefault(k, []).append(term)
+        return self._total(
+            self._total(terms)
+            * (self.spow[p - k] * self.dpow[self.e * k - d_shift])
+            for k, terms in by_degree.items())
 
     def expand(self, q, p, d_shift, k_min):
         """Sum over |alpha| >= k_min of
-        c_alpha * s^(p-|alpha|) * d^(e|alpha| - d_shift) * W^alpha."""
+        c_alpha * s^(p-|alpha|) * d^(e|alpha| - d_shift) * W^alpha,
+        summed degree by degree (``_sum``); by distributivity it is the
+        same polynomial or jet as the sum taken term by term."""
         return self._sum(self._coefficients(q), p, d_shift, k_min)
 
     def h_combination(self, q, p):
@@ -960,9 +970,10 @@ def congruent_to_one(u, d_ideal, tangent):
     the variables at the positions ``tangent``.  T -> 0 is a ring map with
     kernel (T), d and J lie in the base, and the units of the mixed order
     are free of T, so that holds exactly when the slice T = 0 of u - 1,
-    its terms free of T, lies in (d) + J."""
+    its terms free of T, lies in (d) + J.  As 1 is free of T, that slice
+    is the slice of u minus 1, which copies only the terms kept."""
     return d_ideal.contains(
-        (u - 1).select(lambda m: not any([m[i] for i in tangent])))
+        u.select(lambda m: not any([m[i] for i in tangent])) - 1)
 
 
 def localize_smooth(cert, BT, vT):

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 
 from .errors import NeronError, PolyParseError
 from .orders import DegRevLex, mixed_order, packing
@@ -392,15 +393,18 @@ class Polynomial:
         integer polynomials is primitive (Gauss's lemma); a cut one has its
         content split off with one gcd.  Each term of the shorter operand
         meets each term of the longer one, or under a cut those whose
-        degree keeps the pair below it, in the tuple loop's order.  Two
-        shapes take a shorter path, with the same product but maybe another
-        insertion order of its terms: a one-term operand shifts the other's
-        terms; operands that are dense strands along one variable (terms
-        that differ only in its exponent, as the jets and the expansion of
-        s'' are), with at least ``_STRAND_MIN`` terms per strand, multiply
-        strand by strand, each strand pair as one integer product, cut or
-        not (``_strand_product``), and a square ``p.mul(p)`` there meets
-        each unordered strand pair once.
+        degree keeps the pair below it, in the tuple loop's order.  A
+        one-term operand is +-1 at one monomial once its content is split
+        off: a constant +1 keeps the other's integer terms as they are
+        (uncut, the product shares them), -1 negates them, and any other
+        monomial shifts them; under a cut the terms are filtered in one
+        pass first.  Operands that are dense strands along one variable
+        (terms that differ only in its exponent, as the jets and the
+        expansion of s'' are), with at least ``_STRAND_MIN`` terms per
+        strand, multiply strand by strand, each strand pair as one integer
+        product, cut or not (``_strand_product``), with the same product
+        but maybe another insertion order of its terms, and a square
+        ``p.mul(p)`` there meets each unordered strand pair once.
         """
         table = self.table
         if isinstance(other, _RATIONAL):
@@ -422,18 +426,23 @@ class Polynomial:
         # a cut can leave the integer terms of a product with a content
         finish = _from_ints if cut is None else from_int_terms
         if len(ta) == 1:
-            # A one-term operand shifts the other's terms.  Nothing can
-            # cancel, and packing would cost more than so few pairs save.
+            # A one-term operand is +-1 times a monomial (its content is in
+            # num/den): it shifts the other's terms, or, when constant,
+            # keeps them as they are (views are never mutated) or negates
+            # them.  Nothing can cancel, and packing would cost more than
+            # so few pairs save.
             (m1, c1), = ta.items()
-            items = tb.items()
             if cut is not None:
                 positions, bound = cut
                 room = bound - sum([m1[i] for i in positions])
-                items = [(m2, c2) for m2, c2 in items
-                         if sum([m2[i] for i in positions]) < room]
-            ints = {tuple([x + y for x, y in zip(m1, m2)]): c1 * c2
-                    for m2, c2 in items}
-            return finish(table, ints, num, den)
+                tb = {m2: c2 for m2, c2 in tb.items()
+                      if sum([m2[i] for i in positions]) < room}
+            if any(m1):
+                tb = {tuple(map(add, m1, m2)): c1 * c2
+                      for m2, c2 in tb.items()}
+            elif c1 < 0:
+                tb = {m2: -c2 for m2, c2 in tb.items()}
+            return finish(table, tb, num, den)
         if len(ta) >= _STRAND_MIN:
             ints = _strand_product(ta, tb, cut)
             if ints is not None:

@@ -1,6 +1,7 @@
 """Shared instance builders for the pipeline tests, reference helpers on
-exponent tuples and values, and the Buchberger criterion, the colon chain
-and the Taylor expansion by derivatives as test oracles."""
+exponent tuples and values, and the Buchberger criterion, the colon chain,
+the Taylor expansion by derivatives and the shifted-point expansion term
+by term as test oracles."""
 
 from fractions import Fraction
 
@@ -99,6 +100,27 @@ def taylor_by_derivatives(f, names, at):
     values = {alpha: g.substitute(subs) * factor
               for alpha, (g, factor) in out.items()}
     return {alpha: v for alpha, v in values.items() if not v.is_zero()}
+
+
+def taylor_sum_per_alpha(point, q, p, d_shift, k_min):
+    """The sum over |alpha| >= k_min of
+    c_alpha * s^(p-|alpha|) * d^(e|alpha| - d_shift) * W^alpha at the
+    ``ShiftedPoint`` ``point``, term by term: each c_alpha is multiplied by
+    its powers of s and d, then by the W powers.  The oracle that
+    ``ShiftedPoint.expand``, one product by the powers of s and d per
+    Taylor degree, is compared against."""
+    def taylor_terms():
+        for alpha, c_alpha in point._coefficients(q).items():
+            k = sum(alpha)
+            if k < k_min:
+                continue
+            term = (c_alpha * point.spow[p - k]
+                    * point.dpow[point.e * k - d_shift])
+            for j, aj in enumerate(alpha):
+                if aj:
+                    term = point.W_pow[j][aj] * term
+            yield term
+    return point._total(taylor_terms())
 
 
 def two_branch_table():

@@ -8,7 +8,8 @@ import pytest
 
 import neron.desing
 from conftest import (hypersurface_problem, random_certificate_instance,
-                      space_curve_data, two_branch_problem, two_branch_table)
+                      space_curve_data, taylor_sum_per_alpha,
+                      two_branch_problem, two_branch_table)
 from neron import (ALGEBRA, BASE, TANGENT, Ideal, Polynomial, VarTable, det,
                    jacobian, krull_dim, mixed_order, normal_form_against,
                    parse_poly, radical_membership, std_basis)
@@ -803,3 +804,35 @@ def test_power_cache_chain_is_one_deep():
     assert first._prev is second._prev is None
     assert third._prev[0] is second
     assert third[2] == third[1] * third[1]
+
+
+# the seeds of the ``seeds`` workload, and the shipped problems whose d
+# lies in the maximal ideal; example4 also has a relation outside f, so
+# the check expands it with k_min = 0
+EXPANSION_SOURCES = [*range(17, 28), "example1_hypersurface", "example4"]
+
+
+@pytest.mark.parametrize("source", EXPANSION_SOURCES, ids=str)
+def test_expand_is_the_sum_taken_term_by_term(monkeypatch, source):
+    """Each expansion that build_hg and verify_certificate make (Q, s''
+    and the rewriting of the relations outside f), one product by the
+    powers of s and d per Taylor degree, is the sum taken term by term."""
+    if isinstance(source, int):
+        problem = random_certificate_instance(source)
+    else:
+        path = os.path.join(PROBLEMS, f"{source}.gnd")
+        with open(path, encoding="utf-8") as fh:
+            problem = parse_problem(fh.read()).build()
+    calls = []
+    expand = ShiftedPoint.expand
+
+    def spy(point, q, p, d_shift, k_min):
+        got = expand(point, q, p, d_shift, k_min)
+        calls.append((point, q, p, d_shift, k_min, got))
+        return got
+    monkeypatch.setattr(ShiftedPoint, "expand", spy)
+    desingularize(problem)
+    monkeypatch.undo()
+    assert calls
+    for point, q, p, d_shift, k_min, got in calls:
+        assert got == taylor_sum_per_alpha(point, q, p, d_shift, k_min)

@@ -8,11 +8,11 @@ import pytest
 
 import neron.idealops as idealops
 from conftest import (chain_quotient, random_certificate_instance,
-                      two_branch_problem)
+                      taylor_sum_per_alpha, two_branch_problem)
 from neron import (ALGEBRA, BASE, Polynomial, VarTable, format_poly,
                    mixed_order, parse_poly)
-from neron.desing import (AlgebraPresentation, Reduction, build_hg,
-                          complete_H, jacobian_minors)
+from neron.desing import (AlgebraPresentation, Reduction, ShiftedPoint,
+                          build_hg, complete_H, jacobian_minors)
 from neron.errors import (CompletionFailed, HypothesisViolated, NeronError,
                           PreconditionFailed)
 from neron.groebner import Ideal
@@ -21,7 +21,8 @@ from neron.lifting import (LiftingProblem, _completion_data,
                            _jacobian_products, check_hypothesis, newton_lift,
                            nu_bound, strong_approx_decide)
 from neron.linalg import det
-from neron.localring import LocalRingSpec, compute_e, monomials_of_degree
+from neron.localring import (Jet, LocalRingSpec, compute_e,
+                             monomials_of_degree)
 
 # sha256 of e, nu, agreement, update orders and every lifted jet of
 # newton_lift on generator seed s (rho 0, every relation in f, target 80);
@@ -249,6 +250,32 @@ def test_newton_lift_generator_digests():
         if _lift_digest(newton_lift(prob), prob.ring) != want:
             changed.append(seed)
     assert not changed, f"lift digests changed for seeds {changed}"
+
+
+def test_each_contraction_expansion_is_the_sum_taken_term_by_term(
+        monkeypatch):
+    """On the lift's jets T, after each move of the shifted point, the
+    expansion that the Newton contraction reads, one product by the powers
+    of d per Taylor degree, is the sum taken term by term."""
+    expand, move = ShiftedPoint.expand, ShiftedPoint.move
+    moves = {}
+    checked = []
+
+    def spy_move(point, steps):
+        moves[point] = moves.get(point, 0) + 1
+        return move(point, steps)
+
+    def spy_expand(point, q, p, d_shift, k_min):
+        got = expand(point, q, p, d_shift, k_min)
+        assert got == taylor_sum_per_alpha(point, q, p, d_shift, k_min)
+        checked.append((moves.get(point, 0), isinstance(got, Jet)))
+        return got
+    monkeypatch.setattr(ShiftedPoint, "move", spy_move)
+    monkeypatch.setattr(ShiftedPoint, "expand", spy_expand)
+    for seed in LIFT_DIGESTS:
+        newton_lift(_generator_lift_problem(seed, 0))
+    # jets after one move and after several
+    assert {(1, True), (2, True)} <= set(checked)
 
 
 def _hypothesis_with_cut(prob, nu):

@@ -649,6 +649,69 @@ def test_products_carry_their_view(a, b, bound, scalar, mon):
     assert_view(a.mul(b, cut).mul(a, cut))
 
 
+@st.composite
+def one_term_factors(draw):
+    """A one-term polynomial over table_xy(): +-1, another int or a
+    Fraction, at the zero monomial or at a drawn one."""
+    mon = draw(st.one_of(st.just((0, 0, 0, 0)),
+                         st.tuples(*[st.integers(0, 3)] * 4)))
+    value = draw(st.one_of(
+        st.sampled_from([1, -1, Fraction(1), Fraction(-1)]), _RATIONALS))
+    return Polynomial(table_xy(), {mon: value})
+
+
+def schoolbook(a, b, cut=None):
+    """The value map of a * b, pair by pair over the value maps of a and b,
+    without its terms at or past ``cut``."""
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    if cut is not None:
+        positions, bound = cut
+        out = {m: c for m, c in out.items()
+               if sum(m[i] for i in positions) < bound}
+    return {m: canon(Fraction(c)) for m, c in out.items() if c}
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_term_factors(), rational_polys(), rational_polys(),
+       st.one_of(st.none(), st.integers(0, 8)))
+@example(Polynomial.const(table_xy(), 1),
+         parse_poly(table_xy(), "2/3*x1*Y1 - 4/3*x2^3 + 2"),
+         parse_poly(table_xy(), "x1 - Y2"), None)
+@example(Polynomial.const(table_xy(), -1),
+         parse_poly(table_xy(), "2/3*x1*Y1 - 4/3*x2^3 + 2"),
+         parse_poly(table_xy(), "x1 - Y2"), 2)
+def test_one_term_products_are_the_schoolbook_product(u, b, c, bound):
+    """A one-term factor, constant or not, times a polynomial with a
+    rational content is the schoolbook product, cut or not.  A product by
+    a positive constant reuses the operand's integer terms, and no later
+    sum or product writes to them."""
+    cut = None if bound is None else (TABLE_XY_BASE, bound)
+    num, den, ints = b._view()
+    snapshot = list(ints.items())
+    want = schoolbook(u, b, cut)
+    products = [u.mul(b, cut), b.mul(u, cut)]
+    for q in products:
+        got = q.terms
+        assert got == want
+        assert [type(got[m]) for m in want] == [type(v) for v in
+                                                want.values()]
+        assert_view(q)
+    (mon, value), = u.terms.items()
+    if not any(mon) and value > 0 and cut is None and len(ints) > 1:
+        assert all(q._view()[2] is ints for q in products)
+    for q in products:
+        later = [q + c, q - c, c - q, q + q, -q, q * c, q.mul(c, cut), q * q,
+                 q.mul(Fraction(-2, 3), cut), q.substitute({"Y1": c}, cut)]
+        assert all(isinstance(r, Polynomial) for r in later)
+    assert b._view()[:2] == (num, den) and b._view()[2] is ints
+    assert list(ints.items()) == snapshot
+    assert products == [Polynomial(b.table, want)] * 2
+
+
 @settings(max_examples=150, deadline=None)
 @given(rational_polys(), rational_polys())
 def test_arithmetic_stores_integral_coefficients_as_int(a, b):
